@@ -62,6 +62,7 @@ func Betweenness(g graph.Adj, o *Options, src uint32) []float64 {
 	delta := make([]float64, n)
 	o.Env.Alloc(int64(n))
 	defer o.Env.Free(int64(n))
+	flat := graph.NewFlat(g)
 	for l := len(rounds) - 2; l >= 0; l-- {
 		o.Checkpoint()
 		lvl := uint32(l)
@@ -72,12 +73,12 @@ func Betweenness(g graph.Adj, o *Options, src uint32) []float64 {
 			o.Env.GraphRead(w, g.EdgeAddr(v), g.ScanCost(v, 0, deg))
 			sv := parallel.LoadFloat64(&sigma[v])
 			var acc float64
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
+			for _, u := range nghs {
 				if level[u] == lvl+1 {
 					acc += sv / parallel.LoadFloat64(&sigma[u]) * (1 + delta[u])
 				}
-				return true
-			})
+			}
 			o.Env.StateRead(w, int64(deg))
 			delta[v] = acc
 		})

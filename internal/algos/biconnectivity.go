@@ -93,20 +93,21 @@ func Biconnectivity(g graph.Adj, o *Options) *BiconnResult {
 	// subtree via non-tree edges, seeded per vertex and folded bottom-up.
 	low := make([]uint32, n)
 	high := make([]uint32, n)
+	flat := graph.NewFlat(g)
 	parallel.ForBlocks(int(n), 64, func(w, lo, hi int) {
+		sc := o.scratch(w)
 		var scanned int64
 		for i := lo; i < hi; i++ {
 			v := uint32(i)
 			lo0, hi0 := pre[v], pre[v]
-			deg := g.Degree(v)
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := flat.Full(v, sc)
+			for _, u := range nghs {
 				if parent[v] != u && parent[u] != v {
 					lo0 = min(lo0, pre[u])
 					hi0 = max(hi0, pre[u])
 				}
-				return true
-			})
-			scanned += int64(deg)
+			}
+			scanned += int64(len(nghs))
 			low[v], high[v] = lo0, hi0
 		}
 		o.Env.GraphRead(w, 0, scanned)

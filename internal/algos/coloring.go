@@ -34,19 +34,20 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 	o.Env.Alloc(5 * int64(n))
 	defer o.Env.Free(5 * int64(n))
 
+	flat := graph.NewFlat(g)
 	parallel.ForBlocks(int(n), 64, func(w, lo, hi int) {
+		sc := o.scratch(w)
 		var scanned int64
 		for i := lo; i < hi; i++ {
 			v := uint32(i)
 			var c int32
-			deg := g.Degree(v)
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := flat.Full(v, sc)
+			for _, u := range nghs {
 				if earlier(u, v) {
 					c++
 				}
-				return true
-			})
-			scanned += int64(deg)
+			}
+			scanned += int64(len(nghs))
 			count[i] = c
 		}
 		o.Env.GraphRead(w, 0, scanned)
@@ -63,12 +64,12 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			// Smallest color not used by colored neighbors: a local
 			// palette of deg+1 booleans suffices.
 			palette := make([]bool, deg+1)
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
+			for _, u := range nghs {
 				if c := atomic.LoadUint32(&color[u]); c <= deg {
 					palette[c] = true
 				}
-				return true
-			})
+			}
 			c := uint32(0)
 			for c <= deg && palette[c] {
 				c++
@@ -76,12 +77,11 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			atomic.StoreUint32(&color[v], c)
 			o.Env.StateWrite(w, int64(deg)+2)
 			// Release later neighbors.
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			for _, u := range nghs {
 				if earlier(v, u) && parallel.FetchAddInt32(&count[u], -1) == 0 {
 					nextCand[w] = append(nextCand[w], u)
 				}
-				return true
-			})
+			}
 		})
 		roots = parallel.FlattenUint32(nextCand)
 	}

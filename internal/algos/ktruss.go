@@ -1,6 +1,7 @@
 package algos
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -37,22 +38,19 @@ func (r *KTrussResult) EdgeID(u, v uint32) (uint32, bool) {
 		u, v = v, u
 	}
 	// Up-edges of u are its neighbors greater than u, in adjacency order.
-	var id uint32
-	found := false
+	var s graph.Scratch
+	nghs, _ := r.g.Slice(u, 0, math.MaxUint32, &s)
 	idx := r.UpOffsets[u]
-	r.g.IterRange(u, 0, r.g.Degree(u), func(_, ngh uint32, _ int32) bool {
+	for _, ngh := range nghs {
 		if ngh <= u {
-			return true
+			continue
 		}
 		if ngh == v {
-			id = uint32(idx)
-			found = true
-			return false
+			return uint32(idx), true
 		}
 		idx++
-		return true
-	})
-	return id, found
+	}
+	return 0, false
 }
 
 // EdgeTrussness returns the trussness of edge {u, v}.
@@ -70,16 +68,14 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 	n := int(g.NumVertices())
 	// Edge id space: up-edges (u < v), offset per vertex.
 	upOff := make([]uint64, n+1)
-	parallel.For(n, 0, func(i int) {
-		v := uint32(i)
-		var c uint64
-		g.IterRange(v, 0, g.Degree(v), func(_, ngh uint32, _ int32) bool {
-			if ngh > v {
-				c++
-			}
-			return true
-		})
-		upOff[i] = c
+	flat := graph.NewFlat(g)
+	// upNeighbors returns the suffix of v's sorted adjacency above v.
+	upNeighbors := func(w int, v uint32) []uint32 {
+		nghs, _ := flat.Full(v, o.scratch(w))
+		return nghs[sort.Search(len(nghs), func(i int) bool { return nghs[i] > v }):]
+	}
+	parallel.ForWorker(n, 0, func(w, i int) {
+		upOff[i] = uint64(len(upNeighbors(w, uint32(i))))
 	})
 	mUp := parallel.Scan(upOff)
 	upOff[n] = mUp
@@ -89,17 +85,12 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 	// Materialize the up-edge endpoints for direct indexing.
 	eu := make([]uint32, mUp)
 	ev := make([]uint32, mUp)
-	parallel.For(n, 16, func(i int) {
-		v := uint32(i)
-		wr := upOff[i]
-		g.IterRange(v, 0, g.Degree(v), func(_, ngh uint32, _ int32) bool {
-			if ngh > v {
-				eu[wr] = v
-				ev[wr] = ngh
-				wr++
-			}
-			return true
-		})
+	parallel.ForWorker(n, 16, func(w, i int) {
+		up := upNeighbors(w, uint32(i))
+		copy(ev[upOff[i]:], up)
+		for k := range up {
+			eu[upOff[i]+uint64(k)] = uint32(i)
+		}
 	})
 	res := &KTrussResult{UpOffsets: upOff[:n+1], Trussness: make([]uint32, mUp), g: g}
 
@@ -247,9 +238,11 @@ func iterCommon(g graph.Adj, o *Options, worker int, u, v uint32, fn func(x uint
 	du, dv := g.Degree(u), g.Degree(v)
 	o.Env.GraphRead(worker, g.EdgeAddr(u), g.ScanCost(u, 0, du))
 	o.Env.GraphRead(worker, g.EdgeAddr(v), g.ScanCost(v, 0, dv))
-	var bufU, bufV [512]uint32
-	nu := graph.DecodeRange(g, u, 0, du, bufU[:0])
-	nv := graph.DecodeRange(g, v, 0, dv, bufV[:0])
+	// Two lists are live at once: u's sits in the worker's scratch, v's
+	// one level down, where no decode of u's can reach it.
+	su := o.scratch(worker)
+	nu, _ := g.Slice(u, 0, du, su)
+	nv, _ := g.Slice(v, 0, dv, su.Inner())
 	i, j := 0, 0
 	for i < len(nu) && j < len(nv) {
 		switch {

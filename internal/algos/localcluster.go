@@ -55,19 +55,20 @@ func LocalCluster(g graph.Adj, o *Options, seed uint32, damping float64, maxSize
 	defer o.Env.Free(int64(n))
 	var vol, cut int64
 	bestIdx, bestCond := 0, 2.0
+	flat := graph.NewFlat(g)
 	for i, v := range order {
 		o.Checkpoint()
-		deg := int64(g.Degree(v))
+		nghs, _ := flat.Full(v, o.scratch(0))
+		deg := int64(len(nghs))
 		// Adding v: edges to current members stop being cut; the rest
 		// start.
 		var toS int64
-		g.IterRange(v, 0, g.Degree(v), func(_, u uint32, _ int32) bool {
+		for _, u := range nghs {
 			if inS[u] {
 				toS++
 			}
-			return true
-		})
-		o.Env.GraphRead(0, g.EdgeAddr(v), g.ScanCost(v, 0, g.Degree(v)))
+		}
+		o.Env.GraphRead(0, g.EdgeAddr(v), g.ScanCost(v, 0, uint32(deg)))
 		inS[v] = true
 		vol += deg
 		cut += deg - 2*toS

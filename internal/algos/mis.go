@@ -32,19 +32,20 @@ func MIS(g graph.Adj, o *Options) []bool {
 	o.Env.Alloc(4 * int64(n))
 	defer o.Env.Free(4 * int64(n))
 
+	flat := graph.NewFlat(g)
 	parallel.ForBlocks(int(n), 64, func(w, lo, hi int) {
+		sc := o.scratch(w)
 		var scanned int64
 		for i := lo; i < hi; i++ {
 			v := uint32(i)
 			var c int32
-			deg := g.Degree(v)
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := flat.Full(v, sc)
+			for _, u := range nghs {
 				if earlier(u, v) {
 					c++
 				}
-				return true
-			})
-			scanned += int64(deg)
+			}
+			scanned += int64(len(nghs))
 			count[i] = c
 		}
 		o.Env.GraphRead(w, 0, scanned)
@@ -69,12 +70,12 @@ func MIS(g graph.Adj, o *Options) []bool {
 			joined[i] = true
 			deg := g.Degree(v)
 			o.Env.GraphRead(w, g.EdgeAddr(v), g.ScanCost(v, 0, deg))
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
+			for _, u := range nghs {
 				if parallel.CASUint32(&state[u], stateUndecided, stateOut) {
 					newlyOut[w] = append(newlyOut[w], u)
 				}
-				return true
-			})
+			}
 		})
 		decided := parallel.FlattenUint32(newlyOut)
 		decided = append(decided, parallel.FilterIndex(roots, func(i int, _ uint32) bool {
@@ -86,15 +87,13 @@ func MIS(g graph.Adj, o *Options) []bool {
 			v := decided[i]
 			deg := g.Degree(v)
 			o.Env.GraphRead(w, g.EdgeAddr(v), g.ScanCost(v, 0, deg))
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
-				if earlier(v, u) {
-					if parallel.FetchAddInt32(&count[u], -1) == 0 &&
-						atomic.LoadUint32(&state[u]) == stateUndecided {
-						nextCand[w] = append(nextCand[w], u)
-					}
+			nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
+			for _, u := range nghs {
+				if earlier(v, u) && parallel.FetchAddInt32(&count[u], -1) == 0 &&
+					atomic.LoadUint32(&state[u]) == stateUndecided {
+					nextCand[w] = append(nextCand[w], u)
 				}
-				return true
-			})
+			}
 		})
 		roots = parallel.Filter(parallel.FlattenUint32(nextCand), func(v uint32) bool {
 			return atomic.LoadUint32(&state[v]) == stateUndecided

@@ -32,6 +32,7 @@ func PersonalizedPageRank(g graph.Adj, o *Options, src uint32, damping, eps floa
 	defer o.Env.Free(3 * int64(n))
 	prev[src] = 1
 
+	flat := graph.NewFlat(g)
 	iters := 0
 	for iters < maxIters {
 		o.Checkpoint()
@@ -47,17 +48,17 @@ func PersonalizedPageRank(g graph.Adj, o *Options, src uint32, damping, eps floa
 			_ [56]byte
 		}
 		parallel.ForBlocks(n, 64, func(w, lo, hi int) {
+			sc := o.scratch(w)
 			var scanned int64
 			var l1 float64
 			for i := lo; i < hi; i++ {
 				v := uint32(i)
-				deg := g.Degree(v)
 				var acc float64
-				g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+				nghs, _ := flat.Full(v, sc)
+				for _, u := range nghs {
 					acc += contrib[u]
-					return true
-				})
-				scanned += int64(deg)
+				}
+				scanned += int64(len(nghs))
 				nv := damping * acc
 				if v == src {
 					nv += 1 - damping

@@ -194,74 +194,6 @@ func (c *CGraph) region(v uint32) []byte {
 	return c.data[c.vtxOff[v]:c.vtxOff[v+1]]
 }
 
-// DecodedEdges is a decode-work counter: IterRange and DecodeBlockInto add
-// the number of edges physically decoded (Table 4's "total work" column is
-// accumulated by the caller from the return values below).
-
-// IterRange implements graph.Adj. Because blocks decode sequentially,
-// positions before lo inside the first block are decoded and skipped — the
-// cost behaviour Appendix D.1 studies.
-func (c *CGraph) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
-	if hi > c.degrees[v] {
-		hi = c.degrees[v]
-	}
-	if hi <= lo {
-		return
-	}
-	region := c.region(v)
-	nb := c.numBlocks(v)
-	for b := lo / c.blockSize; b <= (hi-1)/c.blockSize && b < nb; b++ {
-		if !c.decodeBlock(v, b, region, func(i, ngh uint32, w int32) bool {
-			if i < lo {
-				return true
-			}
-			if i >= hi {
-				return false
-			}
-			return fn(i, ngh, w)
-		}) {
-			return
-		}
-	}
-}
-
-// decodeBlock walks block b of v's region, calling fn(pos, ngh, w) with
-// the global adjacency position; it returns false if fn aborted.
-// Unweighted graphs pass w = 1.
-//
-//sage:hotpath
-func (c *CGraph) decodeBlock(v, b uint32, region []byte, fn func(i, ngh uint32, w int32) bool) bool {
-	lo := b * c.blockSize
-	hi := min(lo+c.blockSize, c.degrees[v])
-	pos := int(getU32(region[4*b:]))
-	first, k := getVarint(region[pos:])
-	pos += k
-	ngh := uint32(int64(v) + unzigzag(first))
-	w := int32(1)
-	if c.weighted {
-		enc, k := getVarint(region[pos:])
-		pos += k
-		w = int32(unzigzag(enc))
-	}
-	if !fn(lo, ngh, w) {
-		return false
-	}
-	for i := lo + 1; i < hi; i++ {
-		gap, k := getVarint(region[pos:])
-		pos += k
-		ngh += uint32(gap)
-		if c.weighted {
-			enc, k := getVarint(region[pos:])
-			pos += k
-			w = int32(unzigzag(enc))
-		}
-		if !fn(i, ngh, w) {
-			return false
-		}
-	}
-	return true
-}
-
 // DecodeBlockInto decodes the full compression block b of vertex v into
 // buf and returns the neighbor slice. The graph filter uses it to fetch
 // the edges behind a filter block (§4.2.3: "we immediately decompress the
@@ -271,7 +203,7 @@ func (c *CGraph) DecodeBlockInto(v, b uint32, buf []uint32) []uint32 {
 		return buf[:0]
 	}
 	lo := b * c.blockSize
-	return c.DecodeRange(v, lo, lo+c.blockSize, buf)
+	return c.decode(v, lo, lo+c.blockSize, buf)
 }
 
 // SizeWords reports the simulated NVRAM footprint in words.

@@ -53,14 +53,7 @@ func checkEquivalent(t *testing.T, g *graph.Graph, c *CGraph) {
 			t.Fatalf("deg(%d): %d vs %d", v, c.Degree(v), g.Degree(v))
 		}
 		want := g.Neighbors(v)
-		var got []uint32
-		c.IterRange(v, 0, c.Degree(v), func(i, ngh uint32, _ int32) bool {
-			if int(i) != len(got) {
-				t.Fatalf("position misnumbered at %d", v)
-			}
-			got = append(got, ngh)
-			return true
-		})
+		got, _ := c.Slice(v, 0, c.Degree(v), &graph.Scratch{})
 		if len(got) != len(want) {
 			t.Fatalf("vertex %d: %d nghs vs %d", v, len(got), len(want))
 		}
@@ -98,11 +91,7 @@ func TestCompressSubRange(t *testing.T) {
 		}
 		lo, hi := deg/4, deg/4*3
 		want := g.Neighbors(v)[lo:hi]
-		var got []uint32
-		c.IterRange(v, lo, hi, func(_, ngh uint32, _ int32) bool {
-			got = append(got, ngh)
-			return true
-		})
+		got, _ := c.Slice(v, lo, hi, &graph.Scratch{})
 		if len(got) != len(want) {
 			t.Fatalf("v=%d range [%d,%d): %d vs %d", v, lo, hi, len(got), len(want))
 		}
@@ -111,19 +100,6 @@ func TestCompressSubRange(t *testing.T) {
 				t.Fatalf("v=%d[%d]", v, i)
 			}
 		}
-	}
-}
-
-func TestCompressEarlyExit(t *testing.T) {
-	g := gen.Star(100)
-	c := Compress(g, 64)
-	count := 0
-	c.IterRange(0, 0, c.Degree(0), func(_, _ uint32, _ int32) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early exit count=%d", count)
 	}
 }
 
@@ -182,10 +158,9 @@ func TestCompressEmptyAndTinyVertices(t *testing.T) {
 	if c.Degree(3) != 0 {
 		t.Fatal("isolated vertex degree")
 	}
-	c.IterRange(3, 0, 0, func(_, _ uint32, _ int32) bool {
-		t.Fatal("iterated empty vertex")
-		return false
-	})
+	if nghs, _ := c.Slice(3, 0, 0, &graph.Scratch{}); len(nghs) != 0 {
+		t.Fatalf("empty vertex yields %v", nghs)
+	}
 }
 
 func TestCompressWeightedRoundTrip(t *testing.T) {
@@ -197,13 +172,7 @@ func TestCompressWeightedRoundTrip(t *testing.T) {
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		want := g.Neighbors(v)
 		ws := g.NeighborWeights(v)
-		var gotN []uint32
-		var gotW []int32
-		c.IterRange(v, 0, c.Degree(v), func(_, ngh uint32, w int32) bool {
-			gotN = append(gotN, ngh)
-			gotW = append(gotW, w)
-			return true
-		})
+		gotN, gotW := c.Slice(v, 0, c.Degree(v), &graph.Scratch{})
 		if len(gotN) != len(want) {
 			t.Fatalf("v=%d: %d vs %d neighbors", v, len(gotN), len(want))
 		}
@@ -220,11 +189,7 @@ func TestCompressWeightedNegativeWeights(t *testing.T) {
 		{U: 0, V: 1, W: -7}, {U: 1, V: 2, W: 1000000},
 	}, graph.BuildOpts{Symmetrize: true})
 	c := Compress(g, 64)
-	var got []int32
-	c.IterRange(1, 0, c.Degree(1), func(_, _ uint32, w int32) bool {
-		got = append(got, w)
-		return true
-	})
+	_, got := c.Slice(1, 0, c.Degree(1), &graph.Scratch{})
 	if len(got) != 2 || got[0] != -7 || got[1] != 1000000 {
 		t.Fatalf("weights %v", got)
 	}

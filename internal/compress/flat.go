@@ -1,27 +1,33 @@
 package compress
 
-// Closure-free block decoding (the graph.FlatAdj implementation). The
-// hot traversal loops hand DecodeRange a per-worker scratch buffer and
-// get back a flat neighbor slice: varint decode cost is paid once per
-// compression block entered, and the per-edge cost downstream is a plain
-// slice iteration instead of an interface-dispatched callback.
+// Block decoding behind graph.Adj's Slice. The hot traversal loops hand
+// Slice a per-worker scratch and get back flat slices: varint decode cost
+// is paid once per compression block entered, and the per-edge cost
+// downstream is a plain slice iteration.
 
-// FlatRange implements graph.FlatAdj: byte-compressed adjacency is never
-// flat, so callers must decode.
+import "sage/internal/graph"
+
+// Slice implements graph.Adj: byte-compressed adjacency is never flat, so
+// positions [lo, hi) of v are block-decoded into s (contents overwritten,
+// capacity grown as needed). Because blocks decode sequentially,
+// positions before lo inside the first block are decoded and skipped —
+// the cost behaviour Appendix D.1 studies — and decoding stops at hi.
 //
 //sage:hotpath
-func (c *CGraph) FlatRange(_, _, _ uint32) ([]uint32, []int32, bool) {
-	return nil, nil, false
+func (c *CGraph) Slice(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int32) {
+	if c.weighted {
+		s.Nghs, s.Ws = c.decodeW(v, lo, hi, s.Nghs, s.Ws)
+		return s.Nghs, s.Ws
+	}
+	s.Nghs = c.decode(v, lo, hi, s.Nghs)
+	return s.Nghs, nil
 }
 
-// DecodeRange implements graph.FlatAdj: it block-decodes the neighbors at
-// positions [lo, hi) of v into buf (contents overwritten, capacity grown
-// as needed) and returns the filled slice. Positions before lo inside the
-// first block are decoded and skipped, the same cost behaviour as
-// IterRange (Appendix D.1).
+// decode fills buf with the neighbors at positions [lo, hi) of v,
+// skipping over interleaved weights.
 //
 //sage:hotpath
-func (c *CGraph) DecodeRange(v, lo, hi uint32, buf []uint32) []uint32 {
+func (c *CGraph) decode(v, lo, hi uint32, buf []uint32) []uint32 {
 	buf = buf[:0]
 	if hi > c.degrees[v] {
 		hi = c.degrees[v]
@@ -86,15 +92,11 @@ func (c *CGraph) DecodeRange(v, lo, hi uint32, buf []uint32) []uint32 {
 	return buf
 }
 
-// DecodeRangeW implements graph.FlatAdj: like DecodeRange but also
-// decoding the interleaved zigzag-varint weights into wbuf. For
-// unweighted graphs the returned weight slice is nil (weights all 1).
+// decodeW is decode for weighted graphs, additionally decoding the
+// interleaved zigzag-varint weights into wbuf.
 //
 //sage:hotpath
-func (c *CGraph) DecodeRangeW(v, lo, hi uint32, buf []uint32, wbuf []int32) ([]uint32, []int32) {
-	if !c.weighted {
-		return c.DecodeRange(v, lo, hi, buf), nil
-	}
+func (c *CGraph) decodeW(v, lo, hi uint32, buf []uint32, wbuf []int32) ([]uint32, []int32) {
 	buf = buf[:0]
 	wbuf = wbuf[:0]
 	if hi > c.degrees[v] {

@@ -12,13 +12,13 @@
 // base graph, zero-copy) with the old one. Snapshots taken before a batch
 // therefore stay valid for in-flight traversals; readers never lock.
 //
-// The Overlay implements graph.Adj — merged iteration over (base \ dels)
-// ∪ adds, sorted, with weights — and graph.FlatAdj in its decode form, so
-// every traversal strategy and every registry algorithm runs on it
-// unmodified. Vertices without a delta delegate to the base directly, and
-// the empty overlay is never handed to the traversal layer at all (the
-// sage.Snapshot wrapper exposes the base graph itself, keeping the flat
-// zero-copy fast path byte-identical to the static case).
+// The Overlay implements graph.Adj — Slice merges (base \ dels) ∪ adds,
+// sorted, with weights, into the caller's scratch — so every traversal
+// strategy and every registry algorithm runs on it unmodified. Vertices
+// without a delta hand back the base's own slices (aliased storage on a
+// CSR base: no merge, no copy), and the empty overlay is never handed to
+// the traversal layer at all (the sage.Snapshot wrapper exposes the base
+// graph itself, keeping the static case byte-identical).
 //
 // PSAM accounting: delta memory is DRAM-resident and reported by Words so
 // serving layers can budget it; merged scans of a delta vertex charge the
@@ -31,6 +31,7 @@ package delta
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -139,16 +140,12 @@ func (o *Overlay) Words() int64 { return o.words }
 // A re-weighted edge counts in both.
 func (o *Overlay) DeltaArcs() (added, deleted uint64) { return o.arcsAdd, o.arcsDel }
 
-// baseNeighbors materializes v's base adjacency into buf (ids and, on
-// weighted bases, aligned weights).
-func (o *Overlay) baseNeighbors(v uint32, buf []uint32, wbuf []int32) ([]uint32, []int32) {
-	buf, wbuf = buf[:0], wbuf[:0]
-	o.base.IterRange(v, 0, o.base.Degree(v), func(_, u uint32, w int32) bool {
-		buf = append(buf, u)
-		wbuf = append(wbuf, w)
-		return true
-	})
-	return buf, wbuf
+// baseNeighbors returns v's whole base adjacency (ids and, on weighted
+// bases, aligned weights) in storage the caller may keep: the base's own
+// arrays, or a scratch private to this call.
+func (o *Overlay) baseNeighbors(v uint32) ([]uint32, []int32) {
+	var s graph.Scratch
+	return o.base.Slice(v, 0, math.MaxUint32, &s)
 }
 
 // find locates x in the sorted slice s.
@@ -303,7 +300,7 @@ func (o *Overlay) Apply(ops []Op) (*Overlay, error) {
 		for _, dir := range [2][2]uint32{{op.U, op.V}, {op.V, op.U}} {
 			d := touch(dir[0])
 			if _, ok := baseN[dir[0]]; !ok {
-				baseN[dir[0]], baseW[dir[0]] = nv.baseNeighbors(dir[0], nil, nil)
+				baseN[dir[0]], baseW[dir[0]] = nv.baseNeighbors(dir[0])
 			}
 			delta := nv.applyArc(d, baseN[dir[0]], baseW[dir[0]], dir[1], w, op.Del)
 			nv.m = uint64(int64(nv.m) + int64(delta))
@@ -386,8 +383,8 @@ func (o *Overlay) AvgDegree() uint32 {
 func (o *Overlay) EdgeAddr(v uint32) int64 { return o.base.EdgeAddr(v) }
 
 // BlockSize reports 0: the merged view supports arbitrary decode
-// granularity regardless of the base's block structure (DecodeRange
-// re-merges per call).
+// granularity regardless of the base's block structure (Slice re-merges
+// per call).
 func (o *Overlay) BlockSize() int { return 0 }
 
 // ScanCost returns the simulated NVRAM words read when scanning merged
@@ -404,150 +401,64 @@ func (o *Overlay) ScanCost(v uint32, lo, hi uint32) int64 {
 	return o.base.ScanCost(v, 0, o.base.Degree(v))
 }
 
-// IterRange iterates merged adjacency positions [lo, hi) of v in sorted
-// order, stopping early if fn returns false. Base neighbors absent from
-// the delete set appear with their base weights; inserted neighbors
-// (including re-weighted base edges) with their delta weights.
-func (o *Overlay) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
-	d, ok := o.verts[v]
-	if !ok {
-		o.base.IterRange(v, lo, hi, fn)
-		return
-	}
-	if deg := o.Degree(v); hi > deg {
-		hi = deg
-	}
-	if hi <= lo {
-		return
-	}
-	pos := uint32(0)
-	ai, di := 0, 0
-	stopped := false
-	emit := func(ngh uint32, w int32) bool { // returns false to stop the walk
-		if pos >= hi {
-			return false
-		}
-		if pos >= lo && !fn(pos, ngh, w) {
-			pos++
-			return false
-		}
-		pos++
-		return true
-	}
-	addW := func(i int) int32 {
-		if d.addW == nil {
-			return 1
-		}
-		return d.addW[i]
-	}
-	o.base.IterRange(v, 0, o.base.Degree(v), func(_, u uint32, w int32) bool {
-		// Flush inserted neighbors ordered before u.
-		for ai < len(d.adds) && d.adds[ai] < u {
-			if !emit(d.adds[ai], addW(ai)) {
-				stopped = true
-				return false
-			}
-			ai++
-		}
-		for di < len(d.dels) && d.dels[di] < u {
-			di++
-		}
-		if di < len(d.dels) && d.dels[di] == u {
-			// Deleted base arc; a same-id insert is a re-weight.
-			di++
-			if ai < len(d.adds) && d.adds[ai] == u {
-				ok := emit(u, addW(ai))
-				ai++
-				if !ok {
-					stopped = true
-					return false
-				}
-			}
-			return true
-		}
-		if !emit(u, w) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for ai < len(d.adds) {
-		if !emit(d.adds[ai], addW(ai)) {
-			return
-		}
-		ai++
-	}
-}
-
-// --------------------------------------------------------------------
-// graph.FlatAdj: the decode form of the closure-free access path. The
-// merged view is never flat (FlatRange always declines), so traversals
-// block-decode it into their per-worker scratch like a compressed graph.
-// --------------------------------------------------------------------
-
-// FlatRange implements graph.FlatAdj: merged adjacency is never flat.
+// Slice implements graph.Adj. A vertex without a delta is the base's
+// business entirely — whatever the base returns (aliased storage on CSR)
+// is returned as is. A delta vertex merges its whole base list, decoded
+// into s.Inner() when the base is not flat, with the delta into s:
+// base neighbors absent from the delete set keep their base weights;
+// inserted neighbors (including re-weighted base edges, which sit in both
+// sets) carry their delta weights. The merge stops at hi.
 //
 //sage:hotpath
-func (o *Overlay) FlatRange(v, lo, hi uint32) ([]uint32, []int32, bool) {
-	return nil, nil, false
-}
-
-// DecodeRange implements graph.FlatAdj, materializing merged positions
-// [lo, hi) of v into buf. Vertices without a delta delegate to the base's
-// own decoder when it has one.
-func (o *Overlay) DecodeRange(v, lo, hi uint32, buf []uint32) []uint32 {
-	if _, ok := o.verts[v]; !ok {
-		if fad, ok := o.base.(graph.FlatAdj); ok {
-			return fad.DecodeRange(v, lo, hi, buf)
+func (o *Overlay) Slice(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int32) {
+	d, ok := o.verts[v]
+	if !ok {
+		return o.base.Slice(v, lo, hi, s)
+	}
+	base, baseW := o.base.Slice(v, 0, math.MaxUint32, s.Inner())
+	nghs, ws := s.Nghs[:0], s.Ws[:0]
+	pos := uint32(0)
+	bi, ai, di := 0, 0, 0
+	for pos < hi && (bi < len(base) || ai < len(d.adds)) {
+		var u uint32
+		w := int32(1)
+		if ai < len(d.adds) && (bi == len(base) || d.adds[ai] <= base[bi]) {
+			u = d.adds[ai]
+			if o.weighted {
+				w = d.addW[ai]
+			}
+			if bi < len(base) && base[bi] == u {
+				bi++ // the deleted base arc this insert re-weights
+			}
+			ai++
+		} else {
+			u = base[bi]
+			if o.weighted {
+				w = baseW[bi]
+			}
+			bi++
+			for di < len(d.dels) && d.dels[di] < u {
+				di++
+			}
+			if di < len(d.dels) && d.dels[di] == u {
+				di++
+				continue
+			}
 		}
-	}
-	if deg := o.Degree(v); hi > deg {
-		hi = deg
-	}
-	buf = buf[:0]
-	if hi <= lo {
-		return buf
-	}
-	o.IterRange(v, lo, hi, func(_, u uint32, _ int32) bool {
-		buf = append(buf, u)
-		return true
-	})
-	return buf
-}
-
-// DecodeRangeW implements graph.FlatAdj, additionally materializing the
-// aligned weights (ws is nil on unweighted bases).
-func (o *Overlay) DecodeRangeW(v, lo, hi uint32, buf []uint32, wbuf []int32) ([]uint32, []int32) {
-	if _, ok := o.verts[v]; !ok {
-		if fad, ok := o.base.(graph.FlatAdj); ok {
-			return fad.DecodeRangeW(v, lo, hi, buf, wbuf)
+		if pos >= lo {
+			nghs = append(nghs, u)
+			if o.weighted {
+				ws = append(ws, w)
+			}
 		}
+		pos++
 	}
-	if deg := o.Degree(v); hi > deg {
-		hi = deg
-	}
-	buf = buf[:0]
+	s.Nghs = nghs
 	if !o.weighted {
-		if hi > lo {
-			o.IterRange(v, lo, hi, func(_, u uint32, _ int32) bool {
-				buf = append(buf, u)
-				return true
-			})
-		}
-		return buf, nil
+		return nghs, nil
 	}
-	wbuf = wbuf[:0]
-	if hi > lo {
-		o.IterRange(v, lo, hi, func(_, u uint32, w int32) bool {
-			buf = append(buf, u)
-			wbuf = append(wbuf, w)
-			return true
-		})
-	}
-	return buf, wbuf
+	s.Ws = ws
+	return nghs, ws
 }
 
 // SizeWords returns the simulated NVRAM footprint of the view — the

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sage/internal/graph"
@@ -62,14 +63,15 @@ func (m *model) arcs() uint64 {
 	return total
 }
 
-// checkEquiv asserts the overlay's merged view equals the model via every
-// access path: Degree, NumEdges, IterRange (full and partial), and the
-// FlatAdj decoders.
+// checkEquiv asserts the overlay's merged view equals the model through
+// every accessor: Degree, NumEdges, and Slice over the whole list (hi
+// past the degree must clamp) and over a partial range.
 func checkEquiv(t *testing.T, o *Overlay, m *model) {
 	t.Helper()
 	if o.NumEdges() != m.arcs() {
 		t.Fatalf("NumEdges=%d want %d", o.NumEdges(), m.arcs())
 	}
+	var s graph.Scratch
 	for v := uint32(0); v < m.n; v++ {
 		var want []uint32
 		var wantW []int32
@@ -79,73 +81,31 @@ func checkEquiv(t *testing.T, o *Overlay, m *model) {
 				wantW = append(wantW, w)
 			}
 		}
-		if got := o.Degree(v); got != uint32(len(want)) {
-			t.Fatalf("Degree(%d)=%d want %d", v, got, len(want))
-		}
-		var got []uint32
-		var gotW []int32
-		var gotPos []uint32
-		o.IterRange(v, 0, o.Degree(v), func(i, u uint32, w int32) bool {
-			gotPos = append(gotPos, i)
-			got = append(got, u)
-			gotW = append(gotW, w)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("IterRange(%d) yields %d nghs, want %d", v, len(got), len(want))
-		}
-		for i := range want {
-			if gotPos[i] != uint32(i) {
-				t.Fatalf("IterRange(%d) position %d reported as %d", v, i, gotPos[i])
-			}
-			if got[i] != want[i] || gotW[i] != wantW[i] {
-				t.Fatalf("IterRange(%d)[%d] = (%d,%d) want (%d,%d)", v, i, got[i], gotW[i], want[i], wantW[i])
-			}
-		}
-		// Partial ranges and early exit.
 		deg := uint32(len(want))
+		if got := o.Degree(v); got != deg {
+			t.Fatalf("Degree(%d)=%d want %d", v, got, deg)
+		}
+		got, gotW := o.Slice(v, 0, deg+7, &s)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Slice(%d) = %v want %v", v, got, want)
+		}
+		if o.Weighted() {
+			if !slices.Equal(gotW, wantW) {
+				t.Fatalf("Slice(%d) weights = %v want %v", v, gotW, wantW)
+			}
+		} else if gotW != nil {
+			t.Fatalf("Slice(%d) on unweighted base returned weights", v)
+		}
 		if deg >= 2 {
 			lo, hi := deg/3, deg-1
-			var part []uint32
-			o.IterRange(v, lo, hi, func(i, u uint32, _ int32) bool {
-				part = append(part, u)
-				return true
-			})
-			if len(part) != int(hi-lo) {
-				t.Fatalf("partial IterRange(%d,%d,%d) yields %d", v, lo, hi, len(part))
+			part, partW := o.Slice(v, lo, hi, &s)
+			if !slices.Equal(part, want[lo:hi]) {
+				t.Fatalf("Slice(%d,%d,%d) = %v want %v", v, lo, hi, part, want[lo:hi])
 			}
-			for i := range part {
-				if part[i] != want[lo+uint32(i)] {
-					t.Fatalf("partial IterRange(%d) mismatch at %d", v, i)
-				}
-			}
-			stops := 0
-			o.IterRange(v, 0, deg, func(_, _ uint32, _ int32) bool { stops++; return stops < 2 })
-			if stops != 2 {
-				t.Fatalf("early exit scanned %d positions, want 2", stops)
+			if o.Weighted() && !slices.Equal(partW, wantW[lo:hi]) {
+				t.Fatalf("Slice(%d,%d,%d) weights = %v want %v", v, lo, hi, partW, wantW[lo:hi])
 			}
 		}
-		// FlatAdj decode paths (clamped hi included).
-		buf := o.DecodeRange(v, 0, deg+7, nil)
-		if len(buf) != len(want) {
-			t.Fatalf("DecodeRange(%d) len %d want %d", v, len(buf), len(want))
-		}
-		for i := range want {
-			if buf[i] != want[i] {
-				t.Fatalf("DecodeRange(%d)[%d]=%d want %d", v, i, buf[i], want[i])
-			}
-		}
-		buf, ws := o.DecodeRangeW(v, 0, deg, buf, nil)
-		if o.Weighted() {
-			for i := range want {
-				if ws[i] != wantW[i] {
-					t.Fatalf("DecodeRangeW(%d)[%d]=%d want %d", v, i, ws[i], wantW[i])
-				}
-			}
-		} else if ws != nil {
-			t.Fatalf("DecodeRangeW on unweighted base returned weights")
-		}
-		_ = buf
 	}
 }
 

@@ -58,14 +58,10 @@ func NewMutFilter(g graph.Adj, _ int, env *psam.Env) algos.EdgeFilter {
 	total := parallel.Scan(f.offsets[:n+1])
 	f.offsets[n] = total
 	f.edges = make([]uint32, total)
-	parallel.For(int(n), 16, func(i int) {
-		v := uint32(i)
-		wr := f.offsets[v]
-		g.IterRange(v, 0, f.degs[i], func(_, ngh uint32, _ int32) bool {
-			f.edges[wr] = ngh
-			wr++
-			return true
-		})
+	var pool graph.ScratchPool
+	parallel.ForWorker(int(n), 16, func(w, i int) {
+		nghs, _ := g.Slice(uint32(i), 0, f.degs[i], pool.Get(w))
+		copy(f.edges[f.offsets[i]:], nghs)
 	})
 	f.live.Store(int64(total))
 	return f
@@ -105,17 +101,15 @@ func (f *MutFilter) EdgeAddr(v uint32) int64 { return f.base.EdgeAddr(v) }
 // ScanCost implements graph.Adj.
 func (f *MutFilter) ScanCost(_ uint32, lo, hi uint32) int64 { return int64(hi - lo) }
 
-// IterRange implements graph.Adj over the packed live prefix.
-func (f *MutFilter) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
-	if hi > f.degs[v] {
-		hi = f.degs[v]
-	}
+// Slice implements graph.Adj: each vertex's live edges sit packed flat at
+// the front of its CSR segment, so the slice aliases the mutable image.
+//
+//sage:hotpath
+func (f *MutFilter) Slice(v, lo, hi uint32, _ *graph.Scratch) ([]uint32, []int32) {
+	hi = min(hi, f.degs[v])
+	lo = min(lo, hi)
 	base := f.offsets[v]
-	for i := lo; i < hi; i++ {
-		if !fn(i, f.edges[base+uint64(i)], 1) {
-			return
-		}
-	}
+	return f.edges[base+uint64(lo) : base+uint64(hi)], nil
 }
 
 // ActiveEdges implements algos.EdgeFilter.

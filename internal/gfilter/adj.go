@@ -2,7 +2,8 @@ package gfilter
 
 import (
 	"math/bits"
-	"sort"
+
+	"sage/internal/graph"
 )
 
 // The methods below make *Filter implement graph.Adj over its *active*
@@ -76,83 +77,54 @@ func (f *Filter) ScanCost(v uint32, lo, hi uint32) int64 {
 }
 
 // findBlock returns the index (within v's live blocks) of the block
-// containing active position pos.
+// containing active position pos: the last block whose offset <= pos.
+//
+//sage:hotpath
 func (f *Filter) findBlock(vm *vtxMeta, pos uint32) uint32 {
-	nb := int(vm.numBlocks)
-	// Last block whose offset <= pos.
-	i := sort.Search(nb, func(b int) bool {
-		return f.meta[vm.start+uint64(b)].offset > pos
-	})
-	return uint32(i - 1)
+	lo, hi := uint32(0), vm.numBlocks
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if f.meta[vm.start+uint64(mid)].offset > pos {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo - 1
 }
 
-// IterRange implements graph.Adj over active positions.
-func (f *Filter) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
+// Slice implements graph.Adj over active positions: the active neighbors
+// at [lo, hi) of v are gathered into s one filter block at a time, each
+// underlying block read through the base graph's own Slice (an alias on
+// CSR; a whole-block decode into s.Inner() otherwise, §4.2.3). It touches
+// no per-worker filter state, so it is safe from any goroutine.
+//
+//sage:hotpath
+func (f *Filter) Slice(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int32) {
+	out := s.Nghs[:0]
 	vm := &f.vtx[v]
-	if hi > vm.deg {
-		hi = vm.deg
-	}
-	if hi <= lo || vm.numBlocks == 0 {
-		return
-	}
-	deg0 := f.g.Degree(v)
-	var buf [512]uint32
-	var nghs []uint32
-	for b := f.findBlock(vm, lo); b < vm.numBlocks; b++ {
-		s := vm.start + uint64(b)
-		idx := f.meta[s].offset
-		if idx >= hi {
-			return
-		}
-		words := f.blockWords(s)
-		nghs = f.decodeBlockLocal(v, f.meta[s].orig, deg0, buf[:0], &nghs)
-		for k, w := range words {
-			for w != 0 {
-				t := bits.TrailingZeros64(w)
-				w &= w - 1
-				pos := k*64 + t
-				if pos >= len(nghs) {
-					continue
-				}
-				if idx >= lo {
-					if idx >= hi || !fn(idx, nghs[pos], 1) {
-						return
+	hi = min(hi, vm.deg)
+	if lo < hi {
+		for b := f.findBlock(vm, lo); b < vm.numBlocks; b++ {
+			slot := vm.start + uint64(b)
+			idx := f.meta[slot].offset
+			if idx >= hi {
+				break
+			}
+			blo := f.meta[slot].orig * f.fb
+			nghs, _ := f.g.Slice(v, blo, blo+f.fb, s.Inner())
+			for k, w := range f.blockWords(slot) {
+				for ; w != 0 && idx < hi; idx++ {
+					if idx >= lo {
+						out = append(out, nghs[k*64+bits.TrailingZeros64(w)])
 					}
+					w &= w - 1
 				}
-				idx++
 			}
 		}
 	}
-}
-
-// decodeBlockLocal decodes original block b of v into stack (or spill)
-// storage without touching the per-worker scratch, so it is safe from any
-// goroutine. Flat base graphs alias their storage (no copy at all);
-// compressed ones block-decode without per-edge callbacks.
-func (f *Filter) decodeBlockLocal(v, b, deg0 uint32, stack []uint32, spill *[]uint32) []uint32 {
-	lo := b * f.fb
-	hi := min(lo+f.fb, deg0)
-	if f.fzero {
-		nghs, _, _ := f.fad.FlatRange(v, lo, hi)
-		return nghs
-	}
-	var out []uint32
-	if int(f.fb) <= cap(stack) {
-		out = stack[:0]
-	} else {
-		if cap(*spill) < int(f.fb) {
-			*spill = make([]uint32, 0, f.fb)
-		}
-		out = (*spill)[:0]
-	}
-	if f.fad != nil {
-		return f.fad.DecodeRange(v, lo, hi, out)
-	}
-	f.g.IterRange(v, lo, hi, func(_, ngh uint32, _ int32) bool {
-		out = append(out, ngh)
-		return true
-	})
-	return out
+	s.Nghs = out
+	return out, nil
 }
 
 // IntersectStats accumulates the two work measures of Table 4 /
@@ -170,7 +142,6 @@ type IntersectStats struct {
 func (f *Filter) ActiveList(worker int, v uint32, dst []uint32, stats *IntersectStats) []uint32 {
 	dst = dst[:0]
 	vm := &f.vtx[v]
-	deg0 := f.g.Degree(v)
 	for bi := uint32(0); bi < vm.numBlocks; bi++ {
 		s := vm.start + uint64(bi)
 		words := f.blockWords(s)
@@ -184,7 +155,7 @@ func (f *Filter) ActiveList(worker int, v uint32, dst []uint32, stats *Intersect
 		if empty {
 			continue
 		}
-		nghs := f.decodeSlot(worker, v, s, deg0)
+		nghs := f.decodeSlot(worker, v, s)
 		if stats != nil {
 			if f.g.BlockSize() == 0 {
 				// CSR fast path fetches only active edges.

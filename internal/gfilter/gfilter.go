@@ -41,8 +41,6 @@ type vtxMeta struct {
 // Filter is a mutable edge-subset view of an immutable graph.
 type Filter struct {
 	g     graph.Adj
-	fad   graph.FlatAdj // non-nil: closure-free decode of the base graph
-	fzero bool          // FlatRange aliases the base graph's storage
 	env   *psam.Env
 	fb    uint32 // filter block size in edges (multiple of 64)
 	wpb   uint32 // words per block = fb/64
@@ -56,9 +54,9 @@ type Filter struct {
 }
 
 type workerScratch struct {
-	nghs   []uint32 // decoded block neighbors
-	counts []uint32 // per-block live counts during a pack
-	_      [16]byte
+	dec    graph.Scratch // decoded block neighbors
+	counts []uint32      // per-block live counts during a pack
+	_      [40]byte
 }
 
 // packThresholdNum/Den: blocks are physically compacted when live blocks
@@ -81,10 +79,6 @@ func New(g graph.Adj, fb int, env *psam.Env) *Filter {
 	fb = (fb + 63) / 64 * 64
 	n := g.NumVertices()
 	f := &Filter{g: g, env: env, fb: uint32(fb), wpb: uint32(fb / 64)}
-	if fad, ok := g.(graph.FlatAdj); ok {
-		f.fad = fad
-		_, _, f.fzero = fad.FlatRange(0, 0, 0)
-	}
 
 	nb := make([]uint64, n+1)
 	parallel.For(int(n), 0, func(i int) {
@@ -124,6 +118,8 @@ func New(g graph.Adj, fb int, env *psam.Env) *Filter {
 }
 
 // blockWords returns the bit words of arena slot s.
+//
+//sage:hotpath
 func (f *Filter) blockWords(s uint64) []uint64 {
 	return f.bits[s*uint64(f.wpb) : (s+1)*uint64(f.wpb)]
 }
@@ -145,72 +141,26 @@ func (f *Filter) SizeWords() int64 {
 	return int64(len(f.bits)) + 2*int64(len(f.meta)) + 3*int64(len(f.vtx)) + int64(f.dirty.Words())/2
 }
 
-// decodeSlot loads the underlying neighbors behind filter slot s of v
-// into the worker's scratch buffer, indexed by within-block position, and
-// charges the NVRAM read. For compressed graphs the whole block is
-// decoded even if few bits are live (§4.2.3) — the "total work" Table 4
-// measures. For uncompressed (CSR) graphs only the active positions are
-// fetched, mirroring the word-by-word intrinsic loop of §4.2.3 that
-// random-accesses just the edges whose bits are set; inactive slots of
-// the returned buffer are then stale and must not be read.
-func (f *Filter) decodeSlot(worker int, v uint32, s uint64, deg0 uint32) []uint32 {
-	b := f.meta[s].orig
-	lo := b * f.fb
-	hi := min(lo+f.fb, deg0)
-	sc := &f.scratch[worker]
-	if cap(sc.nghs) < int(f.fb) {
-		sc.nghs = make([]uint32, 0, f.fb)
-	}
+// decodeSlot fetches the underlying neighbors behind filter slot s of v,
+// indexed by within-block position, and charges the NVRAM read. For
+// compressed graphs the whole block is decoded even if few bits are live
+// (§4.2.3) — the "total work" Table 4 measures. For uncompressed graphs
+// the block is a plain range of the adjacency and only the active
+// positions are charged, mirroring the word-by-word intrinsic loop of
+// §4.2.3 that random-accesses just the edges whose bits are set.
+func (f *Filter) decodeSlot(worker int, v uint32, s uint64) []uint32 {
+	lo := f.meta[s].orig * f.fb
+	var cost int64
 	if f.g.BlockSize() == 0 {
-		// CSR fast path: only the active positions are fetched (and
-		// charged); with a flat base graph the block is an alias of the
-		// edge array, so the fetch loop reduces to counting the bits.
-		words := f.blockWords(s)
-		var fetched int64
-		if f.fzero {
-			for k, w := range words {
-				for w != 0 {
-					idx := bits.TrailingZeros64(w)
-					w &= w - 1
-					if lo+uint32(k*64+idx) < hi {
-						fetched++
-					}
-				}
-			}
-			f.env.GraphRead(worker, f.g.EdgeAddr(v)+int64(lo), fetched)
-			nghs, _, _ := f.fad.FlatRange(v, lo, hi)
-			return nghs
+		for _, w := range f.blockWords(s) {
+			cost += int64(bits.OnesCount64(w))
 		}
-		sc.nghs = sc.nghs[:hi-lo]
-		for k, w := range words {
-			for w != 0 {
-				idx := bits.TrailingZeros64(w)
-				w &= w - 1
-				pos := uint32(k*64 + idx)
-				if lo+pos >= hi {
-					continue
-				}
-				f.g.IterRange(v, lo+pos, lo+pos+1, func(_, ngh uint32, _ int32) bool {
-					sc.nghs[pos] = ngh
-					return false
-				})
-				fetched++
-			}
-		}
-		f.env.GraphRead(worker, f.g.EdgeAddr(v)+int64(lo), fetched)
-		return sc.nghs
+	} else {
+		cost = f.g.ScanCost(v, lo, min(lo+f.fb, f.g.Degree(v)))
 	}
-	f.env.GraphRead(worker, f.g.EdgeAddr(v)+int64(lo), f.g.ScanCost(v, lo, hi))
-	if f.fad != nil {
-		sc.nghs = f.fad.DecodeRange(v, lo, hi, sc.nghs)
-		return sc.nghs
-	}
-	sc.nghs = sc.nghs[:0]
-	f.g.IterRange(v, lo, hi, func(_, ngh uint32, _ int32) bool {
-		sc.nghs = append(sc.nghs, ngh)
-		return true
-	})
-	return sc.nghs
+	f.env.GraphRead(worker, f.g.EdgeAddr(v)+int64(lo), cost)
+	nghs, _ := f.g.Slice(v, lo, lo+f.fb, &f.scratch[worker].dec)
+	return nghs
 }
 
 // IterActive calls fn for every active neighbor of v in adjacency order,
@@ -218,9 +168,8 @@ func (f *Filter) decodeSlot(worker int, v uint32, s uint64, deg0 uint32) []uint3
 // block.
 func (f *Filter) IterActive(worker int, v uint32, fn func(ngh uint32) bool) {
 	vm := &f.vtx[v]
-	deg0 := f.g.Degree(v)
 	for s := vm.start; s < vm.start+uint64(vm.numBlocks); s++ {
-		if !f.iterBlock(worker, v, s, deg0, fn) {
+		if !f.iterBlock(worker, v, s, fn) {
 			return
 		}
 	}
@@ -228,7 +177,7 @@ func (f *Filter) IterActive(worker int, v uint32, fn func(ngh uint32) bool) {
 
 // iterBlock visits the active edges of arena slot s using the
 // tzcnt/blsr-style word loop of §4.2.3.
-func (f *Filter) iterBlock(worker int, v uint32, s uint64, deg0 uint32, fn func(ngh uint32) bool) bool {
+func (f *Filter) iterBlock(worker int, v uint32, s uint64, fn func(ngh uint32) bool) bool {
 	words := f.blockWords(s)
 	empty := true
 	for _, w := range words {
@@ -240,7 +189,7 @@ func (f *Filter) iterBlock(worker int, v uint32, s uint64, deg0 uint32, fn func(
 	if empty {
 		return true
 	}
-	nghs := f.decodeSlot(worker, v, s, deg0)
+	nghs := f.decodeSlot(worker, v, s)
 	f.env.StateRead(worker, int64(f.wpb))
 	for k, w := range words {
 		for w != 0 {
@@ -266,7 +215,6 @@ func (f *Filter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool)
 	if vm.numBlocks == 0 {
 		return 0, 0
 	}
-	deg0 := f.g.Degree(v)
 	sc := &f.scratch[worker]
 	if cap(sc.counts) < int(vm.numBlocks) {
 		sc.counts = make([]uint32, vm.numBlocks)
@@ -287,7 +235,7 @@ func (f *Filter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool)
 			}
 		}
 		if hasBits {
-			nghs := f.decodeSlot(worker, v, s, deg0)
+			nghs := f.decodeSlot(worker, v, s)
 			for k := range words {
 				w := words[k]
 				for w != 0 {

@@ -2,10 +2,12 @@ package gfilter
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
 	"sage/internal/compress"
+	"sage/internal/delta"
 	"sage/internal/frontier"
 	"sage/internal/gen"
 	"sage/internal/graph"
@@ -155,44 +157,22 @@ func TestFilterDirtyBits(t *testing.T) {
 	}
 }
 
-func TestFilterAdjIterRange(t *testing.T) {
+func TestFilterAdjSlice(t *testing.T) {
 	g := gen.RMAT(9, 16, 7)
 	f := New(g, 64, nil)
 	pred := func(u, ngh uint32) bool { return (u+ngh)%3 != 0 }
 	f.FilterEdges(pred)
+	var s graph.Scratch
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		want := activeOf(f, v)
-		var got []uint32
-		f.IterRange(v, 0, f.Degree(v), func(i, ngh uint32, _ int32) bool {
-			if int(i) != len(got) {
-				t.Fatalf("v=%d: position %d, expected %d", v, i, len(got))
-			}
-			got = append(got, ngh)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("v=%d IterRange %d vs IterActive %d", v, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("v=%d[%d]: %d vs %d", v, i, got[i], want[i])
-			}
+		if got, _ := f.Slice(v, 0, f.Degree(v), &s); !slices.Equal(got, want) {
+			t.Fatalf("v=%d Slice %v vs IterActive %v", v, got, want)
 		}
 		// Sub-ranges too.
 		if len(want) >= 4 {
 			lo, hi := uint32(1), uint32(len(want)-1)
-			var sub []uint32
-			f.IterRange(v, lo, hi, func(_, ngh uint32, _ int32) bool {
-				sub = append(sub, ngh)
-				return true
-			})
-			if len(sub) != int(hi-lo) {
-				t.Fatalf("v=%d subrange len %d want %d", v, len(sub), hi-lo)
-			}
-			for i := range sub {
-				if sub[i] != want[int(lo)+i] {
-					t.Fatalf("v=%d subrange mismatch", v)
-				}
+			if sub, _ := f.Slice(v, lo, hi, &s); !slices.Equal(sub, want[lo:hi]) {
+				t.Fatalf("v=%d subrange %v want %v", v, sub, want[lo:hi])
 			}
 		}
 	}
@@ -212,6 +192,61 @@ func TestFilterOverCompressed(t *testing.T) {
 		ref.pack(v, pred)
 	}
 	ref.check(t, f, "compressed")
+}
+
+// TestFilterOverOverlay is tc-on-a-snapshot's access pattern: the base
+// answers "aliased or decoded?" per vertex — vertex 0 has no delta and
+// reads as the CSR's own array, its odd neighbours merge inserts and
+// deletes — and the filter must read both kinds exactly as it reads the
+// materialized graph, through every decode entry point.
+func TestFilterOverOverlay(t *testing.T) {
+	base := gen.RMAT(9, 12, 3)
+	n := base.NumVertices()
+	var ops []delta.Op
+	for v := uint32(1); v < n; v += 2 {
+		if nghs := base.Neighbors(v); len(nghs) > 0 && nghs[0] != 0 {
+			ops = append(ops, delta.Op{U: v, V: nghs[0], Del: true})
+		}
+		if u := (v*7 + 3) % n; u != v && u != 0 {
+			ops = append(ops, delta.Op{U: v, V: u})
+		}
+	}
+	ov, err := delta.New(base).Apply(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges []graph.Edge
+	var s graph.Scratch
+	for v := uint32(0); v < n; v++ {
+		nghs, _ := ov.Slice(v, 0, ov.Degree(v), &s)
+		for _, u := range nghs {
+			edges = append(edges, graph.Edge{U: v, V: u})
+		}
+	}
+	materialized := graph.FromEdges(n, edges, graph.BuildOpts{})
+
+	pred := func(u, ngh uint32) bool { return (u+ngh)%3 != 0 }
+	over, flat := New(ov, 64, nil), New(materialized, 64, nil)
+	if over.FilterEdges(pred) != flat.FilterEdges(pred) {
+		t.Fatalf("active edges %d over the overlay, %d materialized", over.ActiveEdges(), flat.ActiveEdges())
+	}
+	var stats, wantStats IntersectStats
+	for v := uint32(0); v < n; v++ {
+		want := activeOf(flat, v)
+		if got := activeOf(over, v); !slices.Equal(got, want) {
+			t.Fatalf("IterActive(%d) = %v, want %v", v, got, want)
+		}
+		if got := over.ActiveList(0, v, nil, &stats); !slices.Equal(got, want) {
+			t.Fatalf("ActiveList(%d) = %v, want %v", v, got, want)
+		}
+		flat.ActiveList(0, v, nil, &wantStats)
+		if got, _ := over.Slice(v, 0, over.Degree(v), &s); !slices.Equal(got, want) {
+			t.Fatalf("Slice(%d) = %v, want %v", v, got, want)
+		}
+	}
+	if stats != wantStats {
+		t.Fatalf("decode work %+v over the overlay, %+v materialized", stats, wantStats)
+	}
 }
 
 func TestFilterBlockSizeMismatchPanics(t *testing.T) {

@@ -1,11 +1,11 @@
 package graph
 
 // Adj is the read-only adjacency interface shared by the uncompressed CSR
-// representation (*Graph) and the byte-compressed representation
-// (*compress.CGraph). The traversal layer, the graph filter, and the
-// algorithms are generic over it, so every algorithm runs unchanged on
-// either representation — mirroring how Sage inherits Ligra+'s compressed
-// formats (§2, §4.2.1).
+// representation (*Graph), the byte-compressed representation
+// (*compress.CGraph), the update overlay, and the edge filters. The
+// traversal layer, the graph filter, and the algorithms are generic over
+// it, so every algorithm runs unchanged on any representation —
+// mirroring how Sage inherits Ligra+'s compressed formats (§2, §4.2.1).
 type Adj interface {
 	// NumVertices returns n.
 	NumVertices() uint32
@@ -23,28 +23,21 @@ type Adj interface {
 	// adjacency positions [lo, hi) of v. For compressed graphs this is
 	// block-aligned: partial block reads cost the whole block.
 	ScanCost(v uint32, lo, hi uint32) int64
-	// IterRange iterates adjacency positions [lo, hi) of v in order,
-	// stopping if fn returns false. Position indices i are in [0, deg(v)).
-	// Unweighted graphs supply weight 1.
-	IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool)
+	// Slice is the one way to read neighbors: it returns adjacency
+	// positions [lo, hi) of v, in order, as flat read-only slices, with
+	// ws nil when every weight is 1 (unweighted graphs). A representation
+	// that stores the range flat returns aliases of its own storage and
+	// leaves s untouched; one that does not (compressed, merged,
+	// filtered) decodes into s, whose contents the next call on s
+	// overwrites. hi is clamped to deg(v), and lo at or beyond the
+	// clamped hi yields empty slices, so Slice(v, 0, ^uint32(0), s) is
+	// v's whole list.
+	//sage:arena-view
+	//sage:hotpath
+	Slice(v, lo, hi uint32, s *Scratch) (nghs []uint32, ws []int32)
 	// BlockSize returns the decode granularity: 0 for CSR (any), or the
 	// compression block size.
 	BlockSize() int
 	// Weighted reports whether edges carry weights.
 	Weighted() bool
-}
-
-// IterAll iterates the full adjacency list of v.
-func IterAll(g Adj, v uint32, fn func(i, ngh uint32, w int32) bool) {
-	g.IterRange(v, 0, g.Degree(v), fn)
-}
-
-// DecodeRange appends the neighbors at positions [lo, hi) of v to buf and
-// returns the extended slice.
-func DecodeRange(g Adj, v uint32, lo, hi uint32, buf []uint32) []uint32 {
-	g.IterRange(v, lo, hi, func(_, ngh uint32, _ int32) bool {
-		buf = append(buf, ngh)
-		return true
-	})
-	return buf
 }

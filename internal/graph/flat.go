@@ -1,48 +1,42 @@
 package graph
 
-// This file is the closure-free access path to adjacency data. The
-// generic Adj.IterRange costs an interface dispatch plus a non-inlinable
-// closure call per edge; at memory-bandwidth traversal rates (the Sage
-// design point, §4.1) that overhead dominates the loop body. FlatAdj lets
-// a representation hand the traversal layer flat slices instead — either
-// aliases of its own storage (CSR) or ranges block-decoded into a
-// caller-owned scratch buffer (byte-compressed formats), so the per-edge
-// cost is a plain slice iteration and decode cost is amortized per block.
+// This file is the access path to adjacency data. Adj.Slice hands the
+// caller flat slices — aliases of the representation's own storage (CSR)
+// or ranges decoded into a caller-owned Scratch (byte-compressed, merged
+// and filtered views) — so the per-edge cost everywhere is a plain slice
+// iteration and decode cost is amortized per block; at memory-bandwidth
+// traversal rates (the Sage design point, §4.1) a per-edge callback
+// would dominate the loop body. Flat additionally strips the interface
+// dispatch for the CSR case.
 
-import "sage/internal/parallel"
+import (
+	"math"
 
-// FlatAdj is the optional closure-free access path implemented by
-// adjacency representations that can expose position ranges as flat
-// slices. All in-repo representations implement it; the traversal layer
-// falls back to IterRange for foreign Adj implementations.
-type FlatAdj interface {
-	// FlatRange returns slices aliasing the representation's own flat
-	// storage for positions [lo, hi) of v, with ws nil for unweighted
-	// graphs, and ok=false if the representation is not flat (compressed
-	// or filtered) and the caller must use DecodeRange instead. Returned
-	// slices are read-only.
-	//sage:arena-view
-	//sage:hotpath
-	FlatRange(v, lo, hi uint32) (nghs []uint32, ws []int32, ok bool)
-	// DecodeRange decodes the neighbors at positions [lo, hi) of v into
-	// buf (reusing its capacity; contents are overwritten) and returns
-	// the filled slice. hi is clamped to deg(v).
-	//sage:hotpath
-	DecodeRange(v, lo, hi uint32, buf []uint32) []uint32
-	// DecodeRangeW additionally decodes the aligned weights into wbuf.
-	// The returned ws is nil when the graph is unweighted (weights all 1).
-	//sage:hotpath
-	DecodeRangeW(v, lo, hi uint32, buf []uint32, wbuf []int32) ([]uint32, []int32)
+	"sage/internal/parallel"
+)
+
+// Scratch is a per-worker decode buffer for Adj.Slice. Workers own one
+// Scratch each (indexed by the worker id the parallel package exposes) so
+// decoding never allocates in steady state. The padding keeps neighboring
+// workers' slice headers off one cache line.
+type Scratch struct {
+	Nghs  []uint32
+	Ws    []int32
+	inner *Scratch
+	_     [8]byte
 }
 
-// Scratch is a per-worker decode buffer for the flat access path. Workers
-// own one Scratch each (indexed by the worker id the parallel package
-// exposes) so decoding never allocates in steady state. The padding keeps
-// neighboring workers' slice headers off one cache line.
-type Scratch struct {
-	Nghs []uint32
-	Ws   []int32
-	_    [16]byte
+// Inner returns the scratch a layered representation (overlay, filter)
+// decodes its base into while it builds its own output in s. Layers nest,
+// so the chain grows to the depth of the view stack, once per worker.
+//
+//sage:hotpath
+func (s *Scratch) Inner() *Scratch {
+	if s.inner == nil {
+		// First use only: one allocation per worker per view layer.
+		s.inner = new(Scratch) //sage:allow hotalloc
+	}
+	return s.inner
 }
 
 // ScratchPool is a full set of per-worker decode buffers owned by one
@@ -60,68 +54,30 @@ type ScratchPool struct {
 //sage:hotpath
 func (p *ScratchPool) Get(w int) *Scratch { return &p.ws[w] }
 
-// Flat resolves an Adj's fastest access path once, outside the hot loop.
-// The zero value is not meaningful; use NewFlat.
+// Flat is Adj.Slice with the representation resolved once, outside the
+// hot loop: CSR graphs are read by direct calls the compiler can inline,
+// everything else through the interface. The zero value is not
+// meaningful; use NewFlat.
 type Flat struct {
-	csr      *Graph  // non-nil: zero-copy slice access
-	fa       FlatAdj // non-nil: flat or decode access
-	g        Adj
-	weighted bool
-	zero     bool // FlatRange aliases storage (no decode work)
+	csr *Graph // non-nil: devirtualised slice access
+	g   Adj
 }
 
-// NewFlat inspects g's concrete type and returns its flat access path.
+// NewFlat inspects g's concrete type and returns its access path.
 func NewFlat(g Adj) Flat {
-	f := Flat{g: g, weighted: g.Weighted()}
-	if csr, ok := g.(*Graph); ok {
-		f.csr = csr
-		f.zero = true
-		return f
-	}
-	if fa, ok := g.(FlatAdj); ok {
-		f.fa = fa
-		// Whether FlatRange aliases is a constant of the representation,
-		// so an empty probe determines it.
-		_, _, f.zero = fa.FlatRange(0, 0, 0)
-	}
-	return f
+	csr, _ := g.(*Graph)
+	return Flat{csr: csr, g: g}
 }
 
-// ZeroCopy reports whether Slice aliases graph storage (no decode work,
-// Scratch untouched).
-func (f *Flat) ZeroCopy() bool { return f.zero }
-
-// Slice returns the neighbors (and weights; nil means all 1) at positions
-// [lo, hi) of v as flat slices, decoding into s if the representation is
-// not already flat. It is meant for scans without early exit; early-
-// exiting scans over non-zero-copy representations are better served by
-// IterRange, which stops decoding at the exit point.
+// Slice is Adj.Slice on the wrapped graph.
 //
 //sage:arena-view
 //sage:hotpath
 func (f *Flat) Slice(v, lo, hi uint32, s *Scratch) ([]uint32, []int32) {
 	if f.csr != nil {
-		base := f.csr.offsets[v]
-		nghs := f.csr.edges[base+uint64(lo) : base+uint64(hi)]
-		if f.csr.weights == nil {
-			return nghs, nil
-		}
-		return nghs, f.csr.weights[base+uint64(lo) : base+uint64(hi)]
+		return f.csr.Slice(v, lo, hi, s)
 	}
-	if f.fa != nil {
-		if nghs, ws, ok := f.fa.FlatRange(v, lo, hi); ok {
-			return nghs, ws
-		}
-		if f.weighted {
-			s.Nghs, s.Ws = f.fa.DecodeRangeW(v, lo, hi, s.Nghs, s.Ws)
-			return s.Nghs, s.Ws
-		}
-		s.Nghs = f.fa.DecodeRange(v, lo, hi, s.Nghs)
-		return s.Nghs, nil
-	}
-	// The IterRange fallback builds closures; it only runs for foreign
-	// Adj implementations, never for in-repo representations.
-	return f.iterInto(v, lo, hi, s) //sage:allow hotalloc
+	return f.g.Slice(v, lo, hi, s)
 }
 
 // Full returns v's complete adjacency as flat slices. For CSR it is a
@@ -139,71 +95,20 @@ func (f *Flat) Full(v uint32, s *Scratch) ([]uint32, []int32) {
 		}
 		return nghs, f.csr.weights[lo:hi]
 	}
-	return f.Slice(v, 0, f.g.Degree(v), s)
+	return f.g.Slice(v, 0, math.MaxUint32, s)
 }
 
-// iterInto materializes [lo, hi) through the generic IterRange fallback.
-func (f *Flat) iterInto(v, lo, hi uint32, s *Scratch) ([]uint32, []int32) {
-	s.Nghs = s.Nghs[:0]
-	if f.weighted {
-		s.Ws = s.Ws[:0]
-		f.g.IterRange(v, lo, hi, func(_, u uint32, w int32) bool {
-			s.Nghs = append(s.Nghs, u)
-			s.Ws = append(s.Ws, w)
-			return true
-		})
-		return s.Nghs, s.Ws
-	}
-	f.g.IterRange(v, lo, hi, func(_, u uint32, _ int32) bool {
-		s.Nghs = append(s.Nghs, u)
-		return true
-	})
-	return s.Nghs, nil
-}
-
-// FlatRange implements FlatAdj for the CSR representation: both arrays
-// are already flat, so the slices alias the graph.
+// Slice implements Adj for the CSR representation: both arrays are
+// already flat, so the slices alias the graph and s is unused.
 //
 //sage:arena-view
 //sage:hotpath
-func (g *Graph) FlatRange(v, lo, hi uint32) ([]uint32, []int32, bool) {
-	base := g.offsets[v]
-	nghs := g.edges[base+uint64(lo) : base+uint64(hi)]
+func (g *Graph) Slice(v, lo, hi uint32, _ *Scratch) ([]uint32, []int32) {
+	base, end := g.offsets[v], g.offsets[v+1]
+	h := min(base+uint64(hi), end)
+	l := min(base+uint64(lo), h)
 	if g.weights == nil {
-		return nghs, nil, true
+		return g.edges[l:h], nil
 	}
-	return nghs, g.weights[base+uint64(lo) : base+uint64(hi)], true
-}
-
-// DecodeRange implements FlatAdj (copying form; FlatRange is the fast
-// path and callers prefer it).
-//
-//sage:hotpath
-func (g *Graph) DecodeRange(v, lo, hi uint32, buf []uint32) []uint32 {
-	if d := g.Degree(v); hi > d {
-		hi = d
-	}
-	if hi <= lo {
-		return buf[:0]
-	}
-	base := g.offsets[v]
-	return append(buf[:0], g.edges[base+uint64(lo):base+uint64(hi)]...)
-}
-
-// DecodeRangeW implements FlatAdj.
-//
-//sage:hotpath
-func (g *Graph) DecodeRangeW(v, lo, hi uint32, buf []uint32, wbuf []int32) ([]uint32, []int32) {
-	if d := g.Degree(v); hi > d {
-		hi = d
-	}
-	if hi <= lo {
-		return buf[:0], nil
-	}
-	base := g.offsets[v]
-	buf = append(buf[:0], g.edges[base+uint64(lo):base+uint64(hi)]...)
-	if g.weights == nil {
-		return buf, nil
-	}
-	return buf, append(wbuf[:0], g.weights[base+uint64(lo):base+uint64(hi)]...)
+	return g.edges[l:h], g.weights[l:h]
 }

@@ -1,10 +1,11 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 )
 
-// buildTestGraph returns a small weighted CSR graph.
+// buildFlatTestGraph returns a small CSR graph, weighted or not.
 func buildFlatTestGraph(weighted bool) *Graph {
 	edges := []WEdge{
 		{0, 1, 3}, {0, 2, 5}, {1, 2, 7}, {2, 3, 1}, {3, 4, 9}, {0, 4, 2},
@@ -19,101 +20,39 @@ func buildFlatTestGraph(weighted bool) *Graph {
 	return FromEdges(5, plain, BuildOpts{Symmetrize: true})
 }
 
-// TestFlatSliceAndFull checks the flat access path against IterRange on
-// the CSR representation: slices must alias storage (zero copy) and agree
-// with the callback path for every subrange.
+// TestFlatSliceAndFull checks the CSR access path for every subrange of
+// every vertex: Slice and Full must alias the graph's own arrays (zero
+// copy, scratch untouched) and equal the matching sub-slices of
+// Neighbors/NeighborWeights.
 func TestFlatSliceAndFull(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		g := buildFlatTestGraph(weighted)
 		f := NewFlat(g)
-		if !f.ZeroCopy() {
-			t.Fatal("CSR flat path should be zero-copy")
-		}
 		var s Scratch
 		for v := uint32(0); v < g.NumVertices(); v++ {
 			deg := g.Degree(v)
+			wantN, wantW := g.Neighbors(v), g.NeighborWeights(v)
 			for lo := uint32(0); lo <= deg; lo++ {
 				for hi := lo; hi <= deg; hi++ {
-					var wantN []uint32
-					var wantW []int32
-					g.IterRange(v, lo, hi, func(_, u uint32, w int32) bool {
-						wantN = append(wantN, u)
-						wantW = append(wantW, w)
-						return true
-					})
 					nghs, ws := f.Slice(v, lo, hi, &s)
-					checkFlat(t, "Slice", v, lo, hi, nghs, ws, wantN, wantW, weighted)
-					// Full must agree with Slice over the whole adjacency.
-					if lo == 0 && hi == deg {
-						nghs, ws := f.Full(v, &s)
-						checkFlat(t, "Full", v, lo, hi, nghs, ws, wantN, wantW, weighted)
+					if !slices.Equal(nghs, wantN[lo:hi]) || (weighted && !slices.Equal(ws, wantW[lo:hi])) {
+						t.Fatalf("Slice v=%d [%d,%d) = %v %v", v, lo, hi, nghs, ws)
+					}
+					if !weighted && ws != nil {
+						t.Fatal("unexpected weights on unweighted graph")
+					}
+					if hi > lo && &nghs[0] != &wantN[lo] {
+						t.Fatalf("Slice v=%d [%d,%d) does not alias the edge array", v, lo, hi)
 					}
 				}
 			}
+			nghs, ws := f.Full(v, &s)
+			if !slices.Equal(nghs, wantN) || !slices.Equal(ws, wantW) {
+				t.Fatalf("Full v=%d = %v %v", v, nghs, ws)
+			}
 		}
-	}
-}
-
-func checkFlat(t *testing.T, label string, v, lo, hi uint32, nghs []uint32, ws []int32, wantN []uint32, wantW []int32, wantWeights bool) {
-	t.Helper()
-	if len(nghs) != len(wantN) {
-		t.Fatalf("%s v=%d [%d,%d): %d neighbors, want %d", label, v, lo, hi, len(nghs), len(wantN))
-	}
-	for i := range nghs {
-		if nghs[i] != wantN[i] {
-			t.Fatalf("%s v=%d [%d,%d): neighbor %d = %d, want %d", label, v, lo, hi, i, nghs[i], wantN[i])
-		}
-	}
-	if ws == nil {
-		return
-	}
-	if !wantWeights {
-		t.Fatalf("%s: unexpected weights on unweighted graph", label)
-	}
-	for i := range ws {
-		if ws[i] != wantW[i] {
-			t.Fatalf("%s v=%d [%d,%d): weight %d = %d, want %d", label, v, lo, hi, i, ws[i], wantW[i])
-		}
-	}
-}
-
-// fallbackAdj wraps a Graph but hides its concrete type and FlatAdj
-// implementation, forcing the generic IterRange materialization path.
-type fallbackAdj struct{ g *Graph }
-
-func (a fallbackAdj) NumVertices() uint32             { return a.g.NumVertices() }
-func (a fallbackAdj) NumEdges() uint64                { return a.g.NumEdges() }
-func (a fallbackAdj) Degree(v uint32) uint32          { return a.g.Degree(v) }
-func (a fallbackAdj) AvgDegree() uint32               { return a.g.AvgDegree() }
-func (a fallbackAdj) EdgeAddr(v uint32) int64         { return a.g.EdgeAddr(v) }
-func (a fallbackAdj) ScanCost(v, lo, hi uint32) int64 { return a.g.ScanCost(v, lo, hi) }
-func (a fallbackAdj) BlockSize() int                  { return a.g.BlockSize() }
-func (a fallbackAdj) Weighted() bool                  { return a.g.Weighted() }
-func (a fallbackAdj) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
-	a.g.IterRange(v, lo, hi, fn)
-}
-
-// TestFlatFallback drives the generic materialization path used for
-// foreign Adj implementations.
-func TestFlatFallback(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		g := buildFlatTestGraph(weighted)
-		f := NewFlat(fallbackAdj{g})
-		if f.ZeroCopy() {
-			t.Fatal("fallback path must not claim zero-copy")
-		}
-		var s Scratch
-		for v := uint32(0); v < g.NumVertices(); v++ {
-			deg := g.Degree(v)
-			var wantN []uint32
-			var wantW []int32
-			g.IterRange(v, 0, deg, func(_, u uint32, w int32) bool {
-				wantN = append(wantN, u)
-				wantW = append(wantW, w)
-				return true
-			})
-			nghs, ws := f.Slice(v, 0, deg, &s)
-			checkFlat(t, "fallback", v, 0, deg, nghs, ws, wantN, wantW, weighted)
+		if s.Nghs != nil || s.Ws != nil {
+			t.Fatal("CSR access wrote to the scratch")
 		}
 	}
 }

@@ -106,30 +106,6 @@ func (g *Graph) ScanCost(v uint32, lo, hi uint32) int64 {
 	return c
 }
 
-// IterRange calls fn(i, ngh, w) for each adjacency position i in [lo, hi)
-// of vertex v, stopping early if fn returns false. Unweighted graphs pass
-// w = 1.
-//
-//sage:hotpath
-func (g *Graph) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
-	base := g.offsets[v]
-	nghs := g.edges[base+uint64(lo) : base+uint64(hi)]
-	if g.weights == nil {
-		for i, u := range nghs {
-			if !fn(lo+uint32(i), u, 1) {
-				return
-			}
-		}
-		return
-	}
-	ws := g.weights[base+uint64(lo) : base+uint64(hi)]
-	for i, u := range nghs {
-		if !fn(lo+uint32(i), u, ws[i]) {
-			return
-		}
-	}
-}
-
 // BlockSize reports the natural decode granularity; CSR graphs support
 // arbitrary granularity, reported as 0.
 func (g *Graph) BlockSize() int { return 0 }

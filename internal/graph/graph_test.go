@@ -73,29 +73,6 @@ func TestWeightedBuild(t *testing.T) {
 	}
 }
 
-func TestIterRangeEarlyExit(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, BuildOpts{Symmetrize: true})
-	var seen []uint32
-	g.IterRange(0, 0, 4, func(_, ngh uint32, _ int32) bool {
-		seen = append(seen, ngh)
-		return len(seen) < 2
-	})
-	if len(seen) != 2 {
-		t.Fatalf("seen=%v", seen)
-	}
-	seen = nil
-	g.IterRange(0, 1, 3, func(i, ngh uint32, _ int32) bool {
-		if i < 1 || i >= 3 {
-			t.Fatalf("position %d out of range", i)
-		}
-		seen = append(seen, ngh)
-		return true
-	})
-	if len(seen) != 2 || seen[0] != 2 || seen[1] != 3 {
-		t.Fatalf("range iter: %v", seen)
-	}
-}
-
 func TestScanCostAndAddr(t *testing.T) {
 	g := triangleGraph()
 	if g.ScanCost(0, 0, 2) != 2 {
@@ -182,13 +159,5 @@ func TestAvgMaxDegree(t *testing.T) {
 	}
 	if g.AvgDegree() != 1 {
 		t.Fatalf("avg %d", g.AvgDegree())
-	}
-}
-
-func TestDecodeRange(t *testing.T) {
-	g := triangleGraph()
-	got := DecodeRange(g, 0, 0, 2, nil)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("decode %v", got)
 	}
 }

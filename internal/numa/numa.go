@@ -91,14 +91,12 @@ func DegreeCount(g *graph.Graph) ([]uint32, int64) {
 	parallel.ForBlocks(n, 256, func(w, lo, hi int) {
 		var words int64
 		for i := lo; i < hi; i++ {
-			v := uint32(i)
 			var c uint32
-			g.IterRange(v, 0, g.Degree(v), func(_, _ uint32, _ int32) bool {
+			for range g.Neighbors(uint32(i)) {
 				c++
-				return true
-			})
+			}
 			out[i] = c
-			words += int64(g.Degree(v)) + 1
+			words += int64(c) + 1
 		}
 		shards[w].words += words
 	})

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"sage"
+	"sage/internal/graph"
 	"sage/internal/store"
 	"sage/internal/wal"
 )
@@ -67,11 +68,16 @@ type arc struct {
 func edgeSet(g *sage.Graph) map[arc]bool {
 	out := map[arc]bool{}
 	adj := g.Raw()
+	var s graph.Scratch
 	for v := uint32(0); v < adj.NumVertices(); v++ {
-		adj.IterRange(v, 0, adj.Degree(v), func(_, u uint32, w int32) bool {
+		nghs, ws := adj.Slice(v, 0, adj.Degree(v), &s)
+		for i, u := range nghs {
+			w := int32(1)
+			if ws != nil {
+				w = ws[i]
+			}
 			out[arc{v, u, w}] = true
-			return true
-		})
+		}
 	}
 	return out
 }

@@ -26,15 +26,16 @@ import (
 func walkAdj(t *testing.T, a graph.Adj) {
 	n := a.NumVertices()
 	var arcs uint64
+	var s graph.Scratch
 	for v := uint32(0); v < n; v++ {
 		deg := a.Degree(v)
 		arcs += uint64(deg)
-		a.IterRange(v, 0, deg, func(_, ngh uint32, _ int32) bool {
+		nghs, _ := a.Slice(v, 0, deg, &s)
+		for _, ngh := range nghs {
 			if ngh >= n {
 				t.Fatalf("vertex %d has out-of-range neighbor %d (n=%d)", v, ngh, n)
 			}
-			return true
-		})
+		}
 	}
 	if arcs != a.NumEdges() {
 		t.Fatalf("degree sum %d != m %d", arcs, a.NumEdges())

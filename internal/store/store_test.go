@@ -187,10 +187,10 @@ func TestExtensionFallback(t *testing.T) {
 	}
 }
 
-// TestZeroCopyAliasing pins the zero-copy claim: the opened CSR's offsets
+// TestOpenAliasesArena pins the zero-copy claim: the opened CSR's offsets
 // and edges arrays must point inside the arena's mapping, not at heap
 // copies — and in copy mode they must NOT alias the arena.
-func TestZeroCopyAliasing(t *testing.T) {
+func TestOpenAliasesArena(t *testing.T) {
 	g := testGraphs()["weighted"]
 	path := filepath.Join(t.TempDir(), "alias.sg")
 	if err := Create(path, NewDataset(g, nil), FormatBinary); err != nil {

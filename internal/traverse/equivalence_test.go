@@ -96,6 +96,39 @@ func TestCrossStrategyEquivalence(t *testing.T) {
 	}
 }
 
+// TestDenseEarlyExitChargeMatchesCSR pins the pull scan's early exit on a
+// block-decoded graph: a BFS-style round (Cond turns false at the first
+// frontier in-neighbor) over byte-64 decodes whole blocks but must stop at
+// — and charge for — exactly the position where the CSR scan stops.
+func TestDenseEarlyExitChargeMatchesCSR(t *testing.T) {
+	csr := gen.RMAT(11, 24, 3) // hubs span many 64-edge blocks
+	vs := randomFrontier(csr.NumVertices(), 0.05, 1)
+	run := func(g graph.Adj) ([]uint32, psam.Counts) {
+		parent := make([]uint32, g.NumVertices())
+		for i := range parent {
+			parent[i] = ^uint32(0)
+		}
+		ops := Ops{
+			Update: func(s, d uint32, _ int32) bool { parent[d] = s; return true },
+			Cond:   func(d uint32) bool { return parent[d] == ^uint32(0) },
+		}
+		env := psam.NewEnv(psam.AppDirect)
+		out := runSorted(g, env, vs, ops, Options{ForceDense: true})
+		return out, env.Totals()
+	}
+	wantOut, want := run(csr)
+	gotOut, got := run(compress.Compress(csr, 64))
+	if !equalU32(gotOut, wantOut) {
+		t.Fatalf("byte64 dense output has %d targets, CSR %d", len(gotOut), len(wantOut))
+	}
+	if got != want {
+		t.Fatalf("byte64 dense charged %+v, CSR %+v", got, want)
+	}
+	if full := int64(csr.NumEdges()); want.NVRAMReads >= full {
+		t.Fatalf("early exit never fired: %d NVRAM reads for %d edges", want.NVRAMReads, full)
+	}
+}
+
 // runSorted executes one EdgeMap and returns the sorted output target set.
 func runSorted(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt Options) []uint32 {
 	out := EdgeMap(g, env, vs, ops, opt)

@@ -4,7 +4,7 @@ package traverse
 // base+delta overlay (internal/delta) must produce exactly the frontier
 // it produces over the eagerly rebuilt static graph. This is what lets a
 // snapshot run every registry algorithm unmodified — the traversal layer
-// sees the overlay through the same Adj/FlatAdj contract as any graph,
+// sees the overlay through the same Adj contract as any graph,
 // decoding merged adjacency into per-worker scratch like a compressed
 // representation.
 
@@ -26,13 +26,18 @@ import (
 func mergedCSR(o *delta.Overlay) *graph.Graph {
 	n := o.NumVertices()
 	var edges []graph.WEdge
+	var s graph.Scratch
 	for v := uint32(0); v < n; v++ {
-		o.IterRange(v, 0, o.Degree(v), func(_, u uint32, w int32) bool {
+		nghs, ws := o.Slice(v, 0, o.Degree(v), &s)
+		for i, u := range nghs {
 			if v < u {
+				w := int32(1)
+				if ws != nil {
+					w = ws[i]
+				}
 				edges = append(edges, graph.WEdge{U: v, V: u, W: w})
 			}
-			return true
-		})
+		}
 	}
 	if !o.Weighted() {
 		plain := make([]graph.Edge, len(edges))

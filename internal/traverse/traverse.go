@@ -10,13 +10,12 @@
 // directly out of the same code paths that compute results.
 //
 // The inner loops are closure-free: each traversal resolves the graph's
-// flat access path once (graph.Flat) and iterates plain neighbor slices —
+// access path once (graph.Flat) and iterates plain neighbor slices —
 // aliases of the CSR arrays for uncompressed graphs, or block decodes
 // into per-worker scratch buffers for compressed ones, amortizing decode
-// cost per block instead of per edge. The PSAM accounting is identical to
-// the callback path; only the per-edge dispatch is gone. Small per-round
-// loops launch on the parallel package's persistent worker pool, so a
-// frontier algorithm's thousands of rounds do not spawn goroutines.
+// cost per block instead of per edge. Small per-round loops launch on the
+// parallel package's persistent worker pool, so a frontier algorithm's
+// thousands of rounds do not spawn goroutines.
 package traverse
 
 import (
@@ -197,14 +196,19 @@ func frontierDegree(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset) int64
 	return total
 }
 
+// denseFirstPiece is how many edges the pull scan reads first from a
+// block-decoded list. The early exit typically fires within a few edges
+// and decoding stops at the piece's end, so a short first piece spares
+// most of a block's varints; a scan that gets past it reads the rest of
+// the block (decoding over the first piece again), then whole blocks.
+const denseFirstPiece = 8
+
 // edgeMapDense is the pull-based traversal: every vertex satisfying Cond
 // scans its in-edges (equal to out-edges on symmetric graphs) for frontier
-// members, stopping as soon as Cond(d) turns false. Zero-copy
-// representations (CSR, the GBBS mutable image) scan flat aliased slices
-// with no per-edge callback; compressed and filtered representations keep
-// the callback decode, because the dense scan's early exit typically
-// fires within a few edges and decoding a whole block to scan two of its
-// entries costs more than the dispatch it saves.
+// members, stopping as soon as Cond(d) turns false. The scan reads one
+// piece of the list at a time — the whole list where BlockSize is 0,
+// otherwise denseFirstPiece edges and then up to each block boundary — so
+// an early exit also stops the decoding.
 func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt Options) *frontier.VertexSubset {
 	n := g.NumVertices()
 	from := vs.Dense()
@@ -219,7 +223,7 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 		c int64
 		_ [56]byte
 	}
-	zeroCopy := flat.ZeroCopy()
+	piece := uint32(g.BlockSize())
 	parallel.ForBlocks(int(n), 256, func(w, lo, hi int) {
 		sc := pools.Scratch(w)
 		var scanned, produced int64
@@ -228,22 +232,21 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 			if !ops.Cond(d) {
 				continue
 			}
-			if zeroCopy {
+			if piece == 0 {
 				nghs, ws := flat.Full(d, sc)
-				n, _ := densePiece(ops, from, out, d, nghs, ws, &produced)
-				scanned += n
+				k, _ := densePiece(ops, from, out, d, nghs, ws, &produced)
+				scanned += k
 				continue
 			}
-			g.IterRange(d, 0, g.Degree(d), func(_, s uint32, wt int32) bool {
-				scanned++
-				if from[s] && ops.Update(s, d, wt) {
-					if out != nil && !out[d] {
-						out[d] = true
-						produced++
-					}
+			deg := g.Degree(d)
+			for p, q := uint32(0), uint32(denseFirstPiece); p < deg; p, q = q, (q/piece+1)*piece {
+				nghs, ws := flat.Slice(d, p, q, sc)
+				k, stopped := densePiece(ops, from, out, d, nghs, ws, &produced)
+				scanned += k
+				if stopped {
+					break
 				}
-				return ops.Cond(d)
-			})
+			}
 		}
 		env.GraphRead(w, 0, scanned)
 		env.StateRead(w, scanned)

@@ -1,12 +1,11 @@
 package sage
 
-// The storage-aware dataset API. Open and Create replace the former
-// Load/LoadText/Save/SaveText scatter with a single pair of entry points
-// backed by a format registry (internal/store): the v2 binary container
-// (CSR or byte-compressed sections), the legacy v1 flat binary, Ligra
-// adjacency text, and whitespace edge lists. Reading sniffs the format
-// from magic bytes (falling back to the extension); writing picks it from
-// the extension unless overridden with As.
+// The storage-aware dataset API: Open and Create are the single pair of
+// entry points, backed by a format registry (internal/store): the v2
+// binary container (CSR or byte-compressed sections), the legacy v1 flat
+// binary, Ligra adjacency text, and whitespace edge lists. Reading sniffs
+// the format from magic bytes (falling back to the extension); writing
+// picks it from the extension unless overridden with As.
 //
 // Binary files are memory-mapped by default: the opened graph's offsets,
 // edges, and weights slices alias the read-only mapping directly, so the

@@ -175,8 +175,8 @@ func TestErrCompressedUnified(t *testing.T) {
 		t.Fatalf("RelabelByDegree: %v", err)
 	}
 	dir := t.TempDir()
-	if err := cg.SaveText(filepath.Join(dir, "c.adj")); !errors.Is(err, sage.ErrCompressed) {
-		t.Fatalf("SaveText: %v", err)
+	if err := sage.Create(filepath.Join(dir, "c.adj"), cg); !errors.Is(err, sage.ErrCompressed) {
+		t.Fatalf("Create as adjacency text: %v", err)
 	}
 	if err := sage.Create(filepath.Join(dir, "c.el"), cg); !errors.Is(err, sage.ErrCompressed) {
 		t.Fatalf("Create as edgelist: %v", err)
@@ -214,37 +214,5 @@ func TestOpenFormatOverrideAndListing(t *testing.T) {
 	// And an explicit wrong format fails loudly.
 	if _, err := sage.Open(path, sage.WithFormat(sage.FormatBinary)); err == nil {
 		t.Fatal("edge list decoded as binary container")
-	}
-}
-
-// TestDeprecatedWrappers keeps Load/LoadText/Save/SaveText working on the
-// new machinery: Save now writes the v2 container, Load sniffs both
-// binary generations.
-func TestDeprecatedWrappers(t *testing.T) {
-	g := weighted(t, sage.GenerateGrid(6, 6, false), 9)
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "g.dat")
-	if err := g.Save(bin); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := sage.Load(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Close()
-	if g2.NumEdges() != g.NumEdges() || !g2.Weighted() {
-		t.Fatal("binary wrapper round trip")
-	}
-	txt := filepath.Join(dir, "g.anything")
-	if err := g.SaveText(txt); err != nil {
-		t.Fatal(err)
-	}
-	g3, err := sage.LoadText(txt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g3.Close()
-	if g3.NumEdges() != g.NumEdges() {
-		t.Fatal("text wrapper round trip")
 	}
 }

@@ -212,19 +212,6 @@ func (g *Graph) Compress(blockSize int) *Graph {
 	return &Graph{adj: compress.Compress(g.raw, blockSize)}
 }
 
-// Load reads a stored graph.
-//
-// Deprecated: use Open, which sniffs the format (including the legacy
-// binary this function historically read) and memory-maps binary files.
-func Load(path string) (*Graph, error) { return Open(path) }
-
-// Save writes the graph in the v2 binary container.
-//
-// Deprecated: use Create, which also selects formats by extension.
-func (g *Graph) Save(path string) error {
-	return Create(path, g, As(FormatBinary))
-}
-
 // Raw exposes the underlying adjacency (for the experiment harness).
 func (g *Graph) Raw() graph.Adj { g.check(); return g.adj }
 
@@ -236,22 +223,6 @@ func SetWorkers(n int) { parallel.SetWorkers(n) }
 
 // Workers reports the current worker-pool size.
 func Workers() int { return parallel.Workers() }
-
-// LoadText reads a graph in the Ligra "AdjacencyGraph" /
-// "WeightedAdjacencyGraph" text format used by the paper's code base.
-//
-// Deprecated: use Open with WithFormat(FormatAdj) (or rely on sniffing).
-func LoadText(path string) (*Graph, error) {
-	return Open(path, WithFormat(FormatAdj))
-}
-
-// SaveText writes the graph in the Ligra text format. Compressed graphs
-// return ErrCompressed.
-//
-// Deprecated: use Create with As(FormatAdj).
-func (g *Graph) SaveText(path string) error {
-	return Create(path, g, As(FormatAdj))
-}
 
 // RelabelByDegree returns a copy of the graph renumbered hubs-first — the
 // ordering knob whose effect on triangle counting Appendix D.1 studies.

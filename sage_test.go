@@ -127,10 +127,10 @@ func TestPublicAPICompressedParity(t *testing.T) {
 func TestPublicAPISaveLoad(t *testing.T) {
 	g := weighted(t, sage.GenerateGrid(16, 16, false), 5)
 	path := filepath.Join(t.TempDir(), "g.sg")
-	if err := g.Save(path); err != nil {
+	if err := sage.Create(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := sage.Load(path)
+	g2, err := sage.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +218,10 @@ func TestCostModelOption(t *testing.T) {
 func TestPublicAPITextFormat(t *testing.T) {
 	g := sage.GenerateGrid(8, 8, false)
 	path := filepath.Join(t.TempDir(), "g.adj")
-	if err := g.SaveText(path); err != nil {
+	if err := sage.Create(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := sage.LoadText(path)
+	g2, err := sage.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,26 +133,28 @@ func (s *Snapshot) Materialize() *Graph {
 // CSR graph, via one sequential sweep of the merged edge set.
 func materializeAdj(a graph.Adj) *Graph {
 	n := a.NumVertices()
+	flat := graph.NewFlat(a)
+	var s graph.Scratch
 	if a.Weighted() {
 		edges := make([]WeightedEdge, 0, a.NumEdges()/2)
 		for v := uint32(0); v < n; v++ {
-			a.IterRange(v, 0, a.Degree(v), func(_, u uint32, w int32) bool {
+			nghs, ws := flat.Full(v, &s)
+			for i, u := range nghs {
 				if v < u {
-					edges = append(edges, WeightedEdge{U: v, V: u, W: w})
+					edges = append(edges, WeightedEdge{U: v, V: u, W: ws[i]})
 				}
-				return true
-			})
+			}
 		}
 		return FromWeightedEdges(n, edges)
 	}
 	edges := make([]Edge, 0, a.NumEdges()/2)
 	for v := uint32(0); v < n; v++ {
-		a.IterRange(v, 0, a.Degree(v), func(_, u uint32, _ int32) bool {
+		nghs, _ := flat.Full(v, &s)
+		for _, u := range nghs {
 			if v < u {
 				edges = append(edges, Edge{U: v, V: u})
 			}
-			return true
-		})
+		}
 	}
 	return FromEdges(n, edges)
 }
