@@ -54,23 +54,23 @@ func regressWorkloads(t *testing.T, opts ...sage.Option) map[string]sage.RunStat
 var goldenModelCosts = map[string]int64{
 	"optane/bfs":          14908,
 	"optane/pagerankiter": 27608,
-	"optane/connectivity": 49558,
+	"optane/connectivity": 50358,
 	"optane/kcore":        128478,
 	// dram matches optane on these workloads: with zero NVRAM writes and
 	// zero cache misses the two profiles price reads identically.
 	"dram/bfs":          14908,
 	"dram/pagerankiter": 27608,
-	"dram/connectivity": 49558,
+	"dram/connectivity": 50358,
 	"dram/kcore":        128478,
 	// reram doubles the large-memory read charge.
 	"reram/bfs":          24568,
 	"reram/pagerankiter": 40388,
-	"reram/connectivity": 74608,
+	"reram/connectivity": 75413,
 	"reram/kcore":        192717,
 	// flash bills scattered large-memory reads by the page.
 	"flash/bfs":          44160,
 	"flash/pagerankiter": 66028,
-	"flash/connectivity": 124860,
+	"flash/connectivity": 125655,
 	"flash/kcore":        322287,
 }
 

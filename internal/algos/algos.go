@@ -134,23 +134,51 @@ func sumDegrees(g graph.Adj, ids []uint32) int64 {
 	})
 }
 
-// neighborCounts returns, for the sparse removal set S, how many edges
-// each remaining vertex loses: the histogram primitive of §4.3.4 with the
-// dense optimization — when Σ_{v∈S} deg(v) exceeds m/20, it switches to a
-// dense pass reading every vertex's adjacency against a membership bitmap
-// (O(m) work but O(n) memory); otherwise it gathers the neighbor multiset
-// and runs a sort-based histogram (work proportional to the frontier).
-// The keep predicate restricts counting to live vertices.
-func neighborCounts(g graph.Adj, o *Options, s []uint32, keep func(uint32) bool) []parallel.KeyCount {
-	env := o.Env
+// neighborCounter is the histogram primitive of §4.3.4 with the dense
+// optimization, holding its round buffers for one peeling run: count
+// returns, for a sparse removal set S, how many edges each remaining
+// vertex loses. When Σ_{v∈S} deg(v) exceeds m/20 it reads every vertex's
+// adjacency against a membership bitmap (O(m) work but O(n) memory);
+// otherwise it gathers the neighbor multiset and histograms it (work
+// proportional to the frontier). The keep predicate restricts counting to
+// live vertices.
+type neighborCounter struct {
+	g    graph.Adj
+	o    *Options
+	flat graph.Flat
+	keep func(uint32) bool
+
+	// Sparse rounds: each removed vertex's slot in keys and its number of
+	// kept neighbors (then their place in kept), the gathered neighbors,
+	// the packed multiset, the histogram's buffers.
+	offs, cnt  []int64
+	keys, kept []uint32
+	hist       parallel.HistScratch
+	// Dense rounds: membership of S and per-vertex loss counts, both all
+	// zero between rounds, and the output rows.
+	inS    []bool
+	counts []uint32
+	out    []parallel.KeyCount
+}
+
+func newNeighborCounter(g graph.Adj, o *Options, keep func(uint32) bool) *neighborCounter {
+	return &neighborCounter{g: g, o: o, flat: graph.NewFlat(g), keep: keep}
+}
+
+// count returns the (vertex, edges lost) rows for removing s, in ascending
+// vertex order. The rows are valid until the next call.
+func (c *neighborCounter) count(s []uint32) []parallel.KeyCount {
+	g, o, env, flat, keep := c.g, c.o, c.o.Env, c.flat, c.keep
 	n := int(g.NumVertices())
 	sumDeg := sumDegrees(g, s)
-	flat := graph.NewFlat(g)
 	if sumDeg+int64(len(s)) > int64(g.NumEdges())/20 {
 		// Dense variant.
-		inS := make([]bool, n)
+		if c.inS == nil {
+			c.inS = make([]bool, n)
+			c.counts = make([]uint32, n)
+		}
+		inS, counts := c.inS, c.counts
 		parallel.For(len(s), 0, func(i int) { inS[s[i]] = true })
-		counts := make([]uint32, n)
 		parallel.ForBlocks(n, 64, func(w, lo, hi int) {
 			sc := o.scratch(w)
 			var scanned int64
@@ -174,19 +202,27 @@ func neighborCounts(g graph.Adj, o *Options, s []uint32, keep func(uint32) bool)
 			env.StateRead(w, scanned)
 		})
 		ids := parallel.PackIndex(n, func(i int) bool { return counts[i] > 0 })
-		out := make([]parallel.KeyCount, len(ids))
+		c.out = parallel.Resize(c.out, len(ids))
+		out := c.out
+		// Emit the rows and undo only what this round set.
 		parallel.For(len(ids), 0, func(i int) {
 			out[i] = parallel.KeyCount{Key: ids[i], Count: counts[ids[i]]}
+			counts[ids[i]] = 0
 		})
+		parallel.For(len(s), 0, func(i int) { inS[s[i]] = false })
 		return out
 	}
-	// Sparse variant: gather the neighbor multiset, then histogram.
-	offs := make([]int64, len(s)+1)
+	// Sparse variant: gather the neighbor multiset, then histogram. Each
+	// vertex packs its kept neighbors at the front of its own degree-sized
+	// slot; the packed runs are then copied together.
+	c.offs = parallel.Resize(c.offs, len(s)+1)
+	c.cnt = parallel.Resize(c.cnt, len(s)+1)
+	offs, cnt := c.offs, c.cnt
 	parallel.For(len(s), 0, func(i int) { offs[i] = int64(g.Degree(s[i])) })
+	offs[len(s)] = 0
 	parallel.Scan(offs)
-	offs[len(s)] = sumDeg
-	keys := make([]uint32, sumDeg)
-	const drop = ^uint32(0)
+	c.keys = parallel.Resize(c.keys, int(sumDeg))
+	keys := c.keys
 	parallel.ForWorker(len(s), 8, func(w, i int) {
 		v := s[i]
 		deg := g.Degree(v)
@@ -196,13 +232,17 @@ func neighborCounts(g graph.Adj, o *Options, s []uint32, keep func(uint32) bool)
 		for _, ngh := range nghs {
 			if keep(ngh) {
 				keys[wr] = ngh
-			} else {
-				keys[wr] = drop
+				wr++
 			}
-			wr++
 		}
+		cnt[i] = wr - offs[i]
 		env.StateWrite(w, int64(deg))
 	})
-	kept := parallel.Filter(keys, func(k uint32) bool { return k != drop })
-	return parallel.HistogramInPlace(kept)
+	cnt[len(s)] = 0
+	c.kept = parallel.Resize(c.kept, int(parallel.Scan(cnt)))
+	kept := c.kept
+	parallel.For(len(s), 64, func(i int) {
+		copy(kept[cnt[i]:cnt[i+1]], keys[offs[i]:])
+	})
+	return parallel.HistogramInPlace(kept, &c.hist)
 }

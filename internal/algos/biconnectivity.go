@@ -1,6 +1,8 @@
 package algos
 
 import (
+	"math/bits"
+
 	"sage/internal/graph"
 	"sage/internal/parallel"
 )
@@ -160,12 +162,7 @@ func buildTree(parent, level []uint32, roots []uint32) *tree {
 	kids := parallel.PackIndex(n, func(i int) bool {
 		return parent[i] != Infinity && parent[i] != uint32(i)
 	})
-	parallel.Sort(kids, func(a, b uint32) bool {
-		if parent[a] != parent[b] {
-			return parent[a] < parent[b]
-		}
-		return a < b
-	})
+	parallel.SortByKey(kids, bits.Len(uint(n)), func(v uint32) uint64 { return uint64(parent[v]) })
 	t.childIdx = kids
 	counts := make([]uint64, n+1)
 	parallel.For(len(kids), 0, func(i int) {
@@ -182,12 +179,9 @@ func buildTree(parent, level []uint32, roots []uint32) *tree {
 
 	// Level buckets.
 	reach := parallel.PackIndex(n, func(i int) bool { return level[i] != Infinity })
-	parallel.Sort(reach, func(a, b uint32) bool { return level[a] < level[b] })
+	t.maxLevel = parallel.ReduceMax(len(reach), 0, 0, func(i int) uint32 { return level[reach[i]] })
+	parallel.SortByKey(reach, bits.Len32(t.maxLevel), func(v uint32) uint64 { return uint64(level[v]) })
 	t.levelIdx = reach
-	t.maxLevel = 0
-	if len(reach) > 0 {
-		t.maxLevel = level[reach[len(reach)-1]]
-	}
 	t.levelOff = make([]int, t.maxLevel+2)
 	parallel.For(len(reach), 0, func(i int) {
 		if i == 0 || level[reach[i-1]] != level[reach[i]] {

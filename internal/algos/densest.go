@@ -39,6 +39,7 @@ func ApproxDensestSubgraph(g graph.Adj, o *Options) *DensestResult {
 	bestDensity := 0.0
 	bestRound := int32(-1) // vertices removed at round <= bestRound are outside
 	round := int32(0)
+	nc := newNeighborCounter(g, o, func(v uint32) bool { return alive[v] })
 
 	for liveN > 0 {
 		o.Checkpoint()
@@ -61,7 +62,7 @@ func ApproxDensestSubgraph(g graph.Adj, o *Options) *DensestResult {
 			removedRound[peel[i]] = round
 		})
 		var lost int64
-		counts := neighborCounts(g, o, peel, func(v uint32) bool { return alive[v] })
+		counts := nc.count(peel)
 		parallel.For(len(counts), 0, func(i int) {
 			deg[counts[i].Key] -= counts[i].Count
 		})

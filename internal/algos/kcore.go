@@ -26,6 +26,8 @@ func KCore(g graph.Adj, o *Options) []uint32 {
 	prio := make([]uint32, n)
 	parallel.Copy(prio, deg)
 	b := bucket.New(prio, bucket.Increasing)
+	nc := newNeighborCounter(g, o, func(v uint32) bool { return b.Priority(v) != bucket.Null })
+	var ids, prios []uint32 // the round's bucket moves, reused
 
 	for {
 		o.Checkpoint()
@@ -38,14 +40,12 @@ func KCore(g graph.Adj, o *Options) []uint32 {
 			kcoreFetchAdd(g, o, b, peeled, deg, k)
 			continue
 		}
-		counts := neighborCounts(g, o, peeled, func(v uint32) bool {
-			return b.Priority(v) != bucket.Null
-		})
+		counts := nc.count(peeled)
 		if len(counts) == 0 {
 			continue
 		}
-		ids := make([]uint32, len(counts))
-		prios := make([]uint32, len(counts))
+		ids = parallel.Resize(ids, len(counts))
+		prios = parallel.Resize(prios, len(counts))
 		parallel.For(len(counts), 0, func(i int) {
 			v := counts[i].Key
 			nd := deg[v]
@@ -98,7 +98,8 @@ func kcoreFetchAdd(g graph.Adj, o *Options, b *bucket.Buckets, peeled []uint32, 
 	if len(flat) == 0 {
 		return
 	}
-	hist := parallel.HistogramInPlace(flat)
+	var hs parallel.HistScratch
+	hist := parallel.HistogramInPlace(flat, &hs)
 	ids := make([]uint32, len(hist))
 	prios := make([]uint32, len(hist))
 	parallel.For(len(hist), 0, func(i int) {

@@ -136,6 +136,7 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 	removalRound := make([]int32, mUp)
 	parallel.Fill(removalRound, -1)
 	round := int32(0)
+	var hs parallel.HistScratch
 	for {
 		o.Checkpoint()
 		s, peeled, ok := b.NextBucket()
@@ -187,7 +188,7 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 		if len(flat) == 0 {
 			continue
 		}
-		counts := parallel.HistogramInPlace(flat)
+		counts := parallel.HistogramInPlace(flat, &hs)
 		ids := make([]uint32, 0, len(counts))
 		prios := make([]uint32, 0, len(counts))
 		for _, kc := range counts {

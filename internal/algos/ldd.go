@@ -2,6 +2,7 @@ package algos
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"sage/internal/frontier"
@@ -46,9 +47,9 @@ func LDD(g graph.Adj, o *Options, beta float64, seed uint64) *LDDResult {
 	parallel.For(int(n), 0, func(i int) {
 		start[i] = uint32(maxShift - shifts[i])
 	})
-	// Bucket vertices by start round (counting sort via histogram).
+	// Order vertices by start round (radix sort; ties stay in id order).
 	order := parallel.Tabulate(int(n), func(i int) uint32 { return uint32(i) })
-	parallel.Sort(order, func(a, b uint32) bool { return start[a] < start[b] })
+	parallel.SortByKey(order, bits.Len32(uint32(maxShift)), func(v uint32) uint64 { return uint64(start[v]) })
 
 	cluster := make([]uint32, n)
 	parent := make([]uint32, n)

@@ -11,9 +11,19 @@
 // a bucket is physically packed once dead entries outnumber live ones —
 // this bounds the structure's small-memory footprint by O(n) words, where
 // the fully lazy variant would need O(#updates) = O(m).
+//
+// Bulk moves — UpdateBatch and the re-bucketing of every live vertex when
+// the window is exhausted — share one kernel: a parallel pass writes each
+// vertex's destination slot (one of the 127 open buckets or overflow)
+// into a byte array, and a 128-slot counting sort (per-block slot counts,
+// a slot-major scan that also grows the destination arrays, a scatter)
+// places the vertices. Vertices land in batch order within a slot, so the
+// structure's contents do not depend on the worker count, and the slot
+// and count buffers are kept between calls.
 package bucket
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"sage/internal/parallel"
@@ -35,6 +45,17 @@ const Null = ^uint32(0)
 // plus one overflow bucket).
 const numOpen = 127
 
+// Destination slots of a bulk move: an open bucket's index, overSlot for
+// the overflow bucket, noSlot for a vertex that goes nowhere.
+const (
+	overSlot = numOpen
+	numSlots = numOpen + 1
+	noSlot   = 255
+)
+
+// placeBlock is the number of vertices one row of slot counters covers.
+const placeBlock = 4096
+
 // Buckets maps vertices to integer priorities organized into buckets.
 type Buckets struct {
 	order Order
@@ -45,6 +66,10 @@ type Buckets struct {
 	over  []uint32 // vertices whose priority lies outside the window
 	cur   int      // next open slot to inspect
 	live  int64    // non-finalized vertices
+
+	slots  []uint8  // destination slot per vertex of the bulk move in flight
+	counts []int    // its block × slot counters, then scatter offsets
+	spare  []uint32 // the array packStale packs into, swapped with the packed bucket's
 }
 
 // New builds buckets over the vertices with initial priorities prio
@@ -118,15 +143,85 @@ func (b *Buckets) rebase() {
 			return b.prio[i]
 		}, func(x, y uint32) uint32 { return max(x, y) })
 	}
-	for v, p := range b.prio {
-		if p == Null {
+	n := len(b.prio)
+	b.slots = parallel.Resize(b.slots, n)
+	parallel.ForBlocks(n, placeBlock, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			b.slots[v] = b.slotOf(b.prio[v])
+		}
+	})
+	b.place(nil, n)
+}
+
+// slotOf is the destination slot of a vertex of priority p.
+func (b *Buckets) slotOf(p uint32) uint8 {
+	if p == Null {
+		return noSlot
+	}
+	if i := b.openIndex(p); i >= 0 {
+		return uint8(i)
+	}
+	return overSlot
+}
+
+// place appends vertex ids[i] — or i itself when ids is nil — to the
+// bucket b.slots[i] names, for every i in [0, n), as a counting sort.
+func (b *Buckets) place(ids []uint32, n int) {
+	nBlocks := (n + placeBlock - 1) / placeBlock
+	b.counts = parallel.Resize(b.counts, nBlocks*numSlots)
+	counts, slots := b.counts, b.slots
+	parallel.ForBlocks(n, placeBlock, func(_, lo, hi int) {
+		countSlots(slots[lo:hi], counts[lo/placeBlock*numSlots:][:numSlots])
+	})
+	var dst [numSlots][]uint32
+	for s := range dst {
+		arr := &b.over
+		if s < numOpen {
+			arr = &b.open[s]
+		}
+		pos := len(*arr)
+		for i := s; i < len(counts); i += numSlots {
+			c := counts[i]
+			counts[i] = pos
+			pos += c
+		}
+		*arr = slices.Grow(*arr, pos-len(*arr))[:pos]
+		dst[s] = *arr
+	}
+	parallel.ForBlocks(n, placeBlock, func(_, lo, hi int) {
+		scatterSlots(&dst, ids, lo, slots[lo:hi], counts[lo/placeBlock*numSlots:][:numSlots])
+	})
+}
+
+// countSlots tallies one block's destination slots.
+//
+//sage:hotpath
+func countSlots(slots []uint8, cnt []int) {
+	for i := range cnt {
+		cnt[i] = 0
+	}
+	for _, s := range slots {
+		if s != noSlot {
+			cnt[s]++
+		}
+	}
+}
+
+// scatterSlots writes one block's vertices (block-relative index i is
+// vertex ids[lo+i], or lo+i when ids is nil) at their slots' offsets.
+//
+//sage:hotpath
+func scatterSlots(dst *[numSlots][]uint32, ids []uint32, lo int, slots []uint8, off []int) {
+	for i, s := range slots {
+		if s == noSlot {
 			continue
 		}
-		if i := b.openIndex(p); i >= 0 {
-			b.open[i] = append(b.open[i], uint32(v))
-		} else {
-			b.over = append(b.over, uint32(v))
+		v := uint32(lo + i)
+		if ids != nil {
+			v = ids[lo+i]
 		}
+		dst[s][off[s]] = v
+		off[s]++
 	}
 }
 
@@ -191,9 +286,9 @@ func (b *Buckets) Update(v, p uint32) {
 
 // UpdateBatch applies priority updates ids[i] -> prios[i] in bulk. The
 // ids must be distinct within one batch (the algorithms produce them from
-// histograms or deduplicated frontiers). Updates are grouped by
-// destination slot with a parallel sort so per-slot appends are
-// race-free.
+// histograms or deduplicated frontiers), which makes the parallel
+// classification race-free: each update touches only its own vertex's
+// priority, and the counting sort in place does the appends.
 func (b *Buckets) UpdateBatch(ids, prios []uint32) {
 	if len(ids) == 0 {
 		return
@@ -201,66 +296,42 @@ func (b *Buckets) UpdateBatch(ids, prios []uint32) {
 	if len(ids) != len(prios) {
 		panic("bucket: ids/prios length mismatch")
 	}
-	const overSlot = numOpen
-	type upd struct{ slot, v, p uint32 }
-	ups := make([]upd, 0, len(ids))
-	var liveDelta int64
-	// Classify and account (serial transition counting is exact because
-	// ids are distinct; the loop is cheap relative to the sort below).
-	for k, v := range ids {
-		p := prios[k]
-		old := b.prio[v]
-		if old == p {
-			continue
-		}
-		if old == Null {
-			liveDelta++
-		} else if i := b.openIndex(old); i >= 0 {
-			b.dead[i].Add(1)
-		}
-		if p == Null {
-			b.prio[v] = Null
-			liveDelta--
-			continue
-		}
-		slot := uint32(overSlot)
-		if i := b.openIndex(p); i >= 0 {
-			slot = uint32(i)
-			b.prio[v] = b.slotPriority(i)
-		} else {
+	b.slots = parallel.Resize(b.slots, len(ids))
+	var liveDelta atomic.Int64
+	parallel.ForBlocks(len(ids), placeBlock, func(_, lo, hi int) {
+		var delta int64
+		var dead [numOpen]int64
+		for k := lo; k < hi; k++ {
+			v, p := ids[k], prios[k]
+			old := b.prio[v]
+			b.slots[k] = noSlot
+			if old == p {
+				continue
+			}
+			if old == Null {
+				delta++
+			} else if i := b.openIndex(old); i >= 0 {
+				dead[i]++
+			}
+			if p == Null {
+				delta--
+			} else if i := b.openIndex(p); i >= 0 {
+				b.slots[k] = uint8(i)
+				p = b.slotPriority(i)
+			} else {
+				b.slots[k] = overSlot
+			}
 			b.prio[v] = p
 		}
-		ups = append(ups, upd{slot: slot, v: v, p: p})
-	}
-	b.live += liveDelta
-	parallel.Sort(ups, func(x, y upd) bool { return x.slot < y.slot })
-	starts := parallel.PackIndex(len(ups), func(i int) bool {
-		return i == 0 || ups[i].slot != ups[i-1].slot
-	})
-	parallel.For(len(starts), 1, func(si int) {
-		lo := int(starts[si])
-		hi := len(ups)
-		if si+1 < len(starts) {
-			hi = int(starts[si+1])
-		}
-		slot := ups[lo].slot
-		if slot == overSlot {
-			return // appended serially below
-		}
-		arr := b.open[slot]
-		for k := lo; k < hi; k++ {
-			arr = append(arr, ups[k].v)
-		}
-		b.open[slot] = arr
-	})
-	if len(starts) > 0 {
-		last := int(starts[len(starts)-1])
-		if ups[last].slot == overSlot {
-			for k := last; k < len(ups); k++ {
-				b.over = append(b.over, ups[k].v)
+		liveDelta.Add(delta)
+		for i, d := range dead {
+			if d != 0 {
+				b.dead[i].Add(d)
 			}
 		}
-	}
+	})
+	b.live += liveDelta.Load()
+	b.place(ids, len(ids))
 	b.packStale()
 }
 
@@ -273,7 +344,11 @@ func (b *Buckets) packStale() {
 			continue
 		}
 		want := b.slotPriority(i)
-		b.open[i] = parallel.Filter(b.open[i], func(v uint32) bool { return b.prio[v] == want })
+		// Pack into the spare array and swap, so both keep their capacity.
+		arr := b.open[i]
+		b.spare = parallel.Resize(b.spare, len(arr))
+		k := parallel.PackInto(b.spare, arr, func(v uint32) bool { return b.prio[v] == want })
+		b.open[i], b.spare = b.spare[:k], arr[:0]
 		b.dead[i].Store(0)
 	}
 }
@@ -281,7 +356,7 @@ func (b *Buckets) packStale() {
 // SizeWords reports the current footprint in words (priorities plus
 // bucket arrays), used by the O(n)-space assertions in the tests.
 func (b *Buckets) SizeWords() int64 {
-	s := int64(len(b.prio))/2 + int64(len(b.over))/2
+	s := int64(len(b.prio))/2 + (int64(cap(b.over))+int64(cap(b.spare)))/2 + int64(cap(b.slots))/8 + int64(cap(b.counts))
 	for i := range b.open {
 		s += int64(cap(b.open[i])) / 2
 	}

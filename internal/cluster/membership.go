@@ -81,9 +81,13 @@ type membership struct {
 	client  *http.Client
 	backoff time.Duration // quarantine window after a failure
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	// The background prober's lifecycle: start launches it at most once
+	// and never after close; close may come first, or more than once.
+	mu      sync.Mutex
+	started bool
+	closed  bool
+	stop    chan struct{}
+	prober  sync.WaitGroup
 }
 
 func newMembership(peers []Peer, client *http.Client, backoff time.Duration) (*membership, error) {
@@ -92,7 +96,6 @@ func newMembership(peers []Peer, client *http.Client, backoff time.Duration) (*m
 		client:  client,
 		backoff: backoff,
 		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for _, p := range peers {
 		if _, dup := m.peers[p.Name]; dup {
@@ -167,14 +170,18 @@ func (m *membership) probeAll() {
 }
 
 // start launches the background prober at the given interval; a
-// non-positive interval disables it (passive health only).
+// non-positive interval disables it (passive health only). Only the first
+// call does anything, and none does after close.
 func (m *membership) start(interval time.Duration) {
-	if interval <= 0 {
-		close(m.done)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if interval <= 0 || m.started || m.closed {
 		return
 	}
+	m.started = true
+	m.prober.Add(1)
 	go func() {
-		defer close(m.done)
+		defer m.prober.Done()
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
@@ -188,10 +195,16 @@ func (m *membership) start(interval time.Duration) {
 	}()
 }
 
-// close stops the background prober and waits for it to exit.
+// close stops the background prober, if start launched one, and waits
+// for it to exit.
 func (m *membership) close() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	<-m.done
+	m.mu.Lock()
+	if !m.closed {
+		m.closed = true
+		close(m.stop)
+	}
+	m.mu.Unlock()
+	m.prober.Wait()
 }
 
 // peerInfo is one peer's /metrics and /v1/cluster rendering.

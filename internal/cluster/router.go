@@ -169,7 +169,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Start launches background health probing (no-op when disabled).
+// Start launches background health probing. It is a no-op when probing
+// is disabled, when it has already been called, and after Close.
 func (rt *Router) Start() { rt.peers.start(rt.probeEvery) }
 
 // ProbeNow synchronously probes every peer's /readyz once — the same
@@ -181,7 +182,8 @@ func (rt *Router) ProbeNow() { rt.peers.probeAll() }
 // router while in-flight proxies finish.
 func (rt *Router) BeginDrain() { rt.draining.Store(true) }
 
-// Close stops background probing.
+// Close stops background probing and waits for the prober to exit. It is
+// safe without Start and may be called more than once.
 func (rt *Router) Close() { rt.peers.close() }
 
 // ServeHTTP dispatches to the router endpoints.

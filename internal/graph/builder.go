@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/bits"
+
 	"sage/internal/parallel"
 )
 
@@ -16,8 +18,9 @@ type BuildOpts struct {
 }
 
 // FromEdges builds an unweighted CSR graph over n vertices from the given
-// arcs. The input slice is not modified. Construction is parallel: sort by
-// (U, V), filter self loops/duplicates, compute offsets by scan, and fill.
+// arcs, all of whose endpoints must be below n. The input slice is not
+// modified. Construction is parallel: radix sort by the packed (U, V) key,
+// filter self loops/duplicates, compute offsets by scan, and fill.
 func FromEdges(n uint32, edges []Edge, opts BuildOpts) *Graph {
 	work := make([]Edge, 0, len(edges)*boostFactor(opts))
 	work = append(work, edges...)
@@ -25,12 +28,8 @@ func FromEdges(n uint32, edges []Edge, opts BuildOpts) *Graph {
 		rev := parallel.Map(edges, func(e Edge) Edge { return Edge{U: e.V, V: e.U} })
 		work = append(work, rev...)
 	}
-	parallel.Sort(work, func(a, b Edge) bool {
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		return a.V < b.V
-	})
+	vbits := idBits(n)
+	parallel.SortByKey(work, 2*vbits, func(e Edge) uint64 { return uint64(e.U)<<vbits | uint64(e.V) })
 	work = parallel.FilterIndex(work, func(i int, e Edge) bool {
 		if !opts.KeepSelfLoops && e.U == e.V {
 			return false
@@ -43,8 +42,12 @@ func FromEdges(n uint32, edges []Edge, opts BuildOpts) *Graph {
 	return fromSortedEdges(n, work, nil)
 }
 
+// idBits is the width of a vertex id of an n-vertex graph; two of them
+// pack an arc into one sort key.
+func idBits(n uint32) int { return bits.Len32(max(n, 1) - 1) }
+
 // FromWeightedEdges builds a weighted CSR graph. For duplicate arcs the
-// smallest weight is kept (they are adjacent after sorting).
+// smallest weight is kept.
 func FromWeightedEdges(n uint32, edges []WEdge, opts BuildOpts) *Graph {
 	work := make([]WEdge, 0, len(edges)*boostFactor(opts))
 	work = append(work, edges...)
@@ -52,21 +55,27 @@ func FromWeightedEdges(n uint32, edges []WEdge, opts BuildOpts) *Graph {
 		rev := parallel.Map(edges, func(e WEdge) WEdge { return WEdge{U: e.V, V: e.U, W: e.W} })
 		work = append(work, rev...)
 	}
-	parallel.Sort(work, func(a, b WEdge) bool {
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		if a.V != b.V {
-			return a.V < b.V
-		}
-		return a.W < b.W
-	})
+	vbits := idBits(n)
+	parallel.SortByKey(work, 2*vbits, func(e WEdge) uint64 { return uint64(e.U)<<vbits | uint64(e.V) })
+	sameArc := func(a, b WEdge) bool { return a.U == b.U && a.V == b.V }
+	if !opts.KeepDuplicates {
+		// Copies of an arc are adjacent but in input order, not weight
+		// order: fold each run's minimum into its first copy, the one the
+		// filter below keeps. Only run heads are written and only their W.
+		parallel.For(len(work), 0, func(i int) {
+			if i > 0 && sameArc(work[i-1], work[i]) {
+				return
+			}
+			for j := i + 1; j < len(work) && sameArc(work[i], work[j]); j++ {
+				work[i].W = min(work[i].W, work[j].W)
+			}
+		})
+	}
 	work = parallel.FilterIndex(work, func(i int, e WEdge) bool {
 		if !opts.KeepSelfLoops && e.U == e.V {
 			return false
 		}
-		if !opts.KeepDuplicates && i > 0 &&
-			work[i-1].U == e.U && work[i-1].V == e.V {
+		if !opts.KeepDuplicates && i > 0 && sameArc(work[i-1], e) {
 			return false
 		}
 		return true

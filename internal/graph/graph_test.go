@@ -73,6 +73,36 @@ func TestWeightedBuild(t *testing.T) {
 	}
 }
 
+// TestWeightedDuplicatesKeepMinimum feeds every arc's copies in
+// descending-weight order, small (comparison-sorted) and large (radix
+// sorted): a stable (U, V) sort leaves the heaviest copy first, so the
+// minimum must come from folding each run, not from the sort order.
+func TestWeightedDuplicatesKeepMinimum(t *testing.T) {
+	for _, n := range []uint32{4, 600} {
+		var edges []WEdge
+		for w := int32(9); w >= 3; w -= 3 { // copies at 9, 6, 3
+			for u := uint32(0); u < n; u++ {
+				edges = append(edges, WEdge{U: u, V: (u + 1) % n, W: w + int32(u%2)})
+			}
+		}
+		for _, opts := range []BuildOpts{{}, {Symmetrize: true}} {
+			g := FromWeightedEdges(n, edges, opts)
+			if want := uint64(n) * uint64(boostFactor(opts)); g.NumEdges() != want {
+				t.Fatalf("n=%d %+v: %d arcs after dedup, want %d", n, opts, g.NumEdges(), want)
+			}
+			for u := uint32(0); u < n; u++ {
+				if w, ok := g.EdgeWeight(u, (u+1)%n); !ok || w != 3+int32(u%2) {
+					t.Fatalf("n=%d %+v: w(%d,%d)=%d ok=%v, want the minimum %d", n, opts, u, (u+1)%n, w, ok, 3+u%2)
+				}
+			}
+		}
+		kept := FromWeightedEdges(n, edges, BuildOpts{KeepDuplicates: true})
+		if kept.NumEdges() != uint64(len(edges)) {
+			t.Fatalf("n=%d: KeepDuplicates kept %d of %d arcs", n, kept.NumEdges(), len(edges))
+		}
+	}
+}
+
 func TestScanCostAndAddr(t *testing.T) {
 	g := triangleGraph()
 	if g.ScanCost(0, 0, 2) != 2 {

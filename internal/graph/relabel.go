@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/bits"
+
 	"sage/internal/parallel"
 )
 
@@ -41,12 +43,10 @@ func (g *Graph) Relabel(perm []uint32) *Graph {
 func (g *Graph) DegreeOrder() []uint32 {
 	n := int(g.n)
 	byDeg := parallel.Tabulate(n, func(i int) uint32 { return uint32(i) })
-	parallel.Sort(byDeg, func(a, b uint32) bool {
-		da, db := g.Degree(a), g.Degree(b)
-		if da != db {
-			return da > db
-		}
-		return a < b
+	maxDeg := parallel.ReduceMax(n, 0, 0, func(i int) uint32 { return g.Degree(uint32(i)) })
+	// Stable on ascending ids, so equal degrees stay in id order.
+	parallel.SortByKey(byDeg, bits.Len32(maxDeg), func(v uint32) uint64 {
+		return uint64(maxDeg - g.Degree(v))
 	})
 	perm := make([]uint32, n)
 	parallel.For(n, 0, func(rank int) { perm[byDeg[rank]] = uint32(rank) })
@@ -59,14 +59,7 @@ func (g *Graph) DegreeOrder() []uint32 {
 func (g *Graph) RandomOrder(seed uint64) []uint32 {
 	n := int(g.n)
 	byHash := parallel.Tabulate(n, func(i int) uint32 { return uint32(i) })
-	parallel.Sort(byHash, func(a, b uint32) bool {
-		ha := mixRelabel(uint64(a), seed)
-		hb := mixRelabel(uint64(b), seed)
-		if ha != hb {
-			return ha < hb
-		}
-		return a < b
-	})
+	parallel.SortByKey(byHash, 64, func(v uint32) uint64 { return mixRelabel(uint64(v), seed) })
 	perm := make([]uint32, n)
 	parallel.For(n, 0, func(rank int) { perm[byHash[rank]] = uint32(rank) })
 	return perm

@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"math/rand/v2"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -212,92 +210,6 @@ func TestPackInto(t *testing.T) {
 		if dst[i] != want[i] {
 			t.Fatalf("dst=%v", dst[:k])
 		}
-	}
-}
-
-func TestSortRandom(t *testing.T) {
-	r := rand.New(rand.NewPCG(1, 2))
-	for _, n := range []int{0, 1, 2, 100, 5000, 200_000} {
-		a := make([]uint32, n)
-		for i := range a {
-			a[i] = r.Uint32()
-		}
-		SortUint32(a)
-		if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] }) {
-			t.Fatalf("n=%d not sorted", n)
-		}
-	}
-}
-
-func TestSortProperty(t *testing.T) {
-	f := func(vals []uint64) bool {
-		a := append([]uint64(nil), vals...)
-		SortUint64(a)
-		ref := append([]uint64(nil), vals...)
-		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		for i := range a {
-			if a[i] != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeInto(t *testing.T) {
-	x := []uint32{1, 3, 5, 7, 9}
-	y := []uint32{2, 3, 4, 10}
-	out := make([]uint32, len(x)+len(y))
-	MergeInto(out, x, y, func(a, b uint32) bool { return a < b })
-	if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i] < out[j] }) {
-		t.Fatalf("merge not sorted: %v", out)
-	}
-	if len(out) != len(x)+len(y) {
-		t.Fatalf("merge lost elements: %v", out)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	keys := []uint32{5, 1, 5, 5, 2, 1, 9}
-	h := Histogram(keys)
-	want := map[uint32]uint32{1: 2, 2: 1, 5: 3, 9: 1}
-	if len(h) != len(want) {
-		t.Fatalf("h=%v", h)
-	}
-	for _, kc := range h {
-		if want[kc.Key] != kc.Count {
-			t.Fatalf("key %d count %d want %d", kc.Key, kc.Count, want[kc.Key])
-		}
-	}
-	for i := 1; i < len(h); i++ {
-		if h[i-1].Key >= h[i].Key {
-			t.Fatal("histogram keys not sorted")
-		}
-	}
-}
-
-func TestHistogramProperty(t *testing.T) {
-	f := func(keys []uint32) bool {
-		want := map[uint32]uint32{}
-		for _, k := range keys {
-			want[k]++
-		}
-		h := Histogram(keys)
-		if len(h) != len(want) {
-			return false
-		}
-		for _, kc := range h {
-			if want[kc.Key] != kc.Count {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,5 +1,7 @@
 package parallel
 
+import "slices"
+
 // Number constrains the numeric element types used by Scan and the numeric
 // reductions.
 type Number interface {
@@ -160,6 +162,13 @@ func Tabulate[T any](n int, f func(i int) T) []T {
 	a := make([]T, n)
 	For(n, 0, func(i int) { a[i] = f(i) })
 	return a
+}
+
+// Resize returns buf with length n, reusing its array when the capacity
+// allows; the contents are unspecified. It is how round loops keep one
+// buffer for a whole run instead of allocating per round.
+func Resize[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // Copy copies src into dst in parallel. The slices must have equal length.

@@ -1,110 +1,127 @@
 package parallel
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
-// Sort sorts a in place using a parallel merge sort: the input is divided
-// into runs that are sorted independently with the standard library's
-// sort, then merged pairwise with parallel merges. Less must be a strict
-// weak ordering. The sort is not stable.
-func Sort[T any](a []T, less func(x, y T) bool) {
-	n := len(a)
-	p := Workers()
-	if n < 4096 || p == 1 {
-		sort.Slice(a, func(i, j int) bool { return less(a[i], a[j]) })
+// Every sort in this repository orders elements by an integer key — a
+// packed (U, V) pair, a level, a degree, a hash — so the one sorting
+// primitive is a stable least-significant-digit radix sort. A pass cuts
+// the input into blocks, counts each block's digits in parallel, turns
+// the block × digit count matrix into scatter offsets with a digit-major
+// scan, and scatters every block to its offsets; because a block's
+// elements keep their order within a digit and blocks are laid out in
+// order, each pass is stable, and a stable sort has exactly one result —
+// the output does not depend on Workers().
+
+const (
+	// sortSerialCutoff is the length below which a comparison sort beats
+	// setting up the count matrix and the scatter buffer.
+	sortSerialCutoff = 1 << 10
+	// sortMaxDigit bounds the digit width: 2^12 counters are 32 KB per
+	// block, which still sits in L1/L2 beside the streamed input, and 36-bit
+	// packed edges (2^18 vertices) sort in three passes instead of four.
+	sortMaxDigit = 12
+	// sortMinBlock is the smallest block worth its own row of counters.
+	sortMinBlock = 1 << 13
+)
+
+// SortByKey stably sorts a in place by key, which must be pure and fit in
+// the low keyBits bits: elements with equal keys keep their input order,
+// so callers get "ties by id" by handing in ids in ascending order. The
+// work is O(n·⌈keyBits/12⌉) with one n-sized buffer; inputs shorter than
+// the serial cutoff are sorted with slices.SortStableFunc instead.
+func SortByKey[T any](a []T, keyBits int, key func(T) uint64) {
+	if len(a) < sortSerialCutoff {
+		slices.SortStableFunc(a, func(x, y T) int { return cmp.Compare(key(x), key(y)) })
 		return
 	}
-	// Number of initial runs: a power of two near 4p for load balance.
-	runs := 1
-	for runs < 4*p && runs < n/2048 {
-		runs *= 2
+	var counts []int
+	radixSort(a, make([]T, len(a)), &counts, keyBits, key)
+}
+
+// radixSort is SortByKey above the cutoff, with its working space — a
+// scatter buffer as long as a, and the counters, resized here — supplied
+// by the caller.
+func radixSort[T any](a, buf []T, countBuf *[]int, keyBits int, key func(T) uint64) {
+	if keyBits <= 0 {
+		return
 	}
-	runLen := ceilDiv(n, runs)
-	For(runs, 1, func(r int) {
-		lo := r * runLen
-		hi := min(lo+runLen, n)
-		if lo < hi {
-			s := a[lo:hi]
-			sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-		}
-	})
-	buf := make([]T, n)
+	passes := ceilDiv(keyBits, sortMaxDigit)
+	digit := ceilDiv(keyBits, passes)
+	blockLen := max(sortMinBlock, ceilDiv(len(a), 4*Workers()))
+	*countBuf = Resize(*countBuf, ceilDiv(len(a), blockLen)<<digit)
+	counts := *countBuf
 	src, dst := a, buf
-	for width := runLen; width < n; width *= 2 {
-		nPairs := ceilDiv(n, 2*width)
-		For(nPairs, 1, func(pr int) {
-			lo := pr * 2 * width
-			mid := min(lo+width, n)
-			hi := min(lo+2*width, n)
-			MergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], less)
-		})
-		src, dst = dst, src
+	for shift := 0; shift < keyBits; shift += digit {
+		if radixPass(dst, src, uint(shift), digit, key, counts, blockLen) {
+			src, dst = dst, src
+		}
 	}
 	if &src[0] != &a[0] {
 		Copy(a, src)
 	}
 }
 
-// SortUint32 sorts a slice of uint32 keys in parallel.
-func SortUint32(a []uint32) {
-	Sort(a, func(x, y uint32) bool { return x < y })
-}
-
-// SortUint64 sorts a slice of uint64 keys in parallel.
-func SortUint64(a []uint64) {
-	Sort(a, func(x, y uint64) bool { return x < y })
-}
-
-// MergeInto merges the sorted slices x and y into out, which must have
-// length len(x)+len(y). Large merges are split recursively by a median
-// pick so the merge itself runs in parallel.
-func MergeInto[T any](out, x, y []T, less func(a, b T) bool) {
-	const serialMerge = 8192
-	if len(x)+len(y) <= serialMerge || Workers() == 1 {
-		serialMergeInto(out, x, y, less)
-		return
+// radixPass stably moves src into dst in order of bits [shift,
+// shift+digit) of each element's key. counts holds one row of 2^digit
+// counters per block. When every key has the same digit nothing moves and
+// it reports false.
+func radixPass[T any](dst, src []T, shift uint, digit int, key func(T) uint64, counts []int, blockLen int) bool {
+	n, mask := len(src), uint64(1)<<digit-1
+	ForBlocks(n, blockLen, func(_, lo, hi int) {
+		radixCount(src[lo:hi], shift, mask, key, counts[lo/blockLen<<digit:][:mask+1])
+	})
+	if !radixOffsets(counts, 1<<digit, n) {
+		return false
 	}
-	// Split the larger input at its midpoint and binary-search the split
-	// point in the other input.
-	if len(x) < len(y) {
-		// Keep x as the larger side; the merge is symmetric.
-		mergeSwapped(out, y, x, less)
-		return
+	ForBlocks(n, blockLen, func(_, lo, hi int) {
+		radixScatter(dst, src[lo:hi], shift, mask, key, counts[lo/blockLen<<digit:][:mask+1])
+	})
+	return true
+}
+
+// radixCount tallies the digit of every element of one block.
+//
+//sage:hotpath
+func radixCount[T any](block []T, shift uint, mask uint64, key func(T) uint64, cnt []int) {
+	for i := range cnt {
+		cnt[i] = 0
 	}
-	mid := len(x) / 2
-	pivot := x[mid]
-	// Find the first y index not less than pivot.
-	j := sort.Search(len(y), func(i int) bool { return !less(y[i], pivot) })
-	Do(
-		func() { MergeInto(out[:mid+j], x[:mid], y[:j], less) },
-		func() { MergeInto(out[mid+j:], x[mid:], y[j:], less) },
-	)
+	for _, x := range block {
+		cnt[key(x)>>shift&mask]++
+	}
 }
 
-// mergeSwapped merges with x the larger side but y logically first: it must
-// preserve merge semantics for equal elements irrespective of argument
-// order, which holds because MergeInto is not stable.
-func mergeSwapped[T any](out, x, y []T, less func(a, b T) bool) {
-	mid := len(x) / 2
-	pivot := x[mid]
-	j := sort.Search(len(y), func(i int) bool { return less(pivot, y[i]) })
-	Do(
-		func() { MergeInto(out[:mid+j], x[:mid], y[:j], less) },
-		func() { MergeInto(out[mid+j:], x[mid:], y[j:], less) },
-	)
-}
-
-func serialMergeInto[T any](out, x, y []T, less func(a, b T) bool) {
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		if less(y[j], x[i]) {
-			out[k] = y[j]
-			j++
-		} else {
-			out[k] = x[i]
-			i++
+// radixOffsets replaces the block-major count matrix with each block's
+// first output position per digit (digit-major order, blocks in order
+// within a digit). It reports false when one digit holds all n elements.
+//
+//sage:hotpath
+func radixOffsets(counts []int, nDigits, n int) bool {
+	pos := 0
+	for d := 0; d < nDigits; d++ {
+		start := pos
+		for i := d; i < len(counts); i += nDigits {
+			c := counts[i]
+			counts[i] = pos
+			pos += c
 		}
-		k++
+		if pos-start == n {
+			return false
+		}
 	}
-	copy(out[k:], x[i:])
-	copy(out[k+len(x)-i:], y[j:])
+	return true
+}
+
+// radixScatter moves one block's elements to their digits' offsets.
+//
+//sage:hotpath
+func radixScatter[T any](dst, block []T, shift uint, mask uint64, key func(T) uint64, off []int) {
+	for _, x := range block {
+		d := key(x) >> shift & mask
+		dst[off[d]] = x
+		off[d]++
+	}
 }
