@@ -41,8 +41,9 @@
 // file at startup, so updates survive a crash or kill. When the log is
 // unwritable (disk full, I/O errors) the dataset degrades to read-only:
 // reads keep serving, writes answer 503 {"reason": "read_only"}, and the
-// dataset heals automatically when the disk does. Concurrent batches to
-// one dataset share fsyncs through a group-commit window, and
+// dataset heals automatically when the disk does. Each dataset has one
+// committer: the batches it finds queued are one commit window —
+// one fsync, one generation — so concurrent writers share fsyncs, and
 // -wal-segment-bytes rotates a growing log into a numbered segment chain
 // replayed in order at startup. A compaction folds the logged batches
 // into the rewritten container and retires the whole chain.

@@ -28,6 +28,7 @@ package cluster
 // the router relays those 429s — Retry-After and all — untouched.
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -252,7 +253,7 @@ const RoutedToHeader = "X-Sage-Routed-To"
 // unreachable or cut the connection); HTTP-level errors come back as
 // responses.
 func (rt *Router) doPeer(ctx context.Context, ps *peerState, method, pathAndQuery string, body []byte, extra http.Header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, ps.url+pathAndQuery, bytesReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, ps.url+pathAndQuery, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -265,31 +266,6 @@ func (rt *Router) doPeer(ctx context.Context, ps *peerState, method, pathAndQuer
 		}
 	}
 	return rt.client.Do(req)
-}
-
-// bytesReader avoids importing bytes just for one constructor while
-// keeping a nil body truly empty.
-func bytesReader(b []byte) io.Reader {
-	if len(b) == 0 {
-		return http.NoBody
-	}
-	return io.LimitReader(readerOf(b), int64(len(b)))
-}
-
-type byteSliceReader struct {
-	b []byte
-	i int
-}
-
-func readerOf(b []byte) *byteSliceReader { return &byteSliceReader{b: b} }
-
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }
 
 // relay copies resp to w verbatim — status, headers (minus hop-by-hop),
@@ -316,19 +292,6 @@ func relay(w http.ResponseWriter, resp *http.Response, peer string, capture bool
 	}
 	_, err := io.Copy(w, resp.Body)
 	return nil, err
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		w.Write([]byte(`{"error":"response not serializable"}` + "\n"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(body, '\n'))
 }
 
 // readOrder returns owners with every currently-healthy peer ahead of
@@ -367,7 +330,7 @@ func (rt *Router) retryAfterSeconds() int {
 // --------------------------------------------------------------------
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"role":     "router",
 		"uptime_s": time.Since(rt.started).Seconds(),
@@ -379,13 +342,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case rt.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable,
+		server.WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"status": "draining", "reason": "draining"})
 	case rt.peers.healthyCount() == 0:
-		writeJSON(w, http.StatusServiceUnavailable,
+		server.WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"status": "no_replicas", "reason": "no_replicas"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 	}
 }
 
@@ -403,7 +366,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 		resp["dataset"] = ds
 		resp["owners"] = rt.Owners(ds)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleDatasets fans out to every reachable replica and merges the
@@ -455,7 +418,7 @@ func (rt *Router) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if reached == 0 {
 		rt.noReplicaErrors.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-		writeJSON(w, http.StatusBadGateway,
+		server.WriteJSON(w, http.StatusBadGateway,
 			map[string]string{"error": "no replica reachable", "reason": "no_replica"})
 		return
 	}
@@ -469,7 +432,7 @@ func (rt *Router) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	for i, name := range names {
 		out[i] = merged[name]
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": out})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"datasets": out})
 }
 
 // handleAlgorithms proxies the registry listing from any reachable
@@ -488,7 +451,7 @@ func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.noReplicaErrors.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-	writeJSON(w, http.StatusBadGateway,
+	server.WriteJSON(w, http.StatusBadGateway,
 		map[string]string{"error": "no replica reachable", "reason": "no_replica"})
 }
 
@@ -499,13 +462,13 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	ds := r.PathValue("dataset")
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading body: " + err.Error()})
 		return
 	}
 	owners := rt.Owners(ds)
 	if len(owners) == 0 {
 		rt.noReplicaErrors.Add(1)
-		writeJSON(w, http.StatusBadGateway,
+		server.WriteJSON(w, http.StatusBadGateway,
 			map[string]string{"error": "no replicas configured", "reason": "no_replica"})
 		return
 	}
@@ -571,7 +534,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.noReplicaErrors.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-	writeJSON(w, http.StatusBadGateway, map[string]any{
+	server.WriteJSON(w, http.StatusBadGateway, map[string]any{
 		"error":  fmt.Sprintf("no live replica for dataset %q (owners: %v)", ds, owners),
 		"reason": "no_replica",
 	})
@@ -587,13 +550,13 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	ds := r.PathValue("dataset")
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 8<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading body: " + err.Error()})
 		return
 	}
 	owners := rt.Owners(ds)
 	if len(owners) == 0 {
 		rt.noReplicaErrors.Add(1)
-		writeJSON(w, http.StatusBadGateway,
+		server.WriteJSON(w, http.StatusBadGateway,
 			map[string]string{"error": "no replicas configured", "reason": "no_replica"})
 		return
 	}
@@ -611,7 +574,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		rt.peers.markDown(primary)
 		rt.writeFanoutErrors.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		server.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error":   fmt.Sprintf("primary owner %q unreachable for dataset %q", primary.name, ds),
 			"reason":  "replica_down",
 			"replica": primary.name,
@@ -630,7 +593,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	resp.Body.Close()
 	if err != nil {
 		rt.writeFanoutErrors.Add(1)
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		server.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error":   fmt.Sprintf("reading primary response from %q: %v", primary.name, err),
 			"reason":  "replica_down",
 			"replica": primary.name,
@@ -657,7 +620,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			rt.peers.markDown(sec)
 			rt.writeFanoutErrors.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-			writeJSON(w, http.StatusBadGateway, map[string]any{
+			server.WriteJSON(w, http.StatusBadGateway, map[string]any{
 				"error": fmt.Sprintf("owner %q unreachable for dataset %q: batch applied to %v; retry the same batch once every owner is reachable (batches are idempotent)",
 					name, ds, appliedTo),
 				"reason":     "replica_down",
@@ -671,7 +634,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			detail, _ := io.ReadAll(io.LimitReader(sresp.Body, 512))
 			sresp.Body.Close()
 			rt.writeFanoutErrors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]any{
+			server.WriteJSON(w, http.StatusBadGateway, map[string]any{
 				"error": fmt.Sprintf("owner %q rejected the fan-out for dataset %q (status %d): %s; batch applied to %v",
 					name, ds, sresp.StatusCode, string(detail), appliedTo),
 				"reason":     "fanout_failed",
@@ -701,7 +664,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":     "router",
 		"uptime_s": time.Since(rt.started).Seconds(),
 		"ring": map[string]any{

@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"bytes"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -118,49 +116,6 @@ func TestHasEdge(t *testing.T) {
 	g := triangleGraph()
 	if !g.HasEdge(0, 2) || g.HasEdge(0, 0) {
 		t.Fatal("HasEdge wrong")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 9))
-	edges := make([]WEdge, 500)
-	for i := range edges {
-		edges[i] = WEdge{U: r.Uint32N(100), V: r.Uint32N(100), W: int32(r.IntN(50) + 1)}
-	}
-	g := FromWeightedEdges(100, edges, BuildOpts{Symmetrize: true})
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatal("header mismatch")
-	}
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		a, b := g.Neighbors(v), g2.Neighbors(v)
-		if len(a) != len(b) {
-			t.Fatalf("deg mismatch at %d", v)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("edge mismatch at %d[%d]", v, i)
-			}
-		}
-		wa, wb := g.NeighborWeights(v), g2.NeighborWeights(v)
-		for i := range wa {
-			if wa[i] != wb[i] {
-				t.Fatalf("weight mismatch at %d[%d]", v, i)
-			}
-		}
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("expected error")
 	}
 }
 

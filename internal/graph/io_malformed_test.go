@@ -7,70 +7,6 @@ import (
 	"testing"
 )
 
-// validBinary serializes a small graph to bytes.
-func validBinary(t *testing.T) []byte {
-	t.Helper()
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}, BuildOpts{Symmetrize: true})
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadBinaryRejectsOversizedHeader corrupts n and m to values far
-// beyond the actual payload: the reader must fail before attempting the
-// corresponding allocations.
-func TestReadBinaryRejectsOversizedHeader(t *testing.T) {
-	base := validBinary(t)
-	cases := map[string]func(b []byte){
-		// n at header word 2: claims 2^31 vertices in a 100-byte file.
-		"huge-n": func(b []byte) { binary.LittleEndian.PutUint64(b[16:], 1<<31) },
-		// m at header word 3: claims 2^40 edges.
-		"huge-m": func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<40) },
-		// n beyond uint32 entirely.
-		"n-overflow": func(b []byte) { binary.LittleEndian.PutUint64(b[16:], 1<<40) },
-		// m so large the byte-size computation would overflow int64.
-		"m-overflow": func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<62) },
-		// m sized so that only the weighted branch (8 bytes/edge) would
-		// overflow the size computation — the guard must still hold.
-		"m-weighted-overflow": func(b []byte) {
-			binary.LittleEndian.PutUint64(b[8:], 1) // weighted flag
-			binary.LittleEndian.PutUint64(b[24:], (1<<63-1)/8)
-		},
-		// unknown flag bits must not be silently ignored.
-		"bad-flags": func(b []byte) { binary.LittleEndian.PutUint64(b[8:], 0xfe) },
-	}
-	for name, corrupt := range cases {
-		b := append([]byte(nil), base...)
-		corrupt(b)
-		if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: corrupt header accepted", name)
-		}
-	}
-}
-
-// TestReadBinaryTruncated drops trailing bytes; both the sized check and
-// the unsized io path must report an error.
-func TestReadBinaryTruncated(t *testing.T) {
-	base := validBinary(t)
-	for _, cut := range []int{1, 8, len(base) / 2, len(base) - 33} {
-		b := base[:len(base)-cut]
-		if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
-			t.Errorf("truncation by %d accepted", cut)
-		}
-		// And through a non-seekable reader (no size hint).
-		if _, err := ReadBinary(onlyReader{bytes.NewReader(b)}); err == nil {
-			t.Errorf("truncation by %d accepted via plain reader", cut)
-		}
-	}
-}
-
-// onlyReader hides Seek/Len so ReadBinary cannot discover the size.
-type onlyReader struct{ r *bytes.Reader }
-
-func (o onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
-
 // TestContainerMalformed covers the v2 framing validation.
 func TestContainerMalformed(t *testing.T) {
 	g := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}, BuildOpts{Symmetrize: true})

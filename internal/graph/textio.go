@@ -48,11 +48,11 @@ func (g *Graph) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadText parses a Ligra adjacency-graph text stream. As in ReadBinary,
-// the declared n and m are validated against the number of input bytes
-// actually remaining (discoverable for files and in-memory readers)
-// before any array allocation, so a corrupt header yields an error
-// instead of a multi-gigabyte allocation attempt.
+// ReadText parses a Ligra adjacency-graph text stream. The declared n
+// and m are validated against the number of input bytes actually
+// remaining (discoverable for files and in-memory readers) before any
+// array allocation, so a corrupt header yields an error instead of a
+// multi-gigabyte allocation attempt.
 func ReadText(r io.Reader) (*Graph, error) {
 	remaining, sized := remainingSize(r)
 	sc := bufio.NewScanner(r)

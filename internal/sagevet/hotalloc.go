@@ -42,7 +42,7 @@ var hotAllowedPkgs = map[string]bool{
 // new, and conversions are, elsewhere in this file).
 var hotAllowedBuiltins = map[string]bool{
 	"len": true, "cap": true, "copy": true, "min": true, "max": true,
-	"delete": true, "panic": true, "print": true, "println": true,
+	"delete": true, "clear": true, "panic": true, "print": true, "println": true,
 }
 
 func runHotAlloc(pass *analysis.Pass) error {

@@ -64,6 +64,12 @@ func appends(buf []int, x int) []int {
 }
 
 //sage:hotpath
+func resets(buf []int, seen map[int]bool) {
+	clear(buf)  // zeroes in place: allowed
+	clear(seen) // empties in place: allowed
+}
+
+//sage:hotpath
 func waived(n int) []int {
 	return make([]int, n) //sage:allow hotalloc
 }

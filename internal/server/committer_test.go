@@ -1,0 +1,247 @@
+package server
+
+// Commit-window semantics. These tests need several requests in one
+// window on purpose, so the WAL sits on a filesystem whose fsync can be
+// held shut: a leader batch is parked inside its fsync, the writers under
+// test queue up behind it, and releasing the gate makes them one window.
+
+import (
+	"errors"
+	"os"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"sage"
+	"sage/internal/wal"
+)
+
+// gateFS is a wal.FS whose files' Sync can be held shut.
+type gateFS struct {
+	wal.FS
+	mu      sync.Mutex
+	hold    chan struct{} // non-nil: Sync announces itself on entered, then waits for hold to close
+	entered chan struct{}
+}
+
+type gateFile struct {
+	wal.File
+	g *gateFS
+}
+
+func newGateFS(inner wal.FS) *gateFS {
+	return &gateFS{FS: inner, entered: make(chan struct{}, 1)}
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+// shut makes the next Sync block; open releases it and every later one
+// (and is harmless when the gate is already open).
+func (g *gateFS) shut() {
+	g.mu.Lock()
+	g.hold = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gateFS) open() {
+	g.mu.Lock()
+	if g.hold != nil {
+		close(g.hold)
+		g.hold = nil
+	}
+	g.mu.Unlock()
+}
+
+func (f *gateFile) Sync() error {
+	f.g.mu.Lock()
+	hold := f.g.hold
+	f.g.mu.Unlock()
+	if hold != nil {
+		select {
+		case f.g.entered <- struct{}{}:
+		default: // nobody is waiting to hear about a second held fsync
+		}
+		<-hold
+	}
+	return f.File.Sync()
+}
+
+// waitingWriters counts goroutines inside applySync's hand-off: blocked
+// queueing a request on a committer or waiting for its answer.
+func waitingWriters() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[select") && strings.Contains(g, "(*updates).applySync") {
+			n++
+		}
+	}
+	return n
+}
+
+type writeOutcome struct {
+	res *updateResult
+	err error
+}
+
+// oneWindow commits batches as a single window: it parks a leader batch
+// inside its fsync, waits until one writer per batch is queued behind it,
+// runs beforeRelease, and opens the gate. It returns the leader's outcome
+// and each batch's, and fails the test if any batch is answered while the
+// gate is still shut.
+func oneWindow(t *testing.T, srv *Server, gate *gateFS, leader []sage.EdgeOp, batches [][]sage.EdgeOp, beforeRelease func()) (writeOutcome, []writeOutcome) {
+	t.Helper()
+	gate.shut()
+	defer gate.open() // a t.Fatal below must not leave the server wedged in its fsync
+	leaderDone := make(chan writeOutcome, 1)
+	go func() {
+		res, err := srv.updates.apply("g", leader, false)
+		leaderDone <- writeOutcome{res, err}
+	}()
+	<-gate.entered
+
+	type indexed struct {
+		i int
+		writeOutcome
+	}
+	answered := make(chan indexed, len(batches))
+	for i, b := range batches {
+		go func() {
+			res, err := srv.updates.apply("g", b, false)
+			answered <- indexed{i, writeOutcome{res, err}}
+		}()
+	}
+	// The leader is waiting for its answer; every batch's writer must be
+	// waiting behind it before the gate opens.
+	for deadline := time.Now().Add(10 * time.Second); waitingWriters() < 1+len(batches); {
+		select {
+		case a := <-answered:
+			t.Fatalf("batch %d answered (res %+v, err %v) before its window's fsync finished", a.i, a.res, a.err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d writers queued behind the held fsync", waitingWriters()-1, len(batches))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if beforeRelease != nil {
+		beforeRelease()
+	}
+	gate.open()
+
+	out := make([]writeOutcome, len(batches))
+	for range batches {
+		a := <-answered
+		out[a.i] = a.writeOutcome
+	}
+	return <-leaderDone, out
+}
+
+// TestWindowSharesOneFsyncAndOneGeneration: N writers queued together are
+// one window — one fsync for all their records and one generation bump.
+func TestWindowSharesOneFsyncAndOneGeneration(t *testing.T) {
+	const writers = 6
+	path := makeBase(t, t.TempDir(), 32)
+	gate := newGateFS(wal.OS)
+	srv := newWALServer(t, path, gate)
+	srv.Recover()
+
+	batches := make([][]sage.EdgeOp, writers)
+	for w := range batches {
+		batches[w] = []sage.EdgeOp{{U: uint32(w), V: uint32(16 + w)}}
+	}
+	leader, outs := oneWindow(t, srv, gate, []sage.EdgeOp{{U: 0, V: 31}}, batches, nil)
+	if leader.err != nil {
+		t.Fatalf("leader: %v", leader.err)
+	}
+	for w, o := range outs {
+		if o.err != nil {
+			t.Fatalf("writer %d: %v", w, o.err)
+		}
+		if o.res.generation != leader.res.generation+1 {
+			t.Fatalf("writer %d reports generation %d; the window after generation %d should bump once",
+				w, o.res.generation, leader.res.generation)
+		}
+	}
+	ws := srv.updates.walSnapshot()
+	if ws.GroupSyncs != 2 || ws.GroupBatches != writers+1 {
+		t.Fatalf("group_syncs=%d group_batches=%d, want 2 fsyncs for %d batches", ws.GroupSyncs, ws.GroupBatches, writers+1)
+	}
+	if _, gen, release, err := srv.pinForRun("g"); err != nil || gen != leader.res.generation+1 {
+		t.Fatalf("published generation %d (err %v), want %d", gen, err, leader.res.generation+1)
+	} else {
+		release()
+	}
+}
+
+// TestNoopInWindowSharesItsFate is the early-acknowledgement regression:
+// a batch that is a no-op only because an earlier batch of the same
+// window already did its work depends on state that is not durable yet.
+// It must be answered with that window, not ahead of it.
+func TestNoopInWindowSharesItsFate(t *testing.T) {
+	e := []sage.EdgeOp{{U: 3, V: 11}}
+	hasE := func(set map[arc]bool) bool { return set[arc{3, 11, 1}] && set[arc{11, 3, 1}] }
+
+	t.Run("fsync fails", func(t *testing.T) {
+		path := makeBase(t, t.TempDir(), 16)
+		ffs := wal.NewFaultFS(nil)
+		gate := newGateFS(ffs)
+		srv := newWALServer(t, path, gate)
+		srv.Recover()
+
+		_, outs := oneWindow(t, srv, gate, []sage.EdgeOp{{U: 0, V: 9}}, [][]sage.EdgeOp{e, e},
+			func() { ffs.SetSyncError(true) })
+		for i, o := range outs {
+			if !errors.Is(o.err, errReadOnly) {
+				t.Fatalf("insert %d: res %+v, err %v; want the window's read-only rejection", i, o.res, o.err)
+			}
+		}
+		if hasE(servedSet(t, srv, "g")) {
+			t.Fatal("the failed window's edge is being served")
+		}
+		_ = srv.Close()
+
+		srv2 := newWALServer(t, path, nil)
+		if _, degraded := srv2.Recover(); len(degraded) != 0 {
+			t.Fatalf("degraded after healthy restart: %v", degraded)
+		}
+		if hasE(servedSet(t, srv2, "g")) {
+			t.Fatal("an edge nobody was acknowledged for survived the restart")
+		}
+	})
+
+	t.Run("healthy disk", func(t *testing.T) {
+		path := makeBase(t, t.TempDir(), 16)
+		gate := newGateFS(wal.OS)
+		srv := newWALServer(t, path, gate)
+		srv.Recover()
+
+		_, outs := oneWindow(t, srv, gate, []sage.EdgeOp{{U: 0, V: 9}}, [][]sage.EdgeOp{e, e}, nil)
+		for i, o := range outs {
+			if o.err != nil {
+				t.Fatalf("insert %d: %v", i, o.err)
+			}
+		}
+		if outs[0].res.generation != outs[1].res.generation {
+			t.Fatalf("one window, two generations: %d and %d", outs[0].res.generation, outs[1].res.generation)
+		}
+		g, gen, release, err := srv.pinForRun("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		if gen != outs[0].res.generation || !hasE(edgeSet(g)) {
+			t.Fatalf("a read at generation %d (acknowledged: %d) sees the edge: %v", gen, outs[0].res.generation, hasE(edgeSet(g)))
+		}
+	})
+}

@@ -11,12 +11,12 @@ package server
 // base; compaction folds them into a new container generation and retires
 // the log.
 //
-// Writes to one dataset do not serialize on the fsync: a batch is staged
-// into the log under the dataset lock (wal.Log.AppendBuffer), then the
-// lock is released while the group-commit barrier (wal.Log.Commit) runs —
-// one leader fsync acknowledges every batch buffered in the window. The
-// next writer chains onto the staged tip (see stagedBatch in updates.go),
-// so N concurrent writers pay ~1 fsync per window instead of N.
+// Each dataset's log has exactly one caller, the dataset's committer
+// (updates.go): it buffers one record per state-changing batch of a
+// commit window (wal.Log.AppendBuffer) and then takes the barrier once,
+// on the last record's ticket (wal.Log.Commit) — one fsync acknowledges
+// the whole window. Recovery runs on the committer too, as the first
+// thing it does for a dataset, so replay and writes cannot interleave.
 //
 // Under a segment cap (Durability.SegmentBytes) the log rotates into a
 // fingerprint-linked chain of sealed segments (<path>.wal.1, .wal.2, …);
@@ -66,42 +66,23 @@ type Durability struct {
 // unwritable (503 with reason "read_only").
 var errReadOnly = errors.New("dataset is read-only: write-ahead log unavailable")
 
-// walState is one dataset's durability state. All fields are guarded by
-// updates.mu: the log pointer is read by metrics and by committers that
-// have already released the dataset lock, and close() swaps it to nil
-// without holding any dataset lock. The wal.Log itself is internally
-// synchronized, so holders of a snapshotted pointer stay safe across a
-// concurrent swap.
+// walState is one dataset's durability state. Only the dataset's
+// committer writes it, under updates.mu because listings and metrics read
+// it; the committer reads its own writes without the lock.
 type walState struct {
 	log      *wal.Log // nil when the log could not be opened
 	readOnly bool
 	reason   string // degradation cause, "" when healthy
-	replayed int    // batches recovered when the log was opened
 }
 
-// logOf snapshots ws's log pointer under updates.mu.
-func (u *updates) logOf(ws *walState) *wal.Log {
-	if ws == nil {
-		return nil
-	}
+// setWAL records the outcome of the latest log operation: the log now in
+// use (nil: none) and its health — a nil err restores the dataset to
+// writable, a non-nil one degrades it to read-only with the error as the
+// reason.
+func (u *updates) setWAL(ws *walState, log *wal.Log, err error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return ws.log
-}
-
-// setLog swaps ws's log pointer under updates.mu.
-func (u *updates) setLog(ws *walState, log *wal.Log) {
-	u.mu.Lock()
 	ws.log = log
-	u.mu.Unlock()
-}
-
-// setWALHealth records the outcome of the latest log operation: a nil
-// err restores the dataset to writable, a non-nil one degrades it to
-// read-only with the error as the reason.
-func (u *updates) setWALHealth(ws *walState, err error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if err != nil {
 		ws.readOnly, ws.reason = true, err.Error()
 	} else {
@@ -120,55 +101,27 @@ func (u *updates) walInfo(name string) (readOnly bool, reason string) {
 	return false, ""
 }
 
-// recoverLocked opens name's WAL and replays surviving records onto the
-// stored base, installing the recovered snapshot as the current version.
-// It runs once per dataset — the walStates entry memoizes the outcome,
-// including failure (the dataset is then read-only until a retried
-// recovery succeeds). The caller holds the dataset update lock.
-func (u *updates) recoverLocked(name, path string) *walState {
+// recover opens c's WAL and replays surviving records onto the stored
+// base, installing the recovered snapshot as the current version, then
+// registers the outcome — including failure: the dataset is then
+// read-only until a later window's retry succeeds — so reads stop asking
+// for it. It runs on c's committer.
+func (u *updates) recover(c *committer) {
+	u.openSegment(c)
 	u.mu.Lock()
-	ws, ok := u.walStates[name]
-	closed := u.closed
+	u.walStates[c.name] = c.ws
 	u.mu.Unlock()
-	if ok {
-		return ws
-	}
-	ws = &walState{}
-	if closed {
-		// Shutdown already closed every log; opening a fresh one now
-		// would orphan it. Report the dataset unwritable and do not
-		// register the state, so nothing survives past close().
-		ws.readOnly, ws.reason = true, errShuttingDown.Error()
-		return ws
-	}
-	defer func() {
-		u.mu.Lock()
-		if u.closed {
-			// close() ran while we were opening: hand the log straight
-			// back instead of registering it.
-			log := ws.log
-			ws.log = nil
-			u.mu.Unlock()
-			if log != nil {
-				_ = log.Close()
-			}
-			return
-		}
-		u.walStates[name] = ws
-		u.mu.Unlock()
-	}()
-	u.openSegment(ws, name, path)
-	return ws
 }
 
 // openSegment fingerprints the container, opens (or creates) its WAL
 // chain, and replays surviving records. On any failure the dataset is
 // left read-only with the cause as the machine-readable reason; reads
-// keep serving the base. Caller holds the dataset update lock.
-func (u *updates) openSegment(ws *walState, name, path string) {
+// keep serving the base. It runs on the dataset's committer.
+func (u *updates) openSegment(c *committer) {
+	ws, name, path := c.ws, c.name, c.path
 	fp, err := wal.FingerprintFile(u.wcfg.FS, path)
 	if err != nil {
-		u.setWALHealth(ws, fmt.Errorf("fingerprinting container: %w", err))
+		u.setWAL(ws, nil, fmt.Errorf("fingerprinting container: %w", err))
 		return
 	}
 	log, rec, err := wal.Open(path+WALSuffix, fp, wal.Options{
@@ -176,11 +129,10 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 		SegmentBytes: u.wcfg.SegmentBytes,
 	})
 	if err != nil {
-		u.setWALHealth(ws, err)
+		u.setWAL(ws, nil, err)
 		return
 	}
-	u.setLog(ws, log)
-	u.setWALHealth(ws, nil)
+	u.setWAL(ws, log, nil)
 	if rec.Discarded {
 		u.walDiscarded.Add(1)
 	}
@@ -188,9 +140,9 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 		return
 	}
 
-	// Replay. A current version can only exist if a previous recovery
-	// succeeded, and successful recoveries never rerun; guard anyway so a
-	// logic error cannot double-apply batches.
+	// Replay — unless a current version exists: then this is a reopen
+	// after the log died, an earlier recovery already replayed these
+	// records, and applying them again would double-apply them.
 	u.mu.Lock()
 	hasVersion := u.versions[name] != nil
 	u.mu.Unlock()
@@ -200,8 +152,7 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 	h, err := u.catalog.acquire(name)
 	if err != nil {
 		_ = log.Close() // abandoning the log; the open error is the story
-		u.setLog(ws, nil)
-		u.setWALHealth(ws, fmt.Errorf("opening base for replay: %w", err))
+		u.setWAL(ws, nil, fmt.Errorf("opening base for replay: %w", err))
 		return
 	}
 	snap := sage.GraphFromDataset(h.Dataset()).Snapshot()
@@ -215,7 +166,7 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 			if terr := log.TruncateTo(good); terr != nil {
 				// The bad tail is still on disk and would replay again
 				// after a crash; refuse writes until the disk recovers.
-				u.setWALHealth(ws, fmt.Errorf("truncating unreplayable tail: %w", terr))
+				u.setWAL(ws, log, fmt.Errorf("truncating unreplayable tail: %w", terr))
 			}
 			break
 		}
@@ -224,9 +175,6 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 		replayed++
 	}
 	u.walReplayed.Add(int64(replayed))
-	u.mu.Lock()
-	ws.replayed = replayed
-	u.mu.Unlock()
 	if snap.DeltaWords() == 0 {
 		// The surviving batches cancel out (or were all no-ops): the base
 		// is already the recovered state.
@@ -242,7 +190,9 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 }
 
 // ensureRecovered replays name's surviving WAL records (once) before a
-// read or write observes the dataset. Cheap after the first call.
+// read observes the dataset. After the first touch it is one map lookup;
+// the first touch itself is an empty write, which makes the dataset's
+// committer recover and answers when it has.
 func (u *updates) ensureRecovered(name string) {
 	if !u.wcfg.Enabled {
 		return
@@ -250,93 +200,72 @@ func (u *updates) ensureRecovered(name string) {
 	u.mu.Lock()
 	_, done := u.walStates[name]
 	u.mu.Unlock()
-	if done {
-		return
+	if !done {
+		// Unknown dataset or shutdown: the caller's own lookup reports it.
+		_, _ = u.applySync(name, nil, false, 0)
 	}
-	path, err := u.catalog.path(name)
-	if err != nil {
-		return // unknown dataset: the caller surfaces the 404
-	}
-	l := u.lockDataset(name)
-	l.Lock()
-	defer l.Unlock()
-	u.recoverLocked(name, path)
 }
 
-// walStage buffers one batch into the dataset's log, chained after the
-// in-flight group-commit window (after is the staged tip's ticket, nil
-// when the window is empty). The record has a sequence number but is not
-// durable yet — walCommit drives the barrier. A wal.ErrStaleChain return
-// means the window this batch extended rolled back with its failed group
-// fsync; the caller rebases onto the published state and restages. Any
-// other failure degrades the dataset to read-only. Caller holds the
-// dataset update lock.
-func (u *updates) walStage(ws *walState, name string, log *wal.Log, ops []sage.EdgeOp, after *wal.Pending) (*wal.Pending, error) {
-	if log == nil {
-		u.readOnlyRejected.Add(1)
-		_, reason := u.walInfo(name)
-		return nil, fmt.Errorf("%w (dataset %q): %s", errReadOnly, name, reason)
+// readOnly records a failed log operation — the dataset drops to
+// read-only with cause as the reason, and a log that died (wal.ErrClosed)
+// is let go so the next window reopens it from disk — and returns the 503
+// for the write that hit it. The log cleans up after its own failures, so
+// the next attempt probes a clean tail and the dataset recovers without
+// intervention.
+func (u *updates) readOnly(c *committer, cause error) error {
+	log := c.ws.log
+	if errors.Is(cause, wal.ErrClosed) {
+		log = nil
 	}
-	p, err := log.AppendBuffer(walOps(ops), after)
+	u.setWAL(c.ws, log, cause)
+	return fmt.Errorf("%w (dataset %q): %v", errReadOnly, c.name, cause)
+}
+
+// walAppend buffers one batch into c's log behind whatever the window has
+// buffered already. The record has a sequence number but is not durable
+// yet — walCommit drives the barrier.
+func (u *updates) walAppend(c *committer, ops []sage.EdgeOp) (*wal.Pending, error) {
+	if c.ws.log == nil {
+		return nil, fmt.Errorf("%w (dataset %q): %s", errReadOnly, c.name, c.ws.reason)
+	}
+	p, err := c.ws.log.AppendBuffer(walOps(ops), nil)
 	if err != nil {
-		if errors.Is(err, wal.ErrStaleChain) {
-			return nil, err // internal signal: rebase and restage
-		}
-		u.setWALHealth(ws, err)
-		u.readOnlyRejected.Add(1)
-		return nil, fmt.Errorf("%w (dataset %q): %v", errReadOnly, name, err)
+		return nil, u.readOnly(c, err)
 	}
 	return p, nil
 }
 
-// walCommit waits out the group-commit barrier for a staged batch: it
-// returns once a leader fsync (ours or a concurrent committer's) has made
-// the batch durable per the configured policy, before the overlay becomes
-// visible. A failure degrades the dataset to read-only and rejects the
-// write — the log rolled the whole window back, so the next attempt
-// probes a clean tail and the dataset recovers without intervention. The
-// caller does NOT need the dataset update lock: that is the point.
+// walCommit is the window's barrier: it returns once one fsync has made
+// every record buffered up to last durable per the configured policy,
+// before any of the window becomes visible. On failure the log has rolled
+// the whole window back and the dataset degrades to read-only.
 //
 //sage:durable-append
-func (u *updates) walCommit(ws *walState, name string, log *wal.Log, p *wal.Pending) error {
-	if err := log.Commit(p); err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			// The log died (or shutdown closed it). Drop the pointer so
-			// the next write retries recovery from scratch.
-			u.mu.Lock()
-			if ws.log == log {
-				ws.log = nil
-			}
-			u.mu.Unlock()
-		}
-		u.setWALHealth(ws, err)
-		u.readOnlyRejected.Add(1)
-		return fmt.Errorf("%w (dataset %q): %v", errReadOnly, name, err)
+func (u *updates) walCommit(c *committer, last *wal.Pending) error {
+	if err := c.ws.log.Commit(last); err != nil {
+		return u.readOnly(c, err)
 	}
-	u.walAppends.Add(1)
-	u.setWALHealth(ws, nil)
+	u.setWAL(c.ws, c.ws.log, nil)
 	return nil
 }
 
-// retireSegment retires name's WAL chain after a compaction durably
+// retireSegment retires c's WAL chain after a compaction durably
 // replaced the container: the folded records must never replay onto the
 // new generation. Even if the process dies before the removal lands, the
 // stale chain's base fingerprint no longer matches the rewritten
 // container, so recovery discards it — removal is cleanup, not
 // correctness. A fresh log is then opened for the new generation.
-// Caller holds the dataset update lock.
-func (u *updates) retireSegment(ws *walState, name, path string) {
-	if ws == nil {
+func (u *updates) retireSegment(c *committer) {
+	if c.ws == nil {
 		return
 	}
-	if log := u.logOf(ws); log != nil {
+	if c.ws.log != nil {
 		// A failed remove leaves a stale chain that can never replay
 		// (its fingerprint no longer matches the rewritten container),
 		// and openSegment's fresh open re-probes the disk immediately.
-		log.CloseAndRemove() //sage:allow syncerr
-		u.setLog(ws, nil)
+		c.ws.log.CloseAndRemove() //sage:allow syncerr
 	}
-	u.openSegment(ws, name, path)
+	u.openSegment(c)
 }
 
 // walSnapshot reports the durability layer for /metrics, aggregating the
@@ -374,7 +303,7 @@ func (u *updates) walSnapshot() walStats {
 // walStats is the /metrics view of the durability layer. GroupSyncs and
 // GroupBatches measure group-commit effectiveness: batches ÷ syncs is the
 // mean commit window — 1.0 means every batch paid its own fsync, higher
-// means concurrent writers shared leader flushes.
+// means concurrent writers shared commit windows.
 type walStats struct {
 	Enabled           bool   `json:"enabled"`
 	Policy            string `json:"policy"`

@@ -18,7 +18,7 @@ import (
 
 func TestWriteJSONNonFiniteIsServerError(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]any{"value": math.Inf(1)})
+	WriteJSON(rec, http.StatusOK, map[string]any{"value": math.Inf(1)})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("code %d, want 500", rec.Code)
 	}
@@ -29,7 +29,7 @@ func TestWriteJSONNonFiniteIsServerError(t *testing.T) {
 
 func TestWriteJSONHappyPath(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusTeapot, map[string]any{"ok": true})
+	WriteJSON(rec, http.StatusTeapot, map[string]any{"ok": true})
 	if rec.Code != http.StatusTeapot {
 		t.Fatalf("code %d, want 418", rec.Code)
 	}

@@ -252,7 +252,10 @@ type runResponse struct {
 	ElapsedMS  float64       `json:"elapsed_ms"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response with the given status. The
+// cluster router answers through it too, so both tiers fail the same way
+// on a value that cannot be serialized.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	// Marshal before touching the header: an unserializable value (e.g.
 	// a result holding ±Inf) must surface as a 500, not as a 200 with an
 	// empty body.
@@ -278,13 +281,13 @@ func writeJSONBytes(w http.ResponseWriter, code int, body []byte) {
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // writeErrorReason adds a machine-readable reason field ("read_only",
 // "draining", ...) so clients can branch without parsing the human text.
 func writeErrorReason(w http.ResponseWriter, code int, reason, format string, args ...any) {
-	writeJSON(w, code, map[string]string{
+	WriteJSON(w, code, map[string]string{
 		"error":  fmt.Sprintf(format, args...),
 		"reason": reason,
 	})
@@ -295,7 +298,7 @@ func writeErrorReason(w http.ResponseWriter, code int, reason, format string, ar
 // --------------------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"uptime_s": time.Since(s.started).Seconds(),
 	})
@@ -307,13 +310,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable,
+		WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"status": "draining", "reason": "draining"})
 	case !s.ready.Load():
-		writeJSON(w, http.StatusServiceUnavailable,
+		WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"status": "starting", "reason": "wal_replay"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 	}
 }
 
@@ -332,7 +335,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 		}
 		infos[i].ReadOnly, infos[i].ReadOnlyReason = s.updates.walInfo(infos[i].Name)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": infos})
+	WriteJSON(w, http.StatusOK, map[string]any{"datasets": infos})
 }
 
 // algorithmInfo mirrors sage.Algorithm with wire-stable JSON names; the
@@ -366,7 +369,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 			Weighted: a.Weighted, SetCover: a.SetCover, Params: params,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"algorithms": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"algorithms": out})
 }
 
 // decodeStrict parses the request body into v: at most limit bytes, no
@@ -654,12 +657,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		resp.CompactError = res.compactErr.Error()
 	}
 	w.Header().Set(GenerationHeader, strconv.FormatUint(res.generation, 10))
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	agg := s.engine.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"uptime_s": time.Since(s.started).Seconds(),
 		// The engine aggregate is safe to snapshot with runs in flight;
 		// see Engine.Stats.

@@ -17,26 +17,26 @@ package server
 //     cache entry so new requests map the compacted file, and drops the
 //     overlay; in-flight runs finish on the detached old mapping.
 //
-// Concurrent writers to one dataset do not serialize on the fsync. A
-// batch is built and staged under the dataset update lock — its WAL
-// record buffered with a sequence number (wal.Log.AppendBuffer), its
-// snapshot installed as the dataset's staged tip — then the lock is
-// released while the group-commit barrier (wal.Log.Commit) runs. The
-// next writer chains onto the tip's snapshot and pending ticket, so a
-// window of N batches shares one leader fsync. Publication happens back
-// under the lock, ordered by per-dataset tickets: a writer that finds a
-// later ticket already published was superseded — its ops are included
-// in the published snapshot — and reports that generation instead of
-// publishing stale state. A failed group fsync rolls the whole window
-// back (no batch in it was acknowledged), and a writer staged on the
-// rolled-back tip rebases onto the last published state.
+// Every write to a dataset goes through that dataset's committer: one
+// goroutine that owns the dataset's newest state and is the only caller
+// of its write-ahead log. A request is queued on the committer's channel;
+// the committer keeps taking requests until the queue runs dry — that is
+// one commit window — and carries the window through commit: apply each
+// batch onto the running snapshot, append a log record per batch that
+// changed something, one fsync, one generation bump and version swap,
+// then answer. While that fsync runs the next writers queue up behind it,
+// so N concurrent writers pay about one fsync per window instead of N,
+// and every batch of a window reports the window's one generation. A
+// failed fsync fails the whole window — nothing in it was acknowledged or
+// published — and the published version is simply still the published
+// version.
 //
 // The delta budget bounds each dataset's overlay DRAM words — the PSAM
 // small-memory account the overlay lives in. A batch that would exceed it
 // is rejected with 507 Insufficient Storage until a compaction folds the
 // delta into the base.
 //
-// Auto-compaction closes the loop with the cost model: every batch
+// Auto-compaction closes the loop with the cost model: every window
 // re-prices the dataset's overlay traversal overhead — the predicted
 // extra cost a full-edge run pays because updates still live in the
 // overlay (costmodel.OverlayOverhead under the engine's profile) — and
@@ -75,21 +75,25 @@ type snapVersion struct {
 	refs int // guarded by updates.mu
 }
 
-// stagedBatch is a dataset's group-commit tip: the newest batch whose WAL
-// record is buffered (possibly mid-fsync) but whose overlay is not yet
-// published. The next writer chains its batch onto snap and p instead of
-// waiting for the window to flush. The staging writer stays in flight
-// until it publishes or is superseded, and holds its own base pin for
-// that whole span, so snap's base mapping cannot be released while the
-// tip is live.
-type stagedBatch struct {
-	snap   *sage.Snapshot
-	ds     *store.Dataset
-	p      *wal.Pending
-	ticket uint64
+// writeReq is one update request on its way through a committer. The
+// committer fills res and then sends the outcome on done.
+type writeReq struct {
+	ops     []sage.EdgeOp
+	compact bool
+	minGen  uint64
+	res     updateResult
+	done    chan error // capacity 1: the committer never blocks answering
 }
 
-// updates owns the per-dataset snapshot versions and serializes batches.
+// committer is one dataset's write owner: the goroutine draining queue is
+// the only one that extends the dataset's newest state or calls its log.
+type committer struct {
+	name, path string
+	ws         *walState // nil with durability off
+	queue      chan *writeReq
+}
+
+// updates owns the per-dataset snapshot versions and committers.
 type updates struct {
 	catalog *catalog
 	budget  int64      // max overlay DRAM words per dataset; 0 = unlimited
@@ -101,16 +105,16 @@ type updates struct {
 	autoHigh int64
 	autoLow  int64
 
-	mu        sync.Mutex
-	closed    bool // set by close(); no log may be opened or state published after
-	versions  map[string]*snapVersion
-	locks     map[string]*sync.Mutex  // per-dataset update serialization
-	walStates map[string]*walState    // per-dataset durability state
-	staged    map[string]*stagedBatch // per-dataset group-commit tip
-	tickets   map[string]uint64       // last publication ticket issued
-	published map[string]uint64       // highest ticket actually published
-	pubGen    map[string]uint64       // generation of that publication
-	armed     map[string]bool         // auto-compaction hysteresis state
+	mu         sync.Mutex
+	closed     bool // set by close(); no committer starts after
+	versions   map[string]*snapVersion
+	walStates  map[string]*walState  // per-dataset durability state, once recovered
+	committers map[string]*committer // started on a dataset's first write or recovery
+	armed      map[string]bool       // auto-compaction hysteresis state
+
+	stop    chan struct{}  // closed by close(): committers exit after their current window
+	wg      sync.WaitGroup // running committers
+	stopped chan struct{}  // closed once they all have: whoever is still queued gives up
 
 	batches           atomic.Int64
 	opsApplied        atomic.Int64
@@ -129,20 +133,18 @@ func newUpdates(c *catalog, budgetWords int64, wcfg Durability, model costmodel.
 		wcfg.FS = wal.OS
 	}
 	return &updates{
-		catalog:   c,
-		budget:    budgetWords,
-		wcfg:      wcfg,
-		model:     model,
-		autoHigh:  autoCompactCost,
-		autoLow:   autoCompactCost / 2,
-		versions:  map[string]*snapVersion{},
-		locks:     map[string]*sync.Mutex{},
-		walStates: map[string]*walState{},
-		staged:    map[string]*stagedBatch{},
-		tickets:   map[string]uint64{},
-		published: map[string]uint64{},
-		pubGen:    map[string]uint64{},
-		armed:     map[string]bool{},
+		catalog:    c,
+		budget:     budgetWords,
+		wcfg:       wcfg,
+		model:      model,
+		autoHigh:   autoCompactCost,
+		autoLow:    autoCompactCost / 2,
+		versions:   map[string]*snapVersion{},
+		walStates:  map[string]*walState{},
+		committers: map[string]*committer{},
+		armed:      map[string]bool{},
+		stop:       make(chan struct{}),
+		stopped:    make(chan struct{}),
 	}
 }
 
@@ -173,94 +175,6 @@ func (u *updates) unref(v *snapVersion) {
 	if last {
 		v.h.Release()
 	}
-}
-
-// lockDataset serializes updates to one dataset (runs are not blocked).
-func (u *updates) lockDataset(name string) *sync.Mutex {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	l, ok := u.locks[name]
-	if !ok {
-		l = &sync.Mutex{}
-		u.locks[name] = l
-	}
-	return l
-}
-
-// isClosed reports whether close() has begun.
-func (u *updates) isClosed() bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.closed
-}
-
-// stagedOf returns name's group-commit tip, nil when no window is open.
-func (u *updates) stagedOf(name string) *stagedBatch {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.staged[name]
-}
-
-// stageTip installs sb as name's tip and assigns its publication ticket.
-// Caller holds the dataset update lock.
-func (u *updates) stageTip(name string, sb *stagedBatch) uint64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.tickets[name]++
-	sb.ticket = u.tickets[name]
-	u.staged[name] = sb
-	return sb.ticket
-}
-
-// newTicket issues a publication ticket for an unstaged (lock-held)
-// publish, so later superseded writers order against it too.
-func (u *updates) newTicket(name string) uint64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.tickets[name]++
-	return u.tickets[name]
-}
-
-// clearStaged drops name's tip unconditionally (its window rolled back).
-func (u *updates) clearStaged(name string) {
-	u.mu.Lock()
-	delete(u.staged, name)
-	u.mu.Unlock()
-}
-
-// clearStagedIf drops name's tip only if it is still ticket's batch — a
-// later writer may have staged on top, and their tip must survive.
-func (u *updates) clearStagedIf(name string, ticket uint64) {
-	u.mu.Lock()
-	if sb := u.staged[name]; sb != nil && sb.ticket == ticket {
-		delete(u.staged, name)
-	}
-	u.mu.Unlock()
-}
-
-// supersededGen reports whether a batch with a ticket at or past this one
-// already published — in which case this batch's ops are part of the
-// published snapshot and gen is the generation to report.
-func (u *updates) supersededGen(name string, ticket uint64) (gen uint64, ok bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.published[name] >= ticket {
-		return u.pubGen[name], true
-	}
-	return 0, false
-}
-
-// markPublished records ticket's publication at gen and retires its tip.
-// Caller holds the dataset update lock (publications are serialized).
-func (u *updates) markPublished(name string, ticket, gen uint64) {
-	u.mu.Lock()
-	if ticket > u.published[name] {
-		u.published[name], u.pubGen[name] = ticket, gen
-	}
-	if sb := u.staged[name]; sb != nil && sb.ticket == ticket {
-		delete(u.staged, name)
-	}
-	u.mu.Unlock()
 }
 
 // deltaStats gathers the per-dataset overlay footprints and their
@@ -307,11 +221,10 @@ type updateResult struct {
 // errors), errReadOnly (the WAL is unwritable, 503), errShuttingDown
 // (close() began, 503), or an IO error.
 //
-// With durability enabled the batch is staged into the dataset's log and
-// carried through the group-commit barrier — under the always policy it
-// is durable — before its overlay becomes visible, so the published state
-// never gets ahead of the log; the dataset lock is released for the fsync
-// wait (see the package comment). A batch that changes nothing publishes
+// With durability enabled the batch is logged and carried through its
+// window's fsync — under the always policy it is durable — before its
+// overlay becomes visible, so the published state never gets ahead of the
+// log. A batch that changes nothing against published state publishes
 // nothing: no swap, no log record, and no generation bump, so cached
 // results survive it. A compaction requested alongside ops is a second
 // phase: if the container rewrite fails, the (already durable, already
@@ -322,288 +235,278 @@ func (u *updates) apply(name string, ops []sage.EdgeOp, compact bool) (*updateRe
 	return u.applySync(name, ops, compact, 0)
 }
 
-// applySync is apply with a generation floor: when the batch publishes a
-// new generation (a real swap or a compaction), that generation is
-// raised to at least minGen (0: no floor). The cluster router sets the
-// floor on update fan-out — X-Sage-Sync-Generation carries the primary
-// owner's post-batch generation — so every owner publishes the same
-// batch at the same generation and (generation, algo, args) result-cache
-// keys mean the same thing on every replica. A no-op batch keeps its
-// no-publish guarantee: contents already match the floor's state, so
-// cached results stay valid and the existing generation is reported.
+// applySync is apply with a generation floor: when the batch's window
+// publishes a new generation (a real swap or a compaction), that
+// generation is raised to at least minGen (0: no floor). The cluster
+// router sets the floor on update fan-out — X-Sage-Sync-Generation
+// carries the primary owner's post-batch generation — so every owner
+// publishes the same batch at the same generation and (generation, algo,
+// args) result-cache keys mean the same thing on every replica. A no-op
+// batch keeps its no-publish guarantee: contents already match the
+// floor's state, so cached results stay valid and the existing generation
+// is reported.
+//
+// The request is queued on the dataset's committer and the call waits for
+// its answer. A committer answers every request it takes off its queue;
+// one it never reaches because close() stopped it first is answered by
+// close() itself, through stopped.
 func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen uint64) (*updateResult, error) {
 	path, err := u.catalog.path(name)
 	if err != nil {
 		return nil, err
 	}
-
-	l := u.lockDataset(name)
-	l.Lock()
-	defer l.Unlock()
-
-	if u.isClosed() {
+	c := u.committerFor(name, path)
+	if c == nil {
 		return nil, errShuttingDown
 	}
-
-	var ws *walState
-	if u.wcfg.Enabled {
-		ws = u.recoverLocked(name, path)
-		if u.logOf(ws) == nil {
-			// The log failed to open (or to reopen after compaction).
-			// Retry the whole recovery so a healed disk needs no restart;
-			// with no open log there can be no current version, so a
-			// fresh replay cannot double-apply anything.
-			u.mu.Lock()
-			delete(u.walStates, name)
-			u.mu.Unlock()
-			ws = u.recoverLocked(name, path)
+	r := &writeReq{ops: ops, compact: compact, minGen: minGen, done: make(chan error, 1)}
+	select {
+	case c.queue <- r:
+	case <-u.stop:
+		return nil, errShuttingDown
+	}
+	select {
+	case err = <-r.done:
+	case <-u.stopped:
+		// No committer is running any more, so if r was answered the
+		// answer is already in done.
+		select {
+		case err = <-r.done:
+		default:
+			err = errShuttingDown
 		}
 	}
-
-	// A compaction folds the overlay into the container, so it cannot run
-	// with a commit window still in flight: flush the staged tip here,
-	// under the lock. A failed flush rolls the window back — those
-	// batches were never acknowledged — and the compaction proceeds from
-	// the published state.
-	if compact {
-		if tip := u.stagedOf(name); tip != nil {
-			log := u.logOf(ws)
-			if log == nil {
-				u.clearStaged(name)
-			} else if err := log.Commit(tip.p); err != nil {
-				u.clearStaged(name)
-			}
-		}
-	}
-
-	// The new version needs its own pin on the base mapping. While we hold
-	// the dataset's update lock no compaction can invalidate the entry,
-	// and any current version's pin keeps it from being evicted, so this
-	// resolves to the same mapping the current snapshot composes with.
-	h, err := u.catalog.acquire(name)
 	if err != nil {
 		return nil, err
 	}
+	return &r.res, nil
+}
 
-	// Build the batch on the staged tip (an open commit window) when one
-	// exists, else on the published version, and stage its WAL record
-	// chained after the tip's. A stale-chain rejection means the window
-	// we extended rolled back with its failed group fsync while we were
-	// applying ops; rebase once onto the published state.
-	var snap, next *sage.Snapshot
-	var cur *snapVersion
-	var pend *wal.Pending
-	var log *wal.Log
-	noop := false
-	for attempt := 0; ; attempt++ {
-		tip := u.stagedOf(name)
-		u.mu.Lock()
-		cur = u.versions[name]
-		u.mu.Unlock()
-		base := cur
-		if tip != nil {
-			base = &snapVersion{snap: tip.snap, ds: tip.ds}
-		}
-		if base != nil {
-			if base.ds != h.Dataset() { // unreachable; guards the pin invariant
-				h.Release()
-				return nil, fmt.Errorf("snapshot base lost its mapping (dataset %q)", name)
-			}
-			snap = base.snap
-		} else {
-			snap = sage.GraphFromDataset(h.Dataset()).Snapshot()
-		}
+// queueDepth is how many requests a committer's queue holds before
+// writers block in the send instead, and the most one window takes (so a
+// queue that never runs dry cannot keep a window open for ever). Enough
+// that the writers one fsync gathers hand off without waiting for the
+// committer to come round; small enough that a full window's applies
+// add about a millisecond to its first request.
+const queueDepth = 64
 
-		next, err = snap.ApplyBatch(ops)
-		if err != nil {
-			h.Release()
-			return nil, err
+// committerFor returns name's committer, starting it on first use, or nil
+// once close() has begun.
+func (u *updates) committerFor(name, path string) *committer {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed {
+		return nil
+	}
+	c := u.committers[name]
+	if c == nil {
+		c = &committer{name: name, path: path, queue: make(chan *writeReq, queueDepth)}
+		if u.wcfg.Enabled {
+			c.ws = &walState{}
 		}
-		if u.budget > 0 && next.DeltaWords() > u.budget && !compact {
-			h.Release()
+		u.committers[name] = c
+		u.wg.Add(1)
+		go u.run(c)
+	}
+	return c
+}
+
+// run is a committer's loop: wait for a request, commit the window it
+// opens.
+func (u *updates) run(c *committer) {
+	defer u.wg.Done()
+	for {
+		select {
+		case r := <-c.queue:
+			u.commit(c, r)
+		case <-u.stop:
+			return
+		}
+	}
+}
+
+// commit carries one window through the write path and answers every
+// request in it. The window is first plus whatever else is queued by the
+// time the committer has dealt with the request before it — so the
+// writers that queue up behind one window's fsync all land in the next —
+// up to queueDepth requests. The order is the durability argument, and it
+// is all here: append → fsync → publish.
+//
+// Requests apply in arrival order onto the window's running snapshot. A
+// request that fails validation or the delta budget is answered alone and
+// leaves the running snapshot untouched. One that changes nothing is held
+// like the rest — what it found already present may be an earlier batch
+// of this same window, so it must not be acknowledged before that batch
+// is durable, nor at a generation where it is not yet visible. When the
+// fsync fails, every held request gets the 503 and nothing is published.
+func (u *updates) commit(c *committer, first *writeReq) {
+	if c.ws != nil && c.ws.log == nil {
+		// First touch, or the log failed to open (or died) earlier: run the
+		// whole recovery, so a healed disk needs no restart. With no open
+		// log there is no window in flight, so a fresh replay cannot
+		// double-apply anything.
+		u.recover(c)
+	}
+
+	// The window's version needs its own pin on the base mapping. Only
+	// this goroutine compacts the dataset, and any current version's pin
+	// keeps the entry from being evicted, so this resolves to the same
+	// mapping the current snapshot composes with.
+	h, err := u.catalog.acquire(c.name)
+	u.mu.Lock()
+	cur := u.versions[c.name]
+	u.mu.Unlock()
+	if err == nil && cur != nil && cur.ds != h.Dataset() { // unreachable; guards the pin invariant
+		h.Release()
+		err = fmt.Errorf("snapshot base lost its mapping (dataset %q)", c.name)
+	}
+	if err != nil {
+		first.done <- err
+		return
+	}
+	var published *sage.Snapshot
+	gen := h.Generation()
+	if cur != nil {
+		published, gen = cur.snap, cur.gen
+	} else {
+		published = sage.GraphFromDataset(h.Dataset()).Snapshot()
+	}
+
+	snap := published     // the running snapshot
+	var last *wal.Pending // ticket of the newest buffered record
+	logged := 0           // records buffered
+	var held []*writeReq  // accepted, answered after the barrier
+	var floor uint64      // highest generation floor among them
+	taken := 1
+	more := func() *writeReq {
+		if taken == queueDepth {
+			return nil
+		}
+		select {
+		case r := <-c.queue:
+			taken++
+			return r
+		default:
+			return nil
+		}
+	}
+	for r := first; r != nil; r = more() {
+		next, err := snap.ApplyBatch(r.ops)
+		if err == nil && u.budget > 0 && next.DeltaWords() > u.budget && !r.compact {
 			u.rejectedDelta.Add(1)
-			return nil, fmt.Errorf("%w: overlay would hold %d DRAM words (budget %d); compact or split the batch",
+			err = fmt.Errorf("%w: overlay would hold %d DRAM words (budget %d); compact or split the batch",
 				errDeltaBudget, next.DeltaWords(), u.budget)
 		}
-
-		// A batch that changes nothing — ApplyBatch handed back its
-		// receiver (every op was a no-op against the overlay), or the
-		// batch cancelled out over the bare base — is not swapped,
-		// logged, or generation-bumped, so cached results survive it.
-		// A compaction requested alongside still runs.
-		noop = next == snap || (base == nil && next.DeltaWords() == 0)
-
-		if ws == nil || len(ops) == 0 || noop {
-			break
-		}
-		var after *wal.Pending
-		if tip != nil {
-			after = tip.p
-		}
-		log = u.logOf(ws)
-		pend, err = u.walStage(ws, name, log, ops, after)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, wal.ErrStaleChain) && attempt == 0 {
-			u.clearStaged(name)
+		if err != nil {
+			r.done <- err
 			continue
 		}
-		h.Release()
-		return nil, err
-	}
-
-	res := &updateResult{vertices: next.NumVertices(), edges: next.NumEdges()}
-
-	if noop && !compact {
-		if cur != nil {
-			res.generation = cur.gen
-		} else {
-			res.generation = h.Generation()
+		// ApplyBatch hands back its receiver when every op was already
+		// satisfied, and a batch can cancel itself out over an empty
+		// overlay; neither is logged or counted as a change.
+		if next != snap && (snap.DeltaWords() != 0 || next.DeltaWords() != 0) {
+			if c.ws != nil {
+				p, err := u.walAppend(c, r.ops)
+				if err != nil {
+					// The log may have rolled back records buffered earlier
+					// in this window; stop extending it and let the barrier
+					// below say which of them stand.
+					u.readOnlyRejected.Add(1)
+					r.done <- err
+					break
+				}
+				last = p
+				logged++
+			}
+			snap = next
 		}
-		res.deltaWords = next.DeltaWords()
-		res.arcsAdded, res.arcsDeleted = next.DeltaArcs()
-		h.Release()
-		if len(ops) > 0 {
-			u.batches.Add(1)
-			u.opsApplied.Add(int64(len(ops)))
-		}
-		return res, nil
-	}
-
-	var ticket uint64
-	if pend != nil && !compact {
-		// Open the commit window: install the tip so the next writer can
-		// stage on it, release the dataset, and wait out the barrier.
-		ticket = u.stageTip(name, &stagedBatch{snap: next, ds: h.Dataset(), p: pend})
-		l.Unlock()
-		err := u.walCommit(ws, name, log, pend)
-		l.Lock()
-		if err != nil {
-			u.clearStagedIf(name, ticket)
-			h.Release()
-			return nil, err
-		}
-		if u.isClosed() {
-			// close() won the relock race. The batch is durable and will
-			// replay on restart, but nothing may repopulate the version
-			// map now.
-			u.clearStagedIf(name, ticket)
-			h.Release()
-			return nil, errShuttingDown
-		}
-		if gen, ok := u.supersededGen(name, ticket); ok {
-			// A later batch staged on ours published while we waited; its
-			// snapshot includes our ops, so our publish already happened.
-			res.generation = gen
-			res.deltaWords = next.DeltaWords()
-			res.arcsAdded, res.arcsDeleted = next.DeltaArcs()
-			u.clearStagedIf(name, ticket)
-			h.Release()
-			u.batches.Add(1)
-			u.opsApplied.Add(int64(len(ops)))
-			return res, nil
-		}
-	} else if pend != nil {
-		// Compacting batch: it must be durable before the fold, and the
-		// whole request stays serialized under the dataset lock.
-		if err := u.walCommit(ws, name, log, pend); err != nil {
-			h.Release()
-			return nil, err
+		r.res = updateResult{vertices: snap.NumVertices(), edges: snap.NumEdges(), deltaWords: snap.DeltaWords()}
+		r.res.arcsAdded, r.res.arcsDeleted = snap.DeltaArcs()
+		held = append(held, r)
+		floor = max(floor, r.minGen)
+		if r.compact {
+			// The fold rewrites the base under the overlay, so it runs with
+			// nothing behind it in the window.
+			break
 		}
 	}
 
-	if !noop {
-		if ticket == 0 {
-			ticket = u.newTicket(name)
+	if last != nil {
+		if err := u.walCommit(c, last); err != nil {
+			h.Release()
+			u.readOnlyRejected.Add(int64(len(held)))
+			for _, r := range held {
+				r.done <- err
+			}
+			return
 		}
-		res.generation = u.catalog.cache.Bump(path)
-		if minGen > res.generation {
-			res.generation = u.catalog.cache.BumpTo(path, minGen)
+		u.walAppends.Add(int64(logged))
+	}
+	if snap != published {
+		gen = u.catalog.cache.Bump(c.path)
+		if floor > gen {
+			gen = u.catalog.cache.BumpTo(c.path, floor)
 		}
-		res.deltaWords = next.DeltaWords()
-		res.arcsAdded, res.arcsDeleted = next.DeltaArcs()
-		if next.DeltaWords() == 0 {
-			// The batch cancelled the overlay out: back to the plain base
+		if snap.DeltaWords() == 0 {
+			// The window cancelled the overlay out: back to the plain base
 			// at the bumped generation.
 			h.Release()
-			u.retire(name)
+			u.retire(c.name)
 		} else {
-			nv := &snapVersion{snap: next, gen: res.generation, ds: h.Dataset(), h: h, refs: 1}
+			nv := &snapVersion{snap: snap, gen: gen, ds: h.Dataset(), h: h, refs: 1}
 			u.mu.Lock()
-			if u.closed {
-				// close() snapshotted the version map between our fast
-				// closed check and this swap; installing nv now would leak
-				// its base pin past shutdown.
-				u.mu.Unlock()
-				h.Release()
-				u.clearStagedIf(name, ticket)
-				return nil, errShuttingDown
-			}
-			old := u.versions[name]
-			u.versions[name] = nv
+			u.versions[c.name] = nv
 			u.mu.Unlock()
-			if old != nil {
-				u.unref(old)
+			if cur != nil {
+				u.unref(cur)
 			}
 		}
-		u.markPublished(name, ticket, res.generation)
 	} else {
-		res.generation = h.Generation()
 		h.Release()
 	}
-	if len(ops) > 0 {
-		u.batches.Add(1)
-		u.opsApplied.Add(int64(len(ops)))
-	}
 
-	if compact {
-		if err := u.compactLocked(name, path, ws, next, res); err != nil {
-			// The batch itself is durable and published; only the fold
-			// failed. Report it in-band (200 with compact_error) — what
-			// the client sees is exactly the state crash recovery would
-			// rebuild, and a retried compact picks up from here.
-			res.compactErr = err
-			return res, nil
+	for i, r := range held {
+		r.res.generation = gen
+		if len(r.ops) > 0 {
+			u.batches.Add(1)
+			u.opsApplied.Add(int64(len(r.ops)))
 		}
-		res.compacted = true
-		if minGen > res.generation {
-			res.generation = u.catalog.cache.BumpTo(path, minGen)
+		if i == len(held)-1 {
+			// Compaction is the window's tail, reported by its last request.
+			// The overlay it folds is already durable and published, so a
+			// failed fold leaves exactly what crash recovery would rebuild;
+			// a requested one reports that in-band (200 with compact_error)
+			// and a retried compact picks up from here.
+			if r.compact {
+				if err := u.compact(c, snap, &r.res); err != nil {
+					r.res.compactErr = err
+				} else if floor > r.res.generation {
+					r.res.generation = u.catalog.cache.BumpTo(c.path, floor)
+				}
+			} else if snap != published && u.autoHigh > 0 && snap.DeltaWords() > 0 {
+				u.maybeAutoCompact(c, snap, &r.res)
+			}
 		}
-		res.deltaWords = 0
-		res.arcsAdded, res.arcsDeleted = 0, 0
-		// Re-key the publication at the post-compact generation so a
-		// superseded writer waking now reports the generation readers see.
-		u.markPublished(name, u.newTicket(name), res.generation)
-	} else if u.autoHigh > 0 && res.deltaWords > 0 && u.stagedOf(name) == nil {
-		u.maybeAutoCompact(name, path, ws, next, res)
+		r.done <- nil
 	}
-	return res, nil
 }
 
 // maybeAutoCompact re-prices the just-published overlay's traversal
 // overhead and folds it into the base when the hysteresis band says so.
-// Caller holds the dataset update lock with no commit window in flight
-// and has published next (so a compaction failure leaves exactly the
-// state an explicit compact failure would: a durable, consistent
-// overlay). The batch itself never fails on the auto path — its overlay
-// is already live.
-func (u *updates) maybeAutoCompact(name, path string, ws *walState, next *sage.Snapshot, res *updateResult) {
-	if !u.shouldAutoCompact(name, u.overlayCost(next)) {
+// The batch itself never fails on the auto path — its overlay is already
+// live.
+func (u *updates) maybeAutoCompact(c *committer, snap *sage.Snapshot, res *updateResult) {
+	if !u.shouldAutoCompact(c.name, u.overlayCost(snap)) {
 		return
 	}
-	if err := u.compactLocked(name, path, ws, next, res); err != nil {
+	if err := u.compact(c, snap, res); err != nil {
 		// Stay disarmed: a failing compaction is retried at the next
 		// crossing of the band, not on every batch.
 		u.autoCompactErrors.Add(1)
 		return
 	}
 	u.autoCompactions.Add(1)
-	res.compacted = true
 	res.autoCompacted = true
-	res.deltaWords = 0
-	res.arcsAdded, res.arcsDeleted = 0, 0
-	u.markPublished(name, u.newTicket(name), res.generation)
 }
 
 // shouldAutoCompact is the hysteresis decision: fire only when armed and
@@ -632,30 +535,32 @@ func (u *updates) shouldAutoCompact(name string, overhead int64) bool {
 	}
 }
 
-// compactLocked folds next's merged view into a rewritten container
-// (atomic temp-file rename through Create), swaps readers onto the new
-// generation, and retires the WAL chain whose records were folded in.
-// Caller holds the dataset update lock with no commit window in flight;
-// next's overlay state has already been published (or is empty), so a
-// failure here leaves a consistent, durable overlay behind.
-func (u *updates) compactLocked(name, path string, ws *walState, next *sage.Snapshot, res *updateResult) error {
-	if err := next.Compact(path); err != nil {
-		return fmt.Errorf("compacting %q: %w", name, err)
+// compact folds snap's merged view into a rewritten container (atomic
+// temp-file rename through Create), swaps readers onto the new
+// generation, and retires the WAL chain whose records were folded in. It
+// runs on the dataset's committer after snap's overlay state has been
+// published (or is empty), so a failure here leaves a consistent, durable
+// overlay behind.
+func (u *updates) compact(c *committer, snap *sage.Snapshot, res *updateResult) error {
+	if err := snap.Compact(c.path); err != nil {
+		return fmt.Errorf("compacting %q: %w", c.name, err)
 	}
 	// The new container is durably in place. Swap readers over (in-flight
 	// runs finish on the detached old mapping) and retire the folded log.
-	u.catalog.cache.Invalidate(path)
-	u.retire(name)
-	u.retireSegment(ws, name, path)
+	u.catalog.cache.Invalidate(c.path)
+	u.retire(c.name)
+	u.retireSegment(c)
 	// Reopen the compacted file now: a broken write surfaces here, and
 	// the response carries the generation new requests will see.
-	h2, err := u.catalog.acquire(name)
+	h, err := u.catalog.acquire(c.name)
 	if err != nil {
-		return fmt.Errorf("reopening compacted %q: %w", name, err)
+		return fmt.Errorf("reopening compacted %q: %w", c.name, err)
 	}
-	res.generation = h2.Generation()
-	h2.Release()
+	res.generation = h.Generation()
+	h.Release()
 	u.compactions.Add(1)
+	res.compacted = true
+	res.deltaWords, res.arcsAdded, res.arcsDeleted = 0, 0, 0
 	return nil
 }
 
@@ -675,17 +580,26 @@ func (u *updates) retire(name string) {
 	}
 }
 
-// close retires every version (in-flight pins still defer the base
-// release until their runs end) and closes every WAL log, flushing
-// buffered records per policy — a writer mid-commit-window has its
-// pending resolved (or failed) by Close, and the closed flag keeps any
-// racing write or recovery from reopening a log or republishing state
-// afterwards. The first close error is returned: Close performs the
-// final flush, so a failure here can mean a logged batch never reached
-// the disk.
+// close stops every committer — each finishes the window it is in, and
+// writers still queued behind it get errShuttingDown — then retires every
+// version (in-flight pins still defer the base release until their runs
+// end) and closes every WAL log, flushing buffered records per policy.
+// The first close error is returned: Close performs the final flush, so a
+// failure here can mean a logged batch never reached the disk.
 func (u *updates) close() error {
 	u.mu.Lock()
+	again := u.closed
 	u.closed = true
+	u.mu.Unlock()
+	if !again {
+		close(u.stop)
+	}
+	u.wg.Wait()
+	if !again {
+		close(u.stopped)
+	}
+
+	u.mu.Lock()
 	names := make([]string, 0, len(u.versions))
 	for name := range u.versions {
 		names = append(names, name)
@@ -694,11 +608,9 @@ func (u *updates) close() error {
 	for _, ws := range u.walStates {
 		if ws.log != nil {
 			logs = append(logs, ws.log)
-			ws.log = nil
 		}
 	}
 	u.walStates = map[string]*walState{}
-	u.staged = map[string]*stagedBatch{}
 	u.mu.Unlock()
 	for _, name := range names {
 		u.retire(name)

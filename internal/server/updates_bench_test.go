@@ -126,7 +126,7 @@ func BenchmarkSustainedUpdatesMultiWriter(b *testing.B) {
 						const chords = 128 * 126
 						c, pass := n%chords, (n/chords)%2
 						body := fmt.Sprintf(`{"ops": [{"u": %d, "v": %d, "del": %v}]}`,
-							c%128, 129+c%126, pass == 1)
+							c/126, 129+c%126, pass == 1)
 						if code := benchPost(s, "/v1/update/chain", body); code != 200 {
 							failed.Add(1)
 							return

@@ -21,7 +21,7 @@ import (
 )
 
 // makeChain persists an n-vertex path graph 0-1-...-(n-1).
-func makeChain(t *testing.T, dir, name string, n uint32) string {
+func makeChain(t testing.TB, dir, name string, n uint32) string {
 	t.Helper()
 	path := filepath.Join(dir, name+".sg")
 	if err := sage.Create(path, sage.GenerateChain(n)); err != nil {

@@ -16,7 +16,6 @@ import (
 // Registry names of the built-in formats.
 const (
 	FormatBinary   = "bin"      // v2 section container (CSR or compressed)
-	FormatBinaryV1 = "bin-v1"   // legacy flat binary (CSR only)
 	FormatAdj      = "adj"      // Ligra AdjacencyGraph text
 	FormatEdgeList = "edgelist" // whitespace edge-list text
 )
@@ -29,14 +28,6 @@ func init() {
 		Sniff:      sniffMagic(graph.MagicV2),
 		Decode:     decodeBinary,
 		Encode:     encodeBinary,
-	})
-	Register(&Format{
-		Name:       FormatBinaryV1,
-		Doc:        "legacy flat binary (CSR only)",
-		Extensions: []string{".sg1"},
-		Sniff:      sniffMagic(graph.MagicV1),
-		Decode:     decodeBinaryV1,
-		Encode:     encodeBinaryV1,
 	})
 	Register(&Format{
 		Name:       FormatAdj,
@@ -98,24 +89,6 @@ func encodeBinary(w io.Writer, d *Dataset) error {
 		return graph.WriteContainer(w, d.csr.Sections())
 	}
 	return graph.WriteContainer(w, d.cg.Sections())
-}
-
-// decodeBinaryV1 reads the legacy flat binary through the hardened
-// ReadBinary; the arrays are heap-built, so the arena is released.
-func decodeBinaryV1(a *graph.Arena) (*Dataset, bool, error) {
-	g, err := graph.ReadBinary(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		return nil, false, err
-	}
-	return &Dataset{csr: g}, false, nil
-}
-
-func encodeBinaryV1(w io.Writer, d *Dataset) error {
-	if d.csr == nil {
-		return fmt.Errorf("%w: the v1 binary format stores only CSR graphs (use %q)",
-			ErrCompressed, FormatBinary)
-	}
-	return d.csr.WriteBinary(w)
 }
 
 func decodeAdj(a *graph.Arena) (*Dataset, bool, error) {

@@ -131,7 +131,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 func TestCompressedTextFormatsRejected(t *testing.T) {
 	cg := compress.Compress(testGraphs()["unweighted"], 64)
 	dir := t.TempDir()
-	for _, fname := range []string{FormatBinaryV1, FormatAdj, FormatEdgeList} {
+	for _, fname := range []string{FormatAdj, FormatEdgeList} {
 		err := Create(filepath.Join(dir, "c.x"), NewDataset(nil, cg), fname)
 		if !errors.Is(err, ErrCompressed) {
 			t.Fatalf("%s: err = %v, want ErrCompressed", fname, err)
@@ -166,7 +166,7 @@ func TestExtensionFallback(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
 		"g.sg": FormatBinary, "g.adj": FormatAdj, "g.el": FormatEdgeList,
-		"g.sg1": FormatBinaryV1, "g.noext": FormatBinary,
+		"g.noext": FormatBinary,
 	}
 	for file, wantFormat := range cases {
 		path := filepath.Join(dir, file)

@@ -69,8 +69,6 @@ const (
 	// FormatBinary is the v2 binary container (.sg, .bin): an mmap-able
 	// section-table file holding either CSR or byte-compressed sections.
 	FormatBinary = store.FormatBinary
-	// FormatBinaryV1 is the legacy flat binary (.sg1), CSR only.
-	FormatBinaryV1 = store.FormatBinaryV1
 	// FormatAdj is the Ligra AdjacencyGraph text format (.adj, .ligra).
 	FormatAdj = store.FormatAdj
 	// FormatEdgeList is whitespace edge-list text (.el, .edges, .txt).

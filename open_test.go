@@ -191,8 +191,8 @@ func TestErrCompressedUnified(t *testing.T) {
 // listing surface.
 func TestOpenFormatOverrideAndListing(t *testing.T) {
 	names := sage.Formats()
-	if len(names) < 4 {
-		t.Fatalf("registry lists %d formats, want >= 4", len(names))
+	if len(names) < 3 {
+		t.Fatalf("registry lists %d formats, want >= 3", len(names))
 	}
 	if len(sage.FormatDescriptions()) != len(names) {
 		t.Fatal("descriptions out of sync with names")
