@@ -157,7 +157,7 @@ func BenchmarkThrottledWallClock(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					env := psam.NewEnv(psam.AppDirect)
 					if throttled {
-						env.Throttle = psam.NewThrottle(env.Cfg, 8)
+						env.Throttle = psam.NewThrottle(&env.Profile, 8)
 					}
 					sys.run(env)
 				}

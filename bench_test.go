@@ -13,6 +13,7 @@ import (
 
 	"sage"
 	"sage/internal/algos"
+	"sage/internal/costmodel"
 	"sage/internal/gbbs"
 	"sage/internal/harness"
 	"sage/internal/numa"
@@ -171,9 +172,9 @@ func BenchmarkTable1Omega(b *testing.B) {
 				}
 				algos.MaximalMatching(w.G, o)
 				counts := env.Totals()
-				c1 := counts.Cost(psam.Config{NVRAMRead: 1, Omega: 1})
-				c16 := counts.Cost(psam.Config{NVRAMRead: 1, Omega: 16})
-				growth = float64(c16) / float64(c1)
+				w1, w16 := costmodel.Optane(), costmodel.Optane()
+				w1.Omega, w16.Omega = 1, 16
+				growth = float64(w16.Cost(counts)) / float64(w1.Cost(counts))
 			}
 			b.ReportMetric(growth, "cost-growth-w16/w1")
 		})

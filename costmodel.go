@@ -10,11 +10,12 @@ import (
 // CostModel is a pluggable hardware cost profile: per-operation charge
 // weights in DRAM-access units plus latency and energy constants, mapping
 // PSAM-style operation counts to predicted cost, latency, and energy. An
-// engine's model sets its simulator charging weights (so measured PSAM
-// costs land on the model's scale), prices the Auto traversal strategy's
-// per-call direction decisions, and backs PredictCost/CostOfStats —
-// which the serving layer in turn uses for cost-based admission, overlay
-// auto-compaction, and the X-Sage-Cost-* response headers.
+// engine's model is what its runs' simulator charges under (so measured
+// PSAM costs are the model's own pricing), prices the Auto traversal
+// strategy's per-call direction decisions, and backs
+// PredictCost/CostOfStats — which the serving layer in turn uses for
+// cost-based admission, overlay auto-compaction, and the X-Sage-Cost-*
+// response headers.
 type CostModel = costmodel.Profile
 
 // CostModelOptane is the Optane NVRAM profile — today's PSAM defaults
@@ -94,16 +95,10 @@ func (e *Engine) PredictCost(algo string, g *Graph) (CostEstimate, error) {
 }
 
 // CostOfStats prices a run's measured counters under the engine's model —
-// the "actual" side of the predicted-vs-actual cost headers. For
-// word-granular models CostOfStats(s).Cost equals s.PSAMCost; the
-// latency and energy projections add the model's physical constants.
+// the "actual" side of the predicted-vs-actual cost headers. Under every
+// model CostOfStats(s).Cost equals s.PSAMCost (both are the model's Cost
+// of the same counters); the latency and energy projections add the
+// model's physical constants.
 func (e *Engine) CostOfStats(s RunStats) CostEstimate {
-	return e.estimateOf(costmodel.Counts{
-		DRAMReads:   s.DRAMReads,
-		DRAMWrites:  s.DRAMWrites,
-		NVRAMReads:  s.NVRAMReads,
-		NVRAMWrites: s.NVRAMWrites,
-		CacheHits:   s.CacheHits,
-		CacheMisses: s.CacheMisses,
-	})
+	return e.estimateOf(s.Counts)
 }

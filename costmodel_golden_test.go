@@ -1,10 +1,8 @@
 package sage_test
 
 // Golden tests for the pluggable hardware cost model: each built-in
-// profile's predicted cost over the PSAM regression workloads is pinned,
-// and the deprecated WithCostModel option is pinned equivalent to
-// WithModel over the same profile constants. Any drift here is a pricing
-// change and must be deliberate.
+// profile's predicted cost over the PSAM regression workloads is pinned.
+// Any drift here is a pricing change and must be deliberate.
 
 import (
 	"fmt"
@@ -18,19 +16,19 @@ import (
 // returns their per-workload counters. The counters are model-independent
 // — a profile only changes how they are priced — so one simulation run
 // feeds every profile's golden.
-func regressWorkloads(t *testing.T, opts ...sage.Option) map[string]sage.RunStats {
+func regressWorkloads(t *testing.T) map[string]sage.RunStats {
 	t.Helper()
 	old := sage.Workers()
 	defer sage.SetWorkers(old)
 	sage.SetWorkers(1)
 
 	g := sage.GenerateRMAT(11, 8, 7)
-	e := sage.NewEngine(append([]sage.Option{sage.WithStrategy(sage.Chunked), sage.WithSeed(7)}, opts...)...)
+	e := sage.NewEngine(sage.WithStrategy(sage.Chunked), sage.WithSeed(7))
 	out := map[string]sage.RunStats{}
 	run := func(name string, fn func()) {
 		e.ResetStats()
 		fn()
-		out[name] = sage.RunStats(e.Stats())
+		out[name] = e.Stats()
 	}
 	run("bfs", func() { e.MustBFS(g, 0) })
 	run("pagerankiter", func() {
@@ -143,46 +141,5 @@ func TestCostModelGoldenPredictions(t *testing.T) {
 				t.Errorf("%s: non-positive projections: latency=%v energy=%v", name, est.LatencyNS, est.EnergyNJ)
 			}
 		}
-	}
-}
-
-// TestWithCostModelEquivalence pins the deprecated WithCostModel option
-// to the WithModel path: explicit Optane constants must reproduce the
-// default profile's accounting exactly, and custom constants must price
-// the same counters on the custom scale.
-func TestWithCostModelEquivalence(t *testing.T) {
-	legacy := regressWorkloads(t, sage.WithCostModel(1, 12))
-	modern := regressWorkloads(t, sage.WithModel(sage.CostModelOptane()))
-	deflt := regressWorkloads(t)
-	for wl := range deflt {
-		if legacy[wl] != modern[wl] || modern[wl] != deflt[wl] {
-			t.Errorf("%s: WithCostModel(1,12)=%+v WithModel(optane)=%+v default=%+v diverge",
-				wl, legacy[wl], modern[wl], deflt[wl])
-		}
-	}
-
-	// Custom constants re-price, never re-count: the access counters stay
-	// identical and the cost obeys the (nvramRead, omega) charging rule.
-	custom := regressWorkloads(t, sage.WithCostModel(3, 4))
-	for wl, s := range deflt {
-		c := custom[wl]
-		if c.NVRAMReads != s.NVRAMReads || c.NVRAMWrites != s.NVRAMWrites ||
-			c.DRAMReads != s.DRAMReads || c.DRAMWrites != s.DRAMWrites {
-			t.Errorf("%s: WithCostModel(3,4) perturbed counters: got %+v want %+v", wl, c, s)
-		}
-		want := c.DRAMReads + c.DRAMWrites + 3*c.NVRAMReads + 3*4*c.NVRAMWrites + 3*c.CacheMisses
-		if c.PSAMCost != want {
-			t.Errorf("%s: WithCostModel(3,4) cost = %d, want %d", wl, c.PSAMCost, want)
-		}
-	}
-
-	// The custom engine reports itself as such.
-	cm := sage.NewEngine(sage.WithCostModel(3, 4)).Model()
-	if cm.Name() != "custom" {
-		t.Errorf("WithCostModel engine model = %q, want custom", cm.Name())
-	}
-	dm := sage.NewEngine().Model()
-	if dm.Name() != "optane" {
-		t.Errorf("default engine model = %q, want optane", dm.Name())
 	}
 }

@@ -32,7 +32,7 @@ import (
 //	fmt.Println(run.Stats())           // this call's counters alone
 type Engine struct {
 	cfg config
-	agg psam.AtomicCounts
+	agg psam.Aggregate
 	// pools recycles traversal scratch (*traverse.Pools) across
 	// engine-level calls, so a loop of e.BFS/e.MustBFS keeps its warmed
 	// decode buffers and chunk free lists instead of allocating a fresh
@@ -46,7 +46,6 @@ type Engine struct {
 type config struct {
 	mode       Mode
 	model      costmodel.Profile
-	psamCfg    psam.Config
 	strategy   Strategy
 	seed       uint64
 	fb         int
@@ -68,28 +67,18 @@ func WithStrategy(s Strategy) Option {
 	return func(c *config) { c.strategy = s }
 }
 
-// WithCostModel overrides the simulated NVRAM read cost and write
-// multiplier ω. The default is the PSAM of §3 — reads unit cost, writes
-// NVRAMRead·ω = 12 DRAM accesses; pass (3, 4) to charge the raw Optane
-// device ratios instead for sensitivity studies.
-//
-// Deprecated: WithCostModel is the two-scalar ancestor of the profile
-// API and is kept as a wrapper over it — WithCostModel(r, ω) is exactly
-// WithModel of the Optane profile with those two fields overridden
-// (costmodel Custom). Use WithModel to select a full hardware profile.
-func WithCostModel(nvramRead, omega int64) Option {
-	return WithModel(costmodel.Custom(nvramRead, omega))
-}
-
 // WithModel selects the hardware cost profile (default the Optane PSAM
-// of §3, CostModelOptane). The profile sets the simulator's charging
-// weights, prices the Auto traversal strategy's direction choices, and
-// backs the engine's cost predictions (PredictCost, CostOfStats).
+// of §3, CostModelOptane — unit-charged NVRAM reads, writes at ω = 12
+// DRAM accesses). The profile is what every run's simulator charges
+// under, what prices the Auto traversal strategy's direction choices, and
+// what backs the engine's cost predictions (PredictCost, CostOfStats).
+// For a sensitivity study, copy a built-in and override its weights:
+//
+//	m := sage.CostModelOptane()
+//	m.NVRAMRead, m.Omega = 3, 4 // the raw device ratios
+//	e := sage.NewEngine(sage.WithModel(m))
 func WithModel(m CostModel) Option {
-	return func(c *config) {
-		c.model = m
-		c.psamCfg = m.PSAM()
-	}
+	return func(c *config) { c.model = m }
 }
 
 // WithCache sets the Memory-Mode cache capacity in simulated words. Each
@@ -124,7 +113,6 @@ func NewEngine(options ...Option) *Engine {
 	c := config{
 		mode:     AppDirect,
 		model:    costmodel.Optane(),
-		psamCfg:  psam.DefaultConfig(),
 		strategy: Chunked,
 		seed:     1,
 		fb:       64,
@@ -159,14 +147,15 @@ func (e *Engine) CacheWords() int64 {
 // Stats is a snapshot of simulated-memory behaviour: for an Engine, the
 // aggregate over all completed runs; for a Run, that run alone.
 type Stats struct {
-	// PSAMCost is the simulated cost under the engine's cost model (§3.1).
+	// PSAMCost is the simulated cost under the engine's cost model
+	// (§3.1): the counters below priced by it, the same number
+	// CostOfStats reports as Cost.
 	PSAMCost int64
-	// NVRAMReads / NVRAMWrites are word counts against the large-memory.
-	NVRAMReads, NVRAMWrites int64
-	// DRAMReads / DRAMWrites are word counts against the small-memory.
-	DRAMReads, DRAMWrites int64
-	// CacheHits / CacheMisses are Memory-Mode block statistics.
-	CacheHits, CacheMisses int64
+	// The embedded counters are word counts: NVRAMReads / NVRAMWrites
+	// against the large-memory, DRAMReads / DRAMWrites against the
+	// small-memory, CacheHits / CacheMisses under Memory Mode (hit words
+	// are DRAM reads and counted as both).
+	costmodel.Counts
 	// PeakDRAMWords is the peak tracked small-memory residency. Engine
 	// aggregates take the maximum over runs (concurrent runs each track
 	// their own residency); all other fields accumulate by addition.
@@ -180,23 +169,11 @@ func (s Stats) String() string {
 }
 
 // RunStats is the PSAM accounting of a single Run.
-type RunStats Stats
+type RunStats = Stats
 
-// String formats the run stats compactly.
-func (s RunStats) String() string { return Stats(s).String() }
-
-// statsOf renders counters and a peak under cfg.
-func statsOf(t psam.Counts, peak int64, cfg psam.Config) Stats {
-	return Stats{
-		PSAMCost:      t.Cost(cfg),
-		NVRAMReads:    t.NVRAMReads,
-		NVRAMWrites:   t.NVRAMWrites,
-		DRAMReads:     t.DRAMReads,
-		DRAMWrites:    t.DRAMWrites,
-		CacheHits:     t.CacheHits,
-		CacheMisses:   t.CacheMisses,
-		PeakDRAMWords: peak,
-	}
+// statsOf renders counters and a peak under the profile p.
+func statsOf(t costmodel.Counts, peak int64, p *costmodel.Profile) Stats {
+	return Stats{PSAMCost: p.Cost(t), Counts: t, PeakDRAMWords: peak}
 }
 
 // Stats returns the counters aggregated over all completed runs (counter
@@ -204,16 +181,14 @@ func statsOf(t psam.Counts, peak int64, cfg psam.Config) Stats {
 //
 // Stats is safe to call at any time, including concurrently with runs in
 // flight — the monitoring path of a long-lived service polls it while
-// request runs execute. The aggregate is maintained with atomics and a
-// run merges its totals exactly once, at call completion (cancelled runs
-// included), so a snapshot never observes a torn per-field value and
-// every field is monotonically non-decreasing between ResetStats calls.
-// Fields are loaded individually, so one snapshot may interleave with a
-// concurrent merge (e.g. reflect a completing run's NVRAM reads but not
-// yet its DRAM writes); each field is still exact at the instant it was
-// read. TestStatsSnapshotDuringRuns pins this contract under -race.
+// request runs execute. A run merges its totals exactly once, at call
+// completion (cancelled runs included), and a snapshot sees each run
+// either whole or not at all, so every field is monotonically
+// non-decreasing between ResetStats calls.
+// TestStatsSnapshotDuringRuns pins this contract under -race.
 func (e *Engine) Stats() Stats {
-	return statsOf(e.agg.Totals(), e.agg.Peak(), e.cfg.psamCfg)
+	total, peak := e.agg.Totals()
+	return statsOf(total, peak, &e.cfg.model)
 }
 
 // ResetStats zeroes the aggregate counters. Runs in flight merge their
@@ -230,13 +205,13 @@ func (e *Engine) ResetStats() { e.agg.Reset() }
 type Run struct {
 	e       *Engine
 	opts    *algos.Options
-	flushed psam.Counts
+	flushed costmodel.Counts
 }
 
 // NewRun opens a session with fresh counters and scratch.
 func (e *Engine) NewRun() *Run {
 	env := psam.NewEnv(e.cfg.mode)
-	env.Cfg = e.cfg.psamCfg
+	env.Profile = e.cfg.model
 	if e.cfg.mode == MemoryMode {
 		env.WithCache(e.cfg.cacheWords)
 	}
@@ -269,7 +244,7 @@ func (e *Engine) recycle(r *Run) {
 // far, including a cancelled one's partial work).
 func (r *Run) Stats() RunStats {
 	env := r.opts.Env
-	return RunStats(statsOf(env.Totals(), env.Space.Peak(), env.Cfg))
+	return statsOf(env.Totals(), env.Space.Peak(), &env.Profile)
 }
 
 // Options exposes the run's underlying algorithm options (for the
@@ -288,17 +263,10 @@ func (r *Run) begin(ctx context.Context) *algos.Options {
 func (r *Run) finish() {
 	r.opts.Env.Ctx = nil
 	t := r.opts.Env.Totals()
-	f := r.flushed
-	r.e.agg.Merge(psam.Counts{
-		DRAMReads:   t.DRAMReads - f.DRAMReads,
-		DRAMWrites:  t.DRAMWrites - f.DRAMWrites,
-		NVRAMReads:  t.NVRAMReads - f.NVRAMReads,
-		NVRAMWrites: t.NVRAMWrites - f.NVRAMWrites,
-		CacheHits:   t.CacheHits - f.CacheHits,
-		CacheMisses: t.CacheMisses - f.CacheMisses,
-	})
+	delta := t
+	delta.Sub(r.flushed)
 	r.flushed = t
-	r.e.agg.MergePeak(r.opts.Env.Space.Peak())
+	r.e.agg.Merge(delta, r.opts.Env.Space.Peak())
 }
 
 // capture executes one algorithm call on r, converting the cancellation

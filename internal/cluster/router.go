@@ -29,7 +29,6 @@ package cluster
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -88,7 +87,7 @@ type Router struct {
 	replication int
 	backoff     time.Duration
 	probeEvery  time.Duration
-	cache       *routerCache
+	cache       *server.LRU[*routerEntry]
 	gens        genTable
 	mux         *http.ServeMux
 	started     time.Time
@@ -100,6 +99,7 @@ type Router struct {
 	readFailovers     atomic.Int64
 	writeFanoutErrors atomic.Int64
 	noReplicaErrors   atomic.Int64
+	cacheStale        atomic.Int64
 }
 
 // NewRouter builds a router over the configured peers. The ring is fixed
@@ -154,7 +154,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		replication: replication,
 		backoff:     backoff,
 		probeEvery:  probeEvery,
-		cache:       newRouterCache(cfg.CacheEntries, cfg.CacheBytes),
+		cache:       server.NewLRU[*routerEntry](cfg.CacheEntries, cfg.CacheBytes),
 		gens:        genTable{m: map[string]uint64{}},
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
@@ -478,7 +478,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := ds + "\x00" + pathAndQuery + "\x00" + string(body)
-	if e, ok := rt.cache.get(key, rt.gens.current(ds)); ok {
+	if e, ok := rt.cached(key, rt.gens.current(ds)); ok {
 		// A router-cache hit mirrors a replica-cache hit: same body bytes
 		// the replica produced, model and prediction headers, no actuals
 		// (nothing executed).
@@ -521,13 +521,13 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		if capture && respBody != nil {
 			if gen, err := strconv.ParseUint(resp.Header.Get(server.GenerationHeader), 10, 64); err == nil {
 				rt.gens.observe(ds, gen)
-				rt.cache.put(key, &routerEntry{
+				rt.cache.Put(key, &routerEntry{
 					gen:           gen,
 					body:          respBody,
 					contentType:   resp.Header.Get("Content-Type"),
 					costModel:     resp.Header.Get("X-Sage-Cost-Model"),
 					costPredicted: resp.Header.Get("X-Sage-Cost-Predicted"),
-				})
+				}, int64(len(respBody)+len(key)))
 			}
 		}
 		return
@@ -680,7 +680,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"read_failovers":      rt.readFailovers.Load(),
 		"write_fanout_errors": rt.writeFanoutErrors.Load(),
 		"no_replica_errors":   rt.noReplicaErrors.Load(),
-		"router_cache":        rt.cache.snapshot(),
+		"router_cache":        rt.cacheStats(),
 		"generations_tracked": rt.gens.size(),
 		"peers":               rt.peers.info(),
 	})
@@ -692,9 +692,10 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // routerEntry is one cached run response: the replica-produced body and
 // the headers a cache hit re-serves, valid only while gen is still the
-// dataset's latest known generation.
+// dataset's latest known generation. The cache itself is the serving
+// tier's one response LRU (server.LRU); staleness is the router's own
+// rule, applied where it reads.
 type routerEntry struct {
-	key           string
 	gen           uint64
 	body          []byte
 	contentType   string
@@ -702,104 +703,32 @@ type routerEntry struct {
 	costPredicted string
 }
 
-func (e *routerEntry) size() int64 { return int64(len(e.body) + len(e.key)) }
-
-// routerCache is an LRU of proxied run responses, bounded by entries and
-// bytes, mirroring the replica-side result cache's shape. A nil cache is
-// valid and always misses.
-type routerCache struct {
-	mu       sync.Mutex
-	max      int
-	maxBytes int64
-	bytes    int64
-	ll       *list.List
-	byKey    map[string]*list.Element
-	hits     atomic.Int64
-	misses   atomic.Int64
-	stale    atomic.Int64
+// cached returns key's entry if it is still at generation floor. An entry
+// behind the dataset's latest known generation is stale: dropped on
+// sight and counted as a miss. (A refill racing between the read and the
+// drop can be dropped with it; the next read refills again.)
+func (rt *Router) cached(key string, floor uint64) (*routerEntry, bool) {
+	e, ok := rt.cache.Get(key)
+	if ok && e.gen < floor {
+		rt.cacheStale.Add(1)
+		rt.cache.Remove(key)
+		return nil, false
+	}
+	return e, ok
 }
 
-func newRouterCache(max int, maxBytes int64) *routerCache {
-	if max <= 0 {
+// cacheStats reports cache counters for /metrics (nil when disabled). The
+// LRU counted every stale read as a hit; here it is the miss it became.
+func (rt *Router) cacheStats() map[string]int64 {
+	if rt.cache == nil {
 		return nil
 	}
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
-	return &routerCache{max: max, maxBytes: maxBytes, ll: list.New(), byKey: map[string]*list.Element{}}
-}
-
-// get returns the entry for key if it exists at generation floor
-// (entries behind the dataset's latest known generation are stale and
-// dropped on sight).
-func (c *routerCache) get(key string, floor uint64) (*routerEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, found := c.byKey[key]
-	if !found {
-		c.misses.Add(1)
-		return nil, false
-	}
-	e := el.Value.(*routerEntry)
-	if e.gen < floor {
-		c.stale.Add(1)
-		c.misses.Add(1)
-		c.removeLocked(el)
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return e, true
-}
-
-func (c *routerCache) put(key string, e *routerEntry) {
-	if c == nil {
-		return
-	}
-	e.key = key
-	if e.size() > c.maxBytes/4 {
-		return // one giant answer must not wipe the cache
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, dup := c.byKey[key]; dup {
-		c.removeLocked(el)
-	}
-	el := c.ll.PushFront(e)
-	c.byKey[key] = el
-	c.bytes += e.size()
-	for c.ll.Len() > c.max || c.bytes > c.maxBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-	}
-}
-
-func (c *routerCache) removeLocked(el *list.Element) {
-	e := el.Value.(*routerEntry)
-	c.ll.Remove(el)
-	delete(c.byKey, e.key)
-	c.bytes -= e.size()
-}
-
-// snapshot reports cache counters for /metrics (nil when disabled).
-func (c *routerCache) snapshot() map[string]int64 {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	entries, bytes := int64(c.ll.Len()), c.bytes
-	c.mu.Unlock()
+	st, stale := rt.cache.Stats(), rt.cacheStale.Load()
 	return map[string]int64{
-		"entries": entries,
-		"bytes":   bytes,
-		"hits":    c.hits.Load(),
-		"misses":  c.misses.Load(),
-		"stale":   c.stale.Load(),
+		"entries": int64(st.Entries),
+		"bytes":   st.Bytes,
+		"hits":    st.Hits - stale,
+		"misses":  st.Misses + stale,
+		"stale":   stale,
 	}
 }

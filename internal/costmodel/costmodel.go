@@ -1,97 +1,103 @@
-// Package costmodel generalizes the PSAM's single hardcoded hardware
-// point — Optane's read/write asymmetry — into pluggable cost profiles.
-// A Model maps PSAM-style operation counts (DRAM/NVRAM reads and writes,
-// cache hits and misses, page I/O) to a predicted cost in DRAM-access
-// units, a predicted latency, and a predicted energy, the way GraphR
-// models hardware as explicit per-operation latency and energy constants.
+// Package costmodel owns the repo's one cost vocabulary: the count vector
+// a run produces (Counts), the weights a hardware family prices it with
+// (Profile), and the one function that turns the two into a cost in
+// DRAM-access units ((*Profile).Cost). It is a leaf — it imports no other
+// package of this module — and the PSAM simulator (internal/psam) imports
+// it: tracker shards are Counts, an Env charges under a Profile, and
+// Env.Cost calls Profile.Cost, so a measured cost, a predicted cost and
+// the serving layer's X-Sage-Cost-* headers all come out of the same
+// function under the same weights.
 //
-// The concrete profiles cover the hardware families the paper's §5
-// discussion and the related work span:
+// A Profile generalizes the PSAM's single hardcoded hardware point —
+// Optane's read/write asymmetry (§3.1) — the way GraphR models hardware
+// as explicit per-operation latency and energy constants. The built-ins
+// cover the families the paper's §5 discussion and the related work span:
 //
-//   - Optane: today's PSAM defaults (§3.1) — unit-charged reads, ω=12
-//     writes. Selecting it reproduces the historical engine behaviour
-//     bit-for-bit.
+//   - Optane: the PSAM defaults — unit-charged reads, ω=12 writes.
 //   - DRAM-only: symmetric memory, the in-memory baseline.
 //   - ReRAM: GraphR-style constants — reads near DRAM, writes an order
 //     of magnitude more expensive in both time and energy.
-//   - Flash/CSD: page-granular I/O reusing internal/semiext's page-cost
-//     framing — a word read costs a whole device page, which is what
-//     makes scattered access catastrophic on these systems.
+//   - Flash/CSD: page-granular I/O — a word read costs a whole device
+//     page (PageWords words at DefaultPageCost), which is what makes
+//     scattered access catastrophic on these systems.
 //
 // Serving layers act on the predictions: cost-based admission, overlay
 // auto-compaction, and predicted-cost traversal direction selection all
 // price their alternatives through the same profile.
 package costmodel
 
-import (
-	"sage/internal/psam"
-	"sage/internal/semiext"
-)
+// PageWords is the simulated device page: 4 KB = 512 words.
+const PageWords = 512
 
-// Counts is the operation-count vector a model prices: the PSAM counter
-// classes plus explicit page-granular I/O for flash/CSD profiles.
+// DefaultPageCost is the simulated cost of one page I/O in DRAM-word
+// units. A 4 KB read from a fast SSD (~50 µs) against ~5 ns DRAM words
+// would be ~10⁴; we use a conservative 2048 (NVMe-class striped arrays)
+// so the comparison is generous to the semi-external systems.
+const DefaultPageCost = 2048
+
+// Counts is the access-count vector of one account: what a tracker shard
+// accumulates, what a run reports, and what a Profile prices.
 type Counts struct {
 	DRAMReads   int64
 	DRAMWrites  int64
 	NVRAMReads  int64
 	NVRAMWrites int64
+	// CacheHits/CacheMisses are populated only under Memory Mode. Hit
+	// words are also booked as DRAMReads (a hit is a DRAM access), so
+	// pricing charges them once, through DRAMReads.
 	CacheHits   int64
 	CacheMisses int64
-	// PageReads counts explicit page-granular device reads (semi-external
-	// execution). Word-level NVRAM counts are converted to pages by the
-	// page-granular profiles themselves.
-	PageReads int64
 }
 
-// FromPSAM lifts a PSAM counter snapshot into a priceable count vector.
-func FromPSAM(c psam.Counts) Counts {
-	return Counts{
-		DRAMReads:   c.DRAMReads,
-		DRAMWrites:  c.DRAMWrites,
-		NVRAMReads:  c.NVRAMReads,
-		NVRAMWrites: c.NVRAMWrites,
-		CacheHits:   c.CacheHits,
-		CacheMisses: c.CacheMisses,
-	}
+// Add accumulates o into c.
+func (c *Counts) Add(o Counts) {
+	c.DRAMReads += o.DRAMReads
+	c.DRAMWrites += o.DRAMWrites
+	c.NVRAMReads += o.NVRAMReads
+	c.NVRAMWrites += o.NVRAMWrites
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
 }
 
-// Model maps operation counts to predicted cost, latency, and energy, and
-// projects itself onto the PSAM simulator's charging weights.
-type Model interface {
-	// Name is the registry key ("optane", "dram", "reram", "flash").
-	Name() string
-	// Cost is the predicted cost in DRAM-access units — the PSAM's
-	// currency, comparable across profiles and directly against
-	// psam.Counts.Cost for the word-granular ones.
-	Cost(c Counts) int64
-	// LatencyNS is the predicted serial access latency in nanoseconds.
-	LatencyNS(c Counts) float64
-	// EnergyNJ is the predicted access energy in nanojoules.
-	EnergyNJ(c Counts) float64
-	// PSAM returns the charging weights the simulator should run with so
-	// measured PSAM costs and model predictions share one scale.
-	PSAM() psam.Config
+// Sub removes o from c.
+func (c *Counts) Sub(o Counts) {
+	c.DRAMReads -= o.DRAMReads
+	c.DRAMWrites -= o.DRAMWrites
+	c.NVRAMReads -= o.NVRAMReads
+	c.NVRAMWrites -= o.NVRAMWrites
+	c.CacheHits -= o.CacheHits
+	c.CacheMisses -= o.CacheMisses
 }
 
-// Profile is the concrete Model: per-operation charge weights in
+// Profile is a hardware cost profile: per-operation charge weights in
 // DRAM-access units plus per-operation latency and energy constants. The
 // zero value is unusable; start from a built-in (Optane, DRAMOnly, ReRAM,
-// FlashCSD) or Custom and override fields.
+// FlashCSD) and override fields.
 type Profile struct {
 	// ModelName is the registry key reported by Name().
 	ModelName string
-	// NVRAMRead is the charge per NVRAM word read, in DRAM-access units.
+	// NVRAMRead is the charge per NVRAM word read. The PSAM charges reads
+	// unit cost (§3.2: although NVRAM reads are ~3x a DRAM access, the
+	// gap is hidden by memory-level parallelism and the model
+	// deliberately charges both 1); raise it for sensitivity studies of
+	// the read gap.
 	NVRAMRead int64
 	// Omega is the multiplier of a large-memory write over a read (§3.1).
+	// With unit-charged reads, the paper's full write penalty — 4x an
+	// NVRAM read, 12x a DRAM access [50, 96] — folds into Omega = 12.
 	Omega int64
-	// MissCost is the charge per word of a Memory-Mode cache miss fill.
+	// MissCost is the charge per word of a Memory-Mode cache miss. Unlike
+	// Sage's software-managed App-Direct reads, a Memory-Mode miss is a
+	// hardware-managed 256-byte fill whose latency is not hidden — the
+	// paper's observation that "the DRAM hit rate dominates memory
+	// performance" in this mode (§5.1.2).
 	MissCost int64
 	// PageGranular marks device families (flash/CSD) whose large memory
 	// moves whole pages: word-level NVRAM counts are charged as
-	// ceil(words/semiext.PageWords) page transfers instead of per word.
+	// ceil(words/PageWords) page transfers instead of per word.
 	PageGranular bool
 	// PageCost is the charge per device page transfer, in DRAM-access
-	// units (see semiext.DefaultPageCost for the framing).
+	// units (see DefaultPageCost for the framing).
 	PageCost int64
 	// WordNS converts one DRAM-access unit of cost into nanoseconds of
 	// predicted serial latency.
@@ -104,12 +110,7 @@ type Profile struct {
 	ENVRAMWrite float64
 	EMiss       float64
 	EPage       float64
-	// RemotePenalty multiplies NVRAM costs for cross-socket accesses in
-	// the NUMA experiments (§5.2).
-	RemotePenalty float64
 }
-
-var _ Model = (*Profile)(nil)
 
 // Name returns the registry key.
 func (p *Profile) Name() string { return p.ModelName }
@@ -118,20 +119,19 @@ func (p *Profile) Name() string { return p.ModelName }
 //
 //sage:hotpath
 func pages(words int64) int64 {
-	return (words + semiext.PageWords - 1) / semiext.PageWords
+	return (words + PageWords - 1) / PageWords
 }
 
-// Cost prices c under the profile in DRAM-access units. Word-granular
-// profiles charge NVRAM accesses per word (matching psam.Counts.Cost
-// under the same weights); page-granular profiles convert them to page
-// transfers first.
+// Cost prices c under the profile in DRAM-access units — the PSAM cost of
+// §3.1, and the only cost formula in the module: DRAM accesses at unit
+// cost, Memory-Mode miss fills at the unhidden read gap, and large-memory
+// reads and writes per word (NVRAMRead, NVRAMRead·Omega) or, on
+// page-granular profiles, per page transfer.
 //
 //sage:hotpath
 func (p *Profile) Cost(c Counts) int64 {
-	// Cache hits are DRAM-speed and uncharged, exactly as in
-	// psam.Counts.Cost — only the miss fill costs extra.
-	cost := c.DRAMReads + c.DRAMWrites +
-		p.MissCost*c.CacheMisses + p.PageCost*c.PageReads
+	// Cache hits are already in DRAMReads; only the miss fill costs extra.
+	cost := c.DRAMReads + c.DRAMWrites + p.MissCost*c.CacheMisses
 	if p.PageGranular {
 		cost += p.PageCost * pages(c.NVRAMReads)
 		cost += p.PageCost * p.Omega * pages(c.NVRAMWrites)
@@ -151,15 +151,14 @@ func (p *Profile) LatencyNS(c Counts) float64 {
 }
 
 // EnergyNJ prices c's accesses with the profile's per-operation energy
-// constants, in nanojoules.
+// constants, in nanojoules. Like Cost it bills a Memory-Mode hit word
+// once, as the DRAM read it is booked as.
 //
 //sage:hotpath
 func (p *Profile) EnergyNJ(c Counts) float64 {
 	pj := float64(c.DRAMReads)*p.EDRAMRead +
 		float64(c.DRAMWrites)*p.EDRAMWrite +
-		float64(c.CacheHits)*p.EDRAMRead +
-		float64(c.CacheMisses)*p.EMiss +
-		float64(c.PageReads)*p.EPage
+		float64(c.CacheMisses)*p.EMiss
 	if p.PageGranular {
 		pj += float64(pages(c.NVRAMReads)) * p.EPage
 		pj += float64(pages(c.NVRAMWrites)) * p.EPage * float64(p.Omega)
@@ -200,26 +199,6 @@ func (p *Profile) RandReadCost(n int64) int64 {
 	return p.NVRAMRead * n
 }
 
-// PSAM projects the profile onto the simulator's charging weights.
-// Page-granular profiles approximate per-word weights by amortizing the
-// page cost over a full page, so measured costs stay on the model's
-// scale even though the simulator counts words.
-func (p *Profile) PSAM() psam.Config {
-	cfg := psam.Config{
-		NVRAMRead:     p.NVRAMRead,
-		Omega:         p.Omega,
-		MissCost:      p.MissCost,
-		RemotePenalty: p.RemotePenalty,
-	}
-	if p.PageGranular {
-		cfg.NVRAMRead = p.PageCost / semiext.PageWords
-		if cfg.NVRAMRead < 1 {
-			cfg.NVRAMRead = 1
-		}
-	}
-	return cfg
-}
-
 // Optane is the PSAM of §3 — today's engine defaults. Reads are charged
 // unit cost (the ~3x device gap is hidden by memory-level parallelism,
 // §3.2), writes the measured 12x-DRAM penalty [50, 96]. Energy constants
@@ -232,8 +211,7 @@ func Optane() Profile {
 		WordNS:    5,
 		EDRAMRead: 25, EDRAMWrite: 25,
 		ENVRAMRead: 60, ENVRAMWrite: 250,
-		EMiss:         180, // a 256B hardware fill's energy, amortized per word
-		RemotePenalty: 3.7,
+		EMiss: 180, // a 256B hardware fill's energy, amortized per word
 	}
 }
 
@@ -247,8 +225,7 @@ func DRAMOnly() Profile {
 		WordNS:    5,
 		EDRAMRead: 25, EDRAMWrite: 25,
 		ENVRAMRead: 25, ENVRAMWrite: 25,
-		EMiss:         25,
-		RemotePenalty: 2,
+		EMiss: 25,
 	}
 }
 
@@ -263,40 +240,27 @@ func ReRAM() Profile {
 		WordNS:    5,
 		EDRAMRead: 25, EDRAMWrite: 25,
 		ENVRAMRead: 40, ENVRAMWrite: 600,
-		EMiss:         120,
-		RemotePenalty: 3,
+		EMiss: 120,
 	}
 }
 
 // FlashCSD models flash or computational-storage devices with the
-// page-cost framing of internal/semiext: the device moves 4KB pages
-// (semiext.PageWords words) at semiext.DefaultPageCost DRAM-access units
-// each, and writes pay a program/erase multiplier. Scattered word reads
-// each bill a full page — the structural cost Table 3 measures the
-// semi-external systems against.
+// page-cost framing internal/semiext shares: the device moves 4KB pages
+// (PageWords words) at DefaultPageCost DRAM-access units each, and writes
+// pay a program/erase multiplier. Scattered word reads each bill a full
+// page — the structural cost Table 3 measures the semi-external systems
+// against.
 func FlashCSD() Profile {
 	return Profile{
 		ModelName:    "flash",
 		PageGranular: true,
-		PageCost:     semiext.DefaultPageCost,
+		PageCost:     DefaultPageCost,
 		Omega:        4, MissCost: 3,
 		WordNS:    5,
 		EDRAMRead: 25, EDRAMWrite: 25,
-		EMiss:         180,
-		EPage:         25000, // ~25 nJ per 4KB page transfer
-		RemotePenalty: 1,
+		EMiss: 180,
+		EPage: 25000, // ~25 nJ per 4KB page transfer
 	}
-}
-
-// Custom is the deprecated two-scalar cost model as a profile: the
-// Optane baseline with the read charge and write multiplier overridden —
-// exactly what sage.WithCostModel(nvramRead, omega) historically set.
-func Custom(nvramRead, omega int64) Profile {
-	p := Optane()
-	p.ModelName = "custom"
-	p.NVRAMRead = nvramRead
-	p.Omega = omega
-	return p
 }
 
 // Models enumerates the built-in profiles in registry order.

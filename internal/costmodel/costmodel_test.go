@@ -1,41 +1,38 @@
 package costmodel
 
-import (
-	"testing"
+import "testing"
 
-	"sage/internal/psam"
-	"sage/internal/semiext"
-)
-
-// The Optane profile must be today's PSAM defaults exactly: selecting it
-// reproduces the historical engine behaviour bit-for-bit.
-func TestOptaneMatchesPSAMDefaults(t *testing.T) {
-	p := Optane()
-	if got, want := p.PSAM(), psam.DefaultConfig(); got != want {
-		t.Fatalf("Optane().PSAM() = %+v, want psam.DefaultConfig() = %+v", got, want)
-	}
-}
-
-// Word-granular profiles must price a count vector identically to
-// psam.Counts.Cost under the projected config — one scale, two codepaths.
+// Word-granular profiles price a count vector by the PSAM formula of
+// §3.1, written out: hits are uncharged beyond the DRAM read they are
+// booked as, misses pay MissCost, writes pay NVRAMRead·Omega.
 func TestWordGranularCostMatchesPSAM(t *testing.T) {
 	c := Counts{
 		DRAMReads: 1000, DRAMWrites: 500,
 		NVRAMReads: 9000, NVRAMWrites: 70,
 		CacheHits: 11, CacheMisses: 13,
 	}
-	pc := psam.Counts{
-		DRAMReads: 1000, DRAMWrites: 500,
-		NVRAMReads: 9000, NVRAMWrites: 70,
-		CacheHits: 11, CacheMisses: 13,
-	}
-	if got := FromPSAM(pc); got != c {
-		t.Fatalf("FromPSAM = %+v, want %+v", got, c)
-	}
-	for _, p := range []Profile{Optane(), DRAMOnly(), ReRAM(), Custom(3, 4)} {
-		if got, want := p.Cost(c), pc.Cost(p.PSAM()); got != want {
-			t.Errorf("%s: Cost = %d, psam Cost = %d", p.ModelName, got, want)
+	swept := Optane()
+	swept.NVRAMRead, swept.Omega = 3, 4
+	for _, p := range []Profile{Optane(), DRAMOnly(), ReRAM(), swept} {
+		want := 1000 + 500 + p.NVRAMRead*9000 + p.NVRAMRead*p.Omega*70 + p.MissCost*13
+		if got := p.Cost(c); got != want {
+			t.Errorf("%s (r=%d ω=%d): Cost = %d, want %d", p.ModelName, p.NVRAMRead, p.Omega, got, want)
 		}
+	}
+}
+
+// Add and Sub are inverse, field by field.
+func TestCountsAddSub(t *testing.T) {
+	a := Counts{1, 2, 3, 4, 5, 6}
+	b := Counts{10, 20, 30, 40, 50, 60}
+	sum := a
+	sum.Add(b)
+	if want := (Counts{11, 22, 33, 44, 55, 66}); sum != want {
+		t.Fatalf("Add = %+v, want %+v", sum, want)
+	}
+	sum.Sub(a)
+	if sum != b {
+		t.Fatalf("Sub = %+v, want %+v", sum, b)
 	}
 }
 
@@ -46,10 +43,10 @@ func TestFlashPageGranularCost(t *testing.T) {
 	if got, want := p.Cost(Counts{NVRAMReads: 1}), p.PageCost; got != want {
 		t.Fatalf("1-word read = %d, want one page (%d)", got, want)
 	}
-	if got, want := p.Cost(Counts{NVRAMReads: semiext.PageWords}), p.PageCost; got != want {
+	if got, want := p.Cost(Counts{NVRAMReads: PageWords}), p.PageCost; got != want {
 		t.Fatalf("page-sized read = %d, want one page (%d)", got, want)
 	}
-	if got, want := p.Cost(Counts{NVRAMReads: semiext.PageWords + 1}), 2*p.PageCost; got != want {
+	if got, want := p.Cost(Counts{NVRAMReads: PageWords + 1}), 2*p.PageCost; got != want {
 		t.Fatalf("page+1 read = %d, want two pages (%d)", got, want)
 	}
 	if got, want := p.Cost(Counts{NVRAMWrites: 1}), p.Omega*p.PageCost; got != want {
@@ -80,22 +77,6 @@ func TestLookupAndNames(t *testing.T) {
 	}
 	if _, ok := Lookup("tape"); ok {
 		t.Fatal("Lookup of unknown model succeeded")
-	}
-}
-
-// Custom(nvramRead, omega) is the Optane baseline with the two scalars
-// overridden — what the deprecated WithCostModel historically set.
-func TestCustomOverridesOptane(t *testing.T) {
-	p := Custom(3, 4)
-	want := Optane()
-	want.ModelName = "custom"
-	want.NVRAMRead = 3
-	want.Omega = 4
-	if p != want {
-		t.Fatalf("Custom(3,4) = %+v, want %+v", p, want)
-	}
-	if got, want := p.PSAM(), (psam.Config{NVRAMRead: 3, Omega: 4, MissCost: 3, RemotePenalty: 3.7}); got != want {
-		t.Fatalf("Custom(3,4).PSAM() = %+v, want %+v", got, want)
 	}
 }
 

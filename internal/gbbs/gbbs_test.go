@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sage/internal/algos"
+	"sage/internal/costmodel"
 	"sage/internal/gen"
 	"sage/internal/psam"
 	"sage/internal/refalgo"
@@ -73,10 +74,11 @@ func TestMutationChargesNVRAMWrites(t *testing.T) {
 	}
 
 	// And the cost gap grows with omega (Table 1: GBBS Θ(ωW) vs Sage W).
-	cfgLow := psam.Config{NVRAMRead: 3, Omega: 1}
-	cfgHigh := psam.Config{NVRAMRead: 3, Omega: 16}
-	gbbsGrowth := float64(gbbsEnv.Totals().Cost(cfgHigh)) / float64(gbbsEnv.Totals().Cost(cfgLow))
-	sageGrowth := float64(sageEnv.Totals().Cost(cfgHigh)) / float64(sageEnv.Totals().Cost(cfgLow))
+	low, high := costmodel.Optane(), costmodel.Optane()
+	low.NVRAMRead, low.Omega = 3, 1
+	high.NVRAMRead, high.Omega = 3, 16
+	gbbsGrowth := float64(high.Cost(gbbsEnv.Totals())) / float64(low.Cost(gbbsEnv.Totals()))
+	sageGrowth := float64(high.Cost(sageEnv.Totals())) / float64(low.Cost(sageEnv.Totals()))
 	if sageGrowth != 1.0 {
 		t.Fatalf("sage cost grew %.2fx with omega", sageGrowth)
 	}

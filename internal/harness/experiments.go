@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sage/internal/algos"
+	"sage/internal/costmodel"
 	"sage/internal/galois"
 	"sage/internal/gbbs"
 	"sage/internal/psam"
@@ -190,8 +191,10 @@ func RunTable1(scale int) *Report {
 			counts := env.Totals()
 			row := []string{p.Name, sys.name}
 			var first, last int64
+			prof := costmodel.Optane()
 			for i, om := range omegas {
-				cost := counts.Cost(psam.Config{NVRAMRead: 1, Omega: om})
+				prof.Omega = om
+				cost := prof.Cost(counts)
 				row = append(row, fmtCost(float64(cost)))
 				if i == 0 {
 					first = cost

@@ -1,75 +1,41 @@
 package psam
 
-import "sync/atomic"
+import (
+	"sync"
 
-// AtomicCounts is a lock-free aggregation target for per-run access
-// counts: each completed (or cancelled) run merges its Env totals and
-// small-memory peak here, so an engine shared by many goroutines can
-// expose accumulated statistics without serializing the runs themselves.
-// Counter fields accumulate by addition; the peak accumulates by maximum,
-// since concurrent runs each track their own residency.
-type AtomicCounts struct {
-	dramReads, dramWrites   atomic.Int64
-	nvramReads, nvramWrites atomic.Int64
-	cacheHits, cacheMisses  atomic.Int64
-	peak                    atomic.Int64
+	"sage/internal/costmodel"
+)
+
+// Aggregate accumulates per-run access counts for an engine shared by
+// many goroutines: each completed (or cancelled) run merges its counter
+// delta and small-memory peak once, so the runs themselves never
+// serialize on it. Counters accumulate by addition; the peak accumulates
+// by maximum, since concurrent runs each track their own residency.
+type Aggregate struct {
+	mu    sync.Mutex
+	total costmodel.Counts
+	peak  int64
 }
 
-// Merge adds a run's counter totals into the aggregate.
-func (a *AtomicCounts) Merge(c Counts) {
-	if c.DRAMReads != 0 {
-		a.dramReads.Add(c.DRAMReads)
-	}
-	if c.DRAMWrites != 0 {
-		a.dramWrites.Add(c.DRAMWrites)
-	}
-	if c.NVRAMReads != 0 {
-		a.nvramReads.Add(c.NVRAMReads)
-	}
-	if c.NVRAMWrites != 0 {
-		a.nvramWrites.Add(c.NVRAMWrites)
-	}
-	if c.CacheHits != 0 {
-		a.cacheHits.Add(c.CacheHits)
-	}
-	if c.CacheMisses != 0 {
-		a.cacheMisses.Add(c.CacheMisses)
-	}
+// Merge adds a run's counter delta and raises the peak to the run's.
+func (a *Aggregate) Merge(c costmodel.Counts, peak int64) {
+	a.mu.Lock()
+	a.total.Add(c)
+	a.peak = max(a.peak, peak)
+	a.mu.Unlock()
 }
 
-// MergePeak raises the aggregate peak to p if it is larger.
-func (a *AtomicCounts) MergePeak(p int64) {
-	for {
-		cur := a.peak.Load()
-		if p <= cur || a.peak.CompareAndSwap(cur, p) {
-			return
-		}
-	}
+// Totals returns a consistent snapshot of the counters and the peak.
+func (a *Aggregate) Totals() (costmodel.Counts, int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.total, a.peak
 }
-
-// Totals returns a snapshot of the aggregated counters.
-func (a *AtomicCounts) Totals() Counts {
-	return Counts{
-		DRAMReads:   a.dramReads.Load(),
-		DRAMWrites:  a.dramWrites.Load(),
-		NVRAMReads:  a.nvramReads.Load(),
-		NVRAMWrites: a.nvramWrites.Load(),
-		CacheHits:   a.cacheHits.Load(),
-		CacheMisses: a.cacheMisses.Load(),
-	}
-}
-
-// Peak returns the aggregated small-memory peak.
-func (a *AtomicCounts) Peak() int64 { return a.peak.Load() }
 
 // Reset zeroes the aggregate. Runs still in flight merge their totals
 // when they complete, after the reset.
-func (a *AtomicCounts) Reset() {
-	a.dramReads.Store(0)
-	a.dramWrites.Store(0)
-	a.nvramReads.Store(0)
-	a.nvramWrites.Store(0)
-	a.cacheHits.Store(0)
-	a.cacheMisses.Store(0)
-	a.peak.Store(0)
+func (a *Aggregate) Reset() {
+	a.mu.Lock()
+	a.total, a.peak = costmodel.Counts{}, 0
+	a.mu.Unlock()
 }

@@ -32,13 +32,6 @@ func NewCache(capacityWords int64) *Cache {
 // Lines reports the number of cache lines.
 func (c *Cache) Lines() int64 { return int64(c.lines) }
 
-// Reset empties the cache.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		atomic.StoreUint64(&c.tags[i], 0)
-	}
-}
-
 // access touches one block and returns (hit, evictedDirty).
 func (c *Cache) access(block uint64, write bool) (bool, bool) {
 	line := block % c.lines

@@ -1,6 +1,10 @@
 package psam
 
-import "context"
+import (
+	"context"
+
+	"sage/internal/costmodel"
+)
 
 // Mode selects where the graph and the algorithm's temporary state live,
 // matching the experimental configurations of §5.4 and §5.5.
@@ -37,12 +41,13 @@ func (m Mode) String() string {
 }
 
 // Env bundles the simulated memory system that every Sage operation runs
-// against: the cost configuration, the access-count tracker, the
-// small-memory space tracker, and (under MemoryMode) the cache simulator.
+// against: the cost profile it charges under, the access-count tracker,
+// the small-memory space tracker, and (under MemoryMode) the cache
+// simulator.
 // A nil *Env is valid and disables all accounting, so the algorithms can
 // run at full speed for pure wall-clock measurements.
 type Env struct {
-	Cfg      Config
+	Profile  costmodel.Profile
 	Mode     Mode
 	Track    *Tracker
 	Space    *Space
@@ -80,15 +85,15 @@ func (e *Env) Checkpoint() {
 	}
 }
 
-// NewEnv returns an accounting environment for the given mode with default
-// costs. Under MemoryMode the cache must be attached separately via
-// WithCache (its size depends on the experiment).
+// NewEnv returns an accounting environment for the given mode under the
+// Optane profile (the PSAM of §3). Under MemoryMode the cache must be
+// attached separately via WithCache (its size depends on the experiment).
 func NewEnv(mode Mode) *Env {
 	return &Env{
-		Cfg:   DefaultConfig(),
-		Mode:  mode,
-		Track: NewTracker(),
-		Space: NewSpace(),
+		Profile: costmodel.Optane(),
+		Mode:    mode,
+		Track:   NewTracker(),
+		Space:   NewSpace(),
 	}
 }
 
@@ -99,36 +104,21 @@ func (e *Env) WithCache(capacityWords int64) *Env {
 	return e
 }
 
-// Reset clears all counters (and the cache, if any) between measurements.
-func (e *Env) Reset() {
-	if e == nil {
-		return
-	}
-	if e.Track != nil {
-		e.Track.Reset()
-	}
-	if e.Space != nil {
-		e.Space.Reset()
-	}
-	if e.Cache != nil {
-		e.Cache.Reset()
-	}
-}
-
 // Totals returns the accumulated access counts.
-func (e *Env) Totals() Counts {
+func (e *Env) Totals() costmodel.Counts {
 	if e == nil || e.Track == nil {
-		return Counts{}
+		return costmodel.Counts{}
 	}
 	return e.Track.Totals()
 }
 
-// Cost returns the simulated PSAM cost accumulated so far.
+// Cost returns the simulated PSAM cost accumulated so far: the tracker's
+// totals priced by the environment's profile.
 func (e *Env) Cost() int64 {
 	if e == nil || e.Track == nil {
 		return 0
 	}
-	return e.Track.Totals().Cost(e.Cfg)
+	return e.Profile.Cost(e.Track.Totals())
 }
 
 // GraphRead charges a read of words words of graph data starting at the

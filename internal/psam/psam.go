@@ -5,87 +5,28 @@
 // Real Optane hardware is unavailable in this environment, so the package
 // *simulates* the memory system: every graph or state access is charged to
 // an account through sharded per-worker counters, and experiments report a
-// deterministic simulated cost alongside wall-clock time. The relative
-// costs follow the measurements the paper cites [50, 96]: NVRAM reads ~3x
-// a DRAM access and NVRAM writes a further ~4x (12x total). A
-// direct-mapped cache simulator models Intel Memory Mode, and an optional
-// throttle injects proportional delays so the asymmetry is also visible in
+// deterministic simulated cost alongside wall-clock time. A direct-mapped
+// cache simulator models Intel Memory Mode, and an optional throttle
+// injects proportional delays so the asymmetry is also visible in
 // wall-clock measurements.
+//
+// The package is the simulator only — tracker, cache, space, modes,
+// throttle. What it counts (costmodel.Counts), the weights it charges
+// under (costmodel.Profile; the Optane default follows the measurements
+// the paper cites [50, 96]: NVRAM writes 12x a DRAM access) and the
+// pricing of one by the other (Profile.Cost) belong to internal/costmodel,
+// which this package imports and which imports nothing of the module.
 package psam
 
-import "sage/internal/parallel"
+import (
+	"sage/internal/costmodel"
+	"sage/internal/parallel"
+)
 
-// Config holds the relative access costs of the simulated memory system,
-// in units of one DRAM word access.
-type Config struct {
-	// NVRAMRead is the charged cost of reading one word from NVRAM. The
-	// PSAM charges reads unit cost (§3.2: although NVRAM reads are ~3x a
-	// DRAM access, the gap is hidden by memory-level parallelism and the
-	// model deliberately charges both 1); raise this for sensitivity
-	// studies of the read gap.
-	NVRAMRead int64
-	// Omega is the multiplier of an NVRAM write over an NVRAM read. With
-	// unit-charged reads, the paper's full write penalty — 4x an NVRAM
-	// read, 12x a DRAM access [50, 96] — folds into Omega = 12, so one
-	// write costs NVRAMRead*Omega = 12 DRAM accesses.
-	Omega int64
-	// MissCost is the cost per word of a Memory-Mode cache miss. Unlike
-	// Sage's software-managed App-Direct reads, a Memory-Mode miss is a
-	// hardware-managed 256-byte fill whose latency is not hidden — the
-	// paper's observation that "the DRAM hit rate dominates memory
-	// performance" in this mode (§5.1.2). Default 3, the raw NVRAM/DRAM
-	// read gap.
-	MissCost int64
-	// RemotePenalty multiplies NVRAM costs for cross-socket accesses in
-	// the NUMA experiments (§5.2 measures ~3.7x).
-	RemotePenalty float64
-}
-
-// DefaultConfig is the PSAM of §3: unit-cost reads everywhere, NVRAM
-// writes at the measured 12x-DRAM penalty.
-func DefaultConfig() Config {
-	return Config{NVRAMRead: 1, Omega: 12, MissCost: 3, RemotePenalty: 3.7}
-}
-
-// Counts is a snapshot of the access counters of one account.
-type Counts struct {
-	DRAMReads   int64
-	DRAMWrites  int64
-	NVRAMReads  int64
-	NVRAMWrites int64
-	// CacheHits/CacheMisses are populated only under Memory Mode.
-	CacheHits   int64
-	CacheMisses int64
-}
-
-// Add accumulates other into c.
-func (c *Counts) Add(o Counts) {
-	c.DRAMReads += o.DRAMReads
-	c.DRAMWrites += o.DRAMWrites
-	c.NVRAMReads += o.NVRAMReads
-	c.NVRAMWrites += o.NVRAMWrites
-	c.CacheHits += o.CacheHits
-	c.CacheMisses += o.CacheMisses
-}
-
-// Cost returns the simulated PSAM cost of the counted accesses under cfg:
-// DRAM accesses at unit cost, NVRAM reads and writes weighted per §3.1,
-// and Memory-Mode miss fills at the unhidden read gap. A zero MissCost is
-// treated as the default 3 so recosting with partial configs stays sane.
-func (c Counts) Cost(cfg Config) int64 {
-	miss := cfg.MissCost
-	if miss == 0 {
-		miss = 3
-	}
-	return c.DRAMReads + c.DRAMWrites +
-		cfg.NVRAMRead*c.NVRAMReads +
-		cfg.NVRAMRead*cfg.Omega*c.NVRAMWrites +
-		miss*c.CacheMisses
-}
-
-// pad separates shards onto distinct cache lines to avoid false sharing.
+// shard is one worker's counters, padded to a cache line of its own so
+// workers charging concurrently never share one.
 type shard struct {
-	c Counts
+	c costmodel.Counts
 	_ [64 - (6*8)%64]byte
 }
 
@@ -119,10 +60,11 @@ func (t *Tracker) NVRAMWrite(worker int, words int64) {
 	t.shards[worker].c.NVRAMWrites += words
 }
 
-// CacheAccess charges a Memory-Mode access outcome in words: hits cost
-// like DRAM; miss words accumulate in the CacheMisses counter, which
-// Cost() weighs at the unhidden MissCost. Dirty evictions are charged
-// separately as NVRAM writes by the caller.
+// CacheAccess charges a Memory-Mode access outcome in words: hit words are
+// DRAM reads (and are booked as such, besides the CacheHits statistic);
+// miss words accumulate in the CacheMisses counter, which the profile
+// weighs at the unhidden MissCost. Dirty evictions are charged separately
+// as NVRAM writes by the caller.
 func (t *Tracker) CacheAccess(worker int, hits, misses int64) {
 	s := &t.shards[worker].c
 	s.CacheHits += hits
@@ -130,17 +72,10 @@ func (t *Tracker) CacheAccess(worker int, hits, misses int64) {
 	s.DRAMReads += hits
 }
 
-// Reset zeroes all counters.
-func (t *Tracker) Reset() {
-	for i := range t.shards {
-		t.shards[i].c = Counts{}
-	}
-}
-
 // Totals folds all shards into one snapshot. It must not race with
 // concurrent charging.
-func (t *Tracker) Totals() Counts {
-	var out Counts
+func (t *Tracker) Totals() costmodel.Counts {
+	var out costmodel.Counts
 	for i := range t.shards {
 		out.Add(t.shards[i].c)
 	}

@@ -2,16 +2,52 @@ package psam
 
 import (
 	"testing"
+	"unsafe"
 
+	"sage/internal/costmodel"
 	"sage/internal/parallel"
 )
 
+// Env.Cost is the tracker's totals priced by the environment's profile.
 func TestCountsCost(t *testing.T) {
-	cfg := Config{NVRAMRead: 3, Omega: 4, MissCost: 3}
-	c := Counts{DRAMReads: 10, DRAMWrites: 5, NVRAMReads: 2, NVRAMWrites: 1, CacheMisses: 4}
+	e := NewEnv(AppDirect)
+	e.Profile.NVRAMRead, e.Profile.Omega, e.Profile.MissCost = 3, 4, 3
+	e.Track.DRAMRead(0, 10)
+	e.Track.DRAMWrite(0, 5)
+	e.Track.NVRAMRead(1, 2)
+	e.Track.NVRAMWrite(1, 1)
+	e.Track.CacheAccess(2, 0, 4)
 	// 10 + 5 + 3*2 + 3*4*1 + 3*4 = 45
-	if got := c.Cost(cfg); got != 45 {
+	if got := e.Cost(); got != 45 {
 		t.Fatalf("cost=%d want 45", got)
+	}
+}
+
+// The hot-path charge is one add into the worker's own cache line: a
+// shard is the six counters padded to exactly 64 bytes.
+func TestShardIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(shard{}); got != 64 {
+		t.Fatalf("sizeof(shard) = %d, want 64", got)
+	}
+}
+
+// A Memory-Mode hit word is booked as a DRAM read and as a CacheHits
+// statistic; energy bills it once (regression: it was billed under both).
+func TestCacheHitEnergyBilledOnce(t *testing.T) {
+	const hits = 1000
+	for _, p := range costmodel.Models() {
+		tr := NewTracker()
+		tr.CacheAccess(3, hits, 0)
+		tot := tr.Totals()
+		if tot.CacheHits != hits || tot.DRAMReads != hits {
+			t.Fatalf("totals %+v", tot)
+		}
+		if got, want := p.EnergyNJ(tot), hits*p.EDRAMRead/1000; got != want {
+			t.Errorf("%s: EnergyNJ of %d hit words = %v nJ, want %v", p.ModelName, hits, got, want)
+		}
+		if got := p.Cost(tot); got != hits {
+			t.Errorf("%s: Cost of %d hit words = %d, want %d", p.ModelName, hits, got, hits)
+		}
 	}
 }
 
@@ -25,24 +61,26 @@ func TestTrackerShardedConcurrent(t *testing.T) {
 	if tot.NVRAMReads != 100_000 || tot.DRAMWrites != 200_000 {
 		t.Fatalf("totals %+v", tot)
 	}
-	tr.Reset()
-	if tr.Totals() != (Counts{}) {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestOmegaScalesWriteCostOnly(t *testing.T) {
 	// The Sage claim: with zero NVRAM writes, cost is independent of ω.
-	sage := Counts{DRAMReads: 100, NVRAMReads: 50}
-	gbbs := Counts{DRAMReads: 100, NVRAMReads: 50, NVRAMWrites: 50}
+	sage, gbbs := NewEnv(AppDirect), NewEnv(AppDirect)
+	for _, e := range []*Env{sage, gbbs} {
+		e.StateRead(0, 100)
+		e.GraphRead(0, 0, 50)
+	}
+	gbbs.GraphWrite(0, 0, 50)
 	for _, omega := range []int64{1, 4, 8, 16} {
-		cfg := Config{NVRAMRead: 3, Omega: omega}
-		if sage.Cost(cfg) != 250 {
-			t.Fatalf("sage cost varies with omega: %d", sage.Cost(cfg))
+		for _, e := range []*Env{sage, gbbs} {
+			e.Profile.NVRAMRead, e.Profile.Omega = 3, omega
+		}
+		if sage.Cost() != 250 {
+			t.Fatalf("sage cost varies with omega: %d", sage.Cost())
 		}
 		want := 250 + 3*omega*50
-		if gbbs.Cost(cfg) != want {
-			t.Fatalf("gbbs cost %d want %d", gbbs.Cost(cfg), want)
+		if gbbs.Cost() != want {
+			t.Fatalf("gbbs cost %d want %d", gbbs.Cost(), want)
 		}
 	}
 }
@@ -136,7 +174,6 @@ func TestNilEnvSafe(t *testing.T) {
 	e.StateWrite(0, 10)
 	e.Alloc(5)
 	e.Free(5)
-	e.Reset()
 	if e.Cost() != 0 {
 		t.Fatal("nil env cost")
 	}
@@ -174,7 +211,8 @@ func TestThrottleNilSafe(t *testing.T) {
 	var th *Throttle
 	th.NVRAMReadDelay(10)
 	th.NVRAMWriteDelay(10)
-	th2 := NewThrottle(DefaultConfig(), 2)
+	p := costmodel.Optane()
+	th2 := NewThrottle(&p, 2)
 	if th2.ReadSpinPerWord != 0 || th2.WriteSpinPerWord != 22 {
 		t.Fatalf("spin config %+v", th2)
 	}

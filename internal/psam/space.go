@@ -52,12 +52,3 @@ func (s *Space) Peak() int64 {
 	}
 	return s.peak.Load()
 }
-
-// Reset zeroes both counters.
-func (s *Space) Reset() {
-	if s == nil {
-		return
-	}
-	s.cur.Store(0)
-	s.peak.Store(0)
-}

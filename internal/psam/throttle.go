@@ -1,6 +1,10 @@
 package psam
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"sage/internal/costmodel"
+)
 
 // Throttle optionally converts simulated NVRAM cost into real elapsed time
 // by busy-spinning in the charging worker, so that wall-clock benchmarks
@@ -17,13 +21,14 @@ type Throttle struct {
 	WriteSpinPerWord int64
 }
 
-// NewThrottle returns a throttle with spin counts proportional to the cost
-// configuration: reads spin (NVRAMRead-1)·scale, writes
-// (NVRAMRead·Omega-1)·scale.
-func NewThrottle(cfg Config, scale int64) *Throttle {
+// NewThrottle returns a throttle with spin counts proportional to the
+// profile's per-word weights: reads spin (NVRAMRead-1)·scale, writes
+// (NVRAMRead·Omega-1)·scale. A page-granular profile has no per-word
+// weights and yields no spin.
+func NewThrottle(p *costmodel.Profile, scale int64) *Throttle {
 	return &Throttle{
-		ReadSpinPerWord:  (cfg.NVRAMRead - 1) * scale,
-		WriteSpinPerWord: (cfg.NVRAMRead*cfg.Omega - 1) * scale,
+		ReadSpinPerWord:  (p.NVRAMRead - 1) * scale,
+		WriteSpinPerWord: (p.NVRAMRead*p.Omega - 1) * scale,
 	}
 }
 

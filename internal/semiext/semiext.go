@@ -11,18 +11,17 @@ import (
 	"math"
 	"sync/atomic"
 
+	"sage/internal/costmodel"
 	"sage/internal/graph"
 	"sage/internal/parallel"
 )
 
-// PageWords is the simulated device page: 4 KB = 512 words.
-const PageWords = 512
-
-// DefaultPageCost is the simulated cost of one page I/O in DRAM-word
-// units. A 4 KB read from a fast SSD (~50 µs) against ~5 ns DRAM words
-// would be ~10⁴; we use a conservative 2048 (NVMe-class striped arrays)
-// so the comparison is generous to the semi-external systems.
-const DefaultPageCost = 2048
+// The device page and its cost are the cost model's, so the semi-external
+// baseline and the flash/CSD profile price a page the same way.
+const (
+	PageWords       = costmodel.PageWords
+	DefaultPageCost = costmodel.DefaultPageCost
+)
 
 // Device counts simulated page I/O.
 type Device struct {

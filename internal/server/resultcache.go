@@ -9,6 +9,10 @@ package server
 // arguments are canonicalized first (sage.CanonicalArgs), so {"eps":0}
 // and {} hit the same entry.
 //
+// The cache is an LRU, the one response LRU of the serving tier: the
+// cluster router's proxied-response cache is the same type over its own
+// value.
+//
 // Capacity is bounded twice: by entry count and by total response bytes
 // — cached values retain full Θ(n)/Θ(m) result arrays, so an entry cap
 // alone would let a few hundred big-graph answers pin gigabytes of heap
@@ -22,7 +26,10 @@ import (
 	"sync/atomic"
 )
 
-type resultCache struct {
+// LRU is a goroutine-safe least-recently-used map from string keys to V,
+// bounded by entry count and by the summed sizes its callers declare. A
+// nil *LRU is valid: it never holds anything and always misses.
+type LRU[V any] struct {
 	mu       sync.Mutex
 	max      int
 	maxBytes int64
@@ -33,83 +40,94 @@ type resultCache struct {
 	misses   atomic.Int64
 }
 
-// resultEntry retains only pre-marshaled bytes — the full response and
+type lruEntry[V any] struct {
+	key  string
+	val  V
+	size int64
+}
+
+// cachedResult retains only pre-marshaled bytes — the full response and
 // the value-less rendering served for ?value=false — so the byte budget
 // covers everything the entry pins: no unserialized Θ(n)/Θ(m) result
 // arrays ride along uncounted.
-type resultEntry struct {
-	key  string
+type cachedResult struct {
 	body []byte // full response
 	slim []byte // value omitted
 }
 
-func (e *resultEntry) size() int64 { return int64(len(e.body) + len(e.slim)) }
+// defaultLRUBytes bounds a cache whose configured byte budget is zero.
+const defaultLRUBytes = 64 << 20
 
-// defaultResultCacheBytes bounds the cache when the config leaves the
-// byte budget zero.
-const defaultResultCacheBytes = 64 << 20
-
-// newResultCache returns an LRU cache of up to max entries and maxBytes
-// summed response bytes, or nil (caching disabled; the nil methods below
-// are safe) when max <= 0.
-func newResultCache(max int, maxBytes int64) *resultCache {
+// NewLRU returns a cache of up to max entries and maxBytes summed entry
+// sizes (64 MB when maxBytes <= 0), or nil — caching disabled — when
+// max <= 0.
+func NewLRU[V any](max int, maxBytes int64) *LRU[V] {
 	if max <= 0 {
 		return nil
 	}
 	if maxBytes <= 0 {
-		maxBytes = defaultResultCacheBytes
+		maxBytes = defaultLRUBytes
 	}
-	return &resultCache{max: max, maxBytes: maxBytes, ll: list.New(), byKey: map[string]*list.Element{}}
+	return &LRU[V]{max: max, maxBytes: maxBytes, ll: list.New(), byKey: map[string]*list.Element{}}
 }
 
-// get returns the cached renderings for key (full and value-less). Both
-// must be treated as read-only.
-func (c *resultCache) get(key string) (body, slim []byte, ok bool) {
+// Get returns the value cached under key and marks it most recent. What
+// it returns is shared with later hits and must be treated as read-only.
+func (c *LRU[V]) Get(key string) (v V, ok bool) {
 	if c == nil {
-		return nil, nil, false
+		return v, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.byKey[key]
 	if !found {
 		c.misses.Add(1)
-		return nil, nil, false
+		return v, false
 	}
 	c.hits.Add(1)
 	c.ll.MoveToFront(el)
-	e := el.Value.(*resultEntry)
-	return e.body, e.slim, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores both marshaled renderings under key, evicting LRU entries
-// beyond either capacity bound.
-func (c *resultCache) put(key string, body, slim []byte) {
-	e := &resultEntry{key: key, body: body, slim: slim}
-	if c == nil || e.size() > c.maxBytes/4 {
+// Put stores v under key as size bytes, replacing any previous value and
+// evicting least-recent entries beyond either bound. A value larger than
+// a quarter of the byte budget is not stored.
+func (c *LRU[V]) Put(key string, v V, size int64) {
+	if c == nil || size > c.maxBytes/4 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		old := el.Value.(*resultEntry)
-		c.bytes += e.size() - old.size()
-		old.body, old.slim = body, slim
-		c.ll.MoveToFront(el)
-	} else {
-		c.byKey[key] = c.ll.PushFront(e)
-		c.bytes += e.size()
-	}
+	c.removeLocked(key)
+	c.byKey[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v, size: size})
+	c.bytes += size
 	for c.ll.Len() > c.max || c.bytes > c.maxBytes {
-		oldest := c.ll.Back()
-		old := oldest.Value.(*resultEntry)
-		c.ll.Remove(oldest)
-		delete(c.byKey, old.key)
-		c.bytes -= old.size()
+		c.removeLocked(c.ll.Back().Value.(*lruEntry[V]).key)
 	}
 }
 
-// resultCacheStats is the /metrics view of the cache.
-type resultCacheStats struct {
+// Remove drops key's entry, if any.
+func (c *LRU[V]) Remove(key string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.removeLocked(key)
+}
+
+func (c *LRU[V]) removeLocked(key string) {
+	el, ok := c.byKey[key]
+	if !ok {
+		return
+	}
+	c.ll.Remove(el)
+	delete(c.byKey, key)
+	c.bytes -= el.Value.(*lruEntry[V]).size
+}
+
+// LRUStats is the /metrics view of a cache.
+type LRUStats struct {
 	Entries    int   `json:"entries"`
 	Capacity   int   `json:"capacity"`
 	Bytes      int64 `json:"bytes"`
@@ -118,14 +136,15 @@ type resultCacheStats struct {
 	Misses     int64 `json:"misses"`
 }
 
-func (c *resultCache) snapshot() resultCacheStats {
+// Stats snapshots the cache's occupancy and counters (zero when nil).
+func (c *LRU[V]) Stats() LRUStats {
 	if c == nil {
-		return resultCacheStats{}
+		return LRUStats{}
 	}
 	c.mu.Lock()
 	entries, bytes := c.ll.Len(), c.bytes
 	c.mu.Unlock()
-	return resultCacheStats{
+	return LRUStats{
 		Entries:    entries,
 		Capacity:   c.max,
 		Bytes:      bytes,

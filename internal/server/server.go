@@ -91,7 +91,7 @@ type Server struct {
 	engine  *sage.Engine
 	catalog *catalog
 	adm     *admission
-	results *resultCache
+	results *LRU[cachedResult]
 	updates *updates
 	maxRun  time.Duration
 	mux     *http.ServeMux
@@ -128,7 +128,7 @@ func New(cfg Config) *Server {
 		engine:  engine,
 		catalog: newCatalog(cfg.DatasetBudgetWords, cfg.CopyDatasets),
 		adm:     newAdmission(maxConc, cfg.DRAMBudgetWords, cfg.CostBudget, cfg.QueueWait),
-		results: newResultCache(cacheEntries, cfg.ResultCacheBytes),
+		results: NewLRU[cachedResult](cacheEntries, cfg.ResultCacheBytes),
 		maxRun:  cfg.MaxRunDuration,
 		mux:     http.NewServeMux(),
 		started: time.Now(),
@@ -458,12 +458,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
 
 	key := fmt.Sprintf("%s@%d/%s?%+v", dsName, gen, algoName, canon)
-	if body, slim, ok := s.results.get(key); ok {
+	if hit, ok := s.results.Get(key); ok {
 		w.Header().Set("X-Sage-Cache", "hit")
 		if !includeValue {
-			body = slim
+			hit.body = hit.slim
 		}
-		writeJSONBytes(w, http.StatusOK, body)
+		writeJSONBytes(w, http.StatusOK, hit.body)
 		return
 	}
 
@@ -550,7 +550,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runsOK.Add(1)
-	s.results.put(key, body, slim)
+	s.results.Put(key, cachedResult{body, slim}, int64(len(body)+len(slim)))
 	// The actual side of the cost contract: the run's measured counters
 	// priced under the same model that produced the prediction.
 	actual := s.engine.CostOfStats(res.Stats)
@@ -683,7 +683,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			"cancelled": s.runsCancelled.Load(),
 		},
 		"admission":    s.adm.snapshot(),
-		"result_cache": s.results.snapshot(),
+		"result_cache": s.results.Stats(),
 		"datasets":     s.catalog.cacheInfo(),
 		"updates":      s.updates.snapshot(),
 		"wal":          s.updates.walSnapshot(),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sage/internal/compress"
+	"sage/internal/costmodel"
 	"sage/internal/frontier"
 	"sage/internal/gen"
 	"sage/internal/graph"
@@ -103,7 +104,7 @@ func TestCrossStrategyEquivalence(t *testing.T) {
 func TestDenseEarlyExitChargeMatchesCSR(t *testing.T) {
 	csr := gen.RMAT(11, 24, 3) // hubs span many 64-edge blocks
 	vs := randomFrontier(csr.NumVertices(), 0.05, 1)
-	run := func(g graph.Adj) ([]uint32, psam.Counts) {
+	run := func(g graph.Adj) ([]uint32, costmodel.Counts) {
 		parent := make([]uint32, g.NumVertices())
 		for i := range parent {
 			parent[i] = ^uint32(0)

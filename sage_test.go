@@ -206,8 +206,10 @@ func TestWorkersControl(t *testing.T) {
 
 func TestCostModelOption(t *testing.T) {
 	g := sage.GenerateRMAT(9, 8, 8)
-	e1 := sage.NewEngine(sage.WithCostModel(1, 12))
-	e2 := sage.NewEngine(sage.WithCostModel(3, 12))
+	raised := sage.CostModelOptane()
+	raised.NVRAMRead = 3
+	e1 := sage.NewEngine(sage.WithModel(sage.CostModelOptane()))
+	e2 := sage.NewEngine(sage.WithModel(raised))
 	e1.MustBFS(g, 0)
 	e2.MustBFS(g, 0)
 	if e2.Stats().PSAMCost <= e1.Stats().PSAMCost {
