@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,6 +208,54 @@ func TestCancellationMidRun(t *testing.T) {
 	// Partial work of the cancelled run still reaches the aggregate.
 	if e.Stats().NVRAMReads == 0 {
 		t.Fatal("cancelled run merged no partial accounting")
+	}
+}
+
+// pollCancelCtx is a context that cancels itself on its n-th Err poll:
+// a deterministic "cancelled mid-run" for loops that poll per block.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func newPollCancelCtx(polls int64) *pollCancelCtx {
+	c := &pollCancelCtx{}
+	c.Context, c.cancel = context.WithCancel(context.Background())
+	c.left.Store(polls)
+	return c
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestCancellationMidTriangleCount: the oriented sweep polls the context
+// once per scheduling block, so a context cancelled a few blocks in stops
+// the run there — the context's error, no result, and a fraction of the
+// full run's reads — instead of finishing the O(m^{3/2}) sweep first.
+func TestCancellationMidTriangleCount(t *testing.T) {
+	g := sage.GenerateRMAT(16, 16, 23)
+	e := sage.NewEngine()
+	full := e.NewRun()
+	if _, err := full.TriangleCount(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	ctx := newPollCancelCtx(8)
+	defer ctx.cancel()
+	r := e.NewRun()
+	res, err := r.TriangleCount(ctx, g)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatalf("cancelled run returned %+v", *res)
+	}
+	if got, all := r.Stats().NVRAMReads, full.Stats().NVRAMReads; got > all/2 {
+		t.Fatalf("read %d NVRAM words after being cancelled in the eighth block; the full run reads %d", got, all)
 	}
 }
 

@@ -103,6 +103,14 @@ func (o *Options) scratch(w int) *graph.Scratch {
 // inside a parallel loop body.
 func (o *Options) Checkpoint() { o.Env.Checkpoint() }
 
+// cancelled reports whether the run's context is done. It is the poll for
+// parallel loop bodies, which must not panic off their own goroutines:
+// the body returns early and the driver Checkpoints after the loop, so a
+// partial result never escapes.
+func (o *Options) cancelled() bool {
+	return o.Env != nil && o.Env.Ctx != nil && o.Env.Ctx.Err() != nil
+}
+
 // hash64 mixes x with the seed (shared by the randomized algorithms).
 func hash64(x, seed uint64) uint64 {
 	x ^= seed + 0x9e3779b97f4a7c15

@@ -16,9 +16,6 @@ import (
 // experiments compare the two designs over identical algorithm code.
 type EdgeFilter interface {
 	graph.Adj
-	// PackVertex removes v's active edges failing pred, returning the new
-	// degree and the number removed.
-	PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool) (uint32, int64)
 	// EdgeMapPack packs every vertex of vs, returning the subset and the
 	// new degrees.
 	EdgeMapPack(vs *frontier.VertexSubset, pred func(u, ngh uint32) bool) (*frontier.VertexSubset, []uint32)
@@ -26,11 +23,15 @@ type EdgeFilter interface {
 	FilterEdges(pred func(u, ngh uint32) bool) int64
 	// ActiveEdges returns the current active-edge count.
 	ActiveEdges() int64
-	// IterActive visits v's active neighbors in order.
-	IterActive(worker int, v uint32, fn func(ngh uint32) bool)
 	// ActiveList materializes v's active neighbors into dst, accounting
 	// decode work.
 	ActiveList(worker int, v uint32, dst []uint32, stats *gfilter.IntersectStats) []uint32
+	// IntersectActive appends a ∩ active(v) to out for a sorted list a,
+	// without materializing v's list. It charges the PSAM and stats what
+	// ActiveList(v) followed by a two-pointer merge against a would.
+	//
+	//sage:hotpath
+	IntersectActive(worker int, v uint32, a, out []uint32, stats *gfilter.IntersectStats) []uint32
 }
 
 // FilterFactory builds an EdgeFilter over a graph.

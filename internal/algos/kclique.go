@@ -19,17 +19,12 @@ func KCliqueCount(g graph.Adj, o *Options, k int) int64 {
 	if k < 3 {
 		panic("algos: KCliqueCount requires k >= 3")
 	}
-	rankLess := func(a, b uint32) bool {
-		da, db := g.Degree(a), g.Degree(b)
-		if da != db {
-			return da < db
-		}
-		return a < b
-	}
-	f := o.newFilter(g)
-	f.FilterEdges(func(u, v uint32) bool { return rankLess(u, v) })
-
 	n := int(g.NumVertices())
+	rank := make([]uint64, n)
+	o.Env.Alloc(int64(n))
+	f := orientByDegree(g, o, rank)
+	o.Env.Free(int64(n))
+
 	shards := make([]cliqueShard, parallel.MaxWorkers)
 	for i := range shards {
 		shards[i].levels = make([][]uint32, k)
@@ -60,7 +55,6 @@ type cliqueShard struct {
 	count  int64
 	stats  gfilter.IntersectStats
 	levels [][]uint32
-	nghs   []uint32
 	_      [16]byte
 }
 
@@ -76,42 +70,17 @@ func (sh *cliqueShard) extend(o *Options, f EdgeFilter, worker, depth, remaining
 	for _, u := range cands {
 		// Workers poll without panicking; KCliqueCount checkpoints after
 		// the sweep, so a partial count never escapes.
-		if o.Env != nil && o.Env.Ctx != nil && o.Env.Ctx.Err() != nil {
+		if o.cancelled() {
 			return total
 		}
 		if f.Degree(u) == 0 {
 			continue
 		}
-		sh.nghs = f.ActiveList(worker, u, sh.nghs, &sh.stats)
-		next := sh.levels[depth][:0]
-		next = intersectInto(next, cands, sh.nghs, &sh.stats)
+		next := f.IntersectActive(worker, u, cands, sh.levels[depth][:0], &sh.stats)
 		sh.levels[depth] = next
 		if len(next) >= remaining-1 {
 			total += sh.extend(o, f, worker, depth+1, remaining-1)
 		}
 	}
 	return total
-}
-
-// intersectInto appends the intersection of the two sorted lists to dst.
-func intersectInto(dst, a, b []uint32, stats *gfilter.IntersectStats) []uint32 {
-	i, j := 0, 0
-	var steps int64
-	for i < len(a) && j < len(b) {
-		steps++
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	if stats != nil {
-		stats.MergeSteps += steps
-	}
-	return dst
 }

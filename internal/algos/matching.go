@@ -24,6 +24,8 @@ func MaximalMatching(g graph.Adj, o *Options) []graph.Edge {
 	defer o.Env.Free(3 * int64(n))
 
 	var matchedEdges []graph.Edge
+	// nghs[w] is worker w's buffer for the active list it is extracting.
+	nghs := make([][]uint32, parallel.Workers())
 	vCut := uint32(0) // vertices below vCut have had their edges processed
 	budget := int64(2 * n)
 
@@ -47,12 +49,12 @@ func MaximalMatching(g graph.Adj, o *Options) []graph.Edge {
 			if atomic.LoadUint32(&matched[u]) == 1 {
 				return
 			}
-			f.IterActive(w, u, func(v uint32) bool {
+			nghs[w] = f.ActiveList(w, u, nghs[w], nil)
+			for _, v := range nghs[w] {
 				if v > u && atomic.LoadUint32(&matched[v]) == 0 {
 					lists[w] = append(lists[w], u, v)
 				}
-				return true
-			})
+			}
 		})
 		flat := parallel.FlattenUint32(lists)
 		live := make([]graph.Edge, len(flat)/2)

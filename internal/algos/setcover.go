@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"sage/internal/bucket"
+	"sage/internal/frontier"
 	"sage/internal/graph"
 	"sage/internal/parallel"
 )
@@ -58,6 +59,8 @@ func ApproxSetCover(g graph.Adj, o *Options, numSets uint32) []uint32 {
 	defer o.Env.Free(2 * int64(n))
 
 	f := o.newFilter(g)
+	uncovered := func(_, e uint32) bool { return !covered[e] }
+	elems := make([][]uint32, parallel.Workers()) // per worker: the set's uncovered elements, re-read per pass
 
 	prio := make([]uint32, n)
 	parallel.For(int(n), 0, func(i int) {
@@ -77,11 +80,7 @@ func ApproxSetCover(g graph.Adj, o *Options, numSets uint32) []uint32 {
 			break
 		}
 		// Lazy degree maintenance: pack away covered elements.
-		newDeg := make([]uint32, len(sets))
-		parallel.ForWorker(len(sets), 1, func(w, i int) {
-			d, _ := f.PackVertex(w, sets[i], func(_, e uint32) bool { return !covered[e] })
-			newDeg[i] = d
-		})
+		_, newDeg := f.EdgeMapPack(frontier.FromSparse(n, sets), uncovered)
 		floor := classFloor(t)
 		competing := parallel.FilterIndex(sets, func(i int, _ uint32) bool {
 			return int64(newDeg[i]) >= floor
@@ -106,23 +105,23 @@ func ApproxSetCover(g graph.Adj, o *Options, numSets uint32) []uint32 {
 		parallel.ForWorker(len(competing), 1, func(w, i int) {
 			s := competing[i]
 			p := hash64(uint64(s), o.Seed) | 1
-			f.IterActive(w, s, func(e uint32) bool {
+			elems[w] = f.ActiveList(w, s, elems[w], nil)
+			for _, e := range elems[w] {
 				writeMinU64(&owner[e], p)
-				o.Env.StateWrite(w, 1)
-				return true
-			})
+			}
+			o.Env.StateWrite(w, int64(len(elems[w])))
 		})
 		won := make([]uint32, len(competing))
 		parallel.ForWorker(len(competing), 1, func(w, i int) {
 			s := competing[i]
 			p := hash64(uint64(s), o.Seed) | 1
 			var cnt uint32
-			f.IterActive(w, s, func(e uint32) bool {
+			elems[w] = f.ActiveList(w, s, elems[w], nil)
+			for _, e := range elems[w] {
 				if atomic.LoadUint64(&owner[e]) == p {
 					cnt++
 				}
-				return true
-			})
+			}
 			won[i] = cnt
 		})
 		winThreshold := float64(floor) / (1 + eps)
@@ -142,25 +141,24 @@ func ApproxSetCover(g graph.Adj, o *Options, numSets uint32) []uint32 {
 				return
 			}
 			p := hash64(uint64(s), o.Seed) | 1
-			f.IterActive(w, s, func(e uint32) bool {
+			elems[w] = f.ActiveList(w, s, elems[w], nil)
+			for _, e := range elems[w] {
 				if atomic.LoadUint64(&owner[e]) == p {
 					covered[e] = true
 				}
-				return true
-			})
+			}
 		})
 		// Reset ownership for the next round.
 		parallel.ForWorker(len(competing), 1, func(w, i int) {
-			f.IterActive(w, competing[i], func(e uint32) bool {
+			elems[w] = f.ActiveList(w, competing[i], elems[w], nil)
+			for _, e := range elems[w] {
 				atomic.StoreUint64(&owner[e], 0)
-				return true
-			})
+			}
 		})
 		if len(reinsert) > 0 {
-			reinsertPrio = make([]uint32, len(reinsert))
-			parallel.ForWorker(len(reinsert), 1, func(w, i int) {
-				d, _ := f.PackVertex(w, reinsert[i], func(_, e uint32) bool { return !covered[e] })
-				reinsertPrio[i] = bucketOf(d)
+			_, reinsertPrio = f.EdgeMapPack(frontier.FromSparse(n, reinsert), uncovered)
+			parallel.For(len(reinsertPrio), 0, func(i int) {
+				reinsertPrio[i] = bucketOf(reinsertPrio[i])
 			})
 			b.UpdateBatch(reinsert, reinsertPrio)
 		}

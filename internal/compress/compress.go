@@ -161,6 +161,8 @@ func (c *CGraph) AvgDegree() uint32 {
 
 // EdgeAddr implements graph.Adj: the simulated address space places the
 // degree/offset arrays at [0, 2n) and the byte data (word-granular) after.
+//
+//sage:hotpath
 func (c *CGraph) EdgeAddr(v uint32) int64 {
 	return 2*int64(c.n) + int64(c.vtxOff[v]/8)
 }

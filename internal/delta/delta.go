@@ -380,6 +380,8 @@ func (o *Overlay) AvgDegree() uint32 {
 
 // EdgeAddr returns the simulated NVRAM address of v's base adjacency —
 // inserted edges live in DRAM and have no NVRAM address of their own.
+//
+//sage:hotpath
 func (o *Overlay) EdgeAddr(v uint32) int64 { return o.base.EdgeAddr(v) }
 
 // BlockSize reports 0: the merged view supports arbitrary decode

@@ -96,6 +96,8 @@ func (f *MutFilter) BlockSize() int { return 0 }
 
 // EdgeAddr implements graph.Adj: the mutable image occupies the same
 // simulated graph region as the original.
+//
+//sage:hotpath
 func (f *MutFilter) EdgeAddr(v uint32) int64 { return f.base.EdgeAddr(v) }
 
 // ScanCost implements graph.Adj.
@@ -115,18 +117,6 @@ func (f *MutFilter) Slice(v, lo, hi uint32, _ *graph.Scratch) ([]uint32, []int32
 // ActiveEdges implements algos.EdgeFilter.
 func (f *MutFilter) ActiveEdges() int64 { return f.live.Load() }
 
-// IterActive implements algos.EdgeFilter, charging the read.
-func (f *MutFilter) IterActive(worker int, v uint32, fn func(ngh uint32) bool) {
-	deg := f.degs[v]
-	f.env.GraphRead(worker, f.EdgeAddr(v), int64(deg))
-	base := f.offsets[v]
-	for i := uint32(0); i < deg; i++ {
-		if !fn(f.edges[base+uint64(i)]) {
-			return
-		}
-	}
-}
-
 // ActiveList implements algos.EdgeFilter. The live prefix is already
 // materialized, so decode work equals the live degree.
 func (f *MutFilter) ActiveList(worker int, v uint32, dst []uint32, stats *gfilter.IntersectStats) []uint32 {
@@ -140,11 +130,41 @@ func (f *MutFilter) ActiveList(worker int, v uint32, dst []uint32, stats *gfilte
 	return dst
 }
 
-// PackVertex implements algos.EdgeFilter by compacting v's adjacency in
-// place — the GBBS approach whose writes the PSAM charges at ω (§4.2:
-// "In prior work ... deleted edges are handled by actually removing them
-// from the adjacency lists in the graph").
-func (f *MutFilter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool) (uint32, int64) {
+// IntersectActive implements algos.EdgeFilter: a plain two-pointer merge
+// of a against v's packed live prefix, charged as one ActiveList(v).
+//
+//sage:hotpath
+func (f *MutFilter) IntersectActive(worker int, v uint32, a, out []uint32, stats *gfilter.IntersectStats) []uint32 {
+	deg := f.degs[v]
+	// The one unmarked call: PSAM accounting is deliberately not hotpath.
+	f.env.GraphRead(worker, f.EdgeAddr(v), int64(deg)) //sage:allow hotalloc
+	base := f.offsets[v]
+	b := f.edges[base : base+uint64(deg)]
+	var steps int64
+	for i, j := 0, 0; i < len(a) && j < len(b); steps++ {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	if stats != nil {
+		stats.MergeSteps += steps
+		stats.DecodedEdges += int64(deg)
+	}
+	return out
+}
+
+// packVertex compacts v's adjacency in place — the GBBS approach whose
+// writes the PSAM charges at ω (§4.2: "In prior work ... deleted edges
+// are handled by actually removing them from the adjacency lists in the
+// graph"). Folding the removal count into f.live is the caller's.
+func (f *MutFilter) packVertex(worker int, v uint32, pred func(u, ngh uint32) bool) (uint32, int64) {
 	deg := f.degs[v]
 	if deg == 0 {
 		return 0, 0
@@ -164,27 +184,32 @@ func (f *MutFilter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bo
 		// The compaction writes the surviving prefix back into the graph.
 		f.env.GraphWrite(worker, f.EdgeAddr(v), int64(wr))
 		f.degs[v] = wr
-		f.live.Add(-removed)
 	}
 	return wr, removed
 }
 
-// EdgeMapPack implements algos.EdgeFilter.
+// PackVertex packs one vertex, as gfilter.Filter.PackVertex does; bulk
+// callers go through EdgeMapPack or FilterEdges.
+func (f *MutFilter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool) (uint32, int64) {
+	deg, removed := f.packVertex(worker, v, pred)
+	if removed > 0 {
+		f.live.Add(-removed)
+	}
+	return deg, removed
+}
+
+// EdgeMapPack implements algos.EdgeFilter on the Sage filter's bulk-pack
+// schedule.
 func (f *MutFilter) EdgeMapPack(vs *frontier.VertexSubset, pred func(u, ngh uint32) bool) (*frontier.VertexSubset, []uint32) {
 	sp := vs.Sparse()
 	degs := make([]uint32, len(sp))
-	parallel.ForWorker(len(sp), 1, func(w, i int) {
-		nd, _ := f.PackVertex(w, sp[i], pred)
-		degs[i] = nd
-	})
+	gfilter.PackAll(len(sp), sp, degs, &f.live, func(w int, v uint32) (uint32, int64) { return f.packVertex(w, v, pred) })
 	return frontier.FromSparse(vs.N(), sp), degs
 }
 
 // FilterEdges implements algos.EdgeFilter.
 func (f *MutFilter) FilterEdges(pred func(u, ngh uint32) bool) int64 {
-	parallel.ForWorker(int(f.n), 1, func(w, i int) {
-		f.PackVertex(w, uint32(i), pred)
-	})
+	gfilter.PackAll(int(f.n), nil, nil, &f.live, func(w int, v uint32) (uint32, int64) { return f.packVertex(w, v, pred) })
 	return f.live.Load()
 }
 

@@ -1,11 +1,15 @@
 package gbbs
 
 import (
+	"slices"
 	"testing"
 
 	"sage/internal/algos"
 	"sage/internal/costmodel"
+	"sage/internal/frontier"
 	"sage/internal/gen"
+	"sage/internal/gfilter"
+	"sage/internal/parallel"
 	"sage/internal/psam"
 	"sage/internal/refalgo"
 )
@@ -94,15 +98,112 @@ func TestMutFilterPackSemantics(t *testing.T) {
 	if int(nd)+int(removed) != 49 {
 		t.Fatalf("nd=%d removed=%d", nd, removed)
 	}
-	var seen []uint32
-	f.IterActive(0, 0, func(ngh uint32) bool {
+	seen := f.ActiveList(0, 0, nil, nil)
+	for _, ngh := range seen {
 		if ngh%2 != 0 {
 			t.Fatalf("neighbor %d should be gone", ngh)
 		}
-		seen = append(seen, ngh)
-		return true
-	})
+	}
 	if uint32(len(seen)) != nd {
-		t.Fatalf("iterated %d, degree %d", len(seen), nd)
+		t.Fatalf("listed %d, degree %d", len(seen), nd)
+	}
+}
+
+// TestPackKeepsLiveCountExact packs from several workers at once — the
+// whole graph, a subset, and lone PackVertex calls interleaved across
+// workers — through Sage's filter and through the mutable image, and
+// requires the maintained live count to equal the sum of the active
+// degrees after each. Under -race it also checks that the bulk packs'
+// per-block fold shares nothing it should not.
+func TestPackKeepsLiveCountExact(t *testing.T) {
+	old := parallel.Workers()
+	defer parallel.SetWorkers(old)
+	parallel.SetWorkers(4)
+	g := gen.RMAT(11, 16, 29)
+	n := g.NumVertices()
+	type packer interface {
+		algos.EdgeFilter
+		PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool) (uint32, int64)
+	}
+	for name, f := range map[string]packer{
+		"gfilter.Filter": gfilter.New(g, 64, psam.NewEnv(psam.AppDirect)),
+		"gbbs.MutFilter": NewMutFilter(g, 0, psam.NewEnv(psam.AppDirect)).(*MutFilter),
+	} {
+		check := func(where string) {
+			t.Helper()
+			var sum int64
+			for v := uint32(0); v < n; v++ {
+				sum += int64(f.Degree(v))
+			}
+			if f.ActiveEdges() != sum || f.NumEdges() != uint64(sum) {
+				t.Fatalf("%s after %s: ActiveEdges %d, NumEdges %d, active degrees sum to %d", name, where, f.ActiveEdges(), f.NumEdges(), sum)
+			}
+		}
+		check("construction")
+		if left := f.FilterEdges(func(u, ngh uint32) bool { return (u+ngh)%5 != 0 }); left != f.ActiveEdges() {
+			t.Fatalf("%s: FilterEdges returned %d, ActiveEdges %d", name, left, f.ActiveEdges())
+		}
+		check("FilterEdges")
+		var third []uint32
+		for v := uint32(0); v < n; v += 3 {
+			third = append(third, v)
+		}
+		_, degs := f.EdgeMapPack(frontier.FromSparse(n, third), func(u, ngh uint32) bool { return (u^ngh)%3 != 0 })
+		for i, v := range third {
+			if degs[i] != f.Degree(v) {
+				t.Fatalf("%s: EdgeMapPack reported degree %d for %d, the filter says %d", name, degs[i], v, f.Degree(v))
+			}
+		}
+		check("EdgeMapPack")
+		parallel.ForWorker(int(n), 1, func(w, i int) {
+			if i%2 == 1 {
+				f.PackVertex(w, uint32(i), func(_, ngh uint32) bool { return ngh%2 == 0 })
+			}
+		})
+		check("lone PackVertex calls")
+		if f.FilterEdges(func(_, _ uint32) bool { return false }) != 0 {
+			t.Fatalf("%s: %d edges survive a pack that keeps none", name, f.ActiveEdges())
+		}
+		check("emptying")
+	}
+}
+
+// TestMutFilterIntersectActive: over the packed prefix the intersection
+// is ActiveList plus a plain merge, billed as one read of the live list.
+func TestMutFilterIntersectActive(t *testing.T) {
+	g := gen.RMAT(9, 16, 5)
+	n := g.NumVertices()
+	env := psam.NewEnv(psam.AppDirect)
+	f := NewMutFilter(g, 0, env).(*MutFilter)
+	f.FilterEdges(func(u, ngh uint32) bool { return (u+ngh)%3 != 0 })
+	var stats gfilter.IntersectStats
+	for v := uint32(0); v < n; v++ {
+		a := f.ActiveList(0, (v*31+7)%n, nil, nil)
+		list := f.ActiveList(0, v, nil, nil)
+		var want []uint32
+		var steps int64
+		for i, j := 0, 0; i < len(a) && j < len(list); steps++ {
+			switch {
+			case a[i] < list[j]:
+				i++
+			case a[i] > list[j]:
+				j++
+			default:
+				want = append(want, a[i])
+				i++
+				j++
+			}
+		}
+		before, reads := stats, env.Totals().NVRAMReads
+		got := f.IntersectActive(0, v, a, nil, &stats)
+		if !slices.Equal(got, want) {
+			t.Fatalf("v=%d: got %v want %v", v, got, want)
+		}
+		if stats.MergeSteps-before.MergeSteps != steps || stats.DecodedEdges-before.DecodedEdges != int64(len(list)) {
+			t.Fatalf("v=%d: stats moved by %+v - %+v, want %d steps and %d decoded", v, stats, before, steps, len(list))
+		}
+		if got := env.Totals().NVRAMReads - reads; got != int64(len(list)) {
+			t.Fatalf("v=%d: charged %d NVRAM words for a live list of %d", v, got, len(list))
+		}
 	}
 }

@@ -42,6 +42,7 @@ type vtxMeta struct {
 type Filter struct {
 	g     graph.Adj
 	env   *psam.Env
+	csr   bool   // g is uncompressed: a block is a plain range of the adjacency
 	fb    uint32 // filter block size in edges (multiple of 64)
 	wpb   uint32 // words per block = fb/64
 	bits  []uint64
@@ -78,7 +79,7 @@ func New(g graph.Adj, fb int, env *psam.Env) *Filter {
 	}
 	fb = (fb + 63) / 64 * 64
 	n := g.NumVertices()
-	f := &Filter{g: g, env: env, fb: uint32(fb), wpb: uint32(fb / 64)}
+	f := &Filter{g: g, env: env, csr: g.BlockSize() == 0, fb: uint32(fb), wpb: uint32(fb / 64)}
 
 	nb := make([]uint64, n+1)
 	parallel.For(int(n), 0, func(i int) {
@@ -141,76 +142,79 @@ func (f *Filter) SizeWords() int64 {
 	return int64(len(f.bits)) + 2*int64(len(f.meta)) + 3*int64(len(f.vtx)) + int64(f.dirty.Words())/2
 }
 
-// decodeSlot fetches the underlying neighbors behind filter slot s of v,
-// indexed by within-block position, and charges the NVRAM read. For
-// compressed graphs the whole block is decoded even if few bits are live
-// (§4.2.3) — the "total work" Table 4 measures. For uncompressed graphs
-// the block is a plain range of the adjacency and only the active
-// positions are charged, mirroring the word-by-word intrinsic loop of
-// §4.2.3 that random-accesses just the edges whose bits are set.
-func (f *Filter) decodeSlot(worker int, v uint32, s uint64) []uint32 {
-	lo := f.meta[s].orig * f.fb
-	var cost int64
-	if f.g.BlockSize() == 0 {
-		for _, w := range f.blockWords(s) {
-			cost += int64(bits.OnesCount64(w))
-		}
-	} else {
-		cost = f.g.ScanCost(v, lo, min(lo+f.fb, f.g.Degree(v)))
+// chargeSlot charges the NVRAM read of the block behind filter slot s of
+// v (whose edges start at word address addr), which holds live set bits,
+// and returns the block's first adjacency position and the number of
+// edges the read decodes — Table 4's "total work". For compressed graphs
+// the whole block is decoded even if few bits are live (§4.2.3). For
+// uncompressed graphs the block is a plain range of the adjacency and
+// only the active positions are charged, mirroring the word-by-word
+// intrinsic loop of §4.2.3 that random-accesses just the edges whose bits
+// are set.
+func (f *Filter) chargeSlot(worker int, v uint32, addr int64, s uint64, live int64) (lo uint32, decoded int64) {
+	lo = f.meta[s].orig * f.fb
+	cost := live
+	decoded = live
+	if !f.csr {
+		hi := min(lo+f.fb, f.g.Degree(v))
+		cost = f.g.ScanCost(v, lo, hi)
+		decoded = int64(hi - lo)
 	}
-	f.env.GraphRead(worker, f.g.EdgeAddr(v)+int64(lo), cost)
-	nghs, _ := f.g.Slice(v, lo, lo+f.fb, &f.scratch[worker].dec)
-	return nghs
+	f.env.GraphRead(worker, addr+int64(lo), cost)
+	return lo, decoded
 }
 
-// IterActive calls fn for every active neighbor of v in adjacency order,
-// stopping early if fn returns false. Charges reads for every decoded
-// block.
-func (f *Filter) IterActive(worker int, v uint32, fn func(ngh uint32) bool) {
-	vm := &f.vtx[v]
-	for s := vm.start; s < vm.start+uint64(vm.numBlocks); s++ {
-		if !f.iterBlock(worker, v, s, fn) {
-			return
-		}
-	}
+// decodeSlot charges slot s of v (chargeSlot) and fetches the underlying
+// neighbors behind it, indexed by within-block position: an alias on CSR,
+// one whole-block decode into the worker's scratch otherwise.
+func (f *Filter) decodeSlot(worker int, v uint32, addr int64, s uint64, live int64) (nghs []uint32, decoded int64) {
+	lo, decoded := f.chargeSlot(worker, v, addr, s, live)
+	nghs, _ = f.g.Slice(v, lo, lo+f.fb, &f.scratch[worker].dec)
+	return nghs, decoded
 }
 
-// iterBlock visits the active edges of arena slot s using the
-// tzcnt/blsr-style word loop of §4.2.3.
-func (f *Filter) iterBlock(worker int, v uint32, s uint64, fn func(ngh uint32) bool) bool {
-	words := f.blockWords(s)
-	empty := true
-	for _, w := range words {
+// liveBits counts the set bits of a block and returns the index of its
+// last non-zero word (-1 for a dead block).
+//
+//sage:hotpath
+func liveBits(words []uint64) (live int64, top int) {
+	top = -1
+	for k, w := range words {
 		if w != 0 {
-			empty = false
-			break
+			live += int64(bits.OnesCount64(w))
+			top = k
 		}
 	}
-	if empty {
-		return true
-	}
-	nghs := f.decodeSlot(worker, v, s)
-	f.env.StateRead(worker, int64(f.wpb))
+	return live, top
+}
+
+// packBlock is the pack inner loop over one decoded block: the
+// tzcnt/blsr-style word loop of §4.2.3 clears the bit of every live
+// neighbor failing pred(v, ngh), marks that neighbor dirty, and returns
+// the block's surviving and removed counts.
+//
+//sage:hotpath
+func packBlock(words []uint64, nghs []uint32, v uint32, pred func(u, ngh uint32) bool, dirty *parallel.Bitset) (kept uint32, removed int64) {
 	for k, w := range words {
 		for w != 0 {
 			idx := bits.TrailingZeros64(w)
 			w &= w - 1
-			pos := k*64 + idx
-			if pos < len(nghs) && !fn(nghs[pos]) {
-				return false
+			ngh := nghs[k*64+idx]
+			if pred(v, ngh) {
+				kept++
+			} else {
+				words[k] &^= uint64(1) << idx
+				dirty.AtomicSet(ngh)
+				removed++
 			}
 		}
 	}
-	return true
+	return kept, removed
 }
 
-// PackVertex removes the active edges of v for which pred(v, ngh) is
-// false (§4.2.2): it rescans live blocks, clears failing bits, marks the
-// removed neighbors dirty, recomputes per-block offsets, compacts blocks
-// when enough die, and updates the degree. It returns the new active
-// degree and the number of edges removed. PackVertex for distinct
-// vertices may run concurrently.
-func (f *Filter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool) (uint32, int64) {
+// packVertex is PackVertex without the shared live-count update: the
+// caller owns folding the returned removal count into f.live.
+func (f *Filter) packVertex(worker int, v uint32, pred func(u, ngh uint32) bool) (uint32, int64) {
 	vm := &f.vtx[v]
 	if vm.numBlocks == 0 {
 		return 0, 0
@@ -223,37 +227,16 @@ func (f *Filter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool)
 
 	var removed int64
 	liveBlocks := uint32(0)
+	addr := f.g.EdgeAddr(v)
 	for bi := uint32(0); bi < vm.numBlocks; bi++ {
 		s := vm.start + uint64(bi)
 		words := f.blockWords(s)
 		cnt := uint32(0)
-		hasBits := false
-		for _, w := range words {
-			if w != 0 {
-				hasBits = true
-				break
-			}
-		}
-		if hasBits {
-			nghs := f.decodeSlot(worker, v, s)
-			for k := range words {
-				w := words[k]
-				for w != 0 {
-					idx := bits.TrailingZeros64(w)
-					w &= w - 1
-					pos := k*64 + idx
-					if pos >= len(nghs) {
-						continue
-					}
-					if pred(v, nghs[pos]) {
-						cnt++
-					} else {
-						words[k] &^= uint64(1) << idx
-						f.dirty.AtomicSet(nghs[pos])
-						removed++
-					}
-				}
-			}
+		if live, _ := liveBits(words); live > 0 {
+			nghs, _ := f.decodeSlot(worker, v, addr, s, live)
+			var r int64
+			cnt, r = packBlock(words, nghs, v, pred, f.dirty)
+			removed += r
 			f.env.StateWrite(worker, int64(f.wpb))
 		}
 		counts[bi] = cnt
@@ -289,11 +272,59 @@ func (f *Filter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool)
 		total += counts[bi]
 	}
 	vm.deg = total
+	f.env.StateWrite(worker, int64(vm.numBlocks))
+	return total, removed
+}
+
+// PackVertex removes the active edges of v for which pred(v, ngh) is
+// false (§4.2.2): it rescans live blocks, clears failing bits, marks the
+// removed neighbors dirty, recomputes per-block offsets, compacts blocks
+// when enough die, and updates the degree. It returns the new active
+// degree and the number of edges removed. PackVertex for distinct
+// vertices may run concurrently; a caller packing many vertices should
+// prefer EdgeMapPack or FilterEdges, which touch the shared live count
+// once per scheduling block instead of once per vertex.
+func (f *Filter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool) (uint32, int64) {
+	deg, removed := f.packVertex(worker, v, pred)
 	if removed > 0 {
 		f.live.Add(-removed)
 	}
-	f.env.StateWrite(worker, int64(vm.numBlocks))
-	return total, removed
+	return deg, removed
+}
+
+// maxPackGrain bounds the vertices a worker packs per scheduling block:
+// enough to amortise the block claim and the one shared live-count update
+// the block ends with, small enough that the n/maxPackGrain blocks of a
+// whole-graph pack still balance a skewed degree sequence.
+const maxPackGrain = 64
+
+// PackAll is the bulk-pack schedule, shared with the GBBS baseline's
+// mutable filter so the Figure 1/7 comparisons differ in where packed
+// edges are written and in nothing else. It calls pack for every vertex
+// of sp (every vertex in [0, n) when sp is nil) in parallel, records new
+// degrees in degs when it is non-nil, and folds each scheduling block's
+// removals into live with one atomic add — so the count is exact whenever
+// no pack is running and workers share no cache line per vertex. A short
+// list of (possibly huge) vertices still gets a block per vertex.
+func PackAll(n int, sp, degs []uint32, live *atomic.Int64, pack func(worker int, v uint32) (deg uint32, removed int64)) {
+	grain := max(1, min(maxPackGrain, n/(8*parallel.Workers())))
+	parallel.ForBlocks(n, grain, func(w, lo, hi int) {
+		var removed int64
+		for i := lo; i < hi; i++ {
+			v := uint32(i)
+			if sp != nil {
+				v = sp[i]
+			}
+			d, r := pack(w, v)
+			if degs != nil {
+				degs[i] = d
+			}
+			removed += r
+		}
+		if removed > 0 {
+			live.Add(-removed)
+		}
+	})
 }
 
 // EdgeMapPack packs every vertex in vs in parallel (§4.2.2) and returns a
@@ -302,19 +333,13 @@ func (f *Filter) PackVertex(worker int, v uint32, pred func(u, ngh uint32) bool)
 func (f *Filter) EdgeMapPack(vs *frontier.VertexSubset, pred func(u, ngh uint32) bool) (*frontier.VertexSubset, []uint32) {
 	sp := vs.Sparse()
 	degs := make([]uint32, len(sp))
-	parallel.ForWorker(len(sp), 1, func(w, i int) {
-		nd, _ := f.PackVertex(w, sp[i], pred)
-		degs[i] = nd
-	})
+	PackAll(len(sp), sp, degs, &f.live, func(w int, v uint32) (uint32, int64) { return f.packVertex(w, v, pred) })
 	return frontier.FromSparse(vs.N(), sp), degs
 }
 
 // FilterEdges packs all vertices (§4.2.2) and returns the number of
 // active edges remaining.
 func (f *Filter) FilterEdges(pred func(u, ngh uint32) bool) int64 {
-	n := f.g.NumVertices()
-	parallel.ForWorker(int(n), 1, func(w, i int) {
-		f.PackVertex(w, uint32(i), pred)
-	})
+	PackAll(int(f.g.NumVertices()), nil, nil, &f.live, func(w int, v uint32) (uint32, int64) { return f.packVertex(w, v, pred) })
 	return f.live.Load()
 }

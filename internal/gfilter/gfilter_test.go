@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"sage/internal/compress"
@@ -12,15 +13,31 @@ import (
 	"sage/internal/gen"
 	"sage/internal/graph"
 	"sage/internal/parallel"
+	"sage/internal/psam"
 )
 
-// activeOf materializes the active adjacency of v via IterActive.
+// activeOf materializes the active adjacency of v.
 func activeOf(f *Filter, v uint32) []uint32 {
+	return f.ActiveList(0, v, nil, nil)
+}
+
+// intersectSorted is the reference two-pointer merge the fused
+// intersection must agree with: the common elements of two sorted lists
+// and one merge step per comparison.
+func intersectSorted(a, b []uint32, stats *IntersectStats) []uint32 {
 	var out []uint32
-	f.IterActive(0, v, func(ngh uint32) bool {
-		out = append(out, ngh)
-		return true
-	})
+	for i, j := 0, 0; i < len(a) && j < len(b); stats.MergeSteps++ {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
 	return out
 }
 
@@ -166,7 +183,7 @@ func TestFilterAdjSlice(t *testing.T) {
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		want := activeOf(f, v)
 		if got, _ := f.Slice(v, 0, f.Degree(v), &s); !slices.Equal(got, want) {
-			t.Fatalf("v=%d Slice %v vs IterActive %v", v, got, want)
+			t.Fatalf("v=%d Slice %v vs ActiveList %v", v, got, want)
 		}
 		// Sub-ranges too.
 		if len(want) >= 4 {
@@ -202,28 +219,8 @@ func TestFilterOverCompressed(t *testing.T) {
 func TestFilterOverOverlay(t *testing.T) {
 	base := gen.RMAT(9, 12, 3)
 	n := base.NumVertices()
-	var ops []delta.Op
-	for v := uint32(1); v < n; v += 2 {
-		if nghs := base.Neighbors(v); len(nghs) > 0 && nghs[0] != 0 {
-			ops = append(ops, delta.Op{U: v, V: nghs[0], Del: true})
-		}
-		if u := (v*7 + 3) % n; u != v && u != 0 {
-			ops = append(ops, delta.Op{U: v, V: u})
-		}
-	}
-	ov, err := delta.New(base).Apply(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edges []graph.Edge
+	ov, materialized := overlayOf(t, base)
 	var s graph.Scratch
-	for v := uint32(0); v < n; v++ {
-		nghs, _ := ov.Slice(v, 0, ov.Degree(v), &s)
-		for _, u := range nghs {
-			edges = append(edges, graph.Edge{U: v, V: u})
-		}
-	}
-	materialized := graph.FromEdges(n, edges, graph.BuildOpts{})
 
 	pred := func(u, ngh uint32) bool { return (u+ngh)%3 != 0 }
 	over, flat := New(ov, 64, nil), New(materialized, 64, nil)
@@ -233,9 +230,6 @@ func TestFilterOverOverlay(t *testing.T) {
 	var stats, wantStats IntersectStats
 	for v := uint32(0); v < n; v++ {
 		want := activeOf(flat, v)
-		if got := activeOf(over, v); !slices.Equal(got, want) {
-			t.Fatalf("IterActive(%d) = %v, want %v", v, got, want)
-		}
 		if got := over.ActiveList(0, v, nil, &stats); !slices.Equal(got, want) {
 			t.Fatalf("ActiveList(%d) = %v, want %v", v, got, want)
 		}
@@ -287,8 +281,8 @@ func TestActiveListAndIntersect(t *testing.T) {
 	}
 	a := []uint32{1, 3, 5, 7}
 	b := []uint32{2, 3, 7, 9}
-	if IntersectSorted(a, b, &stats) != 2 {
-		t.Fatal("intersect count")
+	if got := intersectSorted(a, b, &stats); !slices.Equal(got, []uint32{3, 7}) {
+		t.Fatalf("reference intersection %v", got)
 	}
 }
 
@@ -323,4 +317,138 @@ func TestPackVertexParallelDisjoint(t *testing.T) {
 		ref.pack(v, pred)
 	}
 	ref.check(t, f, "parallel pack")
+}
+
+// overlayOf returns g under an overlay that deletes the first edge of and
+// inserts one edge at every odd vertex — never touching vertex 0, which
+// therefore reads as the base's own array — and the same graph
+// materialized.
+func overlayOf(t *testing.T, g *graph.Graph) (graph.Adj, *graph.Graph) {
+	t.Helper()
+	n := g.NumVertices()
+	var ops []delta.Op
+	for v := uint32(1); v < n; v += 2 {
+		if nghs := g.Neighbors(v); len(nghs) > 0 && nghs[0] != 0 {
+			ops = append(ops, delta.Op{U: v, V: nghs[0], Del: true})
+		}
+		if u := (v*7 + 3) % n; u != v && u != 0 {
+			ops = append(ops, delta.Op{U: v, V: u})
+		}
+	}
+	ov, err := delta.New(g).Apply(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges []graph.Edge
+	var s graph.Scratch
+	for v := uint32(0); v < n; v++ {
+		nghs, _ := ov.Slice(v, 0, ov.Degree(v), &s)
+		for _, u := range nghs {
+			edges = append(edges, graph.Edge{U: v, V: u})
+		}
+	}
+	return ov, graph.FromEdges(n, edges, graph.BuildOpts{})
+}
+
+// TestIntersectActiveMatchesListThenMerge is the fused intersection's
+// contract: on any filter state and any sorted list a, IntersectActive
+// returns what ActiveList followed by the plain two-pointer merge
+// returns, and bills the same merge steps, decoded edges and PSAM graph
+// reads (block by block: the Memory-Mode cache sees the same addresses).
+func TestIntersectActiveMatchesListThenMerge(t *testing.T) {
+	// One worker: the Memory-Mode cache's state after a parallel pack
+	// depends on how the workers' reads interleave.
+	old := parallel.Workers()
+	defer parallel.SetWorkers(old)
+	parallel.SetWorkers(1)
+	g := gen.RMAT(9, 24, 41)
+	n := g.NumVertices()
+	ov, _ := overlayOf(t, g)
+	type base struct {
+		name string
+		adj  graph.Adj
+		fb   int
+	}
+	bases := []base{{"overlay/64", ov, 64}}
+	for _, fb := range []int{64, 128, 256} {
+		bases = append(bases,
+			base{"csr/" + strconv.Itoa(fb), g, fb},
+			base{"byte/" + strconv.Itoa(fb), compress.Compress(g, fb), fb})
+	}
+	for _, b := range bases {
+		for _, mode := range []psam.Mode{psam.AppDirect, psam.MemoryMode} {
+			newEnv := func() *psam.Env {
+				env := psam.NewEnv(mode)
+				if mode == psam.MemoryMode {
+					env.WithCache(1 << 10)
+				}
+				return env
+			}
+			// Three filters kept in the same state: ref reads the unfused
+			// way, fused the fused way, and probe (unaccounted) supplies
+			// the lists to intersect with.
+			ref, fused, probe := New(b.adj, b.fb, newEnv()), New(b.adj, b.fb, newEnv()), New(b.adj, b.fb, nil)
+			r := rand.New(rand.NewPCG(7, uint64(b.fb)))
+			var refStats, fusedStats IntersectStats
+			var list, out []uint32
+			for round := 0; round < 4; round++ {
+				// Round 0 is the untouched filter; then random deletions;
+				// round 2 also kills every edge into the lower half of the
+				// id space, which leaves whole blocks (and vertices) dead.
+				if round > 0 {
+					salt := r.Uint64()
+					pred := func(u, ngh uint32) bool {
+						if round >= 2 && ngh < n/2 {
+							return false
+						}
+						return (uint64(min(u, ngh))<<32|uint64(max(u, ngh)))*salt>>61 != 0
+					}
+					if left := probe.FilterEdges(pred); ref.FilterEdges(pred) != left || fused.FilterEdges(pred) != left {
+						t.Fatalf("%s: the filters diverged", b.name)
+					}
+				}
+				for v := uint32(0); v < n; v++ {
+					active := activeOf(probe, v)
+					// Lists ending before, inside and after v's, the empty
+					// list, a neighbour's list (the triangle-count shape),
+					// and a dense run of ids.
+					as := [][]uint32{nil, activeOf(probe, (v*31+7)%n)}
+					if len(active) > 0 {
+						first, mid, last := active[0], active[len(active)/2], active[len(active)-1]
+						as = append(as,
+							sortedSample(r, 0, first, 5),
+							sortedSample(r, 0, mid+1, 9),
+							sortedSample(r, mid, n, 9),
+							sortedSample(r, last+1, n, 5),
+							[]uint32{last},
+							sortedSample(r, 0, n, 200))
+					}
+					for _, a := range as {
+						list = ref.ActiveList(0, v, list, &refStats)
+						want := intersectSorted(a, list, &refStats)
+						out = fused.IntersectActive(0, v, a, out[:0], &fusedStats)
+						if !slices.Equal(out, want) {
+							t.Fatalf("%s round %d: v=%d a=%v: got %v want %v", b.name, round, v, a, out, want)
+						}
+						if fusedStats != refStats {
+							t.Fatalf("%s round %d: v=%d a=%v: stats %+v want %+v", b.name, round, v, a, fusedStats, refStats)
+						}
+					}
+				}
+				if got, want := fused.env.Totals(), ref.env.Totals(); got != want {
+					t.Fatalf("%s round %d (%v): PSAM counts %+v want %+v", b.name, round, mode, got, want)
+				}
+			}
+		}
+	}
+}
+
+// sortedSample returns up to k distinct ids of [lo, hi), ascending.
+func sortedSample(r *rand.Rand, lo, hi uint32, k int) []uint32 {
+	var out []uint32
+	for i := 0; i < k && lo < hi; i++ {
+		out = append(out, lo+r.Uint32N(hi-lo))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -18,6 +18,7 @@ type Adj interface {
 	AvgDegree() uint32
 	// EdgeAddr returns the simulated NVRAM word address of the start of
 	// v's adjacency data (for the Memory-Mode cache simulator).
+	//sage:hotpath
 	EdgeAddr(v uint32) int64
 	// ScanCost returns the simulated NVRAM words read when scanning
 	// adjacency positions [lo, hi) of v. For compressed graphs this is

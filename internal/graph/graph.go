@@ -91,6 +91,8 @@ func (g *Graph) Edges() []uint32 { return g.edges }
 // EdgeAddr returns the simulated NVRAM word address of edge position
 // offsets[v]+i. The offsets region occupies addresses [0, n+1) and the
 // edge region starts at n+1.
+//
+//sage:hotpath
 func (g *Graph) EdgeAddr(v uint32) int64 {
 	return int64(g.n) + 1 + int64(g.offsets[v])
 }

@@ -127,6 +127,8 @@ func (b *Bitset) TestAndSet(i uint32) bool {
 func (b *Bitset) Set(i uint32) { b.words[i/32] |= uint32(1) << (i % 32) }
 
 // AtomicSet atomically sets bit i without reporting whether it changed.
+//
+//sage:hotpath
 func (b *Bitset) AtomicSet(i uint32) {
 	w := &b.words[i/32]
 	mask := uint32(1) << (i % 32)
