@@ -41,12 +41,13 @@
 // file at startup, so updates survive a crash or kill. When the log is
 // unwritable (disk full, I/O errors) the dataset degrades to read-only:
 // reads keep serving, writes answer 503 {"reason": "read_only"}, and the
-// dataset heals automatically when the disk does. Each dataset has one
-// committer: the batches it finds queued are one commit window —
-// one fsync, one generation — so concurrent writers share fsyncs, and
-// -wal-segment-bytes rotates a growing log into a numbered segment chain
-// replayed in order at startup. A compaction folds the logged batches
-// into the rewritten container and retires the whole chain.
+// dataset heals automatically when the disk does. A write that finds its
+// dataset idle commits at once; the batches that queue up behind it are
+// the next commit window — one fsync, one generation — so concurrent
+// writers share fsyncs, and -wal-segment-bytes rotates a growing log into
+// a numbered segment chain replayed in order at startup. A compaction
+// folds the logged batches into the rewritten container and retires the
+// whole chain.
 // See docs/HTTP_API.md for the full endpoint reference.
 //
 // Cluster mode: -role=router turns the process into the scale-out
@@ -94,6 +95,20 @@ import (
 	"sage/internal/server"
 	"sage/internal/wal"
 )
+
+// The two waits a client controls before (and between) requests. Without
+// them a client that never finishes its request headers, or never sends
+// another request, holds a connection and a goroutine for ever.
+// ReadTimeout and WriteTimeout stay unset: a legitimate run can be long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the server both roles listen with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 func main() {
 	listen := flag.String("listen", ":8080", "listen address")
@@ -240,7 +255,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -317,7 +332,7 @@ func runRouter(listen, peersFlag string, replication, vnodes int,
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: rt}
+	httpSrv := newHTTPServer(rt)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

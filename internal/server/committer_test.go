@@ -74,19 +74,17 @@ func (f *gateFile) Sync() error {
 	return f.File.Sync()
 }
 
-// waitingWriters counts goroutines inside applySync's hand-off: blocked
-// queueing a request on a committer or waiting for its answer.
-func waitingWriters() int {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	n := 0
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		header, _, _ := strings.Cut(g, "\n")
-		if strings.Contains(header, "[select") && strings.Contains(g, "(*updates).applySync") {
-			n++
-		}
+// waitingWriters counts the writers inside dataset g's write path: the
+// committer role's holder plus every request queued behind it.
+func waitingWriters(srv *Server) int {
+	u := srv.updates
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	c := u.committers["g"]
+	if c == nil || !c.busy {
+		return 0
 	}
-	return n
+	return 1 + len(c.queue)
 }
 
 type writeOutcome struct {
@@ -123,14 +121,14 @@ func oneWindow(t *testing.T, srv *Server, gate *gateFS, leader []sage.EdgeOp, ba
 	}
 	// The leader is waiting for its answer; every batch's writer must be
 	// waiting behind it before the gate opens.
-	for deadline := time.Now().Add(10 * time.Second); waitingWriters() < 1+len(batches); {
+	for deadline := time.Now().Add(10 * time.Second); waitingWriters(srv) < 1+len(batches); {
 		select {
 		case a := <-answered:
 			t.Fatalf("batch %d answered (res %+v, err %v) before its window's fsync finished", a.i, a.res, a.err)
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d writers queued behind the held fsync", waitingWriters()-1, len(batches))
+			t.Fatalf("only %d of %d writers queued behind the held fsync", waitingWriters(srv)-1, len(batches))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -244,4 +242,96 @@ func TestNoopInWindowSharesItsFate(t *testing.T) {
 			t.Fatalf("a read at generation %d (acknowledged: %d) sees the edge: %v", gen, outs[0].res.generation, hasE(edgeSet(g)))
 		}
 	})
+}
+
+// TestLoneWriterCrossesNoGoroutine: a write that finds its dataset idle
+// recovers and commits on the caller's own goroutine, so the first write
+// on a fresh server leaves the goroutine count where it found it.
+func TestLoneWriterCrossesNoGoroutine(t *testing.T) {
+	srv := newWALServer(t, makeBase(t, t.TempDir(), 16), nil)
+	before := runtime.NumGoroutine()
+	if _, err := srv.updates.apply("g", []sage.EdgeOp{{U: 0, V: 9}}, false); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before a lone write, %d after", before, after)
+	}
+}
+
+// goSyncFS is a wal.FS that counts fsyncs by calling goroutine.
+type goSyncFS struct {
+	wal.FS
+	mu sync.Mutex
+	by map[string]int
+}
+
+type goSyncFile struct {
+	wal.File
+	fs *goSyncFS
+}
+
+// goID names the calling goroutine ("goroutine 42").
+func goID() string {
+	buf := make([]byte, 64)
+	header := string(buf[:runtime.Stack(buf, false)])
+	return header[:strings.Index(header, " [")]
+}
+
+func (g *goSyncFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &goSyncFile{File: f, fs: g}, nil
+}
+
+func (g *goSyncFS) mine() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.by[goID()]
+}
+
+func (f *goSyncFile) Sync() error {
+	f.fs.mu.Lock()
+	f.fs.by[goID()]++
+	f.fs.mu.Unlock()
+	return f.File.Sync()
+}
+
+// TestWriterCommitsOnlyItsOwnWindow: what one writer pays for the others
+// is bounded by the window its own request is in. Every batch below
+// changes the graph, so every window costs its holder exactly one fsync:
+// no call may see more than one on its own goroutine, however many
+// writers queued up behind it meanwhile.
+func TestWriterCommitsOnlyItsOwnWindow(t *testing.T) {
+	const writers, perWriter = 8, 40
+	fs := &goSyncFS{FS: wal.OS, by: map[string]int{}}
+	srv := newWALServer(t, makeBase(t, t.TempDir(), 16+writers*perWriter), fs)
+	srv.Recover() // opens the log (and fsyncs its header) here, not under a writer
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				before := fs.mine()
+				op := sage.EdgeOp{U: uint32(w), V: uint32(16 + w*perWriter + i)}
+				if _, err := srv.updates.apply("g", []sage.EdgeOp{op}, false); err != nil {
+					t.Errorf("writer %d batch %d: %v", w, i, err)
+					return
+				}
+				if n := fs.mine() - before; n > 1 {
+					t.Errorf("writer %d batch %d: committed %d windows in one call", w, i, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ws := srv.updates.walSnapshot()
+	if ws.GroupBatches != writers*perWriter {
+		t.Fatalf("group_batches=%d, want %d", ws.GroupBatches, writers*perWriter)
+	}
+	t.Logf("%d batches in %d windows", ws.GroupBatches, ws.GroupSyncs)
 }

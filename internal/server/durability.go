@@ -11,12 +11,13 @@ package server
 // base; compaction folds them into a new container generation and retires
 // the log.
 //
-// Each dataset's log has exactly one caller, the dataset's committer
-// (updates.go): it buffers one record per state-changing batch of a
-// commit window (wal.Log.AppendBuffer) and then takes the barrier once,
-// on the last record's ticket (wal.Log.Commit) — one fsync acknowledges
-// the whole window. Recovery runs on the committer too, as the first
-// thing it does for a dataset, so replay and writes cannot interleave.
+// Each dataset's log has exactly one caller at a time, the holder of the
+// dataset's committer role (updates.go) — the single writer internal/wal
+// requires: it appends one record per state-changing batch of a commit
+// window (wal.Log.AppendBuffer) and then commits once, on the last
+// record's ticket (wal.Log.Commit) — one fsync acknowledges the whole
+// window. Recovery runs under the role too, as the first thing done for a
+// dataset, so replay and writes cannot interleave.
 //
 // Under a segment cap (Durability.SegmentBytes) the log rotates into a
 // fingerprint-linked chain of sealed segments (<path>.wal.1, .wal.2, …);
@@ -66,9 +67,10 @@ type Durability struct {
 // unwritable (503 with reason "read_only").
 var errReadOnly = errors.New("dataset is read-only: write-ahead log unavailable")
 
-// walState is one dataset's durability state. Only the dataset's
-// committer writes it, under updates.mu because listings and metrics read
-// it; the committer reads its own writes without the lock.
+// walState is one dataset's durability state. Only the dataset's role
+// holder writes it, under updates.mu because listings and metrics read
+// it; the holder reads it without the lock (the role itself changes hands
+// under updates.mu, so a new holder sees the last one's writes).
 type walState struct {
 	log      *wal.Log // nil when the log could not be opened
 	readOnly bool
@@ -105,7 +107,7 @@ func (u *updates) walInfo(name string) (readOnly bool, reason string) {
 // base, installing the recovered snapshot as the current version, then
 // registers the outcome — including failure: the dataset is then
 // read-only until a later window's retry succeeds — so reads stop asking
-// for it. It runs on c's committer.
+// for it. It runs under c's committer role.
 func (u *updates) recover(c *committer) {
 	u.openSegment(c)
 	u.mu.Lock()
@@ -116,7 +118,7 @@ func (u *updates) recover(c *committer) {
 // openSegment fingerprints the container, opens (or creates) its WAL
 // chain, and replays surviving records. On any failure the dataset is
 // left read-only with the cause as the machine-readable reason; reads
-// keep serving the base. It runs on the dataset's committer.
+// keep serving the base. It runs under the dataset's committer role.
 func (u *updates) openSegment(c *committer) {
 	ws, name, path := c.ws, c.name, c.path
 	fp, err := wal.FingerprintFile(u.wcfg.FS, path)
@@ -191,8 +193,8 @@ func (u *updates) openSegment(c *committer) {
 
 // ensureRecovered replays name's surviving WAL records (once) before a
 // read observes the dataset. After the first touch it is one map lookup;
-// the first touch itself is an empty write, which makes the dataset's
-// committer recover and answers when it has.
+// the first touch itself is an empty write, whose commit recovers first
+// (inline, when the dataset is idle).
 func (u *updates) ensureRecovered(name string) {
 	if !u.wcfg.Enabled {
 		return
@@ -221,9 +223,9 @@ func (u *updates) readOnly(c *committer, cause error) error {
 	return fmt.Errorf("%w (dataset %q): %v", errReadOnly, c.name, cause)
 }
 
-// walAppend buffers one batch into c's log behind whatever the window has
-// buffered already. The record has a sequence number but is not durable
-// yet — walCommit drives the barrier.
+// walAppend appends one batch to c's log behind whatever the window has
+// appended already. The record has a sequence number but is not durable
+// yet — the window's one wal.Log.Commit makes it so.
 func (u *updates) walAppend(c *committer, ops []sage.EdgeOp) (*wal.Pending, error) {
 	if c.ws.log == nil {
 		return nil, fmt.Errorf("%w (dataset %q): %s", errReadOnly, c.name, c.ws.reason)
@@ -233,20 +235,6 @@ func (u *updates) walAppend(c *committer, ops []sage.EdgeOp) (*wal.Pending, erro
 		return nil, u.readOnly(c, err)
 	}
 	return p, nil
-}
-
-// walCommit is the window's barrier: it returns once one fsync has made
-// every record buffered up to last durable per the configured policy,
-// before any of the window becomes visible. On failure the log has rolled
-// the whole window back and the dataset degrades to read-only.
-//
-//sage:durable-append
-func (u *updates) walCommit(c *committer, last *wal.Pending) error {
-	if err := c.ws.log.Commit(last); err != nil {
-		return u.readOnly(c, err)
-	}
-	u.setWAL(c.ws, c.ws.log, nil)
-	return nil
 }
 
 // retireSegment retires c's WAL chain after a compaction durably

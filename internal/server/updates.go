@@ -17,17 +17,20 @@ package server
 //     cache entry so new requests map the compacted file, and drops the
 //     overlay; in-flight runs finish on the detached old mapping.
 //
-// Every write to a dataset goes through that dataset's committer: one
-// goroutine that owns the dataset's newest state and is the only caller
-// of its write-ahead log. A request is queued on the committer's channel;
-// the committer keeps taking requests until the queue runs dry — that is
-// one commit window — and carries the window through commit: apply each
-// batch onto the running snapshot, append a log record per batch that
-// changed something, one fsync, one generation bump and version swap,
-// then answer. While that fsync runs the next writers queue up behind it,
-// so N concurrent writers pay about one fsync per window instead of N,
-// and every batch of a window reports the window's one generation. A
-// failed fsync fails the whole window — nothing in it was acknowledged or
+// Every write to a dataset goes through that dataset's committer role:
+// whoever holds it owns the dataset's newest state and is the only caller
+// of its write-ahead log. A writer that finds the role free takes it and
+// commits on its own goroutine; one that finds it taken queues its
+// request and waits. The holder's own request plus whatever is queued is
+// one commit window, carried through commit: apply each batch onto the
+// running snapshot, append a log record per batch that changed something,
+// one fsync, one generation bump and version swap, then answer. The
+// holder then hands the role to the oldest writer queued meanwhile, so
+// nobody commits more than the window its own request is in. While one
+// window's fsync runs the next writers queue up behind it, so N
+// concurrent writers pay about one fsync per window instead of N, and
+// every batch of a window reports the window's one generation. A failed
+// fsync fails the whole window — nothing in it was acknowledged or
 // published — and the published version is simply still the published
 // version.
 //
@@ -64,6 +67,10 @@ var errDeltaBudget = fmt.Errorf("delta budget exceeded")
 // errShuttingDown marks a write that arrived after close() began (503).
 var errShuttingDown = errors.New("server is shutting down")
 
+// errTakeRole is not an answer: sent on a queued request's done channel it
+// tells the waiting writer that the committer role is now its own.
+var errTakeRole = errors.New("committer role handed over")
+
 // snapVersion is one published snapshot of a dataset: the overlay view,
 // its logical generation, and the cache handle pinning the base mapping.
 // refs counts the updates-map reference plus every in-flight run.
@@ -75,22 +82,24 @@ type snapVersion struct {
 	refs int // guarded by updates.mu
 }
 
-// writeReq is one update request on its way through a committer. The
-// committer fills res and then sends the outcome on done.
+// writeReq is one update request on its way through a commit window. The
+// role holder fills res and then sends the outcome on done.
 type writeReq struct {
 	ops     []sage.EdgeOp
 	compact bool
 	minGen  uint64
 	res     updateResult
-	done    chan error // capacity 1: the committer never blocks answering
+	done    chan error // capacity 1: the role holder never blocks answering
 }
 
-// committer is one dataset's write owner: the goroutine draining queue is
-// the only one that extends the dataset's newest state or calls its log.
+// committer is one dataset's write ownership: the writer that set busy
+// holds the role until it clears it or hands it on, and is meanwhile the
+// only one that extends the dataset's newest state or calls its log.
 type committer struct {
 	name, path string
-	ws         *walState // nil with durability off
-	queue      chan *writeReq
+	ws         *walState   // nil with durability off
+	busy       bool        // the role is taken; guarded by updates.mu
+	queue      []*writeReq // waiting for the role holder, oldest first; guarded by updates.mu
 }
 
 // updates owns the per-dataset snapshot versions and committers.
@@ -106,15 +115,11 @@ type updates struct {
 	autoLow  int64
 
 	mu         sync.Mutex
-	closed     bool // set by close(); no committer starts after
+	closed     bool // set by close(); no write is queued or started after
 	versions   map[string]*snapVersion
 	walStates  map[string]*walState  // per-dataset durability state, once recovered
-	committers map[string]*committer // started on a dataset's first write or recovery
+	committers map[string]*committer // created on a dataset's first write or recovery
 	armed      map[string]bool       // auto-compaction hysteresis state
-
-	stop    chan struct{}  // closed by close(): committers exit after their current window
-	wg      sync.WaitGroup // running committers
-	stopped chan struct{}  // closed once they all have: whoever is still queued gives up
 
 	batches           atomic.Int64
 	opsApplied        atomic.Int64
@@ -143,8 +148,6 @@ func newUpdates(c *catalog, budgetWords int64, wcfg Durability, model costmodel.
 		walStates:  map[string]*walState{},
 		committers: map[string]*committer{},
 		armed:      map[string]bool{},
-		stop:       make(chan struct{}),
-		stopped:    make(chan struct{}),
 	}
 }
 
@@ -246,35 +249,45 @@ func (u *updates) apply(name string, ops []sage.EdgeOp, compact bool) (*updateRe
 // floor's state, so cached results stay valid and the existing generation
 // is reported.
 //
-// The request is queued on the dataset's committer and the call waits for
-// its answer. A committer answers every request it takes off its queue;
-// one it never reaches because close() stopped it first is answered by
-// close() itself, through stopped.
+// The caller commits the request itself when it finds the dataset's
+// committer role free, and otherwise queues it and waits: for its answer,
+// or for the role. Every queued request is answered — by the holder whose
+// window takes it, or with errShuttingDown by the last holder once
+// close() has begun.
 func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen uint64) (*updateResult, error) {
 	path, err := u.catalog.path(name)
 	if err != nil {
 		return nil, err
 	}
-	c := u.committerFor(name, path)
-	if c == nil {
-		return nil, errShuttingDown
-	}
 	r := &writeReq{ops: ops, compact: compact, minGen: minGen, done: make(chan error, 1)}
-	select {
-	case c.queue <- r:
-	case <-u.stop:
+	u.mu.Lock()
+	if u.closed {
+		u.mu.Unlock()
 		return nil, errShuttingDown
 	}
-	select {
-	case err = <-r.done:
-	case <-u.stopped:
-		// No committer is running any more, so if r was answered the
-		// answer is already in done.
-		select {
-		case err = <-r.done:
-		default:
-			err = errShuttingDown
+	c := u.committers[name]
+	if c == nil {
+		c = &committer{name: name, path: path}
+		if u.wcfg.Enabled {
+			c.ws = &walState{}
 		}
+		u.committers[name] = c
+	}
+	lead := !c.busy
+	if lead {
+		c.busy = true
+	} else {
+		c.queue = append(c.queue, r)
+	}
+	u.mu.Unlock()
+	if !lead {
+		err = <-r.done
+		lead = err == errTakeRole
+	}
+	if lead {
+		u.commit(c, r)
+		u.passRole(c)
+		err = <-r.done
 	}
 	if err != nil {
 		return nil, err
@@ -282,55 +295,37 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 	return &r.res, nil
 }
 
-// queueDepth is how many requests a committer's queue holds before
-// writers block in the send instead, and the most one window takes (so a
-// queue that never runs dry cannot keep a window open for ever). Enough
-// that the writers one fsync gathers hand off without waiting for the
-// committer to come round; small enough that a full window's applies
-// add about a millisecond to its first request.
+// queueDepth is the most requests one window takes, so a queue that never
+// runs dry cannot keep a window open for ever: small enough that a full
+// window's applies add about a millisecond to its first request.
 const queueDepth = 64
 
-// committerFor returns name's committer, starting it on first use, or nil
-// once close() has begun.
-func (u *updates) committerFor(name, path string) *committer {
+// passRole ends the caller's turn as c's role holder: the oldest queued
+// writer becomes the holder, or the role falls free. Once close() has
+// begun nobody else commits, and whoever is still queued is turned away.
+func (u *updates) passRole(c *committer) {
 	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.closed {
-		return nil
+	if !u.closed && len(c.queue) > 0 {
+		next := c.queue[0]
+		c.queue = c.queue[1:]
+		u.mu.Unlock()
+		next.done <- errTakeRole
+		return
 	}
-	c := u.committers[name]
-	if c == nil {
-		c = &committer{name: name, path: path, queue: make(chan *writeReq, queueDepth)}
-		if u.wcfg.Enabled {
-			c.ws = &walState{}
-		}
-		u.committers[name] = c
-		u.wg.Add(1)
-		go u.run(c)
-	}
-	return c
-}
-
-// run is a committer's loop: wait for a request, commit the window it
-// opens.
-func (u *updates) run(c *committer) {
-	defer u.wg.Done()
-	for {
-		select {
-		case r := <-c.queue:
-			u.commit(c, r)
-		case <-u.stop:
-			return
-		}
+	turnedAway := c.queue // non-empty only once close() has begun
+	c.queue, c.busy = nil, false
+	u.mu.Unlock()
+	for _, r := range turnedAway {
+		r.done <- errShuttingDown
 	}
 }
 
 // commit carries one window through the write path and answers every
-// request in it. The window is first plus whatever else is queued by the
-// time the committer has dealt with the request before it — so the
-// writers that queue up behind one window's fsync all land in the next —
-// up to queueDepth requests. The order is the durability argument, and it
-// is all here: append → fsync → publish.
+// request in it. The window is first — the role holder's own request —
+// plus whatever else is queued by the time the holder has dealt with the
+// request before it — so the writers that queue up behind one window's
+// fsync all land in the next — up to queueDepth requests. The order is
+// the durability argument, and it is all here: append → fsync → publish.
 //
 // Requests apply in arrival order onto the window's running snapshot. A
 // request that fails validation or the delta budget is answered alone and
@@ -349,7 +344,7 @@ func (u *updates) commit(c *committer, first *writeReq) {
 	}
 
 	// The window's version needs its own pin on the base mapping. Only
-	// this goroutine compacts the dataset, and any current version's pin
+	// the role holder compacts the dataset, and any current version's pin
 	// keeps the entry from being evicted, so this resolves to the same
 	// mapping the current snapshot composes with.
 	h, err := u.catalog.acquire(c.name)
@@ -379,16 +374,15 @@ func (u *updates) commit(c *committer, first *writeReq) {
 	var floor uint64      // highest generation floor among them
 	taken := 1
 	more := func() *writeReq {
-		if taken == queueDepth {
+		u.mu.Lock()
+		defer u.mu.Unlock()
+		if taken == queueDepth || len(c.queue) == 0 || u.closed {
 			return nil
 		}
-		select {
-		case r := <-c.queue:
-			taken++
-			return r
-		default:
-			return nil
-		}
+		r := c.queue[0]
+		c.queue = c.queue[1:]
+		taken++
+		return r
 	}
 	for r := first; r != nil; r = more() {
 		next, err := snap.ApplyBatch(r.ops)
@@ -432,7 +426,11 @@ func (u *updates) commit(c *committer, first *writeReq) {
 	}
 
 	if last != nil {
-		if err := u.walCommit(c, last); err != nil {
+		// The barrier: one fsync makes every record appended up to last
+		// durable per the configured policy, before any of the window
+		// becomes visible; on failure the log has rolled all of it back.
+		if err := c.ws.log.Commit(last); err != nil {
+			err = u.readOnly(c, err)
 			h.Release()
 			u.readOnlyRejected.Add(int64(len(held)))
 			for _, r := range held {
@@ -440,6 +438,7 @@ func (u *updates) commit(c *committer, first *writeReq) {
 			}
 			return
 		}
+		u.setWAL(c.ws, c.ws.log, nil)
 		u.walAppends.Add(int64(logged))
 	}
 	if snap != published {
@@ -538,7 +537,7 @@ func (u *updates) shouldAutoCompact(name string, overhead int64) bool {
 // compact folds snap's merged view into a rewritten container (atomic
 // temp-file rename through Create), swaps readers onto the new
 // generation, and retires the WAL chain whose records were folded in. It
-// runs on the dataset's committer after snap's overlay state has been
+// runs on the dataset's role holder after snap's overlay state has been
 // published (or is empty), so a failure here leaves a consistent, durable
 // overlay behind.
 func (u *updates) compact(c *committer, snap *sage.Snapshot, res *updateResult) error {
@@ -580,23 +579,28 @@ func (u *updates) retire(name string) {
 	}
 }
 
-// close stops every committer — each finishes the window it is in, and
-// writers still queued behind it get errShuttingDown — then retires every
+// close turns every later write away, waits for each dataset's role
+// holder to finish the window it is in — a holder that finds closed set
+// answers whoever is still queued, close's own marker included, with
+// errShuttingDown and hands the role to nobody — then retires every
 // version (in-flight pins still defer the base release until their runs
-// end) and closes every WAL log, flushing buffered records per policy.
+// end) and closes every WAL log, flushing appended records per policy.
 // The first close error is returned: Close performs the final flush, so a
 // failure here can mean a logged batch never reached the disk.
 func (u *updates) close() error {
 	u.mu.Lock()
-	again := u.closed
 	u.closed = true
-	u.mu.Unlock()
-	if !again {
-		close(u.stop)
+	var markers []*writeReq // one queued behind each role holder
+	for _, c := range u.committers {
+		if c.busy {
+			m := &writeReq{done: make(chan error, 1)}
+			c.queue = append(c.queue, m)
+			markers = append(markers, m)
+		}
 	}
-	u.wg.Wait()
-	if !again {
-		close(u.stopped)
+	u.mu.Unlock()
+	for _, m := range markers {
+		<-m.done
 	}
 
 	u.mu.Lock()

@@ -52,7 +52,7 @@ func runWorkload(dir string, fs *FaultFS, batches [][]Op) (acked int, openErr er
 	}
 	defer l.Close()
 	for _, b := range batches {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			break
 		}
 		acked++
@@ -129,7 +129,7 @@ func TestCrashRecoveryEveryStep(t *testing.T) {
 
 					// The recovered segment must be immediately writable,
 					// continuing the sequence after the survivors.
-					if seq, err := l.Append([]Op{{U: 1, V: 2}}); err != nil || seq != uint64(got+1) {
+					if seq, err := appendSync(l, []Op{{U: 1, V: 2}}); err != nil || seq != uint64(got+1) {
 						t.Fatalf("append after recovery: seq %d err %v", seq, err)
 					}
 				})

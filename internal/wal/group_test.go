@@ -1,18 +1,15 @@
 package wal
 
-// Group-commit coverage: the AppendBuffer/Commit barrier shares one
-// leader fsync across a window of writers; a failed group flush rolls
-// every buffered batch back together (and poisons chained appends with
-// ErrStaleChain); Close resolves in-flight tickets; and the multi-writer
-// crash enumeration proves every acknowledged batch survives any crash
-// point while the survivors stay a clean sequence prefix.
+// Commit-window coverage: one Commit makes a whole window of appended
+// records durable with a single fsync; a failed flush rolls every record
+// of the window back together; and the single-writer crash enumeration
+// proves every acknowledged window survives any crash point while the
+// survivors stay a clean sequence prefix.
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -30,17 +27,17 @@ func TestGroupCommitSharedFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := l.AppendBuffer([]Op{{U: 1, V: 2}}, p1)
+	p2, err := l.AppendBuffer([]Op{{U: 1, V: 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.Seq() != 1 || p2.Seq() != 2 {
-		t.Fatalf("seqs %d, %d", p1.Seq(), p2.Seq())
+	if p1.seq != 1 || p2.seq != 2 {
+		t.Fatalf("seqs %d, %d", p1.seq, p2.seq)
 	}
 
 	// Committing the later batch makes the earlier one durable too: one
-	// leader fsync covers the whole buffered window, so the second
-	// Commit must resolve without touching the disk again.
+	// fsync covers the whole appended window, so the second Commit must
+	// return without touching the disk again.
 	before := ffs.Steps()
 	if err := l.Commit(p2); err != nil {
 		t.Fatal(err)
@@ -67,18 +64,18 @@ func TestGroupCommitRollbackFailsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append([]Op{{U: 0, V: 1}}); err != nil {
+	if _, err := appendSync(l, []Op{{U: 0, V: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Two buffered batches, then the disk stops fsyncing: the group
+	// Two appended batches, then the disk stops fsyncing: the window's
 	// flush fails and BOTH roll back — the disk cannot say which of the
 	// window's records it kept, so neither may be acknowledged.
 	p2, err := l.AppendBuffer([]Op{{U: 1, V: 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, err := l.AppendBuffer([]Op{{U: 2, V: 3}}, p2)
+	p3, err := l.AppendBuffer([]Op{{U: 2, V: 3}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,19 +84,14 @@ func TestGroupCommitRollbackFailsWindow(t *testing.T) {
 		t.Fatalf("commit under sync failure: %v", err)
 	}
 	if err := l.Commit(p3); !IsInjectedSync(err) {
-		t.Fatalf("chained commit after rollback: %v", err)
-	}
-	// A batch staged on top of the rolled-back window is stale: the
-	// overlay state it extended never became durable.
-	if _, err := l.AppendBuffer([]Op{{U: 3, V: 4}}, p3); !errors.Is(err, ErrStaleChain) {
-		t.Fatalf("append on rolled-back chain: %v", err)
+		t.Fatalf("commit of a rolled-back record: %v", err)
 	}
 
 	// The disk heals: the sequence counter rewound with the rollback, so
 	// the next batch reuses seq 2, and replay sees exactly the two
 	// successful batches.
 	ffs.SetSyncError(false)
-	if seq, err := l.Append([]Op{{U: 5, V: 6}}); err != nil || seq != 2 {
+	if seq, err := appendSync(l, []Op{{U: 5, V: 6}}); err != nil || seq != 2 {
 		t.Fatalf("append after heal: seq %d err %v", seq, err)
 	}
 	_, rec, err := Open(walPath, fp, Options{})
@@ -113,26 +105,27 @@ func TestGroupCommitRollbackFailsWindow(t *testing.T) {
 	}
 }
 
-func TestGroupCommitCloseResolvesTickets(t *testing.T) {
+func TestCloseFlushesAppendedRecords(t *testing.T) {
 	dir := t.TempDir()
 	base, fp := newBase(t, dir, []byte("container"))
 	walPath := base + ".wal"
+	ffs := NewFaultFS(nil)
 
-	l, _, err := Open(walPath, fp, Options{})
+	l, _, err := Open(walPath, fp, Options{FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := l.AppendBuffer([]Op{{U: 0, V: 1}}, nil)
-	if err != nil {
+	if _, err := l.AppendBuffer([]Op{{U: 0, V: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Close flushes the buffered window; the ticket resolves durable and
-	// a late Commit on the closed log reports that, not ErrClosed.
+	// Close makes a record that was appended but never committed durable:
+	// it pays the one fsync the missing Commit would have.
+	before := ffs.Steps()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(p); err != nil {
-		t.Fatalf("commit after close-flush: %v", err)
+	if got := ffs.Steps() - before; got != 1 {
+		t.Fatalf("%d disk steps in Close, want the one fsync", got)
 	}
 	_, rec, err := Open(walPath, fp, Options{})
 	if err != nil {
@@ -143,112 +136,63 @@ func TestGroupCommitCloseResolvesTickets(t *testing.T) {
 	}
 }
 
-func TestGroupCommitConcurrentWriters(t *testing.T) {
-	dir := t.TempDir()
-	base, fp := newBase(t, dir, []byte("container"))
-	walPath := base + ".wal"
+// windowSizes is the crash enumeration's workload: sixteen commit windows
+// of 1..4 records each.
+var windowSizes = []int{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4}
 
-	l, _, err := Open(walPath, fp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, perWriter = 8, 25
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if _, err := l.Append([]Op{{U: uint32(w), V: uint32(i)}}); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("writer %d: %v", w, err)
-		}
-	}
-	st := l.Stats()
-	if st.GroupBatches != writers*perWriter {
-		t.Fatalf("group batches %d, want %d", st.GroupBatches, writers*perWriter)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+// windowOp is the single op of record i (0-based, chain-global).
+func windowOp(i int) Op { return Op{U: uint32(i), V: uint32(i + 1)} }
 
-	_, rec, err := Open(walPath, fp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Batches) != writers*perWriter {
-		t.Fatalf("recovered %d of %d batches", len(rec.Batches), writers*perWriter)
-	}
-	// Every writer's batches replay in its submission order (each writer
-	// serialized itself), with none lost and none duplicated.
-	next := make([]uint32, writers)
-	for i, b := range rec.Batches {
-		if b.Seq != uint64(i+1) || len(b.Ops) != 1 {
-			t.Fatalf("batch %d: seq %d, %d ops", i, b.Seq, len(b.Ops))
-		}
-		op := b.Ops[0]
-		if op.V != next[op.U] {
-			t.Fatalf("writer %d: batch %d replayed out of order", op.U, op.V)
-		}
-		next[op.U]++
-	}
-}
-
-// crashWorkload drives several concurrent writers through one log on fs
-// until the armed crash kills it, returning each writer's acknowledged
-// count. rotate adds the segment cap so crash points land on rotation
-// boundaries too.
-func crashWorkload(dir string, fs *FaultFS, writers, perWriter int, rotate bool) (acked []int, openErr error) {
+// crashWorkload is the single writer: it appends each window's records
+// and commits the window once, until the armed crash kills the log. It
+// returns how many records were acknowledged (their window's Commit
+// returned nil) and how many records the window in flight at the crash
+// held. rotate adds a segment cap of two records, so windows straddle
+// rotations and crash points land on rotation steps too.
+func crashWorkload(dir string, fs *FaultFS, rotate bool) (acked, inFlight int, openErr error) {
 	base := filepath.Join(dir, "g.sg")
 	fp, err := FingerprintFile(nil, base)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	opts := Options{FS: fs}
 	if rotate {
-		opts.SegmentBytes = 96
+		opts.SegmentBytes = headerSize + 2*recordLen(make([]Op, 1))
 	}
 	l, _, err := Open(base+".wal", fp, opts)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	defer l.Close()
-	acked = make([]int, writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if _, err := l.Append([]Op{{U: uint32(w), V: uint32(i)}}); err != nil {
-					return
-				}
-				acked[w]++
+	for _, size := range windowSizes {
+		var last *Pending
+		for i := 0; i < size; i++ {
+			p, err := l.AppendBuffer([]Op{windowOp(acked + i)}, nil)
+			if err != nil {
+				return acked, size, nil
 			}
-		}(w)
+			last = p
+		}
+		if err := l.Commit(last); err != nil {
+			return acked, size, nil
+		}
+		acked += size
 	}
-	wg.Wait()
-	return acked, nil
+	return acked, 0, nil
 }
 
 func TestGroupCommitCrashEveryStep(t *testing.T) {
-	// N concurrent writers, crash at every mutation step (so the crash
-	// lands mid-group-commit — between buffering and the leader's fsync —
-	// as often as anywhere else), with and without rotation. Invariants:
-	// every acknowledged batch survives recovery; the survivors are a
-	// contiguous sequence prefix; and per writer the surviving batches
-	// are a prefix of its submission order, at most one past its acks
-	// (the single batch it had in flight).
-	const writers, perWriter = 4, 5
+	// One writer, windows of 1..4 records with one Commit each, crash at
+	// every mutation step (between a window's appends, inside its fsync,
+	// inside a rotation), with and without rotation. Invariants: every
+	// acknowledged window survives recovery; the survivors are a
+	// contiguous sequence prefix of the submitted records; and beyond the
+	// acknowledged ones at most a prefix of the one window in flight
+	// appears.
+	total := 0
+	for _, size := range windowSizes {
+		total += size
+	}
 	for _, rotate := range []bool{false, true} {
 		name := "flat"
 		if rotate {
@@ -260,11 +204,11 @@ func TestGroupCommitCrashEveryStep(t *testing.T) {
 				t.Fatal(err)
 			}
 			dry := NewFaultFS(nil)
-			if _, err := crashWorkload(dryDir, dry, writers, perWriter, rotate); err != nil {
-				t.Fatalf("dry run: %v", err)
+			if acked, _, err := crashWorkload(dryDir, dry, rotate); err != nil || acked != total {
+				t.Fatalf("dry run: acked %d of %d, err %v", acked, total, err)
 			}
 			steps := dry.Steps()
-			if steps < 3+writers*perWriter {
+			if steps < 3+total+len(windowSizes) {
 				t.Fatalf("only %d steps in the dry run", steps)
 			}
 
@@ -277,9 +221,9 @@ func TestGroupCommitCrashEveryStep(t *testing.T) {
 						}
 						ffs := NewFaultFS(nil)
 						ffs.CrashAt(n, tear)
-						acked, _ := crashWorkload(dir, ffs, writers, perWriter, rotate)
-						if acked == nil { // crashed inside Open: nothing acked
-							acked = make([]int, writers)
+						acked, inFlight, _ := crashWorkload(dir, ffs, rotate)
+						if !ffs.Crashed() {
+							t.Fatalf("crash at step %d never fired", n)
 						}
 
 						base := filepath.Join(dir, "g.sg")
@@ -293,35 +237,23 @@ func TestGroupCommitCrashEveryStep(t *testing.T) {
 						}
 						defer l.Close()
 
-						totalAcked := 0
-						for _, a := range acked {
-							totalAcked += a
-						}
-						if rec.Discarded && totalAcked > 0 {
-							t.Fatalf("chain with %d acked batches discarded", totalAcked)
+						if rec.Discarded && acked > 0 {
+							t.Fatalf("chain with %d acked batches discarded", acked)
 						}
 						// Survivors are a contiguous sequence prefix of real
 						// submissions — no phantom, reordered, or corrupt batch.
-						perW := make([]uint32, writers)
 						for i, b := range rec.Batches {
-							if b.Seq != uint64(i+1) || len(b.Ops) != 1 {
-								t.Fatalf("batch %d: seq %d, %d ops", i, b.Seq, len(b.Ops))
+							if b.Seq != uint64(i+1) || !opsEqual(b.Ops, []Op{windowOp(i)}) {
+								t.Fatalf("batch %d: seq %d, ops %+v", i, b.Seq, b.Ops)
 							}
-							op := b.Ops[0]
-							if int(op.U) >= writers || op.V != perW[op.U] || op.W != 0 || op.Del {
-								t.Fatalf("batch %d: phantom or out-of-order op %+v", i, op)
-							}
-							perW[op.U]++
 						}
-						// Acked batches all survived; at most the one batch each
-						// writer had in flight may appear beyond its acks.
-						for w := 0; w < writers; w++ {
-							if got := int(perW[w]); got < acked[w] || got > acked[w]+1 {
-								t.Fatalf("writer %d: acked %d, recovered %d", w, acked[w], got)
-							}
+						// Acknowledged windows all survived; only records of the
+						// window in flight may appear beyond them.
+						if got := len(rec.Batches); got < acked || got > acked+inFlight {
+							t.Fatalf("acked %d (+%d in flight), recovered %d", acked, inFlight, got)
 						}
 						// The recovered chain accepts new appends.
-						if seq, err := l.Append([]Op{{U: 9, V: 9}}); err != nil || seq != uint64(len(rec.Batches)+1) {
+						if seq, err := appendSync(l, []Op{{U: 9, V: 9}}); err != nil || seq != uint64(len(rec.Batches)+1) {
 							t.Fatalf("append after recovery: seq %d err %v", seq, err)
 						}
 					})

@@ -40,7 +40,7 @@ func TestRotationChainAppendReplay(t *testing.T) {
 	}
 	batches := singleOpBatches(10)
 	for i, b := range batches {
-		seq, err := l.Append(b)
+		seq, err := appendSync(l, b)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -80,7 +80,7 @@ func TestRotationChainAppendReplay(t *testing.T) {
 		}
 	}
 	// Sequence numbering continues across the whole chain.
-	if seq, err := l2.Append([]Op{{U: 99, V: 100}}); err != nil || seq != 11 {
+	if seq, err := appendSync(l2, []Op{{U: 99, V: 100}}); err != nil || seq != 11 {
 		t.Fatalf("post-recovery append: seq %d err %v", seq, err)
 	}
 }
@@ -96,7 +96,7 @@ func TestRotationRecoveryCutInSealedSegment(t *testing.T) {
 	}
 	batches := singleOpBatches(5)
 	for _, b := range batches {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestRotationRecoveryCutInSealedSegment(t *testing.T) {
 		t.Fatalf("chain shape after cut: %+v", st)
 	}
 	// The reinstated active continues right after the cut.
-	if seq, err := l2.Append([]Op{{U: 7, V: 8}}); err != nil || seq != 2 {
+	if seq, err := appendSync(l2, []Op{{U: 7, V: 8}}); err != nil || seq != 2 {
 		t.Fatalf("append after cut: seq %d err %v", seq, err)
 	}
 }
@@ -152,7 +152,7 @@ func TestRotationStaleChainDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range singleOpBatches(4) {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestRotationStaleChainDiscarded(t *testing.T) {
 	if l2.Size() != HeaderSize() {
 		t.Fatalf("discarded chain not reset: size %d", l2.Size())
 	}
-	if seq, err := l2.Append([]Op{{U: 0, V: 1}}); err != nil || seq != 1 {
+	if seq, err := appendSync(l2, []Op{{U: 0, V: 1}}); err != nil || seq != 1 {
 		t.Fatalf("append after discard: seq %d err %v", seq, err)
 	}
 }
@@ -201,7 +201,7 @@ func TestTruncateToReachesThroughChain(t *testing.T) {
 	}
 	batches := singleOpBatches(5)
 	for _, b := range batches {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func TestTruncateToReachesThroughChain(t *testing.T) {
 	if _, err := os.Stat(SegmentPath(walPath, 1)); !os.IsNotExist(err) {
 		t.Fatal("sealed segment survived the full reset")
 	}
-	if seq, err := l4.Append([]Op{{U: 0, V: 1}}); err != nil || seq != 1 {
+	if seq, err := appendSync(l4, []Op{{U: 0, V: 1}}); err != nil || seq != 1 {
 		t.Fatalf("append after reset: seq %d err %v", seq, err)
 	}
 }
@@ -311,7 +311,7 @@ func TestRotationCrashEveryStep(t *testing.T) {
 						t.Fatalf("batch %d: seq %d ops %v", i, b.Seq, b.Ops)
 					}
 				}
-				if seq, err := l.Append([]Op{{U: 1, V: 2}}); err != nil || seq != uint64(got+1) {
+				if seq, err := appendSync(l, []Op{{U: 1, V: 2}}); err != nil || seq != uint64(got+1) {
 					t.Fatalf("append after recovery: seq %d err %v", seq, err)
 				}
 			})
@@ -333,7 +333,7 @@ func runRotatingWorkload(dir string, fs *FaultFS, batches [][]Op) (acked int, op
 	}
 	defer l.Close()
 	for _, b := range batches {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			break
 		}
 		acked++

@@ -9,20 +9,24 @@
 // so a restarted server can replay surviving records onto the last
 // durable container generation.
 //
-// # Group commit
+// # One writer
 //
-// Appending and flushing are split so concurrent writers share fsyncs:
-// AppendBuffer assigns the batch its sequence number and writes the
-// record under the log's lock, returning a Pending ticket; Commit is the
-// group-commit barrier — the first committer becomes the leader and
-// fsyncs once for every record buffered before the flush began, then
-// resolves all of their tickets. Under SyncAlways a batch is durable
-// exactly when its Commit returns nil. Because fsync makes the whole
-// file durable (a prefix, never a subset), a failed group flush cannot
-// leave holes: the log truncates back to the last durable offset and
-// fails every unresolved ticket, so callers re-stage from published
-// state (AppendBuffer reports ErrStaleChain when asked to extend a
-// rolled-back ticket).
+// A Log has a single writer: one goroutine at a time appends, commits,
+// truncates and closes (the server's per-dataset committer role). Paying
+// the expensive flush once per window of changes, never per change, is
+// therefore the caller's business: AppendBuffer assigns the batch its
+// sequence number and writes the record; Commit fsyncs once, making
+// every record appended so far durable. Under SyncAlways a batch is
+// durable exactly when a Commit at or after it returns nil. Because fsync
+// makes the whole file durable (a prefix, never a subset), a failed flush
+// cannot leave holes: the log truncates back to the last durable offset,
+// rewinds its sequence counter, and keeps the failure sticky until a
+// later append's probe fsync succeeds; the writer drops the failed
+// window's tickets and starts over from its published state.
+//
+// Two things may run beside the writer, and the log's mutex exists only
+// for them: the SyncInterval policy's background flusher (the package's
+// one goroutine) and the accessors Stats and Size, which /metrics reads.
 //
 // # Segment layout and rotation
 //
@@ -97,18 +101,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed reports use of a closed log.
 var ErrClosed = errors.New("wal: log is closed")
 
-// ErrStaleChain reports an AppendBuffer whose `after` ticket was rolled
-// back: the batch the caller staged on top of never became durable, so
-// the caller must re-apply from published state before logging.
-var ErrStaleChain = errors.New("wal: chained batch was rolled back")
-
 // SyncPolicy selects when appended records reach stable storage.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs every batch's group-commit barrier before its
-	// Commit returns: a batch is durable before its overlay becomes
-	// visible. The default.
+	// SyncAlways fsyncs in Commit: a batch is durable before its overlay
+	// becomes visible. The default.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs from a background flusher every Interval:
 	// bounded data loss (at most one interval of batches) for much
@@ -253,28 +251,20 @@ func SegmentPath(path string, j int) string {
 	return fmt.Sprintf("%s.%d", path, j)
 }
 
-// Pending is one buffered batch's commit ticket: AppendBuffer issues it,
-// Commit resolves it at the group-commit barrier. A ticket belongs to
-// the Log that issued it.
-type Pending struct {
-	seq  uint64
-	done bool  // guarded by the issuing Log's mu
-	err  error // guarded by the issuing Log's mu
-}
+// Pending is one appended batch's commit ticket — its sequence number.
+// AppendBuffer issues it and Commit takes it; it belongs to the Log that
+// issued it, and a ticket whose window failed is dropped, not retried.
+type Pending struct{ seq uint64 }
 
-// Seq returns the chain sequence number AppendBuffer assigned the batch.
-func (p *Pending) Seq() uint64 { return p.seq }
-
-// Log is one dataset's write-ahead chain. All methods are safe for
-// concurrent use; AppendBuffer/Commit are designed for it.
+// Log is one dataset's write-ahead chain. It has one writer (see the
+// package comment); only Stats and Size may be called from elsewhere.
 type Log struct {
 	fs   FS
 	path string
 	base Fingerprint
 	opts Options
 
-	mu         sync.Mutex
-	cond       *sync.Cond // broadcast when a flush resolves or state repairs
+	mu         sync.Mutex // the writer against the interval flusher and Stats/Size
 	f          File       // the active segment (nil only after dieLocked)
 	segIdx     uint32     // active segment's header index == sealed count + 1
 	goodOff    int64      // end of the last fully appended record (active segment)
@@ -282,9 +272,6 @@ type Log struct {
 	seq        uint64     // last assigned sequence number (chain-global)
 	durableOff int64      // prefix of the active segment known flushed
 	durableSeq uint64     // last sequence number known flushed
-	syncing    bool       // a group-commit leader's fsync is in flight (mu released)
-	pending    []*Pending // buffered but unresolved tickets, in seq order
-	dirty      bool       // appended records not yet fsynced (interval/never policies)
 	syncErr    error      // sticky flush failure; cleared by a later success
 	closed     bool
 
@@ -296,16 +283,16 @@ type Log struct {
 	done chan struct{}
 }
 
-// Stats is a point-in-time snapshot of a log's chain shape and
-// group-commit activity.
+// Stats is a point-in-time snapshot of a log's chain shape and commit
+// activity.
 type Stats struct {
 	Segments     int   // files in the chain: sealed segments plus the active one
 	Rotations    int64 // segments sealed since this log opened
-	GroupSyncs   int64 // leader fsyncs taken on the commit barrier
-	GroupBatches int64 // batches those fsyncs made durable
+	GroupSyncs   int64 // fsyncs taken by Commit
+	GroupBatches int64 // batches made durable under SyncAlways: ÷ GroupSyncs is the mean window
 }
 
-// Stats reports the log's chain shape and group-commit counters.
+// Stats reports the log's chain shape and commit counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -335,7 +322,9 @@ func parseHeader(data []byte, base Fingerprint) (h header, ok, stale bool) {
 	if le.Uint32(data[8:]) != walVersion {
 		return h, false, false
 	}
-	h.index = le.Uint32(data[12:])
+	if h.index = le.Uint32(data[12:]); h.index == 0 { // indices are 1-based
+		return h, false, false
+	}
 	h.prevSeq = le.Uint64(data[32:])
 	h.prevLen = le.Uint64(data[40:])
 	if le.Uint64(data[16:]) != base.Size || le.Uint32(data[24:]) != base.CRC {
@@ -388,7 +377,6 @@ func Open(path string, base Fingerprint, opts Options) (*Log, Recovery, error) {
 	}
 
 	l := &Log{fs: opts.FS, path: path, base: base, opts: opts, f: f, segIdx: 1}
-	l.cond = sync.NewCond(&l.mu)
 	if err := l.recoverChain(sealed, active, &rec); err != nil {
 		if l.f != nil {
 			_ = l.f.Close()
@@ -738,66 +726,44 @@ func recordLen(ops []Op) int64 {
 
 // AppendBuffer writes one batch's record into the active segment,
 // assigning it the next sequence number, and returns its commit ticket.
-// The batch is NOT durable until Commit(ticket) returns nil (except
-// under the interval/never policies, where the ticket resolves
-// immediately and durability is the flusher's business). after, if
-// non-nil, declares that the batch was applied on top of the overlay
-// state staged by that earlier ticket: if that ticket has already been
-// rolled back, AppendBuffer reports ErrStaleChain and writes nothing —
-// the caller must re-apply its ops onto published state and try again.
+// Under SyncAlways the batch is NOT durable until a Commit at or after
+// the ticket returns nil; under the interval/never policies durability
+// is the flusher's business. The second parameter is unused: it chained
+// a batch onto an earlier ticket when the log had concurrent callers, and
+// stays in the signature only until the benchmark probe, which passes a
+// literal nil, can be edited.
 //
-// On any other error nothing was buffered; the log cleans any partial
-// record off the tail (now, or on the next append if the disk refuses
-// even the truncate).
+// On error nothing was appended; the log cleans any partial record off
+// the tail (now, or on the next append if the disk refuses even the
+// truncate). A failed rotation flush also withdraws the records appended
+// since the last Commit — their Commit then reports the failure.
 //
 //sage:durable
-func (l *Log) AppendBuffer(ops []Op, after *Pending) (*Pending, error) {
+func (l *Log) AppendBuffer(ops []Op, _ *Pending) (*Pending, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		if l.closed {
-			return nil, ErrClosed
+	if l.closed {
+		return nil, ErrClosed
+	}
+	// A torn record on the tail would truncate every later record at
+	// replay, so it must be gone before anything new is written.
+	if l.curOff != l.goodOff {
+		if err := l.truncateToGoodLocked(); err != nil {
+			return nil, fmt.Errorf("wal: clearing torn tail: %w", err)
 		}
-		if after != nil && after.done && after.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrStaleChain, after.err)
+	}
+	if l.syncErr != nil {
+		// Probe the disk before accepting more work.
+		if err := l.f.Sync(); err != nil {
+			return nil, fmt.Errorf("wal: flush still failing: %w", err)
 		}
-		needRotate := l.opts.SegmentBytes > 0 && l.goodOff > headerSize &&
-			l.goodOff+recordLen(ops) > l.opts.SegmentBytes
-		needRepair := l.curOff != l.goodOff || l.syncErr != nil
-		if (needRotate || needRepair) && l.syncing {
-			// Repair and rotation need exclusive use of the file; wait
-			// out the in-flight group fsync and re-validate.
-			l.cond.Wait()
-			continue
+		l.flushedLocked()
+	}
+	if l.opts.SegmentBytes > 0 && l.goodOff > headerSize &&
+		l.goodOff+recordLen(ops) > l.opts.SegmentBytes {
+		if err := l.rotateLocked(); err != nil {
+			return nil, err
 		}
-		// Clear damage left by a failed append or flush: a torn record
-		// on the tail would truncate every later record at replay, so it
-		// must be gone before anything new is written.
-		if l.curOff != l.goodOff {
-			if err := l.truncateToGoodLocked(); err != nil {
-				return nil, fmt.Errorf("wal: clearing torn tail: %w", err)
-			}
-		}
-		if l.syncErr != nil {
-			// Probe the disk before accepting more work; a success here
-			// makes everything already written durable (fsync flushes
-			// the whole file), so resolve any tickets still waiting.
-			if err := l.f.Sync(); err != nil {
-				return nil, fmt.Errorf("wal: flush still failing: %w", err)
-			}
-			l.syncErr = nil
-			l.dirty = false
-			l.durableOff, l.durableSeq = l.goodOff, l.seq
-			l.groupBatches += int64(l.resolveLocked(l.seq, nil))
-			l.cond.Broadcast()
-		}
-		if needRotate {
-			if err := l.rotateLocked(); err != nil {
-				return nil, err
-			}
-			continue // the rotation flush may have moved any of the state above
-		}
-		break
 	}
 
 	p := &Pending{seq: l.seq + 1}
@@ -814,137 +780,77 @@ func (l *Log) AppendBuffer(ops []Op, after *Pending) (*Pending, error) {
 	}
 	l.seq = p.seq
 	l.goodOff = l.curOff
-	if l.opts.Policy == SyncAlways {
-		l.pending = append(l.pending, p)
-	} else {
-		l.dirty = true
-		p.done = true
-	}
 	return p, nil
 }
 
-// Commit is the group-commit barrier: it returns once the batch behind p
-// is durable (nil) or the batch was rolled back (the rollback's error).
-// The first committer to arrive while no flush is running becomes the
-// leader: it fsyncs once for every record buffered before the flush
-// began and resolves all of their tickets. On a failed flush the log
-// truncates back to its durable prefix and fails every unresolved
-// ticket — the disk cannot say which of the window's records it kept, so
-// none of them may become visible.
+// Commit makes p's batch — and every record appended before or since —
+// durable with one fsync, or does nothing when it already is (an earlier
+// Commit or a rotation covered it) or the policy is not SyncAlways. On a
+// failed fsync the log truncates back to its durable prefix, rewinds the
+// sequence counter and keeps the error sticky: the disk cannot say which
+// of the window's records it kept, so none of them may become visible.
+// A ticket withdrawn by such a rollback reports the failure that
+// withdrew it.
 //
 //sage:durable
+//sage:durable-append
 func (l *Log) Commit(p *Pending) error {
 	if p == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		if p.done {
-			return p.err
-		}
-		if l.closed {
-			return ErrClosed
-		}
-		if !l.syncing {
-			l.syncing = true
-			targetOff, targetSeq := l.goodOff, l.seq
-			l.groupSyncs++
-			l.mu.Unlock()
-			err := l.f.Sync()
-			l.mu.Lock()
-			l.syncing = false
-			if err != nil {
-				l.rollbackLocked(err)
-			} else {
-				if targetOff > l.durableOff {
-					l.durableOff = targetOff
-				}
-				if targetSeq > l.durableSeq {
-					l.durableSeq = targetSeq
-				}
-				l.syncErr = nil
-				l.groupBatches += int64(l.resolveLocked(targetSeq, nil))
-			}
-			l.cond.Broadcast()
-			continue
-		}
-		l.cond.Wait()
+	switch {
+	case l.opts.Policy != SyncAlways || p.seq <= l.durableSeq:
+		return nil
+	case p.seq > l.seq:
+		return fmt.Errorf("wal: batch %d was rolled back: %w", p.seq, l.syncErr)
+	case l.closed:
+		return ErrClosed
 	}
-}
-
-// Append logs one batch and awaits its group-commit barrier: the v1
-// single-writer interface, kept for callers without concurrency.
-//
-//sage:durable
-//sage:durable-append
-func (l *Log) Append(ops []Op) (seq uint64, err error) {
-	p, err := l.AppendBuffer(ops, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := l.Commit(p); err != nil {
-		return 0, err
-	}
-	return p.seq, nil
-}
-
-// resolveLocked resolves every ticket with seq <= upto, returning how
-// many it settled.
-func (l *Log) resolveLocked(upto uint64, err error) int {
-	n := 0
-	rest := l.pending[:0]
-	for _, p := range l.pending {
-		if p.seq <= upto {
-			p.done, p.err = true, err
-			n++
-		} else {
-			rest = append(rest, p)
-		}
-	}
-	l.pending = rest
-	return n
-}
-
-// rollbackLocked handles a failed group flush: the file is cut back to
-// its durable prefix, the sequence counter rewinds with it, and every
-// unresolved ticket fails — buffered records between the durable prefix
-// and the failure cannot be told apart, so all of them are withdrawn.
-func (l *Log) rollbackLocked(cause error) {
-	werr := fmt.Errorf("wal: fsync: %w", cause)
-	for _, p := range l.pending {
-		p.done, p.err = true, werr
-	}
-	l.pending = l.pending[:0]
-	if l.f.Truncate(l.durableOff) == nil {
-		if _, err := l.f.Seek(l.durableOff, io.SeekStart); err == nil {
-			l.curOff = l.durableOff
-		}
-	}
-	// If the truncate failed, curOff stays ahead of goodOff and the next
-	// append clears the tail before writing.
-	l.goodOff = l.durableOff
-	l.seq = l.durableSeq
-	l.syncErr = cause
-}
-
-// rotateLocked seals the active segment into the numbered chain and
-// starts its successor. The seal fsync doubles as a group-commit flush
-// for every batch waiting on the barrier.
-func (l *Log) rotateLocked() error {
+	l.groupSyncs++
 	if err := l.f.Sync(); err != nil {
 		l.rollbackLocked(err)
-		l.cond.Broadcast()
-		return fmt.Errorf("wal: sealing segment: %w", err)
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	l.flushedLocked()
+	return nil
+}
+
+// flushedLocked records a successful fsync of the active segment:
+// everything appended so far is durable and the sticky error is healed.
+func (l *Log) flushedLocked() {
+	if l.opts.Policy == SyncAlways {
+		l.groupBatches += int64(l.seq - l.durableSeq)
 	}
 	l.durableOff, l.durableSeq = l.goodOff, l.seq
 	l.syncErr = nil
-	l.groupBatches += int64(l.resolveLocked(l.seq, nil))
-	l.cond.Broadcast()
+}
+
+// rollbackLocked handles a failed flush: the file is cut back to its
+// durable prefix and the sequence counter rewinds with it — records
+// between the durable prefix and the failure cannot be told apart, so
+// all of them are withdrawn.
+func (l *Log) rollbackLocked(cause error) {
+	l.goodOff, l.seq, l.syncErr = l.durableOff, l.durableSeq, cause
+	// If the truncate fails, curOff stays ahead of goodOff and the next
+	// append clears the tail before writing.
+	l.truncateToGoodLocked()
+}
+
+// rotateLocked seals the active segment into the numbered chain and
+// starts its successor. The seal fsync doubles as the flush for every
+// record still waiting on its Commit.
+func (l *Log) rotateLocked() error {
+	if err := l.f.Sync(); err != nil {
+		l.rollbackLocked(err)
+		return fmt.Errorf("wal: sealing segment: %w", err)
+	}
+	l.flushedLocked()
 	sealedLen := uint64(l.goodOff)
 	prevSeq := l.seq
 	if err := l.f.Close(); err != nil {
-		l.dieLocked(err)
+		l.dieLocked()
 		return fmt.Errorf("wal: sealing segment: %w", err)
 	}
 	l.f = nil
@@ -954,12 +860,12 @@ func (l *Log) rotateLocked() error {
 		// segment and report the rotation failed. The log stays usable.
 		f, oerr := l.fs.OpenFile(l.path, os.O_RDWR, 0)
 		if oerr != nil {
-			l.dieLocked(oerr)
+			l.dieLocked()
 			return fmt.Errorf("wal: rotating segment: %w", err)
 		}
 		if _, serr := f.Seek(l.goodOff, io.SeekStart); serr != nil {
 			_ = f.Close()
-			l.dieLocked(serr)
+			l.dieLocked()
 			return fmt.Errorf("wal: rotating segment: %w", err)
 		}
 		l.f = f
@@ -968,13 +874,13 @@ func (l *Log) rotateLocked() error {
 	l.fs.SyncDir(filepath.Dir(l.path))
 	f, err := l.fs.OpenFile(l.path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		l.dieLocked(err)
+		l.dieLocked()
 		return fmt.Errorf("wal: rotating segment: %w", err)
 	}
 	l.f = f
 	l.segIdx++
 	if err := l.initActiveLocked(l.segIdx, prevSeq, sealedLen, false); err != nil {
-		l.dieLocked(err)
+		l.dieLocked()
 		return err
 	}
 	l.durableOff, l.durableSeq = headerSize, prevSeq
@@ -983,16 +889,11 @@ func (l *Log) rotateLocked() error {
 }
 
 // dieLocked marks the log unusable after a rotation left the file
-// detached (closed, or renamed with no replacement). Pending batches
-// fail; the on-disk chain stays fully recoverable — callers reopen from
-// disk via Open.
-func (l *Log) dieLocked(cause error) {
+// detached (closed, or renamed with no replacement). Every record was
+// sealed durable just before, and the on-disk chain stays fully
+// recoverable — callers reopen from disk via Open.
+func (l *Log) dieLocked() {
 	l.closed = true
-	werr := fmt.Errorf("wal: log failed: %w", cause)
-	for _, p := range l.pending {
-		p.done, p.err = true, werr
-	}
-	l.pending = nil
 	if l.f != nil {
 		_ = l.f.Close()
 		l.f = nil
@@ -1001,7 +902,6 @@ func (l *Log) dieLocked(cause error) {
 		close(l.stop)
 		l.stop = nil
 	}
-	l.cond.Broadcast()
 }
 
 // truncateToGoodLocked cuts the active segment back to the last good record.
@@ -1027,52 +927,16 @@ func (l *Log) flushLoop() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			if l.dirty && !l.closed {
+			if l.seq > l.durableSeq && !l.closed {
 				if err := l.f.Sync(); err != nil {
 					l.syncErr = err
 				} else {
-					l.dirty = false
-					l.syncErr = nil
-					l.durableOff, l.durableSeq = l.goodOff, l.seq
+					l.flushedLocked()
 				}
 			}
 			l.mu.Unlock()
 		}
 	}
-}
-
-// Sync flushes appended records now, regardless of policy.
-//
-//sage:durable
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.f.Sync(); err != nil {
-		l.syncErr = err
-		return err
-	}
-	l.dirty, l.syncErr = false, nil
-	l.durableOff, l.durableSeq = l.goodOff, l.seq
-	l.groupBatches += int64(l.resolveLocked(l.seq, nil))
-	l.cond.Broadcast()
-	return nil
-}
-
-// Err returns the sticky flush failure, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncErr
-}
-
-// Seq returns the sequence number of the last buffered record.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
 }
 
 // Size returns the active segment's logical size (through the last good
@@ -1083,15 +947,12 @@ func (l *Log) Size() int64 {
 	return l.goodOff
 }
 
-// Path returns the active segment's file path.
-func (l *Log) Path() string { return l.path }
-
 // TruncateTo cuts the chain back to b — the last batch that should
 // survive (the zero Batch for none). Recovery uses it when a logged
 // batch fails to re-apply, treating everything from that record on like
 // a corrupt tail: a cut inside a sealed segment removes the later
-// segments and reinstates the cut one as active. TruncateTo requires a
-// quiet log (no commits in flight).
+// segments and reinstates the cut one as active. Like every mutation it
+// is the writer's call, made between windows.
 //
 //sage:durable
 func (l *Log) TruncateTo(b Batch) error {
@@ -1099,9 +960,6 @@ func (l *Log) TruncateTo(b Batch) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
-	}
-	if l.syncing || len(l.pending) > 0 {
-		return errors.New("wal: TruncateTo with commits in flight")
 	}
 	switch {
 	case b.Seq == 0:
@@ -1132,14 +990,10 @@ func (l *Log) TruncateTo(b Batch) error {
 // HeaderSize returns the offset of the first record in any segment.
 func HeaderSize() int64 { return headerSize }
 
-// Close waits out any in-flight group flush, flushes buffered records
-// (unless SyncNever), resolves their tickets, and closes the active
-// segment. Tickets that could not be flushed fail.
+// Close flushes appended records (unless SyncNever) and closes the
+// active segment.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	for l.syncing && !l.closed {
-		l.cond.Wait()
-	}
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
@@ -1147,28 +1001,14 @@ func (l *Log) Close() error {
 	l.closed = true
 	stop, done := l.stop, l.done
 	var first error
-	if (l.dirty || len(l.pending) > 0) && l.opts.Policy != SyncNever {
-		first = l.f.Sync()
-		if first == nil {
-			l.durableOff, l.durableSeq = l.goodOff, l.seq
-			l.groupBatches += int64(l.resolveLocked(l.seq, nil))
+	if l.seq > l.durableSeq && l.opts.Policy != SyncNever {
+		if first = l.f.Sync(); first == nil {
+			l.flushedLocked()
 		}
-	}
-	if len(l.pending) > 0 {
-		cause := first
-		if cause == nil {
-			cause = ErrClosed
-		}
-		werr := fmt.Errorf("wal: closed before commit: %w", cause)
-		for _, p := range l.pending {
-			p.done, p.err = true, werr
-		}
-		l.pending = nil
 	}
 	if err := l.f.Close(); first == nil {
 		first = err
 	}
-	l.cond.Broadcast()
 	l.mu.Unlock()
 	if stop != nil {
 		close(stop)

@@ -27,6 +27,18 @@ func newBase(t *testing.T, dir string, contents []byte) (string, Fingerprint) {
 	return path, fp
 }
 
+// appendSync logs one batch as a window of its own: append, then commit.
+func appendSync(l *Log, ops []Op) (seq uint64, err error) {
+	p, err := l.AppendBuffer(ops, nil)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Commit(p); err != nil {
+		return 0, err
+	}
+	return p.seq, nil
+}
+
 // sampleBatches is a fixed workload exercising every op field.
 func sampleBatches() [][]Op {
 	return [][]Op{
@@ -62,7 +74,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	batches := sampleBatches()
 	for i, b := range batches {
-		seq, err := l.Append(b)
+		seq, err := appendSync(l, b)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -91,7 +103,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		}
 	}
 	// Sequence numbering continues after recovery.
-	if seq, err := l2.Append([]Op{{U: 8, V: 9}}); err != nil || seq != uint64(len(batches)+1) {
+	if seq, err := appendSync(l2, []Op{{U: 8, V: 9}}); err != nil || seq != uint64(len(batches)+1) {
 		t.Fatalf("post-recovery append: seq %d err %v", seq, err)
 	}
 }
@@ -107,7 +119,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	batches := sampleBatches()
 	for _, b := range batches {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +159,7 @@ func TestCorruptMiddleRecordTruncatesFromThere(t *testing.T) {
 	batches := sampleBatches()
 	var ends []int64
 	for _, b := range batches {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			t.Fatal(err)
 		}
 		ends = append(ends, l.Size())
@@ -181,7 +193,7 @@ func TestFingerprintMismatchDiscardsSegment(t *testing.T) {
 
 	l, _, _ := Open(walPath, fp, Options{})
 	for _, b := range sampleBatches() {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +223,7 @@ func TestFingerprintMismatchDiscardsSegment(t *testing.T) {
 		t.Fatalf("discarded segment not reset: size %d", l2.Size())
 	}
 	// The fresh segment serves the new generation.
-	if seq, err := l2.Append([]Op{{U: 0, V: 1}}); err != nil || seq != 1 {
+	if seq, err := appendSync(l2, []Op{{U: 0, V: 1}}); err != nil || seq != 1 {
 		t.Fatalf("append after discard: seq %d err %v", seq, err)
 	}
 }
@@ -242,7 +254,7 @@ func TestTruncateToDropsSuffix(t *testing.T) {
 	batches := sampleBatches()
 	var ends []int64
 	for _, b := range batches {
-		if _, err := l.Append(b); err != nil {
+		if _, err := appendSync(l, b); err != nil {
 			t.Fatal(err)
 		}
 		ends = append(ends, l.Size())
@@ -293,23 +305,23 @@ func TestStickySyncErrorDegradesAndHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append([]Op{{U: 0, V: 1}}); err != nil {
+	if _, err := appendSync(l, []Op{{U: 0, V: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
 	// The disk stops fsyncing: appends must fail (the batch cannot be
 	// promised durable) and must not leave torn records behind.
 	ffs.SetSyncError(true)
-	if _, err := l.Append([]Op{{U: 1, V: 2}}); !IsInjectedSync(err) {
+	if _, err := appendSync(l, []Op{{U: 1, V: 2}}); !IsInjectedSync(err) {
 		t.Fatalf("append under sync failure: %v", err)
 	}
-	if _, err := l.Append([]Op{{U: 2, V: 3}}); !IsInjectedSync(err) {
+	if _, err := appendSync(l, []Op{{U: 2, V: 3}}); !IsInjectedSync(err) {
 		t.Fatalf("second append under sync failure: %v", err)
 	}
 
 	// The disk heals: the next append succeeds without reopening anything.
 	ffs.SetSyncError(false)
-	if seq, err := l.Append([]Op{{U: 3, V: 4}}); err != nil || seq != 2 {
+	if seq, err := appendSync(l, []Op{{U: 3, V: 4}}); err != nil || seq != 2 {
 		t.Fatalf("append after heal: seq %d err %v", seq, err)
 	}
 
@@ -336,19 +348,19 @@ func TestDiskFullShortWriteDegradesAndHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append([]Op{{U: 0, V: 1}}); err != nil {
+	if _, err := appendSync(l, []Op{{U: 0, V: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	good := l.Size()
 
 	// The disk fills: the record lands partially and the append fails.
 	ffs.SetWriteLimit(5)
-	if _, err := l.Append([]Op{{U: 1, V: 2}}); !IsNoSpace(err) {
+	if _, err := appendSync(l, []Op{{U: 1, V: 2}}); !IsNoSpace(err) {
 		t.Fatalf("append on full disk: %v", err)
 	}
 	// Space frees: the torn record is cleaned off and the append lands.
 	ffs.SetWriteLimit(-1)
-	if seq, err := l.Append([]Op{{U: 2, V: 3}}); err != nil || seq != 2 {
+	if seq, err := appendSync(l, []Op{{U: 2, V: 3}}); err != nil || seq != 2 {
 		t.Fatalf("append after space freed: seq %d err %v", seq, err)
 	}
 	if l.Size() <= good {
@@ -374,7 +386,7 @@ func TestIntervalPolicyBackgroundFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ffs.Steps()
-	if _, err := l.Append([]Op{{U: 0, V: 1}}); err != nil {
+	if _, err := appendSync(l, []Op{{U: 0, V: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// The append itself must not sync (that is the policy's point); the
@@ -385,9 +397,6 @@ func TestIntervalPolicyBackgroundFlush(t *testing.T) {
 			t.Fatal("background flush never ran")
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -400,7 +409,7 @@ func TestCloseAndRemoveRetiresSegment(t *testing.T) {
 	walPath := base + ".wal"
 
 	l, _, _ := Open(walPath, fp, Options{})
-	if _, err := l.Append([]Op{{U: 0, V: 1}}); err != nil {
+	if _, err := appendSync(l, []Op{{U: 0, V: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.CloseAndRemove(); err != nil {
