@@ -72,7 +72,7 @@ func BenchmarkCompressedTraversal(b *testing.B) {
 			e := sage.NewEngine(sage.WithMode(sage.AppDirect))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.MustBFS(gr, 0)
+				sage.Must(e.BFS(bg, gr, 0))
 			}
 			b.ReportMetric(float64(gr.SizeWords()), "graph-words")
 		})
@@ -86,7 +86,7 @@ func BenchmarkKClique(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			e := sage.NewEngine(sage.WithMode(sage.AppDirect))
 			for i := 0; i < b.N; i++ {
-				e.MustKCliqueCount(g, k)
+				sage.Must(e.KCliqueCount(bg, g, k))
 			}
 		})
 	}
@@ -99,7 +99,7 @@ func BenchmarkKTruss(b *testing.B) {
 	var peak int64
 	for i := 0; i < b.N; i++ {
 		e := sage.NewEngine(sage.WithMode(sage.AppDirect))
-		e.MustKTruss(g)
+		sage.Must(e.KTruss(bg, g))
 		peak = e.Stats().PeakDRAMWords
 	}
 	b.ReportMetric(float64(peak), "peak-dram-words")

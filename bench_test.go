@@ -84,9 +84,9 @@ func BenchmarkFig6(b *testing.B) {
 	g := sage.GenerateRMAT(benchScale, 16, 1)
 	for _, workers := range []int{1, sage.Workers()} {
 		for name, run := range map[string]func(e *sage.Engine){
-			"BFS":          func(e *sage.Engine) { e.MustBFS(g, 0) },
-			"Connectivity": func(e *sage.Engine) { e.MustConnectivity(g) },
-			"KCore":        func(e *sage.Engine) { e.MustKCore(g) },
+			"BFS":          func(e *sage.Engine) { sage.Must(e.BFS(bg, g, 0)) },
+			"Connectivity": func(e *sage.Engine) { sage.Must(e.Connectivity(bg, g)) },
+			"KCore":        func(e *sage.Engine) { sage.Must(e.KCore(bg, g)) },
 		} {
 			b.Run(benchName(name, workers), func(b *testing.B) {
 				old := sage.Workers()
@@ -217,7 +217,7 @@ func BenchmarkTable4BlockSize(b *testing.B) {
 			var total int64
 			for i := 0; i < b.N; i++ {
 				e := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithFilterBlockSize(bs))
-				res := e.MustTriangleCount(cg)
+				res := sage.Must(e.TriangleCount(bg, cg))
 				total = res.TotalWork
 			}
 			b.ReportMetric(float64(total), "decode-work")
@@ -301,7 +301,7 @@ func BenchmarkTraversalStrategies(b *testing.B) {
 			e := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithStrategy(s))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.MustBFS(g, 0)
+				sage.Must(e.BFS(bg, g, 0))
 			}
 		})
 	}
@@ -314,13 +314,13 @@ func BenchmarkWidestPathVariants(b *testing.B) {
 	b.Run("BellmanFordStyle", func(b *testing.B) {
 		e := sage.NewEngine()
 		for i := 0; i < b.N; i++ {
-			e.MustWidestPath(g, 0)
+			sage.Must(e.WidestPath(bg, g, 0))
 		}
 	})
 	b.Run("Bucketed", func(b *testing.B) {
 		e := sage.NewEngine()
 		for i := 0; i < b.N; i++ {
-			e.MustWidestPathBucketed(g, 0)
+			sage.Must(e.WidestPathBucketed(bg, g, 0))
 		}
 	})
 }

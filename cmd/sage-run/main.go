@@ -63,7 +63,7 @@ func main() {
 	formatName := flag.String("format", "", "override storage-format sniffing (see -formats)")
 	copyGraph := flag.Bool("copy", false, "load into private heap memory instead of memory-mapping")
 	modeName := flag.String("mode", "appdirect", "dram|appdirect|memorymode|nvramall")
-	strategyName := flag.String("strategy", "chunked", "chunked|blocked|sparse")
+	strategyName := flag.String("strategy", "chunked", "chunked|blocked|sparse|auto")
 	compressBS := flag.Int("compress", 0, "re-compress the graph in memory with this block size (0 = keep stored representation)")
 
 	src := flag.Uint("src", 0, "source vertex for rooted algorithms")
@@ -109,21 +109,14 @@ func main() {
 		g = g.Compress(*compressBS)
 	}
 
-	modes := map[string]sage.Mode{
-		"dram": sage.DRAM, "appdirect": sage.AppDirect,
-		"memorymode": sage.MemoryMode, "nvramall": sage.NVRAMAll,
-	}
-	mode, ok := modes[*modeName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeName)
+	mode, err := sage.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	strategies := map[string]sage.Strategy{
-		"chunked": sage.Chunked, "blocked": sage.Blocked, "sparse": sage.Sparse,
-	}
-	strategy, ok := strategies[*strategyName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategyName)
+	strategy, err := sage.ParseStrategy(*strategyName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

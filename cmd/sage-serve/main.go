@@ -177,22 +177,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	modes := map[string]sage.Mode{
-		"dram": sage.DRAM, "appdirect": sage.AppDirect,
-		"memorymode": sage.MemoryMode, "nvramall": sage.NVRAMAll,
-	}
-	mode, ok := modes[*modeName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeName)
+	mode, err := sage.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	strategies := map[string]sage.Strategy{
-		"chunked": sage.Chunked, "blocked": sage.Blocked, "sparse": sage.Sparse,
-		"auto": sage.Auto,
-	}
-	strategy, ok := strategies[*strategyName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategyName)
+	strategy, err := sage.ParseStrategy(*strategyName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	costModel, ok := sage.LookupCostModel(*costModelName)

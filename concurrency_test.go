@@ -124,11 +124,11 @@ func TestStatsSnapshotDuringRuns(t *testing.T) {
 			defer wait.Done()
 			switch i % 3 {
 			case 0:
-				e.MustBFS(g, 0)
+				sage.Must(e.BFS(bg, g, 0))
 			case 1:
-				e.MustConnectivity(g)
+				sage.Must(e.Connectivity(bg, g))
 			case 2:
-				e.MustKCore(g)
+				sage.Must(e.KCore(bg, g))
 			}
 		}(i)
 	}
@@ -151,8 +151,8 @@ func TestConcurrentEnginesIsolated(t *testing.T) {
 	var wait sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wait.Add(2)
-		go func() { defer wait.Done(); e1.MustConnectivity(g) }()
-		go func() { defer wait.Done(); e2.MustConnectivity(g) }()
+		go func() { defer wait.Done(); sage.Must(e1.Connectivity(bg, g)) }()
+		go func() { defer wait.Done(); sage.Must(e2.Connectivity(bg, g)) }()
 	}
 	wait.Wait()
 	if e1.Stats().DRAMReads == 0 || e2.Stats().DRAMReads == 0 {
@@ -178,7 +178,7 @@ func TestCancellationPreCancelled(t *testing.T) {
 		t.Fatal("cancelled run returned a result")
 	}
 	// The engine remains usable after a cancelled run.
-	if got := e.MustConnectivity(g); len(got) != int(g.NumVertices()) {
+	if got := sage.Must(e.Connectivity(bg, g)); len(got) != int(g.NumVertices()) {
 		t.Fatal("engine broken after cancellation")
 	}
 }
@@ -303,7 +303,7 @@ func TestWithCacheOrderIndependent(t *testing.T) {
 
 func mustStats(t *testing.T, e *sage.Engine, g *sage.Graph) sage.Stats {
 	t.Helper()
-	e.MustConnectivity(g)
+	sage.Must(e.Connectivity(bg, g))
 	return e.Stats()
 }
 
@@ -377,26 +377,5 @@ func TestAlgorithmRegistry(t *testing.T) {
 	}
 	if _, err := e.RunAlgorithm(context.Background(), "kclique", g, sage.AlgoArgs{K: 2}); err == nil {
 		t.Fatal("kclique with k < 3 should error, not panic")
-	}
-}
-
-// TestRegistryMatchesTypedAPI: the registry invoker and the typed method
-// compute the same answer.
-func TestRegistryMatchesTypedAPI(t *testing.T) {
-	g := sage.GenerateRMAT(10, 8, 37)
-	e := sage.NewEngine()
-	res, err := e.RunAlgorithm(context.Background(), "bfs", g, sage.AlgoArgs{Src: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := e.MustBFS(g, 0)
-	got, ok := res.Value.([]uint32)
-	if !ok {
-		t.Fatalf("bfs value has type %T", res.Value)
-	}
-	for v := range want {
-		if (got[v] == ^uint32(0)) != (want[v] == ^uint32(0)) {
-			t.Fatal("registry and typed BFS disagree on reachability")
-		}
 	}
 }

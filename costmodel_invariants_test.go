@@ -68,7 +68,6 @@ func TestMemoryModeEnergyBillsHitsOnce(t *testing.T) {
 func TestEngineStatsIsSumOfRuns(t *testing.T) {
 	g := sage.GenerateRMAT(11, 8, 3)
 	e := sage.NewEngine(sage.WithMode(sage.MemoryMode), sage.WithCache(1<<14))
-	bg := context.Background()
 
 	reused := e.NewRun()
 	if _, err := reused.BFS(bg, g, 0); err != nil {

@@ -20,22 +20,25 @@ import (
 // correct by construction: they share only the immutable configuration
 // and the atomic aggregate.
 //
-// Two call styles are exposed for every algorithm:
+// Every algorithm is one context-aware method, declared once (see
+// algoMethods) and callable on an Engine or on an explicitly held Run
+// when the per-call statistics matter; Must drops the error where the
+// context cannot be cancelled:
 //
-//	parents, err := e.BFS(ctx, g, 0)   // context-aware; err is ctx.Err() on cancellation
-//	parents := e.MustBFS(g, 0)         // thin convenience wrapper, background context
-//
-// and a Run can be held explicitly when the per-call statistics matter:
+//	parents, err := e.BFS(ctx, g, 0)      // err is ctx.Err() on cancellation
+//	parents := sage.Must(e.BFS(ctx, g, 0)) // panics on error
 //
 //	run := e.NewRun()
 //	parents, err := run.BFS(ctx, g, 0)
-//	fmt.Println(run.Stats())           // this call's counters alone
+//	fmt.Println(run.Stats())              // this call's counters alone
 type Engine struct {
+	algoMethods // e is the engine itself, run is nil: one fresh Run per call
+
 	cfg config
 	agg psam.Aggregate
 	// pools recycles traversal scratch (*traverse.Pools) across
-	// engine-level calls, so a loop of e.BFS/e.MustBFS keeps its warmed
-	// decode buffers and chunk free lists instead of allocating a fresh
+	// engine-level calls, so a loop of e.BFS keeps its warmed decode
+	// buffers and chunk free lists instead of allocating a fresh
 	// set per call. Scratch carries no cross-run state once a run's
 	// counters are merged, so recycling is safe; explicitly held Runs
 	// keep their pools for their lifetime.
@@ -126,7 +129,9 @@ func NewEngine(options ...Option) *Engine {
 	if c.mode == MemoryMode && c.cacheWords == 0 {
 		c.cacheWords = 1 << 22 // a default cache; override with WithCache
 	}
-	return &Engine{cfg: c}
+	e := &Engine{cfg: c}
+	e.e = e
+	return e
 }
 
 // Mode reports the engine's memory configuration.
@@ -203,7 +208,8 @@ func (e *Engine) ResetStats() { e.agg.Reset() }
 // reused for several sequential calls; Stats then reports the running
 // total of the session.
 type Run struct {
-	e       *Engine
+	algoMethods // e is the owning engine, run is the Run itself
+
 	opts    *algos.Options
 	flushed costmodel.Counts
 }
@@ -227,11 +233,13 @@ func (e *Engine) NewRun() *Run {
 	} else {
 		o.Traverse.Pools = traverse.NewPools()
 	}
-	return &Run{e: e, opts: o}
+	r := &Run{opts: o}
+	r.e, r.run = e, r
+	return r
 }
 
 // recycle returns a completed run's traversal scratch to the engine for
-// reuse. Only engine-level wrappers call it, after the run's last use.
+// reuse. Only engine-level calls use it, after the run's last use.
 func (e *Engine) recycle(r *Run) {
 	p := r.opts.Traverse.Pools
 	r.opts.Traverse.Pools = nil
@@ -246,10 +254,6 @@ func (r *Run) Stats() RunStats {
 	env := r.opts.Env
 	return statsOf(env.Totals(), env.Space.Peak(), &env.Profile)
 }
-
-// Options exposes the run's underlying algorithm options (for the
-// experiment harness; applications should not need it).
-func (r *Run) Options() *algos.Options { return r.opts }
 
 // begin binds the call's context to the run environment.
 func (r *Run) begin(ctx context.Context) *algos.Options {
@@ -288,506 +292,178 @@ func capture[T any](r *Run, ctx context.Context, f func(*algos.Options) T) (res 
 	return res, nil
 }
 
-// must panics on an unexpected error from a background-context call (the
-// convenience wrappers; a background context cannot be cancelled, so this
-// never fires in practice).
-func must(err error) {
+// Must returns v, panicking if err is non-nil: the one-line form of a
+// call whose context cannot be cancelled.
+//
+//	parents := sage.Must(e.BFS(context.Background(), g, 0))
+func Must[T any](v T, err error) T {
 	if err != nil {
-		panic(fmt.Sprintf("sage: unexpected error from background-context run: %v", err))
+		panic(fmt.Sprintf("sage: unexpected error: %v", err))
 	}
-}
-
-// ---------------------------------------------------------------------
-// Algorithm surface. Each algorithm appears three times: the
-// context-aware Run method (the primitive — per-run stats via
-// Run.Stats), the context-aware Engine method (one fresh Run per call),
-// and the Must wrapper (background context, no error).
-// ---------------------------------------------------------------------
-
-// BFS returns a BFS parent array from src (Figure 4; Theorem 4.2).
-func (r *Run) BFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
-	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.BFS(g.use(), o, src) })
-}
-
-// BFS returns a BFS parent array from src (Figure 4; Theorem 4.2).
-func (e *Engine) BFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.BFS(ctx, g, src)
-}
-
-// MustBFS is BFS with a background context.
-func (e *Engine) MustBFS(g *Graph, src uint32) []uint32 {
-	v, err := e.BFS(context.Background(), g, src)
-	must(err)
 	return v
+}
+
+// algoMethods is the typed algorithm surface: every algorithm is declared
+// here once, and Engine and Run both embed it. On an Engine run is nil
+// and each call opens a fresh Run, recycling its scratch afterwards; on a
+// Run run is that Run, so calls accumulate in its session (Run.Stats).
+type algoMethods struct {
+	e   *Engine
+	run *Run
+}
+
+// call executes one algorithm call on m's session (see algoMethods).
+func call[T any](m *algoMethods, ctx context.Context, f func(*algos.Options) T) (T, error) {
+	r := m.run
+	if r == nil {
+		r = m.e.NewRun()
+		defer m.e.recycle(r)
+	}
+	return capture(r, ctx, f)
+}
+
+// BFS returns a BFS parent array from src (Figure 4; Theorem 4.2).
+func (m *algoMethods) BFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
+	return call(m, ctx, func(o *algos.Options) []uint32 { return algos.BFS(g.use(), o, src) })
 }
 
 // WBFS returns integral-weight shortest-path distances from src via
 // bucketing (Julienne-style wBFS).
-func (r *Run) WBFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
-	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.WBFS(g.use(), o, src) })
-}
-
-// WBFS returns integral-weight shortest-path distances from src.
-func (e *Engine) WBFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.WBFS(ctx, g, src)
-}
-
-// MustWBFS is WBFS with a background context.
-func (e *Engine) MustWBFS(g *Graph, src uint32) []uint32 {
-	v, err := e.WBFS(context.Background(), g, src)
-	must(err)
-	return v
+func (m *algoMethods) WBFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
+	return call(m, ctx, func(o *algos.Options) []uint32 { return algos.WBFS(g.use(), o, src) })
 }
 
 // BellmanFord returns general-weight shortest-path distances from src.
-func (r *Run) BellmanFord(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	return capture(r, ctx, func(o *algos.Options) []int64 { return algos.BellmanFord(g.use(), o, src) })
-}
-
-// BellmanFord returns general-weight shortest-path distances from src.
-func (e *Engine) BellmanFord(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.BellmanFord(ctx, g, src)
-}
-
-// MustBellmanFord is BellmanFord with a background context.
-func (e *Engine) MustBellmanFord(g *Graph, src uint32) []int64 {
-	v, err := e.BellmanFord(context.Background(), g, src)
-	must(err)
-	return v
+func (m *algoMethods) BellmanFord(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
+	return call(m, ctx, func(o *algos.Options) []int64 { return algos.BellmanFord(g.use(), o, src) })
 }
 
 // WidestPath returns single-source widest-path widths from src.
-func (r *Run) WidestPath(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	return capture(r, ctx, func(o *algos.Options) []int64 { return algos.WidestPath(g.use(), o, src) })
-}
-
-// WidestPath returns single-source widest-path widths from src.
-func (e *Engine) WidestPath(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.WidestPath(ctx, g, src)
-}
-
-// MustWidestPath is WidestPath with a background context.
-func (e *Engine) MustWidestPath(g *Graph, src uint32) []int64 {
-	v, err := e.WidestPath(context.Background(), g, src)
-	must(err)
-	return v
+func (m *algoMethods) WidestPath(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
+	return call(m, ctx, func(o *algos.Options) []int64 { return algos.WidestPath(g.use(), o, src) })
 }
 
 // WidestPathBucketed is the bucketing-based widest-path variant.
-func (r *Run) WidestPathBucketed(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	return capture(r, ctx, func(o *algos.Options) []int64 { return algos.WidestPathBucketed(g.use(), o, src) })
-}
-
-// WidestPathBucketed is the bucketing-based widest-path variant.
-func (e *Engine) WidestPathBucketed(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.WidestPathBucketed(ctx, g, src)
-}
-
-// MustWidestPathBucketed is WidestPathBucketed with a background context.
-func (e *Engine) MustWidestPathBucketed(g *Graph, src uint32) []int64 {
-	v, err := e.WidestPathBucketed(context.Background(), g, src)
-	must(err)
-	return v
+func (m *algoMethods) WidestPathBucketed(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
+	return call(m, ctx, func(o *algos.Options) []int64 { return algos.WidestPathBucketed(g.use(), o, src) })
 }
 
 // Betweenness returns single-source betweenness dependencies from src.
-func (r *Run) Betweenness(ctx context.Context, g *Graph, src uint32) ([]float64, error) {
-	return capture(r, ctx, func(o *algos.Options) []float64 { return algos.Betweenness(g.use(), o, src) })
-}
-
-// Betweenness returns single-source betweenness dependencies from src.
-func (e *Engine) Betweenness(ctx context.Context, g *Graph, src uint32) ([]float64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Betweenness(ctx, g, src)
-}
-
-// MustBetweenness is Betweenness with a background context.
-func (e *Engine) MustBetweenness(g *Graph, src uint32) []float64 {
-	v, err := e.Betweenness(context.Background(), g, src)
-	must(err)
-	return v
+func (m *algoMethods) Betweenness(ctx context.Context, g *Graph, src uint32) ([]float64, error) {
+	return call(m, ctx, func(o *algos.Options) []float64 { return algos.Betweenness(g.use(), o, src) })
 }
 
 // Spanner returns the edges of an O(k)-spanner (k=0 selects ⌈log₂ n⌉).
-func (r *Run) Spanner(ctx context.Context, g *Graph, k int) ([]Edge, error) {
-	return capture(r, ctx, func(o *algos.Options) []Edge { return algos.Spanner(g.use(), o, k) })
-}
-
-// Spanner returns the edges of an O(k)-spanner (k=0 selects ⌈log₂ n⌉).
-func (e *Engine) Spanner(ctx context.Context, g *Graph, k int) ([]Edge, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Spanner(ctx, g, k)
-}
-
-// MustSpanner is Spanner with a background context.
-func (e *Engine) MustSpanner(g *Graph, k int) []Edge {
-	v, err := e.Spanner(context.Background(), g, k)
-	must(err)
-	return v
+func (m *algoMethods) Spanner(ctx context.Context, g *Graph, k int) ([]Edge, error) {
+	return call(m, ctx, func(o *algos.Options) []Edge { return algos.Spanner(g.use(), o, k) })
 }
 
 // LDD returns a low-diameter decomposition with parameter beta.
-func (r *Run) LDD(ctx context.Context, g *Graph, beta float64) (*algos.LDDResult, error) {
-	return capture(r, ctx, func(o *algos.Options) *algos.LDDResult { return algos.LDD(g.use(), o, beta, o.Seed) })
-}
-
-// LDD returns a low-diameter decomposition with parameter beta.
-func (e *Engine) LDD(ctx context.Context, g *Graph, beta float64) (*algos.LDDResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.LDD(ctx, g, beta)
-}
-
-// MustLDD is LDD with a background context.
-func (e *Engine) MustLDD(g *Graph, beta float64) *algos.LDDResult {
-	v, err := e.LDD(context.Background(), g, beta)
-	must(err)
-	return v
+func (m *algoMethods) LDD(ctx context.Context, g *Graph, beta float64) (*algos.LDDResult, error) {
+	return call(m, ctx, func(o *algos.Options) *algos.LDDResult { return algos.LDD(g.use(), o, beta, o.Seed) })
 }
 
 // Connectivity returns connected-component labels.
-func (r *Run) Connectivity(ctx context.Context, g *Graph) ([]uint32, error) {
-	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.Connectivity(g.use(), o) })
-}
-
-// Connectivity returns connected-component labels.
-func (e *Engine) Connectivity(ctx context.Context, g *Graph) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Connectivity(ctx, g)
-}
-
-// MustConnectivity is Connectivity with a background context.
-func (e *Engine) MustConnectivity(g *Graph) []uint32 {
-	v, err := e.Connectivity(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) Connectivity(ctx context.Context, g *Graph) ([]uint32, error) {
+	return call(m, ctx, func(o *algos.Options) []uint32 { return algos.Connectivity(g.use(), o) })
 }
 
 // SpanningForest returns the edges of a spanning forest.
-func (r *Run) SpanningForest(ctx context.Context, g *Graph) ([]Edge, error) {
-	return capture(r, ctx, func(o *algos.Options) []Edge { return algos.SpanningForest(g.use(), o) })
-}
-
-// SpanningForest returns the edges of a spanning forest.
-func (e *Engine) SpanningForest(ctx context.Context, g *Graph) ([]Edge, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.SpanningForest(ctx, g)
-}
-
-// MustSpanningForest is SpanningForest with a background context.
-func (e *Engine) MustSpanningForest(g *Graph) []Edge {
-	v, err := e.SpanningForest(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) SpanningForest(ctx context.Context, g *Graph) ([]Edge, error) {
+	return call(m, ctx, func(o *algos.Options) []Edge { return algos.SpanningForest(g.use(), o) })
 }
 
 // Biconnectivity returns the biconnected-component labeling.
-func (r *Run) Biconnectivity(ctx context.Context, g *Graph) (*algos.BiconnResult, error) {
-	return capture(r, ctx, func(o *algos.Options) *algos.BiconnResult { return algos.Biconnectivity(g.use(), o) })
-}
-
-// Biconnectivity returns the biconnected-component labeling.
-func (e *Engine) Biconnectivity(ctx context.Context, g *Graph) (*algos.BiconnResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Biconnectivity(ctx, g)
-}
-
-// MustBiconnectivity is Biconnectivity with a background context.
-func (e *Engine) MustBiconnectivity(g *Graph) *algos.BiconnResult {
-	v, err := e.Biconnectivity(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) Biconnectivity(ctx context.Context, g *Graph) (*algos.BiconnResult, error) {
+	return call(m, ctx, func(o *algos.Options) *algos.BiconnResult { return algos.Biconnectivity(g.use(), o) })
 }
 
 // MIS returns a maximal independent set (deterministic in the seed).
-func (r *Run) MIS(ctx context.Context, g *Graph) ([]bool, error) {
-	return capture(r, ctx, func(o *algos.Options) []bool { return algos.MIS(g.use(), o) })
-}
-
-// MIS returns a maximal independent set (deterministic in the seed).
-func (e *Engine) MIS(ctx context.Context, g *Graph) ([]bool, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.MIS(ctx, g)
-}
-
-// MustMIS is MIS with a background context.
-func (e *Engine) MustMIS(g *Graph) []bool {
-	v, err := e.MIS(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) MIS(ctx context.Context, g *Graph) ([]bool, error) {
+	return call(m, ctx, func(o *algos.Options) []bool { return algos.MIS(g.use(), o) })
 }
 
 // MaximalMatching returns a maximal matching.
-func (r *Run) MaximalMatching(ctx context.Context, g *Graph) ([]Edge, error) {
-	return capture(r, ctx, func(o *algos.Options) []Edge { return algos.MaximalMatching(g.use(), o) })
-}
-
-// MaximalMatching returns a maximal matching.
-func (e *Engine) MaximalMatching(ctx context.Context, g *Graph) ([]Edge, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.MaximalMatching(ctx, g)
-}
-
-// MustMaximalMatching is MaximalMatching with a background context.
-func (e *Engine) MustMaximalMatching(g *Graph) []Edge {
-	v, err := e.MaximalMatching(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) MaximalMatching(ctx context.Context, g *Graph) ([]Edge, error) {
+	return call(m, ctx, func(o *algos.Options) []Edge { return algos.MaximalMatching(g.use(), o) })
 }
 
 // Coloring returns a (Δ+1)-coloring.
-func (r *Run) Coloring(ctx context.Context, g *Graph) ([]uint32, error) {
-	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.Coloring(g.use(), o) })
-}
-
-// Coloring returns a (Δ+1)-coloring.
-func (e *Engine) Coloring(ctx context.Context, g *Graph) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Coloring(ctx, g)
-}
-
-// MustColoring is Coloring with a background context.
-func (e *Engine) MustColoring(g *Graph) []uint32 {
-	v, err := e.Coloring(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) Coloring(ctx context.Context, g *Graph) ([]uint32, error) {
+	return call(m, ctx, func(o *algos.Options) []uint32 { return algos.Coloring(g.use(), o) })
 }
 
 // ApproxSetCover solves the bipartite set-cover instance (sets are
 // vertices [0, numSets)); see algos.BipartiteFromSets for the layout.
-func (r *Run) ApproxSetCover(ctx context.Context, g *Graph, numSets uint32) ([]uint32, error) {
-	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.ApproxSetCover(g.use(), o, numSets) })
-}
-
-// ApproxSetCover solves the bipartite set-cover instance.
-func (e *Engine) ApproxSetCover(ctx context.Context, g *Graph, numSets uint32) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.ApproxSetCover(ctx, g, numSets)
-}
-
-// MustApproxSetCover is ApproxSetCover with a background context.
-func (e *Engine) MustApproxSetCover(g *Graph, numSets uint32) []uint32 {
-	v, err := e.ApproxSetCover(context.Background(), g, numSets)
-	must(err)
-	return v
+func (m *algoMethods) ApproxSetCover(ctx context.Context, g *Graph, numSets uint32) ([]uint32, error) {
+	return call(m, ctx, func(o *algos.Options) []uint32 { return algos.ApproxSetCover(g.use(), o, numSets) })
 }
 
 // KCore returns the coreness of every vertex.
-func (r *Run) KCore(ctx context.Context, g *Graph) ([]uint32, error) {
-	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.KCore(g.use(), o) })
-}
-
-// KCore returns the coreness of every vertex.
-func (e *Engine) KCore(ctx context.Context, g *Graph) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.KCore(ctx, g)
-}
-
-// MustKCore is KCore with a background context.
-func (e *Engine) MustKCore(g *Graph) []uint32 {
-	v, err := e.KCore(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) KCore(ctx context.Context, g *Graph) ([]uint32, error) {
+	return call(m, ctx, func(o *algos.Options) []uint32 { return algos.KCore(g.use(), o) })
 }
 
 // ApproxDensestSubgraph returns a 2(1+ε)-approximate densest subgraph.
-func (r *Run) ApproxDensestSubgraph(ctx context.Context, g *Graph) (*algos.DensestResult, error) {
-	return capture(r, ctx, func(o *algos.Options) *algos.DensestResult { return algos.ApproxDensestSubgraph(g.use(), o) })
-}
-
-// ApproxDensestSubgraph returns a 2(1+ε)-approximate densest subgraph.
-func (e *Engine) ApproxDensestSubgraph(ctx context.Context, g *Graph) (*algos.DensestResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.ApproxDensestSubgraph(ctx, g)
-}
-
-// MustApproxDensestSubgraph is ApproxDensestSubgraph with a background
-// context.
-func (e *Engine) MustApproxDensestSubgraph(g *Graph) *algos.DensestResult {
-	v, err := e.ApproxDensestSubgraph(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) ApproxDensestSubgraph(ctx context.Context, g *Graph) (*algos.DensestResult, error) {
+	return call(m, ctx, func(o *algos.Options) *algos.DensestResult { return algos.ApproxDensestSubgraph(g.use(), o) })
 }
 
 // TriangleCount returns the triangle count with its work counters.
-func (r *Run) TriangleCount(ctx context.Context, g *Graph) (*algos.TriangleResult, error) {
-	return capture(r, ctx, func(o *algos.Options) *algos.TriangleResult { return algos.TriangleCount(g.use(), o) })
+func (m *algoMethods) TriangleCount(ctx context.Context, g *Graph) (*algos.TriangleResult, error) {
+	return call(m, ctx, func(o *algos.Options) *algos.TriangleResult { return algos.TriangleCount(g.use(), o) })
 }
 
-// TriangleCount returns the triangle count with its work counters.
-func (e *Engine) TriangleCount(ctx context.Context, g *Graph) (*algos.TriangleResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.TriangleCount(ctx, g)
-}
-
-// MustTriangleCount is TriangleCount with a background context.
-func (e *Engine) MustTriangleCount(g *Graph) *algos.TriangleResult {
-	v, err := e.TriangleCount(context.Background(), g)
-	must(err)
-	return v
+// ranked carries the two results of the PageRank variants through call.
+type ranked struct {
+	ranks []float64
+	iters int
 }
 
 // PageRank iterates to convergence (eps, maxIters) and returns the ranks
 // and the number of iterations.
-func (r *Run) PageRank(ctx context.Context, g *Graph, eps float64, maxIters int) ([]float64, int, error) {
-	type pr struct {
-		ranks []float64
-		iters int
-	}
-	res, err := capture(r, ctx, func(o *algos.Options) pr {
+func (m *algoMethods) PageRank(ctx context.Context, g *Graph, eps float64, maxIters int) ([]float64, int, error) {
+	res, err := call(m, ctx, func(o *algos.Options) ranked {
 		ranks, iters := algos.PageRank(g.use(), o, eps, maxIters)
-		return pr{ranks, iters}
+		return ranked{ranks, iters}
 	})
 	return res.ranks, res.iters, err
 }
 
-// PageRank iterates to convergence (eps, maxIters) and returns the ranks
-// and the number of iterations.
-func (e *Engine) PageRank(ctx context.Context, g *Graph, eps float64, maxIters int) ([]float64, int, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.PageRank(ctx, g, eps, maxIters)
-}
-
-// MustPageRank is PageRank with a background context.
-func (e *Engine) MustPageRank(g *Graph, eps float64, maxIters int) ([]float64, int) {
-	ranks, iters, err := e.PageRank(context.Background(), g, eps, maxIters)
-	must(err)
-	return ranks, iters
-}
-
 // PageRankIter runs one PageRank iteration (prev -> next), returning the
 // L1 change.
-func (r *Run) PageRankIter(ctx context.Context, g *Graph, prev, next []float64) (float64, error) {
-	return capture(r, ctx, func(o *algos.Options) float64 { return algos.PageRankIter(g.use(), o, prev, next) })
-}
-
-// PageRankIter runs one PageRank iteration (prev -> next), returning the
-// L1 change.
-func (e *Engine) PageRankIter(ctx context.Context, g *Graph, prev, next []float64) (float64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.PageRankIter(ctx, g, prev, next)
-}
-
-// MustPageRankIter is PageRankIter with a background context.
-func (e *Engine) MustPageRankIter(g *Graph, prev, next []float64) float64 {
-	v, err := e.PageRankIter(context.Background(), g, prev, next)
-	must(err)
-	return v
+func (m *algoMethods) PageRankIter(ctx context.Context, g *Graph, prev, next []float64) (float64, error) {
+	return call(m, ctx, func(o *algos.Options) float64 { return algos.PageRankIter(g.use(), o, prev, next) })
 }
 
 // KCliqueCount counts k-cliques (k >= 3) via recursive intersection over
 // the filter-oriented DAG — the PSAM extension the paper's §3.2 proposes.
-func (r *Run) KCliqueCount(ctx context.Context, g *Graph, k int) (int64, error) {
-	return capture(r, ctx, func(o *algos.Options) int64 { return algos.KCliqueCount(g.use(), o, k) })
-}
-
-// KCliqueCount counts k-cliques (k >= 3).
-func (e *Engine) KCliqueCount(ctx context.Context, g *Graph, k int) (int64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.KCliqueCount(ctx, g, k)
-}
-
-// MustKCliqueCount is KCliqueCount with a background context.
-func (e *Engine) MustKCliqueCount(g *Graph, k int) int64 {
-	v, err := e.KCliqueCount(context.Background(), g, k)
-	must(err)
-	return v
+func (m *algoMethods) KCliqueCount(ctx context.Context, g *Graph, k int) (int64, error) {
+	return call(m, ctx, func(o *algos.Options) int64 { return algos.KCliqueCount(g.use(), o, k) })
 }
 
 // PersonalizedPageRank computes the personalized PageRank vector of src
 // (restart probability 1-damping), one of the local problems §3.2 notes
 // fit the regular PSAM. Returns the ranks and iterations used.
-func (r *Run) PersonalizedPageRank(ctx context.Context, g *Graph, src uint32, damping, eps float64, maxIters int) ([]float64, int, error) {
-	type pr struct {
-		ranks []float64
-		iters int
-	}
-	res, err := capture(r, ctx, func(o *algos.Options) pr {
+func (m *algoMethods) PersonalizedPageRank(ctx context.Context, g *Graph, src uint32, damping, eps float64, maxIters int) ([]float64, int, error) {
+	res, err := call(m, ctx, func(o *algos.Options) ranked {
 		ranks, iters := algos.PersonalizedPageRank(g.use(), o, src, damping, eps, maxIters)
-		return pr{ranks, iters}
+		return ranked{ranks, iters}
 	})
 	return res.ranks, res.iters, err
-}
-
-// PersonalizedPageRank computes the personalized PageRank vector of src.
-func (e *Engine) PersonalizedPageRank(ctx context.Context, g *Graph, src uint32, damping, eps float64, maxIters int) ([]float64, int, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.PersonalizedPageRank(ctx, g, src, damping, eps, maxIters)
-}
-
-// MustPersonalizedPageRank is PersonalizedPageRank with a background
-// context.
-func (e *Engine) MustPersonalizedPageRank(g *Graph, src uint32, damping, eps float64, maxIters int) ([]float64, int) {
-	ranks, iters, err := e.PersonalizedPageRank(context.Background(), g, src, damping, eps, maxIters)
-	must(err)
-	return ranks, iters
 }
 
 // KTruss computes the trussness of every edge. Note the PSAM boundary
 // the paper draws (§3.2): the Θ(m)-word output forces Θ(m) small-memory
 // state, which Stats().PeakDRAMWords will reflect.
-func (r *Run) KTruss(ctx context.Context, g *Graph) (*algos.KTrussResult, error) {
-	return capture(r, ctx, func(o *algos.Options) *algos.KTrussResult { return algos.KTruss(g.use(), o) })
-}
-
-// KTruss computes the trussness of every edge.
-func (e *Engine) KTruss(ctx context.Context, g *Graph) (*algos.KTrussResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.KTruss(ctx, g)
-}
-
-// MustKTruss is KTruss with a background context.
-func (e *Engine) MustKTruss(g *Graph) *algos.KTrussResult {
-	v, err := e.KTruss(context.Background(), g)
-	must(err)
-	return v
+func (m *algoMethods) KTruss(ctx context.Context, g *Graph) (*algos.KTrussResult, error) {
+	return call(m, ctx, func(o *algos.Options) *algos.KTrussResult { return algos.KTruss(g.use(), o) })
 }
 
 // LocalCluster finds a low-conductance community around seed with a
 // personalized-PageRank sweep cut (a §3.2 local-clustering problem).
-func (r *Run) LocalCluster(ctx context.Context, g *Graph, seed uint32, damping float64, maxSize int) (*algos.LocalClusterResult, error) {
-	return capture(r, ctx, func(o *algos.Options) *algos.LocalClusterResult {
+func (m *algoMethods) LocalCluster(ctx context.Context, g *Graph, seed uint32, damping float64, maxSize int) (*algos.LocalClusterResult, error) {
+	return call(m, ctx, func(o *algos.Options) *algos.LocalClusterResult {
 		return algos.LocalCluster(g.use(), o, seed, damping, maxSize)
 	})
-}
-
-// LocalCluster finds a low-conductance community around seed.
-func (e *Engine) LocalCluster(ctx context.Context, g *Graph, seed uint32, damping float64, maxSize int) (*algos.LocalClusterResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.LocalCluster(ctx, g, seed, damping, maxSize)
-}
-
-// MustLocalCluster is LocalCluster with a background context.
-func (e *Engine) MustLocalCluster(g *Graph, seed uint32, damping float64, maxSize int) *algos.LocalClusterResult {
-	v, err := e.LocalCluster(context.Background(), g, seed, damping, maxSize)
-	must(err)
-	return v
 }

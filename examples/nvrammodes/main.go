@@ -6,12 +6,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sage"
 )
 
 func main() {
+	ctx := context.Background()
 	g := sage.GenerateRMAT(15, 16, 21)
 	fmt.Printf("graph: n=%d m=%d\n\n", g.NumVertices(), g.NumEdges())
 
@@ -32,7 +34,7 @@ func main() {
 			opts = append(opts, sage.WithCache(g.SizeWords()/8))
 		}
 		e := sage.NewEngine(opts...)
-		e.MustConnectivity(g)
+		sage.Must(e.Connectivity(ctx, g))
 		st := e.Stats()
 		if base == 0 {
 			base = st.PSAMCost
@@ -43,10 +45,13 @@ func main() {
 
 	fmt.Println("\nPSAM extensions (§3.2):")
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
-	c4 := e.MustKCliqueCount(g, 4)
+	c4 := sage.Must(e.KCliqueCount(ctx, g, 4))
 	fmt.Printf("  4-cliques: %d (no NVRAM writes: %v)\n", c4, e.Stats().NVRAMWrites == 0)
 
-	ppr, iters := e.MustPersonalizedPageRank(g, 0, 0.85, 1e-9, 100)
+	ppr, iters, err := e.PersonalizedPageRank(ctx, g, 0, 0.85, 1e-9, 100)
+	if err != nil {
+		panic(err)
+	}
 	var mass float64
 	for _, r := range ppr {
 		mass += r
@@ -56,7 +61,7 @@ func main() {
 	// The boundary case: k-truss needs Θ(m) mutable state (§3.2).
 	e2 := sage.NewEngine(sage.WithMode(sage.AppDirect))
 	small := sage.GenerateRMAT(12, 12, 5)
-	res := e2.MustKTruss(small)
+	res := sage.Must(e2.KTruss(ctx, small))
 	maxT := uint32(0)
 	for _, t := range res.Trussness {
 		if t > maxT {

@@ -19,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A web-scale-shaped graph, scaled to a laptop: 2^16 vertices with
 	// average degree ~16 (compare Table 2's davg range of 17-76) —
 	// generated once and persisted, as sage-gen would.
@@ -48,7 +49,7 @@ func main() {
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
 
 	// Figure 4's algorithm, as a one-liner (background context).
-	parents := e.MustBFS(g, 0)
+	parents := sage.Must(e.BFS(ctx, g, 0))
 
 	reached := 0
 	for _, p := range parents {
@@ -62,7 +63,7 @@ func main() {
 	// so its Stats describe this call alone — even when other goroutines
 	// use the engine concurrently.
 	run := e.NewRun()
-	if _, _, err := run.PageRank(context.Background(), g, 1e-6, 100); err != nil {
+	if _, _, err := run.PageRank(ctx, g, 1e-6, 100); err != nil {
 		panic(err)
 	}
 	fmt.Println("PageRank run stats:", run.Stats())
@@ -78,7 +79,7 @@ func main() {
 	// the result is identical, and the graph occupies far less NVRAM.
 	cg := g.Compress(64)
 	e2 := sage.NewEngine(sage.WithMode(sage.AppDirect))
-	parents2 := e2.MustBFS(cg, 0)
+	parents2 := sage.Must(e2.BFS(ctx, cg, 0))
 	same := true
 	for v := range parents {
 		if (parents[v] == ^uint32(0)) != (parents2[v] == ^uint32(0)) {

@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sage"
 )
 
 func main() {
+	ctx := context.Background()
 	g, err := sage.GenerateGrid(256, 256, false).WithUniformWeights(11)
 	if err != nil {
 		panic(err)
@@ -22,19 +24,19 @@ func main() {
 	src := uint32(0)
 	dst := g.NumVertices() - 1 // opposite corner
 
-	dist := e.MustWBFS(g, src)
+	dist := sage.Must(e.WBFS(ctx, g, src))
 	fmt.Printf("wBFS (bucketed): dist(corner->corner) = %d\n", dist[dst])
 
-	bf := e.MustBellmanFord(g, src)
+	bf := sage.Must(e.BellmanFord(ctx, g, src))
 	fmt.Printf("bellman-ford:    dist(corner->corner) = %d (agree: %v)\n",
 		bf[dst], int64(dist[dst]) == bf[dst])
 
-	w1 := e.MustWidestPath(g, src)
-	w2 := e.MustWidestPathBucketed(g, src)
+	w1 := sage.Must(e.WidestPath(ctx, g, src))
+	w2 := sage.Must(e.WidestPathBucketed(ctx, g, src))
 	fmt.Printf("widest path:     width(corner->corner) = %d (variants agree: %v)\n",
 		w1[dst], w1[dst] == w2[dst])
 
-	deps := e.MustBetweenness(g, src)
+	deps := sage.Must(e.Betweenness(ctx, g, src))
 	var maxDep float64
 	var maxV uint32
 	for v, d := range deps {

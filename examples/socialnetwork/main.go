@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sage"
 )
 
 func main() {
+	ctx := context.Background()
 	// A preferential-attachment network: heavy-tailed degrees like the
 	// paper's com-Orkut/Twitter inputs.
 	g := sage.GeneratePowerLaw(1<<15, 8, 7)
@@ -21,13 +23,13 @@ func main() {
 
 	// Triangle counting through the oriented graph filter (§4.3.4): the
 	// work counters are the quantities Table 4 studies.
-	tc := e.MustTriangleCount(g)
+	tc := sage.Must(e.TriangleCount(ctx, g))
 	fmt.Printf("triangles: %d (intersection work %d, decode work %d)\n",
 		tc.Count, tc.IntersectionWork, tc.TotalWork)
 
 	// Coreness of every vertex by bucketed peeling; kmax bounds the
 	// densest community's connectivity.
-	core := e.MustKCore(g)
+	core := sage.Must(e.KCore(ctx, g))
 	kmax := uint32(0)
 	for _, k := range core {
 		if k > kmax {
@@ -37,7 +39,7 @@ func main() {
 	fmt.Printf("coreness computed for all vertices; kmax = %d\n", kmax)
 
 	// A 2(1+eps)-approximate densest subgraph.
-	dens := e.MustApproxDensestSubgraph(g)
+	dens := sage.Must(e.ApproxDensestSubgraph(ctx, g))
 	members := 0
 	for _, in := range dens.InSub {
 		if in {

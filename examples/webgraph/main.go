@@ -6,12 +6,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sage"
 )
 
 func main() {
+	ctx := context.Background()
 	raw := sage.GenerateRMAT(16, 24, 3)
 	g := raw.Compress(64)
 	fmt.Printf("web graph: n=%d, m=%d; compressed %0.1fx smaller than CSR\n",
@@ -20,7 +22,7 @@ func main() {
 
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithFilterBlockSize(64))
 
-	labels := e.MustConnectivity(g)
+	labels := sage.Must(e.Connectivity(ctx, g))
 	comps := map[uint32]int{}
 	for _, l := range labels {
 		comps[l]++
@@ -34,7 +36,10 @@ func main() {
 	fmt.Printf("connectivity: %d components; largest holds %.1f%% of vertices\n",
 		len(comps), 100*float64(largest)/float64(g.NumVertices()))
 
-	ranks, iters := e.MustPageRank(g, 1e-6, 100)
+	ranks, iters, err := e.PageRank(ctx, g, 1e-6, 100)
+	if err != nil {
+		panic(err)
+	}
 	best, bestRank := uint32(0), 0.0
 	for v, r := range ranks {
 		if r > bestRank {
@@ -44,7 +49,7 @@ func main() {
 	fmt.Printf("pagerank: converged in %d iterations; top vertex %d (rank %.2e, degree %d)\n",
 		iters, best, bestRank, g.Degree(best))
 
-	spanner := e.MustSpanner(g, 0)
+	spanner := sage.Must(e.Spanner(ctx, g, 0))
 	fmt.Printf("O(log n)-spanner: %d edges (%.2f x n) preserving distances within O(log n)\n",
 		len(spanner), float64(len(spanner))/float64(g.NumVertices()))
 

@@ -40,43 +40,6 @@ func BFS(g graph.Adj, o *Options, src uint32) []uint32 {
 	return parents
 }
 
-// BFSLevels runs BFS from src and returns (levels, roundFrontiers): the
-// level of every reached vertex (Infinity if unreachable) and the ordered
-// per-round frontiers. Betweenness centrality and the biconnectivity tree
-// computations consume the round structure.
-func BFSLevels(g graph.Adj, o *Options, srcs []uint32) ([]uint32, [][]uint32) {
-	n := g.NumVertices()
-	levels := make([]uint32, n)
-	parallel.Fill(levels, Infinity)
-	o.Env.Alloc(int64(n))
-	defer o.Env.Free(int64(n))
-	for _, s := range srcs {
-		levels[s] = 0
-	}
-	fr := frontier.FromSparse(n, append([]uint32(nil), srcs...))
-	var rounds [][]uint32
-	round := uint32(0)
-	ops := traverse.Ops{
-		Update: func(_, d uint32, _ int32) bool {
-			if levels[d] == Infinity {
-				levels[d] = round + 1
-				return true
-			}
-			return false
-		},
-		UpdateAtomic: func(_, d uint32, _ int32) bool {
-			return parallel.CASUint32(&levels[d], Infinity, round+1)
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&levels[d]) == Infinity },
-	}
-	for !fr.IsEmpty() {
-		rounds = append(rounds, append([]uint32(nil), fr.Sparse()...))
-		fr = o.edgeMap(g, fr, ops, nil)
-		round++
-	}
-	return levels, rounds
-}
-
 // BFSTree runs a (possibly multi-source) BFS recording parents and
 // levels. Used by biconnectivity's spanning-tree phase.
 func BFSTree(g graph.Adj, o *Options, srcs []uint32) (parents, levels []uint32, rounds int) {

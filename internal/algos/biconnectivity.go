@@ -29,17 +29,6 @@ func (r *BiconnResult) EdgeLabel(u, v uint32) uint32 {
 	return r.Label[v]
 }
 
-// IsBridge reports whether tree edge {v, Parent[v]} is a bridge: no
-// non-tree edge escapes v's subtree, so the tree edge forms its own
-// biconnected component.
-func (r *BiconnResult) IsBridge(v uint32) bool {
-	p := r.Parent[v]
-	if p == v || p == Infinity {
-		return false
-	}
-	return !(r.Low[v] < r.Pre[v] || r.High[v] >= r.Pre[v]+r.Size[v])
-}
-
 // Biconnectivity computes biconnected components with the Tarjan–Vishkin
 // reduction the paper uses (§4.3.2): a BFS spanning forest, preorder
 // numbers / subtree sizes / low / high computed level-synchronously over

@@ -38,59 +38,43 @@ func (k ArgKind) String() string {
 	return "unknown"
 }
 
-// ArgSpec describes one parameter of an algorithm beyond the graph.
+// MarshalText encodes the kind by name ("vertex", "int", "float").
+func (k ArgKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// ArgSpec describes one parameter of an algorithm beyond the graph. The
+// JSON form is an entry of the /v1/algorithms listing.
 type ArgSpec struct {
 	// Name identifies the Args field the parameter binds to: one of
 	// "src", "k", "eps", "maxiters", "beta", "damping", "numsets",
 	// "maxsize".
-	Name string
-	Kind ArgKind
-	// Default is the value used when the Args field is zero.
-	Default float64
-	Doc     string
+	Name string  `json:"name"`
+	Kind ArgKind `json:"kind"`
+	// Default is the value used when the Args field is zero. It is stated
+	// here and nowhere else: Spec.Run canonicalizes before invoking.
+	Default float64 `json:"default"`
+	Doc     string  `json:"doc"`
 }
 
 // Args carries the per-call parameters of a registry invocation beyond
-// the graph. Zero values select each algorithm's documented default.
+// the graph. Zero values select each algorithm's documented default. The
+// JSON names are the ArgSpec names (the run endpoint's wire format).
 type Args struct {
-	Src      uint32
-	K        int
-	Eps      float64
-	MaxIters int
-	Beta     float64
-	Damping  float64
-	NumSets  uint32
-	MaxSize  int
+	Src      uint32  `json:"src,omitempty"`
+	K        int     `json:"k,omitempty"`
+	Eps      float64 `json:"eps,omitempty"`
+	MaxIters int     `json:"maxiters,omitempty"`
+	Beta     float64 `json:"beta,omitempty"`
+	Damping  float64 `json:"damping,omitempty"`
+	NumSets  uint32  `json:"numsets,omitempty"`
+	MaxSize  int     `json:"maxsize,omitempty"`
 }
 
-// epsOr, itersOr, betaOr, dampingOr resolve zero-valued parameters to an
-// algorithm's default.
-func (a Args) epsOr(def float64) float64 {
-	if a.Eps == 0 {
-		return def
+// orDefault resolves a zero-valued parameter to its schema default.
+func orDefault[T int | float64](v T, def float64) T {
+	if v == 0 {
+		return T(def)
 	}
-	return a.Eps
-}
-
-func (a Args) itersOr(def int) int {
-	if a.MaxIters == 0 {
-		return def
-	}
-	return a.MaxIters
-}
-
-func (a Args) betaOr(def float64) float64 {
-	if a.Beta == 0 {
-		return def
-	}
-	return a.Beta
-}
-
-func (a Args) dampingOr(def float64) float64 {
-	if a.Damping == 0 {
-		return def
-	}
-	return a.Damping
+	return v
 }
 
 // Result is one registry invocation's outcome: the algorithm's raw
@@ -120,7 +104,8 @@ type Spec struct {
 	// Args is the parameter schema (beyond the graph).
 	Args []ArgSpec
 	// Validate, when non-nil, rejects argument combinations Run would
-	// panic on; dispatchers call it before Run and surface the error.
+	// panic on; dispatchers call it before Run and surface the error. It
+	// sees the caller's arguments, before defaults apply.
 	Validate func(a Args) error
 	// DRAMWords, when non-nil, estimates the peak small-memory residency
 	// of one run on an n-vertex, m-arc graph in words. Nil selects the
@@ -135,8 +120,16 @@ type Spec struct {
 	// suite; only the fixpoint, edge-state, and local problems declare
 	// otherwise.
 	CostClass costmodel.Class
-	// Run invokes the algorithm under o and returns its result.
-	Run func(g graph.Adj, o *Options, a Args) Result
+	// run invokes the algorithm under o on canonical arguments: every
+	// schema parameter already carries its value or its default.
+	run func(g graph.Adj, o *Options, a Args) Result
+}
+
+// Run invokes the algorithm under o and returns its result. Arguments are
+// canonicalized first, so omitted (zero) parameters take the defaults the
+// schema states.
+func (s Spec) Run(g graph.Adj, o *Options, a Args) Result {
+	return s.run(g, o, s.Canonical(a))
 }
 
 // Canonical normalizes a for s: parameters outside s's schema are zeroed
@@ -150,18 +143,15 @@ func (s Spec) Canonical(a Args) Args {
 		case "src":
 			out.Src = a.Src
 		case "k":
-			out.K = a.K
-			if out.K == 0 {
-				out.K = int(p.Default)
-			}
+			out.K = orDefault(a.K, p.Default)
 		case "eps":
-			out.Eps = a.epsOr(p.Default)
+			out.Eps = orDefault(a.Eps, p.Default)
 		case "maxiters":
-			out.MaxIters = a.itersOr(int(p.Default))
+			out.MaxIters = orDefault(a.MaxIters, p.Default)
 		case "beta":
-			out.Beta = a.betaOr(p.Default)
+			out.Beta = orDefault(a.Beta, p.Default)
 		case "damping":
-			out.Damping = a.dampingOr(p.Default)
+			out.Damping = orDefault(a.Damping, p.Default)
 		case "numsets":
 			out.NumSets = a.NumSets
 		case "maxsize":
@@ -210,7 +200,7 @@ var registry = []Spec{
 		Name: "bfs", Title: "BFS", Fig1: true,
 		Doc:  "breadth-first-search tree (Figure 4)",
 		Args: []ArgSpec{srcArg},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			parents := BFS(g, o, a.Src)
 			reached := 0
 			for _, p := range parents {
@@ -225,7 +215,7 @@ var registry = []Spec{
 		Name: "wbfs", Title: "wBFS", Weighted: true, Fig1: true,
 		Doc:  "integral-weight SSSP via bucketing (§4.3.1)",
 		Args: []ArgSpec{srcArg},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			dist := WBFS(g, o, a.Src)
 			return Result{dist, fmt.Sprintf("computed %d distances", len(dist))}
 		},
@@ -234,7 +224,7 @@ var registry = []Spec{
 		Name: "bellmanford", Title: "Bellman-Ford", Weighted: true, Fig1: true,
 		Doc:  "general-weight SSSP (§4.3.1)",
 		Args: []ArgSpec{srcArg},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			dist := BellmanFord(g, o, a.Src)
 			return Result{dist, fmt.Sprintf("computed %d distances", len(dist))}
 		},
@@ -243,7 +233,7 @@ var registry = []Spec{
 		Name: "widest", Title: "Widest-Path", Weighted: true, Fig1: true,
 		Doc:  "single-source widest paths (§4.3.1)",
 		Args: []ArgSpec{srcArg},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			w := WidestPath(g, o, a.Src)
 			return Result{w, fmt.Sprintf("computed %d widths", len(w))}
 		},
@@ -252,7 +242,7 @@ var registry = []Spec{
 		Name: "bc", Title: "Betweenness", Fig1: true,
 		Doc:  "single-source betweenness dependencies",
 		Args: []ArgSpec{srcArg},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			deps := Betweenness(g, o, a.Src)
 			var maxDep float64
 			for _, d := range deps {
@@ -267,7 +257,7 @@ var registry = []Spec{
 		Name: "spanner", Title: "O(k)-Spanner", Fig1: true,
 		Doc:  "O(k)-spanner edges (k=0 selects ceil(log2 n))",
 		Args: []ArgSpec{{Name: "k", Kind: ArgInt, Default: 0, Doc: "stretch parameter (0 = log2 n)"}},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			edges := Spanner(g, o, a.K)
 			return Result{edges, fmt.Sprintf("spanner with %d edges (n=%d)", len(edges), g.NumVertices())}
 		},
@@ -276,8 +266,8 @@ var registry = []Spec{
 		Name: "ldd", Title: "LDD", Fig1: true,
 		Doc:  "low-diameter decomposition (§4.3.2)",
 		Args: []ArgSpec{{Name: "beta", Kind: ArgFloat, Default: 0.2, Doc: "decomposition parameter"}},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
-			res := LDD(g, o, a.betaOr(0.2), o.Seed)
+		run: func(g graph.Adj, o *Options, a Args) Result {
+			res := LDD(g, o, a.Beta, o.Seed)
 			return Result{res, fmt.Sprintf("decomposed in %d rounds", res.Rounds)}
 		},
 	},
@@ -285,7 +275,7 @@ var registry = []Spec{
 		Name: "cc", Title: "Connectivity", Fig1: true,
 		Doc:       "connected-component labels (LDD contraction, §4.3.2)",
 		CostClass: costmodel.Iterative,
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			labels := Connectivity(g, o)
 			return Result{labels, fmt.Sprintf("%d connected components", countDistinct(labels))}
 		},
@@ -293,7 +283,7 @@ var registry = []Spec{
 	{
 		Name: "forest", Title: "SpanningForest", Fig1: true,
 		Doc: "spanning forest edges (Corollary C.3)",
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			f := SpanningForest(g, o)
 			return Result{f, fmt.Sprintf("spanning forest with %d edges", len(f))}
 		},
@@ -301,7 +291,7 @@ var registry = []Spec{
 	{
 		Name: "biconn", Title: "Biconnectivity", Fig1: true,
 		Doc: "biconnected-component labeling (§4.3.2)",
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := Biconnectivity(g, o)
 			distinct := map[uint32]bool{}
 			for v, l := range res.Label {
@@ -315,7 +305,7 @@ var registry = []Spec{
 	{
 		Name: "mis", Title: "MIS", Fig1: true,
 		Doc: "maximal independent set (§4.3.3)",
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			in := MIS(g, o)
 			count := 0
 			for _, b := range in {
@@ -329,7 +319,7 @@ var registry = []Spec{
 	{
 		Name: "matching", Title: "Maximal-Matching", Fig1: true,
 		Doc: "maximal matching (§4.3.3)",
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			m := MaximalMatching(g, o)
 			return Result{m, fmt.Sprintf("matching of size %d", len(m))}
 		},
@@ -338,7 +328,7 @@ var registry = []Spec{
 		Name: "coloring", Title: "Graph-Coloring", Fig1: true,
 		Doc:       "(Delta+1)-coloring (§4.3.3)",
 		CostClass: costmodel.Iterative,
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			colors := Coloring(g, o)
 			maxC := uint32(0)
 			for _, c := range colors {
@@ -353,7 +343,7 @@ var registry = []Spec{
 		Name: "setcover", Title: "Apx-Set-Cover", SetCover: true, Fig1: true,
 		Doc:  "approximate set cover on a bipartite instance (§4.3.4)",
 		Args: []ArgSpec{{Name: "numsets", Kind: ArgVertex, Default: 0, Doc: "vertices [0, numsets) are sets (required)"}},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			cover := ApproxSetCover(g, o, a.NumSets)
 			return Result{cover, fmt.Sprintf("cover of %d sets", len(cover))}
 		},
@@ -362,7 +352,7 @@ var registry = []Spec{
 		Name: "kcore", Title: "k-Core", Fig1: true,
 		Doc:       "coreness of every vertex (Julienne peeling, §4.3.4)",
 		CostClass: costmodel.Iterative,
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			core := KCore(g, o)
 			return Result{core, fmt.Sprintf("max coreness %d", MaxCore(core))}
 		},
@@ -371,7 +361,7 @@ var registry = []Spec{
 		Name: "densest", Title: "Apx-Dens-Subgraph", Fig1: true,
 		Doc:       "2(1+eps)-approximate densest subgraph (§4.3.4)",
 		CostClass: costmodel.Iterative,
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := ApproxDensestSubgraph(g, o)
 			return Result{res, fmt.Sprintf("density %.3f in %d rounds", res.Density, res.Rounds)}
 		},
@@ -381,7 +371,7 @@ var registry = []Spec{
 		Doc:       "triangle count with work counters (§4.3.5)",
 		DRAMWords: edgeStateDRAMWords,
 		CostClass: costmodel.EdgeState,
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := TriangleCount(g, o)
 			return Result{res, fmt.Sprintf("%d triangles (intersection work %d, total work %d)",
 				res.Count, res.IntersectionWork, res.TotalWork)}
@@ -390,7 +380,7 @@ var registry = []Spec{
 	{
 		Name: "pagerank-iter", Title: "PageRank-Iter", Fig1: true,
 		Doc: "one dense pull-based PageRank iteration from the uniform vector",
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			n := int(g.NumVertices())
 			prev := make([]float64, n)
 			next := make([]float64, n)
@@ -406,8 +396,8 @@ var registry = []Spec{
 		Doc:       "PageRank to convergence (§4.3.5)",
 		CostClass: costmodel.Iterative,
 		Args:      []ArgSpec{epsPRArg, maxItArg},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
-			ranks, iters := PageRank(g, o, a.epsOr(1e-6), a.itersOr(100))
+		run: func(g graph.Adj, o *Options, a Args) Result {
+			ranks, iters := PageRank(g, o, a.Eps, a.MaxIters)
 			return Result{ranks, fmt.Sprintf("converged in %d iterations", iters)}
 		},
 	},
@@ -417,7 +407,7 @@ var registry = []Spec{
 		Name: "widestb", Title: "Widest-Path-Bucketed", Weighted: true,
 		Doc:  "bucketing-based widest-path variant (§4.3.1)",
 		Args: []ArgSpec{srcArg},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			w := WidestPathBucketed(g, o, a.Src)
 			return Result{w, fmt.Sprintf("computed %d widths", len(w))}
 		},
@@ -427,8 +417,8 @@ var registry = []Spec{
 		Doc:       "personalized PageRank vector of src (§3.2)",
 		CostClass: costmodel.Local,
 		Args:      []ArgSpec{srcArg, dampingArg, {Name: "eps", Kind: ArgFloat, Default: 1e-9, Doc: "L1 convergence threshold"}, maxItArg},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
-			ranks, iters := PersonalizedPageRank(g, o, a.Src, a.dampingOr(0.85), a.epsOr(1e-9), a.itersOr(100))
+		run: func(g graph.Adj, o *Options, a Args) Result {
+			ranks, iters := PersonalizedPageRank(g, o, a.Src, a.Damping, a.Eps, a.MaxIters)
 			return Result{ranks, fmt.Sprintf("personalized PageRank converged in %d iterations", iters)}
 		},
 	},
@@ -444,13 +434,9 @@ var registry = []Spec{
 			}
 			return nil
 		},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
-			k := a.K
-			if k == 0 {
-				k = 4
-			}
-			c := KCliqueCount(g, o, k)
-			return Result{c, fmt.Sprintf("%d %d-cliques", c, k)}
+		run: func(g graph.Adj, o *Options, a Args) Result {
+			c := KCliqueCount(g, o, a.K)
+			return Result{c, fmt.Sprintf("%d %d-cliques", c, a.K)}
 		},
 	},
 	{
@@ -461,7 +447,7 @@ var registry = []Spec{
 		// both edge-proportional.
 		DRAMWords: func(n, m uint64) int64 { return int64(3*m + 8*n) },
 		CostClass: costmodel.EdgeState,
-		Run: func(g graph.Adj, o *Options, a Args) Result {
+		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := KTruss(g, o)
 			maxT := uint32(0)
 			for _, tr := range res.Trussness {
@@ -477,8 +463,8 @@ var registry = []Spec{
 		Doc:       "low-conductance community around src via PPR sweep cut (§3.2)",
 		CostClass: costmodel.Local,
 		Args:      []ArgSpec{srcArg, dampingArg, {Name: "maxsize", Kind: ArgInt, Default: 0, Doc: "sweep-cut size cap (0 = unbounded)"}},
-		Run: func(g graph.Adj, o *Options, a Args) Result {
-			res := LocalCluster(g, o, a.Src, a.dampingOr(0.85), a.MaxSize)
+		run: func(g graph.Adj, o *Options, a Args) Result {
+			res := LocalCluster(g, o, a.Src, a.Damping, a.MaxSize)
 			return Result{res, fmt.Sprintf("cluster of %d vertices at conductance %.3f",
 				len(res.Members), res.Conductance)}
 		},

@@ -134,13 +134,6 @@ func (m *membership) markDown(ps *peerState) {
 // markUp records a successful contact.
 func (m *membership) markUp(ps *peerState) { ps.healthy.Store(true) }
 
-// eligible reports whether the peer should be tried: healthy, or
-// unhealthy with its quarantine window elapsed (the retry that lets a
-// recovered replica rejoin).
-func (m *membership) eligible(ps *peerState) bool {
-	return ps.healthy.Load() || time.Now().UnixNano() >= ps.quarantinedUntil.Load()
-}
-
 // probe GETs the peer's /readyz and updates its state: only a 200 counts
 // as routable (a draining or WAL-replaying replica answers 503 and must
 // not receive new work).

@@ -147,18 +147,6 @@ func (c *CGraph) Weighted() bool { return c.weighted }
 // BlockSize implements graph.Adj.
 func (c *CGraph) BlockSize() int { return int(c.blockSize) }
 
-// AvgDegree implements graph.Adj.
-func (c *CGraph) AvgDegree() uint32 {
-	if c.n == 0 {
-		return 1
-	}
-	d := uint32(c.m / uint64(c.n))
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // EdgeAddr implements graph.Adj: the simulated address space places the
 // degree/offset arrays at [0, 2n) and the byte data (word-granular) after.
 //
@@ -212,6 +200,3 @@ func (c *CGraph) DecodeBlockInto(v, b uint32, buf []uint32) []uint32 {
 func (c *CGraph) SizeWords() int64 {
 	return 2*int64(c.n) + int64(len(c.data)+7)/8
 }
-
-// DataBytes reports the encoded data size (compression-ratio reporting).
-func (c *CGraph) DataBytes() int { return len(c.data) }

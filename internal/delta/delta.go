@@ -47,10 +47,12 @@ var ErrBadOp = errors.New("invalid edge op")
 // (a no-op otherwise); otherwise the op inserts {U, V} (idempotent), with
 // weight W on weighted bases — inserting an edge that already exists with
 // a different weight re-weights it. Ops within a batch apply in order.
+// The public sage.EdgeOp is this type, hence the wire names.
 type Op struct {
-	U, V uint32
-	W    int32
-	Del  bool
+	U   uint32 `json:"u"`
+	V   uint32 `json:"v"`
+	W   int32  `json:"w,omitempty"`
+	Del bool   `json:"del,omitempty"`
 }
 
 // vdelta is one vertex's DRAM-resident delta: neighbors inserted (sorted,
@@ -365,17 +367,6 @@ func (o *Overlay) Degree(v uint32) uint32 {
 		return o.base.Degree(v)
 	}
 	return o.base.Degree(v) + uint32(len(d.adds)) - uint32(len(d.dels))
-}
-
-// AvgDegree returns max(1, m/n) over the merged view.
-func (o *Overlay) AvgDegree() uint32 {
-	if o.n == 0 {
-		return 1
-	}
-	if d := uint32(o.m / uint64(o.n)); d > 1 {
-		return d
-	}
-	return 1
 }
 
 // EdgeAddr returns the simulated NVRAM address of v's base adjacency —

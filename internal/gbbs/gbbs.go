@@ -76,18 +76,6 @@ func (f *MutFilter) NumEdges() uint64 { return uint64(f.live.Load()) }
 // Degree implements graph.Adj.
 func (f *MutFilter) Degree(v uint32) uint32 { return f.degs[v] }
 
-// AvgDegree implements graph.Adj.
-func (f *MutFilter) AvgDegree() uint32 {
-	if f.n == 0 {
-		return 1
-	}
-	d := uint32(uint64(f.live.Load()) / uint64(f.n))
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // Weighted implements graph.Adj.
 func (f *MutFilter) Weighted() bool { return false }
 

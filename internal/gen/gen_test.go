@@ -2,6 +2,8 @@ package gen
 
 import (
 	"testing"
+
+	"sage/internal/graph"
 )
 
 func TestRMATValidAndDeterministic(t *testing.T) {
@@ -25,8 +27,8 @@ func TestRMATValidAndDeterministic(t *testing.T) {
 
 func TestRMATSkewed(t *testing.T) {
 	g := RMAT(12, 16, 1)
-	if g.MaxDegree() < 4*g.AvgDegree() {
-		t.Fatalf("R-MAT not skewed: max %d avg %d", g.MaxDegree(), g.AvgDegree())
+	if g.MaxDegree() < 4*graph.AvgDegree(g) {
+		t.Fatalf("R-MAT not skewed: max %d avg %d", g.MaxDegree(), graph.AvgDegree(g))
 	}
 }
 
@@ -45,8 +47,8 @@ func TestPowerLawTail(t *testing.T) {
 	if err := g.Validate(true); err != nil {
 		t.Fatal(err)
 	}
-	if g.MaxDegree() < 8*g.AvgDegree() {
-		t.Fatalf("power law not heavy-tailed: max %d avg %d", g.MaxDegree(), g.AvgDegree())
+	if g.MaxDegree() < 8*graph.AvgDegree(g) {
+		t.Fatalf("power law not heavy-tailed: max %d avg %d", g.MaxDegree(), graph.AvgDegree(g))
 	}
 }
 

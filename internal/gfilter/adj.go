@@ -22,19 +22,6 @@ func (f *Filter) NumEdges() uint64 { return uint64(f.live.Load()) }
 // Degree implements graph.Adj: the active degree.
 func (f *Filter) Degree(v uint32) uint32 { return f.vtx[v].deg }
 
-// AvgDegree implements graph.Adj.
-func (f *Filter) AvgDegree() uint32 {
-	n := f.g.NumVertices()
-	if n == 0 {
-		return 1
-	}
-	d := uint32(uint64(f.live.Load()) / uint64(n))
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // Weighted implements graph.Adj: filters are used by the unweighted
 // algorithms (biconnectivity, set cover, triangle counting, matching).
 func (f *Filter) Weighted() bool { return false }

@@ -14,8 +14,6 @@ type Adj interface {
 	// Degree returns deg(v).
 	//sage:hotpath
 	Degree(v uint32) uint32
-	// AvgDegree returns max(1, m/n), the chunking group size davg.
-	AvgDegree() uint32
 	// EdgeAddr returns the simulated NVRAM word address of the start of
 	// v's adjacency data (for the Memory-Mode cache simulator).
 	//sage:hotpath
@@ -41,4 +39,14 @@ type Adj interface {
 	BlockSize() int
 	// Weighted reports whether edges carry weights.
 	Weighted() bool
+}
+
+// AvgDegree returns max(1, m/n), the group-size parameter davg that
+// edgeMapChunked uses (Algorithm 1).
+func AvgDegree(g Adj) uint32 {
+	n := uint64(g.NumVertices())
+	if n == 0 {
+		return 1
+	}
+	return uint32(max(1, g.NumEdges()/n))
 }

@@ -32,8 +32,7 @@ var hostLittleEndian = func() bool {
 }()
 
 // Arena is a read-only byte region, either a memory mapping of a file or an
-// aligned heap buffer. The zero value is not meaningful; use OpenArena or
-// NewHeapArena.
+// aligned heap buffer. The zero value is not meaningful; use OpenArena.
 type Arena struct {
 	data   []byte
 	mapped bool // data came from mmap and must be munmapped
@@ -71,11 +70,6 @@ func OpenArena(path string, copy bool) (*Arena, error) {
 	}
 	return &Arena{data: data}, nil
 }
-
-// NewHeapArena wraps an in-memory buffer as an arena (used by tests and by
-// readers that already hold the bytes). The buffer should be 8-byte aligned
-// if typed views will be taken; misaligned views fall back to copying.
-func NewHeapArena(data []byte) *Arena { return &Arena{data: data} }
 
 // Bytes returns the full region. The slice is read-only: for mapped arenas
 // the pages are mapped PROT_READ and writing through it faults.

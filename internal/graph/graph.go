@@ -112,19 +112,6 @@ func (g *Graph) ScanCost(v uint32, lo, hi uint32) int64 {
 // arbitrary granularity, reported as 0.
 func (g *Graph) BlockSize() int { return 0 }
 
-// AvgDegree returns max(1, m/n), the group-size parameter davg that
-// edgeMapChunked uses (Algorithm 1).
-func (g *Graph) AvgDegree() uint32 {
-	if g.n == 0 {
-		return 1
-	}
-	d := uint32(g.m / uint64(g.n))
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // MaxDegree returns the maximum vertex degree.
 func (g *Graph) MaxDegree() uint32 {
 	return parallel.ReduceMax(int(g.n), 0, uint32(0), func(i int) uint32 {

@@ -142,7 +142,7 @@ func TestAvgMaxDegree(t *testing.T) {
 	if g.MaxDegree() != 4 {
 		t.Fatalf("max %d", g.MaxDegree())
 	}
-	if g.AvgDegree() != 1 {
-		t.Fatalf("avg %d", g.AvgDegree())
+	if AvgDegree(g) != 1 {
+		t.Fatalf("avg %d", AvgDegree(g))
 	}
 }

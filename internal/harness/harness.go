@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -149,7 +148,7 @@ func galoisRunners() map[string]func(*galois.Engine) {
 // differ from the registry defaults (§5.3 runs PageRank for at most 30
 // iterations).
 var benchArgs = map[string]algos.Args{
-	"pagerank": {Eps: 1e-6, MaxIters: 30},
+	"pagerank": {MaxIters: 30},
 }
 
 // Problems is the Figure 1 suite in the paper's order, derived from the
@@ -242,14 +241,4 @@ func geoMean(vals []float64) float64 {
 		acc += math.Log(v)
 	}
 	return math.Exp(acc / float64(len(vals)))
-}
-
-// sortedKeys returns map keys in sorted order (deterministic reports).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -96,16 +96,12 @@ func FetchAddInt32(p *int32, delta int32) int32 {
 // 32-bit word of a []uint32 bitset. See Bitset.
 type Bitset struct {
 	words []uint32
-	n     int
 }
 
 // NewBitset returns a bitset over n bits, all clear.
 func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint32, (n+31)/32), n: n}
+	return &Bitset{words: make([]uint32, (n+31)/32)}
 }
-
-// Len reports the number of bits.
-func (b *Bitset) Len() int { return b.n }
 
 // TestAndSet atomically sets bit i, returning true iff this call changed it
 // from 0 to 1.
@@ -122,9 +118,6 @@ func (b *Bitset) TestAndSet(i uint32) bool {
 		}
 	}
 }
-
-// Set sets bit i (non-atomic fast path for single-writer phases).
-func (b *Bitset) Set(i uint32) { b.words[i/32] |= uint32(1) << (i % 32) }
 
 // AtomicSet atomically sets bit i without reporting whether it changed.
 //
@@ -147,11 +140,6 @@ func (b *Bitset) AtomicSet(i uint32) {
 // concurrently with TestAndSet.
 func (b *Bitset) Get(i uint32) bool {
 	return atomic.LoadUint32(&b.words[i/32])&(uint32(1)<<(i%32)) != 0
-}
-
-// Clear resets all bits.
-func (b *Bitset) Clear() {
-	Fill(b.words, 0)
 }
 
 // Words exposes the underlying words (for size accounting).

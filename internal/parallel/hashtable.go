@@ -90,7 +90,6 @@ type HashMap64 struct {
 	keys []uint64
 	vals []uint64
 	mask uint64
-	size atomic.Int64
 }
 
 // NewHashMap64 returns a map able to hold at least capacity entries.
@@ -117,7 +116,6 @@ func (h *HashMap64) InsertMin(key, val uint64) bool {
 			// the key also sees a value no larger than ours.
 			if atomic.CompareAndSwapUint64(&h.keys[i], 0, key) {
 				writeMinUint64orInit(&h.vals[i], val)
-				h.size.Add(1)
 				return true
 			}
 			if atomic.LoadUint64(&h.keys[i]) == key {
@@ -148,9 +146,6 @@ func (h *HashMap64) Get(key uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// Size reports the number of distinct keys.
-func (h *HashMap64) Size() int { return int(h.size.Load()) }
 
 // ForEach calls fn for every (key, value) pair. It must not run
 // concurrently with writers.

@@ -22,8 +22,8 @@ import (
 //     make the loop long-running.
 //
 // Round loops are found through the algorithm registry: a composite
-// literal of a struct type named Spec with a Run field roots the search,
-// and every in-package function reachable from that Run value is
+// literal of a struct type named Spec with a run field roots the search,
+// and every in-package function reachable from that run value is
 // checked. A for/range loop whose body makes a non-trivial call but can
 // never reach a checkpoints function is flagged. Loops inside nested
 // function literals are skipped — those are per-chunk worker bodies that
@@ -84,7 +84,7 @@ func runCtxCheckpoint(pass *analysis.Pass) error {
 				if !ok {
 					continue
 				}
-				if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Run" {
+				if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "run" {
 					continue
 				}
 				switch v := ast.Unparen(kv.Value).(type) {
@@ -100,8 +100,8 @@ func runCtxCheckpoint(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	// Close the root set over in-package static calls, so helpers like
-	// BFSLevels (called by Betweenness) have their loops checked too.
+	// Close the root set over in-package static calls, so the helpers an
+	// algorithm calls have their loops checked too.
 	for changed := true; changed; {
 		changed = false
 		for fn := range roots {
@@ -128,7 +128,7 @@ func runCtxCheckpoint(pass *analysis.Pass) error {
 	return nil
 }
 
-// rootIdent digs the identifier out of a Run value like BFSRun or
+// rootIdent digs the identifier out of a run value like BFSRun or
 // pkg.BFSRun.
 func rootIdent(e ast.Expr) *ast.Ident {
 	switch e := ast.Unparen(e).(type) {

@@ -24,7 +24,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"sage/internal/sagevet/analysis"
 )
@@ -159,11 +158,4 @@ func isContextType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// hasSuffixPath reports whether pkg path equals suffix or ends in
-// "/"+suffix — used to scope analyzers to specific packages while
-// remaining testable from testdata paths.
-func hasSuffixPath(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

@@ -10,13 +10,13 @@ import (
 
 type Spec struct {
 	Name string
-	Run  func(ctx context.Context) int
+	run  func(ctx context.Context) int
 }
 
 var registry = []Spec{
-	{Name: "bad", Run: badRun},
-	{Name: "good", Run: goodRun},
-	{Name: "inline", Run: func(ctx context.Context) int {
+	{Name: "bad", run: badRun},
+	{Name: "good", run: goodRun},
+	{Name: "inline", run: func(ctx context.Context) int {
 		total := 0
 		for i := 0; i < 64; i++ { // want "round loop never reaches a context checkpoint"
 			total += work(i)

@@ -306,7 +306,9 @@ type walStats struct {
 	GroupBatches      int64  `json:"group_batches"`
 }
 
-// walOps converts a validated batch to its log form.
+// walOps converts a validated batch to its log form. wal.Op has EdgeOp's
+// four fields but stays its own type: the log is a leaf package that
+// imports nothing of the module (CI asserts it), so the copy lives here.
 func walOps(ops []sage.EdgeOp) []wal.Op {
 	out := make([]wal.Op, len(ops))
 	for i, op := range ops {

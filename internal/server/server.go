@@ -204,9 +204,6 @@ func (s *Server) Close() error {
 // ServeHTTP dispatches to the service endpoints.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Engine returns the serving engine (its Stats aggregate spans all runs).
-func (s *Server) Engine() *sage.Engine { return s.engine }
-
 // --------------------------------------------------------------------
 // Responses.
 // --------------------------------------------------------------------
@@ -338,38 +335,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"datasets": infos})
 }
 
-// algorithmInfo mirrors sage.Algorithm with wire-stable JSON names; the
-// params double as the run endpoint's args schema.
-type algorithmInfo struct {
-	Name     string           `json:"name"`
-	Title    string           `json:"title"`
-	Doc      string           `json:"doc"`
-	Weighted bool             `json:"weighted,omitempty"`
-	SetCover bool             `json:"setcover,omitempty"`
-	Params   []algorithmParam `json:"params,omitempty"`
-}
-
-type algorithmParam struct {
-	Name    string  `json:"name"`
-	Kind    string  `json:"kind"`
-	Default float64 `json:"default"`
-	Doc     string  `json:"doc"`
-}
-
 func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
-	algos := sage.Algorithms()
-	out := make([]algorithmInfo, len(algos))
-	for i, a := range algos {
-		params := make([]algorithmParam, len(a.Params))
-		for j, p := range a.Params {
-			params[j] = algorithmParam{Name: p.Name, Kind: p.Kind.String(), Default: p.Default, Doc: p.Doc}
-		}
-		out[i] = algorithmInfo{
-			Name: a.Name, Title: a.Title, Doc: a.Doc,
-			Weighted: a.Weighted, SetCover: a.SetCover, Params: params,
-		}
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{"algorithms": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"algorithms": sage.Algorithms()})
 }
 
 // decodeStrict parses the request body into v: at most limit bytes, no

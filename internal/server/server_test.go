@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -479,5 +480,22 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	if metric(t, m, "engine", "nvram_writes") != 0 {
 		t.Fatal("concurrent serving violated the read-only graph discipline")
+	}
+}
+
+// TestAlgorithmsListingGolden pins the /v1/algorithms body byte for byte:
+// the listing is marshalled straight from the registry's own types, so a
+// renamed field or a kind that stops marshalling by name changes the wire.
+func TestAlgorithmsListingGolden(t *testing.T) {
+	s := server.New(server.Config{})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/algorithms", nil))
+	want, err := os.ReadFile(filepath.Join("testdata", "algorithms.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("status %d, body differs from testdata/algorithms.golden.json:\n%s", rec.Code, rec.Body.Bytes())
 	}
 }

@@ -66,11 +66,12 @@ func EdgeMapChunked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 	if len(sp) == 0 {
 		return frontier.Empty(n)
 	}
+	davg := int(graph.AvgDegree(g))
 	gbSize := g.BlockSize() // compression block size, or 0 for CSR
 	if gbSize == 0 {
-		gbSize = int(g.AvgDegree())
+		gbSize = davg
 	}
-	chunkSize := max(minChunkSize, int(g.AvgDegree()))
+	chunkSize := max(minChunkSize, davg)
 
 	// Per-vertex block counts and the block table (Algorithm 1, line 12).
 	nb := make([]int64, len(sp)+1)
@@ -103,7 +104,7 @@ func EdgeMapChunked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 	// Group assignment (lines 14–18): static load balancing over ~8P
 	// virtual threads, but never groups smaller than minGroupSize edges.
 	p := parallel.Workers()
-	groupSize := max(dU/int64(8*p)+1, int64(max(minChunkSize, int(g.AvgDegree()))))
+	groupSize := max(dU/int64(8*p)+1, int64(chunkSize))
 	numGroups := int((dU + groupSize - 1) / groupSize)
 	groupStart := make([]int64, numGroups+1)
 	parallel.For(numGroups, 64, func(gi int) {

@@ -45,9 +45,9 @@ func TestOpenMmapVsCopyEquivalence(t *testing.T) {
 	}
 	runOn := func(g *sage.Graph) run {
 		e := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithSeed(7))
-		parents := e.MustBFS(g, 0)
+		parents := sage.Must(e.BFS(bg, g, 0))
 		e2 := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithSeed(7))
-		e2.MustConnectivity(g)
+		sage.Must(e2.Connectivity(bg, g))
 		s := e.Stats()
 		s2 := e2.Stats()
 		return run{parents, statKey{
@@ -95,14 +95,14 @@ func TestOpenCompressedEquivalence(t *testing.T) {
 		t.Fatal("compressed graph reopened as CSR")
 	}
 	e := sage.NewEngine(sage.WithSeed(5))
-	a := e.MustBFS(cg, 0)
-	b := e.MustBFS(cg2, 0)
+	a := sage.Must(e.BFS(bg, cg, 0))
+	b := sage.Must(e.BFS(bg, cg2, 0))
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("parent of %d differs after reopen", v)
 		}
 	}
-	if e.MustTriangleCount(cg).Count != e.MustTriangleCount(cg2).Count {
+	if sage.Must(e.TriangleCount(bg, cg)).Count != sage.Must(e.TriangleCount(bg, cg2)).Count {
 		t.Fatal("triangle count differs after reopen")
 	}
 }
@@ -160,7 +160,7 @@ func TestGraphCloseMisuse(t *testing.T) {
 	}
 	mustPanic("NumVertices", func() { g.NumVertices() })
 	mustPanic("Raw", func() { g.Raw() })
-	mustPanic("engine run", func() { sage.NewEngine().MustBFS(g, 0) })
+	mustPanic("engine run", func() { sage.Must(sage.NewEngine().BFS(bg, g, 0)) })
 	mustPanic("Create", func() { sage.Create(filepath.Join(t.TempDir(), "x.sg"), g) })
 }
 

@@ -94,7 +94,7 @@ func TestPSAMStatsRegression(t *testing.T) {
 					t.Errorf("%s: stats drifted:\n got  %+v\n want %+v", name, got, want)
 				}
 			}
-			run("bfs", func() { e.MustBFS(g, 0) })
+			run("bfs", func() { sage.Must(e.BFS(bg, g, 0)) })
 			run("pagerankiter", func() {
 				n := int(g.NumVertices())
 				prev := make([]float64, n)
@@ -102,10 +102,10 @@ func TestPSAMStatsRegression(t *testing.T) {
 				for i := range prev {
 					prev[i] = 1 / float64(n)
 				}
-				e.MustPageRankIter(g, prev, next)
+				sage.Must(e.PageRankIter(bg, g, prev, next))
 			})
-			run("connectivity", func() { e.MustConnectivity(g) })
-			run("kcore", func() { e.MustKCore(g) })
+			run("connectivity", func() { sage.Must(e.Connectivity(bg, g)) })
+			run("kcore", func() { sage.Must(e.KCore(bg, g)) })
 		}
 	}
 }

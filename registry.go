@@ -15,47 +15,44 @@ import (
 // harness both derive their dispatch from the same underlying registry,
 // so an algorithm added there is immediately runnable everywhere.
 
-// ParamKind is the type of one algorithm parameter.
-type ParamKind int
+// ParamKind is the type of one algorithm parameter; it prints and
+// marshals by name ("vertex", "int", "float").
+type ParamKind = algos.ArgKind
 
 // Parameter kinds.
 const (
 	// ParamVertex is a vertex id.
-	ParamVertex = ParamKind(algos.ArgVertex)
+	ParamVertex = algos.ArgVertex
 	// ParamInt is an integer parameter.
-	ParamInt = ParamKind(algos.ArgInt)
+	ParamInt = algos.ArgInt
 	// ParamFloat is a floating-point parameter.
-	ParamFloat = ParamKind(algos.ArgFloat)
+	ParamFloat = algos.ArgFloat
 )
 
-// String names the kind for listings.
-func (k ParamKind) String() string { return algos.ArgKind(k).String() }
-
 // AlgorithmParam describes one parameter of an algorithm beyond the
-// graph. Name matches the AlgoArgs field it binds to (lower-cased).
-type AlgorithmParam struct {
-	Name    string
-	Kind    ParamKind
-	Default float64
-	Doc     string
-}
+// graph. Name matches the AlgoArgs field it binds to (lower-cased);
+// Default is the value a zero AlgoArgs field selects.
+type AlgorithmParam = algos.ArgSpec
 
-// Algorithm describes one registered algorithm.
+// Algorithm describes one registered algorithm. Its JSON form is an entry
+// of sage-serve's /v1/algorithms listing; the params double as the run
+// endpoint's args schema.
 type Algorithm struct {
 	// Name is the canonical key accepted by RunAlgorithm ("bfs", ...).
-	Name string
+	Name string `json:"name"`
 	// Title is the display name used in the paper's figures.
-	Title string
+	Title string `json:"title"`
 	// Doc is a one-line description.
-	Doc string
+	Doc string `json:"doc"`
 	// Weighted algorithms interpret edge weights (all 1 on unweighted
 	// inputs).
-	Weighted bool
+	Weighted bool `json:"weighted,omitempty"`
 	// SetCover algorithms run on a bipartite set-cover instance and
 	// require AlgoArgs.NumSets.
-	SetCover bool
-	// Params is the parameter schema beyond the graph.
-	Params []AlgorithmParam
+	SetCover bool `json:"setcover,omitempty"`
+	// Params is the parameter schema beyond the graph. The slice is the
+	// registry's own; do not mutate it.
+	Params []AlgorithmParam `json:"params,omitempty"`
 }
 
 // Algorithms enumerates the registry: the paper's Figure 1 suite in
@@ -64,13 +61,9 @@ func Algorithms() []Algorithm {
 	specs := algos.Registry()
 	out := make([]Algorithm, len(specs))
 	for i, s := range specs {
-		params := make([]AlgorithmParam, len(s.Args))
-		for j, a := range s.Args {
-			params[j] = AlgorithmParam{Name: a.Name, Kind: ParamKind(a.Kind), Default: a.Default, Doc: a.Doc}
-		}
 		out[i] = Algorithm{
 			Name: s.Name, Title: s.Title, Doc: s.Doc,
-			Weighted: s.Weighted, SetCover: s.SetCover, Params: params,
+			Weighted: s.Weighted, SetCover: s.SetCover, Params: s.Args,
 		}
 	}
 	return out
@@ -84,16 +77,7 @@ func AlgorithmNames() []string { return algos.Names() }
 // Algorithms()[i].Params). The JSON names match the parameter schema
 // names, so a request body like {"src": 3, "maxiters": 50} maps directly
 // — the wire format of the sage-serve run endpoint.
-type AlgoArgs struct {
-	Src      uint32  `json:"src,omitempty"`
-	K        int     `json:"k,omitempty"`
-	Eps      float64 `json:"eps,omitempty"`
-	MaxIters int     `json:"maxiters,omitempty"`
-	Beta     float64 `json:"beta,omitempty"`
-	Damping  float64 `json:"damping,omitempty"`
-	NumSets  uint32  `json:"numsets,omitempty"`
-	MaxSize  int     `json:"maxsize,omitempty"`
-}
+type AlgoArgs = algos.Args
 
 // CanonicalArgs normalizes args against the named algorithm's parameter
 // schema: parameters the algorithm does not take are zeroed, and omitted
@@ -102,12 +86,22 @@ type AlgoArgs struct {
 // identical AlgoArgs — the property result caches key on. Unknown names
 // report the registry's contents.
 func CanonicalArgs(name string, args AlgoArgs) (AlgoArgs, error) {
+	spec, err := lookup(name)
+	if err != nil {
+		return AlgoArgs{}, err
+	}
+	return spec.Canonical(args), nil
+}
+
+// lookup finds a registry entry; unknown names report the registry's
+// contents.
+func lookup(name string) (algos.Spec, error) {
 	spec, ok := algos.Lookup(name)
 	if !ok {
-		return AlgoArgs{}, fmt.Errorf("sage: unknown algorithm %q (known: %s)",
+		return spec, fmt.Errorf("sage: unknown algorithm %q (known: %s)",
 			name, strings.Join(algos.Names(), ", "))
 	}
-	return AlgoArgs(spec.Canonical(algos.Args(args))), nil
+	return spec, nil
 }
 
 // EstimateDRAMWords estimates the peak small-memory (DRAM) residency, in
@@ -117,10 +111,9 @@ func CanonicalArgs(name string, args AlgoArgs) (AlgoArgs, error) {
 // admission controllers use it to bound the aggregate DRAM residency of
 // concurrent runs, the constraint the PSAM's small-memory is about.
 func EstimateDRAMWords(name string, g *Graph) (int64, error) {
-	spec, ok := algos.Lookup(name)
-	if !ok {
-		return 0, fmt.Errorf("sage: unknown algorithm %q (known: %s)",
-			name, strings.Join(algos.Names(), ", "))
+	spec, err := lookup(name)
+	if err != nil {
+		return 0, err
 	}
 	return spec.EstimateDRAMWords(uint64(g.NumVertices()), g.NumEdges()), nil
 }
@@ -141,10 +134,9 @@ type AlgoResult struct {
 // frontier/iteration boundaries, per-call stats in the result. Unknown
 // names report the registry's contents.
 func (e *Engine) RunAlgorithm(ctx context.Context, name string, g *Graph, args AlgoArgs) (*AlgoResult, error) {
-	spec, ok := algos.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("sage: unknown algorithm %q (known: %s)",
-			name, strings.Join(algos.Names(), ", "))
+	spec, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	if spec.SetCover && args.NumSets == 0 {
 		return nil, fmt.Errorf("sage: algorithm %q requires AlgoArgs.NumSets > 0", name)
@@ -156,14 +148,14 @@ func (e *Engine) RunAlgorithm(ctx context.Context, name string, g *Graph, args A
 		}
 	}
 	if spec.Validate != nil {
-		if err := spec.Validate(algos.Args(args)); err != nil {
+		if err := spec.Validate(args); err != nil {
 			return nil, fmt.Errorf("sage: %w", err)
 		}
 	}
 	r := e.NewRun()
 	defer e.recycle(r)
 	res, err := capture(r, ctx, func(o *algos.Options) algos.Result {
-		return spec.Run(g.use(), o, algos.Args(args))
+		return spec.Run(g.use(), o, args)
 	})
 	if err != nil {
 		return nil, err

@@ -14,16 +14,16 @@
 //
 //	g := sage.GenerateRMAT(18, 16, 1)
 //	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
-//	parents := e.MustBFS(g, 0)
+//	parents := sage.Must(e.BFS(ctx, g, 0))
 //	fmt.Println(e.Stats())
 //
 // Engines are immutable and goroutine-safe: every call executes as its
 // own Run with private PSAM counters merged into the engine aggregate on
 // completion, so concurrent calls on one engine are correct by
-// construction. The context-aware forms (e.BFS(ctx, g, 0)) cancel at
-// frontier/iteration boundaries and return ctx.Err(); sage.Algorithms
-// enumerates the registry behind the typed methods, invokable by name
-// through Engine.RunAlgorithm.
+// construction. Every typed method (e.BFS(ctx, g, 0)) takes a context,
+// cancels at frontier/iteration boundaries and returns ctx.Err(); Must
+// unwraps a call that cannot fail. sage.Algorithms enumerates the registry
+// behind the typed methods, invokable by name through Engine.RunAlgorithm.
 //
 // Stored graphs are handled by Open and Create (see open.go): a format
 // registry sniffs binary containers and text formats, and binary files
@@ -41,10 +41,11 @@
 // Compact folds the delta into a fresh container file:
 //
 //	snap, err := g.Snapshot().ApplyBatch([]sage.EdgeOp{{U: 1, V: 2}})
-//	parents = e.MustBFS(snap.Graph(), 0)
+//	parents = sage.Must(e.BFS(ctx, snap.Graph(), 0))
 package sage
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"sage/internal/compress"
@@ -73,6 +74,21 @@ const (
 	NVRAMAll = psam.NVRAMAll
 )
 
+// ParseMode resolves a memory-configuration name as the CLIs spell it.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "dram":
+		return DRAM, nil
+	case "appdirect":
+		return AppDirect, nil
+	case "memorymode":
+		return MemoryMode, nil
+	case "nvramall":
+		return NVRAMAll, nil
+	}
+	return 0, fmt.Errorf("sage: unknown mode %q (known: dram, appdirect, memorymode, nvramall)", name)
+}
+
 // Strategy selects the sparse traversal implementation (§4.1).
 type Strategy = traverse.Strategy
 
@@ -89,6 +105,21 @@ const (
 	// heuristic.
 	Auto = traverse.Auto
 )
+
+// ParseStrategy resolves a traversal-strategy name as the CLIs spell it.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "chunked":
+		return Chunked, nil
+	case "blocked":
+		return Blocked, nil
+	case "sparse":
+		return Sparse, nil
+	case "auto":
+		return Auto, nil
+	}
+	return 0, fmt.Errorf("sage: unknown strategy %q (known: chunked, blocked, sparse, auto)", name)
+}
 
 // Graph is an immutable graph handle: an uncompressed CSR or a
 // byte-compressed representation, optionally weighted. Graphs returned by

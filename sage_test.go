@@ -1,11 +1,15 @@
 package sage_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
 	"sage"
 )
+
+// bg is the context of the test calls that never cancel.
+var bg = context.Background()
 
 // weighted attaches uniform weights, failing the test on misuse (the
 // call sites all hold CSR graphs, so the error path never fires here).
@@ -24,7 +28,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("n=%d", g.NumVertices())
 	}
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
-	parents := e.MustBFS(g, 0)
+	parents := sage.Must(e.BFS(bg, g, 0))
 	if parents[0] != 0 {
 		t.Fatal("source not its own parent")
 	}
@@ -46,58 +50,58 @@ func TestPublicAPIAllAlgorithms(t *testing.T) {
 	wg := weighted(t, g, 3)
 	e := sage.NewEngine()
 
-	if got := e.MustBFS(g, 0); len(got) != int(g.NumVertices()) {
+	if got := sage.Must(e.BFS(bg, g, 0)); len(got) != int(g.NumVertices()) {
 		t.Fatal("bfs")
 	}
-	if got := e.MustWBFS(wg, 0); got[0] != 0 {
+	if got := sage.Must(e.WBFS(bg, wg, 0)); got[0] != 0 {
 		t.Fatal("wbfs")
 	}
-	if got := e.MustBellmanFord(wg, 0); got[0] != 0 {
+	if got := sage.Must(e.BellmanFord(bg, wg, 0)); got[0] != 0 {
 		t.Fatal("bellman-ford")
 	}
-	if got := e.MustWidestPath(wg, 0); len(got) == 0 {
+	if got := sage.Must(e.WidestPath(bg, wg, 0)); len(got) == 0 {
 		t.Fatal("widest")
 	}
-	if got := e.MustWidestPathBucketed(wg, 0); len(got) == 0 {
+	if got := sage.Must(e.WidestPathBucketed(bg, wg, 0)); len(got) == 0 {
 		t.Fatal("widest bucketed")
 	}
-	if got := e.MustBetweenness(g, 0); got[0] != 0 {
+	if got := sage.Must(e.Betweenness(bg, g, 0)); got[0] != 0 {
 		t.Fatal("betweenness source dependency must be 0")
 	}
-	if got := e.MustSpanner(g, 4); len(got) == 0 {
+	if got := sage.Must(e.Spanner(bg, g, 4)); len(got) == 0 {
 		t.Fatal("spanner")
 	}
-	if got := e.MustLDD(g, 0.2); len(got.Cluster) == 0 {
+	if got := sage.Must(e.LDD(bg, g, 0.2)); len(got.Cluster) == 0 {
 		t.Fatal("ldd")
 	}
-	if got := e.MustConnectivity(g); len(got) == 0 {
+	if got := sage.Must(e.Connectivity(bg, g)); len(got) == 0 {
 		t.Fatal("connectivity")
 	}
-	if got := e.MustSpanningForest(g); len(got) == 0 {
+	if got := sage.Must(e.SpanningForest(bg, g)); len(got) == 0 {
 		t.Fatal("forest")
 	}
-	if got := e.MustBiconnectivity(g); len(got.Label) == 0 {
+	if got := sage.Must(e.Biconnectivity(bg, g)); len(got.Label) == 0 {
 		t.Fatal("biconnectivity")
 	}
-	if got := e.MustMIS(g); len(got) == 0 {
+	if got := sage.Must(e.MIS(bg, g)); len(got) == 0 {
 		t.Fatal("mis")
 	}
-	if got := e.MustMaximalMatching(g); len(got) == 0 {
+	if got := sage.Must(e.MaximalMatching(bg, g)); len(got) == 0 {
 		t.Fatal("matching")
 	}
-	if got := e.MustColoring(g); len(got) == 0 {
+	if got := sage.Must(e.Coloring(bg, g)); len(got) == 0 {
 		t.Fatal("coloring")
 	}
-	if got := e.MustKCore(g); len(got) == 0 {
+	if got := sage.Must(e.KCore(bg, g)); len(got) == 0 {
 		t.Fatal("kcore")
 	}
-	if got := e.MustApproxDensestSubgraph(g); got.Density <= 0 {
+	if got := sage.Must(e.ApproxDensestSubgraph(bg, g)); got.Density <= 0 {
 		t.Fatal("densest")
 	}
-	if got := e.MustTriangleCount(g); got.Count < 0 {
+	if got := sage.Must(e.TriangleCount(bg, g)); got.Count < 0 {
 		t.Fatal("triangles")
 	}
-	if ranks, iters := e.MustPageRank(g, 1e-6, 50); len(ranks) == 0 || iters == 0 {
+	if ranks, iters, err := e.PageRank(bg, g, 1e-6, 50); err != nil || len(ranks) == 0 || iters == 0 {
 		t.Fatal("pagerank")
 	}
 }
@@ -110,15 +114,15 @@ func TestPublicAPICompressedParity(t *testing.T) {
 	}
 	e1 := sage.NewEngine()
 	e2 := sage.NewEngine()
-	a := e1.MustConnectivity(g)
-	b := e2.MustConnectivity(cg)
+	a := sage.Must(e1.Connectivity(bg, g))
+	b := sage.Must(e2.Connectivity(bg, cg))
 	for v := range a {
 		if (a[v] == a[0]) != (b[v] == b[0]) {
 			t.Fatal("compressed connectivity differs")
 		}
 	}
-	t1 := e1.MustTriangleCount(g).Count
-	t2 := sage.NewEngine(sage.WithFilterBlockSize(64)).MustTriangleCount(cg).Count
+	t1 := sage.Must(e1.TriangleCount(bg, g)).Count
+	t2 := sage.Must(sage.NewEngine(sage.WithFilterBlockSize(64)).TriangleCount(bg, cg)).Count
 	if t1 != t2 {
 		t.Fatalf("triangle counts differ: %d vs %d", t1, t2)
 	}
@@ -138,8 +142,8 @@ func TestPublicAPISaveLoad(t *testing.T) {
 		t.Fatal("round trip mismatch")
 	}
 	e := sage.NewEngine()
-	d1 := e.MustWBFS(g, 0)
-	d2 := e.MustWBFS(g2, 0)
+	d1 := sage.Must(e.WBFS(bg, g, 0))
+	d2 := sage.Must(e.WBFS(bg, g2, 0))
 	for v := range d1 {
 		if d1[v] != d2[v] {
 			t.Fatal("distances differ after reload")
@@ -154,7 +158,7 @@ func TestPublicAPIFromEdges(t *testing.T) {
 	}
 	wg := sage.FromWeightedEdges(3, []sage.WeightedEdge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 2}})
 	e := sage.NewEngine()
-	d := e.MustWBFS(wg, 0)
+	d := sage.Must(e.WBFS(bg, wg, 0))
 	if d[2] != 7 {
 		t.Fatalf("dist=%d want 7", d[2])
 	}
@@ -168,7 +172,7 @@ func TestEngineModes(t *testing.T) {
 			opts = append(opts, sage.WithCache(g.SizeWords()/4))
 		}
 		e := sage.NewEngine(opts...)
-		labels := e.MustConnectivity(g)
+		labels := sage.Must(e.Connectivity(bg, g))
 		if len(labels) != int(g.NumVertices()) {
 			t.Fatalf("mode %v: bad result", mode)
 		}
@@ -199,7 +203,7 @@ func TestWorkersControl(t *testing.T) {
 	}
 	g := sage.GenerateRMAT(8, 8, 7)
 	e := sage.NewEngine()
-	if got := e.MustBFS(g, 0); len(got) != int(g.NumVertices()) {
+	if got := sage.Must(e.BFS(bg, g, 0)); len(got) != int(g.NumVertices()) {
 		t.Fatal("bfs under 2 workers")
 	}
 }
@@ -210,8 +214,8 @@ func TestCostModelOption(t *testing.T) {
 	raised.NVRAMRead = 3
 	e1 := sage.NewEngine(sage.WithModel(sage.CostModelOptane()))
 	e2 := sage.NewEngine(sage.WithModel(raised))
-	e1.MustBFS(g, 0)
-	e2.MustBFS(g, 0)
+	sage.Must(e1.BFS(bg, g, 0))
+	sage.Must(e2.BFS(bg, g, 0))
 	if e2.Stats().PSAMCost <= e1.Stats().PSAMCost {
 		t.Fatal("raising the read cost must raise the cost")
 	}
@@ -253,7 +257,7 @@ func TestPublicAPIRelabelByDegree(t *testing.T) {
 	}
 	// Analytics agree across the relabeling.
 	e := sage.NewEngine()
-	if e.MustTriangleCount(g).Count != e.MustTriangleCount(h).Count {
+	if sage.Must(e.TriangleCount(bg, g)).Count != sage.Must(e.TriangleCount(bg, h)).Count {
 		t.Fatal("triangle count changed under relabeling")
 	}
 }
@@ -261,7 +265,7 @@ func TestPublicAPIRelabelByDegree(t *testing.T) {
 func TestPublicAPILocalCluster(t *testing.T) {
 	g := sage.GeneratePowerLaw(1<<10, 6, 5)
 	e := sage.NewEngine()
-	res := e.MustLocalCluster(g, 0, 0.85, 100)
+	res := sage.Must(e.LocalCluster(bg, g, 0, 0.85, 100))
 	if len(res.Members) == 0 || res.Conductance <= 0 || res.Conductance > 1.01 {
 		t.Fatalf("cluster: %d members, conductance %.3f", len(res.Members), res.Conductance)
 	}
@@ -270,10 +274,13 @@ func TestPublicAPILocalCluster(t *testing.T) {
 func TestPublicAPIExtensions(t *testing.T) {
 	g := sage.GenerateRMAT(9, 8, 11)
 	e := sage.NewEngine()
-	if c3 := e.MustKCliqueCount(g, 3); c3 != e.MustTriangleCount(g).Count {
+	if c3 := sage.Must(e.KCliqueCount(bg, g, 3)); c3 != sage.Must(e.TriangleCount(bg, g)).Count {
 		t.Fatal("3-cliques != triangles")
 	}
-	ppr, _ := e.MustPersonalizedPageRank(g, 0, 0.85, 1e-9, 50)
+	ppr, _, err := e.PersonalizedPageRank(bg, g, 0, 0.85, 1e-9, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mass float64
 	for _, r := range ppr {
 		mass += r
@@ -281,7 +288,7 @@ func TestPublicAPIExtensions(t *testing.T) {
 	if mass < 0.5 || mass > 1.001 {
 		t.Fatalf("ppr mass %.3f", mass)
 	}
-	res := e.MustKTruss(g)
+	res := sage.Must(e.KTruss(bg, g))
 	if len(res.Trussness) == 0 {
 		t.Fatal("empty truss output")
 	}
@@ -294,8 +301,8 @@ func TestPublicAPIWeightedCompression(t *testing.T) {
 		t.Fatal("weights lost in compression")
 	}
 	e := sage.NewEngine()
-	d1 := e.MustWBFS(g, 0)
-	d2 := e.MustWBFS(cg, 0)
+	d1 := sage.Must(e.WBFS(bg, g, 0))
+	d2 := sage.Must(e.WBFS(bg, cg, 0))
 	for v := range d1 {
 		if d1[v] != d2[v] {
 			t.Fatalf("weighted compressed distance differs at %d", v)

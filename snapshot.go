@@ -32,12 +32,7 @@ var ErrBadEdgeOp = delta.ErrBadOp
 // selects 1), and inserting an existing edge with a different weight
 // re-weights it; on unweighted graphs W must be 0 or 1. The JSON names
 // are the wire format of sage-serve's update endpoint.
-type EdgeOp struct {
-	U   uint32 `json:"u"`
-	V   uint32 `json:"v"`
-	W   int32  `json:"w,omitempty"`
-	Del bool   `json:"del,omitempty"`
-}
+type EdgeOp = delta.Op
 
 // Snapshot is an immutable view of a graph at one update generation: a
 // read-only base plus a DRAM-resident delta overlay. Snapshots are cheap
@@ -66,11 +61,7 @@ func (g *Graph) Snapshot() *Snapshot {
 // storage is never written; the returned snapshot's delta footprint is
 // reported by DeltaWords.
 func (s *Snapshot) ApplyBatch(ops []EdgeOp) (*Snapshot, error) {
-	dops := make([]delta.Op, len(ops))
-	for i, op := range ops {
-		dops[i] = delta.Op{U: op.U, V: op.V, W: op.W, Del: op.Del}
-	}
-	ov, err := s.ov.Apply(dops)
+	ov, err := s.ov.Apply(ops)
 	if err != nil {
 		return nil, fmt.Errorf("sage: %w", err)
 	}
@@ -95,18 +86,12 @@ func (s *Snapshot) ApplyBatch(ops []EdgeOp) (*Snapshot, error) {
 // accepts it unchanged.
 func (s *Snapshot) Graph() *Graph { return s.h }
 
-// Base returns the read-only base graph the snapshot composes with.
-func (s *Snapshot) Base() *Graph { return s.base }
-
 // NumVertices returns n (updates cannot grow the vertex set; that is a
 // ROADMAP open item).
 func (s *Snapshot) NumVertices() uint32 { return s.ov.NumVertices() }
 
 // NumEdges returns the merged arc count (2x the undirected edges).
 func (s *Snapshot) NumEdges() uint64 { return s.ov.NumEdges() }
-
-// Degree returns the merged degree of v.
-func (s *Snapshot) Degree(v uint32) uint32 { return s.ov.Degree(v) }
 
 // DeltaWords returns the DRAM-resident footprint of the snapshot's
 // overlay in simulated words — 0 for the identity snapshot. In the PSAM

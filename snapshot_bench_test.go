@@ -39,7 +39,7 @@ func BenchmarkSnapshotBFS(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e.MustBFS(tc.g, 0)
+				sage.Must(e.BFS(bg, tc.g, 0))
 			}
 		})
 	}
