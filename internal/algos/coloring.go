@@ -54,16 +54,26 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 	})
 
 	roots := parallel.PackIndex(int(n), func(i int) bool { return count[i] == 0 })
+	// Round state, held for the run: per-worker palettes (all false between
+	// vertices) and next-round candidate buckets, truncated every round;
+	// each round's candidates are flattened into the last round's roots.
+	palettes := make([][]bool, parallel.Workers())
+	nextCand := make([][]uint32, parallel.Workers())
 	for len(roots) > 0 {
 		o.Checkpoint()
-		nextCand := make([][]uint32, parallel.Workers())
+		for w := range nextCand {
+			nextCand[w] = nextCand[w][:0]
+		}
 		parallel.ForWorker(len(roots), 4, func(w, i int) {
 			v := roots[i]
 			deg := g.Degree(v)
 			o.Env.GraphRead(w, g.EdgeAddr(v), 2*g.ScanCost(v, 0, deg))
-			// Smallest color not used by colored neighbors: a local
-			// palette of deg+1 booleans suffices.
-			palette := make([]bool, deg+1)
+			// Smallest color not used by colored neighbors: a palette of
+			// deg+1 booleans suffices.
+			if len(palettes[w]) <= int(deg) {
+				palettes[w] = make([]bool, deg+1)
+			}
+			palette := palettes[w][:deg+1]
 			nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
 			for _, u := range nghs {
 				if c := atomic.LoadUint32(&color[u]); c <= deg {
@@ -74,6 +84,7 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			for c <= deg && palette[c] {
 				c++
 			}
+			clear(palette)
 			atomic.StoreUint32(&color[v], c)
 			o.Env.StateWrite(w, int64(deg)+2)
 			// Release later neighbors.
@@ -83,7 +94,7 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 				}
 			}
 		})
-		roots = parallel.FlattenUint32(nextCand)
+		roots = parallel.FlattenUint32(roots, nextCand)
 	}
 	return color
 }

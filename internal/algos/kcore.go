@@ -92,7 +92,7 @@ func kcoreFetchAdd(g graph.Adj, o *Options, b *bucket.Buckets, peeled []uint32, 
 			o.Env.StateWrite(w, 1)
 		}
 	})
-	flat := parallel.FlattenUint32(touched)
+	flat := parallel.FlattenUint32(nil, touched)
 	// Deduplicate before the bulk bucket move (UpdateBatch requires
 	// distinct ids).
 	if len(flat) == 0 {

@@ -184,7 +184,7 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 			})
 		})
 		round++
-		flat := parallel.FlattenUint32(lists)
+		flat := parallel.FlattenUint32(nil, lists)
 		if len(flat) == 0 {
 			continue
 		}

@@ -56,7 +56,7 @@ func MaximalMatching(g graph.Adj, o *Options) []graph.Edge {
 				}
 			}
 		})
-		flat := parallel.FlattenUint32(lists)
+		flat := parallel.FlattenUint32(nil, lists)
 		live := make([]graph.Edge, len(flat)/2)
 		parallel.For(len(live), 0, func(i int) {
 			live[i] = graph.Edge{U: flat[2*i], V: flat[2*i+1]}
@@ -86,7 +86,7 @@ func MaximalMatching(g graph.Adj, o *Options) []graph.Edge {
 					wonLists[w] = append(wonLists[w], e.U, e.V)
 				}
 			})
-			wonFlat := parallel.FlattenUint32(wonLists)
+			wonFlat := parallel.FlattenUint32(nil, wonLists)
 			for i := 0; i < len(wonFlat); i += 2 {
 				matchedEdges = append(matchedEdges, graph.Edge{U: wonFlat[i], V: wonFlat[i+1]})
 			}

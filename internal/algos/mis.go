@@ -54,20 +54,28 @@ func MIS(g graph.Adj, o *Options) []bool {
 
 	// Initial rootset: undecided vertices with no earlier neighbors.
 	roots := parallel.PackIndex(int(n), func(i int) bool { return count[i] == 0 })
+	// Round state, held for the run and truncated every round: per worker,
+	// the neighbors it decided Out, the roots it let join and the
+	// next-round candidates; and the flattened decided and candidate sets.
+	p := parallel.Workers()
+	lists := make([][]uint32, 3*p)
+	newlyOut, joined, nextCand := lists[:p], lists[p:2*p], lists[2*p:]
+	var decided, cand []uint32
 	for len(roots) > 0 {
 		o.Checkpoint()
+		for w := range lists {
+			lists[w] = lists[w][:0]
+		}
 		// Roots join the MIS; their neighbors leave. Two roots cannot be
 		// adjacent: a root has no earlier undecided neighbor, and of two
 		// adjacent roots one would be the other's earlier undecided
 		// neighbor — so the In-CAS below cannot race with another In.
-		newlyOut := make([][]uint32, parallel.Workers())
-		joined := make([]bool, len(roots))
 		parallel.ForWorker(len(roots), 4, func(w, i int) {
 			v := roots[i]
 			if !parallel.CASUint32(&state[v], stateUndecided, stateIn) {
 				return // already decided in an earlier round (stale candidate)
 			}
-			joined[i] = true
+			joined[w] = append(joined[w], v)
 			deg := g.Degree(v)
 			o.Env.GraphRead(w, g.EdgeAddr(v), g.ScanCost(v, 0, deg))
 			nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
@@ -77,12 +85,8 @@ func MIS(g graph.Adj, o *Options) []bool {
 				}
 			}
 		})
-		decided := parallel.FlattenUint32(newlyOut)
-		decided = append(decided, parallel.FilterIndex(roots, func(i int, _ uint32) bool {
-			return joined[i]
-		})...)
+		decided = parallel.FlattenUint32(decided, lists[:2*p])
 		// Decided vertices release their later neighbors.
-		nextCand := make([][]uint32, parallel.Workers())
 		parallel.ForWorker(len(decided), 4, func(w, i int) {
 			v := decided[i]
 			deg := g.Degree(v)
@@ -95,9 +99,11 @@ func MIS(g graph.Adj, o *Options) []bool {
 				}
 			}
 		})
-		roots = parallel.Filter(parallel.FlattenUint32(nextCand), func(v uint32) bool {
+		cand = parallel.FlattenUint32(cand, nextCand)
+		roots = parallel.Resize(roots, len(cand))
+		roots = roots[:parallel.PackInto(roots, cand, func(v uint32) bool {
 			return atomic.LoadUint32(&state[v]) == stateUndecided
-		})
+		})]
 	}
 	return parallel.Tabulate(int(n), func(i int) bool { return state[i] == stateIn })
 }

@@ -16,44 +16,71 @@ const pagerankDamping = 0.85
 // per-iteration depth by O(log n).
 const prParallelDegree = 8192
 
-// PageRankIter performs one dense pull-based PageRank iteration from
-// prev, writing into next (both length n), and returns the L1 change.
-// O(m) work, O(log n) depth, O(n) words of small-memory per iteration.
-func PageRankIter(g graph.Adj, o *Options, prev, next []float64) float64 {
-	o.Checkpoint() // one iteration is the cancellation granularity
-	n := int(g.NumVertices())
-	// Pre-divide by degree so the pull only sums contributions.
-	contrib := make([]float64, n)
-	o.Env.Alloc(int64(n))
-	defer o.Env.Free(int64(n))
-	parallel.For(n, 0, func(i int) {
-		if d := g.Degree(uint32(i)); d > 0 {
-			contrib[i] = prev[i] / float64(d)
-		}
-	})
-	base := (1 - pagerankDamping) / float64(n)
-	flat := graph.NewFlat(g)
-	var diffs [parallel.MaxWorkers]struct {
+// pagerankRound is the round state of a PageRank run, allocated once and
+// held across iterations: the vertex degrees (read twice per vertex per
+// iteration, a map lookup each time on an overlay), the degree-divided
+// contributions of the previous rank vector, and the per-worker L1 sums
+// (all zero between steps). 2n words of small-memory.
+type pagerankRound struct {
+	g       graph.Adj
+	o       *Options
+	flat    graph.Flat
+	deg     []uint32
+	contrib []float64
+	diffs   [parallel.MaxWorkers]struct {
 		d float64
 		_ [56]byte
 	}
+}
+
+// newPagerankRound allocates and charges the round state; the caller
+// releases it with free.
+func newPagerankRound(g graph.Adj, o *Options) *pagerankRound {
+	n := int(g.NumVertices())
+	o.Env.Alloc(2 * int64(n))
+	return &pagerankRound{
+		g:       g,
+		o:       o,
+		flat:    graph.NewFlat(g),
+		deg:     parallel.Tabulate(n, func(i int) uint32 { return g.Degree(uint32(i)) }),
+		contrib: make([]float64, n),
+	}
+}
+
+func (r *pagerankRound) free() { r.o.Env.Free(2 * int64(len(r.deg))) }
+
+// step performs one dense pull-based iteration from prev into next and
+// returns the L1 change.
+func (r *pagerankRound) step(prev, next []float64) float64 {
+	g, o, flat, deg, contrib, diffs := r.g, r.o, r.flat, r.deg, r.contrib, &r.diffs
+	o.Checkpoint() // one iteration is the cancellation granularity
+	n := len(deg)
+	// Pre-divide by degree so the pull only sums contributions.
+	parallel.For(n, 0, func(i int) {
+		if d := deg[i]; d > 0 {
+			contrib[i] = prev[i] / float64(d)
+		} else {
+			contrib[i] = 0
+		}
+	})
+	base := (1 - pagerankDamping) / float64(n)
 	parallel.ForBlocks(n, 64, func(w, lo, hi int) {
 		sc := o.scratch(w)
 		var scanned int64
 		var l1 float64
 		for i := lo; i < hi; i++ {
 			v := uint32(i)
-			deg := g.Degree(v)
+			d := deg[i]
 			var acc float64
-			if deg > prParallelDegree {
-				acc = aggregateParallel(g, v, deg, contrib)
+			if d > prParallelDegree {
+				acc = aggregateParallel(g, v, d, contrib)
 			} else {
-				nghs, _ := flat.Slice(v, 0, deg, sc)
+				nghs, _ := flat.Slice(v, 0, d, sc)
 				for _, u := range nghs {
 					acc += contrib[u]
 				}
 			}
-			scanned += int64(deg)
+			scanned += int64(d)
 			nv := base + pagerankDamping*acc
 			l1 += math.Abs(nv - prev[i])
 			next[i] = nv
@@ -66,8 +93,18 @@ func PageRankIter(g graph.Adj, o *Options, prev, next []float64) float64 {
 	var total float64
 	for i := range diffs {
 		total += diffs[i].d
+		diffs[i].d = 0
 	}
 	return total
+}
+
+// PageRankIter performs one dense pull-based PageRank iteration from
+// prev, writing into next (both length n), and returns the L1 change.
+// O(m) work, O(log n) depth, O(n) words of small-memory per iteration.
+func PageRankIter(g graph.Adj, o *Options, prev, next []float64) float64 {
+	r := newPagerankRound(g, o)
+	defer r.free()
+	return r.step(prev, next)
 }
 
 // aggregateParallel reduces a high-degree vertex's neighbor contributions
@@ -97,9 +134,10 @@ func aggregateParallel(g graph.Adj, v, deg uint32, contrib []float64) float64 {
 	return acc
 }
 
-// PageRank iterates PageRankIter until the L1 change drops below eps
-// (default 1e-6, the paper's setting) or maxIters passes. It returns the
-// rank vector and the number of iterations run.
+// PageRank iterates the PageRankIter step until the L1 change drops below
+// eps (default 1e-6, the paper's setting) or maxIters passes, holding one
+// round state for the whole run. It returns the rank vector and the
+// number of iterations run.
 func PageRank(g graph.Adj, o *Options, eps float64, maxIters int) ([]float64, int) {
 	n := int(g.NumVertices())
 	if eps <= 0 {
@@ -113,9 +151,11 @@ func PageRank(g graph.Adj, o *Options, eps float64, maxIters int) ([]float64, in
 	o.Env.Alloc(2 * int64(n))
 	defer o.Env.Free(2 * int64(n))
 	parallel.Fill(prev, 1/float64(n))
+	r := newPagerankRound(g, o)
+	defer r.free()
 	iters := 0
 	for iters < maxIters {
-		diff := PageRankIter(g, o, prev, next)
+		diff := r.step(prev, next)
 		prev, next = next, prev
 		iters++
 		if diff < eps {

@@ -28,6 +28,7 @@ func WBFS(g graph.Adj, o *Options, src uint32) []uint32 {
 	parallel.Fill(prio, bucket.Null)
 	prio[src] = 0
 	b := bucket.New(prio, bucket.Increasing)
+	var prios []uint32 // the round's bucket moves, reused
 
 	for {
 		d, settled, ok := b.NextBucket()
@@ -51,7 +52,7 @@ func WBFS(g graph.Adj, o *Options, src uint32) []uint32 {
 		}
 		out := o.edgeMap(g, fr, ops, func(t *traverse.Options) { t.Dedup = true })
 		ids := out.Sparse()
-		prios := make([]uint32, len(ids))
+		prios = parallel.Resize(prios, len(ids))
 		parallel.For(len(ids), 0, func(i int) {
 			prios[i] = atomic.LoadUint32(&dist[ids[i]])
 		})
@@ -173,6 +174,7 @@ func WidestPathBucketed(g graph.Adj, o *Options, src uint32) []int64 {
 	// largest non-Null priority.
 	prio[src] = Infinity - 1
 	b := bucket.New(prio, bucket.Decreasing)
+	var prios []uint32 // the round's bucket moves, reused
 
 	for {
 		_, settled, ok := b.NextBucket()
@@ -197,7 +199,7 @@ func WidestPathBucketed(g graph.Adj, o *Options, src uint32) []int64 {
 		}
 		out := o.edgeMap(g, fr, ops, func(t *traverse.Options) { t.Dedup = true })
 		ids := out.Sparse()
-		prios := make([]uint32, len(ids))
+		prios = parallel.Resize(prios, len(ids))
 		parallel.For(len(ids), 0, func(i int) {
 			w := atomic.LoadUint32(&width[ids[i]])
 			if w >= Infinity-1 {

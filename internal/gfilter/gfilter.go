@@ -81,25 +81,34 @@ func New(g graph.Adj, fb int, env *psam.Env) *Filter {
 	n := g.NumVertices()
 	f := &Filter{g: g, env: env, csr: g.BlockSize() == 0, fb: uint32(fb), wpb: uint32(fb / 64)}
 
-	nb := make([]uint64, n+1)
-	parallel.For(int(n), 0, func(i int) {
-		nb[i] = uint64((g.Degree(uint32(i)) + f.fb - 1) / f.fb)
+	// Each vertex's block count is scanned in place into its arena start:
+	// a block-local exclusive scan here, the block's offset added below.
+	const grain = parallel.DefaultGrain
+	f.vtx = make([]vtxMeta, n)
+	blockSums := make([]uint64, (int(n)+grain-1)/grain)
+	parallel.ForBlocks(int(n), grain, func(_, lo, hi int) {
+		var acc uint64
+		for i := lo; i < hi; i++ {
+			deg := g.Degree(uint32(i))
+			numB := (deg + f.fb - 1) / f.fb
+			f.vtx[i] = vtxMeta{start: acc, numBlocks: numB, deg: deg}
+			acc += uint64(numB)
+		}
+		blockSums[lo/grain] = acc
 	})
-	totalBlocks := parallel.Scan(nb)
+	totalBlocks := parallel.Scan(blockSums)
 	f.bits = make([]uint64, totalBlocks*uint64(f.wpb))
 	f.meta = make([]blockMeta, totalBlocks)
-	f.vtx = make([]vtxMeta, n)
 	f.dirty = parallel.NewBitset(int(n))
 	env.Alloc(int64(len(f.bits)) + 2*int64(totalBlocks) + 3*int64(n) + int64(f.dirty.Words())/2)
 
 	parallel.For(int(n), 16, func(i int) {
-		v := uint32(i)
-		deg := g.Degree(v)
-		numB := uint32(nb[uint32(i)+1] - nb[i])
-		f.vtx[i] = vtxMeta{start: nb[i], numBlocks: numB, deg: deg}
+		vm := &f.vtx[i]
+		vm.start += blockSums[i/grain]
+		deg, numB := vm.deg, vm.numBlocks
 		for b := uint32(0); b < numB; b++ {
-			f.meta[nb[i]+uint64(b)] = blockMeta{orig: b, offset: b * f.fb}
-			w := f.blockWords(nb[i] + uint64(b))
+			f.meta[vm.start+uint64(b)] = blockMeta{orig: b, offset: b * f.fb}
+			w := f.blockWords(vm.start + uint64(b))
 			edgesInBlock := min(f.fb, deg-b*f.fb)
 			for k := uint32(0); k < f.wpb; k++ {
 				inWord := int32(edgesInBlock) - int32(k*64)

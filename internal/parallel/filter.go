@@ -118,16 +118,19 @@ func Map[T, U any](a []T, f func(T) U) []U {
 
 // FlattenUint32 concatenates the given chunks into one contiguous slice
 // using a scan over the chunk lengths and a parallel copy. It is the
-// aggregation step of edgeMapChunked (Algorithm 1, lines 24–30).
-func FlattenUint32(chunks [][]uint32) []uint32 {
+// aggregation step of edgeMapChunked (Algorithm 1, lines 24–30). The
+// result reuses dst's array when its capacity allows (as Resize does), so
+// a round loop can flatten into one buffer for its whole run; dst must
+// not overlap any chunk. Pass nil for a fresh slice.
+func FlattenUint32(dst []uint32, chunks [][]uint32) []uint32 {
 	k := len(chunks)
 	if k == 0 {
-		return nil
+		return dst[:0]
 	}
 	offs := make([]int, k)
 	For(k, 64, func(i int) { offs[i] = len(chunks[i]) })
 	total := Scan(offs)
-	out := make([]uint32, total)
+	out := Resize(dst, total)
 	For(k, 1, func(i int) {
 		copy(out[offs[i]:], chunks[i])
 	})

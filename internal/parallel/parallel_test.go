@@ -303,7 +303,7 @@ func TestAddFloat64Concurrent(t *testing.T) {
 
 func TestFlattenUint32(t *testing.T) {
 	chunks := [][]uint32{{1, 2}, nil, {3}, {4, 5, 6}}
-	got := FlattenUint32(chunks)
+	got := FlattenUint32(nil, chunks)
 	want := []uint32{1, 2, 3, 4, 5, 6}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)

@@ -133,8 +133,10 @@ func EdgeMapChunked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 				if cur != nil {
 					vec = append(vec, cur)
 				}
+				// Charge the requested size, not the pooled chunk's
+				// capacity, so the peak does not depend on pool history.
 				cur = pools.chunks.get(w, chunkSize)
-				env.Alloc(int64(cap(cur)))
+				env.Alloc(int64(chunkSize))
 			}
 			u := sp[blockVtx[b]]
 			lo := blockLo[b]
@@ -171,13 +173,11 @@ func EdgeMapChunked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 	}
 	var res []uint32
 	if !opt.NoOutput {
-		res = parallel.FlattenUint32(all)
+		res = parallel.FlattenUint32(nil, all)
 		env.StateWrite(0, int64(len(res)))
 	}
-	parallel.ForWorker(len(all), 4, func(w, i int) {
-		env.Free(int64(cap(all[i])))
-		pools.chunks.put(w, all[i])
-	})
+	env.Free(int64(len(all) * chunkSize))
+	parallel.ForWorker(len(all), 4, func(w, i int) { pools.chunks.put(w, all[i]) })
 	if opt.NoOutput {
 		return frontier.Empty(n)
 	}

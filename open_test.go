@@ -53,7 +53,7 @@ func TestOpenMmapVsCopyEquivalence(t *testing.T) {
 		return run{parents, statKey{
 			s.PSAMCost + s2.PSAMCost, s.NVRAMReads + s2.NVRAMReads,
 			s.NVRAMWrites + s2.NVRAMWrites, s.DRAMReads + s2.DRAMReads,
-			s.DRAMWrites + s2.DRAMWrites}}
+			s.DRAMWrites + s2.DRAMWrites, max(s.PeakDRAMWords, s2.PeakDRAMWords)}}
 	}
 	want := runOn(mem)
 	// The BFS golden from psam_regress_test.go pins this workload; the

@@ -8,52 +8,77 @@ import (
 )
 
 // statKey is the golden subset of Stats that the hot-path refactor must
-// preserve exactly: the simulated PSAM cost and the four access-count
-// totals. (PeakDRAMWords is excluded: chunk-pool reuse makes the peak
-// depend on allocator state, not on the access pattern under test.)
+// preserve exactly: the simulated PSAM cost, the four access-count totals
+// and the peak tracked small-memory residency.
 type statKey struct {
-	Cost, NVRAMReads, NVRAMWrites, DRAMReads, DRAMWrites int64
+	Cost, NVRAMReads, NVRAMWrites, DRAMReads, DRAMWrites, PeakDRAMWords int64
 }
 
 func keyOf(s sage.Stats) statKey {
-	return statKey{s.PSAMCost, s.NVRAMReads, s.NVRAMWrites, s.DRAMReads, s.DRAMWrites}
+	return statKey{s.PSAMCost, s.NVRAMReads, s.NVRAMWrites, s.DRAMReads, s.DRAMWrites, s.PeakDRAMWords}
 }
 
-// goldenStats pins the simulated access counts of the four reference
-// workloads on a fixed seed graph (R-MAT logN=11, avgDeg=8, seed=7),
-// captured at one worker so randomized tie-breaking cannot perturb the
-// counts. Any change to these numbers is an accounting change and must be
-// deliberate (see the frontierDegree fix commit for one audited delta).
+// goldenStats pins the simulated access counts and peak small-memory
+// residency of the reference workloads on a fixed seed graph (R-MAT
+// logN=11, avgDeg=8, seed=7), captured at one worker so randomized
+// tie-breaking cannot perturb the counts. Any change to these numbers is an
+// accounting change and must be deliberate (see the frontierDegree fix
+// commit for one audited delta). PageRank's peak counts its n-word degree
+// array: 4n for a run, 2n for one iteration.
 // The connectivity rows were re-captured when LDD's centre order became
 // (start round, id): until then they pinned whichever order the unstable
 // comparison sort left vertices of one start round in, which decides who
 // claims a contested vertex and so how many inter-cluster edges each
 // contraction level keeps. Nothing else moved.
 var goldenStats = map[string]statKey{
-	"csr/chunked/bfs":             {14908, 9660, 0, 3303, 1945},
-	"csr/chunked/pagerankiter":    {27608, 12780, 0, 12780, 2048},
-	"csr/chunked/connectivity":    {50358, 25055, 0, 19821, 5482},
-	"csr/chunked/kcore":           {128478, 64239, 0, 60584, 3655},
-	"csr/blocked/bfs":             {14908, 9660, 0, 3303, 1945},
-	"csr/blocked/pagerankiter":    {27608, 12780, 0, 12780, 2048},
-	"csr/blocked/connectivity":    {50358, 25055, 0, 19821, 5482},
-	"csr/blocked/kcore":           {128478, 64239, 0, 60584, 3655},
-	"csr/sparse/bfs":              {14932, 9660, 0, 3303, 1969},
-	"csr/sparse/pagerankiter":     {27608, 12780, 0, 12780, 2048},
-	"csr/sparse/connectivity":     {50570, 25055, 0, 19821, 5694},
-	"csr/sparse/kcore":            {128478, 64239, 0, 60584, 3655},
-	"byte64/chunked/bfs":          {14722, 9474, 0, 3303, 1945},
-	"byte64/chunked/pagerankiter": {27608, 12780, 0, 12780, 2048},
-	"byte64/chunked/connectivity": {50159, 24856, 0, 19821, 5482},
-	"byte64/chunked/kcore":        {125774, 61535, 0, 60584, 3655},
-	"byte64/blocked/bfs":          {14722, 9474, 0, 3303, 1945},
-	"byte64/blocked/pagerankiter": {27608, 12780, 0, 12780, 2048},
-	"byte64/blocked/connectivity": {50159, 24856, 0, 19821, 5482},
-	"byte64/blocked/kcore":        {125774, 61535, 0, 60584, 3655},
-	"byte64/sparse/bfs":           {14746, 9474, 0, 3303, 1969},
-	"byte64/sparse/pagerankiter":  {27608, 12780, 0, 12780, 2048},
-	"byte64/sparse/connectivity":  {50371, 24856, 0, 19821, 5694},
-	"byte64/sparse/kcore":         {125774, 61535, 0, 60584, 3655},
+	"csr/chunked/bfs":             {14908, 9660, 0, 3303, 1945, 3603},
+	"csr/chunked/pagerankiter":    {27608, 12780, 0, 12780, 2048, 4096},
+	"csr/chunked/connectivity":    {50358, 25055, 0, 19821, 5482, 9961},
+	"csr/chunked/kcore":           {128478, 64239, 0, 60584, 3655, 6144},
+	"csr/chunked/pagerank":        {276080, 127800, 0, 127800, 20480, 8192},
+	"csr/chunked/coloring":        {55216, 38340, 0, 0, 16876, 10240},
+	"csr/chunked/wbfs":            {81255, 40522, 0, 38576, 2157, 5651},
+	"csr/chunked/mis":             {30928, 28880, 0, 0, 2048, 8192},
+	"csr/blocked/bfs":             {14908, 9660, 0, 3303, 1945, 3073},
+	"csr/blocked/pagerankiter":    {27608, 12780, 0, 12780, 2048, 4096},
+	"csr/blocked/connectivity":    {50358, 25055, 0, 19821, 5482, 9407},
+	"csr/blocked/kcore":           {128478, 64239, 0, 60584, 3655, 6144},
+	"csr/blocked/pagerank":        {276080, 127800, 0, 127800, 20480, 8192},
+	"csr/blocked/coloring":        {55216, 38340, 0, 0, 16876, 10240},
+	"csr/blocked/wbfs":            {81255, 40522, 0, 38576, 2157, 5153},
+	"csr/blocked/mis":             {30928, 28880, 0, 0, 2048, 8192},
+	"csr/sparse/bfs":              {14932, 9660, 0, 3303, 1969, 3073},
+	"csr/sparse/pagerankiter":     {27608, 12780, 0, 12780, 2048, 4096},
+	"csr/sparse/connectivity":     {50570, 25055, 0, 19821, 5694, 9407},
+	"csr/sparse/kcore":            {128478, 64239, 0, 60584, 3655, 6144},
+	"csr/sparse/pagerank":         {276080, 127800, 0, 127800, 20480, 8192},
+	"csr/sparse/coloring":         {55216, 38340, 0, 0, 16876, 10240},
+	"csr/sparse/wbfs":             {81279, 40522, 0, 38576, 2181, 5153},
+	"csr/sparse/mis":              {30928, 28880, 0, 0, 2048, 8192},
+	"byte64/chunked/bfs":          {14722, 9474, 0, 3303, 1945, 3603},
+	"byte64/chunked/pagerankiter": {27608, 12780, 0, 12780, 2048, 4096},
+	"byte64/chunked/connectivity": {50159, 24856, 0, 19821, 5482, 9961},
+	"byte64/chunked/kcore":        {125774, 61535, 0, 60584, 3655, 6144},
+	"byte64/chunked/pagerank":     {276080, 127800, 0, 127800, 20480, 8192},
+	"byte64/chunked/coloring":     {35946, 19070, 0, 0, 16876, 10240},
+	"byte64/chunked/wbfs":         {81069, 40336, 0, 38576, 2157, 5651},
+	"byte64/chunked/mis":          {19072, 17024, 0, 0, 2048, 8192},
+	"byte64/blocked/bfs":          {14722, 9474, 0, 3303, 1945, 3073},
+	"byte64/blocked/pagerankiter": {27608, 12780, 0, 12780, 2048, 4096},
+	"byte64/blocked/connectivity": {50159, 24856, 0, 19821, 5482, 9407},
+	"byte64/blocked/kcore":        {125774, 61535, 0, 60584, 3655, 6144},
+	"byte64/blocked/pagerank":     {276080, 127800, 0, 127800, 20480, 8192},
+	"byte64/blocked/coloring":     {35946, 19070, 0, 0, 16876, 10240},
+	"byte64/blocked/wbfs":         {81069, 40336, 0, 38576, 2157, 5153},
+	"byte64/blocked/mis":          {19072, 17024, 0, 0, 2048, 8192},
+	"byte64/sparse/bfs":           {14746, 9474, 0, 3303, 1969, 3073},
+	"byte64/sparse/pagerankiter":  {27608, 12780, 0, 12780, 2048, 4096},
+	"byte64/sparse/connectivity":  {50371, 24856, 0, 19821, 5694, 9407},
+	"byte64/sparse/kcore":         {125774, 61535, 0, 60584, 3655, 6144},
+	"byte64/sparse/pagerank":      {276080, 127800, 0, 127800, 20480, 8192},
+	"byte64/sparse/coloring":      {35946, 19070, 0, 0, 16876, 10240},
+	"byte64/sparse/wbfs":          {81093, 40336, 0, 38576, 2181, 5153},
+	"byte64/sparse/mis":           {19072, 17024, 0, 0, 2048, 8192},
 }
 
 // regressGraphs builds the fixed CSR and byte-compressed inputs.
@@ -65,8 +90,9 @@ func regressGraphs() map[string]*sage.Graph {
 	}
 }
 
-// TestPSAMStatsRegression runs BFS, PageRankIter, Connectivity, and KCore
-// under every traversal strategy and asserts the accumulated counters
+// TestPSAMStatsRegression runs BFS, PageRankIter, Connectivity, KCore,
+// PageRank (ten iterations), Coloring, wBFS and MIS under every traversal
+// strategy and asserts the accumulated counters
 // match the goldens. Run with -run TestPSAMStatsRegression -v to print
 // actual values when re-goldening after a deliberate accounting change.
 func TestPSAMStatsRegression(t *testing.T) {
@@ -86,8 +112,8 @@ func TestPSAMStatsRegression(t *testing.T) {
 				got := keyOf(e.Stats())
 				want, ok := goldenStats[name]
 				if !ok {
-					t.Errorf("missing golden %q: {%d, %d, %d, %d, %d}",
-						name, got.Cost, got.NVRAMReads, got.NVRAMWrites, got.DRAMReads, got.DRAMWrites)
+					t.Errorf("missing golden %q: {%d, %d, %d, %d, %d, %d}",
+						name, got.Cost, got.NVRAMReads, got.NVRAMWrites, got.DRAMReads, got.DRAMWrites, got.PeakDRAMWords)
 					return
 				}
 				if got != want {
@@ -106,6 +132,14 @@ func TestPSAMStatsRegression(t *testing.T) {
 			})
 			run("connectivity", func() { sage.Must(e.Connectivity(bg, g)) })
 			run("kcore", func() { sage.Must(e.KCore(bg, g)) })
+			run("pagerank", func() {
+				if _, _, err := e.PageRank(bg, g, 0, 10); err != nil {
+					t.Fatal(err)
+				}
+			})
+			run("coloring", func() { sage.Must(e.Coloring(bg, g)) })
+			run("wbfs", func() { sage.Must(e.WBFS(bg, g, 0)) })
+			run("mis", func() { sage.Must(e.MIS(bg, g)) })
 		}
 	}
 }
