@@ -11,6 +11,7 @@ package compress
 
 import (
 	"fmt"
+	"math"
 
 	"sage/internal/graph"
 	"sage/internal/parallel"
@@ -37,30 +38,38 @@ type CGraph struct {
 	data []byte
 }
 
-// Compress encodes g with the given block size (edges per block).
-// Weighted graphs are supported: weights are interleaved per edge.
-func Compress(g *graph.Graph, blockSize int) *CGraph {
+// Compress encodes any adjacency view with the given block size (edges
+// per block): a parallel sizing pass, then a parallel encode pass, both
+// reading a.Slice through per-worker scratch. Weighted graphs are
+// supported: weights are interleaved per edge.
+func Compress(a graph.Adj, blockSize int) *CGraph {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	n := g.NumVertices()
-	bs := uint32(blockSize)
-	weighted := g.Weighted()
-	sizes := make([]uint64, n+1)
-	parallel.For(int(n), 64, func(i int) {
-		v := uint32(i)
-		sizes[i] = uint64(encodedSize(v, g.Neighbors(v), g.NeighborWeights(v), bs))
+	n, bs := a.NumVertices(), uint32(blockSize)
+	degrees, vtxOff := sizes(a, bs)
+	data := make([]byte, vtxOff[n])
+	var pool graph.ScratchPool
+	parallel.ForWorker(int(n), 64, func(w, i int) {
+		nghs, ws := a.Slice(uint32(i), 0, math.MaxUint32, pool.Get(w))
+		encodeVertex(uint32(i), nghs, ws, bs, data[vtxOff[i]:vtxOff[i+1]])
 	})
-	total := parallel.Scan(sizes)
-	data := make([]byte, total)
-	degrees := make([]uint32, n)
-	parallel.For(int(n), 64, func(i int) {
-		v := uint32(i)
-		degrees[i] = g.Degree(v)
-		encodeVertex(v, g.Neighbors(v), g.NeighborWeights(v), bs, data[sizes[i]:sizes[i+1]])
+	return &CGraph{n: n, m: a.NumEdges(), blockSize: bs, weighted: a.Weighted(),
+		degrees: degrees, vtxOff: vtxOff, data: data}
+}
+
+// sizes is the sizing pass: every vertex's degree, and the byte offset of
+// its encoded region at block size bs (len n+1, the last entry the total).
+func sizes(a graph.Adj, bs uint32) ([]uint32, []uint64) {
+	n := a.NumVertices()
+	deg, off := make([]uint32, n), make([]uint64, n+1)
+	var pool graph.ScratchPool
+	parallel.ForWorker(int(n), 64, func(w, i int) {
+		nghs, ws := a.Slice(uint32(i), 0, math.MaxUint32, pool.Get(w))
+		deg[i], off[i] = uint32(len(nghs)), uint64(encodedSize(uint32(i), nghs, ws, bs))
 	})
-	return &CGraph{n: n, m: g.NumEdges(), blockSize: bs, weighted: weighted,
-		degrees: degrees, vtxOff: sizes, data: data}
+	parallel.Scan(off)
+	return deg, off
 }
 
 // numBlocks returns ceil(deg/blockSize) for vertex v.

@@ -8,6 +8,9 @@ package compress
 
 import (
 	"fmt"
+	"io"
+	"math"
+	"slices"
 
 	"sage/internal/graph"
 )
@@ -22,18 +25,45 @@ func (c *CGraph) VtxOff() []uint64 { return c.vtxOff }
 // Data exposes the encoded block data (read-only).
 func (c *CGraph) Data() []byte { return c.data }
 
-// Sections returns the container sections serializing c (header plus the
-// three compressed arrays), streaming from the graph's own storage.
-func (c *CGraph) Sections() []graph.Section {
-	h := graph.Header{N: c.n, M: c.m, Flags: graph.FlagCompressed, BlockSize: c.blockSize}
-	if c.weighted {
+// Sections returns the byte-compressed container sections of any
+// adjacency view at block size bs. A CGraph already stored at bs writes
+// its own arrays verbatim: the byte-identical round trip, with no decode.
+// Any other view pays Compress's sizing pass (its degrees and n+1 words
+// of vertex offsets) and then streams its encoded blocks vertex by vertex
+// through one reused buffer, so its heap is O(n), never Θ(m).
+func Sections(a graph.Adj, bs int) []graph.Section {
+	n := a.NumVertices()
+	h := graph.Header{N: n, M: a.NumEdges(), Flags: graph.FlagCompressed, BlockSize: uint32(bs)}
+	if a.Weighted() {
 		h.Flags |= graph.FlagWeighted
+	}
+	var degrees []uint32
+	var vtxOff []uint64
+	var data graph.Section
+	if c, ok := a.(*CGraph); ok && c.BlockSize() == bs {
+		degrees, vtxOff, data = c.degrees, c.vtxOff, graph.BytesSection(graph.SecCData, c.data)
+	} else {
+		degrees, vtxOff = sizes(a, uint32(bs))
+		data = graph.Section{Kind: graph.SecCData, Len: int64(vtxOff[n]), WriteTo: func(w io.Writer) error {
+			var s graph.Scratch
+			var buf []byte
+			for v := range n {
+				nghs, ws := a.Slice(v, 0, math.MaxUint32, &s)
+				size := int(vtxOff[v+1] - vtxOff[v])
+				buf = slices.Grow(buf[:0], size)[:size]
+				encodeVertex(v, nghs, ws, uint32(bs), buf)
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}
 	}
 	return []graph.Section{
 		graph.HeaderSection(h),
-		graph.Uint32Section(graph.SecCDegrees, c.degrees),
-		graph.Uint64Section(graph.SecCVtxOff, c.vtxOff),
-		graph.BytesSection(graph.SecCData, c.data),
+		graph.ArraySection(graph.SecCDegrees, degrees),
+		graph.ArraySection(graph.SecCVtxOff, vtxOff),
+		data,
 	}
 }
 
@@ -93,5 +123,5 @@ func CGraphFromSections(secs map[uint64][]byte, h graph.Header, forceCopy bool) 
 		data = append([]byte(nil), data...)
 	}
 	return FromParts(h.N, h.M, h.BlockSize, h.Weighted(),
-		graph.Uint32sLE(db, forceCopy), graph.Uint64sLE(vb, forceCopy), data)
+		graph.WordsLE[uint32](db, forceCopy), graph.WordsLE[uint64](vb, forceCopy), data)
 }

@@ -114,61 +114,28 @@ func aligned8(b []byte) bool {
 	return uintptr(unsafe.Pointer(&b[0]))%8 == 0
 }
 
-// Uint64sLE views b (little-endian uint64 data, len(b) = 8k) as a []uint64.
-// On little-endian hosts with aligned input the view aliases b with no
-// copy; otherwise it decodes into a fresh slice. forceCopy requests the
-// decoded form regardless (the WithCopy open path).
+// WordsLE views b (little-endian words of T's width) as a []T. On
+// little-endian hosts with aligned input the view aliases b with no copy;
+// otherwise it decodes into a fresh slice. forceCopy requests the decoded
+// form regardless (the WithCopy open path).
 //
 //sage:arena-view
-func Uint64sLE(b []byte, forceCopy bool) []uint64 {
-	k := len(b) / 8
+func WordsLE[T uint64 | uint32 | int32](b []byte, forceCopy bool) []T {
+	size := int(unsafe.Sizeof(T(0)))
+	k := len(b) / size
 	if k == 0 {
 		return nil
 	}
 	if hostLittleEndian && aligned8(b) && !forceCopy {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), k)
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), k)
 	}
-	out := make([]uint64, k)
+	out := make([]T, k)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return out
-}
-
-// Uint32sLE views b (little-endian uint32 data) as a []uint32; see
-// Uint64sLE for the aliasing rules.
-//
-//sage:arena-view
-func Uint32sLE(b []byte, forceCopy bool) []uint32 {
-	k := len(b) / 4
-	if k == 0 {
-		return nil
-	}
-	if hostLittleEndian && aligned8(b) && !forceCopy {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), k)
-	}
-	out := make([]uint32, k)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}
-
-// Int32sLE views b (little-endian int32 data) as a []int32; see Uint64sLE
-// for the aliasing rules.
-//
-//sage:arena-view
-func Int32sLE(b []byte, forceCopy bool) []int32 {
-	k := len(b) / 4
-	if k == 0 {
-		return nil
-	}
-	if hostLittleEndian && aligned8(b) && !forceCopy {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), k)
-	}
-	out := make([]int32, k)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		if size == 8 {
+			out[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+		} else {
+			out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+		}
 	}
 	return out
 }

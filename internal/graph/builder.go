@@ -57,16 +57,16 @@ func FromWeightedEdges(n uint32, edges []WEdge, opts BuildOpts) *Graph {
 	}
 	vbits := idBits(n)
 	parallel.SortByKey(work, 2*vbits, func(e WEdge) uint64 { return uint64(e.U)<<vbits | uint64(e.V) })
-	sameArc := func(a, b WEdge) bool { return a.U == b.U && a.V == b.V }
+	sameArc := func(a, b *WEdge) bool { return a.U == b.U && a.V == b.V } // by pointer: W may be being folded
 	if !opts.KeepDuplicates {
 		// Copies of an arc are adjacent but in input order, not weight
 		// order: fold each run's minimum into its first copy, the one the
 		// filter below keeps. Only run heads are written and only their W.
 		parallel.For(len(work), 0, func(i int) {
-			if i > 0 && sameArc(work[i-1], work[i]) {
+			if i > 0 && sameArc(&work[i-1], &work[i]) {
 				return
 			}
-			for j := i + 1; j < len(work) && sameArc(work[i], work[j]); j++ {
+			for j := i + 1; j < len(work) && sameArc(&work[i], &work[j]); j++ {
 				work[i].W = min(work[i].W, work[j].W)
 			}
 		})
@@ -75,7 +75,7 @@ func FromWeightedEdges(n uint32, edges []WEdge, opts BuildOpts) *Graph {
 		if !opts.KeepSelfLoops && e.U == e.V {
 			return false
 		}
-		if !opts.KeepDuplicates && i > 0 && sameArc(work[i-1], e) {
+		if !opts.KeepDuplicates && i > 0 && sameArc(&work[i-1], &e) {
 			return false
 		}
 		return true
@@ -116,41 +116,4 @@ func fromSortedEdges(n uint32, edges []Edge, weights []int32) *Graph {
 	parallel.For(len(edges), 0, func(i int) { flat[i] = edges[i].V })
 	g := &Graph{n: n, m: m, offsets: counts, edges: flat, weights: weights}
 	return g
-}
-
-// FromAdjacency builds a graph directly from per-vertex sorted adjacency
-// lists. Used by tests and by contraction when the lists are already
-// deduplicated.
-func FromAdjacency(adj [][]uint32) *Graph {
-	n := uint32(len(adj))
-	offsets := make([]uint64, n+1)
-	for v := uint32(0); v < n; v++ {
-		offsets[v+1] = offsets[v] + uint64(len(adj[v]))
-	}
-	m := offsets[n]
-	edges := make([]uint32, m)
-	parallel.For(int(n), 16, func(i int) {
-		copy(edges[offsets[i]:], adj[i])
-	})
-	return &Graph{n: n, m: m, offsets: offsets, edges: edges}
-}
-
-// InducedDegrees computes, for every vertex, its degree restricted to
-// neighbors accepted by keep. Used by tests as an oracle.
-func (g *Graph) InducedDegrees(keep func(uint32) bool) []uint32 {
-	deg := make([]uint32, g.n)
-	parallel.For(int(g.n), 64, func(i int) {
-		v := uint32(i)
-		if !keep(v) {
-			return
-		}
-		var d uint32
-		for _, u := range g.Neighbors(v) {
-			if keep(u) {
-				d++
-			}
-		}
-		deg[v] = d
-	})
-	return deg
 }

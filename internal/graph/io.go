@@ -1,82 +1,43 @@
 package graph
 
 import (
-	"encoding/binary"
 	"io"
+	"slices"
+	"unsafe"
 )
 
-// Array and sizing helpers shared by the section container (format.go)
-// and the text reader (textio.go).
-
-// remainingSize reports how many bytes remain in r when that is
-// discoverable without consuming input: seekable readers (files) and
-// in-memory readers exposing Len. Unknown sizes return sized=false and
-// skip the pre-allocation check (truncation still surfaces as an
-// io.ErrUnexpectedEOF from the array reads).
-func remainingSize(r io.Reader) (int64, bool) {
-	switch v := r.(type) {
-	case io.Seeker:
-		cur, err := v.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return 0, false
-		}
-		end, err := v.Seek(0, io.SeekEnd)
-		if err != nil {
-			return 0, false
-		}
-		if _, err := v.Seek(cur, io.SeekStart); err != nil {
-			return 0, false
-		}
-		return end - cur, true
-	case interface{ Len() int }:
-		return int64(v.Len()), true
-	}
-	return 0, false
+// wordWriter streams little-endian words through one 64 KiB buffer,
+// allocated by the first put and handed to w each time it fills: O(1)
+// heap however many calls feed it. The first write error sticks.
+type wordWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
 }
 
-const ioChunk = 1 << 16
-
-func writeUint64s(w io.Writer, a []uint64) error {
-	buf := make([]byte, 8*ioChunk)
-	for len(a) > 0 {
-		k := min(len(a), ioChunk)
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], a[i])
+// put appends xs, each as a little-endian word of its own width: a run of
+// words is one copy of its bytes, each word then reversed on big-endian
+// hosts.
+func put[T uint32 | int32 | uint64](ww *wordWriter, xs ...T) {
+	size := int(unsafe.Sizeof(T(0)))
+	for len(xs) > 0 {
+		if cap(ww.buf)-len(ww.buf) < size {
+			ww.flush()
 		}
-		if _, err := w.Write(buf[:8*k]); err != nil {
-			return err
+		k, at := min(len(xs), (cap(ww.buf)-len(ww.buf))/size), len(ww.buf)
+		ww.buf = append(ww.buf, unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), k*size)...)
+		for i := at; !hostLittleEndian && i < len(ww.buf); i += size {
+			slices.Reverse(ww.buf[i : i+size])
 		}
-		a = a[k:]
+		xs = xs[k:]
 	}
-	return nil
 }
 
-func writeUint32s(w io.Writer, a []uint32) error {
-	buf := make([]byte, 4*ioChunk)
-	for len(a) > 0 {
-		k := min(len(a), ioChunk)
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], a[i])
-		}
-		if _, err := w.Write(buf[:4*k]); err != nil {
-			return err
-		}
-		a = a[k:]
+// flush hands the buffered bytes to w and returns the first error.
+func (ww *wordWriter) flush() error {
+	if ww.err == nil && len(ww.buf) > 0 {
+		_, ww.err = ww.w.Write(ww.buf)
 	}
-	return nil
-}
-
-func writeInt32s(w io.Writer, a []int32) error {
-	buf := make([]byte, 4*ioChunk)
-	for len(a) > 0 {
-		k := min(len(a), ioChunk)
-		for i := 0; i < k; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(a[i]))
-		}
-		if _, err := w.Write(buf[:4*k]); err != nil {
-			return err
-		}
-		a = a[k:]
-	}
-	return nil
+	ww.buf = slices.Grow(ww.buf[:0], 1<<16)
+	return ww.err
 }

@@ -11,7 +11,7 @@ import (
 func TestContainerMalformed(t *testing.T) {
 	g := FromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}, BuildOpts{Symmetrize: true})
 	var buf bytes.Buffer
-	if err := WriteContainer(&buf, g.Sections()); err != nil {
+	if err := WriteContainer(&buf, Sections(g)); err != nil {
 		t.Fatal(err)
 	}
 	base := buf.Bytes()

@@ -20,29 +20,40 @@ import (
 // The weighted variant ("WeightedAdjacencyGraph") appends m integer
 // weights. Reading accepts both.
 
-// WriteText serializes g in the Ligra adjacency-graph text format.
-func (g *Graph) WriteText(w io.Writer) error {
+// WriteText serializes any adjacency view in the Ligra adjacency-graph
+// text format, streaming its lists through a.Slice as Sections does.
+func WriteText(w io.Writer, a Adj) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	header := "AdjacencyGraph"
-	if g.weights != nil {
+	if a.Weighted() {
 		header = "WeightedAdjacencyGraph"
 	}
-	if _, err := fmt.Fprintf(bw, "%s\n%d\n%d\n", header, g.n, g.m); err != nil {
+	n := a.NumVertices()
+	if _, err := fmt.Fprintf(bw, "%s\n%d\n%d\n", header, n, a.NumEdges()); err != nil {
 		return err
 	}
-	for v := uint32(0); v < g.n; v++ {
-		if _, err := fmt.Fprintln(bw, g.offsets[v]); err != nil {
+	off := uint64(0)
+	for v := range n {
+		if _, err := fmt.Fprintln(bw, off); err != nil {
 			return err
 		}
+		off += uint64(a.Degree(v))
 	}
-	for _, e := range g.edges {
-		if _, err := fmt.Fprintln(bw, e); err != nil {
-			return err
+	var s Scratch
+	for v := range n {
+		nghs, _ := a.Slice(v, 0, math.MaxUint32, &s)
+		for _, e := range nghs {
+			if _, err := fmt.Fprintln(bw, e); err != nil {
+				return err
+			}
 		}
 	}
-	for _, wt := range g.weights {
-		if _, err := fmt.Fprintln(bw, wt); err != nil {
-			return err
+	for v := range n { // ws is nil throughout on unweighted graphs
+		_, ws := a.Slice(v, 0, math.MaxUint32, &s)
+		for _, wt := range ws {
+			if _, err := fmt.Fprintln(bw, wt); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -50,11 +61,14 @@ func (g *Graph) WriteText(w io.Writer) error {
 
 // ReadText parses a Ligra adjacency-graph text stream. The declared n
 // and m are validated against the number of input bytes actually
-// remaining (discoverable for files and in-memory readers) before any
+// remaining (discoverable for in-memory readers exposing Len) before any
 // array allocation, so a corrupt header yields an error instead of a
 // multi-gigabyte allocation attempt.
 func ReadText(r io.Reader) (*Graph, error) {
-	remaining, sized := remainingSize(r)
+	remaining := int64(-1) // unknown
+	if lr, ok := r.(interface{ Len() int }); ok {
+		remaining = int64(lr.Len())
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	next := func() (string, error) {
@@ -110,7 +124,7 @@ func ReadText(r io.Reader) (*Graph, error) {
 	if nv > math.MaxInt64/4 || m > math.MaxInt64/4 {
 		return nil, fmt.Errorf("graph: implausible counts n=%d m=%d", nv, m)
 	}
-	if sized && int64(entries) > remaining/2+1 {
+	if remaining >= 0 && int64(entries) > remaining/2+1 {
 		return nil, fmt.Errorf("graph: header claims n=%d m=%d but only %d bytes follow",
 			nv, m, remaining)
 	}

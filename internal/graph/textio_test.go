@@ -12,7 +12,7 @@ func TestTextRoundTrip(t *testing.T) {
 	g := FromEdges(5, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 0, V: 4}},
 		BuildOpts{Symmetrize: true})
 	var buf bytes.Buffer
-	if err := g.WriteText(&buf); err != nil {
+	if err := WriteText(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "AdjacencyGraph\n") {
@@ -42,7 +42,7 @@ func TestTextRoundTripWeighted(t *testing.T) {
 	g := FromWeightedEdges(3, []WEdge{{U: 0, V: 1, W: 7}, {U: 1, V: 2, W: -3}},
 		BuildOpts{Symmetrize: true})
 	var buf bytes.Buffer
-	if err := g.WriteText(&buf); err != nil {
+	if err := WriteText(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "WeightedAdjacencyGraph\n") {

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"sage/internal/parallel"
 )
 
 // The harness tests assert the *shape* of every reproduced result: who
@@ -36,6 +38,10 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
+	// One worker: CAS races in the parallel algorithms move the PSAM
+	// counts between runs enough to cross the 0.99 floor now and then.
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(1)
 	rep := RunFig7(testScale)
 	// Sage on NVRAM matches Sage on DRAM in the PSAM (paper: within 5%).
 	if r := rep.Metrics["avg/sage_nvram_over_sage_dram"]; r < 0.99 || r > 1.06 {

@@ -73,11 +73,13 @@ func RunPackage(u Unit, enabled func(name string) bool) ([]analysis.Diagnostic, 
 }
 
 // staticCallee resolves a call to the package-level function or method
-// it invokes, or nil for builtins, conversions, and dynamic calls
-// through function values.
+// it invokes (the generic origin of an explicit instantiation), or nil
+// for builtins, conversions, and dynamic calls through function values.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.IndexExpr:
+		return staticCallee(info, &ast.CallExpr{Fun: fun.X})
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:

@@ -43,15 +43,15 @@ func decodeEdgeList(a *graph.Arena) (*Dataset, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return &Dataset{csr: g}, false, nil
+	return Encoding(g, 0), false, nil
 }
 
 func encodeEdgeList(w io.Writer, d *Dataset) error {
-	if d.csr == nil {
+	if d.bs != 0 {
 		return fmt.Errorf("%w: the edge-list format stores only CSR graphs (use %q)",
 			ErrCompressed, FormatBinary)
 	}
-	g := d.csr
+	g := d.adj
 	n := g.NumVertices()
 	weighted := g.Weighted()
 	wflag := 0
@@ -61,9 +61,9 @@ func encodeEdgeList(w io.Writer, d *Dataset) error {
 	if _, err := fmt.Fprintf(w, "# sage-edgelist n=%d weighted=%d\n", n, wflag); err != nil {
 		return err
 	}
-	for v := uint32(0); v < n; v++ {
-		nghs := g.Neighbors(v)
-		ws := g.NeighborWeights(v)
+	var s graph.Scratch
+	for v := range n {
+		nghs, ws := g.Slice(v, 0, math.MaxUint32, &s)
 		for i, u := range nghs {
 			if u < v {
 				continue // the (u, v) direction already emitted this edge

@@ -60,35 +60,38 @@ func sniffMagic(magic uint64) func([]byte) bool {
 // decodeBinary decodes the v2 container; the dataset's arrays alias the
 // arena (zero-copy on little-endian hosts).
 func decodeBinary(a *graph.Arena) (*Dataset, bool, error) {
-	secs, err := graph.ParseContainer(a.Bytes())
+	ds, err := decodeContainer(a.Bytes())
+	return ds, err == nil, err
+}
+
+// decodeContainer decodes the v2 container in b, aliasing it.
+func decodeContainer(b []byte) (*Dataset, error) {
+	secs, err := graph.ParseContainer(b)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	h, err := graph.ParseHeader(secs)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if h.Compressed() {
 		cg, err := compress.CGraphFromSections(secs, h, false)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		return &Dataset{cg: cg}, true, nil
+		return Encoding(cg, cg.BlockSize()), nil
 	}
 	csr, err := graph.CSRFromSections(secs, h, false)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return &Dataset{csr: csr}, true, nil
+	return Encoding(csr, 0), nil
 }
 
 // encodeBinary writes the v2 container for either representation — the
 // first format in which compressed graphs persist at all.
 func encodeBinary(w io.Writer, d *Dataset) error {
-	if d.csr != nil {
-		return graph.WriteContainer(w, d.csr.Sections())
-	}
-	return graph.WriteContainer(w, d.cg.Sections())
+	return graph.WriteContainer(w, d.sections())
 }
 
 func decodeAdj(a *graph.Arena) (*Dataset, bool, error) {
@@ -96,13 +99,13 @@ func decodeAdj(a *graph.Arena) (*Dataset, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return &Dataset{csr: g}, false, nil
+	return Encoding(g, 0), false, nil
 }
 
 func encodeAdj(w io.Writer, d *Dataset) error {
-	if d.csr == nil {
+	if d.bs != 0 {
 		return fmt.Errorf("%w: the Ligra text format stores only CSR graphs (use %q)",
 			ErrCompressed, FormatBinary)
 	}
-	return d.csr.WriteText(w)
+	return graph.WriteText(w, d.adj)
 }

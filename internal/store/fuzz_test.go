@@ -91,7 +91,7 @@ func FuzzAdjText(f *testing.F) {
 	valid := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}},
 		graph.BuildOpts{Symmetrize: true})
 	var buf bytes.Buffer
-	if err := valid.WriteText(&buf); err != nil {
+	if err := graph.WriteText(&buf, valid); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -115,13 +115,13 @@ func containerSeeds(f *testing.F) {
 	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}},
 		graph.BuildOpts{Symmetrize: true})
 	var csr bytes.Buffer
-	if err := graph.WriteContainer(&csr, g.Sections()); err != nil {
+	if err := graph.WriteContainer(&csr, graph.Sections(g)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(csr.Bytes())
 
 	var cg bytes.Buffer
-	if err := graph.WriteContainer(&cg, compress.Compress(g, 64).Sections()); err != nil {
+	if err := graph.WriteContainer(&cg, compress.Sections(g, 64)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(cg.Bytes())

@@ -1,9 +1,9 @@
 // Package store is the storage-aware dataset layer behind sage.Open and
 // sage.Create: a registry of on-disk graph formats (the v2 section
-// container for CSR and byte-compressed graphs, the legacy v1 flat binary,
-// Ligra adjacency text, and whitespace edge lists) with magic-byte and
-// extension sniffing, and a Dataset lifecycle that ties a decoded graph to
-// the read-only arena backing it.
+// container for CSR and byte-compressed graphs, Ligra adjacency text, and
+// whitespace edge lists) with magic-byte and extension sniffing, and a
+// Dataset lifecycle that ties a decoded graph to the read-only arena
+// backing it.
 //
 // For the binary container the decoded graph's offsets/edges/weights (or
 // degrees/vtxoff/data) slices alias the arena's memory mapping directly —
@@ -32,42 +32,55 @@ var ErrCompressed = errors.New("graph is byte-compressed")
 // ErrClosed reports use of a dataset after Close.
 var ErrClosed = errors.New("dataset is closed")
 
-// Dataset is an opened graph plus the storage backing it. Exactly one of
-// CSR and CG is non-nil.
+// Dataset is a graph plus the storage backing it. An opened dataset
+// holds a CSR or a byte-compressed graph; one built by Encoding may hold
+// any adjacency view, for Create or Materialize to write.
 type Dataset struct {
-	csr    *graph.Graph
-	cg     *compress.CGraph
+	adj    graph.Adj
+	bs     int          // the block size adj is written at; 0 writes CSR
 	arena  *graph.Arena // non-nil when the graph's arrays may alias it
 	closed atomic.Bool
 }
 
-// NewDataset wraps an in-memory graph (no backing arena) as a dataset,
-// for encoding. Exactly one of csr and cg must be non-nil.
-func NewDataset(csr *graph.Graph, cg *compress.CGraph) *Dataset {
-	return &Dataset{csr: csr, cg: cg}
+// Encoding wraps any adjacency view for writing, as CSR when blockSize is
+// 0 and byte-compressed at blockSize otherwise, streamed, never rebuilt.
+func Encoding(a graph.Adj, blockSize int) *Dataset {
+	return &Dataset{adj: a, bs: blockSize}
 }
 
 // CSR returns the uncompressed representation, or nil.
-func (d *Dataset) CSR() *graph.Graph { return d.csr }
+func (d *Dataset) CSR() *graph.Graph { g, _ := d.adj.(*graph.Graph); return g }
 
 // CG returns the byte-compressed representation, or nil.
-func (d *Dataset) CG() *compress.CGraph { return d.cg }
+func (d *Dataset) CG() *compress.CGraph { c, _ := d.adj.(*compress.CGraph); return c }
 
 // Adj returns the graph under the shared adjacency interface.
-func (d *Dataset) Adj() graph.Adj {
-	if d.csr != nil {
-		return d.csr
-	}
-	return d.cg
-}
+func (d *Dataset) Adj() graph.Adj { return d.adj }
 
 // SizeWords returns the simulated NVRAM footprint of the stored graph —
 // the unit the dataset cache budgets in.
 func (d *Dataset) SizeWords() int64 {
-	if d.csr != nil {
-		return d.csr.SizeWords()
+	return d.adj.(interface{ SizeWords() int64 }).SizeWords()
+}
+
+// sections returns the v2 container sections that encode d.
+func (d *Dataset) sections() []graph.Section {
+	if d.bs != 0 {
+		return compress.Sections(d.adj, d.bs)
 	}
-	return d.cg.SizeWords()
+	return graph.Sections(d.adj)
+}
+
+// Materialize encodes d into one exactly-sized heap container and reads
+// it back: Create's writer and Open's reader, with memory in place of the
+// file. The result is a CSR or byte-compressed dataset independent of
+// d's view.
+func Materialize(d *Dataset) (*Dataset, error) {
+	b, err := graph.EncodeContainer(d.sections())
+	if err != nil {
+		return nil, err
+	}
+	return decodeContainer(b)
 }
 
 // Mapped reports whether the dataset's arrays alias a live memory mapping

@@ -2,10 +2,10 @@ package sage
 
 // The storage-aware dataset API: Open and Create are the single pair of
 // entry points, backed by a format registry (internal/store): the v2
-// binary container (CSR or byte-compressed sections), the legacy v1 flat
-// binary, Ligra adjacency text, and whitespace edge lists. Reading sniffs
-// the format from magic bytes (falling back to the extension); writing
-// picks it from the extension unless overridden with As.
+// binary container (CSR or byte-compressed sections), Ligra adjacency
+// text, and whitespace edge lists. Reading sniffs the format from magic
+// bytes (falling back to the extension); writing picks it from the
+// extension unless overridden with As.
 //
 // Binary files are memory-mapped by default: the opened graph's offsets,
 // edges, and weights slices alias the read-only mapping directly, so the
@@ -24,7 +24,6 @@ package sage
 import (
 	"fmt"
 
-	"sage/internal/compress"
 	"sage/internal/graph"
 	"sage/internal/store"
 )
@@ -103,11 +102,15 @@ func Open(path string, opts ...OpenOption) (*Graph, error) {
 // byte-compressed graphs (without re-encoding, so they round-trip
 // byte-identically).
 func Create(path string, g *Graph, opts ...SaveOption) error {
+	return create(path, g.dataset(), opts)
+}
+
+func create(path string, d *store.Dataset, opts []SaveOption) error {
 	var c saveConfig
 	for _, opt := range opts {
 		opt(&c)
 	}
-	return store.Create(path, g.dataset(), c.format)
+	return store.Create(path, d, c.format)
 }
 
 // GraphFromDataset wraps an already-opened dataset as a Graph without
@@ -120,18 +123,32 @@ func GraphFromDataset(ds *store.Dataset) *Graph {
 	return &Graph{adj: ds.Adj(), raw: ds.CSR()}
 }
 
-// dataset wraps g for the storage layer. Graph handles that are neither
-// CSR nor byte-compressed (a snapshot's merged overlay view) are
-// materialized first, so Create works on any handle.
+// dataset wraps g for the storage layer in its own representation; a
+// snapshot's merged view streams as CSR.
 func (g *Graph) dataset() *store.Dataset {
-	g.check()
-	if g.raw != nil {
-		return store.NewDataset(g.raw, nil)
+	return store.Encoding(g.use(), g.adj.BlockSize())
+}
+
+// materialize writes d into heap memory and reads it back as a Graph.
+func materialize(d *store.Dataset) *Graph {
+	ds, err := store.Materialize(d)
+	if err != nil {
+		panic(err) // an in-memory encode has no I/O to fail
 	}
-	if cg, ok := g.adj.(*compress.CGraph); ok {
-		return store.NewDataset(nil, cg)
+	return GraphFromDataset(ds)
+}
+
+// csr returns the CSR representation a CSR-only operation works on: g's
+// own, or a snapshot's merged view materialized. Byte-compressed graphs
+// have none and return ErrCompressed.
+func (g *Graph) csr(op string) (*graph.Graph, error) {
+	switch {
+	case g.Compressed():
+		return nil, errCompressedOp(op)
+	case g.raw != nil:
+		return g.raw, nil
 	}
-	return store.NewDataset(materializeAdj(g.adj).raw, nil)
+	return materialize(g.dataset()).raw, nil
 }
 
 // Mapped reports whether the graph's adjacency arrays alias a live memory

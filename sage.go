@@ -222,25 +222,27 @@ func GenerateChain(n uint32) *Graph {
 
 // WithUniformWeights returns a weighted copy with weights uniform in
 // [1, log2 n), the paper's weighting (§5.1.3). Weighting requires the CSR
-// representation; compressed graphs return ErrCompressed.
+// representation (a snapshot view is materialized); compressed graphs
+// return ErrCompressed.
 func (g *Graph) WithUniformWeights(seed uint64) (*Graph, error) {
-	g.check()
-	if g.raw == nil {
-		return nil, errCompressedOp("weighting")
+	csr, err := g.csr("weighting")
+	if err != nil {
+		return nil, err
 	}
-	raw := gen.AddUniformWeights(g.raw, seed)
+	raw := gen.AddUniformWeights(csr, seed)
 	return &Graph{adj: raw, raw: raw}, nil
 }
 
 // Compress returns the byte-compressed representation with the given
 // compression block size (64/128/256; §4.2.1, Table 4). Weighted graphs
-// interleave zigzag-varint weights per edge, as Ligra+ does.
+// interleave zigzag-varint weights per edge, as Ligra+ does. Any
+// uncompressed handle compresses, snapshot views included; a compressed
+// graph is returned as is.
 func (g *Graph) Compress(blockSize int) *Graph {
-	g.check()
-	if g.raw == nil {
+	if g.Compressed() {
 		return g
 	}
-	return &Graph{adj: compress.Compress(g.raw, blockSize)}
+	return &Graph{adj: compress.Compress(g.adj, blockSize)}
 }
 
 // Raw exposes the underlying adjacency (for the experiment harness).
@@ -257,13 +259,13 @@ func Workers() int { return parallel.Workers() }
 
 // RelabelByDegree returns a copy of the graph renumbered hubs-first — the
 // ordering knob whose effect on triangle counting Appendix D.1 studies.
-// Relabeling requires the CSR representation; compressed graphs return
-// ErrCompressed.
+// Relabeling requires the CSR representation (a snapshot view is
+// materialized); compressed graphs return ErrCompressed.
 func (g *Graph) RelabelByDegree() (*Graph, error) {
-	g.check()
-	if g.raw == nil {
-		return nil, errCompressedOp("relabeling")
+	csr, err := g.csr("relabeling")
+	if err != nil {
+		return nil, err
 	}
-	raw := g.raw.Relabel(g.raw.DegreeOrder())
+	raw := csr.Relabel(csr.DegreeOrder())
 	return &Graph{adj: raw, raw: raw}, nil
 }

@@ -19,7 +19,7 @@ import (
 	"fmt"
 
 	"sage/internal/delta"
-	"sage/internal/graph"
+	"sage/internal/store"
 )
 
 // ErrBadEdgeOp marks an ApplyBatch rejection: an out-of-range endpoint,
@@ -105,58 +105,29 @@ func (s *Snapshot) DeltaArcs() (added, deleted uint64) { return s.ov.DeltaArcs()
 
 // Materialize eagerly rebuilds the merged view as a fresh static graph:
 // heap-resident, delta-free, independent of the snapshot and its base.
-// Byte-compressed bases re-compress at the same block size. The identity
-// snapshot returns its base unchanged.
+// It is the container Compact writes, encoded into one heap buffer and
+// read back, so byte-compressed bases stay compressed at the same block
+// size. The identity snapshot returns its base unchanged.
 func (s *Snapshot) Materialize() *Graph {
 	if s.ov.Empty() {
 		return s.base
 	}
-	return s.recompressed(materializeAdj(s.ov))
-}
-
-// materializeAdj rebuilds any adjacency view as a fresh heap-resident
-// CSR graph, via one sequential sweep of the merged edge set.
-func materializeAdj(a graph.Adj) *Graph {
-	n := a.NumVertices()
-	flat := graph.NewFlat(a)
-	var s graph.Scratch
-	if a.Weighted() {
-		edges := make([]WeightedEdge, 0, a.NumEdges()/2)
-		for v := uint32(0); v < n; v++ {
-			nghs, ws := flat.Full(v, &s)
-			for i, u := range nghs {
-				if v < u {
-					edges = append(edges, WeightedEdge{U: v, V: u, W: ws[i]})
-				}
-			}
-		}
-		return FromWeightedEdges(n, edges)
-	}
-	edges := make([]Edge, 0, a.NumEdges()/2)
-	for v := uint32(0); v < n; v++ {
-		nghs, _ := flat.Full(v, &s)
-		for _, u := range nghs {
-			if v < u {
-				edges = append(edges, Edge{U: v, V: u})
-			}
-		}
-	}
-	return FromEdges(n, edges)
-}
-
-// recompressed restores the base's representation on a materialized CSR.
-func (s *Snapshot) recompressed(g *Graph) *Graph {
-	if bs := s.base.adj.BlockSize(); bs != 0 {
-		return g.Compress(bs)
-	}
-	return g
+	return materialize(s.encoding())
 }
 
 // Compact writes the merged view to path as a fresh container generation
 // through Create (atomic temp-file rename; the base file is only replaced
-// if path names it, and never written in place). Serving layers follow it
-// with a cache invalidation so the next open maps the compacted file and
-// the delta restarts empty.
+// if path names it, and never written in place), in the base's
+// representation and block size. The view streams into the file in one
+// pass, so compaction holds O(n) words of DRAM, not a rebuilt graph.
+// Serving layers follow it with a cache invalidation so the next open
+// maps the compacted file and the delta restarts empty.
 func (s *Snapshot) Compact(path string, opts ...SaveOption) error {
-	return Create(path, s.Materialize(), opts...)
+	return create(path, s.encoding(), opts)
+}
+
+// encoding is the merged view as the storage layer writes it: in the
+// base's representation and block size.
+func (s *Snapshot) encoding() *store.Dataset {
+	return store.Encoding(s.h.use(), s.base.adj.BlockSize())
 }
