@@ -44,10 +44,11 @@
 // dataset heals automatically when the disk does. A write that finds its
 // dataset idle commits at once; the batches that queue up behind it are
 // the next commit window — one fsync, one generation — so concurrent
-// writers share fsyncs, and -wal-segment-bytes rotates a growing log into
-// a numbered segment chain replayed in order at startup. A compaction
-// folds the logged batches into the rewritten container and retires the
-// whole chain.
+// writers share fsyncs. A compaction folds the logged batches into the
+// rewritten container and retires the log. A sealed <path>.wal.1 left by
+// an earlier build that rotated the log is never replayed or deleted: the
+// dataset serves reads and refuses writes, naming the file, until it is
+// removed.
 // See docs/HTTP_API.md for the full endpoint reference.
 //
 // Cluster mode: -role=router turns the process into the scale-out
@@ -138,7 +139,6 @@ func main() {
 	walEnabled := flag.Bool("wal", true, "write-ahead log update batches to <dataset>.wal and replay them at startup")
 	walFsync := flag.String("wal-fsync", "always", "WAL fsync policy: always|interval|never")
 	walInterval := flag.Duration("wal-interval", 100*time.Millisecond, "background flush period under -wal-fsync interval")
-	walSegmentBytes := flag.Int64("wal-segment-bytes", 0, "rotate the active WAL segment once it reaches this many bytes (0 = never)")
 	drainGrace := flag.Duration("drain-grace", 0, "delay between /readyz reporting draining and connection shutdown, for load balancers to catch up")
 
 	type namedPath struct{ name, path string }
@@ -212,10 +212,9 @@ func main() {
 		MaxRunDuration:     *maxRun,
 		CopyDatasets:       *copyDatasets,
 		Durability: server.Durability{
-			Enabled:      *walEnabled,
-			Policy:       walPolicy,
-			Interval:     *walInterval,
-			SegmentBytes: *walSegmentBytes,
+			Enabled:  *walEnabled,
+			Policy:   walPolicy,
+			Interval: *walInterval,
 		},
 	})
 	names := make([]string, 0, len(datasets))

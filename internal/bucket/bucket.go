@@ -10,7 +10,9 @@
 // bucket's array as stale entries, each bucket tracks its dead count, and
 // a bucket is physically packed once dead entries outnumber live ones —
 // this bounds the structure's small-memory footprint by O(n) words, where
-// the fully lazy variant would need O(#updates) = O(m).
+// the fully lazy variant would need O(#updates) = O(m). A vertex that
+// returns to a bucket before its stale entry there is packed away has two
+// entries in it; extraction claims each vertex once.
 //
 // Bulk moves — UpdateBatch and the re-bucketing of every live vertex when
 // the window is exhausted — share one kernel: a parallel pass writes each
@@ -239,20 +241,53 @@ func (b *Buckets) NextBucket() (prio uint32, vertices []uint32, ok bool) {
 				b.cur++
 				continue
 			}
-			out := parallel.Filter(arr, func(v uint32) bool { return b.prio[v] == want })
+			out := b.claim(arr, want)
 			b.open[i] = arr[:0]
 			b.dead[i].Store(0)
 			if len(out) == 0 {
 				b.cur++
 				continue
 			}
-			parallel.For(len(out), 0, func(j int) { b.prio[out[j]] = Null })
 			b.live -= int64(len(out))
 			return want, out, true
 		}
 		b.rebase()
 	}
 	return 0, nil, false
+}
+
+// claim finalizes the vertices of arr still at priority want and returns
+// them in arr's order, each once: a vertex that left this bucket and came
+// back before its stale entry was packed away has two entries in arr, and
+// only the entry whose compare-and-swap wins yields it (with several
+// workers, either may).
+func (b *Buckets) claim(arr []uint32, want uint32) []uint32 {
+	n := len(arr)
+	b.slots = parallel.Resize(b.slots, n)
+	b.counts = parallel.Resize(b.counts, (n+placeBlock-1)/placeBlock)
+	keep, counts := b.slots, b.counts
+	parallel.ForBlocks(n, placeBlock, func(_, lo, hi int) {
+		c := 0
+		for k := lo; k < hi; k++ {
+			keep[k] = 0
+			if atomic.CompareAndSwapUint32(&b.prio[arr[k]], want, Null) {
+				keep[k] = 1
+				c++
+			}
+		}
+		counts[lo/placeBlock] = c
+	})
+	out := make([]uint32, parallel.Scan(counts))
+	parallel.ForBlocks(n, placeBlock, func(_, lo, hi int) {
+		o := counts[lo/placeBlock]
+		for k := lo; k < hi; k++ {
+			if keep[k] != 0 {
+				out[o] = arr[k]
+				o++
+			}
+		}
+	})
+	return out
 }
 
 // Update changes the priority of v to p (serial variant).

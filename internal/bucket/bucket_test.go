@@ -386,6 +386,45 @@ func TestUpdateBatchMatchesSerialUpdate(t *testing.T) {
 	}
 }
 
+// TestReentryYieldsOnce moves a vertex out of an open bucket and back
+// before its stale entry is packed away, so the bucket holds it twice:
+// extraction must still yield it once and count it once.
+func TestReentryYieldsOnce(t *testing.T) {
+	b := New(prios(5, 5, 5, 9), Increasing)
+	b.Update(0, 6)
+	b.Update(0, 5)
+	p, vs, ok := b.NextBucket()
+	slices.Sort(vs)
+	if !ok || p != 5 || !slices.Equal(vs, []uint32{0, 1, 2}) || b.Live() != 1 {
+		t.Fatalf("first pop p=%d vs=%v live=%d, want 5 [0 1 2] live=1", p, vs, b.Live())
+	}
+	p, vs, ok = b.NextBucket()
+	if !ok || p != 9 || !slices.Equal(vs, []uint32{3}) {
+		t.Fatalf("second pop p=%d vs=%v ok=%v, want 9 [3]", p, vs, ok)
+	}
+	if _, _, ok := b.NextBucket(); ok || b.Live() != 0 {
+		t.Fatalf("third pop ok=%v live=%d", ok, b.Live())
+	}
+}
+
+// TestReentryYieldsOnceParallel re-enters a third of a bucket spanning
+// several blocks, so the claim runs on several workers at once.
+func TestReentryYieldsOnceParallel(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(4)
+	const n = 5 * placeBlock
+	b := New(slices.Repeat([]uint32{5}, n), Increasing)
+	for v := uint32(0); v < n; v += 3 {
+		b.Update(v, 6)
+		b.Update(v, 5)
+	}
+	p, vs, ok := b.NextBucket()
+	slices.Sort(vs)
+	if !ok || p != 5 || len(vs) != n || slices.Compact(vs)[n-1] != n-1 || b.Live() != 0 {
+		t.Fatalf("pop p=%d: %d vertices, live=%d", p, len(vs), b.Live())
+	}
+}
+
 // TestRebaseParallel spreads priorities over many windows so extraction
 // re-buckets every live vertex repeatedly, with several workers placing
 // them at once (the race detector's view of rebase), and checks the

@@ -19,16 +19,13 @@ package server
 // window. Recovery runs under the role too, as the first thing done for a
 // dataset, so replay and writes cannot interleave.
 //
-// Under a segment cap (Durability.SegmentBytes) the log rotates into a
-// fingerprint-linked chain of sealed segments (<path>.wal.1, .wal.2, …);
-// recovery replays the whole chain in order and compaction retires it.
-//
 // Degradation is graceful and self-healing: when the log cannot be
-// appended to (disk full, fsync failure, a log that failed to open),
-// the dataset drops to read-only — writes answer 503 with a
-// machine-readable reason while reads keep serving — and the next write
-// attempt probes the log again, so the dataset recovers the moment the
-// disk does, without a restart.
+// appended to (disk full, fsync failure, a log that failed to open — say,
+// because a rotated log's sealed <path>.wal.1 sits beside it), the
+// dataset drops to read-only — writes answer 503 with a machine-readable
+// reason while reads keep serving — and the next write attempt probes the
+// log again, so the dataset recovers the moment the disk does, without a
+// restart.
 
 import (
 	"errors"
@@ -40,7 +37,7 @@ import (
 )
 
 // WALSuffix is appended to a dataset's stored path to name its
-// write-ahead log's active segment.
+// write-ahead log.
 const WALSuffix = ".wal"
 
 // Durability configures the write-ahead log guarding update batches.
@@ -53,11 +50,7 @@ type Durability struct {
 	Policy wal.SyncPolicy
 	// Interval is the background flush period under wal.SyncInterval.
 	Interval time.Duration
-	// SegmentBytes caps the active segment: when an append would push it
-	// past the cap, the segment is sealed into the numbered chain and a
-	// fresh one started. 0 means a single unbounded segment.
-	SegmentBytes int64
-	// FS substitutes the filesystem the segments live on; nil means the
+	// FS substitutes the filesystem the logs live on; nil means the
 	// real one. Tests inject wal.FaultFS here to simulate crashes, short
 	// writes, and fsync failures.
 	FS wal.FS
@@ -115,8 +108,8 @@ func (u *updates) recover(c *committer) {
 	u.mu.Unlock()
 }
 
-// openSegment fingerprints the container, opens (or creates) its WAL
-// chain, and replays surviving records. On any failure the dataset is
+// openSegment fingerprints the container, opens (or creates) its WAL,
+// and replays surviving records. On any failure the dataset is
 // left read-only with the cause as the machine-readable reason; reads
 // keep serving the base. It runs under the dataset's committer role.
 func (u *updates) openSegment(c *committer) {
@@ -128,7 +121,6 @@ func (u *updates) openSegment(c *committer) {
 	}
 	log, rec, err := wal.Open(path+WALSuffix, fp, wal.Options{
 		FS: u.wcfg.FS, Policy: u.wcfg.Policy, Interval: u.wcfg.Interval,
-		SegmentBytes: u.wcfg.SegmentBytes,
 	})
 	if err != nil {
 		u.setWAL(ws, nil, err)
@@ -158,7 +150,7 @@ func (u *updates) openSegment(c *committer) {
 		return
 	}
 	snap := sage.GraphFromDataset(h.Dataset()).Snapshot()
-	var good wal.Batch // zero value: truncate the whole chain away
+	var good wal.Batch // zero value: truncate the whole log away
 	replayed := 0
 	for _, b := range rec.Batches {
 		next, err := snap.ApplyBatch(edgeOps(b.Ops))
@@ -237,10 +229,10 @@ func (u *updates) walAppend(c *committer, ops []sage.EdgeOp) (*wal.Pending, erro
 	return p, nil
 }
 
-// retireSegment retires c's WAL chain after a compaction durably
+// retireSegment retires c's WAL after a compaction durably
 // replaced the container: the folded records must never replay onto the
 // new generation. Even if the process dies before the removal lands, the
-// stale chain's base fingerprint no longer matches the rewritten
+// stale log's base fingerprint no longer matches the rewritten
 // container, so recovery discards it — removal is cleanup, not
 // correctness. A fresh log is then opened for the new generation.
 func (u *updates) retireSegment(c *committer) {
@@ -248,7 +240,7 @@ func (u *updates) retireSegment(c *committer) {
 		return
 	}
 	if c.ws.log != nil {
-		// A failed remove leaves a stale chain that can never replay
+		// A failed remove leaves a stale log that can never replay
 		// (its fingerprint no longer matches the rewritten container),
 		// and openSegment's fresh open re-probes the disk immediately.
 		c.ws.log.CloseAndRemove() //sage:allow syncerr
@@ -257,7 +249,7 @@ func (u *updates) retireSegment(c *committer) {
 }
 
 // walSnapshot reports the durability layer for /metrics, aggregating the
-// per-log chain and group-commit counters across datasets.
+// per-log group-commit counters across datasets.
 func (u *updates) walSnapshot() walStats {
 	s := walStats{Enabled: u.wcfg.Enabled, Policy: u.wcfg.Policy.String()}
 	if !u.wcfg.Enabled {
@@ -276,8 +268,6 @@ func (u *updates) walSnapshot() walStats {
 	u.mu.Unlock()
 	for _, log := range logs {
 		st := log.Stats()
-		s.Segments += st.Segments
-		s.Rotations += st.Rotations
 		s.GroupSyncs += st.GroupSyncs
 		s.GroupBatches += st.GroupBatches
 	}
@@ -300,8 +290,6 @@ type walStats struct {
 	ReplayedBatches   int64  `json:"replayed_batches"`
 	DiscardedSegments int64  `json:"discarded_segments"`
 	RejectedReadOnly  int64  `json:"rejected_read_only"`
-	Segments          int    `json:"segments"`
-	Rotations         int64  `json:"rotations"`
 	GroupSyncs        int64  `json:"group_syncs"`
 	GroupBatches      int64  `json:"group_batches"`
 }

@@ -6,8 +6,11 @@ package server_test
 // the WAL section of /metrics.
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 
 	"sage/internal/server"
@@ -80,6 +83,59 @@ func TestReadOnlyDegradationOverHTTP(t *testing.T) {
 	ds = list["datasets"].([]any)[0].(map[string]any)
 	if ds["read_only"] == true {
 		t.Fatalf("dataset still read-only after heal: %v", ds)
+	}
+}
+
+func TestLeftoverSealedSegmentReadOnly(t *testing.T) {
+	// A rotating build sealed acknowledged batches into <path>.wal.1. The
+	// log refuses to open beside it, so the dataset must serve reads,
+	// refuse writes, name the file, and leave it alone.
+	dir := t.TempDir()
+	path := makeChain(t, dir, "chain", 10)
+	sealed := path + server.WALSuffix + ".1"
+	sealedBytes := []byte("batches a rotating build acknowledged")
+	if err := os.WriteFile(sealed, sealedBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Config{Durability: server.Durability{Enabled: true}})
+	if err := s.AddDataset("chain", path); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = s.Close()
+	})
+	if _, degraded := s.Recover(); len(degraded) != 1 {
+		t.Fatalf("degraded after recovery: %v", degraded)
+	}
+
+	_, list := getJSON(t, ts.URL+"/v1/datasets")
+	ds := list["datasets"].([]any)[0].(map[string]any)
+	if reason, _ := ds["read_only_reason"].(string); ds["read_only"] != true || !strings.Contains(reason, sealed) {
+		t.Fatalf("dataset listing: %v, want read-only naming %s", ds, sealed)
+	}
+	if code, run, _ := postRun(t, ts.URL, "chain", "cc", ``); code != http.StatusOK {
+		t.Fatalf("read beside a sealed segment: %d %v", code, run)
+	}
+	code, body := postUpdate(t, ts.URL, "chain", `{"ops":[{"u":0,"v":5}]}`)
+	if code != http.StatusServiceUnavailable || body["reason"] != "read_only" {
+		t.Fatalf("update beside a sealed segment: %d %v", code, body)
+	}
+	if got, err := os.ReadFile(sealed); err != nil || !bytes.Equal(got, sealedBytes) {
+		t.Fatalf("sealed segment touched: %q, %v", got, err)
+	}
+
+	// The operator removes the file: the next write heals the dataset.
+	if err := os.Remove(sealed); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := postUpdate(t, ts.URL, "chain", `{"ops":[{"u":0,"v":5}]}`); code != http.StatusOK {
+		t.Fatalf("update after removal: %d %v", code, body)
+	}
+	_, list = getJSON(t, ts.URL+"/v1/datasets")
+	if ds = list["datasets"].([]any)[0].(map[string]any); ds["read_only"] == true {
+		t.Fatalf("dataset still read-only after removal: %v", ds)
 	}
 }
 

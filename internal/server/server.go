@@ -170,7 +170,7 @@ func (s *Server) Preload(name string) error {
 // arriving earlier are still served correctly — the first touch of a
 // dataset replays it lazily — but /readyz answers 503 until Recover
 // completes). It returns the number of batches replayed and the names of
-// datasets left read-only because their segment could not be opened.
+// datasets left read-only because their log could not be opened.
 func (s *Server) Recover() (replayed int, degraded []string) {
 	for _, name := range s.catalog.names() {
 		s.updates.ensureRecovered(name)
@@ -190,7 +190,7 @@ func (s *Server) Recover() (replayed int, degraded []string) {
 // Call it before http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close drops every update overlay, closes every WAL segment, and
+// Close drops every update overlay, closes every WAL, and
 // releases every idle resident dataset. Call after the HTTP server has
 // shut down (no runs in flight).
 func (s *Server) Close() error {

@@ -536,7 +536,7 @@ func (u *updates) shouldAutoCompact(name string, overhead int64) bool {
 
 // compact folds snap's merged view into a rewritten container (atomic
 // temp-file rename through Create), swaps readers onto the new
-// generation, and retires the WAL chain whose records were folded in. It
+// generation, and retires the WAL whose records were folded in. It
 // runs on the dataset's role holder after snap's overlay state has been
 // published (or is empty), so a failure here leaves a consistent, durable
 // overlay behind.

@@ -2,13 +2,13 @@ package wal
 
 // FaultFS: the crash simulator behind the durability tests. It wraps a
 // real filesystem and counts every mutation (write, sync, truncate,
-// rename, remove, directory sync) as one step; a test arms a crash at
-// step N and replays a workload, and when the counter hits N the
-// filesystem "loses power": the in-flight operation takes partial
-// effect, every open file is cut back to its last fsynced length (plus
-// an optional torn fragment of unsynced bytes), and all further
-// operations fail with ErrCrashed. Enumerating N over Steps() from a
-// dry run visits every crash point of the write path exactly once.
+// remove, directory sync) as one step; a test arms a crash at step N and
+// replays a workload, and when the counter hits N the filesystem "loses
+// power": the in-flight operation takes partial effect, every open file
+// is cut back to its last fsynced length (plus an optional torn fragment
+// of unsynced bytes), and all further operations fail with ErrCrashed.
+// Enumerating N over Steps() from a dry run visits every crash point of
+// the write path exactly once.
 //
 // It also injects the two non-fatal failure modes a durability layer
 // must degrade under: sticky fsync errors (SetSyncError) and short
@@ -151,21 +151,6 @@ func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 	fs.files[ff] = struct{}{}
 	fs.mu.Unlock()
 	return ff, nil
-}
-
-// Rename counts as one step; on a crash at this step the rename does
-// not happen (the old name survives — rename is atomic, so partial
-// effect is all-or-nothing and the crash models "not yet").
-func (fs *FaultFS) Rename(oldpath, newpath string) error {
-	crash, dead := fs.step()
-	if dead {
-		return ErrCrashed
-	}
-	if crash {
-		fs.loseUnsynced()
-		return ErrCrashed
-	}
-	return fs.inner.Rename(oldpath, newpath)
 }
 
 // Remove counts as one step; a crash at this step leaves the file.

@@ -17,14 +17,12 @@ import (
 type FS interface {
 	// OpenFile opens name with os.OpenFile semantics.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	// Rename atomically replaces newpath with oldpath.
-	Rename(oldpath, newpath string) error
 	// Remove deletes name.
 	Remove(name string) error
 	// Stat describes name.
 	Stat(name string) (os.FileInfo, error)
 	// SyncDir flushes the directory entry metadata of dir, making
-	// renames and creates within it durable.
+	// creates and removals within it durable.
 	SyncDir(dir string) error
 }
 
@@ -49,7 +47,6 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 
-func (osFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error              { return os.Remove(name) }
 func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
 
@@ -59,7 +56,7 @@ func (osFS) SyncDir(dir string) error {
 		return err
 	}
 	// Some filesystems cannot fsync a directory handle (EINVAL); the
-	// rename itself is still atomic there, so directory-sync failure is
+	// entry change itself still lands there, so directory-sync failure is
 	// not propagated as a durability error.
 	_ = d.Sync()
 	return d.Close()

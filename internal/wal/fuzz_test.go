@@ -7,20 +7,14 @@ import (
 	"testing"
 )
 
-// fuzzBase is the container generation FuzzOpen's chains are opened for.
+// fuzzBase is the container generation FuzzOpen's logs are opened for.
 var fuzzBase = Fingerprint{Size: 4096, CRC: 0x5a5a5a5a}
 
-// seedChain writes sampleBatches through a real log for base — under a
-// cap that seals the first two records into <path>.1 when rotate is set —
-// and returns the files it left: the active segment and the sealed one
-// (nil without rotation).
-func seedChain(f *testing.F, base Fingerprint, rotate bool) (active, sealed []byte) {
+// seedLog writes sampleBatches through a real log for base and returns
+// the file it left.
+func seedLog(f *testing.F, base Fingerprint) []byte {
 	walPath := filepath.Join(f.TempDir(), "g.sg.wal")
-	opts := Options{}
-	if rotate {
-		opts.SegmentBytes = headerSize + recordLen(sampleBatches()[0]) + recordLen(sampleBatches()[1])
-	}
-	l, _, err := Open(walPath, base, opts)
+	l, _, err := Open(walPath, base, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -32,44 +26,32 @@ func seedChain(f *testing.F, base Fingerprint, rotate bool) (active, sealed []by
 	if err := l.Close(); err != nil {
 		f.Fatal(err)
 	}
-	if active, err = os.ReadFile(walPath); err != nil {
+	data, err := os.ReadFile(walPath)
+	if err != nil {
 		f.Fatal(err)
 	}
-	if rotate {
-		if sealed, err = os.ReadFile(SegmentPath(walPath, 1)); err != nil {
-			f.Fatal(err)
-		}
-	}
-	return active, sealed
+	return data
 }
 
-// FuzzOpen feeds arbitrary bytes to recovery as the active segment and,
-// when sealed is non-empty, as sealed segment 1 of the same chain. Open
-// must never fail or panic on a healthy disk whatever it finds; what it
+// FuzzOpen feeds arbitrary bytes to recovery as the log file. Open must
+// never fail or panic on a healthy disk whatever it finds; what it
 // recovers must be bytes that were really there — each batch re-encodes
 // to the record it was decoded from, so nothing is sized by a length
 // field the input cannot back; and recovery must be a fixed point — a
 // second Open of what the first left behind finds the same batches and
 // nothing torn.
 func FuzzOpen(f *testing.F) {
-	valid, _ := seedChain(f, fuzzBase, false)
-	f.Add(valid, []byte(nil))
-	f.Add(append(bytes.Clone(valid), 9, 0, 0, 0, 0xde, 0xad), []byte(nil)) // torn tail
-	stale, _ := seedChain(f, Fingerprint{Size: 1, CRC: 2}, false)
-	f.Add(stale, []byte(nil))
-	active2, sealed1 := seedChain(f, fuzzBase, true)
-	f.Add(active2, sealed1) // a two-segment chain
-	f.Add([]byte(nil), []byte(nil))
+	valid := seedLog(f, fuzzBase)
+	f.Add(valid)
+	f.Add(append(bytes.Clone(valid), 9, 0, 0, 0, 0xde, 0xad)) // torn tail
+	f.Add(seedLog(f, Fingerprint{Size: 1, CRC: 2}))           // stale
+	f.Add(chainedHeader(valid, 2, 1, 0))                      // later segment of a rotated log
+	f.Add([]byte(nil))
 
-	f.Fuzz(func(t *testing.T, active, sealed []byte) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		walPath := filepath.Join(t.TempDir(), "g.sg.wal")
-		if err := os.WriteFile(walPath, active, 0o644); err != nil {
+		if err := os.WriteFile(walPath, data, 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if len(sealed) > 0 {
-			if err := os.WriteFile(SegmentPath(walPath, 1), sealed, 0o644); err != nil {
-				t.Fatal(err)
-			}
 		}
 		opts := Options{FS: NewFaultFS(nil)}
 		l, rec, err := Open(walPath, fuzzBase, opts)
@@ -83,17 +65,8 @@ func FuzzOpen(f *testing.F) {
 		for i, b := range rec.Batches {
 			enc := encodeRecord(b.Seq, b.Ops)
 			from := b.EndOff - int64(len(enc))
-			// Which file a segment index names depends on the headers (an
-			// active header claiming index 1 condemns the sealed file), so
-			// either input may be the source.
-			found := false
-			for _, src := range [][]byte{active, sealed} {
-				if from >= headerSize && b.EndOff <= int64(len(src)) && bytes.Equal(src[from:b.EndOff], enc) {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("batch %d (seq %d, seg %d, end %d) is not in the input", i, b.Seq, b.Seg, b.EndOff)
+			if from < headerSize || b.EndOff > int64(len(data)) || !bytes.Equal(data[from:b.EndOff], enc) {
+				t.Fatalf("batch %d (seq %d, end %d) is not in the input", i, b.Seq, b.EndOff)
 			}
 		}
 

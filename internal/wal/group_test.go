@@ -3,13 +3,15 @@ package wal
 // Commit-window coverage: one Commit makes a whole window of appended
 // records durable with a single fsync; a failed flush rolls every record
 // of the window back together; and the single-writer crash enumeration
-// proves every acknowledged window survives any crash point while the
-// survivors stay a clean sequence prefix.
+// proves every acknowledged window survives any crash point — including
+// the points inside a compaction's retire and reinit of the log — while
+// the survivors stay a clean sequence prefix.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -140,31 +142,53 @@ func TestCloseFlushesAppendedRecords(t *testing.T) {
 // of 1..4 records each.
 var windowSizes = []int{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4}
 
-// windowOp is the single op of record i (0-based, chain-global).
+// windowOp is the single op of record i (0-based, across generations).
 func windowOp(i int) Op { return Op{U: uint32(i), V: uint32(i + 1)} }
+
+// recycleSteps is what one recycle adds to the crash enumeration: the
+// retired log's remove and directory sync, then the fresh log's header
+// write, sync and directory sync.
+const recycleSteps = 5
+
+// writeGeneration writes the container generation that has folded in the
+// first folded records — what a compaction leaves behind.
+func writeGeneration(base string, folded int) error {
+	return os.WriteFile(base, []byte(fmt.Sprintf("base+%d", folded)), 0o644)
+}
+
+// foldedRecords reads back how many records the container at base has
+// folded in; the seed generation "base" has none.
+func foldedRecords(base string) (int, error) {
+	data, err := os.ReadFile(base)
+	if err != nil {
+		return 0, err
+	}
+	folded := 0
+	fmt.Sscanf(string(data), "base+%d", &folded)
+	return folded, nil
+}
 
 // crashWorkload is the single writer: it appends each window's records
 // and commits the window once, until the armed crash kills the log. It
 // returns how many records were acknowledged (their window's Commit
 // returned nil) and how many records the window in flight at the crash
-// held. rotate adds a segment cap of two records, so windows straddle
-// rotations and crash points land on rotation steps too.
-func crashWorkload(dir string, fs *FaultFS, rotate bool) (acked, inFlight int, openErr error) {
+// held. With recycleEvery > 0 it compacts after every recycleEvery-th
+// window the way the server does: the acknowledged records are folded
+// into a new container generation, the log is retired, and a fresh log
+// is opened for the new base — so crash points land on the retire and
+// reinit steps too.
+func crashWorkload(dir string, fs *FaultFS, windows []int, recycleEvery int) (acked, inFlight int, openErr error) {
 	base := filepath.Join(dir, "g.sg")
 	fp, err := FingerprintFile(nil, base)
 	if err != nil {
 		return 0, 0, err
 	}
-	opts := Options{FS: fs}
-	if rotate {
-		opts.SegmentBytes = headerSize + 2*recordLen(make([]Op, 1))
-	}
-	l, _, err := Open(base+".wal", fp, opts)
+	l, _, err := Open(base+".wal", fp, Options{FS: fs})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer l.Close()
-	for _, size := range windowSizes {
+	defer func() { l.Close() }()
+	for w, size := range windows {
 		var last *Pending
 		for i := 0; i < size; i++ {
 			p, err := l.AppendBuffer([]Op{windowOp(acked + i)}, nil)
@@ -177,88 +201,118 @@ func crashWorkload(dir string, fs *FaultFS, rotate bool) (acked, inFlight int, o
 			return acked, size, nil
 		}
 		acked += size
+		if recycleEvery == 0 || (w+1)%recycleEvery != 0 {
+			continue
+		}
+		if err := writeGeneration(base, acked); err != nil {
+			return acked, 0, err
+		}
+		if fp, err = FingerprintFile(nil, base); err != nil {
+			return acked, 0, err
+		}
+		if err := l.CloseAndRemove(); err != nil {
+			return acked, 0, nil
+		}
+		next, _, err := Open(base+".wal", fp, Options{FS: fs})
+		if err != nil {
+			return acked, 0, nil
+		}
+		l = next
 	}
 	return acked, 0, nil
 }
 
-func TestGroupCommitCrashEveryStep(t *testing.T) {
-	// One writer, windows of 1..4 records with one Commit each, crash at
-	// every mutation step (between a window's appends, inside its fsync,
-	// inside a rotation), with and without rotation. Invariants: every
-	// acknowledged window survives recovery; the survivors are a
-	// contiguous sequence prefix of the submitted records; and beyond the
-	// acknowledged ones at most a prefix of the one window in flight
-	// appears.
+// crashEveryStep crashes crashWorkload at every mutation step of a dry
+// run, once per tear size, and recovers. Invariants: every acknowledged
+// record survives, folded into the container or replayed from the log;
+// the log's survivors are a contiguous sequence prefix of the records
+// submitted since the last fold; and beyond the acknowledged ones at most
+// a prefix of the one window in flight appears.
+func crashEveryStep(t *testing.T, windows []int, recycleEvery int, tears []int) {
 	total := 0
-	for _, size := range windowSizes {
+	for _, size := range windows {
 		total += size
 	}
-	for _, rotate := range []bool{false, true} {
-		name := "flat"
-		if rotate {
-			name = "rotating"
-		}
-		t.Run(name, func(t *testing.T) {
-			dryDir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dryDir, "g.sg"), []byte("base"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			dry := NewFaultFS(nil)
-			if acked, _, err := crashWorkload(dryDir, dry, rotate); err != nil || acked != total {
-				t.Fatalf("dry run: acked %d of %d, err %v", acked, total, err)
-			}
-			steps := dry.Steps()
-			if steps < 3+total+len(windowSizes) {
-				t.Fatalf("only %d steps in the dry run", steps)
-			}
-
-			for n := 1; n <= steps; n++ {
-				for _, tear := range []int{0, 7} {
-					t.Run(fmt.Sprintf("step%d/tear%d", n, tear), func(t *testing.T) {
-						dir := t.TempDir()
-						if err := os.WriteFile(filepath.Join(dir, "g.sg"), []byte("base"), 0o644); err != nil {
-							t.Fatal(err)
-						}
-						ffs := NewFaultFS(nil)
-						ffs.CrashAt(n, tear)
-						acked, inFlight, _ := crashWorkload(dir, ffs, rotate)
-						if !ffs.Crashed() {
-							t.Fatalf("crash at step %d never fired", n)
-						}
-
-						base := filepath.Join(dir, "g.sg")
-						fp, err := FingerprintFile(nil, base)
-						if err != nil {
-							t.Fatal(err)
-						}
-						l, rec, err := Open(base+".wal", fp, Options{})
-						if err != nil {
-							t.Fatalf("recovery open: %v", err)
-						}
-						defer l.Close()
-
-						if rec.Discarded && acked > 0 {
-							t.Fatalf("chain with %d acked batches discarded", acked)
-						}
-						// Survivors are a contiguous sequence prefix of real
-						// submissions — no phantom, reordered, or corrupt batch.
-						for i, b := range rec.Batches {
-							if b.Seq != uint64(i+1) || !opsEqual(b.Ops, []Op{windowOp(i)}) {
-								t.Fatalf("batch %d: seq %d, ops %+v", i, b.Seq, b.Ops)
-							}
-						}
-						// Acknowledged windows all survived; only records of the
-						// window in flight may appear beyond them.
-						if got := len(rec.Batches); got < acked || got > acked+inFlight {
-							t.Fatalf("acked %d (+%d in flight), recovered %d", acked, inFlight, got)
-						}
-						// The recovered chain accepts new appends.
-						if seq, err := appendSync(l, []Op{{U: 9, V: 9}}); err != nil || seq != uint64(len(rec.Batches)+1) {
-							t.Fatalf("append after recovery: seq %d err %v", seq, err)
-						}
-					})
-				}
-			}
-		})
+	recycles := 0
+	if recycleEvery > 0 {
+		recycles = len(windows) / recycleEvery
 	}
+	dryDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dryDir, "g.sg"), []byte("base"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dry := NewFaultFS(nil)
+	if acked, _, err := crashWorkload(dryDir, dry, windows, recycleEvery); err != nil || acked != total {
+		t.Fatalf("dry run: acked %d of %d, err %v", acked, total, err)
+	}
+	steps := dry.Steps()
+	if steps < 3+total+len(windows)+recycleSteps*recycles {
+		t.Fatalf("only %d steps in the dry run", steps)
+	}
+
+	for n := 1; n <= steps; n++ {
+		for _, tear := range tears {
+			t.Run(fmt.Sprintf("step%d/tear%d", n, tear), func(t *testing.T) {
+				dir := t.TempDir()
+				base := filepath.Join(dir, "g.sg")
+				if err := os.WriteFile(base, []byte("base"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				ffs := NewFaultFS(nil)
+				ffs.CrashAt(n, tear)
+				acked, inFlight, _ := crashWorkload(dir, ffs, windows, recycleEvery)
+				if !ffs.Crashed() {
+					t.Fatalf("crash at step %d never fired", n)
+				}
+
+				folded, err := foldedRecords(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp, err := FingerprintFile(nil, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, rec, err := Open(base+".wal", fp, Options{})
+				if err != nil {
+					t.Fatalf("recovery open: %v", err)
+				}
+				defer l.Close()
+
+				if rec.Discarded && acked > folded {
+					t.Fatalf("log with %d acked batches discarded", acked-folded)
+				}
+				// Survivors are a contiguous sequence prefix of real
+				// submissions — no phantom, reordered, or corrupt batch.
+				for i, b := range rec.Batches {
+					if b.Seq != uint64(i+1) || !opsEqual(b.Ops, []Op{windowOp(folded + i)}) {
+						t.Fatalf("batch %d: seq %d, ops %+v", i, b.Seq, b.Ops)
+					}
+				}
+				// Acknowledged windows all survived; only records of the
+				// window in flight may appear beyond them.
+				if got := folded + len(rec.Batches); got < acked || got > acked+inFlight {
+					t.Fatalf("acked %d (+%d in flight), recovered %d (%d folded)", acked, inFlight, got, folded)
+				}
+				// The recovered log accepts new appends.
+				if seq, err := appendSync(l, []Op{{U: 9, V: 9}}); err != nil || seq != uint64(len(rec.Batches)+1) {
+					t.Fatalf("append after recovery: seq %d err %v", seq, err)
+				}
+			})
+		}
+	}
+}
+
+func TestGroupCommitCrashEveryStep(t *testing.T) {
+	// One writer, windows of 1..4 records with one Commit each, crash at
+	// every mutation step (between a window's appends, inside its fsync),
+	// first on one log, then with the log rotating through container
+	// generations: a compaction recycles it every second window, so crash
+	// points land inside the retire and reinit too.
+	t.Run("flat", func(t *testing.T) {
+		crashEveryStep(t, windowSizes, 0, []int{0, 7})
+	})
+	t.Run("rotating", func(t *testing.T) {
+		crashEveryStep(t, slices.Concat(windowSizes, windowSizes), 2, []int{0, 7})
+	})
 }

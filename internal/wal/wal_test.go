@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -245,6 +246,46 @@ func TestCorruptHeaderDiscardsSegment(t *testing.T) {
 	}
 }
 
+func TestLeftoverSealedSegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	base, fp := newBase(t, dir, []byte("container"))
+	walPath := base + ".wal"
+
+	l, _, err := Open(walPath, fp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendSync(l, []Op{{U: 0, V: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	active, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A rotating build sealed its first records into <path>.1: they were
+	// acknowledged, so Open may neither replay nor delete them.
+	sealedPath := walPath + ".1"
+	sealed := []byte("records a rotating build acknowledged")
+	if err := os.WriteFile(sealedPath, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err = Open(walPath, fp, Options{})
+	if err == nil {
+		_ = l.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), sealedPath) {
+		t.Fatalf("open beside a sealed segment: %v, want an error naming %s", err, sealedPath)
+	}
+	for path, want := range map[string][]byte{walPath: active, sealedPath: sealed} {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by the refused open (err %v)", path, err)
+		}
+	}
+}
+
 func TestTruncateToDropsSuffix(t *testing.T) {
 	dir := t.TempDir()
 	base, fp := newBase(t, dir, []byte("container"))
@@ -259,10 +300,10 @@ func TestTruncateToDropsSuffix(t *testing.T) {
 		}
 		ends = append(ends, l.Size())
 	}
-	if err := l.TruncateTo(Batch{Seq: 1, Seg: 1, EndOff: ends[0]}); err != nil {
+	if err := l.TruncateTo(Batch{Seq: 1, EndOff: ends[0]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.TruncateTo(Batch{Seq: 2, Seg: 1, EndOff: ends[1]}); err == nil {
+	if err := l.TruncateTo(Batch{Seq: 2, EndOff: ends[1]}); err == nil {
 		t.Fatal("TruncateTo past the end accepted")
 	}
 	_ = l.Close()
