@@ -31,8 +31,8 @@ func CostModelDRAM() CostModel { return costmodel.DRAMOnly() }
 func CostModelReRAM() CostModel { return costmodel.ReRAM() }
 
 // CostModelFlash is a flash/CSD profile with page-granular large-memory
-// I/O (internal/semiext's page-cost framing): a scattered word read
-// bills a whole device page.
+// I/O (internal/semiext's page-cost framing): a run's total large-memory
+// words bill ceil(words/512) device pages, reads and writes separately.
 func CostModelFlash() CostModel { return costmodel.FlashCSD() }
 
 // CostModels returns the built-in profiles in registry order.

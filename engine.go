@@ -227,7 +227,6 @@ func (e *Engine) NewRun() *Run {
 	o.FB = e.cfg.fb
 	o.Eps = e.cfg.eps
 	o.Traverse.Strategy = e.cfg.strategy
-	o.Traverse.Model = &e.cfg.model
 	if p, ok := e.pools.Get().(*traverse.Pools); ok {
 		o.Traverse.Pools = p
 	} else {

@@ -17,13 +17,15 @@
 //   - DRAM-only: symmetric memory, the in-memory baseline.
 //   - ReRAM: GraphR-style constants — reads near DRAM, writes an order
 //     of magnitude more expensive in both time and energy.
-//   - Flash/CSD: page-granular I/O — a word read costs a whole device
-//     page (PageWords words at DefaultPageCost), which is what makes
-//     scattered access catastrophic on these systems.
+//   - Flash/CSD: page-granular I/O — Cost bills ceil(words/PageWords)
+//     device pages (DefaultPageCost each) for the total large-memory
+//     words of the counts it prices, reads and writes separately. It
+//     rounds a whole run's total, not each access: the per-access page
+//     of the semi-external systems is internal/semiext's device.
 //
 // Serving layers act on the predictions: cost-based admission, overlay
-// auto-compaction, and predicted-cost traversal direction selection all
-// price their alternatives through the same profile.
+// auto-compaction, and the Auto traversal's direction choice all price
+// their alternatives through the same function.
 package costmodel
 
 // PageWords is the simulated device page: 4 KB = 512 words.
@@ -169,36 +171,6 @@ func (p *Profile) EnergyNJ(c Counts) float64 {
 	return pj / 1000
 }
 
-// SeqReadCost is the predicted cost of reading words contiguous
-// large-memory words (one streamed range: page-granular devices amortize
-// the page cost over the whole range).
-//
-//sage:hotpath
-func (p *Profile) SeqReadCost(words int64) int64 {
-	if words <= 0 {
-		return 0
-	}
-	if p.PageGranular {
-		return p.PageCost * pages(words)
-	}
-	return p.NVRAMRead * words
-}
-
-// RandReadCost is the predicted cost of n independent scattered
-// large-memory reads: each lands on its own page on page-granular
-// devices, which is exactly why sparse traversal collapses there.
-//
-//sage:hotpath
-func (p *Profile) RandReadCost(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	if p.PageGranular {
-		return p.PageCost * n
-	}
-	return p.NVRAMRead * n
-}
-
 // Optane is the PSAM of §3 — today's engine defaults. Reads are charged
 // unit cost (the ~3x device gap is hidden by memory-level parallelism,
 // §3.2), writes the measured 12x-DRAM penalty [50, 96]. Energy constants
@@ -247,9 +219,10 @@ func ReRAM() Profile {
 // FlashCSD models flash or computational-storage devices with the
 // page-cost framing internal/semiext shares: the device moves 4KB pages
 // (PageWords words) at DefaultPageCost DRAM-access units each, and writes
-// pay a program/erase multiplier. Scattered word reads each bill a full
-// page — the structural cost Table 3 measures the semi-external systems
-// against.
+// pay a program/erase multiplier. Cost bills the priced counts' total
+// large-memory reads as ceil(words/PageWords) pages (writes likewise,
+// times Omega); it does not bill each scattered read its own page, which
+// is internal/semiext's per-access device, not this simulator's.
 func FlashCSD() Profile {
 	return Profile{
 		ModelName:    "flash",

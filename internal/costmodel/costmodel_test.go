@@ -36,8 +36,8 @@ func TestCountsAddSub(t *testing.T) {
 	}
 }
 
-// Page-granular pricing: a single scattered word read bills a whole page;
-// a contiguous range amortizes; writes pay the program multiplier.
+// Page-granular pricing: a count vector's total words round up to whole
+// pages; writes pay the program multiplier.
 func TestFlashPageGranularCost(t *testing.T) {
 	p := FlashCSD()
 	if got, want := p.Cost(Counts{NVRAMReads: 1}), p.PageCost; got != want {
@@ -51,16 +51,6 @@ func TestFlashPageGranularCost(t *testing.T) {
 	}
 	if got, want := p.Cost(Counts{NVRAMWrites: 1}), p.Omega*p.PageCost; got != want {
 		t.Fatalf("1-word write = %d, want omega pages (%d)", got, want)
-	}
-	// Scattered reads bill one page each; a sequential range of the same
-	// size amortizes — the structural flash penalty.
-	if rand, seq := p.RandReadCost(100), p.SeqReadCost(100); rand <= seq {
-		t.Fatalf("RandReadCost(100)=%d should exceed SeqReadCost(100)=%d", rand, seq)
-	}
-	// Word-granular profiles do not distinguish the two.
-	o := Optane()
-	if rand, seq := o.RandReadCost(100), o.SeqReadCost(100); rand != seq {
-		t.Fatalf("optane RandReadCost(100)=%d != SeqReadCost(100)=%d", rand, seq)
 	}
 }
 

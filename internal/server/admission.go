@@ -1,7 +1,8 @@
 package server
 
-// Admission control: the service bounds in-flight work with two gates,
-// both checked before a run starts.
+// Admission control: the service bounds in-flight work with three gates —
+// concurrency, DRAM words and predicted cost — all checked before a run
+// starts.
 //
 // The first is a plain semaphore on concurrent runs — the parallel worker
 // pool is shared, so beyond a small multiple of the core count extra runs
@@ -33,7 +34,8 @@ import (
 	"time"
 )
 
-// admission is the two-gate controller. The zero value is unusable; use
+// admission is the three-gate controller (concurrency, DRAM words,
+// predicted cost). The zero value is unusable; use
 // newAdmission.
 type admission struct {
 	slots      chan struct{}

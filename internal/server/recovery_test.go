@@ -627,17 +627,24 @@ func TestConcurrentWritersCrashRecovery(t *testing.T) {
 		vertices  = 32
 		writers   = 4
 		perWriter = 3
+		// steps is the fixed crash budget: 3 set-up mutations, then one
+		// append and one fsync per batch — the most a run can take, when
+		// every commit window holds a single batch. How many windows a run
+		// actually forms follows goroutine scheduling, so the budget does
+		// not: trials past a run's last step see no crash and check full
+		// recovery instead.
+		steps = 3 + 2*writers*perWriter
 	)
 
-	// Dry run for the step budget. Interleaving varies run to run, so the
-	// budget is a guide: trials where the crash never fires verify full
-	// recovery instead.
+	// A dry run only confirms the budget covers every mutation.
 	dryDir := t.TempDir()
 	dryPath := makeBase(t, dryDir, vertices)
 	dry := wal.NewFaultFS(nil)
 	drySrv := newWALServer(t, dryPath, dry)
 	concurrentCrashWorkload(drySrv, writers, perWriter)
-	steps := dry.Steps()
+	if got := dry.Steps(); got > steps {
+		t.Fatalf("dry run took %d mutation steps, over the budget of %d", got, steps)
+	}
 
 	refDir := t.TempDir()
 	refPath := makeBase(t, refDir, vertices)

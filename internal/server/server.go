@@ -7,11 +7,12 @@
 // Request model: each POST /v1/run/{dataset}/{algo} becomes one Engine
 // Run — private PSAM counters, cancellation wired to the HTTP request
 // context, totals merged into the server engine's aggregate that
-// /metrics surfaces. Before a run starts it must pass admission: a
-// semaphore bounding concurrent runs and a DRAM-word budget bounding the
-// summed small-memory residency of everything in flight (the aggregate
-// form of Sage's per-run small-memory bound); overload is shed with
-// 429 + Retry-After. Identical repeat queries are answered from an LRU
+// /metrics surfaces. Before a run starts it must pass admission's three
+// gates: a semaphore bounding concurrent runs, a DRAM-word budget
+// bounding the summed small-memory residency of everything in flight
+// (the aggregate form of Sage's per-run small-memory bound), and a cost
+// budget bounding the summed predicted cost under the engine's cost
+// model; overload is shed with 429 + Retry-After. Identical repeat queries are answered from an LRU
 // result cache keyed by (dataset generation, algorithm, canonicalized
 // args).
 package server

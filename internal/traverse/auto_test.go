@@ -1,9 +1,10 @@
 package traverse
 
-// The Auto strategy picks direction and push implementation per EdgeMap
-// from a hardware cost model. Its choices may differ between models —
+// The Auto strategy picks the direction per EdgeMap from the run
+// environment's cost profile. Its choices may differ between profiles —
 // that is the point — but its *output* must match the fixed strategies
-// on pure ops, and without a model it must degrade to Chunked.
+// on pure ops, and without an environment it must degrade to Chunked.
+// Whether it chooses well is pinned by the root package's regret test.
 
 import (
 	"fmt"
@@ -37,34 +38,17 @@ func TestAutoStrategyEquivalence(t *testing.T) {
 			ref := runSorted(tc.g, env, vs, ops, Options{Strategy: Chunked, Dedup: true})
 			for i := range models {
 				name := fmt.Sprintf("%s/trial%d/%s", tc.name, trial, models[i].ModelName)
-				got := runSorted(tc.g, env, vs, ops, Options{Strategy: Auto, Dedup: true, Model: &models[i]})
+				env.Profile = models[i]
+				got := runSorted(tc.g, env, vs, ops, Options{Strategy: Auto, Dedup: true})
 				if !equalU32(ref, got) {
 					t.Fatalf("%s: auto disagrees with chunked: %d vs %d targets", name, len(got), len(ref))
 				}
 			}
-			// Without a model Auto must behave exactly like Chunked.
-			got := runSorted(tc.g, env, vs, ops, Options{Strategy: Auto, Dedup: true})
+			// Without an environment Auto must behave exactly like Chunked.
+			got := runSorted(tc.g, nil, vs, ops, Options{Strategy: Auto, Dedup: true})
 			if !equalU32(ref, got) {
-				t.Fatalf("%s/trial%d: model-less auto disagrees with chunked", tc.name, trial)
+				t.Fatalf("%s/trial%d: env-less auto disagrees with chunked", tc.name, trial)
 			}
 		}
-	}
-}
-
-// TestPredictDenseModelSensitivity pins the reason Auto exists: a
-// page-granular device makes scattered sparse pushes so expensive that
-// the dense crossover arrives at a smaller frontier than on symmetric
-// DRAM.
-func TestPredictDenseModelSensitivity(t *testing.T) {
-	dram, flash := costmodel.DRAMOnly(), costmodel.FlashCSD()
-	const n, m, den = 1 << 16, 1 << 20, 20
-	// A mid-size frontier touching a fraction of the edges: cheap to push
-	// sparsely word-at-a-time, expensive page-at-a-time.
-	const fsize, outDeg = n / 16, m / 64
-	if predictDense(&dram, n, m, fsize, outDeg, den) {
-		t.Fatalf("dram model went dense at frontier %d / outDeg %d", fsize, outDeg)
-	}
-	if !predictDense(&flash, n, m, fsize, outDeg, den) {
-		t.Fatalf("flash model stayed sparse at frontier %d / outDeg %d", fsize, outDeg)
 	}
 }

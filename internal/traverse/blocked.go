@@ -75,9 +75,6 @@ func edgeMapBlocked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 		env.StateWrite(w, wr-lo)
 		counts[b] = int(wr - lo)
 	})
-	if opt.NoOutput {
-		return frontier.Empty(n)
-	}
 	total := parallel.Scan(counts)
 	res := make([]uint32, total)
 	parallel.For(nBlocks, 1, func(b int) {

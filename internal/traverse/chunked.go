@@ -171,16 +171,10 @@ func EdgeMapChunked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 	for _, vec := range groupChunks {
 		all = append(all, vec...)
 	}
-	var res []uint32
-	if !opt.NoOutput {
-		res = parallel.FlattenUint32(nil, all)
-		env.StateWrite(0, int64(len(res)))
-	}
+	res := parallel.FlattenUint32(nil, all)
+	env.StateWrite(0, int64(len(res)))
 	env.Free(int64(len(all) * chunkSize))
 	parallel.ForWorker(len(all), 4, func(w, i int) { pools.chunks.put(w, all[i]) })
-	if opt.NoOutput {
-		return frontier.Empty(n)
-	}
 	if opt.Dedup {
 		res = dedup(n, env, res)
 	}

@@ -53,10 +53,10 @@ const (
 	// Sparse is Ligra's original push traversal: O(Σ deg) memory and
 	// sentinel-filtered output.
 	Sparse
-	// Auto selects the direction and the push implementation per EdgeMap
-	// call from the cost model's predicted costs (Options.Model) instead
-	// of the measured-count Ligra heuristic. Without a model it behaves
-	// like Chunked.
+	// Auto selects the direction only, per EdgeMap call, by pricing both
+	// with the run environment's profile (psam.Env.Profile) instead of the
+	// measured-count Ligra heuristic; its push side is always Chunked.
+	// Without an environment it behaves like Chunked.
 	Auto
 )
 
@@ -79,18 +79,11 @@ func (s Strategy) String() string {
 type Options struct {
 	// Strategy is the push-side implementation (default Chunked).
 	Strategy Strategy
-	// DenseThresholdDen is the direction-optimization denominator: the
-	// traversal runs dense when |U| + Σ_{u∈U} deg(u) > m/Den. Zero means
-	// the Ligra default of 20.
-	DenseThresholdDen int
 	// ForceSparse disables switching to the dense traversal (the
 	// "sparse-only" configuration of Appendix D.2).
 	ForceSparse bool
 	// ForceDense always runs the dense traversal.
 	ForceDense bool
-	// NoOutput skips building the output subset (for edgeMaps used only
-	// for their side effects).
-	NoOutput bool
 	// Dedup removes duplicate targets from sparse outputs (needed when
 	// UpdateAtomic can return true more than once per target).
 	Dedup bool
@@ -98,12 +91,11 @@ type Options struct {
 	// lists). Nil selects a shared fallback, which is only safe when
 	// top-level traversals are not issued concurrently.
 	Pools *Pools
-	// Model is the hardware cost profile consulted by the Auto strategy
-	// to price traversal directions and push implementations before each
-	// EdgeMap call. Ignored by the fixed strategies, so setting it never
-	// perturbs their traversal order or PSAM counts.
-	Model *costmodel.Profile
 }
+
+// denseThresholdDen is Ligra's direction-optimization denominator: the
+// traversal runs dense when |U| + Σ_{u∈U} deg(u) > m/denseThresholdDen.
+const denseThresholdDen = 20
 
 // EdgeMap applies ops over the edges out of vs and returns the subset of
 // targets for which an update succeeded (Theorem 4.1: O(Σ deg) work,
@@ -114,17 +106,13 @@ func EdgeMap(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt
 	if vs.Size() == 0 {
 		return frontier.Empty(n)
 	}
-	if opt.DenseThresholdDen == 0 {
-		opt.DenseThresholdDen = 20
-	}
 	outDeg := frontierDegree(g, env, vs)
 	var dense bool
-	if opt.Strategy == Auto && opt.Model != nil {
+	if opt.Strategy == Auto && env != nil {
 		dense = opt.ForceDense || (!opt.ForceSparse &&
-			predictDense(opt.Model, int64(n), int64(g.NumEdges()), int64(vs.Size()), outDeg, int64(opt.DenseThresholdDen)))
+			predictDense(&env.Profile, int64(n), int64(g.NumEdges()), int64(vs.Size()), outDeg))
 	} else {
-		threshold := int64(g.NumEdges()) / int64(opt.DenseThresholdDen)
-		dense = opt.ForceDense || (!opt.ForceSparse && outDeg+int64(vs.Size()) > threshold)
+		dense = opt.ForceDense || (!opt.ForceSparse && outDeg+int64(vs.Size()) > int64(g.NumEdges())/denseThresholdDen)
 	}
 	if dense {
 		return edgeMapDense(g, env, vs, ops, opt)
@@ -134,45 +122,28 @@ func EdgeMap(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt
 		return edgeMapBlocked(g, env, vs, ops, opt, outDeg)
 	case Sparse:
 		return edgeMapSparse(g, env, vs, ops, opt, outDeg)
-	case Auto:
-		if opt.Model != nil && predictBlocked(outDeg, int64(n)) {
-			return edgeMapBlocked(g, env, vs, ops, opt, outDeg)
-		}
-		return EdgeMapChunked(g, env, vs, ops, opt)
 	default:
 		return EdgeMapChunked(g, env, vs, ops, opt)
 	}
 }
 
-// predictDense prices both traversal directions under the cost model and
-// returns true when the pull-based scan is predicted cheaper — direction
-// optimization driven by predicted rather than measured cost. The push
-// side issues one scattered neighbor-list fetch per frontier vertex, a
-// streamed read of the frontier's out-edges, and two small-memory
-// operations per edge. The pull side streams the scan positions the
-// early exit is expected to leave standing — the break-even fraction
-// m/den of Ligra's measured heuristic — plus one degree probe per
-// vertex. On word-granular profiles the comparison lands near the
-// classic |U| + Σdeg > m/den rule; on page-granular profiles the
-// scattered fetches bill whole pages and the dense direction wins much
-// earlier, which is the point.
+// predictDense prices both traversal directions with the profile's one
+// cost formula (Profile.Cost) — the one the simulator bills the run with —
+// and returns true when the pull-based scan is predicted cheaper:
+// direction optimization driven by predicted rather than measured cost.
+// The push side reads the frontier's degrees and out-edges and makes two
+// small-memory operations per edge. The pull side streams the scan
+// positions the early exit is expected to leave standing — the break-even
+// fraction m/denseThresholdDen of Ligra's measured heuristic — plus one
+// degree probe per vertex. On word-granular profiles the comparison lands
+// near the classic |U| + Σdeg > m/20 rule; on page-granular profiles both
+// sides round to pages, as the simulator does.
 //
 //sage:hotpath
-func predictDense(p *costmodel.Profile, n, m, frontier, outDeg, den int64) bool {
-	sparse := p.RandReadCost(frontier) + p.SeqReadCost(outDeg) + 2*outDeg
-	dense := p.SeqReadCost(m/den+n) + n
-	return dense < sparse
-}
-
-// predictBlocked returns true when Blocked's O(Σ deg) intermediate
-// buffering is predicted cheaper than Chunked's O(n) chunk table. The
-// intermediate memory is small-memory in every profile — unit-charged —
-// so the comparison reduces to the two allocation sizes, with Blocked's
-// per-edge writes counted double (write + filter read).
-//
-//sage:hotpath
-func predictBlocked(outDeg, n int64) bool {
-	return 2*outDeg < n
+func predictDense(p *costmodel.Profile, n, m, frontier, outDeg int64) bool {
+	push := p.Cost(costmodel.Counts{NVRAMReads: frontier + outDeg, DRAMReads: outDeg, DRAMWrites: outDeg})
+	pull := p.Cost(costmodel.Counts{NVRAMReads: m/denseThresholdDen + n, DRAMReads: n})
+	return pull < push
 }
 
 // frontierDegree computes Σ_{u∈U} deg(u), charging the offset reads.
@@ -212,11 +183,8 @@ const denseFirstPiece = 8
 func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt Options) *frontier.VertexSubset {
 	n := g.NumVertices()
 	from := vs.Dense()
-	var out []bool
-	if !opt.NoOutput {
-		out = make([]bool, n)
-		env.Alloc(int64(n+7) / 8)
-	}
+	out := make([]bool, n)
+	env.Alloc(int64(n+7) / 8)
 	flat := graph.NewFlat(g)
 	pools := poolsOf(opt)
 	var outCounts [parallel.MaxWorkers]struct {
@@ -253,9 +221,6 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 		env.StateWrite(w, produced)
 		outCounts[w].c += produced
 	})
-	if opt.NoOutput {
-		return frontier.Empty(n)
-	}
 	var total int64
 	for i := range outCounts {
 		total += outCounts[i].c
@@ -276,7 +241,7 @@ func densePiece(ops Ops, from, out []bool, d uint32, nghs []uint32, ws []int32, 
 	if ws == nil {
 		for j, s := range nghs {
 			if from[s] {
-				if ops.Update(s, d, 1) && out != nil && !out[d] {
+				if ops.Update(s, d, 1) && !out[d] {
 					out[d] = true
 					*produced++
 				}
@@ -288,7 +253,7 @@ func densePiece(ops Ops, from, out []bool, d uint32, nghs []uint32, ws []int32, 
 	} else {
 		for j, s := range nghs {
 			if from[s] {
-				if ops.Update(s, d, ws[j]) && out != nil && !out[d] {
+				if ops.Update(s, d, ws[j]) && !out[d] {
 					out[d] = true
 					*produced++
 				}
@@ -343,9 +308,6 @@ func edgeMapSparse(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Op
 		env.StateRead(w, int64(deg))
 		env.StateWrite(w, int64(deg)) // sentinel or winner written per edge
 	})
-	if opt.NoOutput {
-		return frontier.Empty(n)
-	}
 	res := parallel.Filter(out, func(v uint32) bool { return v != sentinel })
 	if opt.Dedup {
 		res = dedup(n, env, res)

@@ -110,29 +110,6 @@ func TestEmptyFrontier(t *testing.T) {
 	}
 }
 
-func TestNoOutput(t *testing.T) {
-	g := gen.Chain(100)
-	touched := make([]uint32, 100)
-	ops := Ops{
-		Update: func(_, d uint32, _ int32) bool {
-			atomic.AddUint32(&touched[d], 1)
-			return true
-		},
-		UpdateAtomic: func(_, d uint32, _ int32) bool {
-			atomic.AddUint32(&touched[d], 1)
-			return true
-		},
-		Cond: CondTrue,
-	}
-	out := EdgeMap(g, nil, frontier.Single(100, 50), ops, Options{NoOutput: true})
-	if out.Size() != 0 {
-		t.Fatal("NoOutput returned a subset")
-	}
-	if touched[49] != 1 || touched[51] != 1 {
-		t.Fatal("side effects missing")
-	}
-}
-
 func TestDedup(t *testing.T) {
 	// Star center's leaves all point at the center: mapping from all
 	// leaves at once would emit the center many times without Dedup.

@@ -187,7 +187,7 @@ func crashWorkload(dir string, fs *FaultFS, windows []int, recycleEvery int) (ac
 	if err != nil {
 		return 0, 0, err
 	}
-	defer func() { l.Close() }()
+	defer func() { _ = l.Close() }() // after a crash Close reports it; the counts are the result
 	for w, size := range windows {
 		var last *Pending
 		for i := 0; i < size; i++ {

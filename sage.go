@@ -100,9 +100,9 @@ const (
 	Blocked = traverse.Blocked
 	// Sparse is Ligra's original push traversal.
 	Sparse = traverse.Sparse
-	// Auto selects direction and push implementation per traversal from
-	// the engine's cost model's predictions instead of the measured-count
-	// heuristic.
+	// Auto selects the direction only, per traversal, by pricing both
+	// under the engine's cost model instead of the measured-count
+	// heuristic; its push side is Chunked.
 	Auto = traverse.Auto
 )
 
