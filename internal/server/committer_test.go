@@ -150,7 +150,7 @@ func oneWindow(t *testing.T, srv *Server, gate *gateFS, leader []sage.EdgeOp, ba
 func TestWindowSharesOneFsyncAndOneGeneration(t *testing.T) {
 	const writers = 6
 	path := makeBase(t, t.TempDir(), 32)
-	gate := newGateFS(wal.OS)
+	gate := newGateFS(wal.NewFaultFS(nil))
 	srv := newWALServer(t, path, gate)
 	srv.Recover()
 
@@ -220,7 +220,7 @@ func TestNoopInWindowSharesItsFate(t *testing.T) {
 
 	t.Run("healthy disk", func(t *testing.T) {
 		path := makeBase(t, t.TempDir(), 16)
-		gate := newGateFS(wal.OS)
+		gate := newGateFS(wal.NewFaultFS(nil))
 		srv := newWALServer(t, path, gate)
 		srv.Recover()
 
@@ -305,7 +305,7 @@ func (f *goSyncFile) Sync() error {
 // writers queued up behind it meanwhile.
 func TestWriterCommitsOnlyItsOwnWindow(t *testing.T) {
 	const writers, perWriter = 8, 40
-	fs := &goSyncFS{FS: wal.OS, by: map[string]int{}}
+	fs := &goSyncFS{FS: wal.NewFaultFS(nil), by: map[string]int{}}
 	srv := newWALServer(t, makeBase(t, t.TempDir(), 16+writers*perWriter), fs)
 	srv.Recover() // opens the log (and fsyncs its header) here, not under a writer
 

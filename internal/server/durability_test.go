@@ -18,9 +18,13 @@ import (
 )
 
 // newDurableChainServer serves a 10-vertex chain as "chain" with the WAL
-// on fs, returning the handler too (for Recover/BeginDrain).
+// on fs (nil: an unarmed wal.FaultFS, whose fsyncs are simulated),
+// returning the handler too (for Recover/BeginDrain).
 func newDurableChainServer(t *testing.T, fs wal.FS) (*httptest.Server, *server.Server) {
 	t.Helper()
+	if fs == nil {
+		fs = wal.NewFaultFS(nil)
+	}
 	dir := t.TempDir()
 	s := server.New(server.Config{Durability: server.Durability{Enabled: true, FS: fs}})
 	if err := s.AddDataset("chain", makeChain(t, dir, "chain", 10)); err != nil {
@@ -97,7 +101,7 @@ func TestLeftoverSealedSegmentReadOnly(t *testing.T) {
 	if err := os.WriteFile(sealed, sealedBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Config{Durability: server.Durability{Enabled: true}})
+	s := server.New(server.Config{Durability: server.Durability{Enabled: true, FS: wal.NewFaultFS(nil)}})
 	if err := s.AddDataset("chain", path); err != nil {
 		t.Fatal(err)
 	}

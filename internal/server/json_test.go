@@ -4,9 +4,10 @@ package server
 // algorithm currently clamps its parameters into ranges whose results
 // stay finite, so no endpoint can produce ±Inf today — but the guard
 // must hold if one ever does: a value JSON cannot carry has to surface
-// as an error status, never as a 200 with an empty body (and handleRun
-// additionally refuses to cache such a response; see the marshal check
-// preceding results.put).
+// as an error status, never as a 200 with an empty body. handleRun
+// answers such a run 422 and caches nothing: encodeRun's error is checked
+// before s.results.Put, and encode_test.go pins that encodeRun reports
+// exactly the values json.Marshal rejects.
 
 import (
 	"math"

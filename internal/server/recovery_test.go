@@ -48,9 +48,15 @@ func makeBase(t *testing.T, dir string, n uint32) string {
 }
 
 // newWALServer builds a Server with durability on, optionally on a fault
-// filesystem, serving path as dataset "g".
+// filesystem, serving path as dataset "g". A nil fs is an unarmed
+// wal.FaultFS: the log's bytes land in real files, its fsyncs are
+// simulated, so the suites test the crash model without paying the host
+// disk's flushes.
 func newWALServer(t *testing.T, path string, fs wal.FS) *Server {
 	t.Helper()
+	if fs == nil {
+		fs = wal.NewFaultFS(nil)
+	}
 	s := New(Config{Durability: Durability{Enabled: true, FS: fs}})
 	if err := s.AddDataset("g", path); err != nil {
 		t.Fatal(err)

@@ -270,9 +270,11 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeJSONBytes writes an already-marshaled body (the result cache's
-// stored form).
+// stored form) and its trailing newline. The length is known up front, so
+// the response carries Content-Length instead of going out chunked.
 func writeJSONBytes(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(code)
 	w.Write(body)
 	w.Write([]byte{'\n'})
@@ -386,6 +388,7 @@ const GenerationHeader = "X-Sage-Generation"
 const SyncGenerationHeader = "X-Sage-Sync-Generation"
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	timing := serverTiming{b: make([]byte, 0, 128), last: time.Now()}
 	dsName := r.PathValue("dataset")
 	algoName := r.PathValue("algo")
 	includeValue := r.URL.Query().Get("value") != "false"
@@ -400,6 +403,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	timing.mark("decode")
 
 	// Pin what this run executes against: the dataset's current snapshot
 	// version when it has an update overlay, else the plain mapped
@@ -415,6 +419,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	timing.mark("pin")
 
 	// Predict this run's cost before anything executes: the prediction
 	// gates admission, seeds Retry-After when there is no run history,
@@ -424,10 +429,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sage-Cost-Model", est.Model)
 	w.Header().Set("X-Sage-Cost-Predicted", strconv.FormatInt(est.Cost, 10))
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
+	timing.mark("predict")
 
 	key := fmt.Sprintf("%s@%d/%s?%+v", dsName, gen, algoName, canon)
 	if hit, ok := s.results.Get(key); ok {
+		timing.mark("cache")
 		w.Header().Set("X-Sage-Cache", "hit")
+		w.Header().Set("Server-Timing", timing.String())
 		if !includeValue {
 			hit.body = hit.slim
 		}
@@ -456,6 +464,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releaseSlot()
+	timing.mark("admit") // includes the cache lookup that missed
 
 	ctx := r.Context()
 	if s.maxRun > 0 {
@@ -488,6 +497,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	timing.mark("run")
 	resp := runResponse{
 		Dataset:    dsName,
 		Generation: gen,
@@ -498,23 +508,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Stats:      statsJSON(res.Stats),
 		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
 	}
-	// Marshal the response once per rendering: the bytes validate
-	// serializability before anything is cached (degenerate parameters
-	// could in principle drive float results to ±Inf, which JSON cannot
-	// carry), charge the cache's byte budget, serve this response, and
-	// serve every cache hit verbatim.
-	body, jerr := json.Marshal(resp)
+	// Encode the response once, in both renderings (encode.go): the bytes
+	// validate serializability before anything is cached (degenerate
+	// parameters could in principle drive float results to ±Inf, which
+	// JSON cannot carry), charge the cache's byte budget, serve this
+	// response, and serve every cache hit verbatim.
+	body, slim, jerr := encodeRun(resp)
 	if jerr != nil {
 		s.runsFailed.Add(1)
 		writeError(w, http.StatusUnprocessableEntity,
 			"result not representable in JSON (non-finite values?): %v", jerr)
-		return
-	}
-	resp.Value = nil
-	slim, jerr := json.Marshal(resp)
-	if jerr != nil { // unreachable: a subset of the value just marshaled
-		s.runsFailed.Add(1)
-		writeError(w, http.StatusInternalServerError, "%v", jerr)
 		return
 	}
 	s.runsOK.Add(1)
@@ -525,11 +528,33 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sage-Cost-Actual", strconv.FormatInt(actual.Cost, 10))
 	w.Header().Set("X-Sage-Cost-Energy-NJ", strconv.FormatFloat(actual.EnergyNJ, 'f', 0, 64))
 	w.Header().Set("X-Sage-Cache", "miss")
+	timing.mark("encode")
+	w.Header().Set("Server-Timing", timing.String())
 	if !includeValue {
 		body = slim
 	}
 	writeJSONBytes(w, http.StatusOK, body)
 }
+
+// serverTiming builds a run response's Server-Timing header: each mark
+// closes the stage that ran since the previous one, in milliseconds.
+type serverTiming struct {
+	b    []byte
+	last time.Time
+}
+
+func (t *serverTiming) mark(stage string) {
+	now := time.Now()
+	if len(t.b) > 0 {
+		t.b = append(t.b, ", "...)
+	}
+	t.b = append(t.b, stage...)
+	t.b = append(t.b, ";dur="...)
+	t.b = strconv.AppendFloat(t.b, float64(now.Sub(t.last))/1e6, 'f', 3, 64)
+	t.last = now
+}
+
+func (t *serverTiming) String() string { return string(t.b) }
 
 // statusClientClosedRequest is nginx's conventional code for a request
 // the client abandoned; it is only ever written to a closed connection

@@ -10,6 +10,13 @@ package wal
 // Enumerating N over Steps() from a dry run visits every crash point of
 // the write path exactly once.
 //
+// Durability is simulated, not performed: a file's Sync moves its own
+// durable offset, which is all a crash consults, and neither Sync nor
+// SyncDir reaches the inner filesystem's fsync. The crash model is the
+// same, and a crash enumeration runs at memory speed instead of paying
+// the host disk's flush per step. A test that needs a real fsync uses OS
+// directly.
+//
 // It also injects the two non-fatal failure modes a durability layer
 // must degrade under: sticky fsync errors (SetSyncError) and short
 // writes (SetWriteLimit, the ENOSPC shape — the first write that would
@@ -177,7 +184,9 @@ func (fs *FaultFS) Stat(name string) (os.FileInfo, error) {
 	return fs.inner.Stat(name)
 }
 
-// SyncDir counts as one step and honors the injected sync error.
+// SyncDir counts as one step and honors the injected sync error. The
+// simulated directory is always durable, so nothing reaches the inner
+// filesystem.
 func (fs *FaultFS) SyncDir(dir string) error {
 	crash, dead := fs.step()
 	if dead {
@@ -193,7 +202,7 @@ func (fs *FaultFS) SyncDir(dir string) error {
 	if bad {
 		return errInjectedSync
 	}
-	return fs.inner.SyncDir(dir)
+	return nil
 }
 
 // faultFile tracks, alongside the real file, how much of it is durable
@@ -280,7 +289,8 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Sync is one step: on success everything written so far is durable.
+// Sync is one step: on success everything written so far is durable, in
+// the simulation's bookkeeping only (the inner file is not fsynced).
 func (f *faultFile) Sync() error {
 	crash, dead := f.fs.step()
 	if dead {
@@ -301,9 +311,6 @@ func (f *faultFile) Sync() error {
 	defer f.mu.Unlock()
 	if f.closed {
 		return os.ErrClosed
-	}
-	if err := f.f.Sync(); err != nil {
-		return err
 	}
 	f.durable = f.size
 	return nil
