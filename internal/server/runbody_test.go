@@ -56,18 +56,16 @@ func TestRunBodyLengthAndTiming(t *testing.T) {
 	hitStages := []string{"decode", "pin", "predict", "cache"}
 	for _, algo := range []string{"bfs", "pagerank"} {
 		url := ts.URL + "/v1/run/web/" + algo
-		// args select the cache entry; the first request of each misses.
+		// args select the cache entry (bfs keys on src, pagerank on
+		// maxiters); the first request of each misses.
 		for _, c := range []struct {
 			args, query, cache string
 		}{
-			{`{"src": 3}`, "", "miss"},
-			{`{"src": 3}`, "", "hit"},
-			{`{"src": 5}`, "?value=false", "miss"},
-			{`{"src": 5}`, "?value=false", "hit"},
+			{`{"src": 3, "maxiters": 3}`, "", "miss"},
+			{`{"src": 3, "maxiters": 3}`, "", "hit"},
+			{`{"src": 5, "maxiters": 5}`, "?value=false", "miss"},
+			{`{"src": 5, "maxiters": 5}`, "?value=false", "hit"},
 		} {
-			if algo == "pagerank" {
-				c.args = strings.Replace(c.args, "src", "maxiters", 1)
-			}
 			code, body, hdr, length := runRaw(t, url+c.query, c.args)
 			if code != http.StatusOK || hdr.Get("X-Sage-Cache") != c.cache {
 				t.Fatalf("%s %s%s: %d cache=%q, want 200 %s", algo, c.args, c.query, code, hdr.Get("X-Sage-Cache"), c.cache)
