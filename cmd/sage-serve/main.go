@@ -119,8 +119,6 @@ func main() {
 	vnodes := flag.Int("vnodes", 0, "router: virtual nodes per replica on the hash ring (0 = 128)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "router: background /readyz probe period (negative disables)")
 	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "router: read-failover pause and down-replica quarantine window")
-	routerCacheEntries := flag.Int("router-cache-entries", 0, "router: router-side result-cache capacity (0 = disabled)")
-	routerCacheBytes := flag.Int64("router-cache-bytes", 0, "router: router-side result-cache byte budget (0 = 64 MiB when enabled)")
 	modeName := flag.String("mode", "appdirect", "dram|appdirect|memorymode|nvramall")
 	strategyName := flag.String("strategy", "chunked", "chunked|blocked|sparse|auto")
 	costModelName := flag.String("cost-model", "optane", "hardware cost profile: "+strings.Join(sage.CostModelNames(), "|"))
@@ -164,7 +162,7 @@ func main() {
 			os.Exit(2)
 		}
 		runRouter(*listen, *peersFlag, *replication, *vnodes,
-			*probeInterval, *retryBackoff, *routerCacheEntries, *routerCacheBytes, *drainGrace)
+			*probeInterval, *retryBackoff, *drainGrace)
 		return
 	}
 	if *role != "replica" {
@@ -291,8 +289,7 @@ func main() {
 // probe them once so the first requests route on fresh health state, and
 // proxy until a signal drains the process.
 func runRouter(listen, peersFlag string, replication, vnodes int,
-	probeInterval, retryBackoff time.Duration, cacheEntries int, cacheBytes int64,
-	drainGrace time.Duration) {
+	probeInterval, retryBackoff, drainGrace time.Duration) {
 	if peersFlag == "" {
 		fmt.Fprintln(os.Stderr, "router role needs -peers name=url[,name=url...]")
 		os.Exit(2)
@@ -308,8 +305,6 @@ func runRouter(listen, peersFlag string, replication, vnodes int,
 		Replication:   replication,
 		ProbeInterval: probeInterval,
 		RetryBackoff:  retryBackoff,
-		CacheEntries:  cacheEntries,
-		CacheBytes:    cacheBytes,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

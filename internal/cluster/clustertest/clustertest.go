@@ -46,8 +46,6 @@ type Options struct {
 	// NoWAL disables per-replica durability (the default is a WAL under
 	// the always-fsync policy, so a Kill loses nothing acknowledged).
 	NoWAL bool
-	// RouterCacheEntries enables the router's result cache (0: disabled).
-	RouterCacheEntries int
 	// RetryBackoff is the router's failover pause / quarantine window
 	// (0: 10ms — short, so fault tests spend no real time waiting).
 	RetryBackoff time.Duration
@@ -209,7 +207,6 @@ func New(t testing.TB, opts Options) *Cluster {
 		Replication:   opts.Replication,
 		ProbeInterval: probe,
 		RetryBackoff:  opts.RetryBackoff,
-		CacheEntries:  opts.RouterCacheEntries,
 	})
 	if err != nil {
 		t.Fatalf("clustertest: router: %v", err)

@@ -122,6 +122,26 @@ func TestClusterReplicaKillAndRecover(t *testing.T) {
 	if string(pBody) != string(sBody) {
 		t.Fatalf("owners answer differently after recovery:\nprimary:   %s\nsecondary: %s", pBody, sBody)
 	}
+
+	// A read through the router answers what the primary answers. The
+	// restarted primary reopened at a low generation and climbed back to
+	// 3, so a generation the router saw before the kill must not stand in
+	// for this state. genOf just ran the same query on the primary, so the
+	// answer is the primary's own cache hit, relayed.
+	status, body, hdr = post(t, c.URL()+"/v1/run/g/cc", []byte(`{}`))
+	if status != http.StatusOK {
+		t.Fatalf("routed read after recovery: %d: %s", status, body)
+	}
+	if gen := hdr.Get("X-Sage-Generation"); gen != pGen {
+		t.Fatalf("routed read reports generation %q, primary %q", gen, pGen)
+	}
+	if got := normalize(body); string(got) != string(pBody) {
+		t.Fatalf("routed read differs from the primary:\nrouted:  %s\nprimary: %s", got, pBody)
+	}
+	if hdr.Get("X-Sage-Cache") != "hit" || hdr.Get("X-Sage-Routed-To") != primary.Name {
+		t.Fatalf("routed read: X-Sage-Cache=%q X-Sage-Routed-To=%q, want a hit from %s",
+			hdr.Get("X-Sage-Cache"), hdr.Get("X-Sage-Routed-To"), primary.Name)
+	}
 }
 
 func TestClusterSecondaryKillFanout(t *testing.T) {

@@ -15,17 +15,19 @@ package cluster
 // owner, then fans out to the remaining owners with the primary's
 // resulting generation attached (X-Sage-Sync-Generation), which each
 // secondary adopts as a floor — after a fan-out every owner reports the
-// same generation, so generation-keyed caches (the replicas' and the
-// router's own) stay coherent without invalidation traffic. A fan-out
-// that cannot reach every owner answers 502 with the documented
-// machine-readable reason; update batches are idempotent (re-inserting a
-// present edge and deleting an absent one are no-ops), so the client
-// retries the same batch once the replica is back and the owners
-// converge.
+// same generation, so the replicas' generation-keyed result caches stay
+// coherent without invalidation traffic. A fan-out that cannot reach
+// every owner answers 502 with the documented machine-readable reason;
+// update batches are idempotent (re-inserting a present edge and
+// deleting an absent one are no-ops), so the client retries the same
+// batch once the replica is back and the owners converge.
 //
 // Admission stays where the capacity is: each replica enforces its own
 // three-gate 429 contract (concurrency, DRAM words, predicted cost), and
-// the router relays those 429s — Retry-After and all — untouched.
+// the router relays those 429s — Retry-After and all — untouched. So
+// does caching: the router keeps no per-dataset state (only the ring and
+// peer health), and a repeat read is the owning replica's cache hit,
+// relayed like any other answer.
 
 import (
 	"bytes"
@@ -37,7 +39,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,14 +69,6 @@ type RouterConfig struct {
 	// RetryBackoff is the pause between read failover attempts and the
 	// quarantine window after a transport failure (0: default 100ms).
 	RetryBackoff time.Duration
-	// CacheEntries sizes the router's own result cache (0: disabled).
-	// Entries are keyed by (dataset, algorithm, query, body) and served
-	// only at the dataset's latest known generation, so an update routed
-	// through this router can never be answered with a pre-update result.
-	CacheEntries int
-	// CacheBytes caps the summed body bytes of cached responses (0 with
-	// CacheEntries > 0: 64 MiB).
-	CacheBytes int64
 }
 
 // Router is the cluster front-end HTTP handler. Create with NewRouter,
@@ -87,8 +80,6 @@ type Router struct {
 	replication int
 	backoff     time.Duration
 	probeEvery  time.Duration
-	cache       *server.LRU[*routerEntry]
-	gens        genTable
 	mux         *http.ServeMux
 	started     time.Time
 	draining    atomic.Bool
@@ -99,7 +90,6 @@ type Router struct {
 	readFailovers     atomic.Int64
 	writeFanoutErrors atomic.Int64
 	noReplicaErrors   atomic.Int64
-	cacheStale        atomic.Int64
 }
 
 // NewRouter builds a router over the configured peers. The ring is fixed
@@ -154,8 +144,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		replication: replication,
 		backoff:     backoff,
 		probeEvery:  probeEvery,
-		cache:       server.NewLRU[*routerEntry](cfg.CacheEntries, cfg.CacheBytes),
-		gens:        genTable{m: map[string]uint64{}},
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
 	}
@@ -197,41 +185,6 @@ func (rt *Router) Owners(dataset string) []string {
 }
 
 // --------------------------------------------------------------------
-// Generation tracking (router-cache coherence).
-// --------------------------------------------------------------------
-
-// genTable tracks the latest generation observed per dataset — from
-// update fan-outs and from proxied run responses — the freshness bar a
-// router-cached entry must meet to be served.
-type genTable struct {
-	mu sync.Mutex
-	m  map[string]uint64
-}
-
-func (g *genTable) observe(ds string, gen uint64) {
-	if gen == 0 {
-		return
-	}
-	g.mu.Lock()
-	if gen > g.m[ds] {
-		g.m[ds] = gen
-	}
-	g.mu.Unlock()
-}
-
-func (g *genTable) current(ds string) uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.m[ds]
-}
-
-func (g *genTable) size() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
-}
-
-// --------------------------------------------------------------------
 // Proxy plumbing.
 // --------------------------------------------------------------------
 
@@ -269,9 +222,8 @@ func (rt *Router) doPeer(ctx context.Context, ps *peerState, method, pathAndQuer
 }
 
 // relay copies resp to w verbatim — status, headers (minus hop-by-hop),
-// body — stamped with the serving replica's name. With capture set the
-// body is buffered and returned so the caller can cache it.
-func relay(w http.ResponseWriter, resp *http.Response, peer string, capture bool) ([]byte, error) {
+// body — stamped with the serving replica's name.
+func relay(w http.ResponseWriter, resp *http.Response, peer string) {
 	defer resp.Body.Close()
 	h := w.Header()
 	for k, vs := range resp.Header {
@@ -282,16 +234,7 @@ func relay(w http.ResponseWriter, resp *http.Response, peer string, capture bool
 	}
 	h.Set(RoutedToHeader, peer)
 	w.WriteHeader(resp.StatusCode)
-	if capture {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		_, err = w.Write(body)
-		return body, err
-	}
-	_, err := io.Copy(w, resp.Body)
-	return nil, err
+	io.Copy(w, resp.Body)
 }
 
 // readOrder returns owners with every currently-healthy peer ahead of
@@ -446,7 +389,7 @@ func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.peers.markUp(ps)
 		rt.listingsProxied.Add(1)
-		_, _ = relay(w, resp, ps.name, false)
+		relay(w, resp, ps.name)
 		return
 	}
 	rt.noReplicaErrors.Add(1)
@@ -477,26 +420,6 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		pathAndQuery += "?" + r.URL.RawQuery
 	}
 
-	key := ds + "\x00" + pathAndQuery + "\x00" + string(body)
-	if e, ok := rt.cached(key, rt.gens.current(ds)); ok {
-		// A router-cache hit mirrors a replica-cache hit: same body bytes
-		// the replica produced, model and prediction headers, no actuals
-		// (nothing executed).
-		h := w.Header()
-		h.Set("Content-Type", e.contentType)
-		if e.costModel != "" {
-			h.Set("X-Sage-Cost-Model", e.costModel)
-		}
-		if e.costPredicted != "" {
-			h.Set("X-Sage-Cost-Predicted", e.costPredicted)
-		}
-		h.Set(server.GenerationHeader, strconv.FormatUint(e.gen, 10))
-		h.Set("X-Sage-Cache", "hit")
-		w.WriteHeader(http.StatusOK)
-		w.Write(e.body)
-		return
-	}
-
 	for i, ps := range rt.readOrder(owners) {
 		if i > 0 {
 			rt.readFailovers.Add(1)
@@ -516,20 +439,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.peers.markUp(ps)
 		rt.runsProxied.Add(1)
-		capture := rt.cache != nil && resp.StatusCode == http.StatusOK
-		respBody, _ := relay(w, resp, ps.name, capture)
-		if capture && respBody != nil {
-			if gen, err := strconv.ParseUint(resp.Header.Get(server.GenerationHeader), 10, 64); err == nil {
-				rt.gens.observe(ds, gen)
-				rt.cache.Put(key, &routerEntry{
-					gen:           gen,
-					body:          respBody,
-					contentType:   resp.Header.Get("Content-Type"),
-					costModel:     resp.Header.Get("X-Sage-Cost-Model"),
-					costPredicted: resp.Header.Get("X-Sage-Cost-Predicted"),
-				}, int64(len(respBody)+len(key)))
-			}
-		}
+		relay(w, resp, ps.name)
 		return
 	}
 	rt.noReplicaErrors.Add(1)
@@ -586,7 +496,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// The primary rejected the batch (400/404/503 read_only/507/...):
 		// nothing was applied anywhere; relay its verdict verbatim.
 		rt.updatesProxied.Add(1)
-		_, _ = relay(w, resp, primary.name, false)
+		relay(w, resp, primary.name)
 		return
 	}
 	primBody, err := io.ReadAll(resp.Body)
@@ -601,9 +511,6 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gen, _ := strconv.ParseUint(resp.Header.Get(server.GenerationHeader), 10, 64)
-	// Record the new generation before anything can fail: even a broken
-	// fan-out must keep the router cache from serving pre-update results.
-	rt.gens.observe(ds, gen)
 
 	appliedTo := []string{primary.name}
 	var sync http.Header
@@ -680,55 +587,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"read_failovers":      rt.readFailovers.Load(),
 		"write_fanout_errors": rt.writeFanoutErrors.Load(),
 		"no_replica_errors":   rt.noReplicaErrors.Load(),
-		"router_cache":        rt.cacheStats(),
-		"generations_tracked": rt.gens.size(),
 		"peers":               rt.peers.info(),
 	})
-}
-
-// --------------------------------------------------------------------
-// Router result cache.
-// --------------------------------------------------------------------
-
-// routerEntry is one cached run response: the replica-produced body and
-// the headers a cache hit re-serves, valid only while gen is still the
-// dataset's latest known generation. The cache itself is the serving
-// tier's one response LRU (server.LRU); staleness is the router's own
-// rule, applied where it reads.
-type routerEntry struct {
-	gen           uint64
-	body          []byte
-	contentType   string
-	costModel     string
-	costPredicted string
-}
-
-// cached returns key's entry if it is still at generation floor. An entry
-// behind the dataset's latest known generation is stale: dropped on
-// sight and counted as a miss. (A refill racing between the read and the
-// drop can be dropped with it; the next read refills again.)
-func (rt *Router) cached(key string, floor uint64) (*routerEntry, bool) {
-	e, ok := rt.cache.Get(key)
-	if ok && e.gen < floor {
-		rt.cacheStale.Add(1)
-		rt.cache.Remove(key)
-		return nil, false
-	}
-	return e, ok
-}
-
-// cacheStats reports cache counters for /metrics (nil when disabled). The
-// LRU counted every stale read as a hit; here it is the miss it became.
-func (rt *Router) cacheStats() map[string]int64 {
-	if rt.cache == nil {
-		return nil
-	}
-	st, stale := rt.cache.Stats(), rt.cacheStale.Load()
-	return map[string]int64{
-		"entries": int64(st.Entries),
-		"bytes":   st.Bytes,
-		"hits":    st.Hits - stale,
-		"misses":  st.Misses + stale,
-		"stale":   stale,
-	}
 }

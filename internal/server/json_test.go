@@ -6,7 +6,7 @@ package server
 // must hold if one ever does: a value JSON cannot carry has to surface
 // as an error status, never as a 200 with an empty body. handleRun
 // answers such a run 422 and caches nothing: encodeRun's error is checked
-// before s.results.Put, and encode_test.go pins that encodeRun reports
+// before s.results.put, and encode_test.go pins that encodeRun reports
 // exactly the values json.Marshal rejects.
 
 import (

@@ -9,9 +9,9 @@ package server
 // arguments are canonicalized first (sage.CanonicalArgs), so {"eps":0}
 // and {} hit the same entry.
 //
-// The cache is an LRU, the one response LRU of the serving tier: the
-// cluster router's proxied-response cache is the same type over its own
-// value.
+// This is the serving tier's only response cache: the cluster router
+// caches nothing, so a repeat read through it is this cache's hit on the
+// owning replica, relayed verbatim.
 //
 // Capacity is bounded twice: by entry count and by total response bytes
 // — cached values retain full Θ(n)/Θ(m) result arrays, so an entry cap
@@ -24,26 +24,18 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"sage"
 )
 
-// LRU is a goroutine-safe least-recently-used map from string keys to V,
-// bounded by entry count and by the summed sizes its callers declare. A
-// nil *LRU is valid: it never holds anything and always misses.
-type LRU[V any] struct {
-	mu       sync.Mutex
-	max      int
-	maxBytes int64
-	bytes    int64
-	ll       *list.List // front = most recent
-	byKey    map[string]*list.Element
-	hits     atomic.Int64
-	misses   atomic.Int64
-}
-
-type lruEntry[V any] struct {
-	key  string
-	val  V
-	size int64
+// runKey identifies one computation: the algorithm and its canonical
+// arguments over one generation of one dataset. It is comparable, so it
+// is the map key itself — no per-request key string is built.
+type runKey struct {
+	dataset string
+	gen     uint64
+	algo    string
+	args    sage.AlgoArgs
 }
 
 // cachedResult retains only pre-marshaled bytes — the full response and
@@ -55,79 +47,91 @@ type cachedResult struct {
 	slim []byte // value omitted
 }
 
-// defaultLRUBytes bounds a cache whose configured byte budget is zero.
-const defaultLRUBytes = 64 << 20
+func (r cachedResult) size() int64 { return int64(len(r.body) + len(r.slim)) }
 
-// NewLRU returns a cache of up to max entries and maxBytes summed entry
-// sizes (64 MB when maxBytes <= 0), or nil — caching disabled — when
-// max <= 0.
-func NewLRU[V any](max int, maxBytes int64) *LRU[V] {
+// resultCache is a goroutine-safe least-recently-used map from runKey to
+// cachedResult, bounded by entry count and by summed result size. A nil
+// *resultCache is valid: it never holds anything and always misses.
+type resultCache struct {
+	mu       sync.Mutex
+	max      int
+	maxBytes int64
+	bytes    int64
+	ll       *list.List // of *cacheEntry; front = most recent
+	byKey    map[runKey]*list.Element
+	hits     atomic.Int64
+	misses   atomic.Int64
+}
+
+type cacheEntry struct {
+	key runKey
+	val cachedResult
+}
+
+// defaultCacheBytes bounds a cache whose configured byte budget is zero.
+const defaultCacheBytes = 64 << 20
+
+// newResultCache returns a cache of up to max entries and maxBytes
+// summed result sizes (64 MB when maxBytes <= 0), or nil — caching
+// disabled — when max <= 0.
+func newResultCache(max int, maxBytes int64) *resultCache {
 	if max <= 0 {
 		return nil
 	}
 	if maxBytes <= 0 {
-		maxBytes = defaultLRUBytes
+		maxBytes = defaultCacheBytes
 	}
-	return &LRU[V]{max: max, maxBytes: maxBytes, ll: list.New(), byKey: map[string]*list.Element{}}
+	return &resultCache{max: max, maxBytes: maxBytes, ll: list.New(), byKey: map[runKey]*list.Element{}}
 }
 
-// Get returns the value cached under key and marks it most recent. What
-// it returns is shared with later hits and must be treated as read-only.
-func (c *LRU[V]) Get(key string) (v V, ok bool) {
+// get returns the result cached under k and marks it most recent. Its
+// byte slices are shared with later hits and must be treated as
+// read-only.
+func (c *resultCache) get(k runKey) (cachedResult, bool) {
 	if c == nil {
-		return v, false
+		return cachedResult{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.byKey[key]
+	el, found := c.byKey[k]
 	if !found {
 		c.misses.Add(1)
-		return v, false
+		return cachedResult{}, false
 	}
 	c.hits.Add(1)
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
+	return el.Value.(*cacheEntry).val, true
 }
 
-// Put stores v under key as size bytes, replacing any previous value and
-// evicting least-recent entries beyond either bound. A value larger than
-// a quarter of the byte budget is not stored.
-func (c *LRU[V]) Put(key string, v V, size int64) {
-	if c == nil || size > c.maxBytes/4 {
+// put stores v under k, replacing any previous result and evicting
+// least-recent entries beyond either bound. A result larger than a
+// quarter of the byte budget is not stored.
+func (c *resultCache) put(k runKey, v cachedResult) {
+	if c == nil || v.size() > c.maxBytes/4 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.removeLocked(key)
-	c.byKey[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v, size: size})
-	c.bytes += size
+	c.removeLocked(k)
+	c.byKey[k] = c.ll.PushFront(&cacheEntry{key: k, val: v})
+	c.bytes += v.size()
 	for c.ll.Len() > c.max || c.bytes > c.maxBytes {
-		c.removeLocked(c.ll.Back().Value.(*lruEntry[V]).key)
+		c.removeLocked(c.ll.Back().Value.(*cacheEntry).key)
 	}
 }
 
-// Remove drops key's entry, if any.
-func (c *LRU[V]) Remove(key string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(key)
-}
-
-func (c *LRU[V]) removeLocked(key string) {
-	el, ok := c.byKey[key]
+func (c *resultCache) removeLocked(k runKey) {
+	el, ok := c.byKey[k]
 	if !ok {
 		return
 	}
 	c.ll.Remove(el)
-	delete(c.byKey, key)
-	c.bytes -= el.Value.(*lruEntry[V]).size
+	delete(c.byKey, k)
+	c.bytes -= el.Value.(*cacheEntry).val.size()
 }
 
-// LRUStats is the /metrics view of a cache.
-type LRUStats struct {
+// resultCacheStats is the /metrics view of the cache.
+type resultCacheStats struct {
 	Entries    int   `json:"entries"`
 	Capacity   int   `json:"capacity"`
 	Bytes      int64 `json:"bytes"`
@@ -136,15 +140,15 @@ type LRUStats struct {
 	Misses     int64 `json:"misses"`
 }
 
-// Stats snapshots the cache's occupancy and counters (zero when nil).
-func (c *LRU[V]) Stats() LRUStats {
+// stats snapshots the cache's occupancy and counters (zero when nil).
+func (c *resultCache) stats() resultCacheStats {
 	if c == nil {
-		return LRUStats{}
+		return resultCacheStats{}
 	}
 	c.mu.Lock()
 	entries, bytes := c.ll.Len(), c.bytes
 	c.mu.Unlock()
-	return LRUStats{
+	return resultCacheStats{
 		Entries:    entries,
 		Capacity:   c.max,
 		Bytes:      bytes,

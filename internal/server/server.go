@@ -92,7 +92,7 @@ type Server struct {
 	engine  *sage.Engine
 	catalog *catalog
 	adm     *admission
-	results *LRU[cachedResult]
+	results *resultCache
 	updates *updates
 	maxRun  time.Duration
 	mux     *http.ServeMux
@@ -129,7 +129,7 @@ func New(cfg Config) *Server {
 		engine:  engine,
 		catalog: newCatalog(cfg.DatasetBudgetWords, cfg.CopyDatasets),
 		adm:     newAdmission(maxConc, cfg.DRAMBudgetWords, cfg.CostBudget, cfg.QueueWait),
-		results: NewLRU[cachedResult](cacheEntries, cfg.ResultCacheBytes),
+		results: newResultCache(cacheEntries, cfg.ResultCacheBytes),
 		maxRun:  cfg.MaxRunDuration,
 		mux:     http.NewServeMux(),
 		started: time.Now(),
@@ -376,8 +376,8 @@ func decodeArgs(r *http.Request, args *sage.AlgoArgs) error {
 // GenerationHeader reports, on run and update responses, the snapshot
 // generation the request executed against (run: the pinned generation,
 // cache hits included; update: the generation the batch published). The
-// cluster router reads it to keep its own generation-keyed result cache
-// coherent without parsing response bodies.
+// cluster router reads it off the primary's update response to fan the
+// batch out at that generation.
 const GenerationHeader = "X-Sage-Generation"
 
 // SyncGenerationHeader is an update-request header carrying a generation
@@ -431,8 +431,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
 	timing.mark("predict")
 
-	key := fmt.Sprintf("%s@%d/%s?%+v", dsName, gen, algoName, canon)
-	if hit, ok := s.results.Get(key); ok {
+	key := runKey{dsName, gen, algoName, canon}
+	if hit, ok := s.results.get(key); ok {
 		timing.mark("cache")
 		w.Header().Set("X-Sage-Cache", "hit")
 		w.Header().Set("Server-Timing", timing.String())
@@ -521,7 +521,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runsOK.Add(1)
-	s.results.Put(key, cachedResult{body, slim}, int64(len(body)+len(slim)))
+	s.results.put(key, cachedResult{body, slim})
 	// The actual side of the cost contract: the run's measured counters
 	// priced under the same model that produced the prediction.
 	actual := s.engine.CostOfStats(res.Stats)
@@ -676,7 +676,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			"cancelled": s.runsCancelled.Load(),
 		},
 		"admission":    s.adm.snapshot(),
-		"result_cache": s.results.Stats(),
+		"result_cache": s.results.stats(),
 		"datasets":     s.catalog.cacheInfo(),
 		"updates":      s.updates.snapshot(),
 		"wal":          s.updates.walSnapshot(),

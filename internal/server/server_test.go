@@ -233,6 +233,13 @@ func TestEndpointsHappyPath(t *testing.T) {
 	if metric(t, m, "result_cache", "hits") < 1 {
 		t.Fatalf("metrics result_cache: %v", m["result_cache"])
 	}
+	rc, _ := m["result_cache"].(map[string]any)
+	for _, k := range []string{"entries", "capacity", "bytes", "bytes_limit", "hits", "misses"} {
+		metric(t, m, "result_cache", k)
+	}
+	if len(rc) != 6 {
+		t.Fatalf("metrics result_cache has %d keys, want 6: %v", len(rc), rc)
+	}
 }
 
 func TestClientErrors(t *testing.T) {
