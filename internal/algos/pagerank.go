@@ -17,12 +17,13 @@ const pagerankDamping = 0.85
 const prParallelDegree = 8192
 
 // pagerankRound is the round state of a PageRank run, allocated once and
-// held across iterations: the vertex degrees (read twice per vertex per
-// iteration, a map lookup each time on an overlay), the degree-divided
-// contributions of the previous rank vector, and the per-worker L1 sums
-// (all zero between steps). 2n words of small-memory.
+// held across iterations: the access path (resolved once per run, also
+// for the high-degree parallel aggregation), the vertex degrees (read
+// twice per vertex per iteration, so tabulated once instead of asked of
+// the view each time), the degree-divided contributions of the previous
+// rank vector, and the per-worker L1 sums (all zero between steps). 2n
+// words of small-memory.
 type pagerankRound struct {
-	g       graph.Adj
 	o       *Options
 	flat    graph.Flat
 	deg     []uint32
@@ -39,7 +40,6 @@ func newPagerankRound(g graph.Adj, o *Options) *pagerankRound {
 	n := int(g.NumVertices())
 	o.Env.Alloc(2 * int64(n))
 	return &pagerankRound{
-		g:       g,
 		o:       o,
 		flat:    graph.NewFlat(g),
 		deg:     parallel.Tabulate(n, func(i int) uint32 { return g.Degree(uint32(i)) }),
@@ -52,7 +52,7 @@ func (r *pagerankRound) free() { r.o.Env.Free(2 * int64(len(r.deg))) }
 // step performs one dense pull-based iteration from prev into next and
 // returns the L1 change.
 func (r *pagerankRound) step(prev, next []float64) float64 {
-	g, o, flat, deg, contrib, diffs := r.g, r.o, r.flat, r.deg, r.contrib, &r.diffs
+	o, flat, deg, contrib, diffs := r.o, &r.flat, r.deg, r.contrib, &r.diffs
 	o.Checkpoint() // one iteration is the cancellation granularity
 	n := len(deg)
 	// Pre-divide by degree so the pull only sums contributions.
@@ -73,7 +73,7 @@ func (r *pagerankRound) step(prev, next []float64) float64 {
 			d := deg[i]
 			var acc float64
 			if d > prParallelDegree {
-				acc = aggregateParallel(g, v, d, contrib)
+				acc = aggregateParallel(flat, v, d, contrib)
 			} else {
 				nghs, _ := flat.Slice(v, 0, d, sc)
 				for _, u := range nghs {
@@ -111,9 +111,8 @@ func PageRankIter(g graph.Adj, o *Options, prev, next []float64) float64 {
 // with a parallel block reduction. It runs nested inside a worker's loop
 // body, so it cannot use the per-worker scratch; each inner block decodes
 // into its own local buffer (free for zero-copy CSR, one allocation per
-// prParallelDegree edges otherwise).
-func aggregateParallel(g graph.Adj, v, deg uint32, contrib []float64) float64 {
-	flat := graph.NewFlat(g)
+// prParallelDegree edges otherwise). flat is the round's access path.
+func aggregateParallel(flat *graph.Flat, v, deg uint32, contrib []float64) float64 {
 	nBlocks := (int(deg) + prParallelDegree - 1) / prParallelDegree
 	partial := make([]float64, nBlocks)
 	parallel.For(nBlocks, 1, func(b int) {

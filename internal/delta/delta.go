@@ -20,6 +20,20 @@
 // the traversal layer at all (the sage.Snapshot wrapper exposes the base
 // graph itself, keeping the static case byte-identical).
 //
+// Untouched vertices skip the delta map entirely. Every overlay derived
+// from one New shares a touched-vertex mask (graph.Touched, n/64 words),
+// allocated by the first Apply that leaves a delta and never copied
+// after: Apply sets the bits of the vertices it leaves a delta at with
+// atomic OR, readers load the mask word atomically. The invariant is a
+// superset: a clear bit means no overlay of the chain has a delta at v,
+// so Degree, Slice and ScanCost go straight to the base (by direct call
+// on a CSR base); a set bit means "consult the map", where v may be
+// absent — a cancelled delta, or a sibling or later version's vertex —
+// and then falls through to the base, so elder snapshots stay exact. The
+// overlay is a graph.Masked view, so graph.Flat reads its clear-bit
+// vertices on the inlined CSR path. The mask is DRAM the chain pays once;
+// Words does not bill it (it is per base, like the base, not per delta).
+//
 // PSAM accounting: delta memory is DRAM-resident and reported by Words so
 // serving layers can budget it; merged scans of a delta vertex charge the
 // base's full scan cost (the merge must examine the base list to apply
@@ -34,6 +48,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"sage/internal/graph"
 )
@@ -58,8 +73,10 @@ type Op struct {
 // vdelta is one vertex's DRAM-resident delta: neighbors inserted (sorted,
 // with aligned weights on weighted bases) and base neighbors deleted
 // (sorted). A re-weighted base edge appears in both sets — deleted from
-// the base view, re-inserted at the new weight. Invariants: adds and the
-// live base view are disjoint; dels is a subset of base neighbors.
+// the base view, re-inserted at the new weight (never at its base weight:
+// that undoes the re-weight). Invariants: adds and the live base view are
+// disjoint; dels is a subset of base neighbors; so an empty delta is
+// exactly a vertex the view leaves as the base has it.
 type vdelta struct {
 	adds []uint32
 	addW []int32 // aligned with adds; nil on unweighted bases
@@ -107,6 +124,7 @@ func (d *vdelta) clone() *vdelta {
 // receiver.
 type Overlay struct {
 	base     graph.Adj
+	csr      *graph.Graph // base, when it is CSR: read without the interface
 	n        uint32
 	m        uint64 // merged arc count
 	weighted bool
@@ -114,16 +132,37 @@ type Overlay struct {
 	words    int64  // summed vdelta words
 	arcsAdd  uint64 // arcs inserted (Σ len(adds))
 	arcsDel  uint64 // base arcs deleted (Σ len(dels))
+	// mask has v's bit set if some overlay over this base has (or had)
+	// a delta at v; nil until the chain's first delta. A clear bit sends
+	// a read straight to the base without the map lookup.
+	mask   graph.Touched
+	shared *maskCell // the chain's one mask, allocated on first use
+}
+
+// maskCell holds the touched-vertex mask every overlay derived from one
+// New shares. The mask only gains bits, so it stays a superset of each
+// version's delta vertices: elder snapshots read correctly through it.
+type maskCell struct {
+	once sync.Once
+	mask graph.Touched
+}
+
+func (c *maskCell) get(n uint32) graph.Touched {
+	c.once.Do(func() { c.mask = graph.NewTouched(n) })
+	return c.mask
 }
 
 // New returns the empty overlay over base: the identity view.
 func New(base graph.Adj) *Overlay {
+	csr, _ := base.(*graph.Graph)
 	return &Overlay{
 		base:     base,
+		csr:      csr,
 		n:        base.NumVertices(),
 		m:        base.NumEdges(),
 		weighted: base.Weighted(),
 		verts:    map[uint32]*vdelta{},
+		shared:   &maskCell{},
 	}
 }
 
@@ -134,7 +173,9 @@ func (o *Overlay) Base() graph.Adj { return o.base }
 func (o *Overlay) Empty() bool { return len(o.verts) == 0 }
 
 // Words returns the overlay's DRAM-resident footprint in simulated words
-// — the quantity PSAM small-memory budgets are charged with.
+// — the quantity PSAM small-memory budgets are charged with. It bills the
+// per-vertex deltas only: the touched-vertex mask is n/64 words paid once
+// per chain, independent of the delta's size.
 func (o *Overlay) Words() int64 { return o.words }
 
 // DeltaArcs returns the directed arc counts of the delta: arcs inserted
@@ -217,10 +258,18 @@ func (o *Overlay) applyArc(d *vdelta, base []uint32, baseW []int32, ngh uint32, 
 	case inBase && inDels:
 		// Deleted base edge being re-inserted. At the original weight the
 		// deletion is simply undone; otherwise it becomes a re-weight.
+		// A re-weighted edge set back to its base weight is undone too,
+		// so a delta holds exactly where the view differs from the base.
 		if inAdds {
-			if d.addW != nil {
-				d.addW[ai] = w
+			if !o.weighted || baseW[bi] == w {
+				d.adds = removeAt(d.adds, ai)
+				if d.addW != nil {
+					d.addW = removeAtW(d.addW, ai)
+				}
+				d.dels = removeAt(d.dels, di)
+				return 0
 			}
+			d.addW[ai] = w
 			return 0
 		}
 		if !o.weighted || baseW[bi] == w {
@@ -262,9 +311,10 @@ func (o *Overlay) Apply(ops []Op) (*Overlay, error) {
 		}
 	}
 	nv := &Overlay{
-		base: o.base, n: o.n, m: o.m, weighted: o.weighted,
+		base: o.base, csr: o.csr, n: o.n, m: o.m, weighted: o.weighted,
 		verts: make(map[uint32]*vdelta, len(o.verts)+len(ops)),
 		words: o.words, arcsAdd: o.arcsAdd, arcsDel: o.arcsDel,
+		mask: o.mask, shared: o.shared,
 	}
 	for v, d := range o.verts {
 		nv.verts[v] = d
@@ -290,7 +340,11 @@ func (o *Overlay) Apply(ops []Op) (*Overlay, error) {
 				d.addW = []int32{}
 			}
 		}
-		nv.words -= dWords(nv.verts[v])
+		if old := nv.verts[v]; old != nil {
+			nv.words -= old.words()
+			nv.arcsAdd -= uint64(len(old.adds))
+			nv.arcsDel -= uint64(len(old.dels))
+		}
 		cloned[v], nv.verts[v] = d, d
 		return d
 	}
@@ -308,11 +362,14 @@ func (o *Overlay) Apply(ops []Op) (*Overlay, error) {
 			nv.m = uint64(int64(nv.m) + int64(delta))
 		}
 	}
-	// Settle accounting and drop deltas the batch cancelled out. Track
-	// whether any touched vertex actually changed: a batch of pure
-	// no-ops (re-inserting present edges, deleting absent ones) returns
-	// the receiver itself, so callers can detect "nothing changed" by
-	// pointer equality and skip republishing.
+	// Settle accounting, mark the touched vertices in the mask, and drop
+	// deltas the batch cancelled out (their bits stay set: the mask is a
+	// superset). Bits are set before nv is returned, so a reader of nv
+	// sees every one of its vertices marked. Track whether any touched
+	// vertex actually changed: a batch of pure no-ops (re-inserting
+	// present edges, deleting absent ones) returns the receiver itself,
+	// so callers can detect "nothing changed" by pointer equality and
+	// skip republishing.
 	changed := false
 	for v := range cloned {
 		d := nv.verts[v]
@@ -323,25 +380,18 @@ func (o *Overlay) Apply(ops []Op) (*Overlay, error) {
 			delete(nv.verts, v)
 			continue
 		}
+		if nv.mask == nil {
+			nv.mask = nv.shared.get(nv.n)
+		}
+		nv.mask.Set(v)
 		nv.words += d.words()
+		nv.arcsAdd += uint64(len(d.adds))
+		nv.arcsDel += uint64(len(d.dels))
 	}
 	if !changed {
 		return o, nil
 	}
-	nv.arcsAdd, nv.arcsDel = 0, 0
-	for _, d := range nv.verts {
-		nv.arcsAdd += uint64(len(d.adds))
-		nv.arcsDel += uint64(len(d.dels))
-	}
 	return nv, nil
-}
-
-// dWords is words() tolerating nil.
-func dWords(d *vdelta) int64 {
-	if d == nil {
-		return 0
-	}
-	return d.words()
 }
 
 // --------------------------------------------------------------------
@@ -358,15 +408,39 @@ func (o *Overlay) NumEdges() uint64 { return o.m }
 // Weighted reports whether the base carries edge weights.
 func (o *Overlay) Weighted() bool { return o.weighted }
 
-// Degree returns the merged degree of v.
+// at returns v's delta, or nil where the view reads as the base. A clear
+// mask bit answers without the map lookup; a set bit may still find no
+// delta (a cancelled one, or a sibling or later version's vertex).
+//
+//sage:hotpath
+func (o *Overlay) at(v uint32) *vdelta {
+	if !o.mask.Has(v) {
+		return nil
+	}
+	return o.verts[v]
+}
+
+// baseDegree is the base's degree of v, read directly on a CSR base.
+//
+//sage:hotpath
+func (o *Overlay) baseDegree(v uint32) uint32 {
+	if o.csr != nil {
+		return o.csr.Degree(v)
+	}
+	return o.base.Degree(v)
+}
+
+// Degree returns the merged degree of v. A vertex whose mask bit is
+// clear has no delta in any overlay of the chain and answers with the
+// base's degree; only a set bit pays the map lookup.
 //
 //sage:hotpath
 func (o *Overlay) Degree(v uint32) uint32 {
-	d, ok := o.verts[v]
-	if !ok {
-		return o.base.Degree(v)
+	d := o.at(v)
+	if d == nil {
+		return o.baseDegree(v)
 	}
-	return o.base.Degree(v) + uint32(len(d.adds)) - uint32(len(d.dels))
+	return o.baseDegree(v) + uint32(len(d.adds)) - uint32(len(d.dels))
 }
 
 // EdgeAddr returns the simulated NVRAM address of v's base adjacency —
@@ -381,22 +455,33 @@ func (o *Overlay) EdgeAddr(v uint32) int64 { return o.base.EdgeAddr(v) }
 func (o *Overlay) BlockSize() int { return 0 }
 
 // ScanCost returns the simulated NVRAM words read when scanning merged
-// positions [lo, hi) of v. Vertices without a delta delegate to the base;
-// a delta vertex charges its full base scan — applying deletions forces
+// positions [lo, hi) of v. Vertices without a delta (a clear mask bit,
+// or a set one with no delta behind it) delegate to the base; a delta
+// vertex charges its full base scan — applying deletions forces
 // the merge to examine the base list — which upper-bounds the true cost.
 func (o *Overlay) ScanCost(v uint32, lo, hi uint32) int64 {
-	if _, ok := o.verts[v]; !ok {
-		return o.base.ScanCost(v, lo, hi)
+	if o.at(v) == nil {
+		return o.baseScanCost(v, lo, hi)
 	}
 	if hi <= lo {
 		return 0
 	}
-	return o.base.ScanCost(v, 0, o.base.Degree(v))
+	return o.baseScanCost(v, 0, o.baseDegree(v))
+}
+
+// baseScanCost is the base's ScanCost, called directly on a CSR base.
+func (o *Overlay) baseScanCost(v uint32, lo, hi uint32) int64 {
+	if o.csr != nil {
+		return o.csr.ScanCost(v, lo, hi)
+	}
+	return o.base.ScanCost(v, lo, hi)
 }
 
 // Slice implements graph.Adj. A vertex without a delta is the base's
 // business entirely — whatever the base returns (aliased storage on CSR)
-// is returned as is. A delta vertex merges its whole base list, decoded
+// is returned as is; a clear mask bit says so without the map lookup,
+// and a set bit with no delta behind it falls through the same way. A
+// delta vertex merges its whole base list, decoded
 // into s.Inner() when the base is not flat, with the delta into s:
 // base neighbors absent from the delete set keep their base weights;
 // inserted neighbors (including re-weighted base edges, which sit in both
@@ -404,11 +489,11 @@ func (o *Overlay) ScanCost(v uint32, lo, hi uint32) int64 {
 //
 //sage:hotpath
 func (o *Overlay) Slice(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int32) {
-	d, ok := o.verts[v]
-	if !ok {
-		return o.base.Slice(v, lo, hi, s)
+	d := o.at(v)
+	if d == nil {
+		return o.baseSlice(v, lo, hi, s)
 	}
-	base, baseW := o.base.Slice(v, 0, math.MaxUint32, s.Inner())
+	base, baseW := o.baseSlice(v, 0, math.MaxUint32, s.Inner())
 	nghs, ws := s.Nghs[:0], s.Ws[:0]
 	pos := uint32(0)
 	bi, ai, di := 0, 0, 0
@@ -453,6 +538,21 @@ func (o *Overlay) Slice(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int32) 
 	s.Ws = ws
 	return nghs, ws
 }
+
+// baseSlice is the base's Slice, called directly on a CSR base.
+//
+//sage:arena-view
+//sage:hotpath
+func (o *Overlay) baseSlice(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int32) {
+	if o.csr != nil {
+		return o.csr.Slice(v, lo, hi, s)
+	}
+	return o.base.Slice(v, lo, hi, s)
+}
+
+// CSRBase implements graph.Masked: the base when it is CSR, and the
+// mask outside of which the overlay reads exactly as the base.
+func (o *Overlay) CSRBase() (*graph.Graph, graph.Touched) { return o.csr, o.mask }
 
 // SizeWords returns the simulated NVRAM footprint of the view — the
 // base's; the delta is DRAM-resident and reported by Words instead.

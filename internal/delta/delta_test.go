@@ -63,6 +63,28 @@ func (m *model) arcs() uint64 {
 	return total
 }
 
+// deltaArcs counts the arcs where the model differs from the base's
+// model: arcs the base lacks or holds at another weight (added), and base
+// arcs the model lacks or holds at another weight (deleted). A re-weight
+// counts in both, as in Overlay.DeltaArcs.
+func (m *model) deltaArcs(base *model) (added, deleted uint64) {
+	for v, nghs := range m.adj {
+		for u, w := range nghs {
+			if bw, ok := base.adj[v][u]; !ok || bw != w {
+				added++
+			}
+		}
+	}
+	for v, nghs := range base.adj {
+		for u, bw := range nghs {
+			if w, ok := m.adj[v][u]; !ok || w != bw {
+				deleted++
+			}
+		}
+	}
+	return added, deleted
+}
+
 // checkEquiv asserts the overlay's merged view equals the model through
 // every accessor: Degree, NumEdges, and Slice over the whole list (hi
 // past the degree must clamp) and over a partial range.
@@ -241,7 +263,8 @@ func TestWeightedReweight(t *testing.T) {
 
 // TestRandomizedAgainstModel drives random batches against the reference
 // model over both unweighted and weighted bases, checking full merged-view
-// equivalence after every batch and that elder snapshots stay intact.
+// equivalence and the delta's arc counts after every batch, and that
+// elder snapshots stay intact.
 func TestRandomizedAgainstModel(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		name := "unweighted"
@@ -268,7 +291,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 				}
 				g = graph.FromEdges(n, plain, graph.BuildOpts{Symmetrize: true})
 			}
-			m := newModel(g)
+			m, baseModel := newModel(g), newModel(g)
 			o := New(g)
 			prev := o
 			prevModelArcs := m.arcs()
@@ -293,6 +316,10 @@ func TestRandomizedAgainstModel(t *testing.T) {
 					m.apply(op)
 				}
 				checkEquiv(t, next, m)
+				add, del := next.DeltaArcs()
+				if wantAdd, wantDel := m.deltaArcs(baseModel); add != wantAdd || del != wantDel {
+					t.Fatalf("round %d: DeltaArcs = (%d,%d), want (%d,%d)", round, add, del, wantAdd, wantDel)
+				}
 				if prev.NumEdges() != prevModelArcs {
 					t.Fatal("elder snapshot mutated by a later batch")
 				}

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"math"
+	"sync/atomic"
 
 	"sage/internal/parallel"
 )
@@ -54,19 +55,57 @@ type ScratchPool struct {
 //sage:hotpath
 func (p *ScratchPool) Get(w int) *Scratch { return &p.ws[w] }
 
+// Touched is a vertex bitmask, one bit per vertex in n/64 words, that a
+// view layered over a base keeps to mark where it may differ from the
+// base. Bits are set with atomic OR and read with atomic loads, so
+// one mask can be shared by every version of the view: a writer marks a
+// new version's vertices while readers of older versions test theirs.
+// A nil mask has no bit set.
+type Touched []atomic.Uint64
+
+// NewTouched returns an all-clear mask for n vertices.
+func NewTouched(n uint32) Touched { return make(Touched, (uint64(n)+63)/64) }
+
+// Has reports whether v's bit is set.
+//
+//sage:hotpath
+func (t Touched) Has(v uint32) bool {
+	w := v >> 6
+	return uint64(w) < uint64(len(t)) && t[w].Load()&(1<<(v&63)) != 0
+}
+
+// Set sets v's bit.
+func (t Touched) Set(v uint32) { t[v>>6].Or(1 << (v & 63)) }
+
+// Masked is a view that reads exactly as a CSR base at every vertex
+// whose bit in the mask is clear: the update overlay, whose mask marks
+// the vertices with a delta. Flat reads clear-bit vertices straight from
+// the base. A view whose base is not CSR returns a nil base.
+type Masked interface {
+	CSRBase() (*Graph, Touched)
+}
+
 // Flat is Adj.Slice with the representation resolved once, outside the
-// hot loop: CSR graphs are read by direct calls the compiler can inline,
+// hot loop: CSR graphs — and the clear-bit vertices of a Masked view over
+// a CSR base — are read by direct calls the compiler can inline,
 // everything else through the interface. The zero value is not
 // meaningful; use NewFlat.
 type Flat struct {
-	csr *Graph // non-nil: devirtualised slice access
-	g   Adj
+	csr  *Graph  // non-nil: devirtualised slice access
+	mask Touched // vertices g reads through its own Slice instead of csr's
+	g    Adj
 }
 
 // NewFlat inspects g's concrete type and returns its access path.
 func NewFlat(g Adj) Flat {
-	csr, _ := g.(*Graph)
-	return Flat{csr: csr, g: g}
+	switch v := g.(type) {
+	case *Graph:
+		return Flat{csr: v, g: g}
+	case Masked:
+		csr, mask := v.CSRBase()
+		return Flat{csr: csr, mask: mask, g: g}
+	}
+	return Flat{g: g}
 }
 
 // Slice is Adj.Slice on the wrapped graph.
@@ -74,20 +113,21 @@ func NewFlat(g Adj) Flat {
 //sage:arena-view
 //sage:hotpath
 func (f *Flat) Slice(v, lo, hi uint32, s *Scratch) ([]uint32, []int32) {
-	if f.csr != nil {
+	if f.csr != nil && !f.mask.Has(v) {
 		return f.csr.Slice(v, lo, hi, s)
 	}
 	return f.g.Slice(v, lo, hi, s)
 }
 
-// Full returns v's complete adjacency as flat slices. For CSR it is a
-// pure slice expression — no interface dispatch, not even for the degree
-// — making it the cheapest per-vertex entry into the hot loops.
+// Full returns v's complete adjacency as flat slices. For CSR (and a
+// clear-bit vertex of a Masked view over CSR) it is a pure slice
+// expression — no interface dispatch, not even for the degree — making it
+// the cheapest per-vertex entry into the hot loops.
 //
 //sage:arena-view
 //sage:hotpath
 func (f *Flat) Full(v uint32, s *Scratch) ([]uint32, []int32) {
-	if f.csr != nil {
+	if f.csr != nil && !f.mask.Has(v) {
 		lo, hi := f.csr.offsets[v], f.csr.offsets[v+1]
 		nghs := f.csr.edges[lo:hi]
 		if f.csr.weights == nil {
