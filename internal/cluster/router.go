@@ -16,7 +16,10 @@ package cluster
 // resulting generation attached (X-Sage-Sync-Generation), which each
 // secondary adopts as a floor — after a fan-out every owner reports the
 // same generation, so the replicas' generation-keyed result caches stay
-// coherent without invalidation traffic. A fan-out that cannot reach
+// coherent without invalidation traffic. The floor is enough because a
+// replica's generation moves only with its dataset's state (updates and
+// compactions): evicting and reopening a mapping leaves it alone, so no
+// owner runs ahead of the others. A fan-out that cannot reach
 // every owner answers 502 with the documented machine-readable reason;
 // update batches are idempotent (re-inserting a present edge and
 // deleting an absent one are no-ops), so the client retries the same

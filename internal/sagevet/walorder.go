@@ -8,16 +8,17 @@ import (
 )
 
 // WalOrder enforces the append→fsync→publish barrier: a call that
-// publishes an overlay (//sage:publish — store.Cache.Bump, which bumps
-// the generation readers see) must be lexically preceded, in the same
-// function, by a durable WAL append (//sage:durable-append). Publishing
-// first would let a reader observe an update that a crash could then
-// lose.
+// publishes an overlay (//sage:publish — the server's updates.publish,
+// which swaps the version and bumps the generation readers see) must be
+// lexically preceded, in the same function, by a durable WAL append
+// (//sage:durable-append). Publishing first would let a reader observe an
+// update that a crash could then lose.
 //
 // The check is lexical rather than flow-sensitive — on the update path
 // the append and the publish sit in the same function body (PR 6's
 // apply), and a lexically-preceding append is exactly the reviewable
-// property. Replay paths that publish already-durable records suppress
+// property. Paths that publish state already durable by other means —
+// replay of logged records, a compaction's renamed container — suppress
 // the finding with //sage:allow walorder. Test files are skipped.
 var WalOrder = &analysis.Analyzer{
 	Name: "walorder",

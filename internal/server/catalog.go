@@ -1,12 +1,12 @@
 package server
 
-// The dataset catalog: a fixed set of named stored graphs, opened lazily
-// through the shared store.Cache on first request and shared — usually as
-// one memory mapping — across every concurrent run that names them. The
-// cache's word budget bounds how many datasets stay resident; idle ones
-// are LRU-evicted and transparently reopened (with a bumped generation)
-// when named again. Refcounting guarantees a dataset is never unmapped
-// under a run in flight.
+// The dataset catalog: a fixed set of named stored graphs, one record
+// each, opened lazily through the shared store.Cache on first request and
+// shared — usually as one memory mapping — across every concurrent run
+// that names them. The cache's word budget bounds how many datasets stay
+// resident; idle ones are LRU-evicted and transparently reopened when
+// named again. Refcounting guarantees a dataset is never unmapped under a
+// run in flight.
 
 import (
 	"errors"
@@ -21,18 +21,49 @@ import (
 // errUnknownDataset distinguishes a 404 from an open failure (500).
 var errUnknownDataset = errors.New("unknown dataset")
 
+// dataset is one registered dataset: its name and stored path, fixed at
+// registration, and everything mutable about what it serves. The mapping
+// of the stored file is read-only and lives in the catalog's cache; the
+// rest lives here, guarded by updates.mu.
+type dataset struct {
+	name, path string
+
+	// gen is the generation results are keyed by: 1 at registration, +1
+	// per published commit window and per compaction, raised to a
+	// replica's floor on request. Evicting and reopening the mapping
+	// leaves it alone — while the server runs, only its own compaction
+	// rewrites the file, and that bumps gen itself.
+	gen uint64
+	// version is the current overlay snapshot; nil while the dataset
+	// serves its plain base.
+	version *snapVersion
+	// The committer role: the writer that set busy holds it until it
+	// clears it or hands it on, and is meanwhile the only one that extends
+	// the dataset's newest state or calls its log.
+	busy  bool
+	queue []*writeReq // waiting for the role holder, oldest first
+	// ws is the durability state; recovered is set once the first commit
+	// has replayed the log (or failed to), so reads stop asking for it.
+	ws        walState
+	recovered bool
+	// disarmed is the auto-compaction hysteresis state: set when the
+	// trigger fires, cleared once the overhead falls below the low-water
+	// mark or the overlay is gone.
+	disarmed bool
+}
+
 type catalog struct {
-	mu    sync.Mutex
-	paths map[string]string // name -> path
-	cache *store.Cache
-	opts  store.OpenOptions
+	mu       sync.Mutex
+	datasets map[string]*dataset // name -> record
+	cache    *store.Cache
+	opts     store.OpenOptions
 }
 
 func newCatalog(budgetWords int64, copyOpen bool) *catalog {
 	return &catalog{
-		paths: map[string]string{},
-		cache: store.NewCache(budgetWords),
-		opts:  store.OpenOptions{Copy: copyOpen},
+		datasets: map[string]*dataset{},
+		cache:    store.NewCache(budgetWords),
+		opts:     store.OpenOptions{Copy: copyOpen},
 	}
 }
 
@@ -56,44 +87,40 @@ func (c *catalog) add(name, path string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.paths[name]; dup {
+	if _, dup := c.datasets[name]; dup {
 		return fmt.Errorf("dataset %q registered twice", name)
 	}
-	c.paths[name] = path
+	c.datasets[name] = &dataset{name: name, path: path, gen: 1}
 	return nil
 }
 
-// names returns the registered dataset names in sorted order.
-func (c *catalog) names() []string {
+// all returns every registered record, sorted by name.
+func (c *catalog) all() []*dataset {
 	c.mu.Lock()
-	out := make([]string, 0, len(c.paths))
-	for name := range c.paths {
-		out = append(out, name)
+	out := make([]*dataset, 0, len(c.datasets))
+	for _, d := range c.datasets {
+		out = append(out, d)
 	}
 	c.mu.Unlock()
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
-// path resolves a dataset name to its stored path.
-func (c *catalog) path(name string) (string, error) {
+// lookup resolves a dataset name to its record.
+func (c *catalog) lookup(name string) (*dataset, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	path, ok := c.paths[name]
+	d, ok := c.datasets[name]
 	if !ok {
-		return "", fmt.Errorf("%w %q", errUnknownDataset, name)
+		return nil, fmt.Errorf("%w %q", errUnknownDataset, name)
 	}
-	return path, nil
+	return d, nil
 }
 
-// acquire returns a refcounted handle on the named dataset, opening it if
+// acquire returns a refcounted handle on d's stored base, opening it if
 // needed. The caller must Release it when the run completes.
-func (c *catalog) acquire(name string) (*store.Handle, error) {
-	path, err := c.path(name)
-	if err != nil {
-		return nil, err
-	}
-	return c.cache.Acquire(path, c.opts)
+func (c *catalog) acquire(d *dataset) (*store.Handle, error) {
+	return c.cache.Acquire(d.path, c.opts)
 }
 
 // datasetInfo is one /v1/datasets entry. The graph-shape fields are
@@ -126,38 +153,22 @@ type datasetInfo struct {
 	ReadOnlyReason string `json:"read_only_reason,omitempty"`
 }
 
-// list returns the catalog sorted by name.
-func (c *catalog) list() []datasetInfo {
-	c.mu.Lock()
-	names := make([]string, 0, len(c.paths))
-	for name := range c.paths {
-		names = append(names, name)
+// info describes d's stored base for a listing, its graph shape only
+// when it is open: listing never forces a lazy open.
+func (c *catalog) info(d *dataset) datasetInfo {
+	info := datasetInfo{Name: d.name, Path: d.path}
+	if h, ok := c.cache.AcquireCached(d.path); ok {
+		ds := h.Dataset()
+		info.Open = true
+		info.Vertices = ds.Adj().NumVertices()
+		info.Edges = ds.Adj().NumEdges()
+		info.Weighted = ds.Adj().Weighted()
+		info.Compressed = ds.CSR() == nil
+		info.Mapped = ds.Mapped()
+		info.SizeWords = ds.SizeWords()
+		h.Release()
 	}
-	paths := make(map[string]string, len(c.paths))
-	for name, path := range c.paths {
-		paths[name] = path
-	}
-	c.mu.Unlock()
-	sort.Strings(names)
-
-	out := make([]datasetInfo, 0, len(names))
-	for _, name := range names {
-		info := datasetInfo{Name: name, Path: paths[name]}
-		if h, ok := c.cache.AcquireCached(paths[name]); ok {
-			ds := h.Dataset()
-			info.Open = true
-			info.Generation = h.Generation()
-			info.Vertices = ds.Adj().NumVertices()
-			info.Edges = ds.Adj().NumEdges()
-			info.Weighted = ds.Adj().Weighted()
-			info.Compressed = ds.CSR() == nil
-			info.Mapped = ds.Mapped()
-			info.SizeWords = ds.SizeWords()
-			h.Release()
-		}
-		out = append(out, info)
-	}
-	return out
+	return info
 }
 
 // close releases every idle dataset.

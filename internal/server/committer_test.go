@@ -77,14 +77,14 @@ func (f *gateFile) Sync() error {
 // waitingWriters counts the writers inside dataset g's write path: the
 // committer role's holder plus every request queued behind it.
 func waitingWriters(srv *Server) int {
+	d, _ := srv.catalog.lookup("g")
 	u := srv.updates
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	c := u.committers["g"]
-	if c == nil || !c.busy {
+	if !d.busy {
 		return 0
 	}
-	return 1 + len(c.queue)
+	return 1 + len(d.queue)
 }
 
 type writeOutcome struct {

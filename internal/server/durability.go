@@ -60,10 +60,11 @@ type Durability struct {
 // unwritable (503 with reason "read_only").
 var errReadOnly = errors.New("dataset is read-only: write-ahead log unavailable")
 
-// walState is one dataset's durability state. Only the dataset's role
-// holder writes it, under updates.mu because listings and metrics read
-// it; the holder reads it without the lock (the role itself changes hands
-// under updates.mu, so a new holder sees the last one's writes).
+// walState is one dataset's durability state, kept on its record. Only
+// the dataset's role holder writes it (and close, once no holder is
+// left), under updates.mu because listings and metrics read it; the
+// holder reads it without the lock (the role itself changes hands under
+// updates.mu, so a new holder sees the last one's writes).
 type walState struct {
 	log      *wal.Log // nil when the log could not be opened
 	readOnly bool
@@ -74,37 +75,34 @@ type walState struct {
 // use (nil: none) and its health — a nil err restores the dataset to
 // writable, a non-nil one degrades it to read-only with the error as the
 // reason.
-func (u *updates) setWAL(ws *walState, log *wal.Log, err error) {
+func (u *updates) setWAL(d *dataset, log *wal.Log, err error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	ws.log = log
+	d.ws.log = log
 	if err != nil {
-		ws.readOnly, ws.reason = true, err.Error()
+		d.ws.readOnly, d.ws.reason = true, err.Error()
 	} else {
-		ws.readOnly, ws.reason = false, ""
+		d.ws.readOnly, d.ws.reason = false, ""
 	}
 }
 
-// walInfo reports name's durability state for listings: whether the
+// walInfo reports d's durability state for listings: whether the
 // dataset is currently read-only and why.
-func (u *updates) walInfo(name string) (readOnly bool, reason string) {
+func (u *updates) walInfo(d *dataset) (readOnly bool, reason string) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if ws, ok := u.walStates[name]; ok {
-		return ws.readOnly, ws.reason
-	}
-	return false, ""
+	return d.ws.readOnly, d.ws.reason
 }
 
-// recover opens c's WAL and replays surviving records onto the stored
+// recover opens d's WAL and replays surviving records onto the stored
 // base, installing the recovered snapshot as the current version, then
-// registers the outcome — including failure: the dataset is then
+// marks d recovered whatever the outcome — on failure the dataset is
 // read-only until a later window's retry succeeds — so reads stop asking
-// for it. It runs under c's committer role.
-func (u *updates) recover(c *committer) {
-	u.openSegment(c)
+// for it. It runs under d's committer role.
+func (u *updates) recover(d *dataset) {
+	u.openSegment(d)
 	u.mu.Lock()
-	u.walStates[c.name] = c.ws
+	d.recovered = true
 	u.mu.Unlock()
 }
 
@@ -112,21 +110,20 @@ func (u *updates) recover(c *committer) {
 // and replays surviving records. On any failure the dataset is
 // left read-only with the cause as the machine-readable reason; reads
 // keep serving the base. It runs under the dataset's committer role.
-func (u *updates) openSegment(c *committer) {
-	ws, name, path := c.ws, c.name, c.path
-	fp, err := wal.FingerprintFile(u.wcfg.FS, path)
+func (u *updates) openSegment(d *dataset) {
+	fp, err := wal.FingerprintFile(u.wcfg.FS, d.path)
 	if err != nil {
-		u.setWAL(ws, nil, fmt.Errorf("fingerprinting container: %w", err))
+		u.setWAL(d, nil, fmt.Errorf("fingerprinting container: %w", err))
 		return
 	}
-	log, rec, err := wal.Open(path+WALSuffix, fp, wal.Options{
+	log, rec, err := wal.Open(d.path+WALSuffix, fp, wal.Options{
 		FS: u.wcfg.FS, Policy: u.wcfg.Policy, Interval: u.wcfg.Interval,
 	})
 	if err != nil {
-		u.setWAL(ws, nil, err)
+		u.setWAL(d, nil, err)
 		return
 	}
-	u.setWAL(ws, log, nil)
+	u.setWAL(d, log, nil)
 	if rec.Discarded {
 		u.walDiscarded.Add(1)
 	}
@@ -138,15 +135,15 @@ func (u *updates) openSegment(c *committer) {
 	// after the log died, an earlier recovery already replayed these
 	// records, and applying them again would double-apply them.
 	u.mu.Lock()
-	hasVersion := u.versions[name] != nil
+	hasVersion := d.version != nil
 	u.mu.Unlock()
 	if hasVersion {
 		return
 	}
-	h, err := u.catalog.acquire(name)
+	h, err := u.catalog.acquire(d)
 	if err != nil {
 		_ = log.Close() // abandoning the log; the open error is the story
-		u.setWAL(ws, nil, fmt.Errorf("opening base for replay: %w", err))
+		u.setWAL(d, nil, fmt.Errorf("opening base for replay: %w", err))
 		return
 	}
 	snap := sage.GraphFromDataset(h.Dataset()).Snapshot()
@@ -160,7 +157,7 @@ func (u *updates) openSegment(c *committer) {
 			if terr := log.TruncateTo(good); terr != nil {
 				// The bad tail is still on disk and would replay again
 				// after a crash; refuse writes until the disk recovers.
-				u.setWAL(ws, log, fmt.Errorf("truncating unreplayable tail: %w", terr))
+				u.setWAL(d, log, fmt.Errorf("truncating unreplayable tail: %w", terr))
 			}
 			break
 		}
@@ -176,27 +173,24 @@ func (u *updates) openSegment(c *committer) {
 		return
 	}
 	// Replay republishes records the WAL already holds; no new append is due.
-	gen := u.catalog.cache.Bump(path) //sage:allow walorder
-	nv := &snapVersion{snap: snap, gen: gen, ds: h.Dataset(), h: h, refs: 1}
-	u.mu.Lock()
-	u.versions[name] = nv
-	u.mu.Unlock()
+	nv := &snapVersion{snap: snap, ds: h.Dataset(), h: h, refs: 1}
+	u.publish(d, nv, 0) //sage:allow walorder
 }
 
-// ensureRecovered replays name's surviving WAL records (once) before a
-// read observes the dataset. After the first touch it is one map lookup;
-// the first touch itself is an empty write, whose commit recovers first
+// ensureRecovered replays d's surviving WAL records (once) before a read
+// observes the dataset. After the first touch it is one flag test; the
+// first touch itself is an empty write, whose commit recovers first
 // (inline, when the dataset is idle).
-func (u *updates) ensureRecovered(name string) {
+func (u *updates) ensureRecovered(d *dataset) {
 	if !u.wcfg.Enabled {
 		return
 	}
 	u.mu.Lock()
-	_, done := u.walStates[name]
+	done := d.recovered
 	u.mu.Unlock()
 	if !done {
-		// Unknown dataset or shutdown: the caller's own lookup reports it.
-		_, _ = u.applySync(name, nil, false, 0)
+		// After shutdown began the write is turned away; the read goes on.
+		_, _ = u.applySync(d.name, nil, false, 0)
 	}
 }
 
@@ -206,46 +200,46 @@ func (u *updates) ensureRecovered(name string) {
 // for the write that hit it. The log cleans up after its own failures, so
 // the next attempt probes a clean tail and the dataset recovers without
 // intervention.
-func (u *updates) readOnly(c *committer, cause error) error {
-	log := c.ws.log
+func (u *updates) readOnly(d *dataset, cause error) error {
+	log := d.ws.log
 	if errors.Is(cause, wal.ErrClosed) {
 		log = nil
 	}
-	u.setWAL(c.ws, log, cause)
-	return fmt.Errorf("%w (dataset %q): %v", errReadOnly, c.name, cause)
+	u.setWAL(d, log, cause)
+	return fmt.Errorf("%w (dataset %q): %v", errReadOnly, d.name, cause)
 }
 
-// walAppend appends one batch to c's log behind whatever the window has
+// walAppend appends one batch to d's log behind whatever the window has
 // appended already. The record has a sequence number but is not durable
 // yet — the window's one wal.Log.Commit makes it so.
-func (u *updates) walAppend(c *committer, ops []sage.EdgeOp) (*wal.Pending, error) {
-	if c.ws.log == nil {
-		return nil, fmt.Errorf("%w (dataset %q): %s", errReadOnly, c.name, c.ws.reason)
+func (u *updates) walAppend(d *dataset, ops []sage.EdgeOp) (*wal.Pending, error) {
+	if d.ws.log == nil {
+		return nil, fmt.Errorf("%w (dataset %q): %s", errReadOnly, d.name, d.ws.reason)
 	}
-	p, err := c.ws.log.AppendBuffer(walOps(ops), nil)
+	p, err := d.ws.log.AppendBuffer(walOps(ops), nil)
 	if err != nil {
-		return nil, u.readOnly(c, err)
+		return nil, u.readOnly(d, err)
 	}
 	return p, nil
 }
 
-// retireSegment retires c's WAL after a compaction durably
+// retireSegment retires d's WAL after a compaction durably
 // replaced the container: the folded records must never replay onto the
 // new generation. Even if the process dies before the removal lands, the
 // stale log's base fingerprint no longer matches the rewritten
 // container, so recovery discards it — removal is cleanup, not
 // correctness. A fresh log is then opened for the new generation.
-func (u *updates) retireSegment(c *committer) {
-	if c.ws == nil {
+func (u *updates) retireSegment(d *dataset) {
+	if !u.wcfg.Enabled {
 		return
 	}
-	if c.ws.log != nil {
+	if d.ws.log != nil {
 		// A failed remove leaves a stale log that can never replay
 		// (its fingerprint no longer matches the rewritten container),
 		// and openSegment's fresh open re-probes the disk immediately.
-		c.ws.log.CloseAndRemove() //sage:allow syncerr
+		d.ws.log.CloseAndRemove() //sage:allow syncerr
 	}
-	u.openSegment(c)
+	u.openSegment(d)
 }
 
 // walSnapshot reports the durability layer for /metrics, aggregating the
@@ -255,14 +249,15 @@ func (u *updates) walSnapshot() walStats {
 	if !u.wcfg.Enabled {
 		return s
 	}
+	all := u.catalog.all()
 	var logs []*wal.Log
 	u.mu.Lock()
-	for _, ws := range u.walStates {
-		if ws.readOnly {
+	for _, d := range all {
+		if d.ws.readOnly {
 			s.ReadOnlyDatasets++
 		}
-		if ws.log != nil {
-			logs = append(logs, ws.log)
+		if d.ws.log != nil {
+			logs = append(logs, d.ws.log)
 		}
 	}
 	u.mu.Unlock()

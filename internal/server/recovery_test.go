@@ -572,11 +572,15 @@ func TestCloseUpdateRace(t *testing.T) {
 		wg.Wait() // a hung writer fails the run by timeout
 
 		srv.updates.mu.Lock()
-		nStates, nVersions := len(srv.updates.walStates), len(srv.updates.versions)
+		for _, d := range srv.catalog.all() {
+			if d.version != nil || d.ws.log != nil {
+				t.Errorf("trial %d: state repopulated after close: dataset %q holds version=%v log=%v",
+					trial, d.name, d.version != nil, d.ws.log != nil)
+			}
+		}
 		srv.updates.mu.Unlock()
-		if nStates != 0 || nVersions != 0 {
-			t.Fatalf("trial %d: state repopulated after close: walStates=%d versions=%d",
-				trial, nStates, nVersions)
+		if t.Failed() {
+			t.FailNow()
 		}
 		if _, err := srv.updates.apply("g", []sage.EdgeOp{{U: 0, V: 9}}, false); !errors.Is(err, errShuttingDown) {
 			t.Fatalf("trial %d: write after close: %v", trial, err)

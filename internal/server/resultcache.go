@@ -4,8 +4,8 @@ package server
 // (dataset generation, algorithm, arguments) triple — the graph is a
 // read-only structure and every registry algorithm is deterministic in
 // the engine's fixed seed — so the service can answer repeats without
-// re-running. Keys embed the dataset's open generation, so an evicted
-// and reopened (possibly rewritten) file never serves stale answers, and
+// re-running. Keys embed the dataset's generation, which every update and
+// compaction advances, so no state ever serves another's answers, and
 // arguments are canonicalized first (sage.CanonicalArgs), so {"eps":0}
 // and {} hit the same entry.
 //

@@ -157,7 +157,11 @@ func (s *Server) AddDataset(name, path string) error { return s.catalog.add(name
 // instead of a request). The dataset stays cached under the usual LRU
 // budget rules.
 func (s *Server) Preload(name string) error {
-	h, err := s.catalog.acquire(name)
+	d, err := s.catalog.lookup(name)
+	if err != nil {
+		return err
+	}
+	h, err := s.catalog.acquire(d)
 	if err != nil {
 		return err
 	}
@@ -173,12 +177,13 @@ func (s *Server) Preload(name string) error {
 // completes). It returns the number of batches replayed and the names of
 // datasets left read-only because their log could not be opened.
 func (s *Server) Recover() (replayed int, degraded []string) {
-	for _, name := range s.catalog.names() {
-		s.updates.ensureRecovered(name)
+	all := s.catalog.all()
+	for _, d := range all {
+		s.updates.ensureRecovered(d)
 	}
-	for _, name := range s.catalog.names() {
-		if ro, _ := s.updates.walInfo(name); ro {
-			degraded = append(degraded, name)
+	for _, d := range all {
+		if ro, _ := s.updates.walInfo(d); ro {
+			degraded = append(degraded, d.name)
 		}
 	}
 	s.ready.Store(true)
@@ -321,19 +326,25 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
-	infos := s.catalog.list()
-	for i := range infos {
+	all := s.catalog.all()
+	infos := make([]datasetInfo, len(all))
+	for i, d := range all {
+		info := s.catalog.info(d)
 		// Overlay the update state: a dataset with live batch updates
-		// reports its current snapshot's generation and merged edge count.
-		if v := s.updates.pin(infos[i].Name); v != nil {
-			infos[i].Generation = v.gen
-			infos[i].Edges = v.snap.NumEdges()
-			infos[i].DeltaWords = v.snap.DeltaWords()
-			infos[i].DeltaArcsAdded, infos[i].DeltaArcsDeleted = v.snap.DeltaArcs()
-			infos[i].OverlayCostPredicted = s.updates.overlayCost(v.snap)
+		// reports its current snapshot's merged edge count.
+		v, gen := s.updates.pin(d)
+		if info.Open || v != nil {
+			info.Generation = gen
+		}
+		if v != nil {
+			info.Edges = v.snap.NumEdges()
+			info.DeltaWords = v.snap.DeltaWords()
+			info.DeltaArcsAdded, info.DeltaArcsDeleted = v.snap.DeltaArcs()
+			info.OverlayCostPredicted = s.updates.overlayCost(v.snap)
 			s.updates.unref(v)
 		}
-		infos[i].ReadOnly, infos[i].ReadOnlyReason = s.updates.walInfo(infos[i].Name)
+		info.ReadOnly, info.ReadOnlyReason = s.updates.walInfo(d)
+		infos[i] = info
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"datasets": infos})
 }

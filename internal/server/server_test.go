@@ -4,8 +4,8 @@ package server_test
 // client-error contract (404 unknown dataset/algorithm, 400 bad args),
 // admission-control shedding under saturation (both gates), run
 // cancellation on client disconnect (without leaking goroutines), result
-// caching through args canonicalization, and dataset LRU eviction with
-// generation bumps.
+// caching through args canonicalization, and dataset LRU eviction, which
+// keeps the generation.
 
 import (
 	"bytes"
@@ -405,10 +405,11 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 	})
 }
 
-func TestDatasetEvictionBumpsGeneration(t *testing.T) {
+func TestDatasetEvictionKeepsGeneration(t *testing.T) {
 	// Budget fits one dataset at a time: running against "road" evicts
-	// the idle "web", whose next open gets a new generation. The result
-	// cache is disabled so the reopen is observable.
+	// the idle "web", whose next open maps the same unchanged file and so
+	// serves the same generation. The result cache is disabled so the
+	// reopen is observable.
 	dir := t.TempDir()
 	webPath := makeDataset(t, dir, "web", 10, 1)
 	s := server.New(server.Config{
@@ -427,23 +428,93 @@ func TestDatasetEvictionBumpsGeneration(t *testing.T) {
 		_ = s.Close()
 	}()
 
-	code, run, _ := postRun(t, ts.URL, "web", "bfs", ``)
-	if code != http.StatusOK || metric(t, run, "generation") != 1 {
-		t.Fatalf("first web run: %d gen %v", code, run["generation"])
+	code, first, _ := postRun(t, ts.URL, "web", "bfs", ``)
+	if code != http.StatusOK || metric(t, first, "generation") != 1 {
+		t.Fatalf("first web run: %d gen %v", code, first["generation"])
 	}
 	if code, _, _ := postRun(t, ts.URL, "road", "bfs", ``); code != http.StatusOK {
 		t.Fatal("road run failed")
 	}
-	code, run, _ = postRun(t, ts.URL, "web", "bfs", ``)
+	code, again, _ := postRun(t, ts.URL, "web", "bfs", ``)
 	if code != http.StatusOK {
 		t.Fatal("second web run failed")
 	}
-	if gen := metric(t, run, "generation"); gen != 2 {
-		t.Fatalf("generation after eviction = %v, want 2", gen)
+	if gen := metric(t, again, "generation"); gen != 1 {
+		t.Fatalf("generation after eviction = %v, want 1", gen)
+	}
+	delete(first, "elapsed_ms")
+	delete(again, "elapsed_ms")
+	a, _ := json.Marshal(first)
+	b, _ := json.Marshal(again)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("the reopened dataset answered differently:\n%s\n%s", a, b)
 	}
 	_, m := getJSON(t, ts.URL+"/metrics")
 	if metric(t, m, "datasets", "evictions") < 1 {
 		t.Fatalf("no evictions recorded: %v", m["datasets"])
+	}
+}
+
+// TestEvictedReplicaPublishesAtPrimaryGeneration sends one batch to two
+// servers the way the cluster router fans it out: to the primary, then to
+// a secondary with the primary's resulting generation as the
+// X-Sage-Sync-Generation floor. The secondary's dataset budget has evicted
+// the dataset in between, and an eviction is not a new state: both must
+// publish the batch at the same generation.
+func TestEvictedReplicaPublishesAtPrimaryGeneration(t *testing.T) {
+	replica := func(budget int64) *httptest.Server {
+		dir := t.TempDir()
+		// A 1024-vertex chain is ~3k words and an rmat-10 graph ~7.1k, so an
+		// 8k budget holds either but not both.
+		s := server.New(server.Config{DatasetBudgetWords: budget})
+		if err := s.AddDataset("web", makeChain(t, dir, "web", 1024)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddDataset("road", makeDataset(t, dir, "road", 10, 2)); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		t.Cleanup(func() {
+			ts.Close()
+			_ = s.Close()
+		})
+		return ts
+	}
+	primary, secondary := replica(0), replica(8_000)
+	for _, ts := range []*httptest.Server{primary, secondary} {
+		if code, run, _ := postRun(t, ts.URL, "web", "cc", ``); code != http.StatusOK || metric(t, run, "generation") != 1 {
+			t.Fatalf("web run: %d %v", code, run)
+		}
+	}
+	if code, _, _ := postRun(t, secondary.URL, "road", "cc", ``); code != http.StatusOK {
+		t.Fatal("road run failed")
+	}
+	if _, m := getJSON(t, secondary.URL+"/metrics"); metric(t, m, "datasets", "evictions") < 1 {
+		t.Fatalf("the secondary evicted nothing: %v", m["datasets"])
+	}
+
+	const batch = `{"ops":[{"u":0,"v":1023}]}`
+	code, res := postUpdate(t, primary.URL, "web", batch)
+	if code != http.StatusOK || metric(t, res, "generation") != 2 {
+		t.Fatalf("primary update: %d %v", code, res)
+	}
+	req, err := http.NewRequest(http.MethodPost, secondary.URL+"/v1/update/web", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(server.SyncGenerationHeader, "2")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || metric(t, out, "generation") != 2 || resp.Header.Get(server.GenerationHeader) != "2" {
+		t.Fatalf("secondary published the batch at %v (header %q), the primary at 2",
+			out["generation"], resp.Header.Get(server.GenerationHeader))
 	}
 }
 

@@ -8,10 +8,11 @@ package server
 //   - Every run pins the snapshot version current when it was admitted;
 //     an update arriving mid-run swaps the current version without
 //     touching pinned ones, and a version's base mapping is released only
-//     when the map reference and every pinned run are gone.
-//   - Each swap bumps the dataset's generation through store.Cache.Bump,
-//     so result-cache keys (generation, algo, args) from older versions
-//     can never answer a query against the new one.
+//     when the dataset record's reference and every pinned run are gone.
+//   - Each swap bumps the generation on the dataset's record (catalog.go)
+//     under the same lock, so result-cache keys (generation, algo, args)
+//     from older versions can never answer a query against the new one,
+//     and a reader never sees one version at another's generation.
 //   - A compacting update writes the merged view through sage.Create
 //     (atomic temp-file rename over the dataset path), invalidates the
 //     cache entry so new requests map the compacted file, and drops the
@@ -71,12 +72,11 @@ var errShuttingDown = errors.New("server is shutting down")
 // tells the waiting writer that the committer role is now its own.
 var errTakeRole = errors.New("committer role handed over")
 
-// snapVersion is one published snapshot of a dataset: the overlay view,
-// its logical generation, and the cache handle pinning the base mapping.
-// refs counts the updates-map reference plus every in-flight run.
+// snapVersion is one published snapshot of a dataset: the overlay view
+// and the cache handle pinning the base mapping. refs counts the dataset
+// record's reference plus every in-flight run.
 type snapVersion struct {
 	snap *sage.Snapshot
-	gen  uint64
 	ds   *store.Dataset // the base the snapshot composes with
 	h    *store.Handle
 	refs int // guarded by updates.mu
@@ -92,17 +92,8 @@ type writeReq struct {
 	done    chan error // capacity 1: the role holder never blocks answering
 }
 
-// committer is one dataset's write ownership: the writer that set busy
-// holds the role until it clears it or hands it on, and is meanwhile the
-// only one that extends the dataset's newest state or calls its log.
-type committer struct {
-	name, path string
-	ws         *walState   // nil with durability off
-	busy       bool        // the role is taken; guarded by updates.mu
-	queue      []*writeReq // waiting for the role holder, oldest first; guarded by updates.mu
-}
-
-// updates owns the per-dataset snapshot versions and committers.
+// updates owns the write path of every dataset: its versions, committer
+// role, log and auto-compaction trigger, all kept on the dataset records.
 type updates struct {
 	catalog *catalog
 	budget  int64      // max overlay DRAM words per dataset; 0 = unlimited
@@ -114,12 +105,9 @@ type updates struct {
 	autoHigh int64
 	autoLow  int64
 
-	mu         sync.Mutex
-	closed     bool // set by close(); no write is queued or started after
-	versions   map[string]*snapVersion
-	walStates  map[string]*walState  // per-dataset durability state, once recovered
-	committers map[string]*committer // created on a dataset's first write or recovery
-	armed      map[string]bool       // auto-compaction hysteresis state
+	// mu guards the mutable fields of every dataset record.
+	mu     sync.Mutex
+	closed bool // set by close(); no write is queued or started after
 
 	batches           atomic.Int64
 	opsApplied        atomic.Int64
@@ -138,16 +126,12 @@ func newUpdates(c *catalog, budgetWords int64, wcfg Durability, model costmodel.
 		wcfg.FS = wal.OS
 	}
 	return &updates{
-		catalog:    c,
-		budget:     budgetWords,
-		wcfg:       wcfg,
-		model:      model,
-		autoHigh:   autoCompactCost,
-		autoLow:    autoCompactCost / 2,
-		versions:   map[string]*snapVersion{},
-		walStates:  map[string]*walState{},
-		committers: map[string]*committer{},
-		armed:      map[string]bool{},
+		catalog:  c,
+		budget:   budgetWords,
+		wcfg:     wcfg,
+		model:    model,
+		autoHigh: autoCompactCost,
+		autoLow:  autoCompactCost / 2,
 	}
 }
 
@@ -157,16 +141,25 @@ func (u *updates) overlayCost(snap *sage.Snapshot) int64 {
 	return costmodel.OverlayOverhead(&u.model, snap.DeltaWords(), added, deleted)
 }
 
-// pin returns the dataset's current snapshot version, refcounted, or nil
-// when it has no overlay. The caller must unref it when its run ends.
-func (u *updates) pin(name string) *snapVersion {
+// pin returns d's current snapshot version, refcounted, or nil when it
+// has no overlay, and the generation it is current at — read together, so
+// the pair always describes one state. The caller must unref the version
+// when its run ends.
+func (u *updates) pin(d *dataset) (*snapVersion, uint64) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	v := u.versions[name]
+	v := d.version
 	if v != nil {
 		v.refs++
 	}
-	return v
+	return v, d.gen
+}
+
+// current reports whether d is still at generation gen.
+func (u *updates) current(d *dataset, gen uint64) bool {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return d.gen == gen
 }
 
 // unref drops one reference; the last one releases the base pin.
@@ -184,21 +177,24 @@ func (u *updates) unref(v *snapVersion) {
 // predicted traversal overheads, for /metrics: the aggregate counters
 // alone cannot tell which dataset's overlay is the expensive one.
 func (u *updates) deltaStats() (perDataset map[string]datasetDeltaStats, words int64) {
+	all := u.catalog.all()
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if len(u.versions) == 0 {
-		return nil, 0
-	}
-	perDataset = make(map[string]datasetDeltaStats, len(u.versions))
-	for name, v := range u.versions {
+	for _, d := range all {
+		v := d.version
+		if v == nil {
+			continue
+		}
+		if perDataset == nil {
+			perDataset = map[string]datasetDeltaStats{}
+		}
 		added, deleted := v.snap.DeltaArcs()
-		armed, seen := u.armed[name]
-		perDataset[name] = datasetDeltaStats{
+		perDataset[d.name] = datasetDeltaStats{
 			DeltaWords:           v.snap.DeltaWords(),
 			DeltaArcsAdded:       added,
 			DeltaArcsDeleted:     deleted,
-			OverlayCostPredicted: costmodel.OverlayOverhead(&u.model, v.snap.DeltaWords(), added, deleted),
-			AutoCompactArmed:     armed || !seen,
+			OverlayCostPredicted: u.overlayCost(v.snap),
+			AutoCompactArmed:     !d.disarmed,
 		}
 		words += v.snap.DeltaWords()
 	}
@@ -255,7 +251,7 @@ func (u *updates) apply(name string, ops []sage.EdgeOp, compact bool) (*updateRe
 // window takes it, or with errShuttingDown by the last holder once
 // close() has begun.
 func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen uint64) (*updateResult, error) {
-	path, err := u.catalog.path(name)
+	d, err := u.catalog.lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -265,19 +261,11 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 		u.mu.Unlock()
 		return nil, errShuttingDown
 	}
-	c := u.committers[name]
-	if c == nil {
-		c = &committer{name: name, path: path}
-		if u.wcfg.Enabled {
-			c.ws = &walState{}
-		}
-		u.committers[name] = c
-	}
-	lead := !c.busy
+	lead := !d.busy
 	if lead {
-		c.busy = true
+		d.busy = true
 	} else {
-		c.queue = append(c.queue, r)
+		d.queue = append(d.queue, r)
 	}
 	u.mu.Unlock()
 	if !lead {
@@ -285,8 +273,8 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 		lead = err == errTakeRole
 	}
 	if lead {
-		u.commit(c, r)
-		u.passRole(c)
+		u.commit(d, r)
+		u.passRole(d)
 		err = <-r.done
 	}
 	if err != nil {
@@ -300,20 +288,20 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 // window's applies add about a millisecond to its first request.
 const queueDepth = 64
 
-// passRole ends the caller's turn as c's role holder: the oldest queued
+// passRole ends the caller's turn as d's role holder: the oldest queued
 // writer becomes the holder, or the role falls free. Once close() has
 // begun nobody else commits, and whoever is still queued is turned away.
-func (u *updates) passRole(c *committer) {
+func (u *updates) passRole(d *dataset) {
 	u.mu.Lock()
-	if !u.closed && len(c.queue) > 0 {
-		next := c.queue[0]
-		c.queue = c.queue[1:]
+	if !u.closed && len(d.queue) > 0 {
+		next := d.queue[0]
+		d.queue = d.queue[1:]
 		u.mu.Unlock()
 		next.done <- errTakeRole
 		return
 	}
-	turnedAway := c.queue // non-empty only once close() has begun
-	c.queue, c.busy = nil, false
+	turnedAway := d.queue // non-empty only once close() has begun
+	d.queue, d.busy = nil, false
 	u.mu.Unlock()
 	for _, r := range turnedAway {
 		r.done <- errShuttingDown
@@ -334,35 +322,34 @@ func (u *updates) passRole(c *committer) {
 // of this same window, so it must not be acknowledged before that batch
 // is durable, nor at a generation where it is not yet visible. When the
 // fsync fails, every held request gets the 503 and nothing is published.
-func (u *updates) commit(c *committer, first *writeReq) {
-	if c.ws != nil && c.ws.log == nil {
+func (u *updates) commit(d *dataset, first *writeReq) {
+	if u.wcfg.Enabled && d.ws.log == nil {
 		// First touch, or the log failed to open (or died) earlier: run the
 		// whole recovery, so a healed disk needs no restart. With no open
 		// log there is no window in flight, so a fresh replay cannot
 		// double-apply anything.
-		u.recover(c)
+		u.recover(d)
 	}
 
 	// The window's version needs its own pin on the base mapping. Only
 	// the role holder compacts the dataset, and any current version's pin
 	// keeps the entry from being evicted, so this resolves to the same
 	// mapping the current snapshot composes with.
-	h, err := u.catalog.acquire(c.name)
+	h, err := u.catalog.acquire(d)
 	u.mu.Lock()
-	cur := u.versions[c.name]
+	cur, gen := d.version, d.gen
 	u.mu.Unlock()
 	if err == nil && cur != nil && cur.ds != h.Dataset() { // unreachable; guards the pin invariant
 		h.Release()
-		err = fmt.Errorf("snapshot base lost its mapping (dataset %q)", c.name)
+		err = fmt.Errorf("snapshot base lost its mapping (dataset %q)", d.name)
 	}
 	if err != nil {
 		first.done <- err
 		return
 	}
 	var published *sage.Snapshot
-	gen := h.Generation()
 	if cur != nil {
-		published, gen = cur.snap, cur.gen
+		published = cur.snap
 	} else {
 		published = sage.GraphFromDataset(h.Dataset()).Snapshot()
 	}
@@ -376,11 +363,11 @@ func (u *updates) commit(c *committer, first *writeReq) {
 	more := func() *writeReq {
 		u.mu.Lock()
 		defer u.mu.Unlock()
-		if taken == queueDepth || len(c.queue) == 0 || u.closed {
+		if taken == queueDepth || len(d.queue) == 0 || u.closed {
 			return nil
 		}
-		r := c.queue[0]
-		c.queue = c.queue[1:]
+		r := d.queue[0]
+		d.queue = d.queue[1:]
 		taken++
 		return r
 	}
@@ -399,8 +386,8 @@ func (u *updates) commit(c *committer, first *writeReq) {
 		// satisfied, and a batch can cancel itself out over an empty
 		// overlay; neither is logged or counted as a change.
 		if next != snap && (snap.DeltaWords() != 0 || next.DeltaWords() != 0) {
-			if c.ws != nil {
-				p, err := u.walAppend(c, r.ops)
+			if u.wcfg.Enabled {
+				p, err := u.walAppend(d, r.ops)
 				if err != nil {
 					// The log may have rolled back records buffered earlier
 					// in this window; stop extending it and let the barrier
@@ -429,8 +416,8 @@ func (u *updates) commit(c *committer, first *writeReq) {
 		// The barrier: one fsync makes every record appended up to last
 		// durable per the configured policy, before any of the window
 		// becomes visible; on failure the log has rolled all of it back.
-		if err := c.ws.log.Commit(last); err != nil {
-			err = u.readOnly(c, err)
+		if err := d.ws.log.Commit(last); err != nil {
+			err = u.readOnly(d, err)
 			h.Release()
 			u.readOnlyRejected.Add(int64(len(held)))
 			for _, r := range held {
@@ -438,28 +425,18 @@ func (u *updates) commit(c *committer, first *writeReq) {
 			}
 			return
 		}
-		u.setWAL(c.ws, c.ws.log, nil)
+		u.setWAL(d, d.ws.log, nil)
 		u.walAppends.Add(int64(logged))
 	}
 	if snap != published {
-		gen = u.catalog.cache.Bump(c.path)
-		if floor > gen {
-			gen = u.catalog.cache.BumpTo(c.path, floor)
-		}
-		if snap.DeltaWords() == 0 {
-			// The window cancelled the overlay out: back to the plain base
-			// at the bumped generation.
-			h.Release()
-			u.retire(c.name)
+		var nv *snapVersion
+		if snap.DeltaWords() > 0 {
+			nv = &snapVersion{snap: snap, ds: h.Dataset(), h: h, refs: 1}
 		} else {
-			nv := &snapVersion{snap: snap, gen: gen, ds: h.Dataset(), h: h, refs: 1}
-			u.mu.Lock()
-			u.versions[c.name] = nv
-			u.mu.Unlock()
-			if cur != nil {
-				u.unref(cur)
-			}
+			// The window cancelled the overlay out: back to the plain base.
+			h.Release()
 		}
+		gen = u.publish(d, nv, floor)
 	} else {
 		h.Release()
 	}
@@ -477,28 +454,51 @@ func (u *updates) commit(c *committer, first *writeReq) {
 			// a requested one reports that in-band (200 with compact_error)
 			// and a retried compact picks up from here.
 			if r.compact {
-				if err := u.compact(c, snap, &r.res); err != nil {
+				if err := u.compact(d, snap, floor, &r.res); err != nil {
 					r.res.compactErr = err
-				} else if floor > r.res.generation {
-					r.res.generation = u.catalog.cache.BumpTo(c.path, floor)
 				}
 			} else if snap != published && u.autoHigh > 0 && snap.DeltaWords() > 0 {
-				u.maybeAutoCompact(c, snap, &r.res)
+				u.maybeAutoCompact(d, snap, &r.res)
 			}
 		}
 		r.done <- nil
 	}
 }
 
+// publish makes nv (nil: the plain base) d's current version at the next
+// generation, raised to at least floor, and returns that generation. The
+// swap and the bump happen under one lock, so every reader pins a version
+// together with the generation it was published at.
+//
+//sage:publish
+func (u *updates) publish(d *dataset, nv *snapVersion, floor uint64) uint64 {
+	u.mu.Lock()
+	old := d.version
+	d.version = nv
+	d.gen = max(d.gen+1, floor)
+	gen := d.gen
+	if nv == nil {
+		// No overlay left means its traversal overhead is genuinely zero,
+		// so the auto-compaction trigger re-arms (a *failed* compaction
+		// leaves the overlay — and the disarmed state — in place).
+		d.disarmed = false
+	}
+	u.mu.Unlock()
+	if old != nil {
+		u.unref(old)
+	}
+	return gen
+}
+
 // maybeAutoCompact re-prices the just-published overlay's traversal
 // overhead and folds it into the base when the hysteresis band says so.
 // The batch itself never fails on the auto path — its overlay is already
 // live.
-func (u *updates) maybeAutoCompact(c *committer, snap *sage.Snapshot, res *updateResult) {
-	if !u.shouldAutoCompact(c.name, u.overlayCost(snap)) {
+func (u *updates) maybeAutoCompact(d *dataset, snap *sage.Snapshot, res *updateResult) {
+	if !u.shouldAutoCompact(d, u.overlayCost(snap)) {
 		return
 	}
-	if err := u.compact(c, snap, res); err != nil {
+	if err := u.compact(d, snap, 0, res); err != nil {
 		// Stay disarmed: a failing compaction is retried at the next
 		// crossing of the band, not on every batch.
 		u.autoCompactErrors.Add(1)
@@ -514,87 +514,67 @@ func (u *updates) maybeAutoCompact(c *committer, snap *sage.Snapshot, res *updat
 // batches hovering at the threshold therefore trigger exactly one
 // compaction — the folded overlay restarts near zero, re-arming the
 // trigger naturally — and a failed compaction is not retried per batch.
-func (u *updates) shouldAutoCompact(name string, overhead int64) bool {
+func (u *updates) shouldAutoCompact(d *dataset, overhead int64) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	armed, seen := u.armed[name]
-	if !seen {
-		armed = true
-	}
 	switch {
 	case overhead < u.autoLow:
-		u.armed[name] = true
+		d.disarmed = false
 		return false
-	case armed && overhead >= u.autoHigh:
-		u.armed[name] = false
+	case !d.disarmed && overhead >= u.autoHigh:
+		d.disarmed = true
 		return true
 	default:
-		u.armed[name] = armed
 		return false
 	}
 }
 
 // compact folds snap's merged view into a rewritten container (atomic
-// temp-file rename through Create), swaps readers onto the new
-// generation, and retires the WAL whose records were folded in. It
-// runs on the dataset's role holder after snap's overlay state has been
-// published (or is empty), so a failure here leaves a consistent, durable
-// overlay behind.
-func (u *updates) compact(c *committer, snap *sage.Snapshot, res *updateResult) error {
-	if err := snap.Compact(c.path); err != nil {
-		return fmt.Errorf("compacting %q: %w", c.name, err)
+// temp-file rename through Create), swaps readers onto the next
+// generation (raised to at least floor), and retires the WAL whose
+// records were folded in. It runs on the dataset's role holder after
+// snap's overlay state has been published (or is empty), so a failure
+// here leaves a consistent, durable overlay behind.
+func (u *updates) compact(d *dataset, snap *sage.Snapshot, floor uint64, res *updateResult) error {
+	if err := snap.Compact(d.path); err != nil {
+		return fmt.Errorf("compacting %q: %w", d.name, err)
 	}
-	// The new container is durably in place. Swap readers over (in-flight
-	// runs finish on the detached old mapping) and retire the folded log.
-	u.catalog.cache.Invalidate(c.path)
-	u.retire(c.name)
-	u.retireSegment(c)
-	// Reopen the compacted file now: a broken write surfaces here, and
-	// the response carries the generation new requests will see.
-	h, err := u.catalog.acquire(c.name)
+	// The new container is durably in place — its rename is the commit, so
+	// no log record is due. Swap readers over (in-flight runs finish on the
+	// detached old mapping) and retire the folded log.
+	u.catalog.cache.Invalidate(d.path)
+	gen := u.publish(d, nil, floor) //sage:allow walorder
+	u.retireSegment(d)
+	// Reopen the compacted file now, so a broken write surfaces here.
+	h, err := u.catalog.acquire(d)
 	if err != nil {
-		return fmt.Errorf("reopening compacted %q: %w", c.name, err)
+		return fmt.Errorf("reopening compacted %q: %w", d.name, err)
 	}
-	res.generation = h.Generation()
 	h.Release()
 	u.compactions.Add(1)
+	res.generation = gen
 	res.compacted = true
 	res.deltaWords, res.arcsAdded, res.arcsDeleted = 0, 0, 0
 	return nil
 }
 
-// retire removes name's current version (if any), dropping the map's
-// reference.
-func (u *updates) retire(name string) {
-	u.mu.Lock()
-	old := u.versions[name]
-	delete(u.versions, name)
-	// No overlay left means its traversal overhead is genuinely zero, so
-	// the auto-compaction trigger re-arms (a *failed* compaction leaves
-	// the overlay — and the disarmed state — in place).
-	u.armed[name] = true
-	u.mu.Unlock()
-	if old != nil {
-		u.unref(old)
-	}
-}
-
 // close turns every later write away, waits for each dataset's role
 // holder to finish the window it is in — a holder that finds closed set
 // answers whoever is still queued, close's own marker included, with
-// errShuttingDown and hands the role to nobody — then retires every
+// errShuttingDown and hands the role to nobody — then drops every
 // version (in-flight pins still defer the base release until their runs
 // end) and closes every WAL log, flushing appended records per policy.
 // The first close error is returned: Close performs the final flush, so a
 // failure here can mean a logged batch never reached the disk.
 func (u *updates) close() error {
+	all := u.catalog.all()
 	u.mu.Lock()
 	u.closed = true
 	var markers []*writeReq // one queued behind each role holder
-	for _, c := range u.committers {
-		if c.busy {
+	for _, d := range all {
+		if d.busy {
 			m := &writeReq{done: make(chan error, 1)}
-			c.queue = append(c.queue, m)
+			d.queue = append(d.queue, m)
 			markers = append(markers, m)
 		}
 	}
@@ -603,21 +583,23 @@ func (u *updates) close() error {
 		<-m.done
 	}
 
+	// Nobody holds a role now, or ever will again: the fields the holder
+	// owns are close's to clear.
+	var versions []*snapVersion
+	var logs []*wal.Log
 	u.mu.Lock()
-	names := make([]string, 0, len(u.versions))
-	for name := range u.versions {
-		names = append(names, name)
-	}
-	logs := make([]*wal.Log, 0, len(u.walStates))
-	for _, ws := range u.walStates {
-		if ws.log != nil {
-			logs = append(logs, ws.log)
+	for _, d := range all {
+		if d.version != nil {
+			versions = append(versions, d.version)
 		}
+		if d.ws.log != nil {
+			logs = append(logs, d.ws.log)
+		}
+		d.version, d.ws.log = nil, nil
 	}
-	u.walStates = map[string]*walState{}
 	u.mu.Unlock()
-	for _, name := range names {
-		u.retire(name)
+	for _, v := range versions {
+		u.unref(v)
 	}
 	var first error
 	for _, l := range logs {
@@ -682,13 +664,25 @@ type datasetDeltaStats struct {
 // of a dataset replays its surviving WAL records, so reads observe
 // recovered batches even before Recover has walked the catalog.
 func (s *Server) pinForRun(name string) (g *sage.Graph, gen uint64, release func(), err error) {
-	s.updates.ensureRecovered(name)
-	if v := s.updates.pin(name); v != nil {
-		return v.snap.Graph(), v.gen, func() { s.updates.unref(v) }, nil
-	}
-	h, err := s.catalog.acquire(name)
+	d, err := s.catalog.lookup(name)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return sage.GraphFromDataset(h.Dataset()), h.Generation(), h.Release, nil
+	s.updates.ensureRecovered(d)
+	for {
+		v, gen := s.updates.pin(d)
+		if v != nil {
+			return v.snap.Graph(), gen, func() { s.updates.unref(v) }, nil
+		}
+		h, err := s.catalog.acquire(d)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if s.updates.current(d, gen) {
+			return sage.GraphFromDataset(h.Dataset()), gen, h.Release, nil
+		}
+		// A window published meanwhile, and a compaction may have folded
+		// it into the file just mapped: that mapping is newer than gen.
+		h.Release()
+	}
 }

@@ -6,9 +6,11 @@ package store
 // dataset across many concurrent users, and close it only when nobody
 // holds it and the configured budget forces it out. The cache provides
 // exactly that: refcounted acquisition keyed by path, LRU eviction of idle
-// entries under a simulated-word budget, and a per-path generation counter
-// so higher layers can tell a reopened file from the mapping they cached
-// results against.
+// entries under a simulated-word budget, and detach-on-invalidate for a
+// file rewritten in place. It keeps no version of what a path serves:
+// a mapping is read-only, so reopening one changes nothing a caller could
+// have derived from it, and versioning a dataset's mutable state is the
+// job of whoever owns that state.
 
 import (
 	"sync"
@@ -25,19 +27,15 @@ type Cache struct {
 	budgetWords int64
 	seq         uint64
 	entries     map[string]*cacheEntry
-	// gens survives eviction so a path reopened later gets a new
-	// generation, invalidating anything keyed against the old mapping.
-	gens      map[string]uint64
-	openWords int64
-	hits      int64
-	misses    int64
-	evictions int64
+	openWords   int64
+	hits        int64
+	misses      int64
+	evictions   int64
 }
 
 type cacheEntry struct {
 	path    string
 	ds      *Dataset
-	gen     uint64
 	words   int64
 	refs    int
 	lastUse uint64
@@ -48,13 +46,10 @@ type cacheEntry struct {
 }
 
 // Handle is one acquisition of a cached dataset. The dataset stays open —
-// and its mmap valid — at least until Release. The generation is captured
-// at acquisition: a later Bump or reopen does not change what this handle
-// reports, so results computed against it stay keyed to the state it saw.
+// and its mmap valid — at least until Release.
 type Handle struct {
 	c        *Cache
 	e        *cacheEntry
-	gen      uint64
 	released bool
 	// peek handles (AcquireCached) do not count as uses: neither the
 	// acquisition nor its Release stamps recency, so monitoring reads
@@ -68,7 +63,6 @@ func NewCache(budgetWords int64) *Cache {
 	return &Cache{
 		budgetWords: budgetWords,
 		entries:     map[string]*cacheEntry{},
-		gens:        map[string]uint64{},
 	}
 }
 
@@ -101,8 +95,7 @@ func (c *Cache) Acquire(path string, opts OpenOptions) (*Handle, error) {
 		_ = ds.Close() // lost the insert race; the cached copy wins
 		return h, nil
 	}
-	c.gens[path]++
-	e := &cacheEntry{path: path, ds: ds, gen: c.gens[path], words: ds.SizeWords()}
+	e := &cacheEntry{path: path, ds: ds, words: ds.SizeWords()}
 	c.entries[path] = e
 	c.openWords += e.words
 	h := c.handle(e)
@@ -123,7 +116,7 @@ func (c *Cache) AcquireCached(path string) (*Handle, bool) {
 		return nil, false
 	}
 	e.refs++
-	return &Handle{c: c, e: e, gen: e.gen, peek: true}, true
+	return &Handle{c: c, e: e, peek: true}, true
 }
 
 // handle refs e and stamps its recency. Callers hold c.mu.
@@ -131,7 +124,7 @@ func (c *Cache) handle(e *cacheEntry) *Handle {
 	e.refs++
 	c.seq++
 	e.lastUse = c.seq
-	return &Handle{c: c, e: e, gen: e.gen}
+	return &Handle{c: c, e: e}
 }
 
 // evictLocked closes idle LRU entries until the budget holds (or only
@@ -157,16 +150,6 @@ func (c *Cache) evictLocked() {
 // Dataset returns the cached dataset. Valid until Release.
 func (h *Handle) Dataset() *Dataset { return h.e.ds }
 
-// Generation returns the generation the handle was acquired at: 1 for
-// the first open of a path, bumped every time the path is reopened after
-// eviction or invalidation, and every time Bump marks the open dataset's
-// derivations stale. Anything derived from the dataset (cached results,
-// decoded views) keyed by (path, generation) is therefore automatically
-// invalidated by a reopen or a bump, while handles acquired before the
-// change keep reporting — and stay correctly keyed to — the generation
-// they actually saw.
-func (h *Handle) Generation() uint64 { return h.gen }
-
 // Release returns the handle. The dataset may be evicted (and its mapping
 // unmapped) any time afterwards, so the handle's graph must not be used
 // again. Releasing twice panics: it would undercount some other holder's
@@ -191,53 +174,12 @@ func (h *Handle) Release() {
 	c.evictLocked()
 }
 
-// Bump advances the generation of path without reopening it: the open
-// dataset (if any) stays shared and every outstanding handle keeps its
-// acquired generation, but new acquisitions see the bumped value, so
-// anything keyed by (path, generation) — result caches, decoded views —
-// is invalidated. Update layers call it when they change what the stored
-// path logically serves (a new delta overlay generation) while the
-// underlying file is untouched. It returns the new generation.
-//
-//sage:publish
-func (c *Cache) Bump(path string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[path]++
-	if e, ok := c.entries[path]; ok {
-		e.gen = c.gens[path]
-	}
-	return c.gens[path]
-}
-
-// BumpTo raises path's generation to at least gen, returning the
-// resulting generation (unchanged when already at or past gen). Like
-// Bump, the open dataset stays shared and outstanding handles keep
-// their acquired generation; only new acquisitions see the raise.
-// Replicated update layers use it to adopt a peer's generation as a
-// floor, so every replica publishes the same batch at the same
-// generation and cross-replica (generation, algo, args) cache keys
-// stay coherent.
-//
-//sage:publish
-func (c *Cache) BumpTo(path string, gen uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen > c.gens[path] {
-		c.gens[path] = gen
-		if e, ok := c.entries[path]; ok {
-			e.gen = gen
-		}
-	}
-	return c.gens[path]
-}
-
 // Invalidate detaches the cached dataset for path, reporting whether an
-// entry was present: future Acquires reopen the file (at a bumped
-// generation), while the detached dataset stays open — and every
-// outstanding handle readable — until its last handle releases. Callers
-// that rewrite a stored graph in place (compaction) use it so new
-// requests map the new file while in-flight runs finish on the old one.
+// entry was present: future Acquires reopen the file, while the detached
+// dataset stays open — and every outstanding handle readable — until its
+// last handle releases. Callers that rewrite a stored graph in place
+// (compaction) use it so new requests map the new file while in-flight
+// runs finish on the old one.
 func (c *Cache) Invalidate(path string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

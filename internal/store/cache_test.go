@@ -41,9 +41,6 @@ func TestCacheHitSharesDataset(t *testing.T) {
 	if h1.Dataset() != h2.Dataset() {
 		t.Fatal("second acquisition opened a second dataset")
 	}
-	if h1.Generation() != 1 || h2.Generation() != 1 {
-		t.Fatalf("generations %d/%d, want 1/1", h1.Generation(), h2.Generation())
-	}
 	info := c.Info()
 	if info.Open != 1 || info.Hits != 1 || info.Misses != 1 {
 		t.Fatalf("info after hit: %+v", info)
@@ -75,14 +72,14 @@ func TestCacheBudgetEvictsIdleLRU(t *testing.T) {
 		t.Fatalf("after over-budget open: %+v", info)
 	}
 
-	// Reopening the evicted path bumps its generation.
+	// Naming the evicted path again reopens it.
 	ha2, err := c.Acquire(pathA, store.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ha2.Release()
-	if ha2.Generation() != 2 {
-		t.Fatalf("generation after reopen = %d, want 2", ha2.Generation())
+	if ha2.Dataset().Closed() || ha2.Dataset().Adj().NumVertices() != 64 {
+		t.Fatal("reopened dataset unreadable")
 	}
 }
 
@@ -175,8 +172,7 @@ func TestEdgeListSparseRoundTrip(t *testing.T) {
 }
 
 // TestCacheConcurrentAcquire hammers one path from many goroutines (run
-// under -race in CI): every handle must see the same open dataset and
-// generation, and the refcounting must never close it mid-use.
+// under -race in CI): every handle must see the same open dataset, and the refcounting must never close it mid-use.
 func TestCacheConcurrentAcquire(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := writeGraph(t, dir, "a", 256)
@@ -194,9 +190,6 @@ func TestCacheConcurrentAcquire(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if h.Generation() != 1 {
-					t.Errorf("generation %d", h.Generation())
-				}
 				if h.Dataset().Adj().NumVertices() != 256 {
 					t.Error("dataset corrupted under concurrency")
 				}
@@ -210,57 +203,8 @@ func TestCacheConcurrentAcquire(t *testing.T) {
 	}
 }
 
-// TestCacheBumpKeepsHandleGenerations pins the Bump contract that the
-// serving layer's update endpoint depends on: a bump invalidates the
-// (path, generation) key for NEW acquisitions while handles acquired
-// before the bump keep reporting the generation they actually saw — and
-// their dataset stays readable.
-func TestCacheBumpKeepsHandleGenerations(t *testing.T) {
-	dir := t.TempDir()
-	path, _ := writeGraph(t, dir, "a", 64)
-	c := store.NewCache(0)
-	defer c.Clear()
-
-	h1, err := c.Acquire(path, store.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Bump(path); got != 2 {
-		t.Fatalf("bump returned %d, want 2", got)
-	}
-	h2, err := c.Acquire(path, store.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1.Generation() != 1 || h2.Generation() != 2 {
-		t.Fatalf("generations %d/%d, want 1/2", h1.Generation(), h2.Generation())
-	}
-	if h1.Dataset() != h2.Dataset() {
-		t.Fatal("bump reopened the dataset")
-	}
-	if h1.Dataset().Adj().NumVertices() != 64 {
-		t.Fatal("pre-bump handle unreadable")
-	}
-	h1.Release()
-	h2.Release()
-
-	// A later reopen continues the sequence past the bumped value.
-	if !c.Evict(path) {
-		t.Fatal("idle entry not evicted")
-	}
-	h3, err := c.Acquire(path, store.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h3.Release()
-	if h3.Generation() != 3 {
-		t.Fatalf("generation after bump+reopen = %d, want 3", h3.Generation())
-	}
-}
-
 // TestCacheInvalidateDefersClose pins the compaction contract: after
-// Invalidate, new acquisitions reopen the file at a fresh generation
-// while the detached dataset stays open until its last pre-existing
+// Invalidate, new acquisitions reopen the file while the detached dataset stays open until its last pre-existing
 // handle releases.
 func TestCacheInvalidateDefersClose(t *testing.T) {
 	dir := t.TempDir()
@@ -291,9 +235,6 @@ func TestCacheInvalidateDefersClose(t *testing.T) {
 	if h2.Dataset() == old {
 		t.Fatal("acquire after invalidate returned the detached dataset")
 	}
-	if h2.Generation() != 2 {
-		t.Fatalf("generation after invalidate = %d, want 2", h2.Generation())
-	}
 	if old.Closed() {
 		t.Fatal("detached dataset closed while still referenced")
 	}
@@ -306,11 +247,12 @@ func TestCacheInvalidateDefersClose(t *testing.T) {
 	}
 }
 
-// TestCacheBumpRacesPinning drives generation bumps and invalidations
+// TestCacheInvalidateRacesPinning drives invalidations and evictions
 // against concurrent acquire/read/release cycles (run under -race in CI):
-// a pinned snapshot's dataset must stay readable until released, and a
-// handle's generation must never exceed one acquired after it.
-func TestCacheBumpRacesPinning(t *testing.T) {
+// a pinned dataset must stay readable until released. The generation
+// half of this race lives with the generation's owner, the server's
+// dataset record (TestGenerationRacesPinning).
+func TestCacheInvalidateRacesPinning(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := writeGraph(t, dir, "a", 128)
 	c := store.NewCache(0)
@@ -331,7 +273,7 @@ func TestCacheBumpRacesPinning(t *testing.T) {
 			if i%5 == 4 {
 				c.Invalidate(path)
 			} else {
-				c.Bump(path)
+				c.Evict(path)
 			}
 		}
 	}()
@@ -345,7 +287,6 @@ func TestCacheBumpRacesPinning(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				g1 := h.Generation()
 				if h.Dataset().Closed() {
 					t.Error("acquired dataset already closed")
 				}
@@ -356,9 +297,6 @@ func TestCacheBumpRacesPinning(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 					return
-				}
-				if h2.Generation() < g1 {
-					t.Errorf("generation went backwards: %d then %d", g1, h2.Generation())
 				}
 				if h.Dataset().Closed() || h2.Dataset().Closed() {
 					t.Error("dataset closed under a live handle")
