@@ -36,8 +36,8 @@
 // threshold (with hysteresis, so a hovering dataset does not flap).
 //
 // Durability: with -wal (the default), every accepted batch is appended
-// to a per-dataset write-ahead log at <path>.wal — fsynced per
-// -wal-fsync before the 200 is written — and replayed onto the stored
+// to a per-dataset write-ahead log at <path>.wal — fsynced before the
+// 200 is written; no flag weakens that — and replayed onto the stored
 // file at startup, so updates survive a crash or kill. When the log is
 // unwritable (disk full, I/O errors) the dataset degrades to read-only:
 // reads keep serving, writes answer 503 {"reason": "read_only"}, and the
@@ -94,7 +94,6 @@ import (
 	"sage"
 	"sage/internal/cluster"
 	"sage/internal/server"
-	"sage/internal/wal"
 )
 
 // The two waits a client controls before (and between) requests. Without
@@ -135,8 +134,6 @@ func main() {
 	copyDatasets := flag.Bool("copy", false, "load datasets into private heap memory instead of memory-mapping")
 	preload := flag.Bool("preload", false, "open every dataset at startup instead of lazily")
 	walEnabled := flag.Bool("wal", true, "write-ahead log update batches to <dataset>.wal and replay them at startup")
-	walFsync := flag.String("wal-fsync", "always", "WAL fsync policy: always|interval|never")
-	walInterval := flag.Duration("wal-interval", 100*time.Millisecond, "background flush period under -wal-fsync interval")
 	drainGrace := flag.Duration("drain-grace", 0, "delay between /readyz reporting draining and connection shutdown, for load balancers to catch up")
 
 	type namedPath struct{ name, path string }
@@ -190,11 +187,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown cost model %q (have %s)\n", *costModelName, strings.Join(sage.CostModelNames(), ", "))
 		os.Exit(2)
 	}
-	walPolicy, err := wal.ParsePolicy(*walFsync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	srv := server.New(server.Config{
 		Engine:             sage.NewEngine(sage.WithMode(mode), sage.WithStrategy(strategy), sage.WithModel(costModel)),
@@ -209,11 +201,7 @@ func main() {
 		QueueWait:          *queueWait,
 		MaxRunDuration:     *maxRun,
 		CopyDatasets:       *copyDatasets,
-		Durability: server.Durability{
-			Enabled:  *walEnabled,
-			Policy:   walPolicy,
-			Interval: *walInterval,
-		},
+		Durability:         server.Durability{Enabled: *walEnabled},
 	})
 	names := make([]string, 0, len(datasets))
 	for _, d := range datasets {

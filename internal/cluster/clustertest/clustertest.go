@@ -43,8 +43,9 @@ type Options struct {
 	Datasets map[string]*sage.Graph
 	// Copy opens datasets heap-copied instead of memory-mapped.
 	Copy bool
-	// NoWAL disables per-replica durability (the default is a WAL under
-	// the always-fsync policy, so a Kill loses nothing acknowledged).
+	// NoWAL disables per-replica durability (the default is a WAL that
+	// fsyncs every acknowledged batch, so a Kill loses nothing
+	// acknowledged).
 	NoWAL bool
 	// RetryBackoff is the router's failover pause / quarantine window
 	// (0: 10ms — short, so fault tests spend no real time waiting).
@@ -89,7 +90,7 @@ func (r *Replica) Path(dataset string) string { return r.paths[dataset] }
 
 // Kill simulates a crash: from now every connection to this replica
 // aborts mid-request. The crashed server is abandoned un-closed — its
-// disk state is whatever the WAL policy made durable.
+// disk state is whatever the WAL made durable.
 func (r *Replica) Kill() { r.down.Store(true) }
 
 // Restart simulates the crashed process coming back: a fresh
@@ -100,8 +101,9 @@ func (r *Replica) Restart(t testing.TB) int {
 	if old := r.srv.Load(); old != nil {
 		// The in-process stand-in for process death: release the crashed
 		// server's file handles so the restarted one owns the WAL alone.
-		// Under the always policy the flush-on-close writes nothing new,
-		// so the disk state is still the crash state.
+		// Every acknowledged batch is already fsynced, so the
+		// flush-on-close writes nothing new and the disk state is still
+		// the crash state.
 		_ = old.Close()
 	}
 	s := newServer(t, r.cfg, r.paths)
@@ -155,7 +157,7 @@ func persist(t testing.TB, dir string, datasets map[string]*sage.Graph) map[stri
 func (o *Options) serverConfig() server.Config {
 	cfg := server.Config{CopyDatasets: o.Copy}
 	if !o.NoWAL {
-		cfg.Durability = server.Durability{Enabled: true} // wal.SyncAlways
+		cfg.Durability = server.Durability{Enabled: true}
 	}
 	return cfg
 }

@@ -49,6 +49,9 @@ import (
 	"sage/internal/server"
 )
 
+// probeTimeout bounds one background /readyz probe.
+const probeTimeout = 2 * time.Second
+
 // RouterConfig configures NewRouter.
 type RouterConfig struct {
 	// Peers are the replicas behind this router. Required.
@@ -61,14 +64,9 @@ type RouterConfig struct {
 	// model's recommendation — one replica per socket, the paper's §5.2
 	// replicated placement — clamped to the peer count.
 	Replication int
-	// Client issues proxied requests; nil builds one with no overall
-	// timeout (runs may be long; cancellation rides the request context).
-	Client *http.Client
 	// ProbeInterval is the background health-probe period (0: default 2s;
 	// < 0: disabled, passive failure detection only).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /readyz probe (0: default 2s).
-	ProbeTimeout time.Duration
 	// RetryBackoff is the pause between read failover attempts and the
 	// quarantine window after a transport failure (0: default 100ms).
 	RetryBackoff time.Duration
@@ -110,16 +108,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: runtime.GOMAXPROCS(0) * 4,
-		}}
-	}
-	probeTimeout := cfg.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = 2 * time.Second
-	}
+	// Proxied requests carry no overall timeout: runs may be long, and
+	// cancellation rides the request context.
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: runtime.GOMAXPROCS(0) * 4,
+	}}
 	backoff := cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond

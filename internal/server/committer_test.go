@@ -6,7 +6,11 @@ package server
 // test queue up behind it, and releasing the gate makes them one window.
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
@@ -334,4 +338,82 @@ func TestWriterCommitsOnlyItsOwnWindow(t *testing.T) {
 		t.Fatalf("group_batches=%d, want %d", ws.GroupBatches, writers*perWriter)
 	}
 	t.Logf("%d batches in %d windows", ws.GroupBatches, ws.GroupSyncs)
+}
+
+// TestMetricsScrapeBesideCommits: /metrics reads each log's commit
+// counters while writers commit through it. The log has no mutex, so the
+// counters are the only state read off the writer's goroutine; under
+// -race this fails if they stop being atomics. The scrapes must also
+// never see the counters run backwards, and the last one must count
+// every batch.
+func TestMetricsScrapeBesideCommits(t *testing.T) {
+	const writers, perWriter = 4, 50
+	srv := newWALServer(t, makeBase(t, t.TempDir(), 16+writers*perWriter), nil)
+	srv.Recover()
+
+	scrape := func() (walStats, error) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var m struct {
+			WAL walStats `json:"wal"`
+		}
+		if rec.Code != http.StatusOK {
+			return m.WAL, fmt.Errorf("/metrics answered %d", rec.Code)
+		}
+		err := json.Unmarshal(rec.Body.Bytes(), &m)
+		return m.WAL, err
+	}
+
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		var last walStats
+		defer func() { scraped <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ws, err := scrape()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			n++
+			if ws.GroupSyncs < last.GroupSyncs || ws.GroupBatches < last.GroupBatches {
+				t.Errorf("counters ran backwards: %+v after %+v", ws, last)
+				return
+			}
+			last = ws
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				op := sage.EdgeOp{U: uint32(w), V: uint32(16 + w*perWriter + i)}
+				if _, err := srv.updates.applySync("g", []sage.EdgeOp{op}, false, 0); err != nil {
+					t.Errorf("writer %d batch %d: %v", w, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	n := <-scraped
+
+	ws, err := scrape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.GroupBatches != writers*perWriter || ws.GroupSyncs < 1 || ws.GroupSyncs > ws.GroupBatches {
+		t.Fatalf("group_syncs=%d group_batches=%d after %d batches", ws.GroupSyncs, ws.GroupBatches, writers*perWriter)
+	}
+	t.Logf("%d scrapes beside %d batches in %d windows", n, ws.GroupBatches, ws.GroupSyncs)
 }

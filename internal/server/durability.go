@@ -4,8 +4,8 @@ package server
 // is DRAM-only: a crash loses all batches applied since the last
 // compaction, and a restarted server silently serves the stale base. With
 // durability enabled, each dataset gets a write-ahead log at <path>.wal
-// (internal/wal): an accepted batch is appended — and, under the "always"
-// fsync policy, on disk — before its overlay becomes visible, so the
+// (internal/wal): an accepted batch is appended and fsynced before its
+// overlay becomes visible, so the
 // served state is always reconstructible from (container generation,
 // surviving log records). Recovery replays those records onto the stored
 // base; compaction folds them into a new container generation and retires
@@ -30,7 +30,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"sage"
 	"sage/internal/wal"
@@ -42,14 +41,11 @@ const WALSuffix = ".wal"
 
 // Durability configures the write-ahead log guarding update batches.
 // The zero value disables it (updates are DRAM-only, pre-WAL behavior).
+// Enabled, every accepted batch is fsynced before its 200 is written;
+// there is no weaker setting.
 type Durability struct {
 	// Enabled turns the per-dataset write-ahead log on.
 	Enabled bool
-	// Policy selects when appended batches are fsynced (default
-	// wal.SyncAlways: a batch is durable before its 200 is written).
-	Policy wal.SyncPolicy
-	// Interval is the background flush period under wal.SyncInterval.
-	Interval time.Duration
 	// FS substitutes the filesystem the logs live on; nil means the
 	// real one. Tests inject wal.FaultFS here to simulate crashes, short
 	// writes, and fsync failures.
@@ -116,9 +112,7 @@ func (u *updates) openSegment(d *dataset) {
 		u.setWAL(d, nil, fmt.Errorf("fingerprinting container: %w", err))
 		return
 	}
-	log, rec, err := wal.Open(d.path+WALSuffix, fp, wal.Options{
-		FS: u.wcfg.FS, Policy: u.wcfg.Policy, Interval: u.wcfg.Interval,
-	})
+	log, rec, err := wal.Open(d.path+WALSuffix, fp, wal.Options{FS: u.wcfg.FS})
 	if err != nil {
 		u.setWAL(d, nil, err)
 		return
@@ -245,7 +239,7 @@ func (u *updates) retireSegment(d *dataset) {
 // walSnapshot reports the durability layer for /metrics, aggregating the
 // per-log group-commit counters across datasets.
 func (u *updates) walSnapshot() walStats {
-	s := walStats{Enabled: u.wcfg.Enabled, Policy: u.wcfg.Policy.String()}
+	s := walStats{Enabled: u.wcfg.Enabled}
 	if !u.wcfg.Enabled {
 		return s
 	}
@@ -278,15 +272,14 @@ func (u *updates) walSnapshot() walStats {
 // mean commit window — 1.0 means every batch paid its own fsync, higher
 // means concurrent writers shared commit windows.
 type walStats struct {
-	Enabled           bool   `json:"enabled"`
-	Policy            string `json:"policy"`
-	ReadOnlyDatasets  int    `json:"read_only_datasets"`
-	Appends           int64  `json:"appends"`
-	ReplayedBatches   int64  `json:"replayed_batches"`
-	DiscardedSegments int64  `json:"discarded_segments"`
-	RejectedReadOnly  int64  `json:"rejected_read_only"`
-	GroupSyncs        int64  `json:"group_syncs"`
-	GroupBatches      int64  `json:"group_batches"`
+	Enabled           bool  `json:"enabled"`
+	ReadOnlyDatasets  int   `json:"read_only_datasets"`
+	Appends           int64 `json:"appends"`
+	ReplayedBatches   int64 `json:"replayed_batches"`
+	DiscardedSegments int64 `json:"discarded_segments"`
+	RejectedReadOnly  int64 `json:"rejected_read_only"`
+	GroupSyncs        int64 `json:"group_syncs"`
+	GroupBatches      int64 `json:"group_batches"`
 }
 
 // walOps converts a validated batch to its log form. wal.Op has EdgeOp's

@@ -80,7 +80,7 @@ type Config struct {
 	// memory-mapping them.
 	CopyDatasets bool
 	// Durability configures the per-dataset write-ahead log: update
-	// batches are logged (and fsynced per policy) before their overlay
+	// batches are logged and fsynced before their overlay
 	// becomes visible, and replayed onto the stored base at startup. The
 	// zero value disables it. See durability.go.
 	Durability Durability

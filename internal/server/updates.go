@@ -220,10 +220,9 @@ type updateResult struct {
 // errors), errReadOnly (the WAL is unwritable, 503), errShuttingDown
 // (close() began, 503), or an IO error.
 //
-// With durability enabled the batch is logged and carried through its
-// window's fsync — under the always policy it is durable — before its
-// overlay becomes visible, so the published state never gets ahead of the
-// log. A batch that changes nothing against published state publishes
+// With durability enabled the batch is logged and made durable by its
+// window's fsync before its overlay becomes visible, so the published
+// state never gets ahead of the log. A batch that changes nothing against published state publishes
 // nothing: no swap, no log record, and no generation bump, so cached
 // results survive it. A compaction requested alongside ops is a second
 // phase: if the container rewrite fails, the (already durable, already
@@ -414,8 +413,8 @@ func (u *updates) commit(d *dataset, first *writeReq) {
 
 	if last != nil {
 		// The barrier: one fsync makes every record appended up to last
-		// durable per the configured policy, before any of the window
-		// becomes visible; on failure the log has rolled all of it back.
+		// durable before any of the window becomes visible; on failure
+		// the log has rolled all of it back.
 		if err := d.ws.log.Commit(last); err != nil {
 			err = u.readOnly(d, err)
 			h.Release()
@@ -563,7 +562,7 @@ func (u *updates) compact(d *dataset, snap *sage.Snapshot, floor uint64, res *up
 // answers whoever is still queued, close's own marker included, with
 // errShuttingDown and hands the role to nobody — then drops every
 // version (in-flight pins still defer the base release until their runs
-// end) and closes every WAL log, flushing appended records per policy.
+// end) and closes every WAL log, flushing appended records.
 // The first close error is returned: Close performs the final flush, so a
 // failure here can mean a logged batch never reached the disk.
 func (u *updates) close() error {

@@ -4,29 +4,29 @@
 // every mutation in a DRAM-resident overlay, which means a crash loses
 // the overlay — unless the batches that built it were made durable
 // first. The WAL records exactly that: each applied batch is encoded as
-// a length-prefixed, CRC-checksummed record and (per a configurable
-// fsync policy) flushed to storage before the overlay becomes visible,
-// so a restarted server can replay surviving records onto the last
-// durable container generation.
+// a length-prefixed, CRC-checksummed record and fsynced before the
+// overlay becomes visible, so a restarted server can replay surviving
+// records onto the last durable container generation.
 //
 // # One writer
 //
 // A Log has a single writer: one goroutine at a time appends, commits,
-// truncates and closes (the server's per-dataset committer role). Paying
-// the expensive flush once per window of changes, never per change, is
-// therefore the caller's business: AppendBuffer assigns the batch its
-// sequence number and writes the record; Commit fsyncs once, making
-// every record appended so far durable. Under SyncAlways a batch is
-// durable exactly when a Commit at or after it returns nil. Because fsync
-// makes the whole file durable (a prefix, never a subset), a failed flush
-// cannot leave holes: the log truncates back to the last durable offset,
-// rewinds its sequence counter, and keeps the failure sticky until a
-// later append's probe fsync succeeds; the writer drops the failed
-// window's tickets and starts over from its published state.
+// truncates, sizes and closes (the server's per-dataset committer role).
+// Paying the expensive flush once per window of changes, never per
+// change, is therefore the caller's business: AppendBuffer assigns the
+// batch its sequence number and writes the record; Commit fsyncs once,
+// making every record appended so far durable. A batch is durable
+// exactly when a Commit at or after it returns nil; there is no weaker
+// policy. Because fsync makes the whole file durable (a prefix, never a
+// subset), a failed flush cannot leave holes: the log truncates back to
+// the last durable offset, rewinds its sequence counter, and keeps the
+// failure sticky until a later append's probe fsync succeeds; the writer
+// drops the failed window's tickets and starts over from its published
+// state.
 //
-// Two things may run beside the writer, and the log's mutex exists only
-// for them: the SyncInterval policy's background flusher (the package's
-// one goroutine) and the accessors Stats and Size, which /metrics reads.
+// The log owns no goroutine and no mutex. Only Stats, which /metrics
+// reads, may run beside the writer; its two counters are atomics. Size
+// is a writer-side call like the rest.
 //
 // # Layout
 //
@@ -68,8 +68,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
+	"sync/atomic"
 )
 
 const (
@@ -90,66 +89,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed reports use of a closed log.
 var ErrClosed = errors.New("wal: log is closed")
 
-// SyncPolicy selects when appended records reach stable storage.
-type SyncPolicy int
-
-const (
-	// SyncAlways fsyncs in Commit: a batch is durable before its overlay
-	// becomes visible. The default.
-	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs from a background flusher every Interval:
-	// bounded data loss (at most one interval of batches) for much
-	// cheaper appends.
-	SyncInterval
-	// SyncNever leaves flushing to the operating system entirely.
-	SyncNever
-)
-
-// String returns the flag spelling of the policy.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "never"
-	}
-	return fmt.Sprintf("SyncPolicy(%d)", int(p))
-}
-
-// ParsePolicy parses the flag spelling ("always", "interval", "never").
-func ParsePolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval, or never)", s)
-}
-
 // Options configures Open.
 type Options struct {
 	// FS is the filesystem the log lives on; nil means the real one.
 	FS FS
-	// Policy selects when appends are fsynced (default SyncAlways).
-	Policy SyncPolicy
-	// Interval is the background flush period under SyncInterval
-	// (default 100ms).
-	Interval time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.FS == nil {
-		o.FS = OS
-	}
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
-	return o
 }
 
 // Fingerprint identifies one container generation: the file's size plus
@@ -232,14 +175,12 @@ type Recovery struct {
 type Pending struct{ seq uint64 }
 
 // Log is one dataset's write-ahead log. It has one writer (see the
-// package comment); only Stats and Size may be called from elsewhere.
+// package comment); only Stats may be called from elsewhere.
 type Log struct {
 	fs   FS
 	path string
 	base Fingerprint
-	opts Options
 
-	mu         sync.Mutex // the writer against the interval flusher and Stats/Size
 	f          File
 	goodOff    int64  // end of the last fully appended record
 	curOff     int64  // bytes physically written (>= goodOff after a failed append)
@@ -249,24 +190,21 @@ type Log struct {
 	syncErr    error  // sticky flush failure; cleared by a later success
 	closed     bool
 
-	groupSyncs   int64
-	groupBatches int64
-
-	stop chan struct{}
-	done chan struct{}
+	// The only fields read off the writer's goroutine (by Stats).
+	groupSyncs   atomic.Int64
+	groupBatches atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of a log's commit activity.
 type Stats struct {
 	GroupSyncs   int64 // fsyncs taken by Commit
-	GroupBatches int64 // batches made durable under SyncAlways: ÷ GroupSyncs is the mean window
+	GroupBatches int64 // batches made durable by Commit: ÷ GroupSyncs is the mean window
 }
 
-// Stats reports the log's commit counters.
+// Stats reports the log's commit counters. It is safe to call beside
+// the writer.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Stats{GroupSyncs: l.groupSyncs, GroupBatches: l.groupBatches}
+	return Stats{GroupSyncs: l.groupSyncs.Load(), GroupBatches: l.groupBatches.Load()}
 }
 
 // encodeHeader is the header this log writes for base: segment index 1
@@ -294,15 +232,18 @@ func encodeHeader(base Fingerprint) []byte {
 // rotated log sits beside the file: it holds acknowledged batches that
 // this log can neither replay nor silently drop.
 func Open(path string, base Fingerprint, opts Options) (*Log, Recovery, error) {
-	opts = opts.withDefaults()
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = OS
+	}
 	var rec Recovery
 	sealed := path + ".1"
-	if _, err := opts.FS.Stat(sealed); err == nil {
+	if _, err := fsys.Stat(sealed); err == nil {
 		return nil, rec, fmt.Errorf("wal: %s is a sealed segment of a rotated log and holds "+
 			"acknowledged batches this version cannot replay; compact the dataset with the "+
 			"version that wrote it, or remove the file to drop them", sealed)
 	}
-	f, err := opts.FS.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, rec, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
@@ -311,17 +252,12 @@ func Open(path string, base Fingerprint, opts Options) (*Log, Recovery, error) {
 		_ = f.Close()
 		return nil, rec, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	l := &Log{fs: opts.FS, path: path, base: base, opts: opts, f: f}
+	l := &Log{fs: fsys, path: path, base: base, f: f}
 	if err := l.replay(data, &rec); err != nil {
 		_ = f.Close()
 		return nil, rec, err
 	}
 	l.durableOff, l.durableSeq = l.goodOff, l.seq
-	if opts.Policy == SyncInterval {
-		l.stop = make(chan struct{})
-		l.done = make(chan struct{})
-		go l.flushLoop()
-	}
 	return l, rec, nil
 }
 
@@ -333,13 +269,13 @@ func Open(path string, base Fingerprint, opts Options) (*Log, Recovery, error) {
 // l.goodOff.
 func (l *Log) replay(data []byte, rec *Recovery) error {
 	if len(data) == 0 {
-		return l.writeHeaderLocked(false)
+		return l.writeHeader(false)
 	}
 	if len(data) < headerSize || !bytes.Equal(data[:headerSize], encodeHeader(l.base)) {
 		// None of its records may replay onto this base. A torn header
 		// lost nothing: it is fsynced before any record lands.
 		rec.Discarded = true
-		return l.resetLocked()
+		return l.reset()
 	}
 	off := int64(headerSize)
 	for int64(len(data)) > off {
@@ -365,10 +301,10 @@ func (l *Log) replay(data []byte, rec *Recovery) error {
 	return nil
 }
 
-// resetLocked discards every record: the file is rewritten as a fresh
+// reset discards every record: the file is rewritten as a fresh
 // header for the current base.
-func (l *Log) resetLocked() error {
-	if err := l.writeHeaderLocked(true); err != nil {
+func (l *Log) reset() error {
+	if err := l.writeHeader(true); err != nil {
 		return err
 	}
 	l.seq, l.durableSeq = 0, 0
@@ -376,11 +312,11 @@ func (l *Log) resetLocked() error {
 	return nil
 }
 
-// writeHeaderLocked writes the header for the current base, after cutting
+// writeHeader writes the header for the current base, after cutting
 // the file to nothing when truncate is set. The header is synced
-// immediately regardless of policy — it is written once per file and a
-// lost header would orphan every later record.
-func (l *Log) writeHeaderLocked(truncate bool) error {
+// immediately, not at the next Commit — it is written once per file and
+// a lost header would orphan every later record.
+func (l *Log) writeHeader(truncate bool) error {
 	if truncate {
 		if err := l.f.Truncate(0); err != nil {
 			return fmt.Errorf("wal: resetting %s: %w", l.path, err)
@@ -462,9 +398,8 @@ func encodeRecord(seq uint64, ops []Op) []byte {
 
 // AppendBuffer writes one batch's record at the end of the log,
 // assigning it the next sequence number, and returns its commit ticket.
-// Under SyncAlways the batch is NOT durable until a Commit at or after
-// the ticket returns nil; under the interval/never policies durability
-// is the flusher's business. The second parameter is unused: it chained
+// The batch is NOT durable until a Commit at or after the ticket
+// returns nil. The second parameter is unused: it chained
 // a batch onto an earlier ticket when the log had concurrent callers, and
 // stays in the signature only until the benchmark probe, which passes a
 // literal nil, can be edited.
@@ -475,15 +410,13 @@ func encodeRecord(seq uint64, ops []Op) []byte {
 //
 //sage:durable
 func (l *Log) AppendBuffer(ops []Op, _ *Pending) (*Pending, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		return nil, ErrClosed
 	}
 	// A torn record on the tail would truncate every later record at
 	// replay, so it must be gone before anything new is written.
 	if l.curOff != l.goodOff {
-		if err := l.truncateToGoodLocked(); err != nil {
+		if err := l.truncateToGood(); err != nil {
 			return nil, fmt.Errorf("wal: clearing torn tail: %w", err)
 		}
 	}
@@ -492,7 +425,7 @@ func (l *Log) AppendBuffer(ops []Op, _ *Pending) (*Pending, error) {
 		if err := l.f.Sync(); err != nil {
 			return nil, fmt.Errorf("wal: flush still failing: %w", err)
 		}
-		l.flushedLocked()
+		l.flushed()
 	}
 	p := &Pending{seq: l.seq + 1}
 	rec := encodeRecord(p.seq, ops)
@@ -503,7 +436,7 @@ func (l *Log) AppendBuffer(ops []Op, _ *Pending) (*Pending, error) {
 	}
 	if werr != nil {
 		// Best-effort cleanup; the next append retries it if this fails.
-		l.truncateToGoodLocked()
+		l.truncateToGood()
 		return nil, fmt.Errorf("wal: appending batch: %w", werr)
 	}
 	l.seq = p.seq
@@ -513,10 +446,10 @@ func (l *Log) AppendBuffer(ops []Op, _ *Pending) (*Pending, error) {
 
 // Commit makes p's batch — and every record appended before or since —
 // durable with one fsync, or does nothing when it already is (an earlier
-// Commit covered it) or the policy is not SyncAlways. On a
-// failed fsync the log truncates back to its durable prefix, rewinds the
-// sequence counter and keeps the error sticky: the disk cannot say which
-// of the window's records it kept, so none of them may become visible.
+// Commit covered it). On a failed fsync the log truncates back to its
+// durable prefix, rewinds the sequence counter and keeps the error
+// sticky: the disk cannot say which of the window's records it kept, so
+// none of them may become visible.
 // A ticket withdrawn by such a rollback reports the failure that
 // withdrew it.
 //
@@ -526,48 +459,44 @@ func (l *Log) Commit(p *Pending) error {
 	if p == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	switch {
-	case l.opts.Policy != SyncAlways || p.seq <= l.durableSeq:
+	case p.seq <= l.durableSeq:
 		return nil
 	case p.seq > l.seq:
 		return fmt.Errorf("wal: batch %d was rolled back: %w", p.seq, l.syncErr)
 	case l.closed:
 		return ErrClosed
 	}
-	l.groupSyncs++
+	l.groupSyncs.Add(1)
 	if err := l.f.Sync(); err != nil {
-		l.rollbackLocked(err)
+		l.rollback(err)
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.flushedLocked()
+	l.flushed()
 	return nil
 }
 
-// flushedLocked records a successful fsync of the log:
+// flushed records a successful fsync of the log:
 // everything appended so far is durable and the sticky error is healed.
-func (l *Log) flushedLocked() {
-	if l.opts.Policy == SyncAlways {
-		l.groupBatches += int64(l.seq - l.durableSeq)
-	}
+func (l *Log) flushed() {
+	l.groupBatches.Add(int64(l.seq - l.durableSeq))
 	l.durableOff, l.durableSeq = l.goodOff, l.seq
 	l.syncErr = nil
 }
 
-// rollbackLocked handles a failed flush: the file is cut back to its
+// rollback handles a failed flush: the file is cut back to its
 // durable prefix and the sequence counter rewinds with it — records
 // between the durable prefix and the failure cannot be told apart, so
 // all of them are withdrawn.
-func (l *Log) rollbackLocked(cause error) {
+func (l *Log) rollback(cause error) {
 	l.goodOff, l.seq, l.syncErr = l.durableOff, l.durableSeq, cause
 	// If the truncate fails, curOff stays ahead of goodOff and the next
 	// append clears the tail before writing.
-	l.truncateToGoodLocked()
+	l.truncateToGood()
 }
 
-// truncateToGoodLocked cuts the log back to the last good record.
-func (l *Log) truncateToGoodLocked() error {
+// truncateToGood cuts the log back to the last good record.
+func (l *Log) truncateToGood() error {
 	if err := l.f.Truncate(l.goodOff); err != nil {
 		return err
 	}
@@ -578,34 +507,9 @@ func (l *Log) truncateToGoodLocked() error {
 	return nil
 }
 
-// flushLoop is the SyncInterval background flusher.
-func (l *Log) flushLoop() {
-	defer close(l.done)
-	t := time.NewTicker(l.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if l.seq > l.durableSeq && !l.closed {
-				if err := l.f.Sync(); err != nil {
-					l.syncErr = err
-				} else {
-					l.flushedLocked()
-				}
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
 // Size returns the log's logical size (through the last good
-// record).
+// record). It is the writer's call, like every method but Stats.
 func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.goodOff
 }
 
@@ -617,13 +521,11 @@ func (l *Log) Size() int64 {
 //
 //sage:durable
 func (l *Log) TruncateTo(b Batch) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
 	if b.Seq == 0 {
-		return l.resetLocked()
+		return l.reset()
 	}
 	if b.EndOff < headerSize || b.EndOff > l.goodOff {
 		return fmt.Errorf("wal: TruncateTo(%d) outside [%d, %d]", b.EndOff, headerSize, l.goodOff)
@@ -646,28 +548,20 @@ func (l *Log) TruncateTo(b Batch) error {
 // HeaderSize returns the offset of the first record.
 func HeaderSize() int64 { return headerSize }
 
-// Close flushes appended records (unless SyncNever) and closes the log.
+// Close flushes appended records and closes the log.
 func (l *Log) Close() error {
-	l.mu.Lock()
 	if l.closed {
-		l.mu.Unlock()
 		return ErrClosed
 	}
 	l.closed = true
-	stop, done := l.stop, l.done
 	var first error
-	if l.seq > l.durableSeq && l.opts.Policy != SyncNever {
+	if l.seq > l.durableSeq {
 		if first = l.f.Sync(); first == nil {
-			l.flushedLocked()
+			l.flushed()
 		}
 	}
 	if err := l.f.Close(); first == nil {
 		first = err
-	}
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
 	}
 	return first
 }

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // newBase writes a fake container file and fingerprints it.
@@ -317,24 +316,6 @@ func TestTruncateToDropsSuffix(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SyncPolicy
-	}{{"always", SyncAlways}, {"interval", SyncInterval}, {"never", SyncNever}} {
-		p, err := ParsePolicy(tc.in)
-		if err != nil || p != tc.want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", tc.in, p, err)
-		}
-		if p.String() != tc.in {
-			t.Fatalf("String() = %q, want %q", p.String(), tc.in)
-		}
-	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
-	}
-}
-
 func TestStickySyncErrorDegradesAndHeals(t *testing.T) {
 	dir := t.TempDir()
 	base, fp := newBase(t, dir, []byte("container"))
@@ -414,33 +395,6 @@ func TestDiskFullShortWriteDegradesAndHeals(t *testing.T) {
 	}
 	if len(rec.Batches) != 2 || rec.TornBytes != 0 {
 		t.Fatalf("recovered %d batches, %d torn", len(rec.Batches), rec.TornBytes)
-	}
-}
-
-func TestIntervalPolicyBackgroundFlush(t *testing.T) {
-	dir := t.TempDir()
-	base, fp := newBase(t, dir, []byte("container"))
-	ffs := NewFaultFS(nil)
-
-	l, _, err := Open(base+".wal", fp, Options{FS: ffs, Policy: SyncInterval, Interval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := ffs.Steps()
-	if _, err := appendSync(l, []Op{{U: 0, V: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// The append itself must not sync (that is the policy's point); the
-	// background flusher does within a few intervals.
-	deadline := time.Now().Add(2 * time.Second)
-	for ffs.Steps() < before+2 { // +1 write, +1 background sync
-		if time.Now().After(deadline) {
-			t.Fatal("background flush never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
