@@ -1,24 +1,40 @@
 // Package frontier provides the vertexSubset abstraction of Ligra (§2):
-// a subset of vertices with dual sparse (id list) and dense (boolean
-// array) representations, converted lazily as the traversal layer switches
+// a subset of vertices with dual sparse (id list) and dense (bitmap)
+// representations, converted lazily as the traversal layer switches
 // between push- and pull-based edgeMaps.
+//
+// The dense form is a packed bitmap of ⌈n/64⌉ words: vertex v is bit
+// v&63 of word v>>6, and the bits of the last word past n are always
+// clear. That is the O(n/64)-word frontier the PSAM's DRAM budget (§3)
+// prices, and it lets every consumer work a word at a time: the degree
+// sum and the dense→sparse pack visit only set bits, and the pack emits
+// ids in increasing order.
 package frontier
 
 import (
+	"math/bits"
+	"sync/atomic"
+
 	"sage/internal/parallel"
 )
 
 // VertexSubset is a subset of the vertices [0, n). It is either sparse
-// (an unordered id list) or dense (a boolean array); conversions cache
-// nothing and are performed by the traversal layer when switching
-// directions.
+// (an unordered id list) or dense (a bitmap); conversions cache nothing
+// and are performed by the traversal layer when switching directions.
 type VertexSubset struct {
 	n      uint32
 	sparse []uint32
-	dense  []bool
+	dense  []uint64
 	size   int
 	dFlag  bool
 }
+
+// Words returns the length of the dense bitmap over n vertices: ⌈n/64⌉.
+func Words(n uint32) int { return int((uint64(n) + 63) / 64) }
+
+// wordGrain is the number of bitmap words one parallel block covers:
+// 16 words are 1,024 vertices, the default grain of a per-vertex loop.
+const wordGrain = 16
 
 // Empty returns an empty subset over n vertices.
 func Empty(n uint32) *VertexSubset {
@@ -35,20 +51,26 @@ func FromSparse(n uint32, ids []uint32) *VertexSubset {
 	return &VertexSubset{n: n, sparse: ids, size: len(ids)}
 }
 
-// FromDense wraps a boolean array of length n (takes ownership). If size
-// is negative it is computed with a parallel count.
-func FromDense(n uint32, flags []bool, size int) *VertexSubset {
+// FromDense wraps a bitmap of Words(n) words whose bits past n are clear
+// (takes ownership). If size is negative it is computed as the bitmap's
+// popcount.
+func FromDense(n uint32, bitmap []uint64, size int) *VertexSubset {
 	if size < 0 {
-		size = parallel.Count(int(n), 0, func(i int) bool { return flags[i] })
+		size = parallel.ReduceSum(len(bitmap), 0, func(i int) int {
+			return bits.OnesCount64(bitmap[i])
+		})
 	}
-	return &VertexSubset{n: n, dense: flags, size: size, dFlag: true}
+	return &VertexSubset{n: n, dense: bitmap, size: size, dFlag: true}
 }
 
 // All returns the subset containing every vertex.
 func All(n uint32) *VertexSubset {
-	flags := make([]bool, n)
-	parallel.Fill(flags, true)
-	return FromDense(n, flags, int(n))
+	bitmap := make([]uint64, Words(n))
+	parallel.Fill(bitmap, ^uint64(0))
+	if tail := n & 63; tail != 0 {
+		bitmap[len(bitmap)-1] = 1<<tail - 1
+	}
+	return FromDense(n, bitmap, int(n))
 }
 
 // N returns the universe size.
@@ -63,27 +85,35 @@ func (s *VertexSubset) IsEmpty() bool { return s.size == 0 }
 // IsDense reports the current representation.
 func (s *VertexSubset) IsDense() bool { return s.dFlag }
 
-// Sparse returns the id list, converting from dense if necessary (the
-// conversion is a parallel pack). The result must be treated as read-only.
+// Sparse returns the id list, converting from dense if necessary, in
+// which case the ids are in increasing order. The conversion is a parallel
+// pack over the bitmap: a popcount per block of words, a scan of the
+// counts, and a trailing-zeros walk that writes each block's ids at its
+// offset. The result must be treated as read-only.
 func (s *VertexSubset) Sparse() []uint32 {
 	if !s.dFlag {
 		return s.sparse
 	}
 	if s.sparse == nil {
-		s.sparse = parallel.PackIndex(int(s.n), func(i int) bool { return s.dense[i] })
+		s.sparse = pack(s.dense)
 	}
 	return s.sparse
 }
 
-// Dense returns the boolean array, converting from sparse if necessary.
-func (s *VertexSubset) Dense() []bool {
+// Dense returns the bitmap, converting from sparse if necessary. The
+// conversion sets one bit per id with an atomic OR, since ids that share
+// a word may be set by different workers.
+func (s *VertexSubset) Dense() []uint64 {
 	if s.dFlag {
 		return s.dense
 	}
 	if s.dense == nil {
-		flags := make([]bool, s.n)
-		parallel.For(len(s.sparse), 0, func(i int) { flags[s.sparse[i]] = true })
-		s.dense = flags
+		bitmap := make([]uint64, Words(s.n))
+		parallel.For(len(s.sparse), 0, func(i int) {
+			v := s.sparse[i]
+			atomic.OrUint64(&bitmap[v>>6], 1<<(v&63))
+		})
+		s.dense = bitmap
 	}
 	return s.dense
 }
@@ -91,9 +121,9 @@ func (s *VertexSubset) Dense() []bool {
 // ForEach calls fn for every member, in parallel.
 func (s *VertexSubset) ForEach(fn func(v uint32)) {
 	if s.dFlag {
-		parallel.For(int(s.n), 0, func(i int) {
-			if s.dense[i] {
-				fn(uint32(i))
+		parallel.For(len(s.dense), wordGrain, func(i int) {
+			for w := s.dense[i]; w != 0; w &= w - 1 {
+				fn(uint32(i<<6 | bits.TrailingZeros64(w)))
 			}
 		})
 		return
@@ -101,11 +131,11 @@ func (s *VertexSubset) ForEach(fn func(v uint32)) {
 	parallel.For(len(s.sparse), 0, func(i int) { fn(s.sparse[i]) })
 }
 
-// Contains reports membership (converts to dense if sparse; intended for
-// tests, not hot paths).
+// Contains reports membership. On a sparse subset it scans the id list,
+// so it is intended for tests, not hot paths.
 func (s *VertexSubset) Contains(v uint32) bool {
 	if s.dFlag {
-		return s.dense[v]
+		return s.dense[v>>6]&(1<<(v&63)) != 0
 	}
 	for _, u := range s.sparse {
 		if u == v {
@@ -113,4 +143,36 @@ func (s *VertexSubset) Contains(v uint32) bool {
 		}
 	}
 	return false
+}
+
+// pack returns the positions of bitmap's set bits in increasing order.
+func pack(bitmap []uint64) []uint32 {
+	nBlocks := (len(bitmap) + wordGrain - 1) / wordGrain
+	counts := make([]int, nBlocks)
+	parallel.ForBlocks(len(bitmap), wordGrain, func(_, lo, hi int) {
+		c := 0
+		for _, w := range bitmap[lo:hi] {
+			c += bits.OnesCount64(w)
+		}
+		counts[lo/wordGrain] = c
+	})
+	out := make([]uint32, parallel.Scan(counts))
+	parallel.ForBlocks(len(bitmap), wordGrain, func(_, lo, hi int) {
+		emit(out[counts[lo/wordGrain]:], bitmap[lo:hi], uint32(lo)<<6)
+	})
+	return out
+}
+
+// emit writes base plus the position of every set bit of words into dst,
+// in increasing order.
+//
+//sage:hotpath
+func emit(dst []uint32, words []uint64, base uint32) {
+	o := 0
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			dst[o] = base + uint32(i<<6|bits.TrailingZeros64(w))
+			o++
+		}
+	}
 }

@@ -1,9 +1,14 @@
 package frontier
 
 import (
-	"sort"
+	"fmt"
+	"math/bits"
+	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"sage/internal/parallel"
 )
 
 func TestEmptyAndSingle(t *testing.T) {
@@ -21,11 +26,8 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 	ids := []uint32{2, 5, 7}
 	s := FromSparse(10, append([]uint32(nil), ids...))
 	d := s.Dense()
-	for i := uint32(0); i < 10; i++ {
-		want := i == 2 || i == 5 || i == 7
-		if d[i] != want {
-			t.Fatalf("dense[%d]=%v", i, d[i])
-		}
+	if len(d) != 1 || d[0] != 1<<2|1<<5|1<<7 {
+		t.Fatalf("dense %b", d)
 	}
 	// And back.
 	d2 := FromDense(10, d, -1)
@@ -33,20 +35,17 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 		t.Fatalf("size %d", d2.Size())
 	}
 	sp := d2.Sparse()
-	sort.Slice(sp, func(i, j int) bool { return sp[i] < sp[j] })
-	for i := range ids {
-		if sp[i] != ids[i] {
-			t.Fatalf("sparse %v", sp)
-		}
+	if fmt.Sprint(sp) != fmt.Sprint(ids) {
+		t.Fatalf("sparse %v", sp)
 	}
 }
 
 func TestFromDenseCountsSize(t *testing.T) {
-	flags := make([]bool, 1000)
+	bitmap := make([]uint64, Words(1000))
 	for i := 0; i < 1000; i += 3 {
-		flags[i] = true
+		bitmap[i>>6] |= 1 << (i & 63)
 	}
-	s := FromDense(1000, flags, -1)
+	s := FromDense(1000, bitmap, -1)
 	if s.Size() != 334 {
 		t.Fatalf("size %d", s.Size())
 	}
@@ -66,10 +65,127 @@ func TestForEach(t *testing.T) {
 	if sum.Load() != 6 {
 		t.Fatalf("sum %d", sum.Load())
 	}
-	d := FromDense(4, []bool{true, false, true, false}, -1)
+	d := FromDense(4, []uint64{0b0101}, -1)
 	sum.Store(0)
 	d.ForEach(func(v uint32) { sum.Add(int64(v)) })
 	if sum.Load() != 2 {
 		t.Fatalf("dense sum %d", sum.Load())
+	}
+}
+
+// TestBitmapProperties checks the dense form against a plain membership
+// array over universe sizes on both sides of a word boundary, at several
+// densities and worker counts: sparse → dense → sparse returns the same
+// ids, a pack is strictly increasing, Size is the popcount, All sets no
+// bit at or past n, and ForEach and Contains agree with membership.
+func TestBitmapProperties(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	for _, workers := range []int{1, 4} {
+		parallel.SetWorkers(workers)
+		for _, n := range []uint32{0, 1, 63, 64, 65, 1000, 4097} {
+			every := make([]bool, n)
+			parallel.Fill(every, true)
+			checkBitmap(t, fmt.Sprintf("p%d/n%d/all", workers, n), All(n), every)
+			for _, p := range []float64{0, 0.01, 0.3, 0.9, 1} {
+				name := fmt.Sprintf("p%d/n%d/density%g", workers, n, p)
+				r := rand.New(rand.NewPCG(uint64(n), uint64(p*100)))
+				member := make([]bool, n)
+				var ids []uint32
+				for v := range member {
+					if r.Float64() < p {
+						member[v] = true
+						ids = append(ids, uint32(v))
+					}
+				}
+				// A sparse list arrives in any order.
+				r.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+				s := FromSparse(n, append([]uint32(nil), ids...))
+				dense := FromDense(n, s.Dense(), -1)
+				if dense.Size() != len(ids) {
+					t.Fatalf("%s: popcount size %d, want %d", name, dense.Size(), len(ids))
+				}
+				checkBitmap(t, name, dense, member)
+				checkContains(t, name+"/sparse", s, member)
+			}
+		}
+	}
+}
+
+// checkBitmap checks a dense subset against member.
+func checkBitmap(t *testing.T, name string, s *VertexSubset, member []bool) {
+	t.Helper()
+	n := s.N()
+	d := s.Dense()
+	if len(d) != Words(n) {
+		t.Fatalf("%s: %d words, want %d", name, len(d), Words(n))
+	}
+	pop := 0
+	for i, w := range d {
+		pop += bits.OnesCount64(w)
+		if i == len(d)-1 && n&63 != 0 && w>>(n&63) != 0 {
+			t.Fatalf("%s: bits set past n in the last word %b", name, w)
+		}
+	}
+	if pop != s.Size() {
+		t.Fatalf("%s: Size %d, popcount %d", name, s.Size(), pop)
+	}
+	sp := s.Sparse()
+	if len(sp) != pop {
+		t.Fatalf("%s: packed %d ids, popcount %d", name, len(sp), pop)
+	}
+	for i, v := range sp {
+		if i > 0 && sp[i-1] >= v {
+			t.Fatalf("%s: pack not strictly increasing at %d: %d, %d", name, i, sp[i-1], v)
+		}
+		if !member[v] {
+			t.Fatalf("%s: pack emitted non-member %d", name, v)
+		}
+	}
+	checkContains(t, name, s, member)
+}
+
+// checkContains checks Contains and ForEach against member.
+func checkContains(t *testing.T, name string, s *VertexSubset, member []bool) {
+	t.Helper()
+	for v, want := range member {
+		if s.Contains(uint32(v)) != want {
+			t.Fatalf("%s: Contains(%d) = %v", name, v, !want)
+		}
+	}
+	seen := make([]bool, len(member))
+	var mu sync.Mutex
+	s.ForEach(func(v uint32) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[v] {
+			t.Errorf("%s: ForEach visited %d twice", name, v)
+		}
+		seen[v] = true
+	})
+	for v := range member {
+		if seen[v] != member[v] {
+			t.Fatalf("%s: ForEach visited %d: %v, member %v", name, v, seen[v], member[v])
+		}
+	}
+}
+
+// BenchmarkFrontierPack measures the dense → sparse conversion at R-MAT
+// scale 16 (65,536 vertices) with a quarter of the vertices set: the pack
+// a BFS pays when its last dense frontier turns back into a list.
+func BenchmarkFrontierPack(b *testing.B) {
+	const n = 1 << 16
+	r := rand.New(rand.NewPCG(16, 4))
+	bitmap := make([]uint64, Words(n))
+	for v := 0; v < n; v++ {
+		if r.IntN(4) == 0 {
+			bitmap[v>>6] |= 1 << (v & 63)
+		}
+	}
+	size := FromDense(n, bitmap, -1).Size()
+	b.ReportAllocs()
+	for b.Loop() {
+		if len(FromDense(n, bitmap, size).Sparse()) != size {
+			b.Fatal("pack lost ids")
+		}
 	}
 }

@@ -44,8 +44,7 @@ func FilterIndex[T any](a []T, pred func(i int, v T) bool) []T {
 }
 
 // PackIndex returns the indices i in [0, n) for which pred(i) is true, in
-// increasing order. It is used to convert dense boolean frontiers to sparse
-// ones.
+// increasing order.
 func PackIndex(n int, pred func(i int) bool) []uint32 {
 	if n == 0 {
 		return nil

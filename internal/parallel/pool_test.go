@@ -128,3 +128,43 @@ func TestDoRecursive(t *testing.T) {
 		t.Fatalf("recursive Do reached %d leaves, want 1024", count.Load())
 	}
 }
+
+// TestForBlocksAlignedToGrain pins the block shape that lets a caller own
+// whole words of a bitmap per block: every block starts at a multiple of
+// the grain and ends at the next multiple or at n. It covers the serial
+// path, the pool path, the nested path (a loop inside a pool worker) and
+// the transient path a second concurrent top-level loop takes.
+func TestForBlocksAlignedToGrain(t *testing.T) {
+	defer SetWorkers(Workers())
+	const grain = 256
+	check := func(name string, n int) {
+		var covered atomic.Int64
+		ForBlocks(n, grain, func(_, lo, hi int) {
+			if lo%grain != 0 || hi != min(lo+grain, n) {
+				t.Errorf("%s: block [%d, %d) of n=%d is not grain-aligned", name, lo, hi, n)
+			}
+			covered.Add(int64(hi - lo))
+		})
+		if covered.Load() != int64(n) {
+			t.Errorf("%s: blocks covered %d of %d", name, covered.Load(), n)
+		}
+	}
+	for _, p := range []int{1, 2, 4} {
+		SetWorkers(p)
+		for _, n := range []int{1, 255, 256, 257, 4097, 20000} {
+			check("top-level", n)
+		}
+		ForBlocks(8, 1, func(_, _, _ int) { check("nested", 4097) })
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 20; round++ {
+					check("concurrent", 20000)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}

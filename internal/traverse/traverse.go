@@ -19,6 +19,8 @@
 package traverse
 
 import (
+	"math/bits"
+
 	"sage/internal/costmodel"
 	"sage/internal/frontier"
 	"sage/internal/graph"
@@ -146,15 +148,18 @@ func predictDense(p *costmodel.Profile, n, m, frontier, outDeg int64) bool {
 	return pull < push
 }
 
-// frontierDegree computes Σ_{u∈U} deg(u), charging the offset reads.
+// frontierDegree computes Σ_{u∈U} deg(u), charging the offset reads. A
+// dense frontier is walked a word at a time, 16 words (1,024 vertices) a
+// block, probing the degrees of the set bits only.
 func frontierDegree(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset) int64 {
 	if vs.IsDense() {
 		d := vs.Dense()
-		total := parallel.ReduceSum(int(g.NumVertices()), 0, func(i int) int64 {
-			if d[i] {
-				return int64(g.Degree(uint32(i)))
+		total := parallel.ReduceSum(len(d), 16, func(i int) int64 {
+			var sum int64
+			for w := d[i]; w != 0; w &= w - 1 {
+				sum += int64(g.Degree(uint32(i<<6 | bits.TrailingZeros64(w))))
 			}
-			return 0
+			return sum
 		})
 		env.GraphRead(0, 0, int64(g.NumVertices())) // offset reads (one degree per vertex)
 		return total
@@ -174,17 +179,28 @@ func frontierDegree(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset) int64
 // the block (decoding over the first piece again), then whole blocks.
 const denseFirstPiece = 8
 
+// denseGrain is the pull scan's block of vertices. ForBlocks starts every
+// block at a multiple of its grain, so with a grain that is a multiple of
+// 64 each block owns whole words of the output bitmap, and its worker sets
+// bits there without atomics.
+const denseGrain = 256
+
+// The index is out of range, and the build fails, unless denseGrain is a
+// multiple of 64.
+var _ = [1]struct{}{}[denseGrain%64]
+
 // edgeMapDense is the pull-based traversal: every vertex satisfying Cond
 // scans its in-edges (equal to out-edges on symmetric graphs) for frontier
 // members, stopping as soon as Cond(d) turns false. The scan reads one
 // piece of the list at a time — the whole list where BlockSize is 0,
 // otherwise denseFirstPiece edges and then up to each block boundary — so
-// an early exit also stops the decoding.
+// an early exit also stops the decoding. Input and output frontiers are
+// bitmaps of ⌈n/64⌉ words.
 func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt Options) *frontier.VertexSubset {
 	n := g.NumVertices()
 	from := vs.Dense()
-	out := make([]bool, n)
-	env.Alloc(int64(n+7) / 8)
+	out := make([]uint64, frontier.Words(n))
+	env.Alloc(int64(len(out)))
 	flat := graph.NewFlat(g)
 	pools := poolsOf(opt)
 	var outCounts [parallel.MaxWorkers]struct {
@@ -192,7 +208,7 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 		_ [56]byte
 	}
 	piece := uint32(g.BlockSize())
-	parallel.ForBlocks(int(n), 256, func(w, lo, hi int) {
+	parallel.ForBlocks(int(n), denseGrain, func(w, lo, hi int) {
 		sc := pools.Scratch(w)
 		var scanned, produced int64
 		for i := lo; i < hi; i++ {
@@ -237,12 +253,13 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 // per-edge check.
 //
 //sage:hotpath
-func densePiece(ops Ops, from, out []bool, d uint32, nghs []uint32, ws []int32, produced *int64) (int64, bool) {
+func densePiece(ops Ops, from, out []uint64, d uint32, nghs []uint32, ws []int32, produced *int64) (int64, bool) {
+	dw, db := &out[d>>6], uint64(1)<<(d&63)
 	if ws == nil {
 		for j, s := range nghs {
-			if from[s] {
-				if ops.Update(s, d, 1) && !out[d] {
-					out[d] = true
+			if from[s>>6]&(1<<(s&63)) != 0 {
+				if ops.Update(s, d, 1) && *dw&db == 0 {
+					*dw |= db
 					*produced++
 				}
 				if !ops.Cond(d) {
@@ -252,9 +269,9 @@ func densePiece(ops Ops, from, out []bool, d uint32, nghs []uint32, ws []int32, 
 		}
 	} else {
 		for j, s := range nghs {
-			if from[s] {
-				if ops.Update(s, d, ws[j]) && !out[d] {
-					out[d] = true
+			if from[s>>6]&(1<<(s&63)) != 0 {
+				if ops.Update(s, d, ws[j]) && *dw&db == 0 {
+					*dw |= db
 					*produced++
 				}
 				if !ops.Cond(d) {
