@@ -106,7 +106,7 @@ func cachedWorkload(scale int, dir string) *Workload {
 	wg := gen.AddUniformWeights(g, 77)
 	sc, ns := SetCoverInstance(g)
 	for i, gr := range []*graph.Graph{g, wg, sc} {
-		if err := store.Create(paths[i], store.Encoding(gr, 0), store.FormatBinary); err != nil {
+		if err := store.Create(nil, paths[i], store.Encoding(gr, 0), store.FormatBinary); err != nil {
 			break // a partial cache is fine: the next run re-misses
 		}
 	}

@@ -46,9 +46,9 @@ const WALSuffix = ".wal"
 type Durability struct {
 	// Enabled turns the per-dataset write-ahead log on.
 	Enabled bool
-	// FS substitutes the filesystem the logs live on; nil means the
-	// real one. Tests inject wal.FaultFS here to simulate crashes, short
-	// writes, and fsync failures.
+	// FS substitutes the filesystem the logs and compaction's container
+	// rewrites live on; nil means the real one. Tests inject wal.FaultFS
+	// here to simulate crashes, short writes, and fsync failures.
 	FS wal.FS
 }
 

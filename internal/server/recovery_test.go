@@ -33,7 +33,6 @@ import (
 
 	"sage"
 	"sage/internal/graph"
-	"sage/internal/store"
 	"sage/internal/wal"
 )
 
@@ -341,6 +340,73 @@ func TestCompactRetiresSegment(t *testing.T) {
 	}
 }
 
+// stageFS is a wal.FS that fails one stage of the container writer's
+// commit protocol with an armed error: "write" and "sync" on the temp
+// file, "before-rename" (the rename does not happen) and "after-rename"
+// (it does). The log's own file passes through untouched.
+type stageFS struct {
+	wal.FS
+	mu    sync.Mutex
+	stage string // "" passes every stage
+	err   error
+}
+
+type stageFile struct {
+	wal.File
+	s *stageFS
+}
+
+func newStageFS() *stageFS { return &stageFS{FS: wal.NewFaultFS(nil)} }
+
+// arm makes stage fail with err from now on; arm("", nil) disarms.
+func (s *stageFS) arm(stage string, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stage, s.err = stage, err
+}
+
+// at returns the armed error when stage is the armed one.
+func (s *stageFS) at(stage string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stage != stage {
+		return nil
+	}
+	return s.err
+}
+
+func (s *stageFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil || strings.HasSuffix(name, WALSuffix) {
+		return f, err
+	}
+	return &stageFile{File: f, s: s}, nil
+}
+
+func (s *stageFS) Rename(oldpath, newpath string) error {
+	if err := s.at("before-rename"); err != nil {
+		return err
+	}
+	if err := s.FS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	return s.at("after-rename")
+}
+
+func (f *stageFile) Write(p []byte) (int, error) {
+	if err := f.s.at("write"); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f *stageFile) Sync() error {
+	if err := f.s.at("sync"); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
 // compactionFailureCase drives one injected Create failure: apply a
 // batch durably, then fail the compaction at the given stage.
 func compactionFailureCase(t *testing.T, stage string) {
@@ -350,20 +416,15 @@ func compactionFailureCase(t *testing.T, stage string) {
 	refs := refStates(t, path, batches)
 	baseSum := fileSum(t, path)
 
-	srv := newWALServer(t, path, nil)
+	fs := newStageFS()
+	srv := newWALServer(t, path, fs)
 	if acked := applyUntilError(srv, batches); acked != len(batches) {
 		t.Fatalf("acked %d of %d", acked, len(batches))
 	}
 	walSum := fileSum(t, path+WALSuffix)
 
 	injected := errors.New("injected " + stage + " failure")
-	store.SetCreateFault(func(s, _ string) error {
-		if s == stage {
-			return injected
-		}
-		return nil
-	})
-	t.Cleanup(func() { store.SetCreateFault(nil) })
+	fs.arm(stage, injected)
 	// The batch half of the request is already durable and published, so
 	// a failed fold is NOT an error: the request succeeds with the
 	// failure reported in-band through compactErr (HTTP 200 with
@@ -378,7 +439,7 @@ func compactionFailureCase(t *testing.T, stage string) {
 	if res.compacted {
 		t.Fatalf("failed compaction at stage %q reported compacted", stage)
 	}
-	store.SetCreateFault(nil)
+	fs.arm("", nil)
 
 	// The published overlay stands: reads on the live server still see
 	// the post-batch state, and a retried write path keeps working.
@@ -482,18 +543,13 @@ func TestCrashBetweenRenameAndRetire(t *testing.T) {
 func TestCompactErrorOverHTTP(t *testing.T) {
 	dir := t.TempDir()
 	path := makeBase(t, dir, 16)
-	srv := newWALServer(t, path, nil)
+	fs := newStageFS()
+	srv := newWALServer(t, path, fs)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	injected := errors.New("injected sync failure")
-	store.SetCreateFault(func(stage, _ string) error {
-		if stage == "sync" {
-			return injected
-		}
-		return nil
-	})
-	t.Cleanup(func() { store.SetCreateFault(nil) })
+	fs.arm("sync", injected)
 
 	resp, err := http.Post(ts.URL+"/v1/update/g", "application/json",
 		strings.NewReader(`{"ops": [{"u": 0, "v": 9}], "compact": true}`))
@@ -515,13 +571,151 @@ func TestCompactErrorOverHTTP(t *testing.T) {
 	if compacted, _ := body["compacted"].(bool); compacted {
 		t.Fatalf("failed compaction reported compacted: %v", body)
 	}
-	store.SetCreateFault(nil)
+	fs.arm("", nil)
 
 	// The batch half of the request stands: the inserted edge is served.
 	got := servedSet(t, srv, "g")
 	if !got[arc{0, 9, 0}] && !got[arc{0, 9, 1}] {
 		t.Fatal("ops from the failed-compact batch were lost")
 	}
+}
+
+// TestCompactionCrashRecovery carries the crash enumeration across a
+// compaction. The log and the container writer share one FaultFS, so one
+// step counter spans the whole compacting window: append → fsync →
+// publish → container write → fsync → rename → directory sync → log
+// removal → new log header. The window is a request carrying ops plus
+// "compact": true, or a batch that trips auto-compaction. After every
+// crash, a healthy restart must serve the acknowledged history (or one
+// batch more) over a base that is byte-for-byte either the old container
+// or the one the dry run wrote, with at most one stray temp file beside
+// it, and a surviving pre-compaction log must be discarded, not replayed
+// onto the new container.
+func TestCompactionCrashRecovery(t *testing.T) {
+	trials := 0
+	for _, auto := range []bool{false, true} {
+		for seed := int64(1); seed <= 3; seed++ {
+			trials += compactionCrashTrials(t, seed, auto)
+		}
+	}
+	t.Logf("crash trials: %d", trials)
+}
+
+// compactionCrashTrials enumerates every crash step of one seeded
+// workload ending in a compacting window, returning the trial count.
+func compactionCrashTrials(t *testing.T, seed int64, auto bool) int {
+	const vertices = 10
+	refDir := t.TempDir()
+	refPath := makeBase(t, refDir, vertices)
+	baseBytes, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg Config
+	batches := randServerBatches(seed, vertices)
+	if auto {
+		// Distinct inserts grow the overlay until its predicted cost
+		// trips the fold (the setup of TestAutoCompactionFiresOnce).
+		cfg.AutoCompactCost = 60
+		for v := uint32(2); v < vertices; v++ {
+			batches = append(batches, []sage.EdgeOp{{U: 0, V: v}})
+		}
+	} else {
+		// The compacting batch toggles an edge, so it always reaches the
+		// log: a pre-compaction log holds at least one record.
+		refs := refStates(t, refPath, batches)
+		batches = append(batches, []sage.EdgeOp{{U: 0, V: vertices - 1,
+			Del: refs[len(batches)][arc{0, vertices - 1, 1}]}})
+	}
+
+	// run serves a fresh copy of the base over fs and applies batches
+	// until one is rejected or one folds the overlay, returning the
+	// server, the base's path, the acknowledged count, and the index of
+	// the batch that folded (-1: none).
+	run := func(t *testing.T, fs wal.FS, batches [][]sage.EdgeOp) (*Server, string, int, int) {
+		path := filepath.Join(t.TempDir(), "g.sg")
+		if err := os.WriteFile(path, baseBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Durability = Durability{Enabled: true, FS: fs}
+		srv := New(c)
+		if err := srv.AddDataset("g", path); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		acked := 0
+		for i, b := range batches {
+			res, err := srv.updates.apply("g", b, !auto && i == len(batches)-1)
+			if err != nil {
+				break
+			}
+			acked++
+			if res.compacted {
+				return srv, path, acked, i
+			}
+		}
+		return srv, path, acked, -1
+	}
+
+	// Dry run: count the steps and keep the container the fold writes.
+	dry := wal.NewFaultFS(nil)
+	_, dryPath, acked, folded := run(t, dry, batches)
+	if folded < 0 || acked != folded+1 {
+		t.Fatalf("seed %d auto %v dry run: acked %d, folded at batch %d", seed, auto, acked, folded)
+	}
+	batches = batches[:folded+1]
+	steps := dry.Steps()
+	oldSum, newSum := sha256.Sum256(baseBytes), fileSum(t, dryPath)
+	if oldSum == newSum {
+		t.Fatalf("seed %d auto %v: the fold left the container unchanged", seed, auto)
+	}
+	refs := refStates(t, refPath, batches)
+
+	trials := 0
+	for n := 1; n <= steps; n++ {
+		for _, tear := range []int{0, 7, 1 << 20} {
+			trials++
+			t.Run(fmt.Sprintf("auto%v/seed%d/step%d/tear%d", auto, seed, n, tear), func(t *testing.T) {
+				ffs := wal.NewFaultFS(nil)
+				ffs.CrashAt(n, tear)
+				srv, path, acked, _ := run(t, ffs, batches)
+				if !ffs.Crashed() {
+					t.Fatalf("crash at step %d never fired", n)
+				}
+				_ = srv.Close()
+
+				strays, err := filepath.Glob(filepath.Join(filepath.Dir(path), ".sage-create-*"))
+				if err != nil || len(strays) > 1 {
+					t.Fatalf("stray temp files: %v (%v)", strays, err)
+				}
+				sum := fileSum(t, path)
+				if sum != oldSum && sum != newSum {
+					t.Fatal("base is neither the old container nor the compacted one")
+				}
+				info, err := os.Stat(path + WALSuffix)
+				oldLog := err == nil && info.Size() > wal.HeaderSize()
+
+				srv2 := newWALServer(t, path, nil)
+				replayed, degraded := srv2.Recover()
+				if len(degraded) != 0 {
+					t.Fatalf("degraded after healthy restart: %v", degraded)
+				}
+				got := servedSet(t, srv2, "g")
+				if !setsEqual(got, refs[acked]) && (acked == len(batches) || !setsEqual(got, refs[acked+1])) {
+					t.Fatalf("recovered state matches neither state(%d) nor state(%d); replayed %d",
+						acked, acked+1, replayed)
+				}
+				if sum == newSum && oldLog {
+					if ms := srv2.updates.walSnapshot(); replayed != 0 || ms.DiscardedSegments != 1 {
+						t.Fatalf("pre-compaction log beside the new container: replayed %d, discarded %d",
+							replayed, ms.DiscardedSegments)
+					}
+				}
+			})
+		}
+	}
+	return trials
 }
 
 // TestCloseUpdateRace races close() against in-flight writers and

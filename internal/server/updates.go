@@ -529,13 +529,13 @@ func (u *updates) shouldAutoCompact(d *dataset, overhead int64) bool {
 }
 
 // compact folds snap's merged view into a rewritten container (atomic
-// temp-file rename through Create), swaps readers onto the next
-// generation (raised to at least floor), and retires the WAL whose
-// records were folded in. It runs on the dataset's role holder after
-// snap's overlay state has been published (or is empty), so a failure
-// here leaves a consistent, durable overlay behind.
+// temp-file rename through store.Create, on the log's filesystem), swaps
+// readers onto the next generation (raised to at least floor), and
+// retires the WAL whose records were folded in. It runs on the dataset's
+// role holder after snap's overlay state has been published (or is
+// empty), so a failure here leaves a consistent, durable overlay behind.
 func (u *updates) compact(d *dataset, snap *sage.Snapshot, floor uint64, res *updateResult) error {
-	if err := snap.Compact(d.path); err != nil {
+	if err := store.Create(u.wcfg.FS, d.path, snap.Encoding(), ""); err != nil {
 		return fmt.Errorf("compacting %q: %w", d.name, err)
 	}
 	// The new container is durably in place — its rename is the commit, so

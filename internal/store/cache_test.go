@@ -18,7 +18,7 @@ func writeGraph(t *testing.T, dir, name string, n uint32) (string, int64) {
 	}
 	g := graph.FromEdges(n, edges, graph.BuildOpts{Symmetrize: true})
 	path := filepath.Join(dir, name+".sg")
-	if err := store.Create(path, store.NewDataset(g, nil), store.FormatBinary); err != nil {
+	if err := store.Create(nil, path, store.NewDataset(g, nil), store.FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	return path, g.SizeWords()
@@ -155,7 +155,7 @@ func TestEdgeListSparseRoundTrip(t *testing.T) {
 	g := graph.FromEdges(n, []graph.Edge{{U: 0, V: n - 1}, {U: 1, V: 2}},
 		graph.BuildOpts{Symmetrize: true})
 	path := filepath.Join(t.TempDir(), "sparse.el")
-	if err := store.Create(path, store.NewDataset(g, nil), store.FormatEdgeList); err != nil {
+	if err := store.Create(nil, path, store.NewDataset(g, nil), store.FormatEdgeList); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := store.Open(path, store.OpenOptions{})

@@ -16,13 +16,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
 	"sage/internal/compress"
 	"sage/internal/graph"
+	"sage/internal/wal"
 )
 
 // ErrCompressed is the shared sentinel for operations that require the
@@ -241,9 +244,13 @@ func Open(path string, opts OpenOptions) (*Dataset, error) {
 	return ds, nil
 }
 
-// Create writes d to path. The format is chosen by explicit name, then by
-// the path extension, then defaults to the v2 binary container.
-func Create(path string, d *Dataset, formatName string) error {
+// Create writes d to path through fsys (nil means wal.OS). The format is
+// chosen by explicit name, then by the path extension, then defaults to
+// the v2 binary container.
+func Create(fsys wal.FS, path string, d *Dataset, formatName string) error {
+	if fsys == nil {
+		fsys = wal.OS
+	}
 	var f *Format
 	var err error
 	switch {
@@ -265,15 +272,18 @@ func Create(path string, d *Dataset, formatName string) error {
 	}
 	// Encode into a temp file and rename into place: a failed encode (an
 	// ErrCompressed misuse, a full disk) must never destroy an existing
-	// file at path, and readers never observe a half-written graph.
-	w, err := os.CreateTemp(filepath.Dir(path), ".sage-create-*")
+	// file at path, and readers never observe a half-written graph. O_EXCL
+	// and a random name keep concurrent writers apart. A crash before the
+	// rename can leave the temp file behind; it is safe to delete.
+	dir := filepath.Dir(path)
+	tmp := filepath.Join(dir, ".sage-create-"+strconv.FormatUint(rand.Uint64(), 36))
+	w, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
-	tmp := w.Name()
 	fail := func(err error) error {
 		_ = w.Close()
-		os.Remove(tmp)
+		_ = fsys.Remove(tmp)
 		return err
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
@@ -283,77 +293,22 @@ func Create(path string, d *Dataset, formatName string) error {
 	if err := bw.Flush(); err != nil {
 		return fail(err)
 	}
-	if err := faultPoint("write", path); err != nil {
-		return fail(err)
-	}
 	// Fsync before the rename: the rename is only atomic on disk if the
 	// bytes it points at are durable first. Without this, a crash shortly
 	// after Create could leave path referring to a hole.
 	if err := w.Sync(); err != nil {
 		return fail(err)
 	}
-	if err := faultPoint("sync", path); err != nil {
-		return fail(err)
-	}
 	if err := w.Close(); err != nil {
-		os.Remove(tmp)
+		_ = fsys.Remove(tmp)
 		return err
 	}
-	if err := os.Chmod(tmp, 0o644); err != nil { // CreateTemp defaults to 0600
-		os.Remove(tmp)
+	if err := fsys.Rename(tmp, path); err != nil {
+		_ = fsys.Remove(tmp)
 		return err
 	}
-	if err := faultPoint("before-rename", path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := faultPoint("after-rename", path); err != nil {
-		// The rename landed: path is the new container. The temp name is
-		// gone, so there is nothing to clean up and nothing to roll back.
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
-// syncDir makes the rename durable by flushing the directory entry.
-// Best-effort: some filesystems cannot fsync a directory handle, and the
-// rename is still atomic there.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
-
-// CreateFaultFunc is a test hook observing Create's commit protocol. It
-// is called at four stages — "write" (encoded, not yet synced), "sync"
-// (synced, not yet renamed), "before-rename", and "after-rename" — and a
-// non-nil return aborts Create with that error, simulating a crash or
-// I/O failure at that exact point. See SetCreateFault.
-type CreateFaultFunc func(stage, path string) error
-
-var createFault atomic.Pointer[CreateFaultFunc]
-
-// SetCreateFault installs (or, with nil, removes) the fault hook for
-// Create. Tests use it to verify that a compaction dying at any stage
-// leaves the previous container generation and its write-ahead log
-// intact.
-func SetCreateFault(f CreateFaultFunc) {
-	if f == nil {
-		createFault.Store(nil)
-		return
-	}
-	createFault.Store(&f)
-}
-
-func faultPoint(stage, path string) error {
-	if f := createFault.Load(); f != nil {
-		return (*f)(stage, path)
-	}
+	// Best-effort: the rename is atomic even where the directory cannot
+	// be synced.
+	fsys.SyncDir(dir)
 	return nil
 }

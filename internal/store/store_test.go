@@ -63,7 +63,7 @@ func TestCSRRoundTripAllFormats(t *testing.T) {
 		for _, fname := range Names() {
 			for _, copyMode := range []bool{false, true} {
 				path := filepath.Join(dir, gname+"-"+fname+".x")
-				if err := Create(path, NewDataset(g, nil), fname); err != nil {
+				if err := Create(nil, path, NewDataset(g, nil), fname); err != nil {
 					t.Fatalf("%s as %s: create: %v", gname, fname, err)
 				}
 				ds, err := Open(path, OpenOptions{Format: fname, Copy: copyMode})
@@ -93,7 +93,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 		g := testGraphs()[gname]
 		cg := compress.Compress(g, 2) // tiny blocks exercise multi-block vertices
 		path := filepath.Join(dir, gname+".sg")
-		if err := Create(path, NewDataset(nil, cg), FormatBinary); err != nil {
+		if err := Create(nil, path, NewDataset(nil, cg), FormatBinary); err != nil {
 			t.Fatalf("%s: create: %v", gname, err)
 		}
 		ds, err := Open(path, OpenOptions{})
@@ -112,7 +112,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 		// Re-encoding the reopened graph must reproduce the file byte for
 		// byte: nothing is re-encoded along the way.
 		path2 := filepath.Join(dir, gname+"-2.sg")
-		if err := Create(path2, NewDataset(nil, got), FormatBinary); err != nil {
+		if err := Create(nil, path2, NewDataset(nil, got), FormatBinary); err != nil {
 			t.Fatalf("%s: re-create: %v", gname, err)
 		}
 		b1, _ := os.ReadFile(path)
@@ -132,7 +132,7 @@ func TestCompressedTextFormatsRejected(t *testing.T) {
 	cg := compress.Compress(testGraphs()["unweighted"], 64)
 	dir := t.TempDir()
 	for _, fname := range []string{FormatAdj, FormatEdgeList} {
-		err := Create(filepath.Join(dir, "c.x"), NewDataset(nil, cg), fname)
+		err := Create(nil, filepath.Join(dir, "c.x"), NewDataset(nil, cg), fname)
 		if !errors.Is(err, ErrCompressed) {
 			t.Fatalf("%s: err = %v, want ErrCompressed", fname, err)
 		}
@@ -146,7 +146,7 @@ func TestSniffing(t *testing.T) {
 	dir := t.TempDir()
 	for _, fname := range Names() {
 		path := filepath.Join(dir, "sniff-"+fname+".dat")
-		if err := Create(path, NewDataset(g, nil), fname); err != nil {
+		if err := Create(nil, path, NewDataset(g, nil), fname); err != nil {
 			t.Fatal(err)
 		}
 		ds, err := Open(path, OpenOptions{})
@@ -170,7 +170,7 @@ func TestExtensionFallback(t *testing.T) {
 	}
 	for file, wantFormat := range cases {
 		path := filepath.Join(dir, file)
-		if err := Create(path, NewDataset(g, nil), ""); err != nil {
+		if err := Create(nil, path, NewDataset(g, nil), ""); err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
 		b, err := os.ReadFile(path)
@@ -193,7 +193,7 @@ func TestExtensionFallback(t *testing.T) {
 func TestOpenAliasesArena(t *testing.T) {
 	g := testGraphs()["weighted"]
 	path := filepath.Join(t.TempDir(), "alias.sg")
-	if err := Create(path, NewDataset(g, nil), FormatBinary); err != nil {
+	if err := Create(nil, path, NewDataset(g, nil), FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := Open(path, OpenOptions{})
@@ -220,7 +220,7 @@ func TestOpenAliasesArena(t *testing.T) {
 	// Compressed graphs alias too: degrees, vertex offsets, and data.
 	cpath := filepath.Join(t.TempDir(), "alias-c.sg")
 	cg := compress.Compress(g, 2)
-	if err := Create(cpath, NewDataset(nil, cg), FormatBinary); err != nil {
+	if err := Create(nil, cpath, NewDataset(nil, cg), FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	cds, err := Open(cpath, OpenOptions{})
@@ -256,7 +256,7 @@ func TestOpenAliasesArena(t *testing.T) {
 // TestDatasetCloseTwice verifies the ErrClosed lifecycle.
 func TestDatasetCloseTwice(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.sg")
-	if err := Create(path, NewDataset(testGraphs()["unweighted"], nil), ""); err != nil {
+	if err := Create(nil, path, NewDataset(testGraphs()["unweighted"], nil), ""); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := Open(path, OpenOptions{})
@@ -321,7 +321,7 @@ func TestUnknownFormatName(t *testing.T) {
 		t.Fatal("unknown name resolved")
 	}
 	path := filepath.Join(t.TempDir(), "g.sg")
-	if err := Create(path, NewDataset(testGraphs()["unweighted"], nil), "tarball"); err == nil {
+	if err := Create(nil, path, NewDataset(testGraphs()["unweighted"], nil), "tarball"); err == nil {
 		t.Fatal("create with unknown format succeeded")
 	}
 	if _, err := Open(path, OpenOptions{Format: "tarball"}); err == nil {

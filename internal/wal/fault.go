@@ -1,14 +1,15 @@
 package wal
 
-// FaultFS: the crash simulator behind the durability tests. It wraps a
-// real filesystem and counts every mutation (write, sync, truncate,
-// remove, directory sync) as one step; a test arms a crash at step N and
-// replays a workload, and when the counter hits N the filesystem "loses
-// power": the in-flight operation takes partial effect, every open file
-// is cut back to its last fsynced length (plus an optional torn fragment
-// of unsynced bytes), and all further operations fail with ErrCrashed.
-// Enumerating N over Steps() from a dry run visits every crash point of
-// the write path exactly once.
+// FaultFS: the crash simulator behind the durability tests, for the log
+// and for the container writer alike. It wraps a real filesystem and
+// counts every mutation (write, sync, truncate, remove, rename, directory
+// sync) as one step; a test arms a crash at step N and replays a
+// workload, and when the counter hits N the filesystem "loses power": the
+// in-flight operation takes partial effect, every file written since its
+// last fsync — open or closed — is cut back to its last fsynced length
+// (plus an optional torn fragment of unsynced bytes), and all further
+// operations fail with ErrCrashed. Enumerating N over Steps() from a dry
+// run visits every crash point of the write path exactly once.
 //
 // Durability is simulated, not performed: a file's Sync moves its own
 // durable offset, which is all a crash consults, and neither Sync nor
@@ -25,6 +26,7 @@ package wal
 import (
 	"errors"
 	"io"
+	"maps"
 	"os"
 	"sync"
 )
@@ -51,7 +53,9 @@ type FaultFS struct {
 	crashed   bool
 	syncErr   bool  // injected fsync failure (sticky until cleared)
 	budget    int64 // remaining write bytes; -1 = unlimited
-	files     map[*faultFile]struct{}
+	// files holds every open file and every closed one with unsynced
+	// bytes, each under its current name.
+	files map[*faultFile]string
 }
 
 // NewFaultFS wraps inner (nil for the real filesystem).
@@ -59,7 +63,7 @@ func NewFaultFS(inner FS) *FaultFS {
 	if inner == nil {
 		inner = OS
 	}
-	return &FaultFS{inner: inner, budget: -1, files: map[*faultFile]struct{}{}}
+	return &FaultFS{inner: inner, budget: -1, files: map[*faultFile]string{}}
 }
 
 // Steps returns the number of mutation operations performed so far. A
@@ -122,29 +126,52 @@ func (fs *FaultFS) step() (crashNow, dead bool) {
 	return false, false
 }
 
-// loseUnsynced tears every open file down to its durable prefix (plus
+// mutate is step for an operation that takes no effect at the crash
+// step: it returns ErrCrashed, after the power-loss moment, when the
+// counter fires or already has.
+func (fs *FaultFS) mutate() error {
+	crash, dead := fs.step()
+	if crash {
+		fs.loseUnsynced()
+	}
+	if crash || dead {
+		return ErrCrashed
+	}
+	return nil
+}
+
+// loseUnsynced tears every tracked file down to its durable prefix (plus
 // the configured torn fragment) — the power-loss moment.
 func (fs *FaultFS) loseUnsynced() {
 	fs.mu.Lock()
-	files := make([]*faultFile, 0, len(fs.files))
-	for f := range fs.files {
-		files = append(files, f)
-	}
+	files := maps.Clone(fs.files)
 	tear := fs.tearBytes
 	fs.mu.Unlock()
-	for _, f := range files {
-		f.tearTo(tear)
+	for f, name := range files {
+		f.tearTo(name, tear)
+	}
+}
+
+// retrack moves the tracking of the files called name to the name to,
+// or ends it when to is "": an unlinked file's bytes belong to no path a
+// recovery could read.
+func (fs *FaultFS) retrack(name, to string) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for f, n := range fs.files {
+		if n == name && to == "" {
+			delete(fs.files, f)
+		} else if n == name {
+			fs.files[f] = to
+		}
 	}
 }
 
 // OpenFile opens name; opening is a read of the namespace, not a step.
 func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	fs.mu.Lock()
-	if fs.crashed {
-		fs.mu.Unlock()
+	if fs.Crashed() {
 		return nil, ErrCrashed
 	}
-	fs.mu.Unlock()
 	f, err := fs.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -153,34 +180,57 @@ func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 	if info, err := fs.inner.Stat(name); err == nil {
 		size = info.Size()
 	}
-	ff := &faultFile{fs: fs, f: f, name: name, durable: size, size: size}
+	ff := &faultFile{fs: fs, f: f, durable: size, size: size}
 	fs.mu.Lock()
-	fs.files[ff] = struct{}{}
-	fs.mu.Unlock()
+	defer fs.mu.Unlock()
+	for g, n := range fs.files {
+		if n != name {
+			continue
+		}
+		g.mu.Lock()
+		if g.closed {
+			// Reopening does not make a closed file's unsynced bytes durable.
+			ff.durable = min(ff.durable, g.durable)
+			delete(fs.files, g)
+		}
+		g.mu.Unlock()
+	}
+	fs.files[ff] = name
 	return ff, nil
 }
 
 // Remove counts as one step; a crash at this step leaves the file.
 func (fs *FaultFS) Remove(name string) error {
-	crash, dead := fs.step()
-	if dead {
-		return ErrCrashed
+	if err := fs.mutate(); err != nil {
+		return err
 	}
-	if crash {
-		fs.loseUnsynced()
-		return ErrCrashed
+	if err := fs.inner.Remove(name); err != nil {
+		return err
 	}
-	return fs.inner.Remove(name)
+	fs.retrack(name, "")
+	return nil
+}
+
+// Rename counts as one step; a crash at this step leaves both names as
+// they were. A renamed file's unsynced bytes stay tracked under newpath,
+// and the file newpath named before is unlinked.
+func (fs *FaultFS) Rename(oldpath, newpath string) error {
+	if err := fs.mutate(); err != nil {
+		return err
+	}
+	if err := fs.inner.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	fs.retrack(newpath, "")
+	fs.retrack(oldpath, newpath)
+	return nil
 }
 
 // Stat is a pure read — never a step, but dead after a crash.
 func (fs *FaultFS) Stat(name string) (os.FileInfo, error) {
-	fs.mu.Lock()
-	if fs.crashed {
-		fs.mu.Unlock()
+	if fs.Crashed() {
 		return nil, ErrCrashed
 	}
-	fs.mu.Unlock()
 	return fs.inner.Stat(name)
 }
 
@@ -188,13 +238,8 @@ func (fs *FaultFS) Stat(name string) (os.FileInfo, error) {
 // simulated directory is always durable, so nothing reaches the inner
 // filesystem.
 func (fs *FaultFS) SyncDir(dir string) error {
-	crash, dead := fs.step()
-	if dead {
-		return ErrCrashed
-	}
-	if crash {
-		fs.loseUnsynced()
-		return ErrCrashed
+	if err := fs.mutate(); err != nil {
+		return err
 	}
 	fs.mu.Lock()
 	bad := fs.syncErr
@@ -207,10 +252,9 @@ func (fs *FaultFS) SyncDir(dir string) error {
 
 // faultFile tracks, alongside the real file, how much of it is durable
 // (fsynced) versus merely written, so a simulated crash can discard
-// exactly the unsynced suffix.
+// exactly the unsynced suffix. Lock order is fs.mu before f.mu.
 type faultFile struct {
-	fs   *FaultFS
-	name string
+	fs *FaultFS
 
 	mu      sync.Mutex
 	f       File
@@ -221,22 +265,22 @@ type faultFile struct {
 }
 
 func (f *faultFile) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.dead() {
+	if f.fs.Crashed() {
 		return 0, ErrCrashed
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	n, err := f.f.Read(p)
 	f.off += int64(n)
 	return n, err
 }
 
 func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.dead() {
+	if f.fs.Crashed() {
 		return 0, ErrCrashed
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	pos, err := f.f.Seek(offset, whence)
 	if err == nil {
 		f.off = pos
@@ -292,14 +336,10 @@ func (f *faultFile) Write(p []byte) (int, error) {
 // Sync is one step: on success everything written so far is durable, in
 // the simulation's bookkeeping only (the inner file is not fsynced).
 func (f *faultFile) Sync() error {
-	crash, dead := f.fs.step()
-	if dead {
-		return ErrCrashed
-	}
-	if crash {
-		// Power died during the fsync: nothing new promoted to durable.
-		f.fs.loseUnsynced()
-		return ErrCrashed
+	// At the crash step power dies during the fsync: nothing new is
+	// promoted to durable.
+	if err := f.fs.mutate(); err != nil {
+		return err
 	}
 	f.fs.mu.Lock()
 	bad := f.fs.syncErr
@@ -318,13 +358,8 @@ func (f *faultFile) Sync() error {
 
 // Truncate is one step; at the crash step it does not take effect.
 func (f *faultFile) Truncate(size int64) error {
-	crash, dead := f.fs.step()
-	if dead {
-		return ErrCrashed
-	}
-	if crash {
-		f.fs.loseUnsynced()
-		return ErrCrashed
+	if err := f.fs.mutate(); err != nil {
+		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -343,42 +378,35 @@ func (f *faultFile) Truncate(size int64) error {
 
 // Close is a read-side operation (no step); it does NOT promote written
 // bytes to durable — close-without-sync loses data in this model, as on
-// a real disk with volatile write cache.
+// a real disk with volatile write cache — so a file closed with unsynced
+// bytes stays tracked for the crash to tear.
 func (f *faultFile) Close() error {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
 		return os.ErrClosed
 	}
 	f.closed = true
-	err := f.f.Close()
-	f.mu.Unlock()
-	f.fs.mu.Lock()
-	delete(f.fs.files, f)
-	f.fs.mu.Unlock()
-	return err
+	if f.size <= f.durable {
+		delete(f.fs.files, f)
+	}
+	return f.f.Close()
 }
 
-// dead reports whether the filesystem has crashed (caller holds f.mu;
-// fs.mu ordering is fs before file, so take it briefly without f.mu —
-// a bool read under the fs lock).
-func (f *faultFile) dead() bool {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	return f.fs.crashed
-}
-
-// tearTo applies the crash to this file: cut it back to the durable
-// prefix plus at most tear unsynced bytes. The underlying file is
-// manipulated directly — the wrapper is already "dead" to its user.
-func (f *faultFile) tearTo(tear int) {
+// tearTo applies the crash to this file, now called name: cut it back
+// to the durable prefix plus at most tear unsynced bytes. The underlying
+// file is manipulated directly — the wrapper is already "dead" to its
+// user.
+func (f *faultFile) tearTo(name string, tear int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		// The bytes are in the real file; tear them there too.
 		keep := f.durable + int64(tear)
 		if keep < f.size {
-			if g, err := f.fs.inner.OpenFile(f.name, os.O_RDWR, 0); err == nil {
+			if g, err := f.fs.inner.OpenFile(name, os.O_RDWR, 0); err == nil {
 				g.Truncate(keep)
 				_ = g.Close()
 			}

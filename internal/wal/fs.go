@@ -1,11 +1,12 @@
 package wal
 
 // The filesystem seam. Every byte the WAL reads or writes goes through
-// the FS interface, so tests can substitute a fault-injecting
-// implementation (FaultFS) that simulates short writes, fsync errors,
-// full disks, and crashes at arbitrary points of the write path — the
-// failure modes a durability layer exists to survive, none of which a
-// healthy CI disk produces on its own.
+// the FS interface, and so does every byte of the container writer
+// (store.Create, which compaction calls), so tests can substitute a
+// fault-injecting implementation (FaultFS) that simulates short writes,
+// fsync errors, full disks, and crashes at arbitrary points of either
+// write path — the failure modes a durability layer exists to survive,
+// none of which a healthy CI disk produces on its own.
 
 import (
 	"io"
@@ -13,12 +14,15 @@ import (
 	"path/filepath"
 )
 
-// FS is the slice of filesystem behavior the WAL depends on.
+// FS is the slice of filesystem behavior the WAL and the container
+// writer depend on.
 type FS interface {
 	// OpenFile opens name with os.OpenFile semantics.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// Remove deletes name.
 	Remove(name string) error
+	// Rename moves oldpath to newpath, replacing any file there.
+	Rename(oldpath, newpath string) error
 	// Stat describes name.
 	Stat(name string) (os.FileInfo, error)
 	// SyncDir flushes the directory entry metadata of dir, making
@@ -48,6 +52,7 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 }
 
 func (osFS) Remove(name string) error              { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
 func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
 
 func (osFS) SyncDir(dir string) error {

@@ -110,7 +110,7 @@ func create(path string, d *store.Dataset, opts []SaveOption) error {
 	for _, opt := range opts {
 		opt(&c)
 	}
-	return store.Create(path, d, c.format)
+	return store.Create(nil, path, d, c.format)
 }
 
 // GraphFromDataset wraps an already-opened dataset as a Graph without

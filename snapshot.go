@@ -112,7 +112,7 @@ func (s *Snapshot) Materialize() *Graph {
 	if s.ov.Empty() {
 		return s.base
 	}
-	return materialize(s.encoding())
+	return materialize(s.Encoding())
 }
 
 // Compact writes the merged view to path as a fresh container generation
@@ -123,11 +123,12 @@ func (s *Snapshot) Materialize() *Graph {
 // Serving layers follow it with a cache invalidation so the next open
 // maps the compacted file and the delta restarts empty.
 func (s *Snapshot) Compact(path string, opts ...SaveOption) error {
-	return create(path, s.encoding(), opts)
+	return create(path, s.Encoding(), opts)
 }
 
-// encoding is the merged view as the storage layer writes it: in the
-// base's representation and block size.
-func (s *Snapshot) encoding() *store.Dataset {
+// Encoding is the merged view as the storage layer writes it, in the
+// base's representation and block size: the bridge for a layer that
+// writes it through store.Create itself, as sage-serve's compaction does.
+func (s *Snapshot) Encoding() *store.Dataset {
 	return store.Encoding(s.h.use(), s.base.adj.BlockSize())
 }
