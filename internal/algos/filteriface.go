@@ -26,12 +26,15 @@ type EdgeFilter interface {
 	// ActiveList materializes v's active neighbors into dst, accounting
 	// decode work.
 	ActiveList(worker int, v uint32, dst []uint32, stats *gfilter.IntersectStats) []uint32
-	// IntersectActive appends a ∩ active(v) to out for a sorted list a,
-	// without materializing v's list. It charges the PSAM and stats what
-	// ActiveList(v) followed by a two-pointer merge against a would.
+	// IntersectMarked appends a ∩ active(v) to out for a sorted list a
+	// whose elements are exactly the set bits of mark, a bitmap of
+	// ⌈n/64⌉ words the caller owns (one per worker). It probes v's active
+	// neighbors against mark in order, stopping past a's last element,
+	// and charges the PSAM and stats what ActiveList(v) followed by a
+	// two-pointer merge against a would.
 	//
 	//sage:hotpath
-	IntersectActive(worker int, v uint32, a, out []uint32, stats *gfilter.IntersectStats) []uint32
+	IntersectMarked(worker int, v uint32, a []uint32, mark []uint64, out []uint32, stats *gfilter.IntersectStats) []uint32
 }
 
 // FilterFactory builds an EdgeFilter over a graph.

@@ -11,8 +11,9 @@ import (
 // of the filtering technique: edges are oriented from lower to higher
 // rank through the graph filter exactly as in triangle counting, and
 // cliques are enumerated by recursively intersecting out-neighborhoods
-// within the resulting DAG. Mutable state is the filter plus O(k·Δ)
-// words of per-worker candidate buffers — no NVRAM writes.
+// within the resulting DAG. Mutable state is the filter, O(k·Δ) words of
+// per-worker candidate buffers and one ⌈n/64⌉-word bitmap per worker
+// that marks the current candidates — no NVRAM writes.
 // KCliqueCount(g, o, 3) equals TriangleCount(g, o).Count.
 func KCliqueCount(g graph.Adj, o *Options, k int) int64 {
 	o.Checkpoint()
@@ -25,9 +26,15 @@ func KCliqueCount(g graph.Adj, o *Options, k int) int64 {
 	f := orientByDegree(g, o, rank)
 	o.Env.Free(int64(n))
 
-	shards := make([]cliqueShard, parallel.MaxWorkers)
+	words := (n + 63) / 64
+	p := parallel.Workers()
+	marks := make([]uint64, p*words)
+	o.Env.Alloc(int64(len(marks)))
+	defer o.Env.Free(int64(len(marks)))
+	shards := make([]cliqueShard, p)
 	for i := range shards {
 		shards[i].levels = make([][]uint32, k)
+		shards[i].mark = marks[i*words : (i+1)*words]
 	}
 	parallel.ForWorker(n, 1, func(w, i int) {
 		sh := &shards[w]
@@ -36,7 +43,9 @@ func KCliqueCount(g graph.Adj, o *Options, k int) int64 {
 			return
 		}
 		sh.levels[0] = f.ActiveList(w, v, sh.levels[0], &sh.stats)
+		setMarks(sh.mark, sh.levels[0])
 		sh.count += sh.extend(o, f, w, 1, k-1)
+		clearMarks(sh.mark, sh.levels[0])
 	})
 	// The workers bail out early on cancellation (they cannot panic off
 	// their own goroutines); surface it here before totals are trusted.
@@ -50,22 +59,22 @@ func KCliqueCount(g graph.Adj, o *Options, k int) int64 {
 
 // cliqueShard is the per-worker recursion state: levels[d] holds the
 // candidate set (vertices completing the current partial clique) at
-// recursion depth d.
+// recursion depth d, and mark holds the bits of the deepest level in use.
 type cliqueShard struct {
 	count  int64
 	stats  gfilter.IntersectStats
 	levels [][]uint32
-	_      [16]byte
+	mark   []uint64
+	_      [56]byte
 }
 
-// extend counts cliques completed by choosing `remaining` more vertices
-// from levels[depth-1], intersecting with each candidate's
-// out-neighborhood in turn.
+// extend counts cliques completed by choosing `remaining` (at least two)
+// more vertices from levels[depth-1], whose bits mark holds on entry and
+// on return, intersecting with each candidate's out-neighborhood in turn.
+// A descent moves the marks to the next level and back, O(|cands| +
+// |next|): no more than merging cands against N⁺(u) would cost.
 func (sh *cliqueShard) extend(o *Options, f EdgeFilter, worker, depth, remaining int) int64 {
 	cands := sh.levels[depth-1]
-	if remaining == 1 {
-		return int64(len(cands))
-	}
 	var total int64
 	for _, u := range cands {
 		// Workers poll without panicking; KCliqueCount checkpoints after
@@ -76,10 +85,17 @@ func (sh *cliqueShard) extend(o *Options, f EdgeFilter, worker, depth, remaining
 		if f.Degree(u) == 0 {
 			continue
 		}
-		next := f.IntersectActive(worker, u, cands, sh.levels[depth][:0], &sh.stats)
+		next := f.IntersectMarked(worker, u, cands, sh.mark, sh.levels[depth][:0], &sh.stats)
 		sh.levels[depth] = next
-		if len(next) >= remaining-1 {
+		switch {
+		case remaining == 2:
+			total += int64(len(next))
+		case len(next) >= remaining-1:
+			clearMarks(sh.mark, cands)
+			setMarks(sh.mark, next)
 			total += sh.extend(o, f, worker, depth+1, remaining-1)
+			clearMarks(sh.mark, next)
+			setMarks(sh.mark, cands)
 		}
 	}
 	return total

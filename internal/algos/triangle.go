@@ -49,10 +49,11 @@ const sweepQuantum = 1024
 // of Shun–Tangwongsan as adapted to Sage (§4.3.4): edges are oriented
 // from lower to higher rank (degree, then id) *through the graph filter*
 // instead of by rewriting the graph, and each directed edge (u, v)
-// contributes |N⁺(u) ∩ N⁺(v)|, counted by merging N⁺(u) against v's live
-// filter bits in place. O(m^{3/2}) work, O(n + m/64) words of
-// small-memory: the filter plus one n-word array that holds the rank keys
-// during orientation and the sweep's block boundaries after it.
+// contributes |N⁺(u) ∩ N⁺(v)|, counted by probing v's live filter bits
+// against a bitmap of N⁺(u). O(m^{3/2}) work, O(n + m/64) words of
+// small-memory: the filter, one n-word array that holds the rank keys
+// during orientation and the sweep's block boundaries after it, and one
+// ⌈n/64⌉-word mark bitmap per worker.
 func TriangleCount(g graph.Adj, o *Options) *TriangleResult {
 	o.Checkpoint()
 	n := int(g.NumVertices())
@@ -74,12 +75,17 @@ func TriangleCount(g graph.Adj, o *Options) *TriangleResult {
 // Σ_{v∈N⁺(u)} (1 + deg⁺(v)), the plain edge count tracks the sweep's real
 // per-vertex cost at least as well on the RMAT and power-law families,
 // and the wedge count would cost a second pass over the oriented edges.)
-// On a cancelled context it returns early with a partial count the caller
-// must not use.
+// Each worker marks N⁺(u) in its own bitmap once per u and clears it after
+// u's edges, so each intersection is one probe of N⁺(v). On a cancelled
+// context it returns early with a partial count the caller must not use.
 func sweepTriangles(f EdgeFilter, o *Options, start []uint64) *TriangleResult {
 	n := len(start)
 	parallel.For(n, 0, func(u int) { start[u] = 1 + uint64(f.Degree(uint32(u))) })
 	nBlocks := int(parallel.Scan(start)/sweepQuantum) + 1
+	words := (n + 63) / 64
+	marks := make([]uint64, parallel.Workers()*words)
+	o.Env.Alloc(int64(len(marks)))
+	defer o.Env.Free(int64(len(marks)))
 	var shards [parallel.MaxWorkers]struct {
 		count  int64
 		stats  gfilter.IntersectStats
@@ -94,6 +100,7 @@ func sweepTriangles(f EdgeFilter, o *Options, start []uint64) *TriangleResult {
 			return
 		}
 		sh := &shards[w]
+		mark := marks[w*words : (w+1)*words]
 		lo := sort.Search(n, func(u int) bool { return start[u] >= uint64(b)*sweepQuantum })
 		hi := sort.Search(n, func(u int) bool { return start[u] >= uint64(b+1)*sweepQuantum })
 		for u := uint32(lo); u < uint32(hi); u++ {
@@ -101,10 +108,12 @@ func sweepTriangles(f EdgeFilter, o *Options, start []uint64) *TriangleResult {
 				continue
 			}
 			sh.listU = f.ActiveList(w, u, sh.listU, &sh.stats)
+			setMarks(mark, sh.listU)
 			for _, v := range sh.listU {
-				sh.common = f.IntersectActive(w, v, sh.listU, sh.common[:0], &sh.stats)
+				sh.common = f.IntersectMarked(w, v, sh.listU, mark, sh.common[:0], &sh.stats)
 				sh.count += int64(len(sh.common))
 			}
+			clearMarks(mark, sh.listU)
 		}
 	})
 	res := &TriangleResult{}
@@ -114,4 +123,19 @@ func sweepTriangles(f EdgeFilter, o *Options, start []uint64) *TriangleResult {
 		res.TotalWork += shards[i].stats.DecodedEdges
 	}
 	return res
+}
+
+// setMarks sets the bit of every element of list in mark.
+func setMarks(mark []uint64, list []uint32) {
+	for _, x := range list {
+		mark[x>>6] |= 1 << (x & 63)
+	}
+}
+
+// clearMarks empties mark, whose set bits are exactly list's, by zeroing
+// the words that hold them.
+func clearMarks(mark []uint64, list []uint32) {
+	for _, x := range list {
+		mark[x>>6] = 0
+	}
 }

@@ -118,31 +118,37 @@ func (f *MutFilter) ActiveList(worker int, v uint32, dst []uint32, stats *gfilte
 	return dst
 }
 
-// IntersectActive implements algos.EdgeFilter: a plain two-pointer merge
-// of a against v's packed live prefix, charged as one ActiveList(v).
+// IntersectMarked implements algos.EdgeFilter: v's packed live prefix
+// probed against mark up to a's last element, charged as one
+// ActiveList(v) and a plain two-pointer merge against a.
 //
 //sage:hotpath
-func (f *MutFilter) IntersectActive(worker int, v uint32, a, out []uint32, stats *gfilter.IntersectStats) []uint32 {
+func (f *MutFilter) IntersectMarked(worker int, v uint32, a []uint32, mark []uint64, out []uint32, stats *gfilter.IntersectStats) []uint32 {
 	deg := f.degs[v]
 	// The one unmarked call: PSAM accounting is deliberately not hotpath.
 	f.env.GraphRead(worker, f.EdgeAddr(v), int64(deg)) //sage:allow hotalloc
 	base := f.offsets[v]
 	b := f.edges[base : base+uint64(deg)]
-	var steps int64
-	for i, j := 0, 0; i < len(a) && j < len(b); steps++ {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+	common0 := len(out)
+	seen := 0
+	if len(a) > 0 {
+		last := a[len(a)-1]
+		for _, x := range b {
+			if x > last {
+				break
+			}
+			seen++
+			if mark[x>>6]&(1<<(x&63)) != 0 {
+				out = append(out, x)
+			}
 		}
 	}
 	if stats != nil {
-		stats.MergeSteps += steps
+		var bLast uint32
+		if seen > 0 {
+			bLast = b[seen-1]
+		}
+		stats.MergeSteps += gfilter.MergeSteps(a, int64(seen), int64(len(out)-common0), seen == len(b), bLast)
 		stats.DecodedEdges += int64(deg)
 	}
 	return out

@@ -168,42 +168,61 @@ func TestPackKeepsLiveCountExact(t *testing.T) {
 	}
 }
 
-// TestMutFilterIntersectActive: over the packed prefix the intersection
-// is ActiveList plus a plain merge, billed as one read of the live list.
-func TestMutFilterIntersectActive(t *testing.T) {
+// TestMutFilterIntersectMarked: over the packed prefix the probe
+// intersection is ActiveList plus a plain merge, billed as one read of
+// the live list — for a neighbour's list (the triangle-count shape), the
+// empty list, one element, and lists ending before, at and past v's.
+func TestMutFilterIntersectMarked(t *testing.T) {
 	g := gen.RMAT(9, 16, 5)
 	n := g.NumVertices()
 	env := psam.NewEnv(psam.AppDirect)
 	f := NewMutFilter(g, 0, env).(*MutFilter)
 	f.FilterEdges(func(u, ngh uint32) bool { return (u+ngh)%3 != 0 })
 	var stats gfilter.IntersectStats
+	mark := make([]uint64, (n+63)/64)
 	for v := uint32(0); v < n; v++ {
-		a := f.ActiveList(0, (v*31+7)%n, nil, nil)
 		list := f.ActiveList(0, v, nil, nil)
-		var want []uint32
-		var steps int64
-		for i, j := 0, 0; i < len(a) && j < len(list); steps++ {
-			switch {
-			case a[i] < list[j]:
-				i++
-			case a[i] > list[j]:
-				j++
-			default:
-				want = append(want, a[i])
-				i++
-				j++
+		as := [][]uint32{f.ActiveList(0, (v*31+7)%n, nil, nil), nil, {v}}
+		if len(list) > 0 {
+			first, last := list[0], list[len(list)-1]
+			as = append(as, []uint32{last})
+			if first > 0 {
+				as = append(as, []uint32{first - 1}, []uint32{first / 2, first})
+			}
+			if last+1 < n {
+				as = append(as, []uint32{first, last + 1})
 			}
 		}
-		before, reads := stats, env.Totals().NVRAMReads
-		got := f.IntersectActive(0, v, a, nil, &stats)
-		if !slices.Equal(got, want) {
-			t.Fatalf("v=%d: got %v want %v", v, got, want)
-		}
-		if stats.MergeSteps-before.MergeSteps != steps || stats.DecodedEdges-before.DecodedEdges != int64(len(list)) {
-			t.Fatalf("v=%d: stats moved by %+v - %+v, want %d steps and %d decoded", v, stats, before, steps, len(list))
-		}
-		if got := env.Totals().NVRAMReads - reads; got != int64(len(list)) {
-			t.Fatalf("v=%d: charged %d NVRAM words for a live list of %d", v, got, len(list))
+		for _, a := range as {
+			var want []uint32
+			var steps int64
+			for i, j := 0, 0; i < len(a) && j < len(list); steps++ {
+				switch {
+				case a[i] < list[j]:
+					i++
+				case a[i] > list[j]:
+					j++
+				default:
+					want = append(want, a[i])
+					i++
+					j++
+				}
+			}
+			for _, x := range a {
+				mark[x>>6] |= 1 << (x & 63)
+			}
+			before, reads := stats, env.Totals().NVRAMReads
+			got := f.IntersectMarked(0, v, a, mark, nil, &stats)
+			clear(mark)
+			if !slices.Equal(got, want) {
+				t.Fatalf("v=%d a=%v: got %v want %v", v, a, got, want)
+			}
+			if stats.MergeSteps-before.MergeSteps != steps || stats.DecodedEdges-before.DecodedEdges != int64(len(list)) {
+				t.Fatalf("v=%d a=%v: stats moved by %+v - %+v, want %d steps and %d decoded", v, a, stats, before, steps, len(list))
+			}
+			if got := env.Totals().NVRAMReads - reads; got != int64(len(list)) {
+				t.Fatalf("v=%d: charged %d NVRAM words for a live list of %d", v, got, len(list))
+			}
 		}
 	}
 }

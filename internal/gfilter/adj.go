@@ -162,26 +162,33 @@ func appendLive(dst, nghs []uint32, words []uint64) []uint32 {
 	return dst
 }
 
-// IntersectActive appends a ∩ active(v) to out, for a sorted list a, and
-// returns it. It is ActiveList(v) followed by a two-pointer merge against
-// a, fused so that v's active list is never materialized: a is merged
-// against the set bits of each block in place (the CSR block an alias, a
-// compressed block one decode), the merge of a block whose last active
-// neighbor precedes the next element of a is skipped, and nothing is
-// fetched once a is exhausted. What it charges is the unfused algorithm's
-// bill, not the shortcuts': every block of v holding an active bit is
-// charged to the PSAM and to stats.DecodedEdges exactly as ActiveList
-// charges it, and stats.MergeSteps advances by one per comparison the
-// plain merge would make — so Table 4's two work measures and the run's
-// PSAM cost do not depend on how the intersection is evaluated.
+// IntersectMarked appends a ∩ active(v) to out, for a sorted list a
+// whose elements are exactly the set bits of mark (the caller's bitmap of
+// ⌈n/64⌉ words), and returns it. It walks v's active neighbors in order
+// with the tzcnt/blsr word loop of §4.2.3, testing each against mark with
+// one load, and stops at the first one above a's last element: nothing
+// later can be common. What it charges is the bill of ActiveList(v)
+// followed by a two-pointer merge against a, not the shortcut's: every
+// block of v holding an active bit is charged to the PSAM and to
+// stats.DecodedEdges exactly as ActiveList charges it, including blocks
+// past the stop, and stats.MergeSteps advances by the comparisons the
+// plain merge would make (MergeSteps) — so Table 4's two work measures
+// and the run's PSAM cost do not depend on how the intersection is
+// evaluated.
 //
 //sage:hotpath
-func (f *Filter) IntersectActive(worker int, v uint32, a, out []uint32, stats *IntersectStats) []uint32 {
+func (f *Filter) IntersectMarked(worker int, v uint32, a []uint32, mark []uint64, out []uint32, stats *IntersectStats) []uint32 {
 	vm := &f.vtx[v]
+	if vm.deg == 0 {
+		return out // no live bits: nothing to charge, and the merge makes no step
+	}
 	dec := &f.scratch[worker].dec
 	addr := f.g.EdgeAddr(v)
-	var steps, decoded int64
-	i := 0
+	common0 := len(out)
+	var decoded, seen int64
+	var bLast uint32
+	done := len(a) == 0
+	ranOut := true
 	for s, end := vm.start, vm.start+uint64(vm.numBlocks); s < end; s++ {
 		words := f.blockWords(s)
 		live, top := liveBits(words)
@@ -191,54 +198,76 @@ func (f *Filter) IntersectActive(worker int, v uint32, a, out []uint32, stats *I
 		// The one unmarked call: PSAM accounting is deliberately not hotpath.
 		lo, d := f.chargeSlot(worker, v, addr, s, live) //sage:allow hotalloc
 		decoded += d
-		if i == len(a) {
+		if done {
 			continue
 		}
 		nghs, _ := f.g.Slice(v, lo, lo+f.fb, dec)
-		if nghs[top*64+63-bits.LeadingZeros64(words[top])] < a[i] {
-			steps += live // the plain merge steps past each of them
-			continue
+		var n int64
+		out, n = probeLive(out, nghs, words, mark, a[len(a)-1])
+		seen += n
+		if n < live {
+			done, ranOut = true, false
+		} else {
+			bLast = nghs[top*64+63-bits.LeadingZeros64(words[top])]
 		}
-		var n int
-		var st int64
-		out, n, st = mergeLive(out, a[i:], nghs, words)
-		i += n
-		steps += st
 	}
 	if stats != nil {
-		stats.MergeSteps += steps
+		stats.MergeSteps += MergeSteps(a, seen, int64(len(out)-common0), ranOut, bLast)
 		stats.DecodedEdges += decoded
 	}
 	return out
 }
 
-// mergeLive merges the non-empty sorted list a against the set bits of
-// one decoded block with the tzcnt/blsr word loop of §4.2.3, appending
-// common elements to out. It returns out, how many elements of a it
-// consumed, and the comparisons made — one per iteration of the plain
-// two-pointer merge, which stops when either side runs out.
+// probeLive appends the live neighbors of one decoded block that are set
+// in mark, in adjacency order, stopping at the first one above last. It
+// returns out and how many live neighbors it visited (those at most last).
 //
 //sage:hotpath
-func mergeLive(out, a, nghs []uint32, words []uint64) ([]uint32, int, int64) {
-	i := 0
-	var steps int64
+func probeLive(out, nghs []uint32, words, mark []uint64, last uint32) ([]uint32, int64) {
+	var seen int64
 	for k, w := range words {
 		for ; w != 0; w &= w - 1 {
 			b := nghs[k*64+bits.TrailingZeros64(w)]
-			for a[i] < b {
-				steps++
-				if i++; i == len(a) {
-					return out, i, steps
-				}
+			if b > last {
+				return out, seen
 			}
-			steps++
-			if a[i] == b {
+			seen++
+			if mark[b>>6]&(1<<(b&63)) != 0 {
 				out = append(out, b)
-				if i++; i == len(a) {
-					return out, i, steps
-				}
 			}
 		}
 	}
-	return out, i, steps
+	return out, seen
+}
+
+// MergeSteps returns the comparisons the plain two-pointer merge of the
+// sorted list a against a sorted, duplicate-free list b makes — one per
+// iteration, stopping when either side runs out — from what a probe of b
+// against a observes: seen, the elements of b at most a's last; common,
+// |a ∩ b|; and whether b ran out before passing a's last, with bLast its
+// last element. If b passed a's last, the merge consumed all of a and the
+// seen prefix of b; otherwise it consumed all of b and the elements of a
+// at most bLast, found by binary search. Each equal pair is one step that
+// consumes one of each.
+//
+//sage:hotpath
+func MergeSteps(a []uint32, seen, common int64, ranOut bool, bLast uint32) int64 {
+	if len(a) == 0 || seen == 0 && ranOut {
+		return 0
+	}
+	if !ranOut {
+		return int64(len(a)) + seen - common
+	}
+	// A branch-free binary search for the last index whose element is at
+	// most bLast (the outcome of each probe is a coin flip, so a branch
+	// would mispredict half the time), then one more if it qualifies.
+	i := 0
+	for n := len(a); n > 1; n -= n / 2 {
+		le := ^((int64(bLast) - int64(a[i+n/2])) >> 63) // all ones iff a[i+n/2] <= bLast
+		i += int(le) & (n / 2)
+	}
+	if a[i] <= bLast {
+		i++
+	}
+	return seen + int64(i) - common
 }

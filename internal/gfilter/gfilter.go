@@ -3,16 +3,21 @@
 // supports batch edge deletions without writing to the graph itself. Each
 // vertex's adjacency is divided into blocks of FB edges; the filter keeps
 // one bit per edge, plus two words of metadata per block (the original
-// block id and the count of active edges in preceding blocks), the
-// per-vertex degree/extent, and per-vertex dirty bits. Empty blocks are
-// physically compacted once a constant fraction of a vertex's blocks die,
-// which keeps iteration work-efficient. Total space is O(n + m/64) words
-// — the relaxed PSAM budget.
+// block id and the count of active edges in preceding blocks) and the
+// per-vertex degree/extent. Empty blocks are physically compacted once a
+// constant fraction of a vertex's blocks die, which keeps iteration
+// work-efficient. Total space is O(n + m/64) words — the relaxed PSAM
+// budget. The paper's per-vertex dirty bits, which mark the far endpoint
+// of every removed edge, are not kept: no algorithm here reads them, and
+// setting one cost every removal an atomic OR.
 //
 // The filter itself implements graph.Adj, so every traversal and algorithm
 // in this repository runs unchanged over a filtered graph; this is how
 // biconnectivity "optimizes a call to connectivity on the input graph with
-// a large subset of the edges removed" (§4.3.2).
+// a large subset of the edges removed" (§4.3.2). Triangle and k-clique
+// counting intersect with IntersectMarked, which probes a vertex's live
+// bits against the caller's bitmap of the other list and bills what
+// ActiveList followed by a two-pointer merge would.
 package gfilter
 
 import (
@@ -40,16 +45,15 @@ type vtxMeta struct {
 
 // Filter is a mutable edge-subset view of an immutable graph.
 type Filter struct {
-	g     graph.Adj
-	env   *psam.Env
-	csr   bool   // g is uncompressed: a block is a plain range of the adjacency
-	fb    uint32 // filter block size in edges (multiple of 64)
-	wpb   uint32 // words per block = fb/64
-	bits  []uint64
-	meta  []blockMeta
-	vtx   []vtxMeta
-	dirty *parallel.Bitset
-	live  atomic.Int64 // maintained active-edge count (updated in packs)
+	g    graph.Adj
+	env  *psam.Env
+	csr  bool   // g is uncompressed: a block is a plain range of the adjacency
+	fb   uint32 // filter block size in edges (multiple of 64)
+	wpb  uint32 // words per block = fb/64
+	bits []uint64
+	meta []blockMeta
+	vtx  []vtxMeta
+	live atomic.Int64 // maintained active-edge count (updated in packs)
 
 	scratch [parallel.MaxWorkers]workerScratch
 }
@@ -99,8 +103,7 @@ func New(g graph.Adj, fb int, env *psam.Env) *Filter {
 	totalBlocks := parallel.Scan(blockSums)
 	f.bits = make([]uint64, totalBlocks*uint64(f.wpb))
 	f.meta = make([]blockMeta, totalBlocks)
-	f.dirty = parallel.NewBitset(int(n))
-	env.Alloc(int64(len(f.bits)) + 2*int64(totalBlocks) + 3*int64(n) + int64(f.dirty.Words())/2)
+	env.Alloc(f.SizeWords())
 
 	parallel.For(int(n), 16, func(i int) {
 		vm := &f.vtx[i]
@@ -140,15 +143,10 @@ func (f *Filter) FB() int { return int(f.fb) }
 // ActiveEdges returns the maintained count of active edges.
 func (f *Filter) ActiveEdges() int64 { return f.live.Load() }
 
-// Dirty exposes the per-vertex dirty bits: vertex u is marked when an edge
-// (v, u) was deleted during a pack of v, so u's adjacency may reference
-// edges its own filter side has not yet dropped.
-func (f *Filter) Dirty() *parallel.Bitset { return f.dirty }
-
 // SizeWords reports the filter's DRAM footprint in words (for the §4.2.3
 // memory-usage comparison: 4.6–8.1x smaller than the uncompressed graph).
 func (f *Filter) SizeWords() int64 {
-	return int64(len(f.bits)) + 2*int64(len(f.meta)) + 3*int64(len(f.vtx)) + int64(f.dirty.Words())/2
+	return int64(len(f.bits)) + 2*int64(len(f.meta)) + 3*int64(len(f.vtx))
 }
 
 // chargeSlot charges the NVRAM read of the block behind filter slot s of
@@ -199,11 +197,11 @@ func liveBits(words []uint64) (live int64, top int) {
 
 // packBlock is the pack inner loop over one decoded block: the
 // tzcnt/blsr-style word loop of §4.2.3 clears the bit of every live
-// neighbor failing pred(v, ngh), marks that neighbor dirty, and returns
-// the block's surviving and removed counts.
+// neighbor failing pred(v, ngh) and returns the block's surviving and
+// removed counts.
 //
 //sage:hotpath
-func packBlock(words []uint64, nghs []uint32, v uint32, pred func(u, ngh uint32) bool, dirty *parallel.Bitset) (kept uint32, removed int64) {
+func packBlock(words []uint64, nghs []uint32, v uint32, pred func(u, ngh uint32) bool) (kept uint32, removed int64) {
 	for k, w := range words {
 		for w != 0 {
 			idx := bits.TrailingZeros64(w)
@@ -213,7 +211,6 @@ func packBlock(words []uint64, nghs []uint32, v uint32, pred func(u, ngh uint32)
 				kept++
 			} else {
 				words[k] &^= uint64(1) << idx
-				dirty.AtomicSet(ngh)
 				removed++
 			}
 		}
@@ -244,7 +241,7 @@ func (f *Filter) packVertex(worker int, v uint32, pred func(u, ngh uint32) bool)
 		if live, _ := liveBits(words); live > 0 {
 			nghs, _ := f.decodeSlot(worker, v, addr, s, live)
 			var r int64
-			cnt, r = packBlock(words, nghs, v, pred, f.dirty)
+			cnt, r = packBlock(words, nghs, v, pred)
 			removed += r
 			f.env.StateWrite(worker, int64(f.wpb))
 		}
@@ -286,10 +283,10 @@ func (f *Filter) packVertex(worker int, v uint32, pred func(u, ngh uint32) bool)
 }
 
 // PackVertex removes the active edges of v for which pred(v, ngh) is
-// false (§4.2.2): it rescans live blocks, clears failing bits, marks the
-// removed neighbors dirty, recomputes per-block offsets, compacts blocks
-// when enough die, and updates the degree. It returns the new active
-// degree and the number of edges removed. PackVertex for distinct
+// false (§4.2.2): it rescans live blocks, clears failing bits, recomputes
+// per-block offsets, compacts blocks when enough die, and updates the
+// degree. It returns the new active degree and the number of edges
+// removed. PackVertex for distinct
 // vertices may run concurrently; a caller packing many vertices should
 // prefer EdgeMapPack or FilterEdges, which touch the shared live count
 // once per scheduling block instead of once per vertex.

@@ -21,7 +21,7 @@ func activeOf(f *Filter, v uint32) []uint32 {
 	return f.ActiveList(0, v, nil, nil)
 }
 
-// intersectSorted is the reference two-pointer merge the fused
+// intersectSorted is the reference two-pointer merge the probe
 // intersection must agree with: the common elements of two sorted lists
 // and one merge step per comparison.
 func intersectSorted(a, b []uint32, stats *IntersectStats) []uint32 {
@@ -158,19 +158,6 @@ func TestFilterToEmpty(t *testing.T) {
 		if f.Degree(v) != 0 {
 			t.Fatalf("vertex %d still has degree %d", v, f.Degree(v))
 		}
-	}
-}
-
-func TestFilterDirtyBits(t *testing.T) {
-	g := gen.Star(10)
-	f := New(g, 64, nil)
-	// Pack only the center, dropping the edge to leaf 3.
-	f.PackVertex(0, 0, func(_, ngh uint32) bool { return ngh != 3 })
-	if !f.Dirty().Get(3) {
-		t.Fatal("leaf 3 not marked dirty")
-	}
-	if f.Dirty().Get(2) {
-		t.Fatal("leaf 2 spuriously dirty")
 	}
 }
 
@@ -350,12 +337,13 @@ func overlayOf(t *testing.T, g *graph.Graph) (graph.Adj, *graph.Graph) {
 	return ov, graph.FromEdges(n, edges, graph.BuildOpts{})
 }
 
-// TestIntersectActiveMatchesListThenMerge is the fused intersection's
-// contract: on any filter state and any sorted list a, IntersectActive
-// returns what ActiveList followed by the plain two-pointer merge
-// returns, and bills the same merge steps, decoded edges and PSAM graph
-// reads (block by block: the Memory-Mode cache sees the same addresses).
-func TestIntersectActiveMatchesListThenMerge(t *testing.T) {
+// TestIntersectMarkedMatchesListThenMerge is the probe intersection's
+// contract: on any filter state and any sorted list a marked in a bitmap,
+// IntersectMarked returns what ActiveList followed by the plain
+// two-pointer merge returns, and bills the same merge steps, decoded
+// edges and PSAM graph reads (block by block: the Memory-Mode cache sees
+// the same addresses).
+func TestIntersectMarkedMatchesListThenMerge(t *testing.T) {
 	// One worker: the Memory-Mode cache's state after a parallel pack
 	// depends on how the workers' reads interleave.
 	old := parallel.Workers()
@@ -384,13 +372,14 @@ func TestIntersectActiveMatchesListThenMerge(t *testing.T) {
 				}
 				return env
 			}
-			// Three filters kept in the same state: ref reads the unfused
-			// way, fused the fused way, and probe (unaccounted) supplies
-			// the lists to intersect with.
-			ref, fused, probe := New(b.adj, b.fb, newEnv()), New(b.adj, b.fb, newEnv()), New(b.adj, b.fb, nil)
+			// Three filters kept in the same state: ref reads the list and
+			// merges, marked probes a bitmap, and probe (unaccounted)
+			// supplies the lists to intersect with.
+			ref, marked, probe := New(b.adj, b.fb, newEnv()), New(b.adj, b.fb, newEnv()), New(b.adj, b.fb, nil)
 			r := rand.New(rand.NewPCG(7, uint64(b.fb)))
-			var refStats, fusedStats IntersectStats
+			var refStats, markedStats IntersectStats
 			var list, out []uint32
+			mark := make([]uint64, (n+63)/64)
 			for round := 0; round < 4; round++ {
 				// Round 0 is the untouched filter; then random deletions;
 				// round 2 also kills every edge into the lower half of the
@@ -403,15 +392,15 @@ func TestIntersectActiveMatchesListThenMerge(t *testing.T) {
 						}
 						return (uint64(min(u, ngh))<<32|uint64(max(u, ngh)))*salt>>61 != 0
 					}
-					if left := probe.FilterEdges(pred); ref.FilterEdges(pred) != left || fused.FilterEdges(pred) != left {
+					if left := probe.FilterEdges(pred); ref.FilterEdges(pred) != left || marked.FilterEdges(pred) != left {
 						t.Fatalf("%s: the filters diverged", b.name)
 					}
 				}
 				for v := uint32(0); v < n; v++ {
 					active := activeOf(probe, v)
-					// Lists ending before, inside and after v's, the empty
-					// list, a neighbour's list (the triangle-count shape),
-					// and a dense run of ids.
+					// Lists ending before, inside, at the end of and after
+					// v's, the empty list, a neighbour's list (the
+					// triangle-count shape), and a dense run of ids.
 					as := [][]uint32{nil, activeOf(probe, (v*31+7)%n)}
 					if len(active) > 0 {
 						first, mid, last := active[0], active[len(active)/2], active[len(active)-1]
@@ -421,21 +410,26 @@ func TestIntersectActiveMatchesListThenMerge(t *testing.T) {
 							sortedSample(r, mid, n, 9),
 							sortedSample(r, last+1, n, 5),
 							[]uint32{last},
+							append(sortedSample(r, 0, last, 7), last),
 							sortedSample(r, 0, n, 200))
 					}
 					for _, a := range as {
 						list = ref.ActiveList(0, v, list, &refStats)
 						want := intersectSorted(a, list, &refStats)
-						out = fused.IntersectActive(0, v, a, out[:0], &fusedStats)
+						for _, x := range a {
+							mark[x>>6] |= 1 << (x & 63)
+						}
+						out = marked.IntersectMarked(0, v, a, mark, out[:0], &markedStats)
+						clear(mark)
 						if !slices.Equal(out, want) {
 							t.Fatalf("%s round %d: v=%d a=%v: got %v want %v", b.name, round, v, a, out, want)
 						}
-						if fusedStats != refStats {
-							t.Fatalf("%s round %d: v=%d a=%v: stats %+v want %+v", b.name, round, v, a, fusedStats, refStats)
+						if markedStats != refStats {
+							t.Fatalf("%s round %d: v=%d a=%v: stats %+v want %+v", b.name, round, v, a, markedStats, refStats)
 						}
 					}
 				}
-				if got, want := fused.env.Totals(), ref.env.Totals(); got != want {
+				if got, want := marked.env.Totals(), ref.env.Totals(); got != want {
 					t.Fatalf("%s round %d (%v): PSAM counts %+v want %+v", b.name, round, mode, got, want)
 				}
 			}
