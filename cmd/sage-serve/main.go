@@ -114,10 +114,9 @@ func main() {
 	listen := flag.String("listen", ":8080", "listen address")
 	role := flag.String("role", "replica", "replica (serve datasets) | router (proxy the API across -peers)")
 	peersFlag := flag.String("peers", "", "router: comma-separated name=url replica endpoints")
-	replication := flag.Int("replication", 0, "router: replicas owning each dataset (0 = the NUMA model's per-socket recommendation)")
-	vnodes := flag.Int("vnodes", 0, "router: virtual nodes per replica on the hash ring (0 = 128)")
+	replication := flag.Int("replication", 0, "router: replicas owning each dataset (0 = 2, one copy per socket as in the paper's §5.2)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "router: background /readyz probe period (negative disables)")
-	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "router: read-failover pause and down-replica quarantine window")
+	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "router: pause before each read failover; rounded up to seconds, the Retry-After of the router's 502s")
 	modeName := flag.String("mode", "appdirect", "dram|appdirect|memorymode|nvramall")
 	strategyName := flag.String("strategy", "chunked", "chunked|blocked|sparse|auto")
 	costModelName := flag.String("cost-model", "optane", "hardware cost profile: "+strings.Join(sage.CostModelNames(), "|"))
@@ -158,7 +157,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "a router holds no datasets; point -peers at the replicas that do")
 			os.Exit(2)
 		}
-		runRouter(*listen, *peersFlag, *replication, *vnodes,
+		runRouter(*listen, *peersFlag, *replication,
 			*probeInterval, *retryBackoff, *drainGrace)
 		return
 	}
@@ -223,51 +222,22 @@ func main() {
 		}
 	}
 
-	// Bind before announcing, so "serving" in the log means reachable.
 	// WAL replay runs after the listener is up: /readyz answers 503
 	// ("starting") until Recover finishes, so load balancers hold traffic
 	// while large logs replay, then flip to ready.
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "listen:", err)
-		os.Exit(1)
-	}
-	httpSrv := newHTTPServer(srv)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	if *walEnabled {
-		replayed, degraded := srv.Recover()
-		if replayed > 0 {
-			log.Printf("sage-serve: replayed %d write-ahead batch(es)", replayed)
+	serve(*listen, srv, *drainGrace, func(addr net.Addr) {
+		if *walEnabled {
+			replayed, degraded := srv.Recover()
+			if replayed > 0 {
+				log.Printf("sage-serve: replayed %d write-ahead batch(es)", replayed)
+			}
+			for _, name := range degraded {
+				log.Printf("sage-serve: dataset %s is read-only (write-ahead log unavailable)", name)
+			}
 		}
-		for _, name := range degraded {
-			log.Printf("sage-serve: dataset %s is read-only (write-ahead log unavailable)", name)
-		}
-	}
-	log.Printf("sage-serve: %d dataset(s) [%s], %d algorithms, mode %s, serving on %s",
-		len(names), strings.Join(names, ", "), len(sage.AlgorithmNames()), *modeName, ln.Addr())
-
-	select {
-	case err := <-errCh:
-		log.Fatalf("serve: %v", err)
-	case <-ctx.Done():
-	}
-	// Graceful drain: flip /readyz to 503 first so load balancers stop
-	// routing, give them -drain-grace to notice, then close connections.
-	srv.BeginDrain()
-	log.Printf("sage-serve: draining")
-	if *drainGrace > 0 {
-		time.Sleep(*drainGrace)
-	}
-	log.Printf("sage-serve: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("shutdown: %v", err)
-	}
+		log.Printf("sage-serve: %d dataset(s) [%s], %d algorithms, mode %s, serving on %s",
+			len(names), strings.Join(names, ", "), len(sage.AlgorithmNames()), *modeName, addr)
+	})
 	if err := srv.Close(); err != nil {
 		log.Printf("close: %v", err)
 	}
@@ -276,7 +246,7 @@ func main() {
 // runRouter is the -role=router main loop: build the ring over -peers,
 // probe them once so the first requests route on fresh health state, and
 // proxy until a signal drains the process.
-func runRouter(listen, peersFlag string, replication, vnodes int,
+func runRouter(listen, peersFlag string, replication int,
 	probeInterval, retryBackoff, drainGrace time.Duration) {
 	if peersFlag == "" {
 		fmt.Fprintln(os.Stderr, "router role needs -peers name=url[,name=url...]")
@@ -289,7 +259,6 @@ func runRouter(listen, peersFlag string, replication, vnodes int,
 	}
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Peers:         peers,
-		VNodes:        vnodes,
 		Replication:   replication,
 		ProbeInterval: probeInterval,
 		RetryBackoff:  retryBackoff,
@@ -300,30 +269,48 @@ func runRouter(listen, peersFlag string, replication, vnodes int,
 	}
 	rt.ProbeNow()
 	rt.Start()
-
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "listen:", err)
-		os.Exit(1)
-	}
-	httpSrv := newHTTPServer(rt)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
 	names := make([]string, len(peers))
 	for i, p := range peers {
 		names[i] = p.Name
 	}
-	log.Printf("sage-serve: router over %d replica(s) [%s], serving on %s",
-		len(peers), strings.Join(names, ", "), ln.Addr())
+	serve(listen, rt, drainGrace, func(addr net.Addr) {
+		log.Printf("sage-serve: router over %d replica(s) [%s], serving on %s",
+			len(peers), strings.Join(names, ", "), addr)
+	})
+	rt.Close()
+}
+
+// drainable is a handler that can stop advertising readiness: both the
+// replica's server.Server and the router's cluster.Router are.
+type drainable interface {
+	http.Handler
+	BeginDrain()
+}
+
+// serve is the one serving lifecycle of both roles. It binds addr, serves
+// h, and calls up once the listener accepts, so "serving" in the log
+// means reachable. On SIGINT or SIGTERM it drains: /readyz flips to 503
+// at once so load balancers stop routing, connections close after
+// drainGrace, and serve returns for the caller to release h.
+func serve(addr string, h drainable, drainGrace time.Duration, up func(net.Addr)) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "listen:", err)
+		os.Exit(1)
+	}
+	httpSrv := newHTTPServer(h)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	up(ln.Addr())
 
 	select {
 	case err := <-errCh:
 		log.Fatalf("serve: %v", err)
 	case <-ctx.Done():
 	}
-	rt.BeginDrain()
+	h.BeginDrain()
 	log.Printf("sage-serve: draining")
 	if drainGrace > 0 {
 		time.Sleep(drainGrace)
@@ -334,5 +321,4 @@ func runRouter(listen, peersFlag string, replication, vnodes int,
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("shutdown: %v", err)
 	}
-	rt.Close()
 }

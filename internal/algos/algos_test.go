@@ -7,6 +7,7 @@ import (
 	"sage/internal/compress"
 	"sage/internal/gen"
 	"sage/internal/graph"
+	"sage/internal/parallel"
 	"sage/internal/psam"
 	"sage/internal/refalgo"
 	"sage/internal/traverse"
@@ -499,12 +500,29 @@ func TestTriangleCountCompressedBlockSizes(t *testing.T) {
 }
 
 func TestPageRankMatchesSerial(t *testing.T) {
+	type input struct {
+		g   graph.Adj
+		ref *graph.Graph
+	}
+	inputs := map[string]input{}
 	for name, g := range battery() {
-		want := refalgo.PageRank(g, 1e-10, 100)
-		got, _ := PageRank(g, opts(), 1e-10, 100)
-		for v := range want {
-			if math.Abs(got[v]-want[v]) > 1e-8 {
-				t.Fatalf("%s: pr[%d]=%v want %v", name, v, got[v], want[v])
+		inputs[name] = input{g, g}
+	}
+	// The hub's degree, 9,999, exceeds prParallelDegree: its pull runs
+	// aggregateParallel over two blocks, on CSR and on a byte code.
+	hub := gen.Star(10_000)
+	inputs["hub"] = input{hub, hub}
+	inputs["hub/byte64"] = input{compress.Compress(hub, 64), hub}
+	defer parallel.SetWorkers(parallel.Workers())
+	for _, p := range []int{1, 2} {
+		parallel.SetWorkers(p)
+		for name, in := range inputs {
+			want := refalgo.PageRank(in.ref, 1e-10, 100)
+			got, _ := PageRank(in.g, opts(), 1e-10, 100)
+			for v := range want {
+				if math.Abs(got[v]-want[v]) > 1e-8 {
+					t.Fatalf("%s at %d workers: pr[%d]=%v want %v", name, p, v, got[v], want[v])
+				}
 			}
 		}
 	}

@@ -4,7 +4,7 @@
 // arena the §5.2 placement argument wants), all fronted by one
 // cluster.Router — every tier wrapped in an httptest.Server so the full
 // HTTP proxy path runs with no processes to spawn. The differential,
-// fault, and rebalance suites all share this fixture.
+// fault, and endpoint suites all share this fixture.
 //
 // Fault injection is first-class: Kill makes a replica's listener abort
 // every connection mid-request (the client sees a transport error, as it
@@ -36,8 +36,6 @@ type Options struct {
 	Replicas int
 	// Replication is how many replicas own each dataset (0: 2).
 	Replication int
-	// VNodes is the ring's virtual-node count (0: cluster.DefaultVNodes).
-	VNodes int
 	// Datasets maps dataset names to the graphs every replica serves;
 	// each replica (and each Direct server) persists its own copy.
 	Datasets map[string]*sage.Graph
@@ -47,8 +45,8 @@ type Options struct {
 	// fsyncs every acknowledged batch, so a Kill loses nothing
 	// acknowledged).
 	NoWAL bool
-	// RetryBackoff is the router's failover pause / quarantine window
-	// (0: 10ms — short, so fault tests spend no real time waiting).
+	// RetryBackoff is the router's pause before each read failover (0:
+	// 10ms — short, so fault tests spend no real time waiting).
 	RetryBackoff time.Duration
 	// ProbeInterval enables background health probing (0: disabled —
 	// passive detection keeps tests deterministic; fault tests that want
@@ -205,7 +203,6 @@ func New(t testing.TB, opts Options) *Cluster {
 	}
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Peers:         peers,
-		VNodes:        opts.VNodes,
 		Replication:   opts.Replication,
 		ProbeInterval: probe,
 		RetryBackoff:  opts.RetryBackoff,

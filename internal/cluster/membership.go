@@ -1,14 +1,14 @@
 package cluster
 
 // Replica membership and health. The router's routing decisions need one
-// bit per peer — route to it or around it — refreshed two ways: passively
-// (a transport failure while proxying marks the peer down and starts a
-// quarantine window) and actively (a background prober GETs each peer's
-// /readyz, so a replica that drains, crashes, or rejoins flips state even
-// when no request happens to touch it). A quarantined peer is retried
-// once its window elapses, so a restarted replica rejoins without any
-// registration step: the first successful probe or proxied request marks
-// it healthy again.
+// bit per peer — healthy or down — refreshed two ways: passively (a
+// transport failure while proxying marks the peer down, a successful
+// contact marks it up) and actively (a background prober GETs each
+// peer's /readyz, so a replica that drains, crashes, or rejoins flips
+// state even when no request happens to touch it). A down peer is only
+// ordered after the healthy ones, never skipped, so a restarted replica
+// rejoins without any registration step: its next successful contact or
+// probe marks it healthy again.
 
 import (
 	"fmt"
@@ -63,11 +63,6 @@ type peerState struct {
 	// the first failed request or probe corrects it) so a router can come
 	// up before its replicas finish binding.
 	healthy atomic.Bool
-	// quarantinedUntil (unix nanos) holds the end of the backoff window
-	// after a failure; until then the peer is skipped when any healthy
-	// alternative exists, after it the peer is eligible again (and the
-	// next contact re-decides its state).
-	quarantinedUntil atomic.Int64
 
 	failures   atomic.Int64 // transport failures observed (metrics)
 	probes     atomic.Int64 // health probes issued (metrics)
@@ -76,10 +71,9 @@ type peerState struct {
 
 // membership tracks every configured peer's health.
 type membership struct {
-	peers   map[string]*peerState
-	order   []string // configured order, for stable listings
-	client  *http.Client
-	backoff time.Duration // quarantine window after a failure
+	peers  map[string]*peerState
+	order  []string // configured order, for stable listings
+	client *http.Client
 
 	// The background prober's lifecycle: start launches it at most once
 	// and never after close; close may come first, or more than once.
@@ -90,12 +84,11 @@ type membership struct {
 	prober  sync.WaitGroup
 }
 
-func newMembership(peers []Peer, client *http.Client, backoff time.Duration) (*membership, error) {
+func newMembership(peers []Peer, client *http.Client) (*membership, error) {
 	m := &membership{
-		peers:   make(map[string]*peerState, len(peers)),
-		client:  client,
-		backoff: backoff,
-		stop:    make(chan struct{}),
+		peers:  make(map[string]*peerState, len(peers)),
+		client: client,
+		stop:   make(chan struct{}),
 	}
 	for _, p := range peers {
 		if _, dup := m.peers[p.Name]; dup {
@@ -123,36 +116,31 @@ func (m *membership) healthyCount() int {
 	return n
 }
 
-// markDown records a failed contact: the peer is unhealthy and
-// quarantined for the backoff window.
-func (m *membership) markDown(ps *peerState) {
+// markDown records a failed contact: the peer is down until its next
+// successful contact or probe.
+func (ps *peerState) markDown() {
 	ps.failures.Add(1)
 	ps.healthy.Store(false)
-	ps.quarantinedUntil.Store(time.Now().Add(m.backoff).UnixNano())
 }
 
 // markUp records a successful contact.
-func (m *membership) markUp(ps *peerState) { ps.healthy.Store(true) }
+func (ps *peerState) markUp() { ps.healthy.Store(true) }
 
 // probe GETs the peer's /readyz and updates its state: only a 200 counts
-// as routable (a draining or WAL-replaying replica answers 503 and must
-// not receive new work).
-func (m *membership) probe(ps *peerState) bool {
+// as healthy (a draining or WAL-replaying replica answers 503 and goes
+// behind every healthy owner).
+func (m *membership) probe(ps *peerState) {
 	ps.probes.Add(1)
 	resp, err := m.client.Get(ps.url + "/readyz")
-	if err != nil {
-		ps.probeFails.Add(1)
-		m.markDown(ps)
-		return false
+	if err == nil {
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			ps.markUp()
+			return
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		ps.probeFails.Add(1)
-		m.markDown(ps)
-		return false
-	}
-	m.markUp(ps)
-	return true
+	ps.probeFails.Add(1)
+	ps.markDown()
 }
 
 // probeAll probes every peer once (startup and the background loop).

@@ -25,18 +25,16 @@ import (
 // Ring is a consistent-hash ring mapping dataset names to replica names
 // with virtual nodes. Each replica contributes vnodes points on a 64-bit
 // hash circle; a dataset is owned by the replicas owning the first
-// distinct points at or clockwise from the dataset's hash. Adding or
-// removing a replica therefore moves only the keys adjacent to its own
-// points (~1/n of the keyspace), never reshuffles the rest — the
-// property that keeps replica caches and WAL shards warm across
-// membership changes.
+// distinct points at or clockwise from the dataset's hash. A ring over
+// one more or one fewer replica therefore moves only the keys adjacent
+// to that replica's points (~1/n of the keyspace), never reshuffles the
+// rest — the property that keeps replica caches and WAL shards warm
+// across a membership change (which is a restart with a new -peers).
 //
 // Ownership is a pure function of the sorted member set: two rings built
-// from the same replicas in any insertion order agree on every key, so a
-// router and an offline tool can compute placement independently.
-//
-// A Ring is immutable under concurrent readers; Add and Remove rebuild
-// the point table and must not race with lookups.
+// from the same replicas in any order agree on every key, so a router
+// and an offline tool can compute placement independently. A Ring is
+// immutable, so concurrent lookups need no locking.
 type Ring struct {
 	vnodes int
 	nodes  []string // sorted member names
@@ -55,83 +53,41 @@ type ringPoint struct {
 const DefaultVNodes = 128
 
 // NewRing builds a ring with vnodes virtual nodes per member (<= 0
-// selects DefaultVNodes). Duplicate member names are an error.
+// selects DefaultVNodes). Empty and duplicate member names are an error.
 func NewRing(vnodes int, members ...string) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{vnodes: vnodes}
-	seen := map[string]bool{}
-	for _, m := range members {
+	nodes := append([]string(nil), members...)
+	sort.Strings(nodes)
+	for i, m := range nodes {
 		if m == "" {
 			return nil, fmt.Errorf("cluster: empty member name")
 		}
-		if seen[m] {
+		if i > 0 && nodes[i-1] == m {
 			return nil, fmt.Errorf("cluster: member %q added twice", m)
 		}
-		seen[m] = true
-		r.nodes = append(r.nodes, m)
 	}
-	r.rebuild()
-	return r, nil
-}
-
-// rebuild recomputes the point table from the member set.
-func (r *Ring) rebuild() {
-	sort.Strings(r.nodes)
-	r.points = r.points[:0]
-	for i, node := range r.nodes {
-		for v := 0; v < r.vnodes; v++ {
+	points := make([]ringPoint, 0, len(nodes)*vnodes)
+	for i, node := range nodes {
+		for v := 0; v < vnodes; v++ {
 			h := hashString(node + "#" + strconv.Itoa(v))
-			r.points = append(r.points, ringPoint{hash: h, node: int32(i)})
+			points = append(points, ringPoint{hash: h, node: int32(i)})
 		}
 	}
-	sort.Slice(r.points, func(a, b int) bool {
-		if r.points[a].hash != r.points[b].hash {
-			return r.points[a].hash < r.points[b].hash
+	sort.Slice(points, func(a, b int) bool {
+		if points[a].hash != points[b].hash {
+			return points[a].hash < points[b].hash
 		}
 		// Ties (vanishingly rare at 64 bits) resolve by member order so
 		// ownership stays a pure function of the member set.
-		return r.points[a].node < r.points[b].node
+		return points[a].node < points[b].node
 	})
+	return &Ring{vnodes: vnodes, nodes: nodes, points: points}, nil
 }
 
 // Members returns the sorted member names.
 func (r *Ring) Members() []string { return append([]string(nil), r.nodes...) }
-
-// Add inserts a member, reporting whether it was new.
-func (r *Ring) Add(member string) bool {
-	for _, n := range r.nodes {
-		if n == member {
-			return false
-		}
-	}
-	r.nodes = append(r.nodes, member)
-	r.rebuild()
-	return true
-}
-
-// Remove deletes a member, reporting whether it was present.
-func (r *Ring) Remove(member string) bool {
-	for i, n := range r.nodes {
-		if n == member {
-			r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-			r.rebuild()
-			return true
-		}
-	}
-	return false
-}
-
-// Owner returns the member owning key ("" on an empty ring): the first
-// point at or clockwise from the key's hash.
-func (r *Ring) Owner(key string) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
-}
 
 // Owners returns key's replica preference list: up to n distinct members
 // in clockwise point order starting at the key's hash. The first entry

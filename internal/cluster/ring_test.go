@@ -11,6 +11,24 @@ import (
 	"testing"
 )
 
+// primary is key's first owner on r ("" on an empty ring).
+func primary(r *Ring, key string) string {
+	if owners := r.Owners(key, 1); len(owners) == 1 {
+		return owners[0]
+	}
+	return ""
+}
+
+// mustRing builds a ring at DefaultVNodes or fails the test.
+func mustRing(t *testing.T, members ...string) *Ring {
+	t.Helper()
+	r, err := NewRing(DefaultVNodes, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // keys generates n synthetic dataset names.
 func keys(n int) []string {
 	out := make([]string, n)
@@ -30,13 +48,10 @@ func TestRingBalance(t *testing.T) {
 		for i := range names {
 			names[i] = fmt.Sprintf("replica-%d", i)
 		}
-		r, err := NewRing(DefaultVNodes, names...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRing(t, names...)
 		counts := map[string]int{}
 		for _, k := range keys(n) {
-			counts[r.Owner(k)]++
+			counts[primary(r, k)]++
 		}
 		fair := float64(n) / float64(members)
 		for _, name := range names {
@@ -49,24 +64,20 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingMinimalMovementOnRemove checks that removing a member moves
-// only that member's keys: every key it did not own keeps its owner.
+// TestRingMinimalMovementOnRemove checks that a ring without one member
+// moves only that member's keys: every key it did not own keeps its
+// owner.
 func TestRingMinimalMovementOnRemove(t *testing.T) {
-	r, err := NewRing(DefaultVNodes, "a", "b", "c", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRing(t, "a", "b", "c", "d")
 	ks := keys(5000)
 	before := make(map[string]string, len(ks))
 	for _, k := range ks {
-		before[k] = r.Owner(k)
+		before[k] = primary(r, k)
 	}
-	if !r.Remove("c") {
-		t.Fatal("remove c: not a member?")
-	}
+	r = mustRing(t, "a", "b", "d")
 	moved := 0
 	for _, k := range ks {
-		after := r.Owner(k)
+		after := primary(r, k)
 		if before[k] == "c" {
 			if after == "c" {
 				t.Fatalf("key %s still owned by removed member", k)
@@ -87,21 +98,16 @@ func TestRingMinimalMovementOnRemove(t *testing.T) {
 // TestRingMinimalMovementOnAdd checks the converse: a new member only
 // takes keys, and only for itself — no key moves between old members.
 func TestRingMinimalMovementOnAdd(t *testing.T) {
-	r, err := NewRing(DefaultVNodes, "a", "b", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRing(t, "a", "b", "c")
 	ks := keys(5000)
 	before := make(map[string]string, len(ks))
 	for _, k := range ks {
-		before[k] = r.Owner(k)
+		before[k] = primary(r, k)
 	}
-	if !r.Add("d") {
-		t.Fatal("add d: already a member?")
-	}
+	r = mustRing(t, "a", "b", "c", "d")
 	taken := 0
 	for _, k := range ks {
-		after := r.Owner(k)
+		after := primary(r, k)
 		if after == before[k] {
 			continue
 		}
@@ -130,18 +136,9 @@ func TestRingInsertionOrderIrrelevant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A third ring arrives at the same set by mutation.
-	r3, err := NewRing(64, "a", "x", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3.Remove("x")
-	r3.Add("d")
-	r3.Add("b")
 	for _, k := range keys(2000) {
-		o1, o2, o3 := r1.Owner(k), r2.Owner(k), r3.Owner(k)
-		if o1 != o2 || o1 != o3 {
-			t.Fatalf("key %s: owners diverge (%s / %s / %s)", k, o1, o2, o3)
+		if o1, o2 := primary(r1, k), primary(r2, k); o1 != o2 {
+			t.Fatalf("key %s: owners diverge (%s / %s)", k, o1, o2)
 		}
 	}
 }
@@ -149,10 +146,7 @@ func TestRingInsertionOrderIrrelevant(t *testing.T) {
 // TestRingOwners checks the preference-list contract: distinct members,
 // primary first, truncated at the member count, stable for a given key.
 func TestRingOwners(t *testing.T) {
-	r, err := NewRing(DefaultVNodes, "a", "b", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRing(t, "a", "b", "c")
 	for _, k := range keys(500) {
 		owners := r.Owners(k, 2)
 		if len(owners) != 2 {
@@ -161,8 +155,8 @@ func TestRingOwners(t *testing.T) {
 		if owners[0] == owners[1] {
 			t.Fatalf("key %s: duplicate owner %s", k, owners[0])
 		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("key %s: Owners[0]=%s but Owner=%s", k, owners[0], r.Owner(k))
+		if owners[0] != primary(r, k) {
+			t.Fatalf("key %s: Owners(k, 2)[0]=%s but Owners(k, 1)[0]=%s", k, owners[0], primary(r, k))
 		}
 	}
 	if got := r.Owners("any", 99); len(got) != 3 {
@@ -174,7 +168,7 @@ func TestRingOwners(t *testing.T) {
 }
 
 // TestRingErrors covers the constructor's rejection paths and the empty
-// ring's behavior.
+// and single-member rings' behavior.
 func TestRingErrors(t *testing.T) {
 	if _, err := NewRing(8, "a", "a"); err == nil {
 		t.Fatal("duplicate member accepted")
@@ -186,14 +180,11 @@ func TestRingErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Owner("k"); got != "" {
-		t.Fatalf("empty ring owner = %q, want \"\"", got)
+	if got := r.Owners("k", 1); got != nil {
+		t.Fatalf("empty ring owners = %v, want nil", got)
 	}
-	if r.Add("a"); r.Owner("k") != "a" {
+	if r, err = NewRing(8, "a"); err != nil || primary(r, "k") != "a" {
 		t.Fatal("single-member ring must own everything")
-	}
-	if r.Remove("missing") {
-		t.Fatal("removed a member that was never added")
 	}
 }
 

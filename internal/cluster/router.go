@@ -8,9 +8,11 @@ package cluster
 // from a direct one (the property the cluster differential suite pins).
 //
 // Reads (/v1/run) retry around failure: a transport error marks the
-// replica down (quarantined for the retry backoff) and the request moves
-// to the next owner in the dataset's preference list, so a dead replica
-// costs reads one failover, not an outage, as long as any owner is up.
+// replica down and the request moves, after the retry backoff, to the
+// next owner in the dataset's preference list, so a dead replica costs
+// reads one failover, not an outage, as long as any owner is up. A down
+// owner is tried after every healthy one and rejoins on its next
+// successful contact or probe.
 // Writes (/v1/update) never failover: the batch goes to the primary
 // owner, then fans out to the remaining owners with the primary's
 // resulting generation attached (X-Sage-Sync-Generation), which each
@@ -45,30 +47,36 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sage/internal/numa"
 	"sage/internal/server"
 )
 
 // probeTimeout bounds one background /readyz probe.
 const probeTimeout = 2 * time.Second
 
+// DefaultReplication is how many replicas own each dataset unless
+// RouterConfig.Replication says otherwise. It is the paper's §5.2
+// placement scaled out: one graph copy per socket of its two-socket
+// machine ran 1.6× faster than one shared copy, because every socket's
+// NVRAM traffic stayed local. Here "socket" becomes "replica process",
+// and each owner serves its copy from its own local arena.
+const DefaultReplication = 2
+
 // RouterConfig configures NewRouter.
 type RouterConfig struct {
-	// Peers are the replicas behind this router. Required.
+	// Peers are the replicas behind this router. Required. The ring is
+	// built over their names alone, so every router given the same peers
+	// agrees on placement.
 	Peers []Peer
-	// VNodes is the ring's virtual nodes per replica (<= 0:
-	// DefaultVNodes).
-	VNodes int
 	// Replication is how many replicas own each dataset (reads fail over
-	// across them; writes fan out to all of them). <= 0 selects the NUMA
-	// model's recommendation — one replica per socket, the paper's §5.2
-	// replicated placement — clamped to the peer count.
+	// across them; writes fan out to all of them). <= 0 selects
+	// DefaultReplication; either is clamped to the peer count.
 	Replication int
 	// ProbeInterval is the background health-probe period (0: default 2s;
 	// < 0: disabled, passive failure detection only).
 	ProbeInterval time.Duration
-	// RetryBackoff is the pause between read failover attempts and the
-	// quarantine window after a transport failure (0: default 100ms).
+	// RetryBackoff is the pause before each read failover attempt, and
+	// the base of the Retry-After on the router's own 502s (0: default
+	// 100ms).
 	RetryBackoff time.Duration
 }
 
@@ -104,7 +112,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for i, p := range cfg.Peers {
 		names[i] = p.Name
 	}
-	ring, err := NewRing(cfg.VNodes, names...)
+	ring, err := NewRing(DefaultVNodes, names...)
 	if err != nil {
 		return nil, err
 	}
@@ -118,13 +126,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		backoff = 100 * time.Millisecond
 	}
 	probeClient := &http.Client{Timeout: probeTimeout, Transport: client.Transport}
-	peers, err := newMembership(cfg.Peers, probeClient, backoff)
+	peers, err := newMembership(cfg.Peers, probeClient)
 	if err != nil {
 		return nil, err
 	}
 	replication := cfg.Replication
 	if replication <= 0 {
-		replication = numa.DefaultModel().RecommendedReplicas()
+		replication = DefaultReplication
 	}
 	if replication > len(cfg.Peers) {
 		replication = len(cfg.Peers)
@@ -234,9 +242,9 @@ func relay(w http.ResponseWriter, resp *http.Response, peer string) {
 }
 
 // readOrder returns owners with every currently-healthy peer ahead of
-// the unhealthy ones, preference order preserved within each class: the
-// likely-up replica is tried first, but a quarantined one is still tried
-// last — that attempt is how a recovered replica rejoins between probes.
+// the down ones, preference order preserved within each class: the
+// likely-up replica is tried first, but a down one is still tried last —
+// that attempt is how a recovered replica rejoins between probes.
 func (rt *Router) readOrder(owners []string) []*peerState {
 	out := make([]*peerState, 0, len(owners))
 	for _, name := range owners {
@@ -252,16 +260,45 @@ func (rt *Router) readOrder(owners []string) []*peerState {
 	return out
 }
 
-// retryAfterSeconds is the Retry-After a router-originated 502/503
-// carries: one quarantine window, rounded up — when it elapses the
-// router will try the dead replica again, so that is the soonest a
-// retry can see different routing.
-func (rt *Router) retryAfterSeconds() int {
-	s := int((rt.backoff + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
+// badGateway writes a router-originated 502, counted in errs. Its
+// Retry-After is the retry backoff rounded up to whole seconds (at least
+// one): a hint to pace the retry, since a down replica is tried again on
+// the next request for any dataset it owns.
+func (rt *Router) badGateway(w http.ResponseWriter, errs *atomic.Int64, body map[string]any) {
+	errs.Add(1)
+	s := max(int((rt.backoff+time.Second-1)/time.Second), 1)
+	w.Header().Set("Retry-After", strconv.Itoa(s))
+	server.WriteJSON(w, http.StatusBadGateway, body)
+}
+
+// routed is a proxied POST as the router forwards it.
+type routed struct {
+	dataset string
+	owners  []string // preference list, primary first
+	body    []byte   // resendable to every owner
+	path    string   // upstream path and query
+}
+
+// route is the prologue the run and update handlers share: it reads the
+// body (at most maxBody bytes), resolves the dataset's owners and builds
+// the upstream path. When it cannot, it answers the client itself and
+// returns false.
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, maxBody int64) (routed, bool) {
+	req := routed{dataset: r.PathValue("dataset"), path: r.URL.Path}
+	var err error
+	if req.body, err = io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBody)); err != nil {
+		server.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading body: " + err.Error()})
+		return req, false
 	}
-	return s
+	if req.owners = rt.Owners(req.dataset); len(req.owners) == 0 {
+		rt.badGateway(w, &rt.noReplicaErrors,
+			map[string]any{"error": "no replicas configured", "reason": "no_replica"})
+		return req, false
+	}
+	if r.URL.RawQuery != "" {
+		req.path += "?" + r.URL.RawQuery
+	}
+	return req, true
 }
 
 // --------------------------------------------------------------------
@@ -322,7 +359,7 @@ func (rt *Router) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	for _, ps := range rt.readOrder(rt.ring.Members()) {
 		resp, err := rt.doPeer(r.Context(), ps, http.MethodGet, "/v1/datasets", nil, nil)
 		if err != nil {
-			rt.peers.markDown(ps)
+			ps.markDown()
 			continue
 		}
 		var l listing
@@ -331,7 +368,7 @@ func (rt *Router) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}
-		rt.peers.markUp(ps)
+		ps.markUp()
 		reached++
 		for _, entry := range l.Datasets {
 			name, _ := entry["name"].(string)
@@ -355,10 +392,8 @@ func (rt *Router) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if reached == 0 {
-		rt.noReplicaErrors.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-		server.WriteJSON(w, http.StatusBadGateway,
-			map[string]string{"error": "no replica reachable", "reason": "no_replica"})
+		rt.badGateway(w, &rt.noReplicaErrors,
+			map[string]any{"error": "no replica reachable", "reason": "no_replica"})
 		return
 	}
 	rt.listingsProxied.Add(1)
@@ -380,43 +415,27 @@ func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	for _, ps := range rt.readOrder(rt.ring.Members()) {
 		resp, err := rt.doPeer(r.Context(), ps, http.MethodGet, "/v1/algorithms", nil, nil)
 		if err != nil {
-			rt.peers.markDown(ps)
+			ps.markDown()
 			continue
 		}
-		rt.peers.markUp(ps)
+		ps.markUp()
 		rt.listingsProxied.Add(1)
 		relay(w, resp, ps.name)
 		return
 	}
-	rt.noReplicaErrors.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-	server.WriteJSON(w, http.StatusBadGateway,
-		map[string]string{"error": "no replica reachable", "reason": "no_replica"})
+	rt.badGateway(w, &rt.noReplicaErrors,
+		map[string]any{"error": "no replica reachable", "reason": "no_replica"})
 }
 
 // handleRun routes a read to the dataset's owners, failing over on
 // transport errors. Replica responses — success or HTTP-level error
 // (404, 400, 429 with its Retry-After, ...) — are relayed verbatim.
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	ds := r.PathValue("dataset")
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<20))
-	if err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading body: " + err.Error()})
+	req, ok := rt.route(w, r, 1<<20)
+	if !ok {
 		return
 	}
-	owners := rt.Owners(ds)
-	if len(owners) == 0 {
-		rt.noReplicaErrors.Add(1)
-		server.WriteJSON(w, http.StatusBadGateway,
-			map[string]string{"error": "no replicas configured", "reason": "no_replica"})
-		return
-	}
-	pathAndQuery := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathAndQuery += "?" + r.URL.RawQuery
-	}
-
-	for i, ps := range rt.readOrder(owners) {
+	for i, ps := range rt.readOrder(req.owners) {
 		if i > 0 {
 			rt.readFailovers.Add(1)
 			select {
@@ -425,23 +444,21 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		resp, err := rt.doPeer(r.Context(), ps, http.MethodPost, pathAndQuery, body, nil)
+		resp, err := rt.doPeer(r.Context(), ps, http.MethodPost, req.path, req.body, nil)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return // the client is gone, not the replica
 			}
-			rt.peers.markDown(ps)
+			ps.markDown()
 			continue
 		}
-		rt.peers.markUp(ps)
+		ps.markUp()
 		rt.runsProxied.Add(1)
 		relay(w, resp, ps.name)
 		return
 	}
-	rt.noReplicaErrors.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-	server.WriteJSON(w, http.StatusBadGateway, map[string]any{
-		"error":  fmt.Sprintf("no live replica for dataset %q (owners: %v)", ds, owners),
+	rt.badGateway(w, &rt.noReplicaErrors, map[string]any{
+		"error":  fmt.Sprintf("no live replica for dataset %q (owners: %v)", req.dataset, req.owners),
 		"reason": "no_replica",
 	})
 }
@@ -453,41 +470,26 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 // machine-readable reason (batches are idempotent — retry the same body
 // once the replica is back and the owners converge).
 func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	ds := r.PathValue("dataset")
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 8<<20))
-	if err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "reading body: " + err.Error()})
+	req, ok := rt.route(w, r, 8<<20)
+	if !ok {
 		return
 	}
-	owners := rt.Owners(ds)
-	if len(owners) == 0 {
-		rt.noReplicaErrors.Add(1)
-		server.WriteJSON(w, http.StatusBadGateway,
-			map[string]string{"error": "no replicas configured", "reason": "no_replica"})
-		return
-	}
-	pathAndQuery := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathAndQuery += "?" + r.URL.RawQuery
-	}
-
-	primary := rt.peers.peer(owners[0])
-	resp, err := rt.doPeer(r.Context(), primary, http.MethodPost, pathAndQuery, body, nil)
+	ds := req.dataset
+	primary := rt.peers.peer(req.owners[0])
+	resp, err := rt.doPeer(r.Context(), primary, http.MethodPost, req.path, req.body, nil)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return
 		}
-		rt.peers.markDown(primary)
-		rt.writeFanoutErrors.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-		server.WriteJSON(w, http.StatusBadGateway, map[string]any{
+		primary.markDown()
+		rt.badGateway(w, &rt.writeFanoutErrors, map[string]any{
 			"error":   fmt.Sprintf("primary owner %q unreachable for dataset %q", primary.name, ds),
 			"reason":  "replica_down",
 			"replica": primary.name,
 		})
 		return
 	}
-	rt.peers.markUp(primary)
+	primary.markUp()
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		// The primary rejected the batch (400/404/503 read_only/507/...):
 		// nothing was applied anywhere; relay its verdict verbatim.
@@ -498,8 +500,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	primBody, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		rt.writeFanoutErrors.Add(1)
-		server.WriteJSON(w, http.StatusBadGateway, map[string]any{
+		rt.badGateway(w, &rt.writeFanoutErrors, map[string]any{
 			"error":   fmt.Sprintf("reading primary response from %q: %v", primary.name, err),
 			"reason":  "replica_down",
 			"replica": primary.name,
@@ -513,17 +514,15 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if gen > 0 {
 		sync = http.Header{server.SyncGenerationHeader: []string{strconv.FormatUint(gen, 10)}}
 	}
-	for _, name := range owners[1:] {
+	for _, name := range req.owners[1:] {
 		sec := rt.peers.peer(name)
-		sresp, err := rt.doPeer(r.Context(), sec, http.MethodPost, pathAndQuery, body, sync)
+		sresp, err := rt.doPeer(r.Context(), sec, http.MethodPost, req.path, req.body, sync)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return
 			}
-			rt.peers.markDown(sec)
-			rt.writeFanoutErrors.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-			server.WriteJSON(w, http.StatusBadGateway, map[string]any{
+			sec.markDown()
+			rt.badGateway(w, &rt.writeFanoutErrors, map[string]any{
 				"error": fmt.Sprintf("owner %q unreachable for dataset %q: batch applied to %v; retry the same batch once every owner is reachable (batches are idempotent)",
 					name, ds, appliedTo),
 				"reason":     "replica_down",
@@ -532,12 +531,11 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		rt.peers.markUp(sec)
+		sec.markUp()
 		if sresp.StatusCode < 200 || sresp.StatusCode >= 300 {
 			detail, _ := io.ReadAll(io.LimitReader(sresp.Body, 512))
 			sresp.Body.Close()
-			rt.writeFanoutErrors.Add(1)
-			server.WriteJSON(w, http.StatusBadGateway, map[string]any{
+			rt.badGateway(w, &rt.writeFanoutErrors, map[string]any{
 				"error": fmt.Sprintf("owner %q rejected the fan-out for dataset %q (status %d): %s; batch applied to %v",
 					name, ds, sresp.StatusCode, string(detail), appliedTo),
 				"reason":     "fanout_failed",
@@ -554,16 +552,8 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	rt.updatesProxied.Add(1)
 
 	// Every owner accepted: relay the primary's response verbatim.
-	h := w.Header()
-	for k, vs := range resp.Header {
-		if hopByHop[k] || k == "Content-Length" {
-			continue
-		}
-		h[k] = vs
-	}
-	h.Set(RoutedToHeader, primary.name)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(primBody)
+	resp.Body = io.NopCloser(bytes.NewReader(primBody))
+	relay(w, resp, primary.name)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {

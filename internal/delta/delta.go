@@ -166,9 +166,6 @@ func New(base graph.Adj) *Overlay {
 	}
 }
 
-// Base returns the read-only base graph the overlay composes with.
-func (o *Overlay) Base() graph.Adj { return o.base }
-
 // Empty reports whether the overlay changes nothing (the identity view).
 func (o *Overlay) Empty() bool { return len(o.verts) == 0 }
 

@@ -63,20 +63,6 @@ func DefaultModel() Model {
 	return Model{Sockets: 2, RemotePenalty: 3.7, Efficiency: 0.8}
 }
 
-// RecommendedReplicas is the model's default replication factor for the
-// serving tier: one replica per socket, the placement §5.2 found fastest
-// (replicated beats single-socket 1.6× because every socket's NVRAM
-// traffic stays local). Scaled out, "socket" becomes "replica process"
-// and the same argument holds — each owner serves its shard from its own
-// local arena — so the cluster router replicates each dataset across
-// this many owners unless configured otherwise.
-func (m Model) RecommendedReplicas() int {
-	if m.Sockets < 1 {
-		return 1
-	}
-	return m.Sockets
-}
-
 // DegreeCount is the §5.2 micro-benchmark kernel: for each vertex, reduce
 // over its incident edges and write the count to an output array. It
 // returns the per-vertex counts and the total NVRAM words read (n + m, as

@@ -119,23 +119,6 @@ func (b *Bitset) TestAndSet(i uint32) bool {
 	}
 }
 
-// AtomicSet atomically sets bit i without reporting whether it changed.
-//
-//sage:hotpath
-func (b *Bitset) AtomicSet(i uint32) {
-	w := &b.words[i/32]
-	mask := uint32(1) << (i % 32)
-	for {
-		old := atomic.LoadUint32(w)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint32(w, old, old|mask) {
-			return
-		}
-	}
-}
-
 // Get reports bit i. It uses an atomic load so it is safe to call
 // concurrently with TestAndSet.
 func (b *Bitset) Get(i uint32) bool {

@@ -16,10 +16,16 @@
 // thousands of small rounds a frontier algorithm launches do not pay a
 // goroutine spawn per loop. The submitting goroutine participates as
 // worker 0. Nested or concurrent loops (the pool is busy) fall back to
-// transient goroutines with the same [0, Workers()) index contract —
-// which also means per-worker state such as the PSAM counter shards and
-// traversal scratch assumes top-level operations are not issued from
-// multiple user goroutines at once.
+// transient goroutines with the same [0, Workers()) index contract.
+//
+// A worker id is unique within one loop only: two loops running at once,
+// whether issued from different goroutines or nested inside another
+// loop's body, hand out the same ids. So per-worker state (the PSAM
+// counter shards, traversal scratch) must belong to one run — each Run
+// gets its own, which is what lets a server run requests concurrently —
+// and must not be touched from a nested loop. That is why PageRank's
+// high-degree aggregation reduces into a local scratch instead of the
+// calling worker's.
 package parallel
 
 import (
