@@ -14,21 +14,24 @@ import (
 // from src (Brandes' dependency accumulation, §4.3.1): a forward BFS
 // phase counts shortest paths σ per vertex level by level, and a backward
 // phase accumulates dependencies δ(v) = Σ_{w: succ(v)} σ(v)/σ(w)·(1+δ(w)).
-// Following Ligra's BC, vertices are marked visited in a vertex map
-// *after* each edgeMap round, so σ accumulates across all same-round
-// contributors; the first contributor (σ was zero) claims the vertex for
-// the output frontier. O(m) work, O(dG log n) depth, O(n) words of
-// small-memory.
+// Following Ligra's BC, vertices are marked visited (their condition bit
+// cleared) in a vertex map *after* each edgeMap round, so σ accumulates
+// across all same-round contributors; the first contributor (σ was zero)
+// claims the vertex for the output frontier. O(m) work, O(dG log n) depth,
+// O(n) words of small-memory.
 func Betweenness(g graph.Adj, o *Options, src uint32) []float64 {
 	n := g.NumVertices()
 	sigma := make([]uint64, n) // float64 bits
 	level := make([]uint32, n)
-	visited := make([]bool, n)
-	o.Env.Alloc(3 * int64(n))
-	defer o.Env.Free(3 * int64(n))
+	// unvisited is edgeMap's condition. Updates leave it alone, so every
+	// same-round contributor adds to σ; each round's output frontier is
+	// cleared from it after the round.
+	unvisited := frontier.AllSet(n)
+	o.Env.Alloc(2*int64(n) + int64(len(unvisited)))
+	defer o.Env.Free(2*int64(n) + int64(len(unvisited)))
 
 	parallel.StoreFloat64(&sigma[src], 1)
-	visited[src] = true
+	frontier.Clear(unvisited, src)
 	parallel.Fill(level, Infinity)
 	level[src] = 0
 
@@ -41,7 +44,7 @@ func Betweenness(g graph.Adj, o *Options, src uint32) []float64 {
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
 			return addFloat64Old(&sigma[d], parallel.LoadFloat64(&sigma[s])) == 0
 		},
-		Cond: func(d uint32) bool { return !visited[d] },
+		Cond: unvisited,
 	}
 
 	var rounds [][]uint32
@@ -52,7 +55,7 @@ func Betweenness(g graph.Adj, o *Options, src uint32) []float64 {
 		fr = o.edgeMap(g, fr, fwd, nil)
 		round++
 		fr.ForEach(func(v uint32) {
-			visited[v] = true
+			frontier.Claim(unvisited, v) // ids sharing a word race
 			level[v] = round
 		})
 	}

@@ -1,8 +1,6 @@
 package algos
 
 import (
-	"sync/atomic"
-
 	"sage/internal/frontier"
 	"sage/internal/graph"
 	"sage/internal/parallel"
@@ -18,21 +16,27 @@ func BFS(g graph.Adj, o *Options, src uint32) []uint32 {
 	parents := make([]uint32, n)
 	parallel.Fill(parents, Infinity)
 	parents[src] = src
-	o.Env.Alloc(int64(n))
-	defer o.Env.Free(int64(n))
+	// unvisited is edgeMap's condition: a vertex is claimed by clearing
+	// its bit, so parents[d] has one writer.
+	unvisited := frontier.AllSet(n)
+	frontier.Clear(unvisited, src)
+	o.Env.Alloc(int64(n) + int64(len(unvisited)))
+	defer o.Env.Free(int64(n) + int64(len(unvisited)))
 	fr := frontier.Single(n, src)
 	ops := traverse.Ops{
 		Update: func(s, d uint32, _ int32) bool {
-			if parents[d] == Infinity {
+			frontier.Clear(unvisited, d)
+			parents[d] = s
+			return true
+		},
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			if frontier.Claim(unvisited, d) {
 				parents[d] = s
 				return true
 			}
 			return false
 		},
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			return parallel.CASUint32(&parents[d], Infinity, s)
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == Infinity },
+		Cond: unvisited,
 	}
 	for !fr.IsEmpty() {
 		fr = o.edgeMap(g, fr, ops, nil)
@@ -48,31 +52,32 @@ func BFSTree(g graph.Adj, o *Options, srcs []uint32) (parents, levels []uint32, 
 	levels = make([]uint32, n)
 	parallel.Fill(parents, Infinity)
 	parallel.Fill(levels, Infinity)
-	o.Env.Alloc(2 * int64(n))
-	defer o.Env.Free(2 * int64(n))
+	unvisited := frontier.AllSet(n)
+	o.Env.Alloc(2*int64(n) + int64(len(unvisited)))
+	defer o.Env.Free(2*int64(n) + int64(len(unvisited)))
 	for _, s := range srcs {
 		parents[s] = s
 		levels[s] = 0
+		frontier.Clear(unvisited, s)
 	}
 	fr := frontier.FromSparse(n, append([]uint32(nil), srcs...))
 	round := uint32(0)
 	ops := traverse.Ops{
 		Update: func(s, d uint32, _ int32) bool {
-			if parents[d] == Infinity {
+			frontier.Clear(unvisited, d)
+			parents[d] = s
+			levels[d] = round + 1
+			return true
+		},
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			if frontier.Claim(unvisited, d) {
 				parents[d] = s
 				levels[d] = round + 1
 				return true
 			}
 			return false
 		},
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			if parallel.CASUint32(&parents[d], Infinity, s) {
-				levels[d] = round + 1
-				return true
-			}
-			return false
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == Infinity },
+		Cond: unvisited,
 	}
 	for !fr.IsEmpty() {
 		fr = o.edgeMap(g, fr, ops, nil)

@@ -1,0 +1,184 @@
+package algos
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"sage/internal/gen"
+	"sage/internal/graph"
+	"sage/internal/parallel"
+	"sage/internal/refalgo"
+	"sage/internal/traverse"
+)
+
+// condFamilies are the six degree-skew generator families; four of them
+// have n % 64 ≠ 0, so the last word of every Cond bitmap has bits past n.
+func condFamilies() []struct {
+	name string
+	g    *graph.Graph
+} {
+	return []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"star", gen.Star(400)},                      // 400 % 64 = 16
+		{"bipartite", gen.CompleteBipartite(24, 40)}, // 64
+		{"grid", gen.Grid2D(18, 18, true)},           // 324 % 64 = 4
+		{"powerlaw", gen.PowerLaw(700, 6, 3)},        // 700 % 64 = 60
+		{"dense-er", gen.ErdosRenyi(220, 9000, 5)},   // 220 % 64 = 28
+		{"rmat", gen.RMAT(9, 8, 7)},                  // 512
+	}
+}
+
+// condDirections run every traversal the Cond bitmap gates: the
+// direction-optimizing default, pull only and push only.
+var condDirections = []struct {
+	name string
+	set  func(*traverse.Options)
+}{
+	{"auto", func(*traverse.Options) {}},
+	{"dense", func(t *traverse.Options) { t.ForceDense = true }},
+	{"sparse", func(t *traverse.Options) { t.ForceSparse = true }},
+}
+
+// TestCondBitmapAlgorithmsMatchReference checks every algorithm whose
+// edgeMap condition is a vertex bitmap against the serial references at
+// 1, 2 and 4 workers, in every direction.
+func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
+	old := parallel.Workers()
+	defer parallel.SetWorkers(old)
+	for _, p := range []int{1, 2, 4} {
+		parallel.SetWorkers(p)
+		for _, fam := range condFamilies() {
+			g := fam.g
+			dist := refalgo.BFSDistances(g, 0)
+			comps := refalgo.Components(g, 0)
+			bc := refalgo.Betweenness(g, 0)
+			for _, dir := range condDirections {
+				o := Defaults()
+				dir.set(&o.Traverse)
+				name := fmt.Sprintf("p%d/%s/%s", p, fam.name, dir.name)
+				checkBFSParents(t, name+"/bfs", g, dist, BFS(g, o, 0))
+				parents, levels, _ := BFSTree(g, o, []uint32{0})
+				checkBFSParents(t, name+"/bfstree", g, dist, parents)
+				for v, l := range levels {
+					if l != dist[v] {
+						t.Fatalf("%s/bfstree: level[%d]=%d, distance %d", name, v, l, dist[v])
+					}
+				}
+				checkLDD(t, name+"/ldd", g, comps, LDD(g, o, 0.2, 42))
+				if got := Connectivity(g, o); !refalgo.SameComponents(comps, got) {
+					t.Fatalf("%s/connectivity: components differ from union-find", name)
+				}
+				got := Betweenness(g, o, 0)
+				for v := range bc {
+					if math.Abs(got[v]-bc[v]) > 1e-6*(1+math.Abs(bc[v])) {
+						t.Fatalf("%s/bc: delta[%d]=%v want %v", name, v, got[v], bc[v])
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkBFSParents asserts that parents is a BFS tree from vertex 0 under
+// the reference distances.
+func checkBFSParents(t *testing.T, name string, g *graph.Graph, dist, parents []uint32) {
+	t.Helper()
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		p := parents[v]
+		if (p == Infinity) != (dist[v] == Infinity) {
+			t.Fatalf("%s: vertex %d parent %d, distance %d", name, v, p, dist[v])
+		}
+		if p == Infinity || v == 0 {
+			continue
+		}
+		if dist[p]+1 != dist[v] || !g.HasEdge(p, v) {
+			t.Fatalf("%s: parent of %d (distance %d) is %d (distance %d)", name, v, dist[v], p, dist[p])
+		}
+	}
+}
+
+// checkLDD asserts that res partitions the vertices into clusters, each a
+// tree of graph edges around its centre inside one reference component.
+func checkLDD(t *testing.T, name string, g *graph.Graph, comps []uint32, res *LDDResult) {
+	t.Helper()
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		c, p := res.Cluster[v], res.Parent[v]
+		if c == Infinity || p == Infinity {
+			t.Fatalf("%s: vertex %d unclaimed (cluster %d, parent %d)", name, v, c, p)
+		}
+		if res.Cluster[c] != c || res.Parent[c] != c {
+			t.Fatalf("%s: centre %d of %d is not its own cluster's root", name, c, v)
+		}
+		if comps[c] != comps[v] {
+			t.Fatalf("%s: vertex %d clustered with %d across components", name, v, c)
+		}
+		if v != c && (res.Cluster[p] != c || !g.HasEdge(p, v)) {
+			t.Fatalf("%s: parent %d of %d is not a neighbour in cluster %d", name, p, v, c)
+		}
+	}
+}
+
+// TestCondBitmapBellmanFordNegativeCycle puts one negative undirected edge
+// — a negative 2-cycle — at the vertex farthest from the source on each
+// family, so markNegInf floods its condition bitmap back across the whole
+// component, and compares with the serial reference.
+func TestCondBitmapBellmanFordNegativeCycle(t *testing.T) {
+	old := parallel.Workers()
+	defer parallel.SetWorkers(old)
+	for _, fam := range condFamilies() {
+		wg := withNegativeEdge(fam.g)
+		want := refalgo.BellmanFord(wg, 0)
+		if !slices.Contains(want, math.MinInt64) {
+			t.Fatalf("%s: the negative edge is not reachable from 0", fam.name)
+		}
+		for _, p := range []int{1, 2, 4} {
+			parallel.SetWorkers(p)
+			got := BellmanFord(wg, opts(), 0)
+			for v := range want {
+				var ok bool
+				switch want[v] {
+				case math.MinInt64:
+					ok = got[v] == NegInf
+				case math.MaxInt64:
+					ok = got[v] == InfDist
+				default:
+					ok = got[v] == want[v]
+				}
+				if !ok {
+					t.Fatalf("p%d/%s: dist[%d]=%d, reference %d", p, fam.name, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}
+
+// withNegativeEdge weights g's edges 1..9 and gives the first edge of the
+// vertex farthest from vertex 0 the weight -2.
+func withNegativeEdge(g *graph.Graph) *graph.Graph {
+	dist := refalgo.BFSDistances(g, 0)
+	far := uint32(0)
+	for v, d := range dist {
+		if d != Infinity && d > dist[far] && g.Degree(uint32(v)) > 0 {
+			far = uint32(v)
+		}
+	}
+	neg := [2]uint32{far, g.Neighbors(far)[0]}
+	var edges []graph.WEdge
+	for u := uint32(0); u < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u > v {
+				continue
+			}
+			w := int32((u*31+v*17)%9) + 1
+			if (u == neg[0] && v == neg[1]) || (u == neg[1] && v == neg[0]) {
+				w = -2
+			}
+			edges = append(edges, graph.WEdge{U: u, V: v, W: w})
+		}
+	}
+	return graph.FromWeightedEdges(g.NumVertices(), edges, graph.BuildOpts{Symmetrize: true})
+}

@@ -3,7 +3,6 @@ package algos
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"sage/internal/frontier"
 	"sage/internal/graph"
@@ -55,26 +54,29 @@ func LDD(g graph.Adj, o *Options, beta float64, seed uint64) *LDDResult {
 	parent := make([]uint32, n)
 	parallel.Fill(cluster, Infinity)
 	parallel.Fill(parent, Infinity)
-	o.Env.Alloc(4 * int64(n))
-	defer o.Env.Free(4 * int64(n))
+	// unclaimed is edgeMap's condition: centres and cluster growth both
+	// claim a vertex by clearing its bit, so cluster[d] and parent[d] have
+	// one writer.
+	unclaimed := frontier.AllSet(n)
+	o.Env.Alloc(4*int64(n) + int64(len(unclaimed)))
+	defer o.Env.Free(4*int64(n) + int64(len(unclaimed)))
 
 	ops := traverse.Ops{
 		Update: func(s, d uint32, _ int32) bool {
-			if cluster[d] == Infinity {
+			frontier.Clear(unclaimed, d)
+			cluster[d] = cluster[s]
+			parent[d] = s
+			return true
+		},
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			if frontier.Claim(unclaimed, d) {
 				cluster[d] = cluster[s]
 				parent[d] = s
 				return true
 			}
 			return false
 		},
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			if parallel.CASUint32(&cluster[d], Infinity, atomic.LoadUint32(&cluster[s])) {
-				parent[d] = s
-				return true
-			}
-			return false
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&cluster[d]) == Infinity },
+		Cond: unclaimed,
 	}
 
 	fr := frontier.Empty(n)
@@ -93,12 +95,15 @@ func LDD(g graph.Adj, o *Options, beta float64, seed uint64) *LDDResult {
 			cand := order[next:admit]
 			claimed := make([]bool, len(cand))
 			parallel.For(len(cand), 0, func(i int) {
-				claimed[i] = parallel.CASUint32(&cluster[cand[i]], Infinity, cand[i])
+				claimed[i] = frontier.Claim(unclaimed, cand[i])
 			})
 			centers := parallel.FilterIndex(cand, func(i int, _ uint32) bool {
 				return claimed[i]
 			})
-			parallel.For(len(centers), 0, func(i int) { parent[centers[i]] = centers[i] })
+			parallel.For(len(centers), 0, func(i int) {
+				v := centers[i]
+				cluster[v], parent[v] = v, v
+			})
 			if len(centers) > 0 {
 				merged := append(append([]uint32{}, fr.Sparse()...), centers...)
 				fr = frontier.FromSparse(n, merged)

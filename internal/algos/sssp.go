@@ -107,22 +107,33 @@ const (
 	NegInf  = -(int64(1) << 62)
 )
 
-// markNegInf floods NegInf from the still-improving frontier.
+// markNegInf floods NegInf from the still-improving frontier. edgeMap's
+// condition is the complement of the NegInf set: a vertex is claimed, and
+// set to NegInf, by clearing its bit.
 func markNegInf(g graph.Adj, o *Options, fr *frontier.VertexSubset, dist []int64) {
 	n := g.NumVertices()
-	fr.ForEach(func(v uint32) { atomic.StoreInt64(&dist[v], NegInf) })
+	finite := frontier.AllSet(n)
+	o.Env.Alloc(int64(len(finite)))
+	defer o.Env.Free(int64(len(finite)))
+	fr.ForEach(func(v uint32) {
+		if frontier.Claim(finite, v) { // ids sharing a word race
+			dist[v] = NegInf
+		}
+	})
 	ops := traverse.Ops{
 		Update: func(_, v uint32, _ int32) bool {
-			if dist[v] != NegInf {
+			frontier.Clear(finite, v)
+			dist[v] = NegInf
+			return true
+		},
+		UpdateAtomic: func(_, v uint32, _ int32) bool {
+			if frontier.Claim(finite, v) {
 				dist[v] = NegInf
 				return true
 			}
 			return false
 		},
-		UpdateAtomic: func(_, v uint32, _ int32) bool {
-			return atomic.SwapInt64(&dist[v], NegInf) != NegInf
-		},
-		Cond: func(v uint32) bool { return atomic.LoadInt64(&dist[v]) != NegInf },
+		Cond: finite,
 	}
 	cur := frontier.FromSparse(n, append([]uint32(nil), fr.Sparse()...))
 	for !cur.IsEmpty() {

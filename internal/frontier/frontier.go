@@ -9,6 +9,12 @@
 // prices, and it lets every consumer work a word at a time: the degree
 // sum and the dense→sparse pack visit only set bits, and the pack emits
 // ids in increasing order.
+//
+// The same ⌈n/64⌉-word form carries edgeMap's condition C (traverse.Ops
+// Cond) and the traversal's duplicate filter: AllSet builds it with every
+// vertex live, Clear retires a vertex its owner alone touches, and Claim
+// retires one that several workers may race for, reporting which of them
+// won.
 package frontier
 
 import (
@@ -65,12 +71,48 @@ func FromDense(n uint32, bitmap []uint64, size int) *VertexSubset {
 
 // All returns the subset containing every vertex.
 func All(n uint32) *VertexSubset {
+	return FromDense(n, AllSet(n), int(n))
+}
+
+// AllSet returns a bitmap of Words(n) words with the bits of [0, n) set
+// and the bits past n clear.
+func AllSet(n uint32) []uint64 {
 	bitmap := make([]uint64, Words(n))
 	parallel.Fill(bitmap, ^uint64(0))
 	if tail := n & 63; tail != 0 {
 		bitmap[len(bitmap)-1] = 1<<tail - 1
 	}
-	return FromDense(n, bitmap, int(n))
+	return bitmap
+}
+
+// Clear clears v's bit with a plain write. The caller must own v's word:
+// no other goroutine may read or write it meanwhile, as in the pull scan,
+// where one worker owns a block of whole words.
+//
+//sage:hotpath
+func Clear(bitmap []uint64, v uint32) {
+	bitmap[v>>6] &^= 1 << (v & 63)
+}
+
+// Claim atomically clears v's bit and reports whether this call cleared
+// it: of any number of concurrent claims on v, exactly one returns true.
+// It is a compare-and-swap loop rather than atomic.AndUint64: go1.24.0 on
+// amd64 miscompiles atomic.AndUint64(p, ^b)&b once it is inlined into a
+// loop closure — the intrinsic's scratch register overwrites a live index,
+// and the closure panics with an index out of range.
+//
+//sage:hotpath
+func Claim(bitmap []uint64, v uint32) bool {
+	p, b := &bitmap[v>>6], uint64(1)<<(v&63)
+	for {
+		old := atomic.LoadUint64(p)
+		if old&b == 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(p, old, old&^b) {
+			return true
+		}
+	}
 }
 
 // N returns the universe size.

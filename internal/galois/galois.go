@@ -50,19 +50,23 @@ func (e *Engine) BFS(src uint32) []uint32 {
 	parents := make([]uint32, n)
 	parallel.Fill(parents, inf)
 	parents[src] = src
+	unvisited := frontier.AllSet(n)
+	frontier.Clear(unvisited, src)
 	fr := frontier.Single(n, src)
 	ops := traverse.Ops{
 		Update: func(s, d uint32, _ int32) bool {
-			if parents[d] == inf {
+			frontier.Clear(unvisited, d)
+			parents[d] = s
+			return true
+		},
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			if frontier.Claim(unvisited, d) {
 				parents[d] = s
 				return true
 			}
 			return false
 		},
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			return parallel.CASUint32(&parents[d], inf, s)
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == inf },
+		Cond: unvisited,
 	}
 	for !fr.IsEmpty() {
 		fr = traverse.EdgeMap(e.G, e.Env, fr, ops, e.opts())
@@ -185,10 +189,10 @@ func (e *Engine) Betweenness(src uint32) []float64 {
 	n := e.G.NumVertices()
 	sigma := make([]uint64, n)
 	level := make([]uint32, n)
-	visited := make([]bool, n)
+	unvisited := frontier.AllSet(n)
 	parallel.Fill(level, ^uint32(0))
 	parallel.StoreFloat64(&sigma[src], 1)
-	visited[src] = true
+	frontier.Clear(unvisited, src)
 	level[src] = 0
 	fwd := traverse.Ops{
 		Update: func(s, d uint32, _ int32) bool {
@@ -206,7 +210,7 @@ func (e *Engine) Betweenness(src uint32) []float64 {
 				}
 			}
 		},
-		Cond: func(d uint32) bool { return !visited[d] },
+		Cond: unvisited,
 	}
 	var rounds [][]uint32
 	fr := frontier.Single(n, src)
@@ -216,7 +220,7 @@ func (e *Engine) Betweenness(src uint32) []float64 {
 		fr = traverse.EdgeMap(e.G, e.Env, fr, fwd, e.opts())
 		round++
 		fr.ForEach(func(v uint32) {
-			visited[v] = true
+			frontier.Claim(unvisited, v) // ids sharing a word race
 			level[v] = round
 		})
 	}

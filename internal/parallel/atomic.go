@@ -90,40 +90,3 @@ func StoreFloat64(p *uint64, v float64) {
 func FetchAddInt32(p *int32, delta int32) int32 {
 	return atomic.AddInt32(p, delta)
 }
-
-// TestAndSetByte attempts to flip a 0 byte at p to 1 without requiring
-// byte-granular atomics: it is implemented with a CAS on the containing
-// 32-bit word of a []uint32 bitset. See Bitset.
-type Bitset struct {
-	words []uint32
-}
-
-// NewBitset returns a bitset over n bits, all clear.
-func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint32, (n+31)/32)}
-}
-
-// TestAndSet atomically sets bit i, returning true iff this call changed it
-// from 0 to 1.
-func (b *Bitset) TestAndSet(i uint32) bool {
-	w := &b.words[i/32]
-	mask := uint32(1) << (i % 32)
-	for {
-		old := atomic.LoadUint32(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(w, old, old|mask) {
-			return true
-		}
-	}
-}
-
-// Get reports bit i. It uses an atomic load so it is safe to call
-// concurrently with TestAndSet.
-func (b *Bitset) Get(i uint32) bool {
-	return atomic.LoadUint32(&b.words[i/32])&(uint32(1)<<(i%32)) != 0
-}
-
-// Words exposes the underlying words (for size accounting).
-func (b *Bitset) Words() int { return len(b.words) }

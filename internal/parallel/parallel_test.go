@@ -213,25 +213,6 @@ func TestPackInto(t *testing.T) {
 	}
 }
 
-func TestBitsetConcurrent(t *testing.T) {
-	n := 10_000
-	b := NewBitset(n)
-	var wins atomic.Int64
-	For(8*n, 16, func(i int) {
-		if b.TestAndSet(uint32(i % n)) {
-			wins.Add(1)
-		}
-	})
-	if wins.Load() != int64(n) {
-		t.Fatalf("wins=%d want %d", wins.Load(), n)
-	}
-	for i := 0; i < n; i++ {
-		if !b.Get(uint32(i)) {
-			t.Fatalf("bit %d not set", i)
-		}
-	}
-}
-
 func TestHashSet64Concurrent(t *testing.T) {
 	n := 50_000
 	h := NewHashSet64(n)

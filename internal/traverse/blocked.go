@@ -52,14 +52,14 @@ func edgeMapBlocked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 			nghs, ws := flat.Slice(u, vLo, vHi, pools.Scratch(w))
 			if ws == nil {
 				for _, d := range nghs {
-					if ops.Cond(d) && ops.UpdateAtomic(u, d, 1) {
+					if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, 1) {
 						out[wr] = d
 						wr++
 					}
 				}
 			} else {
 				for j, d := range nghs {
-					if ops.Cond(d) && ops.UpdateAtomic(u, d, ws[j]) {
+					if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, ws[j]) {
 						out[wr] = d
 						wr++
 					}

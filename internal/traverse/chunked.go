@@ -145,13 +145,13 @@ func EdgeMapChunked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 			nghs, ws := flat.Slice(u, lo, hi, pools.Scratch(w))
 			if ws == nil {
 				for _, d := range nghs {
-					if ops.Cond(d) && ops.UpdateAtomic(u, d, 1) {
+					if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, 1) {
 						cur = append(cur, d)
 					}
 				}
 			} else {
 				for j, d := range nghs {
-					if ops.Cond(d) && ops.UpdateAtomic(u, d, ws[j]) {
+					if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, ws[j]) {
 						cur = append(cur, d)
 					}
 				}

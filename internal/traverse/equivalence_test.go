@@ -100,9 +100,10 @@ func TestCrossStrategyEquivalence(t *testing.T) {
 }
 
 // TestDenseEarlyExitChargeMatchesCSR pins the pull scan's early exit on a
-// block-decoded graph: a BFS-style round (Cond turns false at the first
-// frontier in-neighbor) over byte-64 decodes whole blocks but must stop at
-// — and charge for — exactly the position where the CSR scan stops.
+// block-decoded graph: a BFS-style round (Update clears d's Cond bit at
+// the first frontier in-neighbor) over byte-64 decodes whole blocks but
+// must stop at — and charge for — exactly the position where the CSR scan
+// stops.
 func TestDenseEarlyExitChargeMatchesCSR(t *testing.T) {
 	csr := gen.RMAT(11, 24, 3) // hubs span many 64-edge blocks
 	vs := randomFrontier(csr.NumVertices(), 0.05, 1)
@@ -111,9 +112,14 @@ func TestDenseEarlyExitChargeMatchesCSR(t *testing.T) {
 		for i := range parent {
 			parent[i] = ^uint32(0)
 		}
+		unset := frontier.AllSet(g.NumVertices())
 		ops := Ops{
-			Update: func(s, d uint32, _ int32) bool { parent[d] = s; return true },
-			Cond:   func(d uint32) bool { return parent[d] == ^uint32(0) },
+			Update: func(s, d uint32, _ int32) bool {
+				parent[d] = s
+				frontier.Clear(unset, d)
+				return true
+			},
+			Cond: unset,
 		}
 		env := psam.NewEnv(psam.AppDirect)
 		out := runSorted(g, env, vs, ops, Options{ForceDense: true})

@@ -16,10 +16,18 @@
 // cost per block instead of per edge. Small per-round loops launch on the
 // parallel package's persistent worker pool, so a frontier algorithm's
 // thousands of rounds do not spawn goroutines.
+//
+// The condition C is data, not a function: Ops.Cond is a ⌈n/64⌉-word
+// vertex bitmap (the frontier package's form), so the pull scan walks the
+// live vertices a word at a time and the push scans test one bit per edge.
+// The pull scan's 512-vertex blocks each own one cache line of Cond and of
+// the output bitmap; a block builds each output word in a register and
+// stores it once.
 package traverse
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"sage/internal/costmodel"
 	"sage/internal/frontier"
@@ -32,16 +40,34 @@ import (
 // non-atomically by the dense (pull) traversal, UpdateAtomic by the
 // push-based traversals (multiple sources may race on one target), and
 // Cond gates targets. Update functions return true iff the target should
-// join the output subset; Cond returning false both skips the target and
-// lets the dense traversal break out of its scan early.
+// join the output subset.
+//
+// Cond is the condition C as a bitmap of frontier.Words(n) words that the
+// algorithm owns: bit d is set while d may still be updated, and the bits
+// past n are clear. Nil means every target qualifies. The push traversals
+// test d's bit with an atomic load before calling UpdateAtomic, which
+// retires d with frontier.Claim when it wants no further updates. The
+// pull scan visits only the set bits, and calls Update(·, d) only while
+// d's bit is set: Update retires d with frontier.Clear (one worker owns
+// d's word for the whole scan), and the scan of d's in-edges ends there.
+// Update(·, d) and UpdateAtomic(·, d) may clear d's bit but no other.
 type Ops struct {
 	Update       func(s, d uint32, w int32) bool
 	UpdateAtomic func(s, d uint32, w int32) bool
-	Cond         func(d uint32) bool
+	Cond         []uint64
 }
 
-// CondTrue is the always-true condition.
-func CondTrue(uint32) bool { return true }
+// CondTrue is the always-true condition: no bitmap, every target
+// qualifies.
+var CondTrue []uint64
+
+// condHas reports whether d passes cond, loading d's word atomically so
+// that a push traversal may test it while other workers claim bits.
+//
+//sage:hotpath
+func condHas(cond []uint64, d uint32) bool {
+	return cond == nil || atomic.LoadUint64(&cond[d>>6])&(1<<(d&63)) != 0
+}
 
 // Strategy selects the push-side implementation.
 type Strategy int
@@ -181,26 +207,28 @@ const denseFirstPiece = 8
 
 // denseGrain is the pull scan's block of vertices. ForBlocks starts every
 // block at a multiple of its grain, so with a grain that is a multiple of
-// 64 each block owns whole words of the output bitmap, and its worker sets
-// bits there without atomics.
-const denseGrain = 256
+// 64 each block owns whole words of the output bitmap and of Cond, and its
+// worker reads and writes them without atomics. 512 vertices are 8 words,
+// one 64-byte cache line of each bitmap, so no two workers write to one
+// line.
+const denseGrain = 512
 
 // The index is out of range, and the build fails, unless denseGrain is a
 // multiple of 64.
 var _ = [1]struct{}{}[denseGrain%64]
 
-// edgeMapDense is the pull-based traversal: every vertex satisfying Cond
-// scans its in-edges (equal to out-edges on symmetric graphs) for frontier
-// members, stopping as soon as Cond(d) turns false. The scan reads one
-// piece of the list at a time — the whole list where BlockSize is 0,
-// otherwise denseFirstPiece edges and then up to each block boundary — so
-// an early exit also stops the decoding. Input and output frontiers are
-// bitmaps of ⌈n/64⌉ words.
+// edgeMapDense is the pull-based traversal: every vertex whose Cond bit
+// is set scans its in-edges (equal to out-edges on symmetric graphs) for
+// frontier members, stopping as soon as an Update clears that bit. The
+// scan walks Cond a word at a time (denseWord), visiting set bits only,
+// and builds each output word in a register and stores it once. Input and
+// output frontiers are bitmaps of ⌈n/64⌉ words.
 func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt Options) *frontier.VertexSubset {
 	n := g.NumVertices()
 	from := vs.Dense()
-	out := make([]uint64, frontier.Words(n))
-	env.Alloc(int64(len(out)))
+	nw := frontier.Words(n)
+	out := make([]uint64, nw)
+	env.Alloc(int64(nw))
 	flat := graph.NewFlat(g)
 	pools := poolsOf(opt)
 	var outCounts [parallel.MaxWorkers]struct {
@@ -208,29 +236,26 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 		_ [56]byte
 	}
 	piece := uint32(g.BlockSize())
-	parallel.ForBlocks(int(n), denseGrain, func(w, lo, hi int) {
+	cond := ops.Cond
+	parallel.ForBlocks(nw, denseGrain/64, func(w, lo, hi int) {
 		sc := pools.Scratch(w)
 		var scanned, produced int64
 		for i := lo; i < hi; i++ {
-			d := uint32(i)
-			if !ops.Cond(d) {
-				continue
+			// cw is the word the scan's early exit watches: Cond's, or
+			// for a nil Cond a local word of the vertices below n that
+			// no Update clears.
+			live := ^uint64(0)
+			if i == nw-1 && n&63 != 0 {
+				live = 1<<(n&63) - 1
 			}
-			if piece == 0 {
-				nghs, ws := flat.Full(d, sc)
-				k, _ := densePiece(ops, from, out, d, nghs, ws, &produced)
-				scanned += k
-				continue
+			cw := &live
+			if cond != nil {
+				cw = &cond[i]
 			}
-			deg := g.Degree(d)
-			for p, q := uint32(0), uint32(denseFirstPiece); p < deg; p, q = q, (q/piece+1)*piece {
-				nghs, ws := flat.Slice(d, p, q, sc)
-				k, stopped := densePiece(ops, from, out, d, nghs, ws, &produced)
-				scanned += k
-				if stopped {
-					break
-				}
-			}
+			k, ow := denseWord(ops.Update, from, &flat, sc, piece, cw, uint32(i)<<6)
+			out[i] = ow
+			scanned += k
+			produced += int64(bits.OnesCount64(ow))
 		}
 		env.GraphRead(w, 0, scanned)
 		env.StateRead(w, scanned)
@@ -244,43 +269,59 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 	return frontier.FromDense(n, out, int(total))
 }
 
-// densePiece runs the pull scan over one flat piece of d's in-edges,
-// returning the number of positions scanned and whether the scan stopped
-// early. Cond(d) is a function of d's state, which only Update(·, d)
-// mutates, and one worker owns d for the whole scan — so the early-exit
-// check is needed only after an Update invocation, not on every edge; the
-// stop position (and hence the charged scan count) is identical to the
-// per-edge check.
+// denseWord runs the pull scan for the 64 vertices from base whose bits
+// are set in the condition word *cw, returning the number of positions
+// scanned and the word of vertices an Update returned true for. Each
+// vertex d reads its in-edges one piece at a time: the whole list where
+// piece is 0, otherwise denseFirstPiece edges and then up to each block
+// boundary, so an early exit also stops the decoding; a piece shorter
+// than asked for is the list's last.
+// d's bit is only cleared by Update(·, d), and one worker owns the word
+// for the whole scan — so the bit is tested only after an Update
+// invocation, not on every edge; the stop position (and hence the
+// charged scan count) is identical to a per-edge check.
 //
 //sage:hotpath
-func densePiece(ops Ops, from, out []uint64, d uint32, nghs []uint32, ws []int32, produced *int64) (int64, bool) {
-	dw, db := &out[d>>6], uint64(1)<<(d&63)
-	if ws == nil {
-		for j, s := range nghs {
-			if from[s>>6]&(1<<(s&63)) != 0 {
-				if ops.Update(s, d, 1) && *dw&db == 0 {
-					*dw |= db
-					*produced++
+func denseWord(update func(s, d uint32, w int32) bool, from []uint64, flat *graph.Flat, sc *graph.Scratch, piece uint32, cw *uint64, base uint32) (int64, uint64) {
+	var scanned int64
+	var ow uint64
+	for m := *cw; m != 0; m &= m - 1 {
+		tz := bits.TrailingZeros64(m)
+		d, db := base|uint32(tz), uint64(1)<<tz
+		p, q := uint32(0), uint32(denseFirstPiece)
+	pieces:
+		for {
+			var nghs []uint32
+			var ws []int32
+			if piece == 0 {
+				nghs, ws = flat.Full(d, sc)
+			} else {
+				nghs, ws = flat.Slice(d, p, q, sc)
+			}
+			for j, s := range nghs {
+				if from[s>>6]&(1<<(s&63)) == 0 {
+					continue
 				}
-				if !ops.Cond(d) {
-					return int64(j) + 1, true
+				w := int32(1)
+				if ws != nil {
+					w = ws[j]
+				}
+				if update(s, d, w) {
+					ow |= db
+				}
+				if *cw&db == 0 {
+					scanned += int64(j) + 1
+					break pieces
 				}
 			}
-		}
-	} else {
-		for j, s := range nghs {
-			if from[s>>6]&(1<<(s&63)) != 0 {
-				if ops.Update(s, d, ws[j]) && *dw&db == 0 {
-					*dw |= db
-					*produced++
-				}
-				if !ops.Cond(d) {
-					return int64(j) + 1, true
-				}
+			scanned += int64(len(nghs))
+			if piece == 0 || p+uint32(len(nghs)) < q {
+				break
 			}
+			p, q = q, (q/piece+1)*piece
 		}
 	}
-	return int64(len(nghs)), false
+	return scanned, ow
 }
 
 // edgeMapSparse is Ligra's push traversal: it allocates an output array
@@ -307,7 +348,7 @@ func edgeMapSparse(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Op
 		nghs, ws := flat.Slice(u, 0, deg, pools.Scratch(w))
 		if ws == nil {
 			for j, d := range nghs {
-				if ops.Cond(d) && ops.UpdateAtomic(u, d, 1) {
+				if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, 1) {
 					out[base+int64(j)] = d
 				} else {
 					out[base+int64(j)] = sentinel
@@ -315,7 +356,7 @@ func edgeMapSparse(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Op
 			}
 		} else {
 			for j, d := range nghs {
-				if ops.Cond(d) && ops.UpdateAtomic(u, d, ws[j]) {
+				if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, ws[j]) {
 					out[base+int64(j)] = d
 				} else {
 					out[base+int64(j)] = sentinel
@@ -333,14 +374,15 @@ func edgeMapSparse(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Op
 	return frontier.FromSparse(n, res)
 }
 
-// dedup removes duplicate ids with a shared bitset.
+// dedup removes duplicate ids: every id starts live in a ⌈n/64⌉-word
+// bitmap, and the one occurrence whose Claim retires it is kept.
 func dedup(n uint32, env *psam.Env, ids []uint32) []uint32 {
-	seen := parallel.NewBitset(int(n))
-	env.Alloc(int64(seen.Words()) / 2)
-	defer env.Free(int64(seen.Words()) / 2)
+	live := frontier.AllSet(n)
+	env.Alloc(int64(len(live)))
+	defer env.Free(int64(len(live)))
 	keep := make([]bool, len(ids))
 	parallel.ForWorker(len(ids), 0, func(w, i int) {
-		keep[i] = seen.TestAndSet(ids[i])
+		keep[i] = frontier.Claim(live, ids[i])
 		env.StateWrite(w, 1)
 	})
 	return parallel.FilterIndex(ids, func(i int, _ uint32) bool { return keep[i] })

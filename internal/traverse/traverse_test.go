@@ -20,19 +20,23 @@ func bfsWith(g graph.Adj, env *psam.Env, src uint32, opt Options) []uint32 {
 	parents := make([]uint32, n)
 	parallel.Fill(parents, ^uint32(0))
 	parents[src] = src
+	unvisited := frontier.AllSet(n)
+	frontier.Clear(unvisited, src)
 	fr := frontier.Single(n, src)
 	ops := Ops{
 		Update: func(s, d uint32, _ int32) bool {
-			if parents[d] == ^uint32(0) {
+			frontier.Clear(unvisited, d)
+			parents[d] = s
+			return true
+		},
+		UpdateAtomic: func(s, d uint32, _ int32) bool {
+			if frontier.Claim(unvisited, d) {
 				parents[d] = s
 				return true
 			}
 			return false
 		},
-		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			return parallel.CASUint32(&parents[d], ^uint32(0), s)
-		},
-		Cond: func(d uint32) bool { return atomic.LoadUint32(&parents[d]) == ^uint32(0) },
+		Cond: unvisited,
 	}
 	for !fr.IsEmpty() {
 		fr = EdgeMap(g, env, fr, ops, opt)
