@@ -55,8 +55,6 @@ type Options struct {
 	// filtering algorithms; nil selects Sage's graph filter (§4.2). The
 	// GBBS baselines install their mutation-based packer here.
 	NewFilter FilterFactory
-	// DenseThreshold numerator for histogram density switching is fixed
-	// at m/20 as in the traversal layer.
 }
 
 // Defaults returns options with the paper's default parameters and no
@@ -135,93 +133,67 @@ func decodeEdgeKey(k uint64) (uint32, uint32) {
 	return uint32(k >> 32), uint32(k)
 }
 
-// sumDegrees computes Σ deg(v) over a sparse id list.
-func sumDegrees(g graph.Adj, ids []uint32) int64 {
-	return parallel.ReduceSum(len(ids), 0, func(i int) int64 {
-		return int64(g.Degree(ids[i]))
-	})
-}
-
 // neighborCounter is the histogram primitive of §4.3.4 with the dense
 // optimization, holding its round buffers for one peeling run: count
-// returns, for a sparse removal set S, how many edges each remaining
-// vertex loses. When Σ_{v∈S} deg(v) exceeds m/20 it reads every vertex's
-// adjacency against a membership bitmap (O(m) work but O(n) memory);
-// otherwise it gathers the neighbor multiset and histograms it (work
-// proportional to the frontier). The keep predicate restricts counting to
-// live vertices.
+// returns, for a removal set S, how many edges each live vertex loses.
+// The live vertices are the set bits of the caller's bitmap, from which
+// the caller has cleared S. When |S| + Σ_{v∈S} deg(v) exceeds
+// m/traverse.DenseThresholdDen the round is a forced-dense edgeMap from S
+// gated by the live bitmap (O(m) work, O(n) memory); otherwise it gathers
+// S's live neighbors and histograms them (work proportional to S's degree
+// sum). The buffers are billed at their high-water mark until free.
 type neighborCounter struct {
-	g    graph.Adj
-	o    *Options
-	flat graph.Flat
-	keep func(uint32) bool
+	g      graph.Adj
+	o      *Options
+	flat   graph.Flat
+	live   []uint64
+	billed int64
 
 	// Sparse rounds: each removed vertex's slot in keys and its number of
-	// kept neighbors (then their place in kept), the gathered neighbors,
+	// live neighbors (then their place in kept), the gathered neighbors,
 	// the packed multiset, the histogram's buffers.
 	offs, cnt  []int64
 	keys, kept []uint32
 	hist       parallel.HistScratch
-	// Dense rounds: membership of S and per-vertex loss counts, both all
-	// zero between rounds, and the output rows.
-	inS    []bool
+	// Dense rounds: per-vertex loss counts, all zero between rounds, and
+	// the output rows.
 	counts []uint32
 	out    []parallel.KeyCount
 }
 
-func newNeighborCounter(g graph.Adj, o *Options, keep func(uint32) bool) *neighborCounter {
-	return &neighborCounter{g: g, o: o, flat: graph.NewFlat(g), keep: keep}
+func newNeighborCounter(g graph.Adj, o *Options, live []uint64) *neighborCounter {
+	return &neighborCounter{g: g, o: o, flat: graph.NewFlat(g), live: live}
 }
 
 // count returns the (vertex, edges lost) rows for removing s, in ascending
 // vertex order. The rows are valid until the next call.
 func (c *neighborCounter) count(s []uint32) []parallel.KeyCount {
-	g, o, env, flat, keep := c.g, c.o, c.o.Env, c.flat, c.keep
-	n := int(g.NumVertices())
-	sumDeg := sumDegrees(g, s)
-	if sumDeg+int64(len(s)) > int64(g.NumEdges())/20 {
-		// Dense variant.
-		if c.inS == nil {
-			c.inS = make([]bool, n)
+	g, o, env, flat, live := c.g, c.o, c.o.Env, c.flat, c.live
+	n := g.NumVertices()
+	sumDeg := parallel.ReduceSum(len(s), 0, func(i int) int64 { return int64(g.Degree(s[i])) })
+	if sumDeg+int64(len(s)) > int64(g.NumEdges())/traverse.DenseThresholdDen {
+		// Dense variant: a live vertex joins the output on its first hit,
+		// so the output's ids are the touched vertices in increasing order.
+		if c.counts == nil {
 			c.counts = make([]uint32, n)
+			c.bill()
 		}
-		inS, counts := c.inS, c.counts
-		parallel.For(len(s), 0, func(i int) { inS[s[i]] = true })
-		parallel.ForBlocks(n, 64, func(w, lo, hi int) {
-			sc := o.scratch(w)
-			var scanned int64
-			for i := lo; i < hi; i++ {
-				v := uint32(i)
-				if inS[i] || !keep(v) {
-					continue
-				}
-				var c uint32
-				deg := g.Degree(v)
-				nghs, _ := flat.Slice(v, 0, deg, sc)
-				for _, ngh := range nghs {
-					if inS[ngh] {
-						c++
-					}
-				}
-				scanned += int64(deg)
-				counts[i] = c
-			}
-			env.GraphRead(w, 0, scanned)
-			env.StateRead(w, scanned)
-		})
-		ids := parallel.PackIndex(n, func(i int) bool { return counts[i] > 0 })
+		counts := c.counts
+		ops := traverse.Ops{Update: func(_, d uint32, _ int32) bool { counts[d]++; return counts[d] == 1 }, Cond: live}
+		ids := o.edgeMap(g, frontier.FromSparse(n, s), ops, func(t *traverse.Options) { t.ForceDense = true }).Sparse()
 		c.out = parallel.Resize(c.out, len(ids))
+		c.bill()
 		out := c.out
 		// Emit the rows and undo only what this round set.
 		parallel.For(len(ids), 0, func(i int) {
 			out[i] = parallel.KeyCount{Key: ids[i], Count: counts[ids[i]]}
 			counts[ids[i]] = 0
 		})
-		parallel.For(len(s), 0, func(i int) { inS[s[i]] = false })
+		env.Free(int64(frontier.Words(n))) // the edgeMap's output bitmap
 		return out
 	}
 	// Sparse variant: gather the neighbor multiset, then histogram. Each
-	// vertex packs its kept neighbors at the front of its own degree-sized
+	// vertex packs its live neighbors at the front of its own degree-sized
 	// slot; the packed runs are then copied together.
 	c.offs = parallel.Resize(c.offs, len(s)+1)
 	c.cnt = parallel.Resize(c.cnt, len(s)+1)
@@ -238,7 +210,7 @@ func (c *neighborCounter) count(s []uint32) []parallel.KeyCount {
 		wr := offs[i]
 		nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
 		for _, ngh := range nghs {
-			if keep(ngh) {
+			if frontier.Has(live, ngh) {
 				keys[wr] = ngh
 				wr++
 			}
@@ -252,5 +224,20 @@ func (c *neighborCounter) count(s []uint32) []parallel.KeyCount {
 	parallel.For(len(s), 64, func(i int) {
 		copy(kept[cnt[i]:cnt[i+1]], keys[offs[i]:])
 	})
-	return parallel.HistogramInPlace(kept, &c.hist)
+	rows := parallel.HistogramInPlace(kept, &c.hist)
+	c.bill()
+	return rows
 }
+
+// bill charges the round buffers' growth to the run's DRAM tracker, a
+// word per element: each buffer is billed once, at its high-water mark.
+func (c *neighborCounter) bill() {
+	words := int64(cap(c.offs)+cap(c.cnt)+cap(c.keys)+cap(c.kept)+cap(c.counts)+cap(c.out)) + c.hist.Words()
+	if words > c.billed {
+		c.o.Env.Alloc(words - c.billed)
+		c.billed = words
+	}
+}
+
+// free releases everything bill charged.
+func (c *neighborCounter) free() { c.o.Env.Free(c.billed) }

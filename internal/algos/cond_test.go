@@ -44,11 +44,15 @@ var condDirections = []struct {
 }
 
 // TestCondBitmapAlgorithmsMatchReference checks every algorithm whose
-// edgeMap condition is a vertex bitmap against the serial references at
-// 1, 2 and 4 workers, in every direction.
+// edgeMap condition or working vertex set is a bitmap against the serial
+// references at 1, 2 and 4 workers, in every direction: the traversals,
+// k-core and densest subgraph (whose peeling edgeMap takes their live
+// bitmap as its condition) and set cover (whose covered elements are a
+// bitmap its winners Set).
 func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 	old := parallel.Workers()
 	defer parallel.SetWorkers(old)
+	densest := map[string]*DensestResult{} // per family: the first run's
 	for _, p := range []int{1, 2, 4} {
 		parallel.SetWorkers(p)
 		for _, fam := range condFamilies() {
@@ -56,6 +60,14 @@ func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 			dist := refalgo.BFSDistances(g, 0)
 			comps := refalgo.Components(g, 0)
 			bc := refalgo.Betweenness(g, 0)
+			coreness := refalgo.Coreness(g)
+			maxDensity := refalgo.MaxDensity(g)
+			sets := make([][]uint32, g.NumVertices()) // each vertex covers its neighbours
+			for v := range sets {
+				sets[v] = g.Neighbors(uint32(v))
+			}
+			cover := BipartiteFromSets(sets, g.NumVertices())
+			greedy := len(refalgo.GreedySetCover(cover, g.NumVertices()))
 			for _, dir := range condDirections {
 				o := Defaults()
 				dir.set(&o.Traverse)
@@ -78,6 +90,75 @@ func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 						t.Fatalf("%s/bc: delta[%d]=%v want %v", name, v, got[v], bc[v])
 					}
 				}
+				for _, fetchAdd := range []bool{false, true} {
+					o.KCoreFetchAdd = fetchAdd
+					if got := KCore(g, o); !slices.Equal(got, coreness) {
+						t.Fatalf("%s/kcore(fetchadd=%v): coreness differs from the serial peeling", name, fetchAdd)
+					}
+				}
+				o.KCoreFetchAdd = false
+				checkDensest(t, name+"/densest", g, maxDensity, o.Eps, densest, fam.name, ApproxDensestSubgraph(g, o))
+				checkCover(t, name+"/setcover", sets, greedy, ApproxSetCover(cover, o, g.NumVertices()))
+			}
+		}
+	}
+}
+
+// checkDensest asserts that res's members have the density it reports,
+// that it meets the 2(1+ε) bound against the sequential peeling
+// certificate, and that it is identical to the first result recorded for
+// its family.
+func checkDensest(t *testing.T, name string, g *graph.Graph, certificate, eps float64, first map[string]*DensestResult, family string, res *DensestResult) {
+	t.Helper()
+	var members, arcs int
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		if !res.InSub[v] {
+			continue
+		}
+		members++
+		for _, u := range g.Neighbors(v) {
+			if res.InSub[u] {
+				arcs++
+			}
+		}
+	}
+	if members == 0 || math.Abs(float64(arcs)/2/float64(members)-res.Density) > 1e-9 {
+		t.Fatalf("%s: reported density %v, but its %d members span %d arcs", name, res.Density, members, arcs)
+	}
+	if res.Density < certificate/(2*(1+eps))-1e-9 {
+		t.Fatalf("%s: density %.4f below the bound (certificate %.4f)", name, res.Density, certificate)
+	}
+	want, ok := first[family]
+	if !ok {
+		first[family] = res
+		return
+	}
+	if res.Density != want.Density || res.Rounds != want.Rounds || !slices.Equal(res.InSub, want.InSub) {
+		t.Fatalf("%s: density %v in %d rounds, first run %v in %d rounds (same members: %v)",
+			name, res.Density, res.Rounds, want.Density, want.Rounds, slices.Equal(res.InSub, want.InSub))
+	}
+}
+
+// checkCover asserts that cover names only sets, covers every element
+// some set contains, and is within a generous factor of the greedy cover.
+func checkCover(t *testing.T, name string, sets [][]uint32, greedy int, cover []uint32) {
+	t.Helper()
+	if len(cover) > 8*greedy+4 {
+		t.Fatalf("%s: %d sets, greedy needs %d", name, len(cover), greedy)
+	}
+	covered := make(map[uint32]bool)
+	for _, s := range cover {
+		if int(s) >= len(sets) {
+			t.Fatalf("%s: cover names %d, not a set", name, s)
+		}
+		for _, e := range sets[s] {
+			covered[e] = true
+		}
+	}
+	for s, elems := range sets {
+		for _, e := range elems {
+			if !covered[e] {
+				t.Fatalf("%s: element %d (in set %d) is uncovered", name, e, s)
 			}
 		}
 	}

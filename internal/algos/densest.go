@@ -1,6 +1,7 @@
 package algos
 
 import (
+	"sage/internal/frontier"
 	"sage/internal/graph"
 	"sage/internal/parallel"
 )
@@ -27,19 +28,20 @@ func ApproxDensestSubgraph(g graph.Adj, o *Options) *DensestResult {
 		eps = 0.05
 	}
 	deg := parallel.Tabulate(int(n), func(i int) uint32 { return g.Degree(uint32(i)) })
-	alive := make([]bool, n)
-	parallel.Fill(alive, true)
+	live := frontier.AllSet(uint32(n))
 	removedRound := make([]int32, n)
 	parallel.Fill(removedRound, -1)
-	o.Env.Alloc(3 * n)
-	defer o.Env.Free(3 * n)
+	words := 2*n + int64(len(live))
+	o.Env.Alloc(words)
+	defer o.Env.Free(words)
 
 	liveN := n
 	liveArcs := int64(g.NumEdges())
 	bestDensity := 0.0
 	bestRound := int32(-1) // vertices removed at round <= bestRound are outside
 	round := int32(0)
-	nc := newNeighborCounter(g, o, func(v uint32) bool { return alive[v] })
+	nc := newNeighborCounter(g, o, live)
+	defer nc.free()
 
 	for liveN > 0 {
 		o.Checkpoint()
@@ -50,7 +52,7 @@ func ApproxDensestSubgraph(g graph.Adj, o *Options) *DensestResult {
 		}
 		threshold := 2 * (1 + eps) * density
 		peel := parallel.PackIndex(int(n), func(i int) bool {
-			return alive[i] && float64(deg[i]) <= threshold
+			return frontier.Has(live, uint32(i)) && float64(deg[i]) <= threshold
 		})
 		if len(peel) == 0 {
 			// Cannot happen for positive thresholds (the average degree is
@@ -58,15 +60,12 @@ func ApproxDensestSubgraph(g graph.Adj, o *Options) *DensestResult {
 			break
 		}
 		parallel.For(len(peel), 0, func(i int) {
-			alive[peel[i]] = false
+			frontier.Claim(live, peel[i])
 			removedRound[peel[i]] = round
 		})
-		var lost int64
 		counts := nc.count(peel)
-		parallel.For(len(counts), 0, func(i int) {
+		lost := parallel.ReduceSum(len(counts), 0, func(i int) int64 {
 			deg[counts[i].Key] -= counts[i].Count
-		})
-		lost = parallel.ReduceSum(len(counts), 0, func(i int) int64 {
 			return int64(counts[i].Count)
 		})
 		// Arcs removed: arcs between peeled and surviving vertices count

@@ -1,6 +1,7 @@
 package algos
 
 import (
+	"sage/internal/frontier"
 	"sage/internal/gfilter"
 	"sage/internal/graph"
 	"sage/internal/parallel"
@@ -26,7 +27,7 @@ func KCliqueCount(g graph.Adj, o *Options, k int) int64 {
 	f := orientByDegree(g, o, rank)
 	o.Env.Free(int64(n))
 
-	words := (n + 63) / 64
+	words := frontier.Words(uint32(n))
 	p := parallel.Workers()
 	marks := make([]uint64, p*words)
 	o.Env.Alloc(int64(len(marks)))
@@ -43,9 +44,9 @@ func KCliqueCount(g graph.Adj, o *Options, k int) int64 {
 			return
 		}
 		sh.levels[0] = f.ActiveList(w, v, sh.levels[0], &sh.stats)
-		setMarks(sh.mark, sh.levels[0])
+		frontier.Mark(sh.mark, sh.levels[0])
 		sh.count += sh.extend(o, f, w, 1, k-1)
-		clearMarks(sh.mark, sh.levels[0])
+		frontier.Unmark(sh.mark, sh.levels[0])
 	})
 	// The workers bail out early on cancellation (they cannot panic off
 	// their own goroutines); surface it here before totals are trusted.
@@ -91,11 +92,11 @@ func (sh *cliqueShard) extend(o *Options, f EdgeFilter, worker, depth, remaining
 		case remaining == 2:
 			total += int64(len(next))
 		case len(next) >= remaining-1:
-			clearMarks(sh.mark, cands)
-			setMarks(sh.mark, next)
+			frontier.Unmark(sh.mark, cands)
+			frontier.Mark(sh.mark, next)
 			total += sh.extend(o, f, worker, depth+1, remaining-1)
-			clearMarks(sh.mark, next)
-			setMarks(sh.mark, cands)
+			frontier.Unmark(sh.mark, next)
+			frontier.Mark(sh.mark, cands)
 		}
 	}
 	return total

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"sage/internal/bucket"
+	"sage/internal/frontier"
 	"sage/internal/graph"
 	"sage/internal/parallel"
 )
@@ -20,13 +21,16 @@ func KCore(g graph.Adj, o *Options) []uint32 {
 	n := g.NumVertices()
 	coreness := make([]uint32, n)
 	deg := parallel.Tabulate(int(n), func(i int) uint32 { return g.Degree(uint32(i)) })
-	o.Env.Alloc(3 * int64(n))
-	defer o.Env.Free(3 * int64(n))
+	live := frontier.AllSet(n) // the vertices not yet peeled
+	words := 3*int64(n) + int64(len(live))
+	o.Env.Alloc(words)
+	defer o.Env.Free(words)
 
 	prio := make([]uint32, n)
 	parallel.Copy(prio, deg)
 	b := bucket.New(prio, bucket.Increasing)
-	nc := newNeighborCounter(g, o, func(v uint32) bool { return b.Priority(v) != bucket.Null })
+	nc := newNeighborCounter(g, o, live)
+	defer nc.free()
 	var ids, prios []uint32 // the round's bucket moves, reused
 
 	for {
@@ -35,9 +39,12 @@ func KCore(g graph.Adj, o *Options) []uint32 {
 		if !ok {
 			break
 		}
-		parallel.For(len(peeled), 0, func(i int) { coreness[peeled[i]] = k })
+		parallel.For(len(peeled), 0, func(i int) {
+			coreness[peeled[i]] = k
+			frontier.Claim(live, peeled[i])
+		})
 		if o.KCoreFetchAdd {
-			kcoreFetchAdd(g, o, b, peeled, deg, k)
+			kcoreFetchAdd(g, o, b, live, peeled, deg, k)
 			continue
 		}
 		counts := nc.count(peeled)
@@ -66,7 +73,7 @@ func KCore(g graph.Adj, o *Options) []uint32 {
 // kcoreFetchAdd is the fetch-and-add peeling round: each peeled vertex
 // atomically decrements its live neighbors' degrees; vertices whose
 // degree changed are collected for a bulk bucket update.
-func kcoreFetchAdd(g graph.Adj, o *Options, b *bucket.Buckets, peeled []uint32, deg []uint32, k uint32) {
+func kcoreFetchAdd(g graph.Adj, o *Options, b *bucket.Buckets, live []uint64, peeled []uint32, deg []uint32, k uint32) {
 	touched := make([][]uint32, parallel.Workers())
 	fa := graph.NewFlat(g)
 	parallel.ForWorker(len(peeled), 4, func(w, i int) {
@@ -75,7 +82,7 @@ func kcoreFetchAdd(g graph.Adj, o *Options, b *bucket.Buckets, peeled []uint32, 
 		o.Env.GraphRead(w, g.EdgeAddr(v), g.ScanCost(v, 0, dv))
 		nghs, _ := fa.Slice(v, 0, dv, o.scratch(w))
 		for _, u := range nghs {
-			if b.Priority(u) == bucket.Null {
+			if !frontier.Has(live, u) {
 				continue
 			}
 			// Decrement with a floor of k.

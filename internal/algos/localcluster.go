@@ -3,6 +3,7 @@ package algos
 import (
 	"sort"
 
+	"sage/internal/frontier"
 	"sage/internal/graph"
 	"sage/internal/parallel"
 )
@@ -50,9 +51,10 @@ func LocalCluster(g graph.Adj, o *Options, seed uint32, damping float64, maxSize
 	}
 
 	totalVol := int64(g.NumEdges())
-	inS := make([]bool, n)
-	o.Env.Alloc(int64(n))
-	defer o.Env.Free(int64(n))
+	// The sweep is serial: it owns the member bitmap's words.
+	inS := make([]uint64, frontier.Words(uint32(n)))
+	o.Env.Alloc(int64(len(inS)))
+	defer o.Env.Free(int64(len(inS)))
 	var vol, cut int64
 	bestIdx, bestCond := 0, 2.0
 	flat := graph.NewFlat(g)
@@ -64,12 +66,10 @@ func LocalCluster(g graph.Adj, o *Options, seed uint32, damping float64, maxSize
 		// start.
 		var toS int64
 		for _, u := range nghs {
-			if inS[u] {
-				toS++
-			}
+			toS += int64(inS[u>>6] >> (u & 63) & 1)
 		}
 		o.Env.GraphRead(0, g.EdgeAddr(v), g.ScanCost(v, 0, uint32(deg)))
-		inS[v] = true
+		inS[v>>6] |= 1 << (v & 63)
 		vol += deg
 		cut += deg - 2*toS
 		denom := min(vol, totalVol-vol)

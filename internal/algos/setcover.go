@@ -53,13 +53,14 @@ func ApproxSetCover(g graph.Adj, o *Options, numSets uint32) []uint32 {
 		return int64(math.Ceil(math.Pow(1+eps, float64(t))))
 	}
 
-	covered := make([]bool, n) // indexed by element vertex id
+	covered := make([]uint64, frontier.Words(n)) // element vertex ids
 	owner := make([]uint64, n)
-	o.Env.Alloc(2 * int64(n))
-	defer o.Env.Free(2 * int64(n))
+	words := int64(n) + int64(len(covered))
+	o.Env.Alloc(words)
+	defer o.Env.Free(words)
 
 	f := o.newFilter(g)
-	uncovered := func(_, e uint32) bool { return !covered[e] }
+	uncovered := func(_, e uint32) bool { return !frontier.Has(covered, e) }
 	elems := make([][]uint32, parallel.Workers()) // per worker: the set's uncovered elements, re-read per pass
 
 	prio := make([]uint32, n)
@@ -144,7 +145,7 @@ func ApproxSetCover(g graph.Adj, o *Options, numSets uint32) []uint32 {
 			elems[w] = f.ActiveList(w, s, elems[w], nil)
 			for _, e := range elems[w] {
 				if atomic.LoadUint64(&owner[e]) == p {
-					covered[e] = true
+					frontier.Set(covered, e)
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package algos
 import (
 	"sort"
 
+	"sage/internal/frontier"
 	"sage/internal/gfilter"
 	"sage/internal/graph"
 	"sage/internal/parallel"
@@ -82,7 +83,7 @@ func sweepTriangles(f EdgeFilter, o *Options, start []uint64) *TriangleResult {
 	n := len(start)
 	parallel.For(n, 0, func(u int) { start[u] = 1 + uint64(f.Degree(uint32(u))) })
 	nBlocks := int(parallel.Scan(start)/sweepQuantum) + 1
-	words := (n + 63) / 64
+	words := frontier.Words(uint32(n))
 	marks := make([]uint64, parallel.Workers()*words)
 	o.Env.Alloc(int64(len(marks)))
 	defer o.Env.Free(int64(len(marks)))
@@ -108,12 +109,12 @@ func sweepTriangles(f EdgeFilter, o *Options, start []uint64) *TriangleResult {
 				continue
 			}
 			sh.listU = f.ActiveList(w, u, sh.listU, &sh.stats)
-			setMarks(mark, sh.listU)
+			frontier.Mark(mark, sh.listU)
 			for _, v := range sh.listU {
 				sh.common = f.IntersectMarked(w, v, sh.listU, mark, sh.common[:0], &sh.stats)
 				sh.count += int64(len(sh.common))
 			}
-			clearMarks(mark, sh.listU)
+			frontier.Unmark(mark, sh.listU)
 		}
 	})
 	res := &TriangleResult{}
@@ -123,19 +124,4 @@ func sweepTriangles(f EdgeFilter, o *Options, start []uint64) *TriangleResult {
 		res.TotalWork += shards[i].stats.DecodedEdges
 	}
 	return res
-}
-
-// setMarks sets the bit of every element of list in mark.
-func setMarks(mark []uint64, list []uint32) {
-	for _, x := range list {
-		mark[x>>6] |= 1 << (x & 63)
-	}
-}
-
-// clearMarks empties mark, whose set bits are exactly list's, by zeroing
-// the words that hold them.
-func clearMarks(mark []uint64, list []uint32) {
-	for _, x := range list {
-		mark[x>>6] = 0
-	}
 }

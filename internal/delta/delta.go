@@ -21,10 +21,10 @@
 // graph itself, keeping the static case byte-identical).
 //
 // Untouched vertices skip the delta map entirely. Every overlay derived
-// from one New shares a touched-vertex mask (graph.Touched, n/64 words),
-// allocated by the first Apply that leaves a delta and never copied
-// after: Apply sets the bits of the vertices it leaves a delta at with
-// atomic OR, readers load the mask word atomically. The invariant is a
+// from one New shares a touched-vertex mask (a frontier bitmap, n/64
+// words), allocated by the first Apply that leaves a delta and never
+// copied after: Apply sets its vertices' bits with frontier.Set (atomic
+// OR), readers test them with frontier.Has (atomic load). The invariant is a
 // superset: a clear bit means no overlay of the chain has a delta at v,
 // so Degree, Slice and ScanCost go straight to the base (by direct call
 // on a CSR base); a set bit means "consult the map", where v may be
@@ -50,6 +50,7 @@ import (
 	"sort"
 	"sync"
 
+	"sage/internal/frontier"
 	"sage/internal/graph"
 )
 
@@ -135,7 +136,7 @@ type Overlay struct {
 	// mask has v's bit set if some overlay over this base has (or had)
 	// a delta at v; nil until the chain's first delta. A clear bit sends
 	// a read straight to the base without the map lookup.
-	mask   graph.Touched
+	mask   []uint64
 	shared *maskCell // the chain's one mask, allocated on first use
 }
 
@@ -144,11 +145,11 @@ type Overlay struct {
 // version's delta vertices: elder snapshots read correctly through it.
 type maskCell struct {
 	once sync.Once
-	mask graph.Touched
+	mask []uint64
 }
 
-func (c *maskCell) get(n uint32) graph.Touched {
-	c.once.Do(func() { c.mask = graph.NewTouched(n) })
+func (c *maskCell) get(n uint32) []uint64 {
+	c.once.Do(func() { c.mask = make([]uint64, frontier.Words(n)) })
 	return c.mask
 }
 
@@ -380,7 +381,7 @@ func (o *Overlay) Apply(ops []Op) (*Overlay, error) {
 		if nv.mask == nil {
 			nv.mask = nv.shared.get(nv.n)
 		}
-		nv.mask.Set(v)
+		frontier.Set(nv.mask, v)
 		nv.words += d.words()
 		nv.arcsAdd += uint64(len(d.adds))
 		nv.arcsDel += uint64(len(d.dels))
@@ -411,7 +412,7 @@ func (o *Overlay) Weighted() bool { return o.weighted }
 //
 //sage:hotpath
 func (o *Overlay) at(v uint32) *vdelta {
-	if !o.mask.Has(v) {
+	if !frontier.Has(o.mask, v) {
 		return nil
 	}
 	return o.verts[v]
@@ -549,7 +550,7 @@ func (o *Overlay) baseSlice(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int
 
 // CSRBase implements graph.Masked: the base when it is CSR, and the
 // mask outside of which the overlay reads exactly as the base.
-func (o *Overlay) CSRBase() (*graph.Graph, graph.Touched) { return o.csr, o.mask }
+func (o *Overlay) CSRBase() (*graph.Graph, []uint64) { return o.csr, o.mask }
 
 // SizeWords returns the simulated NVRAM footprint of the view — the
 // base's; the delta is DRAM-resident and reported by Words instead.

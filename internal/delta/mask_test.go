@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sage/internal/compress"
+	"sage/internal/frontier"
 	"sage/internal/graph"
 )
 
@@ -224,12 +225,12 @@ func TestMaskedReadsMatchMerge(t *testing.T) {
 					t.Fatalf("CSRBase on a %s base returned %v", rep, csr)
 				}
 				for _, v := range c {
-					if _, ok := o.verts[v]; ok || !mask.Has(v) {
-						t.Fatalf("cancelled vertex %d: delta %v, bit %v", v, ok, mask.Has(v))
+					if _, ok := o.verts[v]; ok || !frontier.Has(mask, v) {
+						t.Fatalf("cancelled vertex %d: delta %v, bit %v", v, ok, frontier.Has(mask, v))
 					}
 				}
 				for _, v := range a {
-					if mask.Has(v) {
+					if frontier.Has(mask, v) {
 						t.Fatalf("vertex %d, cancelled within its batch, has its bit set", v)
 					}
 				}
@@ -239,7 +240,7 @@ func TestMaskedReadsMatchMerge(t *testing.T) {
 				}
 				stale := 0
 				for v := range o.verts {
-					if _, ok := elder.verts[v]; !ok && elder.mask.Has(v) {
+					if _, ok := elder.verts[v]; !ok && frontier.Has(elder.mask, v) {
 						stale++
 					}
 				}

@@ -10,11 +10,11 @@
 // sum and the dense→sparse pack visit only set bits, and the pack emits
 // ids in increasing order.
 //
-// The same ⌈n/64⌉-word form carries edgeMap's condition C (traverse.Ops
-// Cond) and the traversal's duplicate filter: AllSet builds it with every
-// vertex live, Clear retires a vertex its owner alone touches, and Claim
-// retires one that several workers may race for, reporting which of them
-// won.
+// The same form carries every other vertex set (edgeMap's condition C, the
+// duplicate filter, live sets, intersection marks, the overlay's mask):
+// AllSet fills one, Clear retires a vertex its owner alone touches, Claim
+// one that workers race for (reporting the winner), Set and Has set and
+// test a bit atomically, and Mark and Unmark fill and empty an owned one.
 package frontier
 
 import (
@@ -115,6 +115,38 @@ func Claim(bitmap []uint64, v uint32) bool {
 	}
 }
 
+// Set atomically sets v's bit, so workers may set bits of one word at
+// once while others test them with Has.
+//
+//sage:hotpath
+func Set(bitmap []uint64, v uint32) {
+	atomic.OrUint64(&bitmap[v>>6], 1<<(v&63))
+}
+
+// Has reports whether v's bit is set, loading its word atomically. No bit
+// of a nil bitmap, or past the bitmap's end, is set.
+//
+//sage:hotpath
+func Has(bitmap []uint64, v uint32) bool {
+	w := v >> 6
+	return uint64(w) < uint64(len(bitmap)) && atomic.LoadUint64(&bitmap[w])&(1<<(v&63)) != 0
+}
+
+// Mark sets the bit of every id with plain writes: the caller owns them.
+func Mark(bitmap []uint64, ids []uint32) {
+	for _, v := range ids {
+		bitmap[v>>6] |= 1 << (v & 63)
+	}
+}
+
+// Unmark empties a bitmap whose set bits are exactly ids' by zeroing the
+// words that hold them.
+func Unmark(bitmap []uint64, ids []uint32) {
+	for _, v := range ids {
+		bitmap[v>>6] = 0
+	}
+}
+
 // N returns the universe size.
 func (s *VertexSubset) N() uint32 { return s.n }
 
@@ -142,19 +174,15 @@ func (s *VertexSubset) Sparse() []uint32 {
 	return s.sparse
 }
 
-// Dense returns the bitmap, converting from sparse if necessary. The
-// conversion sets one bit per id with an atomic OR, since ids that share
-// a word may be set by different workers.
+// Dense returns the bitmap, converting from sparse if necessary with one
+// Set per id, since ids that share a word may be set by different workers.
 func (s *VertexSubset) Dense() []uint64 {
 	if s.dFlag {
 		return s.dense
 	}
 	if s.dense == nil {
 		bitmap := make([]uint64, Words(s.n))
-		parallel.For(len(s.sparse), 0, func(i int) {
-			v := s.sparse[i]
-			atomic.OrUint64(&bitmap[v>>6], 1<<(v&63))
-		})
+		parallel.For(len(s.sparse), 0, func(i int) { Set(bitmap, s.sparse[i]) })
 		s.dense = bitmap
 	}
 	return s.dense
@@ -177,7 +205,7 @@ func (s *VertexSubset) ForEach(fn func(v uint32)) {
 // so it is intended for tests, not hot paths.
 func (s *VertexSubset) Contains(v uint32) bool {
 	if s.dFlag {
-		return s.dense[v>>6]&(1<<(v&63)) != 0
+		return Has(s.dense, v)
 	}
 	for _, u := range s.sparse {
 		if u == v {

@@ -169,6 +169,79 @@ func checkContains(t *testing.T, name string, s *VertexSubset, member []bool) {
 	}
 }
 
+// TestSetHas checks the atomic helpers: a nil bitmap has no bit set and
+// cannot be Set, bits past n and past the bitmap's end read clear, a Set
+// past the end panics, and concurrent Sets of ids sharing words — under
+// concurrent Has readers — leave exactly the ids set.
+func TestSetHas(t *testing.T) {
+	for _, v := range []uint32{0, 63, 64, 1 << 31, ^uint32(0)} {
+		if Has(nil, v) {
+			t.Fatalf("Has(nil, %d) = true", v)
+		}
+	}
+	mustPanic(t, "Set(nil, 0)", func() { Set(nil, 0) })
+	for _, n := range []uint32{1, 63, 64, 65, 1000} {
+		b := AllSet(n)
+		end := uint32(64 * len(b))
+		for v := n; v < end+130; v++ {
+			if Has(b, v) {
+				t.Fatalf("n=%d: Has(%d) past n = true", n, v)
+			}
+		}
+		if !Has(b, n-1) {
+			t.Fatalf("n=%d: Has(%d) = false on an AllSet bitmap", n, n-1)
+		}
+		mustPanic(t, fmt.Sprintf("n=%d: Set(%d)", n, end), func() { Set(b, end) })
+	}
+
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(4)
+	const n = 4097
+	ids := make([]uint32, 0, n)
+	for v := uint32(0); v < n; v += 3 {
+		ids = append(ids, v, v) // every id twice: racing Sets of one bit
+	}
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	b := make([]uint64, Words(n))
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		// A reader polls one word's bits while they are set: a bit once
+		// seen set stays set.
+		defer wg.Done()
+		var seen uint64
+		for !done.Load() {
+			for v := uint32(0); v < 64; v++ {
+				if Has(b, v) {
+					seen |= 1 << v
+				} else if seen&(1<<v) != 0 {
+					t.Errorf("bit %d read set, then clear", v)
+				}
+			}
+		}
+	}()
+	parallel.For(len(ids), 4, func(i int) { Set(b, ids[i]) })
+	done.Store(true)
+	wg.Wait()
+	for v := uint32(0); v < uint32(64*len(b)); v++ {
+		if want := v < n && v%3 == 0; Has(b, v) != want {
+			t.Fatalf("after concurrent Sets: Has(%d) = %v, want %v", v, !want, want)
+		}
+	}
+}
+
+// mustPanic fails unless f panics.
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", name)
+		}
+	}()
+	f()
+}
+
 // BenchmarkFrontierPack measures the dense → sparse conversion at R-MAT
 // scale 16 (65,536 vertices) with a quarter of the vertices set: the pack
 // a BFS pays when its last dense frontier turns back into a list.

@@ -11,8 +11,8 @@ package graph
 
 import (
 	"math"
-	"sync/atomic"
 
+	"sage/internal/frontier"
 	"sage/internal/parallel"
 )
 
@@ -55,34 +55,14 @@ type ScratchPool struct {
 //sage:hotpath
 func (p *ScratchPool) Get(w int) *Scratch { return &p.ws[w] }
 
-// Touched is a vertex bitmask, one bit per vertex in n/64 words, that a
-// view layered over a base keeps to mark where it may differ from the
-// base. Bits are set with atomic OR and read with atomic loads, so
-// one mask can be shared by every version of the view: a writer marks a
-// new version's vertices while readers of older versions test theirs.
-// A nil mask has no bit set.
-type Touched []atomic.Uint64
-
-// NewTouched returns an all-clear mask for n vertices.
-func NewTouched(n uint32) Touched { return make(Touched, (uint64(n)+63)/64) }
-
-// Has reports whether v's bit is set.
-//
-//sage:hotpath
-func (t Touched) Has(v uint32) bool {
-	w := v >> 6
-	return uint64(w) < uint64(len(t)) && t[w].Load()&(1<<(v&63)) != 0
-}
-
-// Set sets v's bit.
-func (t Touched) Set(v uint32) { t[v>>6].Or(1 << (v & 63)) }
-
 // Masked is a view that reads exactly as a CSR base at every vertex
 // whose bit in the mask is clear: the update overlay, whose mask marks
-// the vertices with a delta. Flat reads clear-bit vertices straight from
-// the base. A view whose base is not CSR returns a nil base.
+// the vertices with a delta, a frontier bitmap the view may keep Setting
+// bits of while Flat tests them with frontier.Has. Flat reads clear-bit
+// vertices straight from the base. A view whose base is not CSR returns a
+// nil base.
 type Masked interface {
-	CSRBase() (*Graph, Touched)
+	CSRBase() (*Graph, []uint64)
 }
 
 // Flat is Adj.Slice with the representation resolved once, outside the
@@ -91,8 +71,8 @@ type Masked interface {
 // everything else through the interface. The zero value is not
 // meaningful; use NewFlat.
 type Flat struct {
-	csr  *Graph  // non-nil: devirtualised slice access
-	mask Touched // vertices g reads through its own Slice instead of csr's
+	csr  *Graph   // non-nil: devirtualised slice access
+	mask []uint64 // vertices g reads through its own Slice instead of csr's
 	g    Adj
 }
 
@@ -113,7 +93,7 @@ func NewFlat(g Adj) Flat {
 //sage:arena-view
 //sage:hotpath
 func (f *Flat) Slice(v, lo, hi uint32, s *Scratch) ([]uint32, []int32) {
-	if f.csr != nil && !f.mask.Has(v) {
+	if f.csr != nil && !frontier.Has(f.mask, v) {
 		return f.csr.Slice(v, lo, hi, s)
 	}
 	return f.g.Slice(v, lo, hi, s)
@@ -127,7 +107,7 @@ func (f *Flat) Slice(v, lo, hi uint32, s *Scratch) ([]uint32, []int32) {
 //sage:arena-view
 //sage:hotpath
 func (f *Flat) Full(v uint32, s *Scratch) ([]uint32, []int32) {
-	if f.csr != nil && !f.mask.Has(v) {
+	if f.csr != nil && !frontier.Has(f.mask, v) {
 		lo, hi := f.csr.offsets[v], f.csr.offsets[v+1]
 		nghs := f.csr.edges[lo:hi]
 		if f.csr.weights == nil {

@@ -23,6 +23,11 @@ type HistScratch struct {
 	out    []KeyCount
 }
 
+// Words returns the scratch's footprint, a word per element.
+func (s *HistScratch) Words() int64 {
+	return int64(cap(s.buf) + cap(s.counts) + cap(s.offs) + cap(s.out))
+}
+
 // histBlock is the number of sorted keys one row-counting block covers.
 const histBlock = 4 * DefaultGrain
 

@@ -27,7 +27,6 @@ package traverse
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"sage/internal/costmodel"
 	"sage/internal/frontier"
@@ -66,7 +65,7 @@ var CondTrue []uint64
 //
 //sage:hotpath
 func condHas(cond []uint64, d uint32) bool {
-	return cond == nil || atomic.LoadUint64(&cond[d>>6])&(1<<(d&63)) != 0
+	return cond == nil || frontier.Has(cond, d)
 }
 
 // Strategy selects the push-side implementation.
@@ -121,9 +120,9 @@ type Options struct {
 	Pools *Pools
 }
 
-// denseThresholdDen is Ligra's direction-optimization denominator: the
-// traversal runs dense when |U| + Σ_{u∈U} deg(u) > m/denseThresholdDen.
-const denseThresholdDen = 20
+// DenseThresholdDen is Ligra's direction-optimization denominator: the
+// traversal runs dense when |U| + Σ_{u∈U} deg(u) > m/DenseThresholdDen.
+const DenseThresholdDen = 20
 
 // EdgeMap applies ops over the edges out of vs and returns the subset of
 // targets for which an update succeeded (Theorem 4.1: O(Σ deg) work,
@@ -140,7 +139,7 @@ func EdgeMap(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt
 		dense = opt.ForceDense || (!opt.ForceSparse &&
 			predictDense(&env.Profile, int64(n), int64(g.NumEdges()), int64(vs.Size()), outDeg))
 	} else {
-		dense = opt.ForceDense || (!opt.ForceSparse && outDeg+int64(vs.Size()) > int64(g.NumEdges())/denseThresholdDen)
+		dense = opt.ForceDense || (!opt.ForceSparse && outDeg+int64(vs.Size()) > int64(g.NumEdges())/DenseThresholdDen)
 	}
 	if dense {
 		return edgeMapDense(g, env, vs, ops, opt)
@@ -162,7 +161,7 @@ func EdgeMap(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt
 // The push side reads the frontier's degrees and out-edges and makes two
 // small-memory operations per edge. The pull side streams the scan
 // positions the early exit is expected to leave standing — the break-even
-// fraction m/denseThresholdDen of Ligra's measured heuristic — plus one
+// fraction m/DenseThresholdDen of Ligra's measured heuristic — plus one
 // degree probe per vertex. On word-granular profiles the comparison lands
 // near the classic |U| + Σdeg > m/20 rule; on page-granular profiles both
 // sides round to pages, as the simulator does.
@@ -170,7 +169,7 @@ func EdgeMap(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt
 //sage:hotpath
 func predictDense(p *costmodel.Profile, n, m, frontier, outDeg int64) bool {
 	push := p.Cost(costmodel.Counts{NVRAMReads: frontier + outDeg, DRAMReads: outDeg, DRAMWrites: outDeg})
-	pull := p.Cost(costmodel.Counts{NVRAMReads: m/denseThresholdDen + n, DRAMReads: n})
+	pull := p.Cost(costmodel.Counts{NVRAMReads: m/DenseThresholdDen + n, DRAMReads: n})
 	return pull < push
 }
 
