@@ -126,6 +126,7 @@ func Biconnectivity(g graph.Adj, o *Options) *BiconnResult {
 		}
 	}
 	f := o.newFilter(g)
+	defer o.Env.Free(f.SizeWords())
 	f.FilterEdges(keep)
 	label := Connectivity(f, o)
 

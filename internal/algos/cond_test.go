@@ -3,6 +3,7 @@ package algos
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -46,17 +47,18 @@ var condDirections = []struct {
 // TestCondBitmapAlgorithmsMatchReference checks every algorithm whose
 // edgeMap condition or working vertex set is a bitmap against the serial
 // references at 1, 2 and 4 workers, in every direction: the traversals,
-// k-core and densest subgraph (whose peeling edgeMap takes their live
-// bitmap as its condition) and set cover (whose covered elements are a
-// bitmap its winners Set).
+// wBFS (whose condition is its settle bitmap), k-core and densest subgraph
+// (whose peeling edgeMap takes their live bitmap as its condition) and set
+// cover (whose covered elements are a bitmap its winners Set).
 func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 	old := parallel.Workers()
 	defer parallel.SetWorkers(old)
 	densest := map[string]*DensestResult{} // per family: the first run's
 	for _, p := range []int{1, 2, 4} {
 		parallel.SetWorkers(p)
-		for _, fam := range condFamilies() {
+		for i, fam := range condFamilies() {
 			g := fam.g
+			wbfs := wbfsCases(g, rand.New(rand.NewPCG(uint64(i), 9)).Uint32N(g.NumVertices()))
 			dist := refalgo.BFSDistances(g, 0)
 			comps := refalgo.Components(g, 0)
 			bc := refalgo.Betweenness(g, 0)
@@ -78,6 +80,14 @@ func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 				for v, l := range levels {
 					if l != dist[v] {
 						t.Fatalf("%s/bfstree: level[%d]=%d, distance %d", name, v, l, dist[v])
+					}
+				}
+				for _, c := range wbfs {
+					got := WBFS(c.g, o, c.src)
+					for v, d := range c.want {
+						if got[v] != d {
+							t.Fatalf("%s/wbfs/%s: dist[%d]=%d, reference %d", name, c.name, v, got[v], d)
+						}
 					}
 				}
 				checkLDD(t, name+"/ldd", g, comps, LDD(g, o, 0.2, 42))
@@ -102,6 +112,49 @@ func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wbfsCase is one wBFS run and its reference distances (Infinity where
+// unreachable).
+type wbfsCase struct {
+	name string
+	g    *graph.Graph
+	src  uint32
+	want []uint32
+}
+
+// wbfsCases weights g uniformly (checked against Dijkstra) and with all
+// weights 1 (every bucket a BFS level, checked against BFS distances),
+// each from vertex 0 and from src.
+func wbfsCases(g *graph.Graph, src uint32) []wbfsCase {
+	uniform := gen.AddUniformWeights(g, 11)
+	unit := withUnitWeights(g)
+	var cases []wbfsCase
+	for _, s := range []uint32{0, src} {
+		dijkstra := refalgo.Dijkstra(uniform, s)
+		want := make([]uint32, len(dijkstra))
+		for v, d := range dijkstra {
+			want[v] = Infinity
+			if d != math.MaxInt64 {
+				want[v] = uint32(d)
+			}
+		}
+		cases = append(cases,
+			wbfsCase{fmt.Sprintf("uniform/src%d", s), uniform, s, want},
+			wbfsCase{fmt.Sprintf("unit/src%d", s), unit, s, refalgo.BFSDistances(g, s)})
+	}
+	return cases
+}
+
+// withUnitWeights returns a weighted copy of g with every weight 1.
+func withUnitWeights(g *graph.Graph) *graph.Graph {
+	var edges []graph.WEdge
+	for u := uint32(0); u < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(u) {
+			edges = append(edges, graph.WEdge{U: u, V: v, W: 1})
+		}
+	}
+	return graph.FromWeightedEdges(g.NumVertices(), edges, graph.BuildOpts{})
 }
 
 // checkDensest asserts that res's members have the density it reports,

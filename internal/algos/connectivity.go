@@ -40,6 +40,7 @@ func connectivityRec(g graph.Adj, o *Options, seed uint64, depth int) []uint32 {
 	// inter-cluster edges into small-memory, and recurse.
 	cg, centerOf, denseID := contract(g, o, cluster, inter, nil)
 	sub := connectivityRec(cg, o, seed+0x1000193, depth+1)
+	o.Env.Free(cg.SizeWords())
 	// Map down: label of v = center whose dense id's component label is
 	// sub[...]; translate back to an original-vertex label.
 	labels := make([]uint32, n)
@@ -69,7 +70,8 @@ func lddWithBudget(g graph.Adj, o *Options, seed uint64) (*LDDResult, int64) {
 }
 
 // contract builds the graph over cluster centers. It returns the
-// contracted graph, the mapping dense id -> center vertex, and center
+// contracted graph, billed at its SizeWords (the caller frees them once
+// it is done with it), the mapping dense id -> center vertex, and center
 // vertex -> dense id. If witness is non-nil, it records for every
 // contracted undirected edge {cu, cv} one original arc (u, v) inducing it
 // (used by spanning forest and the spanner).
@@ -156,6 +158,7 @@ func spanningForestRec(g graph.Adj, o *Options, seed uint64) []graph.Edge {
 	witness := parallel.NewHashMap64(int(inter) + 1)
 	cg, _, _ := contract(g, o, ldd.Cluster, inter, witness)
 	subForest := spanningForestRec(cg, o, seed+0x1000193)
+	o.Env.Free(cg.SizeWords())
 	for _, e := range subForest {
 		o.Checkpoint()
 		// Translate the contracted edge back through its witness arc

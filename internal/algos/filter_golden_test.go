@@ -201,3 +201,55 @@ func TestFilterAlgorithmsGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterUsersFreeTheirBills runs every algorithm that builds an edge
+// filter on one shared Env, one after another, and requires each to leave
+// the Env's tracked small-memory residency where it found it: the
+// filter's words are billed when it is built and freed when its user
+// returns, so a reused Env carries no residue into its next run.
+// Biconnectivity also runs BFSTree and Connectivity, whose dense edgeMap
+// rounds leave their output bitmaps billed; its residue must equal that
+// of the same run over the GBBS mutable image, which bills nothing.
+func TestFilterUsersFreeTheirBills(t *testing.T) {
+	old := parallel.Workers()
+	defer parallel.SetWorkers(old)
+	parallel.SetWorkers(1)
+	g := gen.RMAT(11, 8, 7)
+	n := g.NumVertices()
+	sets := make([][]uint32, n) // each vertex covers its neighbours
+	for v := range sets {
+		sets[v] = g.Neighbors(uint32(v))
+	}
+	cover := algos.BipartiteFromSets(sets, n)
+	users := []struct {
+		name string
+		run  func(o *algos.Options)
+	}{
+		{"tc", func(o *algos.Options) { algos.TriangleCount(g, o) }},
+		{"k4", func(o *algos.Options) { algos.KCliqueCount(g, o, 4) }},
+		{"biconnectivity", func(o *algos.Options) { algos.Biconnectivity(g, o) }},
+		{"matching", func(o *algos.Options) { algos.MaximalMatching(g, o) }},
+		{"setcover", func(o *algos.Options) { algos.ApproxSetCover(cover, o, n) }},
+	}
+	residue := func(o *algos.Options, run func(o *algos.Options)) int64 {
+		start := o.Env.Space.Current()
+		run(o)
+		return o.Env.Space.Current() - start
+	}
+	sage := algos.Defaults().WithEnv(psam.NewEnv(psam.AppDirect))
+	mut := algos.Defaults().WithEnv(psam.NewEnv(psam.AppDirect))
+	mut.NewFilter = gbbs.NewMutFilter
+	for _, u := range users {
+		got := residue(sage, u.run)
+		want := int64(0)
+		if u.name == "biconnectivity" {
+			want = residue(mut, u.run)
+		}
+		if got != want {
+			t.Errorf("%s: the run left %d words tracked, want %d", u.name, got, want)
+		}
+	}
+	if sage.Env.Space.Peak() == 0 {
+		t.Error("no run billed any small memory")
+	}
+}

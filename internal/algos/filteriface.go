@@ -23,6 +23,9 @@ type EdgeFilter interface {
 	FilterEdges(pred func(u, ngh uint32) bool) int64
 	// ActiveEdges returns the current active-edge count.
 	ActiveEdges() int64
+	// SizeWords returns the words the filter billed with Env.Alloc when
+	// it was built; its user frees them with Env.Free when it is done.
+	SizeWords() int64
 	// ActiveList materializes v's active neighbors into dst, accounting
 	// decode work.
 	ActiveList(worker int, v uint32, dst []uint32, stats *gfilter.IntersectStats) []uint32

@@ -26,6 +26,7 @@ func KCliqueCount(g graph.Adj, o *Options, k int) int64 {
 	o.Env.Alloc(int64(n))
 	f := orientByDegree(g, o, rank)
 	o.Env.Free(int64(n))
+	defer o.Env.Free(f.SizeWords())
 
 	words := frontier.Words(uint32(n))
 	p := parallel.Workers()

@@ -18,6 +18,7 @@ import (
 func MaximalMatching(g graph.Adj, o *Options) []graph.Edge {
 	n := g.NumVertices()
 	f := o.newFilter(g)
+	defer o.Env.Free(f.SizeWords())
 	matched := make([]uint32, n) // 0 = free, 1 = matched
 	reserve := make([]uint64, n)
 	o.Env.Alloc(3 * int64(n))

@@ -60,6 +60,7 @@ func ApproxSetCover(g graph.Adj, o *Options, numSets uint32) []uint32 {
 	defer o.Env.Free(words)
 
 	f := o.newFilter(g)
+	defer o.Env.Free(f.SizeWords())
 	uncovered := func(_, e uint32) bool { return !frontier.Has(covered, e) }
 	elems := make([][]uint32, parallel.Workers()) // per worker: the set's uncovered elements, re-read per pass
 

@@ -16,6 +16,12 @@ import (
 // priority-writes; updated vertices move buckets in bulk. O(m) expected
 // work, O(dG log n) depth whp, O(n) words of small-memory (the bucket
 // structure is semi-eager, Appendix B).
+//
+// The edgeMap condition is a settle bitmap, ⌈n/64⌉ more words of DRAM: a
+// popped bucket's vertices are claimed out of it before their edges are
+// relaxed, so the pull scan reads no settled vertex's in-edges. That is
+// exact: a relaxation from bucket d offers d + w > d ≥ dist[v] to every
+// settled v, so each skipped Update would have returned false.
 func WBFS(g graph.Adj, o *Options, src uint32) []uint32 {
 	n := g.NumVertices()
 	dist := make([]uint32, n)
@@ -29,12 +35,16 @@ func WBFS(g graph.Adj, o *Options, src uint32) []uint32 {
 	prio[src] = 0
 	b := bucket.New(prio, bucket.Increasing)
 	var prios []uint32 // the round's bucket moves, reused
+	unsettled := frontier.AllSet(n)
+	o.Env.Alloc(int64(len(unsettled)))
+	defer o.Env.Free(int64(len(unsettled)))
 
 	for {
 		d, settled, ok := b.NextBucket()
 		if !ok {
 			break
 		}
+		parallel.For(len(settled), 0, func(i int) { frontier.Claim(unsettled, settled[i]) })
 		fr := frontier.FromSparse(n, settled)
 		ops := traverse.Ops{
 			Update: func(_, v uint32, w int32) bool {
@@ -48,7 +58,7 @@ func WBFS(g graph.Adj, o *Options, src uint32) []uint32 {
 			UpdateAtomic: func(_, v uint32, w int32) bool {
 				return parallel.WriteMinUint32(&dist[v], d+uint32(w))
 			},
-			Cond: traverse.CondTrue,
+			Cond: unsettled,
 		}
 		out := o.edgeMap(g, fr, ops, func(t *traverse.Options) { t.Dedup = true })
 		ids := out.Sparse()

@@ -62,6 +62,7 @@ func TriangleCount(g graph.Adj, o *Options) *TriangleResult {
 	o.Env.Alloc(int64(n))
 	defer o.Env.Free(int64(n))
 	f := orientByDegree(g, o, words)
+	defer o.Env.Free(f.SizeWords())
 	o.Checkpoint()
 	res := sweepTriangles(f, o, words)
 	o.Checkpoint()

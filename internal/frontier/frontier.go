@@ -174,15 +174,21 @@ func (s *VertexSubset) Sparse() []uint32 {
 	return s.sparse
 }
 
-// Dense returns the bitmap, converting from sparse if necessary with one
-// Set per id, since ids that share a word may be set by different workers.
+// Dense returns the bitmap, converting from sparse if necessary. A list
+// the parallel loop would run inline (at most one grain of ids, or one
+// worker) is Marked with plain ORs; a longer one takes one Set per id,
+// since ids that share a word may be set by different workers.
 func (s *VertexSubset) Dense() []uint64 {
 	if s.dFlag {
 		return s.dense
 	}
 	if s.dense == nil {
 		bitmap := make([]uint64, Words(s.n))
-		parallel.For(len(s.sparse), 0, func(i int) { Set(bitmap, s.sparse[i]) })
+		if len(s.sparse) <= parallel.DefaultGrain || parallel.Workers() == 1 {
+			Mark(bitmap, s.sparse)
+		} else {
+			parallel.For(len(s.sparse), 0, func(i int) { Set(bitmap, s.sparse[i]) })
+		}
 		s.dense = bitmap
 	}
 	return s.dense

@@ -262,3 +262,32 @@ func BenchmarkFrontierPack(b *testing.B) {
 		}
 	}
 }
+
+// TestDenseMatchesSet converts sparse sets of ids below and above the
+// parallel grain — both conversion paths — at one and at four workers,
+// with n % 64 ≠ 0, and compares the bitmap with one built by Set.
+func TestDenseMatchesSet(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	const n = 20011 // 20,011 % 64 = 43
+	perm := rand.New(rand.NewPCG(3, 4)).Perm(n)
+	for _, p := range []int{1, 4} {
+		parallel.SetWorkers(p)
+		for _, k := range []int{0, 1, 63, parallel.DefaultGrain, parallel.DefaultGrain + 1, 5000} {
+			ids := make([]uint32, k)
+			want := make([]uint64, Words(n))
+			for i := range ids {
+				ids[i] = uint32(perm[i])
+				Set(want, ids[i])
+			}
+			got := FromSparse(n, ids).Dense()
+			if len(got) != len(want) {
+				t.Fatalf("p%d/k%d: %d words, want %d", p, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("p%d/k%d: word %d is %#x, want %#x", p, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

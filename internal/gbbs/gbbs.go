@@ -105,6 +105,10 @@ func (f *MutFilter) Slice(v, lo, hi uint32, _ *graph.Scratch) ([]uint32, []int32
 // ActiveEdges implements algos.EdgeFilter.
 func (f *MutFilter) ActiveEdges() int64 { return f.live.Load() }
 
+// SizeWords implements algos.EdgeFilter: the mutable image models the
+// resident graph, so it bills no small-memory words.
+func (f *MutFilter) SizeWords() int64 { return 0 }
+
 // ActiveList implements algos.EdgeFilter. The live prefix is already
 // materialized, so decode work equals the live degree.
 func (f *MutFilter) ActiveList(worker int, v uint32, dst []uint32, stats *gfilter.IntersectStats) []uint32 {
