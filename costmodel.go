@@ -12,10 +12,9 @@ import (
 // PSAM-style operation counts to predicted cost, latency, and energy. An
 // engine's model is what its runs' simulator charges under (so measured
 // PSAM costs are the model's own pricing), prices the Auto traversal
-// strategy's per-call direction decisions, and backs
-// PredictCost/CostOfStats — which the serving layer in turn uses for
-// cost-based admission, overlay auto-compaction, and the X-Sage-Cost-*
-// response headers.
+// strategy's per-call direction decisions, backs PredictCost/CostOfStats,
+// and prices the serving layer's cost-based admission, overlay
+// auto-compaction, and X-Sage-Cost-* response headers.
 type CostModel = costmodel.Profile
 
 // CostModelOptane is the Optane NVRAM profile — today's PSAM defaults
@@ -79,19 +78,17 @@ func (e *Engine) estimateOf(c costmodel.Counts) CostEstimate {
 	}
 }
 
-// PredictCost estimates the cost of running the named registry algorithm
-// on g before executing it, from the algorithm's cost class and the
-// graph's (n, m) alone (costmodel.EstimateOps). The estimate is
-// deliberately coarse — the right order of magnitude and the right
-// profile sensitivity, not a per-algorithm fit; the serving layer sheds
-// load on it and reports it in the X-Sage-Cost-Predicted header.
+// PredictCost is the seed estimate of running the named registry
+// algorithm on g, whatever the algorithm: one edge pass (m + 2n
+// large-memory reads, m small-memory reads, 4n writes) priced by the
+// engine's model. The serving layer replaces it with the cost it learns
+// per dataset and algorithm once that algorithm has run there.
 func (e *Engine) PredictCost(algo string, g *Graph) (CostEstimate, error) {
-	spec, ok := algos.Lookup(algo)
-	if !ok {
+	if _, ok := algos.Lookup(algo); !ok {
 		return CostEstimate{}, fmt.Errorf("sage: unknown algorithm %q", algo)
 	}
-	ops := costmodel.EstimateOps(spec.CostClass, uint64(g.NumVertices()), g.NumEdges())
-	return e.estimateOf(ops), nil
+	n, m := int64(g.NumVertices()), int64(g.NumEdges())
+	return e.estimateOf(costmodel.Counts{NVRAMReads: m + 2*n, DRAMReads: m, DRAMWrites: 4 * n}), nil
 }
 
 // CostOfStats prices a run's measured counters under the engine's model —

@@ -93,27 +93,16 @@ func TestCostModelGoldenCosts(t *testing.T) {
 	}
 }
 
-// goldenPredictions pins PredictCost — the pre-run estimate the server
-// sheds load on — per profile for one algorithm of each cost class on the
-// regression graph.
+// goldenPredictions pins PredictCost — the seed estimate the server
+// gates on until a dataset has learned an algorithm's cost — per profile
+// on the regression graph. The seed is one edge pass whatever the
+// algorithm, so one row per profile covers the whole registry.
 var goldenPredictions = map[string]int64{
-	"optane/bfs":      37848,
-	"optane/pagerank": 241344,
-	"optane/tc":       123212,
-	"optane/ppr":      11836,
-	// The estimator charges no NVRAM writes, so dram predicts like optane.
-	"dram/bfs":       37848,
-	"dram/pagerank":  241344,
-	"dram/tc":        123212,
-	"dram/ppr":       11836,
-	"reram/bfs":      54724,
-	"reram/pagerank": 347680,
-	"reram/tc":       174332,
-	"reram/ppr":      14682,
-	"flash/bfs":      88556,
-	"flash/pagerank": 560992,
-	"flash/tc":       276892,
-	"flash/ppr":      21278,
+	// The seed charges no NVRAM writes, so dram predicts like optane.
+	"optane": 37848,
+	"dram":   37848,
+	"reram":  54724,
+	"flash":  88556,
 }
 
 func TestCostModelGoldenPredictions(t *testing.T) {
@@ -121,16 +110,15 @@ func TestCostModelGoldenPredictions(t *testing.T) {
 	for _, m := range sage.CostModels() {
 		model := m
 		e := sage.NewEngine(sage.WithModel(model))
-		for _, algo := range []string{"bfs", "pagerank", "tc", "ppr"} {
+		want, ok := goldenPredictions[model.Name()]
+		for _, algo := range sage.AlgorithmNames() {
 			est, err := e.PredictCost(algo, g)
 			if err != nil {
 				t.Fatalf("PredictCost(%s): %v", algo, err)
 			}
 			name := fmt.Sprintf("%s/%s", model.Name(), algo)
-			want, ok := goldenPredictions[name]
 			if !ok {
-				t.Errorf("missing golden %q: %d,", name, est.Cost)
-				continue
+				t.Fatalf("missing golden %q: %d,", model.Name(), est.Cost)
 			}
 			if est.Cost != want {
 				t.Errorf("%s: prediction drifted: got %d want %d", name, est.Cost, want)
@@ -141,6 +129,9 @@ func TestCostModelGoldenPredictions(t *testing.T) {
 			if est.LatencyNS <= 0 || est.EnergyNJ <= 0 {
 				t.Errorf("%s: non-positive projections: latency=%v energy=%v", name, est.LatencyNS, est.EnergyNJ)
 			}
+		}
+		if _, err := e.PredictCost("no-such-algo", g); err == nil {
+			t.Errorf("%s: PredictCost accepted an unknown algorithm", model.Name())
 		}
 	}
 }

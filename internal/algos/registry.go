@@ -3,7 +3,6 @@ package algos
 import (
 	"fmt"
 
-	"sage/internal/costmodel"
 	"sage/internal/graph"
 )
 
@@ -114,12 +113,6 @@ type Spec struct {
 	// k-truss's Θ(m)-word output) declare their own. Serving layers use
 	// the estimate for admission budgeting.
 	DRAMWords func(n, m uint64) int64
-	// CostClass buckets the algorithm's memory-traffic shape for pre-run
-	// cost prediction (costmodel.EstimateOps). The zero value — Traversal,
-	// one streamed pass over the edge set — fits most of the Figure 1
-	// suite; only the fixpoint, edge-state, and local problems declare
-	// otherwise.
-	CostClass costmodel.Class
 	// run invokes the algorithm under o on canonical arguments: every
 	// schema parameter already carries its value or its default.
 	run func(g graph.Adj, o *Options, a Args) Result
@@ -273,8 +266,7 @@ var registry = []Spec{
 	},
 	{
 		Name: "cc", Title: "Connectivity", Fig1: true,
-		Doc:       "connected-component labels (LDD contraction, §4.3.2)",
-		CostClass: costmodel.Iterative,
+		Doc: "connected-component labels (LDD contraction, §4.3.2)",
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			labels := Connectivity(g, o)
 			return Result{labels, fmt.Sprintf("%d connected components", countDistinct(labels))}
@@ -326,8 +318,7 @@ var registry = []Spec{
 	},
 	{
 		Name: "coloring", Title: "Graph-Coloring", Fig1: true,
-		Doc:       "(Delta+1)-coloring (§4.3.3)",
-		CostClass: costmodel.Iterative,
+		Doc: "(Delta+1)-coloring (§4.3.3)",
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			colors := Coloring(g, o)
 			maxC := uint32(0)
@@ -350,8 +341,7 @@ var registry = []Spec{
 	},
 	{
 		Name: "kcore", Title: "k-Core", Fig1: true,
-		Doc:       "coreness of every vertex (Julienne peeling, §4.3.4)",
-		CostClass: costmodel.Iterative,
+		Doc: "coreness of every vertex (Julienne peeling, §4.3.4)",
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			core := KCore(g, o)
 			return Result{core, fmt.Sprintf("max coreness %d", MaxCore(core))}
@@ -359,8 +349,7 @@ var registry = []Spec{
 	},
 	{
 		Name: "densest", Title: "Apx-Dens-Subgraph", Fig1: true,
-		Doc:       "2(1+eps)-approximate densest subgraph (§4.3.4)",
-		CostClass: costmodel.Iterative,
+		Doc: "2(1+eps)-approximate densest subgraph (§4.3.4)",
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := ApproxDensestSubgraph(g, o)
 			return Result{res, fmt.Sprintf("density %.3f in %d rounds", res.Density, res.Rounds)}
@@ -370,7 +359,6 @@ var registry = []Spec{
 		Name: "tc", Title: "Triangle-Count", Fig1: true,
 		Doc:       "triangle count with work counters (§4.3.5)",
 		DRAMWords: edgeStateDRAMWords,
-		CostClass: costmodel.EdgeState,
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := TriangleCount(g, o)
 			return Result{res, fmt.Sprintf("%d triangles (intersection work %d, total work %d)",
@@ -393,9 +381,8 @@ var registry = []Spec{
 	},
 	{
 		Name: "pagerank", Title: "PageRank", Fig1: true,
-		Doc:       "PageRank to convergence (§4.3.5)",
-		CostClass: costmodel.Iterative,
-		Args:      []ArgSpec{epsPRArg, maxItArg},
+		Doc:  "PageRank to convergence (§4.3.5)",
+		Args: []ArgSpec{epsPRArg, maxItArg},
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			ranks, iters := PageRank(g, o, a.Eps, a.MaxIters)
 			return Result{ranks, fmt.Sprintf("converged in %d iterations", iters)}
@@ -414,9 +401,8 @@ var registry = []Spec{
 	},
 	{
 		Name: "ppr", Title: "Personalized-PageRank",
-		Doc:       "personalized PageRank vector of src (§3.2)",
-		CostClass: costmodel.Local,
-		Args:      []ArgSpec{srcArg, dampingArg, {Name: "eps", Kind: ArgFloat, Default: 1e-9, Doc: "L1 convergence threshold"}, maxItArg},
+		Doc:  "personalized PageRank vector of src (§3.2)",
+		Args: []ArgSpec{srcArg, dampingArg, {Name: "eps", Kind: ArgFloat, Default: 1e-9, Doc: "L1 convergence threshold"}, maxItArg},
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			ranks, iters := PersonalizedPageRank(g, o, a.Src, a.Damping, a.Eps, a.MaxIters)
 			return Result{ranks, fmt.Sprintf("personalized PageRank converged in %d iterations", iters)}
@@ -427,7 +413,6 @@ var registry = []Spec{
 		Doc:       "k-clique count over the degree-ordered DAG (§3.2)",
 		Args:      []ArgSpec{{Name: "k", Kind: ArgInt, Default: 4, Doc: "clique size (>= 3)"}},
 		DRAMWords: edgeStateDRAMWords,
-		CostClass: costmodel.EdgeState,
 		Validate: func(a Args) error {
 			if a.K != 0 && a.K < 3 {
 				return fmt.Errorf("kclique requires k >= 3 (got %d)", a.K)
@@ -446,7 +431,6 @@ var registry = []Spec{
 		// problem (§3.2): support counters and the trussness output are
 		// both edge-proportional.
 		DRAMWords: func(n, m uint64) int64 { return int64(3*m + 8*n) },
-		CostClass: costmodel.EdgeState,
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := KTruss(g, o)
 			maxT := uint32(0)
@@ -460,9 +444,8 @@ var registry = []Spec{
 	},
 	{
 		Name: "localcluster", Title: "Local-Cluster",
-		Doc:       "low-conductance community around src via PPR sweep cut (§3.2)",
-		CostClass: costmodel.Local,
-		Args:      []ArgSpec{srcArg, dampingArg, {Name: "maxsize", Kind: ArgInt, Default: 0, Doc: "sweep-cut size cap (0 = unbounded)"}},
+		Doc:  "low-conductance community around src via PPR sweep cut (§3.2)",
+		Args: []ArgSpec{srcArg, dampingArg, {Name: "maxsize", Kind: ArgInt, Default: 0, Doc: "sweep-cut size cap (0 = unbounded)"}},
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := LocalCluster(g, o, a.Src, a.Damping, a.MaxSize)
 			return Result{res, fmt.Sprintf("cluster of %d vertices at conductance %.3f",

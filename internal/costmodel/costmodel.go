@@ -260,3 +260,18 @@ func Names() []string {
 	}
 	return out
 }
+
+// OverlayOverhead predicts the extra cost one full-edge traversal pays
+// because a dataset's updates still live in its delta overlay instead of
+// the compacted base container: every traversal re-reads the DRAM-resident
+// delta (deltaWords), merges the added arcs outside the zero-copy flat
+// path (arcsAdded extra small-memory reads), and still scans the deleted
+// arcs in the base before filtering them (arcsDeleted large-memory reads).
+// The server's auto-compaction hysteresis tracks this quantity per
+// dataset and fires when it crosses the configured band.
+func OverlayOverhead(p *Profile, deltaWords int64, arcsAdded, arcsDeleted uint64) int64 {
+	return p.Cost(Counts{
+		DRAMReads:  deltaWords + int64(arcsAdded),
+		NVRAMReads: int64(arcsDeleted),
+	})
+}

@@ -84,27 +84,6 @@ func TestEnergyOrdering(t *testing.T) {
 	}
 }
 
-// EstimateOps shape: more edges cost more in every class, and the
-// asymmetric profiles order classes sensibly (edge-state heaviest).
-func TestEstimateOpsShape(t *testing.T) {
-	p := Optane()
-	for _, cl := range []Class{Traversal, Iterative, EdgeState, Local} {
-		small := p.Cost(EstimateOps(cl, 1<<10, 1<<13))
-		big := p.Cost(EstimateOps(cl, 1<<12, 1<<15))
-		if small <= 0 || big <= small {
-			t.Fatalf("%v: cost not increasing (small=%d big=%d)", cl, small, big)
-		}
-	}
-	n, m := uint64(1<<12), uint64(1<<15)
-	tr := p.Cost(EstimateOps(Traversal, n, m))
-	it := p.Cost(EstimateOps(Iterative, n, m))
-	es := p.Cost(EstimateOps(EdgeState, n, m))
-	lo := p.Cost(EstimateOps(Local, n, m))
-	if !(lo < tr && tr < it && tr < es) {
-		t.Fatalf("class ordering local=%d < traversal=%d < {iterative=%d, edge-state=%d} violated", lo, tr, it, es)
-	}
-}
-
 func TestOverlayOverhead(t *testing.T) {
 	p := Optane()
 	if got := OverlayOverhead(&p, 0, 0, 0); got != 0 {
@@ -120,16 +99,5 @@ func TestOverlayOverhead(t *testing.T) {
 	f := FlashCSD()
 	if fo, oo := OverlayOverhead(&f, 0, 0, 50), OverlayOverhead(&p, 0, 0, 50); fo <= oo {
 		t.Fatalf("flash overhead %d should exceed optane %d", fo, oo)
-	}
-}
-
-func TestClassString(t *testing.T) {
-	for cl, want := range map[Class]string{
-		Traversal: "traversal", Iterative: "iterative",
-		EdgeState: "edge-state", Local: "local", Class(99): "unknown",
-	} {
-		if got := cl.String(); got != want {
-			t.Errorf("Class(%d).String() = %q, want %q", cl, got, want)
-		}
 	}
 }

@@ -19,12 +19,12 @@ package server
 // Retry-After instead of letting concurrent runs thrash.
 //
 // The third is the cost gate: each run is charged its predicted cost
-// under the engine's hardware model (sage.Engine.PredictCost — operation
-// counts estimated from the algorithm's cost class and the graph's
-// (n, m), priced by the selected profile) against a cost budget. Where
+// under the engine's hardware model against a cost budget: the dataset's
+// learned cost of the algorithm (catalog.go) once it has run there, else
+// the seed, sage.Engine.PredictCost's one priced edge pass. Where
 // the DRAM gate bounds summed residency, the cost gate bounds summed
 // predicted memory traffic — the quantity that actually saturates an
-// asymmetric device — and the prediction's latency projection seeds the
+// asymmetric device — and the seed's latency projection seeds the
 // Retry-After estimate before any run has completed.
 
 import (
@@ -146,17 +146,21 @@ func (a *admission) seed(predicted time.Duration) {
 }
 
 // observe feeds one completed run's duration into the smoothed estimate
-// behind Retry-After (EWMA, alpha = 1/5: responsive to load shifts
-// without tracking every outlier).
+// behind Retry-After (EWMA, alpha = 1/ewmaDiv: responsive to load
+// shifts without tracking every outlier).
 func (a *admission) observe(d time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.ewmaRunNanos == 0 {
 		a.ewmaRunNanos = int64(d)
 	} else {
-		a.ewmaRunNanos += (int64(d) - a.ewmaRunNanos) / 5
+		a.ewmaRunNanos += (int64(d) - a.ewmaRunNanos) / ewmaDiv
 	}
 }
+
+// ewmaDiv is 1/α of the server's running means: the run duration here
+// and each dataset's learned run costs.
+const ewmaDiv = 5
 
 // retryAfterSeconds estimates when shed load should come back, from
 // actual admission state: the queue ahead of a retrying client is every

@@ -11,10 +11,13 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"sage"
 	"sage/internal/store"
 )
 
@@ -27,6 +30,9 @@ var errUnknownDataset = errors.New("unknown dataset")
 // rest lives here, guarded by updates.mu.
 type dataset struct {
 	name, path string
+	// costs needs no lock (see costEstimates) and outlives every update,
+	// compaction and eviction.
+	costs costEstimates
 
 	// gen is the generation results are keyed by: 1 at registration, +1
 	// per published commit window and per compaction, raised to a
@@ -90,8 +96,71 @@ func (c *catalog) add(name, path string) error {
 	if _, dup := c.datasets[name]; dup {
 		return fmt.Errorf("dataset %q registered twice", name)
 	}
-	c.datasets[name] = &dataset{name: name, path: path, gen: 1}
+	c.datasets[name] = &dataset{name: name, path: path, gen: 1, costs: newCostEstimates()}
 	return nil
+}
+
+// costEstimates is one dataset's learned run costs: per registry
+// algorithm, the float64 bits of an EWMA of log(actual cost / (n + m))
+// over its successful runs — a log, so one run r times off moves it by
+// at most r^(1/ewmaDiv) — or unseen before the first. The map is never
+// written after registration, so reads take no lock; slots update by CAS.
+type costEstimates map[string]*atomic.Uint64
+
+const unseen = ^uint64(0) // a NaN, which no mean of finite logs can take
+
+func newCostEstimates() costEstimates {
+	names := sage.AlgorithmNames()
+	slots := make([]atomic.Uint64, len(names))
+	e := make(costEstimates, len(names))
+	for i, name := range names {
+		slots[i].Store(unseen)
+		e[name] = &slots[i]
+	}
+	return e
+}
+
+// graphSize is the (n + m) an estimate is per, at least 1.
+func graphSize(g *sage.Graph) float64 {
+	return max(float64(g.NumVertices())+float64(g.NumEdges()), 1)
+}
+
+// predict returns the learned cost of registry algorithm algo on g, or
+// seed if algo has not run on this dataset yet.
+func (e costEstimates) predict(algo string, g *sage.Graph, seed int64) int64 {
+	bits := e[algo].Load()
+	if bits == unseen {
+		return seed
+	}
+	return int64(math.Round(math.Exp(math.Float64frombits(bits)) * graphSize(g)))
+}
+
+// observe folds one successful run's actual cost on g into algo's mean.
+func (e costEstimates) observe(algo string, g *sage.Graph, actual int64) {
+	x := math.Log(float64(max(actual, 1)) / graphSize(g))
+	slot := e[algo]
+	for {
+		old, next := slot.Load(), x
+		if old != unseen {
+			mean := math.Float64frombits(old)
+			next = mean + (x-mean)/ewmaDiv
+		}
+		if slot.CompareAndSwap(old, math.Float64bits(next)) {
+			return
+		}
+	}
+}
+
+// perSize maps every algorithm that has run on the dataset to its
+// learned cost per (n + m).
+func (e costEstimates) perSize() map[string]float64 {
+	out := map[string]float64{}
+	for name, slot := range e {
+		if bits := slot.Load(); bits != unseen {
+			out[name] = math.Exp(math.Float64frombits(bits))
+		}
+	}
+	return out
 }
 
 // all returns every registered record, sorted by name.
@@ -169,6 +238,15 @@ func (c *catalog) info(d *dataset) datasetInfo {
 		h.Release()
 	}
 	return info
+}
+
+// costEstimates is the /metrics view: dataset -> perSize.
+func (c *catalog) costEstimates() map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for _, d := range c.all() {
+		out[d.name] = d.costs.perSize()
+	}
+	return out
 }
 
 // close releases every idle dataset.

@@ -179,7 +179,7 @@ func TestWindowSharesOneFsyncAndOneGeneration(t *testing.T) {
 	if ws.GroupSyncs != 2 || ws.GroupBatches != writers+1 {
 		t.Fatalf("group_syncs=%d group_batches=%d, want 2 fsyncs for %d batches", ws.GroupSyncs, ws.GroupBatches, writers+1)
 	}
-	if _, gen, release, err := srv.pinForRun("g"); err != nil || gen != leader.res.generation+1 {
+	if _, gen, release, err := pinName(srv, "g"); err != nil || gen != leader.res.generation+1 {
 		t.Fatalf("published generation %d (err %v), want %d", gen, err, leader.res.generation+1)
 	} else {
 		release()
@@ -237,7 +237,7 @@ func TestNoopInWindowSharesItsFate(t *testing.T) {
 		if outs[0].res.generation != outs[1].res.generation {
 			t.Fatalf("one window, two generations: %d and %d", outs[0].res.generation, outs[1].res.generation)
 		}
-		g, gen, release, err := srv.pinForRun("g")
+		g, gen, release, err := pinName(srv, "g")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,11 +2,15 @@ package server
 
 // Unit coverage of the auto-compaction hysteresis band: the decision
 // function alone, away from HTTP and real compactions, so the no-flap
-// property is pinned under every overhead trajectory.
+// property is pinned under every overhead trajectory. And of the learned
+// cost estimate: its damping, and its slots under concurrent use.
 
 import (
+	"math"
+	"sync"
 	"testing"
 
+	"sage"
 	"sage/internal/costmodel"
 )
 
@@ -55,5 +59,65 @@ func TestShouldAutoCompactHysteresis(t *testing.T) {
 	// suppress another's first crossing.
 	if !u.shouldAutoCompact(other, 250) {
 		t.Fatal("fresh dataset did not fire at the threshold")
+	}
+}
+
+// TestCostEstimateDamping: the first run sets an algorithm's estimate,
+// and one run 100x off either way moves it by at most 100^(1/5) ≈ 2.5x.
+func TestCostEstimateDamping(t *testing.T) {
+	g := sage.GenerateRMAT(6, 4, 1)
+	bound := math.Pow(100, 1.0/ewmaDiv)
+	for _, off := range []float64{100, 0.01} {
+		e := newCostEstimates()
+		if got := e.predict("bfs", g, 123); got != 123 {
+			t.Fatalf("unseen algorithm predicted %d, want the seed 123", got)
+		}
+		e.observe("bfs", g, 100_000)
+		if got := e.predict("bfs", g, 123); got != 100_000 {
+			t.Fatalf("after one run predicted %d, want its cost 100000", got)
+		}
+		e.observe("bfs", g, int64(100_000*off))
+		ratio := float64(e.predict("bfs", g, 123)) / 100_000
+		if ratio == 1 || math.Max(ratio, 1/ratio) > bound*(1+1e-3) {
+			t.Fatalf("one run %gx off moved the estimate %gx, want within (1, %g]", off, ratio, bound)
+		}
+		if got := e.predict("cc", g, 7); got != 7 {
+			t.Fatalf("a bfs run taught cc: predicted %d, want the seed 7", got)
+		}
+		if per := e.perSize(); len(per) != 1 || per["bfs"] <= 0 {
+			t.Fatalf("perSize = %v, want bfs alone", per)
+		}
+	}
+}
+
+// TestCostEstimateConcurrent feeds one algorithm's slot from several
+// goroutines while others predict from it and list it, as concurrent
+// misses, admissions and /metrics scrapes do.
+func TestCostEstimateConcurrent(t *testing.T) {
+	g := sage.GenerateRMAT(6, 4, 1)
+	e := newCostEstimates()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				e.observe("pagerank", g, 5000)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := e.predict("pagerank", g, 5000); got != 5000 {
+					t.Errorf("predicted %d mid-update, want 5000", got)
+					return
+				}
+				_ = e.perSize()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := e.predict("pagerank", g, 1); got != 5000 {
+		t.Fatalf("after 800 runs of cost 5000 predicted %d", got)
 	}
 }

@@ -9,6 +9,7 @@ package server_test
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
 
@@ -285,5 +286,126 @@ func TestPerDatasetDeltaMetrics(t *testing.T) {
 	}
 	if name := m["updates"].(map[string]any)["cost_model"]; name != "optane" {
 		t.Fatalf("updates cost_model = %v, want optane", name)
+	}
+}
+
+// TestLearnedCostConverges runs every registry algorithm four times on
+// one generated graph (default arguments, set cover with its sets
+// declared, result cache off): the fourth prediction, learned from three
+// runs, must be within 2x of the fourth run's actual cost. The learned
+// estimate then survives an update batch, a compaction and an eviction of
+// the dataset, is listed under /metrics cost_estimates, and a fresh
+// server over the same file predicts the seed again.
+func TestLearnedCostConverges(t *testing.T) {
+	dir := t.TempDir()
+	webPath := makeDataset(t, dir, "web", 10, 1)
+	roadPath := makeDataset(t, dir, "road", 10, 2)
+	cfg := server.Config{
+		DatasetBudgetWords: 10_000, // one rmat-10 graph is ~7.1k words
+		ResultCacheEntries: -1,
+	}
+	start := func() *httptest.Server {
+		s := server.New(cfg)
+		if err := s.AddDataset("web", webPath); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddDataset("road", roadPath); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		t.Cleanup(func() {
+			ts.Close()
+			_ = s.Close()
+		})
+		return ts
+	}
+	ts := start()
+	args := func(a sage.Algorithm) string {
+		if a.SetCover {
+			return `{"numsets": 256}`
+		}
+		return ``
+	}
+	run := func(base, dataset string, a sage.Algorithm) (predicted, actual int64) {
+		t.Helper()
+		code, body, hdr := postRun(t, base, dataset, a.Name, args(a))
+		if code != http.StatusOK || hdr.Get("X-Sage-Cache") != "miss" {
+			t.Fatalf("%s: %d cache=%q %v", a.Name, code, hdr.Get("X-Sage-Cache"), body)
+		}
+		return costHeader(t, hdr, "X-Sage-Cost-Predicted"), costHeader(t, hdr, "X-Sage-Cost-Actual")
+	}
+	estimates := func(base string) map[string]any {
+		t.Helper()
+		_, m := getJSON(t, base+"/metrics")
+		return m["cost_estimates"].(map[string]any)
+	}
+
+	algos := sage.Algorithms()
+	for _, a := range algos {
+		var pred, act [4]int64
+		for i := range pred {
+			pred[i], act[i] = run(ts.URL, "web", a)
+		}
+		t.Logf("%-14s predicted/actual: seed %6.2f, after three runs %6.2f",
+			a.Name, float64(pred[0])/float64(act[0]), float64(pred[3])/float64(act[3]))
+		if pred[3] > 2*act[3] || act[3] > 2*pred[3] {
+			t.Errorf("%s: learned prediction %d not within 2x of actual %d", a.Name, pred[3], act[3])
+		}
+	}
+
+	learned := estimates(ts.URL)
+	web := learned["web"].(map[string]any)
+	if len(web) != len(algos) {
+		t.Fatalf("cost_estimates lists %d algorithms for web, want %d: %v", len(web), len(algos), web)
+	}
+	if road := learned["road"].(map[string]any); len(road) != 0 {
+		t.Fatalf("cost_estimates lists algorithms that never ran on road: %v", road)
+	}
+	for name, v := range web {
+		if f, ok := v.(float64); !ok || f <= 0 {
+			t.Fatalf("cost_estimates web/%s = %v, want a positive cost per (n + m)", name, v)
+		}
+	}
+
+	// Neither an update batch, nor a compaction, nor an eviction of the
+	// mapping forgets what the dataset learned.
+	same := func(what string) {
+		t.Helper()
+		if got := estimates(ts.URL)["web"]; fmt.Sprint(got) != fmt.Sprint(web) {
+			t.Fatalf("estimates changed by %s:\n%v\n%v", what, web, got)
+		}
+	}
+	if code, upd := postUpdate(t, ts.URL, "web", `{"ops": [{"u": 0, "v": 1000}]}`); code != http.StatusOK {
+		t.Fatalf("update: %d %v", code, upd)
+	}
+	same("an update batch")
+	if code, upd := postUpdate(t, ts.URL, "web", `{"compact": true}`); code != http.StatusOK || upd["compacted"] != true {
+		t.Fatalf("compact: %d %v", code, upd)
+	}
+	same("a compaction")
+	bfs := algos[0]
+	run(ts.URL, "road", bfs)
+	_, m := getJSON(t, ts.URL+"/metrics")
+	if metric(t, m, "datasets", "evictions") < 1 {
+		t.Fatalf("road did not evict web: %v", m["datasets"])
+	}
+	same("an eviction")
+
+	// A restarted server starts from the seed: every algorithm predicts
+	// one edge pass of the (compacted) file.
+	g, err := sage.Open(webPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	seed, err := sage.NewEngine().PredictCost(bfs.Name, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := start()
+	for _, a := range algos {
+		if pred, _ := run(fresh.URL, "web", a); pred != seed.Cost {
+			t.Errorf("%s: restarted server predicted %d, want the seed %d", a.Name, pred, seed.Cost)
+		}
 	}
 }

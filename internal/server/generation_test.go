@@ -26,7 +26,7 @@ func TestPinnedRunKeepsItsGeneration(t *testing.T) {
 	edge := arc{0, 15, 1}
 	pin := func(wantGen uint64, wantEdge bool) (*sage.Graph, func()) {
 		t.Helper()
-		g, gen, release, err := s.pinForRun("g")
+		g, gen, release, err := pinName(s, "g")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestGenerationRacesPinning(t *testing.T) {
 			defer readers.Done()
 			var last uint64
 			for j := 0; j < 200; j++ {
-				g, gen, release, err := s.pinForRun("g")
+				g, gen, release, err := pinName(s, "g")
 				if err != nil {
 					t.Error(err)
 					return

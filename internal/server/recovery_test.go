@@ -88,12 +88,21 @@ func edgeSet(g *sage.Graph) map[arc]bool {
 	return out
 }
 
+// pinName pins what a run on the named dataset executes against.
+func pinName(s *Server, name string) (*sage.Graph, uint64, func(), error) {
+	d, err := s.catalog.lookup(name)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return s.pinForRun(d)
+}
+
 // servedSet extracts the edge set a run on name would observe.
 func servedSet(t *testing.T, s *Server, name string) map[arc]bool {
 	t.Helper()
-	g, _, release, err := s.pinForRun(name)
+	g, _, release, err := pinName(s, name)
 	if err != nil {
-		t.Fatalf("pinForRun: %v", err)
+		t.Fatalf("pinName: %v", err)
 	}
 	defer release()
 	return edgeSet(g)
@@ -753,7 +762,7 @@ func TestCloseUpdateRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 64; i++ {
-				if _, _, release, err := srv.pinForRun("g"); err == nil {
+				if _, _, release, err := pinName(srv, "g"); err == nil {
 					release()
 				}
 			}

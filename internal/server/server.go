@@ -44,7 +44,8 @@ type Config struct {
 	// concurrent runs in simulated words (0: unlimited).
 	DRAMBudgetWords int64
 	// CostBudget caps the summed predicted cost of concurrent runs in the
-	// engine model's DRAM-access units (sage.Engine.PredictCost); the
+	// engine model's DRAM-access units (each dataset's learned cost of
+	// the algorithm, else sage.Engine.PredictCost's seed); the
 	// overflowing run is shed with 429 + Retry-After, gate "cost"
 	// (0: unlimited).
 	CostBudget int64
@@ -420,11 +421,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// version when it has an update overlay, else the plain mapped
 	// dataset. The pin keeps the mapping (and overlay) valid for the whole
 	// run even if updates, compactions, or evictions land meanwhile.
-	g, gen, release, err := s.pinForRun(dsName)
-	if errors.Is(err, errUnknownDataset) {
+	d, err := s.catalog.lookup(dsName)
+	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	g, gen, release, err := s.pinForRun(d)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "opening dataset %q: %v", dsName, err)
 		return
@@ -432,13 +434,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	timing.mark("pin")
 
-	// Predict this run's cost before anything executes: the prediction
-	// gates admission, seeds Retry-After when there is no run history,
-	// and is reported on every response — cache hits included — so
-	// clients can see what the model thought the query would cost.
+	// Predict this run's cost before anything executes: the dataset's
+	// learned cost once the algorithm has run here, else the seed. It
+	// gates admission and is reported on every response — cache hits
+	// included; the seed's latency seeds Retry-After until a run ends.
 	est, _ := s.engine.PredictCost(algoName, g) // algoName validated above
+	predicted := d.costs.predict(algoName, g, est.Cost)
 	w.Header().Set("X-Sage-Cost-Model", est.Model)
-	w.Header().Set("X-Sage-Cost-Predicted", strconv.FormatInt(est.Cost, 10))
+	w.Header().Set("X-Sage-Cost-Predicted", strconv.FormatInt(predicted, 10))
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
 	timing.mark("predict")
 
@@ -459,7 +462,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// is bounded separately by the delta budget.
 	words, _ := sage.EstimateDRAMWords(algoName, g)
 	s.adm.seed(time.Duration(est.LatencyNS))
-	releaseSlot, gate, ok := s.adm.admit(r.Context(), words, est.Cost)
+	releaseSlot, gate, ok := s.adm.admit(r.Context(), words, predicted)
 	if !ok {
 		if r.Context().Err() != nil {
 			// Client gone while queued: no run started and nothing was
@@ -534,8 +537,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.runsOK.Add(1)
 	s.results.put(key, cachedResult{body, slim})
 	// The actual side of the cost contract: the run's measured counters
-	// priced under the same model that produced the prediction.
+	// priced under the same model that produced the prediction, and
+	// what the dataset learns its next prediction from.
 	actual := s.engine.CostOfStats(res.Stats)
+	d.costs.observe(algoName, g, actual.Cost)
 	w.Header().Set("X-Sage-Cost-Actual", strconv.FormatInt(actual.Cost, 10))
 	w.Header().Set("X-Sage-Cost-Energy-NJ", strconv.FormatFloat(actual.EnergyNJ, 'f', 0, 64))
 	w.Header().Set("X-Sage-Cache", "miss")
@@ -691,5 +696,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"datasets":     s.catalog.cacheInfo(),
 		"updates":      s.updates.snapshot(),
 		"wal":          s.updates.walSnapshot(),
+		// Dataset -> algorithm -> learned cost per (n + m).
+		"cost_estimates": s.catalog.costEstimates(),
 	})
 }

@@ -657,16 +657,12 @@ type datasetDeltaStats struct {
 	AutoCompactArmed     bool   `json:"auto_compact_armed"`
 }
 
-// pinForRun resolves what a run on name should execute against: the
+// pinForRun resolves what a run on d should execute against: the
 // current snapshot version (pinned for the run's duration) when the
 // dataset has an overlay, else the plain cached dataset. The first pin
 // of a dataset replays its surviving WAL records, so reads observe
 // recovered batches even before Recover has walked the catalog.
-func (s *Server) pinForRun(name string) (g *sage.Graph, gen uint64, release func(), err error) {
-	d, err := s.catalog.lookup(name)
-	if err != nil {
-		return nil, 0, nil, err
-	}
+func (s *Server) pinForRun(d *dataset) (g *sage.Graph, gen uint64, release func(), err error) {
 	s.updates.ensureRecovered(d)
 	for {
 		v, gen := s.updates.pin(d)
