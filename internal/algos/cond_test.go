@@ -47,9 +47,10 @@ var condDirections = []struct {
 // TestCondBitmapAlgorithmsMatchReference checks every algorithm whose
 // edgeMap condition or working vertex set is a bitmap against the serial
 // references at 1, 2 and 4 workers, in every direction: the traversals,
-// wBFS (whose condition is its settle bitmap), k-core and densest subgraph
-// (whose peeling edgeMap takes their live bitmap as its condition) and set
-// cover (whose covered elements are a bitmap its winners Set).
+// wBFS and bucketed widest path (whose condition is their settle bitmap),
+// k-core and densest subgraph (whose peeling edgeMap takes their live
+// bitmap as its condition) and set cover (whose covered elements are a
+// bitmap its winners Set).
 func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 	old := parallel.Workers()
 	defer parallel.SetWorkers(old)
@@ -89,6 +90,12 @@ func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 							t.Fatalf("%s/wbfs/%s: dist[%d]=%d, reference %d", name, c.name, v, got[v], d)
 						}
 					}
+					widths := WidestPathBucketed(c.g, o, c.src)
+					for v, w := range c.widest {
+						if widths[v] != w {
+							t.Fatalf("%s/widest/%s: width[%d]=%d, reference %d", name, c.name, v, widths[v], w)
+						}
+					}
 				}
 				checkLDD(t, name+"/ldd", g, comps, LDD(g, o, 0.2, 42))
 				if got := Connectivity(g, o); !refalgo.SameComponents(comps, got) {
@@ -114,13 +121,15 @@ func TestCondBitmapAlgorithmsMatchReference(t *testing.T) {
 	}
 }
 
-// wbfsCase is one wBFS run and its reference distances (Infinity where
-// unreachable).
+// wbfsCase is one wBFS and bucketed widest-path run, with its reference
+// distances (Infinity where unreachable) and widths (NegInf where
+// unreachable, InfDist at the source).
 type wbfsCase struct {
-	name string
-	g    *graph.Graph
-	src  uint32
-	want []uint32
+	name   string
+	g      *graph.Graph
+	src    uint32
+	want   []uint32
+	widest []int64
 }
 
 // wbfsCases weights g uniformly (checked against Dijkstra) and with all
@@ -140,10 +149,24 @@ func wbfsCases(g *graph.Graph, src uint32) []wbfsCase {
 			}
 		}
 		cases = append(cases,
-			wbfsCase{fmt.Sprintf("uniform/src%d", s), uniform, s, want},
-			wbfsCase{fmt.Sprintf("unit/src%d", s), unit, s, refalgo.BFSDistances(g, s)})
+			wbfsCase{fmt.Sprintf("uniform/src%d", s), uniform, s, want, refWidths(uniform, s)},
+			wbfsCase{fmt.Sprintf("unit/src%d", s), unit, s, refalgo.BFSDistances(g, s), refWidths(unit, s)})
 	}
 	return cases
+}
+
+// refWidths is refalgo.WidestPath in WidestPathBucketed's markers.
+func refWidths(g *graph.Graph, src uint32) []int64 {
+	widths := refalgo.WidestPath(g, src)
+	for v, w := range widths {
+		switch w {
+		case math.MinInt64:
+			widths[v] = NegInf
+		case math.MaxInt64:
+			widths[v] = InfDist
+		}
+	}
+	return widths
 }
 
 // withUnitWeights returns a weighted copy of g with every weight 1.

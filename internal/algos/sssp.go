@@ -182,6 +182,12 @@ func WidestPath(g graph.Adj, o *Options, src uint32) []int64 {
 // WidestPathBucketed is the paper's second widest-path variant, built on
 // decreasing buckets (the wBFS analogue): popping the maximum-width bucket
 // settles its vertices because widths only decrease along paths.
+//
+// As in WBFS, the edgeMap condition is a settle bitmap (⌈n/64⌉ more words)
+// that each popped bucket is claimed out of. That is exact: a relaxation
+// from the popped bucket offers min(width[s], w) ≤ the popped width ≤
+// width[v] to every settled v, so each skipped Update would have returned
+// false.
 func WidestPathBucketed(g graph.Adj, o *Options, src uint32) []int64 {
 	n := g.NumVertices()
 	width := make([]uint32, n) // width+1; 0 = unreached
@@ -196,12 +202,16 @@ func WidestPathBucketed(g graph.Adj, o *Options, src uint32) []int64 {
 	prio[src] = Infinity - 1
 	b := bucket.New(prio, bucket.Decreasing)
 	var prios []uint32 // the round's bucket moves, reused
+	unsettled := frontier.AllSet(n)
+	o.Env.Alloc(int64(len(unsettled)))
+	defer o.Env.Free(int64(len(unsettled)))
 
 	for {
 		_, settled, ok := b.NextBucket()
 		if !ok {
 			break
 		}
+		parallel.For(len(settled), 0, func(i int) { frontier.Claim(unsettled, settled[i]) })
 		fr := frontier.FromSparse(n, settled)
 		ops := traverse.Ops{
 			Update: func(s, v uint32, w int32) bool {
@@ -216,7 +226,7 @@ func WidestPathBucketed(g graph.Adj, o *Options, src uint32) []int64 {
 				nw := min(atomic.LoadUint32(&width[s]), uint32(w))
 				return parallel.WriteMaxUint32(&width[v], nw)
 			},
-			Cond: traverse.CondTrue,
+			Cond: unsettled,
 		}
 		out := o.edgeMap(g, fr, ops, func(t *traverse.Options) { t.Dedup = true })
 		ids := out.Sparse()

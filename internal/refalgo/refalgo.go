@@ -376,6 +376,44 @@ func Coreness(g *graph.Graph) []uint32 {
 	return core
 }
 
+// GreedyMIS returns the serial greedy maximal independent set over order,
+// a permutation of the vertices: each vertex in turn joins unless a
+// neighbour has joined.
+func GreedyMIS(g *graph.Graph, order []uint32) []bool {
+	in := make([]bool, g.NumVertices())
+	for _, v := range order {
+		in[v] = true
+		for _, u := range g.Neighbors(v) {
+			if in[u] && u != v {
+				in[v] = false
+				break
+			}
+		}
+	}
+	return in
+}
+
+// GreedyColoring returns the serial greedy coloring over order, a
+// permutation of the vertices: each vertex in turn takes the smallest
+// color that no colored neighbour has.
+func GreedyColoring(g *graph.Graph, order []uint32) []uint32 {
+	color := make([]uint32, g.NumVertices())
+	colored := make([]bool, g.NumVertices())
+	for _, v := range order {
+		used := map[uint32]bool{}
+		for _, u := range g.Neighbors(v) {
+			if colored[u] {
+				used[color[u]] = true
+			}
+		}
+		for used[color[v]] {
+			color[v]++
+		}
+		colored[v] = true
+	}
+	return color
+}
+
 // PageRank runs sequential power iteration (pull form) to convergence.
 func PageRank(g *graph.Graph, eps float64, maxIters int) []float64 {
 	n := int(g.NumVertices())
