@@ -206,9 +206,8 @@ func (c *neighborCounter) count(s []uint32) []parallel.KeyCount {
 	parallel.ForWorker(len(s), 8, func(w, i int) {
 		v := s[i]
 		deg := g.Degree(v)
-		env.GraphRead(w, g.EdgeAddr(v), g.ScanCost(v, 0, deg))
 		wr := offs[i]
-		nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
+		nghs, _ := flat.Read(env, w, v, 0, deg, o.scratch(w))
 		for _, ngh := range nghs {
 			if frontier.Has(live, ngh) {
 				keys[wr] = ngh

@@ -73,10 +73,9 @@ func Betweenness(g graph.Adj, o *Options, src uint32) []float64 {
 		parallel.ForWorker(len(ids), 8, func(w, i int) {
 			v := ids[i]
 			deg := g.Degree(v)
-			o.Env.GraphRead(w, g.EdgeAddr(v), g.ScanCost(v, 0, deg))
 			sv := parallel.LoadFloat64(&sigma[v])
 			var acc float64
-			nghs, _ := flat.Slice(v, 0, deg, o.scratch(w))
+			nghs, _ := flat.Read(o.Env, w, v, 0, deg, o.scratch(w))
 			for _, u := range nghs {
 				if level[u] == lvl+1 {
 					acc += sv / parallel.LoadFloat64(&sigma[u]) * (1 + delta[u])

@@ -87,7 +87,6 @@ func Biconnectivity(g graph.Adj, o *Options) *BiconnResult {
 	flat := graph.NewFlat(g)
 	parallel.ForBlocks(int(n), 64, func(w, lo, hi int) {
 		sc := o.scratch(w)
-		var scanned int64
 		for i := lo; i < hi; i++ {
 			v := uint32(i)
 			lo0, hi0 := pre[v], pre[v]
@@ -98,10 +97,9 @@ func Biconnectivity(g graph.Adj, o *Options) *BiconnResult {
 					hi0 = max(hi0, pre[u])
 				}
 			}
-			scanned += int64(len(nghs))
 			low[v], high[v] = lo0, hi0
 		}
-		o.Env.GraphRead(w, 0, scanned)
+		flat.BillLists(o.Env, w, uint32(lo), uint32(hi))
 	})
 	t.bottomUp(o, func(v uint32) {
 		for _, c := range t.children(v) {

@@ -28,7 +28,7 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 		parallel.ForWorker(len(roots), 4, func(w, i int) {
 			v := roots[i]
 			deg := g.Degree(v)
-			nghs := d.adj(w, v, 2) // read by the palette, then by the release
+			nghs := d.adj(w, v)
 			// Smallest color not used by colored neighbors: a palette of
 			// deg+1 booleans suffices.
 			if len(palettes[w]) <= int(deg) {
@@ -47,7 +47,7 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			clear(palette)
 			atomic.StoreUint32(&color[v], c)
 			o.Env.StateWrite(w, int64(deg)+2)
-			d.release(w, v, nghs)
+			d.release(w, v, d.adj(w, v)) // the list's second read
 		})
 	})
 	return color

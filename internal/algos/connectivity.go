@@ -97,24 +97,12 @@ func contract(g graph.Adj, o *Options, cluster []uint32, inter int64, witness *p
 	set := parallel.NewHashSet64(int(inter) + 1)
 	o.Env.Alloc(2 * (inter + 1))
 	defer o.Env.Free(2 * (inter + 1))
-	flat := graph.NewFlat(g)
-	parallel.ForBlocks(n, 64, func(w, lo, hi int) {
-		sc := o.scratch(w)
-		for i := lo; i < hi; i++ {
-			v := uint32(i)
-			cv := cluster[v]
-			nghs, _ := flat.Slice(v, 0, g.Degree(v), sc)
-			for _, u := range nghs {
-				cu := cluster[u]
-				if cu != cv {
-					key := edgeKey(denseID[cu], denseID[cv])
-					if set.Insert(key) && witness != nil {
-						witness.InsertMin(key, edgeKey(v, u))
-					}
-					o.Env.StateWrite(w, 1)
-				}
-			}
+	interClusterArcs(g, o, cluster, func(w int, v, u uint32) {
+		key := edgeKey(denseID[cluster[u]], denseID[cluster[v]])
+		if set.Insert(key) && witness != nil {
+			witness.InsertMin(key, edgeKey(v, u))
 		}
+		o.Env.StateWrite(w, 1)
 	})
 	keys := set.Elements()
 	edges := make([]graph.Edge, len(keys))

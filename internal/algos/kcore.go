@@ -78,9 +78,7 @@ func kcoreFetchAdd(g graph.Adj, o *Options, b *bucket.Buckets, live []uint64, pe
 	fa := graph.NewFlat(g)
 	parallel.ForWorker(len(peeled), 4, func(w, i int) {
 		v := peeled[i]
-		dv := g.Degree(v)
-		o.Env.GraphRead(w, g.EdgeAddr(v), g.ScanCost(v, 0, dv))
-		nghs, _ := fa.Slice(v, 0, dv, o.scratch(w))
+		nghs, _ := fa.Read(o.Env, w, v, 0, g.Degree(v), o.scratch(w))
 		for _, u := range nghs {
 			if !frontier.Has(live, u) {
 				continue

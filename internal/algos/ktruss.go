@@ -71,7 +71,7 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 	flat := graph.NewFlat(g)
 	// upNeighbors returns the suffix of v's sorted adjacency above v.
 	upNeighbors := func(w int, v uint32) []uint32 {
-		nghs, _ := flat.Full(v, o.scratch(w))
+		nghs, _ := flat.Read(o.Env, w, v, 0, g.Degree(v), o.scratch(w))
 		return nghs[sort.Search(len(nghs), func(i int) bool { return nghs[i] > v }):]
 	}
 	parallel.ForWorker(n, 0, func(w, i int) {
@@ -112,9 +112,11 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 	support := make([]uint32, mUp)
 	parallel.ForWorker(int(mUp), 8, func(w, e int) {
 		u, v := eu[e], ev[e]
-		// Intersect the up-neighbors of u beyond v with the up-neighbors
-		// of v; count triangles u < v < w.
-		iterCommonHigher(g, o, w, u, v, func(x uint32) {
+		// Common neighbors x > v are the apexes of triangles u < v < x.
+		iterCommon(&flat, o, w, u, v, func(x uint32) {
+			if x <= v {
+				return
+			}
 			if euv, ok := eid(u, x); ok {
 				if evw, ok2 := eid(v, x); ok2 {
 					atomic.AddUint32(&support[e], 1)
@@ -153,7 +155,7 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 		parallel.ForWorker(len(peeled), 2, func(w, i int) {
 			e := peeled[i]
 			u, v := eu[e], ev[e]
-			iterCommonAll(g, o, w, u, v, func(x uint32) {
+			iterCommon(&flat, o, w, u, v, func(x uint32) {
 				e1, ok1 := eidAny(eid, u, x)
 				e2, ok2 := eidAny(eid, v, x)
 				if !ok1 || !ok2 {
@@ -184,11 +186,11 @@ func KTruss(g graph.Adj, o *Options) *KTrussResult {
 			})
 		})
 		round++
-		flat := parallel.FlattenUint32(nil, lists)
-		if len(flat) == 0 {
+		lost := parallel.FlattenUint32(nil, lists)
+		if len(lost) == 0 {
 			continue
 		}
-		counts := parallel.HistogramInPlace(flat, &hs)
+		counts := parallel.HistogramInPlace(lost, &hs)
 		ids := make([]uint32, 0, len(counts))
 		prios := make([]uint32, 0, len(counts))
 		for _, kc := range counts {
@@ -219,31 +221,13 @@ func eidAny(eid func(u, v uint32) (uint32, bool), a, b uint32) (uint32, bool) {
 	return eid(b, a)
 }
 
-// iterCommonHigher calls fn for each common neighbor x of u and v with
-// x > v (triangle apexes above both endpoints).
-func iterCommonHigher(g graph.Adj, o *Options, worker int, u, v uint32, fn func(x uint32)) {
-	iterCommon(g, o, worker, u, v, func(x uint32) {
-		if x > v {
-			fn(x)
-		}
-	})
-}
-
-// iterCommonAll calls fn for every common neighbor of u and v.
-func iterCommonAll(g graph.Adj, o *Options, worker int, u, v uint32, fn func(x uint32)) {
-	iterCommon(g, o, worker, u, v, fn)
-}
-
 // iterCommon merge-intersects the sorted adjacencies of u and v.
-func iterCommon(g graph.Adj, o *Options, worker int, u, v uint32, fn func(x uint32)) {
-	du, dv := g.Degree(u), g.Degree(v)
-	o.Env.GraphRead(worker, g.EdgeAddr(u), g.ScanCost(u, 0, du))
-	o.Env.GraphRead(worker, g.EdgeAddr(v), g.ScanCost(v, 0, dv))
+func iterCommon(flat *graph.Flat, o *Options, worker int, u, v uint32, fn func(x uint32)) {
 	// Two lists are live at once: u's sits in the worker's scratch, v's
 	// one level down, where no decode of u's can reach it.
 	su := o.scratch(worker)
-	nu, _ := g.Slice(u, 0, du, su)
-	nv, _ := g.Slice(v, 0, dv, su.Inner())
+	nu, _ := flat.Read(o.Env, worker, u, 0, math.MaxUint32, su)
+	nv, _ := flat.Read(o.Env, worker, v, 0, math.MaxUint32, su.Inner())
 	i, j := 0, 0
 	for i < len(nu) && j < len(nv) {
 		switch {

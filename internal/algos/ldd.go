@@ -123,34 +123,37 @@ func LDD(g graph.Adj, o *Options, beta float64, seed uint64) *LDDResult {
 // in different clusters. Connectivity's Appendix C.2 restart rule checks
 // this against its O(n) budget.
 func CountInterCluster(g graph.Adj, o *Options, cluster []uint32) int64 {
-	n := int(g.NumVertices())
 	var shards [parallel.MaxWorkers]struct {
 		c int64
 		_ [56]byte
 	}
-	flat := graph.NewFlat(g)
-	parallel.ForBlocks(n, 64, func(w, lo, hi int) {
-		sc := o.scratch(w)
-		var c, scanned int64
-		for i := lo; i < hi; i++ {
-			v := uint32(i)
-			deg := g.Degree(v)
-			cv := cluster[v]
-			nghs, _ := flat.Slice(v, 0, deg, sc)
-			for _, u := range nghs {
-				if cluster[u] != cv {
-					c++
-				}
-			}
-			scanned += int64(deg)
-		}
-		o.Env.GraphRead(w, 0, scanned)
-		o.Env.StateRead(w, scanned)
-		shards[w].c += c
-	})
+	interClusterArcs(g, o, cluster, func(w int, _, _ uint32) { shards[w].c++ })
 	var total int64
 	for i := range shards {
 		total += shards[i].c
 	}
 	return total
+}
+
+// interClusterArcs calls arc(w, v, u) on worker w for every arc (v, u)
+// whose endpoints lie in different clusters: one pass over every list,
+// billed with the cluster label read per edge.
+func interClusterArcs(g graph.Adj, o *Options, cluster []uint32, arc func(w int, v, u uint32)) {
+	flat := graph.NewFlat(g)
+	parallel.ForBlocks(int(g.NumVertices()), 64, func(w, lo, hi int) {
+		sc := o.scratch(w)
+		var edges int64
+		for i := lo; i < hi; i++ {
+			v, cv := uint32(i), cluster[i]
+			nghs, _ := flat.Full(v, sc)
+			for _, u := range nghs {
+				if cluster[u] != cv {
+					arc(w, v, u)
+				}
+			}
+			edges += int64(len(nghs))
+		}
+		flat.BillLists(o.Env, w, uint32(lo), uint32(hi))
+		o.Env.StateRead(w, edges)
+	})
 }

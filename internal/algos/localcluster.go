@@ -60,7 +60,7 @@ func LocalCluster(g graph.Adj, o *Options, seed uint32, damping float64, maxSize
 	flat := graph.NewFlat(g)
 	for i, v := range order {
 		o.Checkpoint()
-		nghs, _ := flat.Full(v, o.scratch(0))
+		nghs, _ := flat.Read(o.Env, 0, v, 0, g.Degree(v), o.scratch(0))
 		deg := int64(len(nghs))
 		// Adding v: edges to current members stop being cut; the rest
 		// start.
@@ -68,7 +68,6 @@ func LocalCluster(g graph.Adj, o *Options, seed uint32, damping float64, maxSize
 		for _, u := range nghs {
 			toS += int64(inS[u>>6] >> (u & 63) & 1)
 		}
-		o.Env.GraphRead(0, g.EdgeAddr(v), g.ScanCost(v, 0, uint32(deg)))
 		inS[v>>6] |= 1 << (v & 63)
 		vol += deg
 		cut += deg - 2*toS

@@ -40,7 +40,7 @@ func MIS(g graph.Adj, o *Options) []bool {
 			frontier.Claim(d.live, v)
 			in[v] = true
 			lists[w] = append(lists[w], v)
-			for _, u := range d.adj(w, v, 1) {
+			for _, u := range d.adj(w, v) {
 				if frontier.Claim(d.live, u) {
 					lists[w] = append(lists[w], u)
 				}
@@ -48,7 +48,7 @@ func MIS(g graph.Adj, o *Options) []bool {
 		})
 		decided = parallel.FlattenUint32(decided, lists)
 		parallel.ForWorker(len(decided), 4, func(w, i int) {
-			d.release(w, decided[i], d.adj(w, decided[i], 1))
+			d.release(w, decided[i], d.adj(w, decided[i]))
 		})
 	})
 	return in

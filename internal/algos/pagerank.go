@@ -17,14 +17,17 @@ const pagerankDamping = 0.85
 const prParallelDegree = 8192
 
 // pagerankRound is the round state of a PageRank run, allocated once and
-// held across iterations: the access path (resolved once per run, also
-// for the high-degree parallel aggregation), the vertex degrees (read
-// twice per vertex per iteration, so tabulated once instead of asked of
-// the view each time), the degree-divided contributions of the previous
-// rank vector, and the per-worker L1 sums (all zero between steps). 2n
-// words of small-memory.
+// held across iterations: the damping and the teleport target (src, or
+// every vertex alike when src < 0), the access path (resolved once per
+// run, also for the high-degree parallel aggregation), the vertex degrees
+// (read twice per vertex per iteration, so tabulated once instead of
+// asked of the view each time), the degree-divided contributions of the
+// previous rank vector, and the per-worker L1 sums (all zero between
+// steps). 2n words of small-memory.
 type pagerankRound struct {
 	o       *Options
+	damping float64
+	src     int
 	flat    graph.Flat
 	deg     []uint32
 	contrib []float64
@@ -36,11 +39,13 @@ type pagerankRound struct {
 
 // newPagerankRound allocates and charges the round state; the caller
 // releases it with free.
-func newPagerankRound(g graph.Adj, o *Options) *pagerankRound {
+func newPagerankRound(g graph.Adj, o *Options, damping float64, src int) *pagerankRound {
 	n := int(g.NumVertices())
 	o.Env.Alloc(2 * int64(n))
 	return &pagerankRound{
 		o:       o,
+		damping: damping,
+		src:     src,
 		flat:    graph.NewFlat(g),
 		deg:     parallel.Tabulate(n, func(i int) uint32 { return g.Degree(uint32(i)) }),
 		contrib: make([]float64, n),
@@ -63,10 +68,13 @@ func (r *pagerankRound) step(prev, next []float64) float64 {
 			contrib[i] = 0
 		}
 	})
-	base := (1 - pagerankDamping) / float64(n)
+	base := 0.0 // the teleport share of each vertex
+	if r.src < 0 {
+		base = (1 - r.damping) / float64(n)
+	}
 	parallel.ForBlocks(n, 64, func(w, lo, hi int) {
 		sc := o.scratch(w)
-		var scanned int64
+		var edges int64
 		var l1 float64
 		for i := lo; i < hi; i++ {
 			v := uint32(i)
@@ -80,13 +88,16 @@ func (r *pagerankRound) step(prev, next []float64) float64 {
 					acc += contrib[u]
 				}
 			}
-			scanned += int64(d)
-			nv := base + pagerankDamping*acc
+			edges += int64(d)
+			nv := base + r.damping*acc
+			if i == r.src {
+				nv += 1 - r.damping
+			}
 			l1 += math.Abs(nv - prev[i])
 			next[i] = nv
 		}
-		o.Env.GraphRead(w, 0, scanned)
-		o.Env.StateRead(w, scanned)
+		flat.BillLists(o.Env, w, uint32(lo), uint32(hi))
+		o.Env.StateRead(w, edges)
 		o.Env.StateWrite(w, int64(hi-lo))
 		diffs[w].d += l1
 	})
@@ -102,7 +113,7 @@ func (r *pagerankRound) step(prev, next []float64) float64 {
 // prev, writing into next (both length n), and returns the L1 change.
 // O(m) work, O(log n) depth, O(n) words of small-memory per iteration.
 func PageRankIter(g graph.Adj, o *Options, prev, next []float64) float64 {
-	r := newPagerankRound(g, o)
+	r := newPagerankRound(g, o, pagerankDamping, -1)
 	defer r.free()
 	return r.step(prev, next)
 }
@@ -138,10 +149,33 @@ func aggregateParallel(flat *graph.Flat, v, deg uint32, contrib []float64) float
 // round state for the whole run. It returns the rank vector and the
 // number of iterations run.
 func PageRank(g graph.Adj, o *Options, eps float64, maxIters int) ([]float64, int) {
-	n := int(g.NumVertices())
 	if eps <= 0 {
 		eps = 1e-6
 	}
+	return pagerank(g, o, -1, pagerankDamping, eps, maxIters)
+}
+
+// PersonalizedPageRank computes the personalized PageRank vector of a
+// source vertex by power iteration with restart: ranks teleport back to
+// src with probability 1-damping. The paper's applicability discussion
+// (§3.2) lists personalized PageRank among the local problems that
+// "naturally fit in the regular PSAM model": the iteration state is O(n)
+// DRAM vectors and the graph is only read. Returns the rank vector and
+// the number of iterations until the L1 change fell below eps.
+func PersonalizedPageRank(g graph.Adj, o *Options, src uint32, damping, eps float64, maxIters int) ([]float64, int) {
+	if damping <= 0 || damping >= 1 {
+		damping = 0.85
+	}
+	if eps <= 0 {
+		eps = 1e-8
+	}
+	return pagerank(g, o, int(src), damping, eps, maxIters)
+}
+
+// pagerank iterates from the uniform vector (src < 0) or from src's unit
+// vector, teleporting to every vertex alike or to src.
+func pagerank(g graph.Adj, o *Options, src int, damping, eps float64, maxIters int) ([]float64, int) {
+	n := int(g.NumVertices())
 	if maxIters <= 0 {
 		maxIters = 100
 	}
@@ -149,8 +183,12 @@ func PageRank(g graph.Adj, o *Options, eps float64, maxIters int) ([]float64, in
 	next := make([]float64, n)
 	o.Env.Alloc(2 * int64(n))
 	defer o.Env.Free(2 * int64(n))
-	parallel.Fill(prev, 1/float64(n))
-	r := newPagerankRound(g, o)
+	if src < 0 {
+		parallel.Fill(prev, 1/float64(n))
+	} else {
+		prev[src] = 1
+	}
+	r := newPagerankRound(g, o, damping, src)
 	defer r.free()
 	iters := 0
 	for iters < maxIters {

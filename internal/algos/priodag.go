@@ -31,15 +31,18 @@ func newPrioDAG(g graph.Adj, o *Options, key func(v uint32) uint64) *prioDAG {
 	d.prio = parallel.Tabulate(int(n), func(i int) uint64 { return key(uint32(i)) })
 	o.Env.Alloc(3 * int64(n))
 	parallel.ForBlocks(int(n), 64, func(w, lo, hi int) {
+		sc := o.scratch(w)
 		for v := uint32(lo); v < uint32(hi); v++ {
 			var c int32
-			for _, u := range d.adj(w, v, 1) {
+			nghs, _ := d.flat.Slice(v, 0, g.Degree(v), sc)
+			for _, u := range nghs {
 				if d.earlier(u, v) {
 					c++
 				}
 			}
 			d.count[v] = c
 		}
+		d.flat.BillLists(o.Env, w, uint32(lo), uint32(hi))
 		o.Env.StateWrite(w, int64(hi-lo))
 	})
 	return d
@@ -51,11 +54,9 @@ func (d *prioDAG) earlier(a, b uint32) bool {
 	return d.prio[a] < d.prio[b] || d.prio[a] == d.prio[b] && a < b
 }
 
-// adj returns v's neighbours and bills reads scans of its list.
-func (d *prioDAG) adj(w int, v uint32, reads int64) []uint32 {
-	deg := d.g.Degree(v)
-	d.o.Env.GraphRead(w, d.g.EdgeAddr(v), reads*d.g.ScanCost(v, 0, deg))
-	nghs, _ := d.flat.Slice(v, 0, deg, d.o.scratch(w))
+// adj reads v's neighbours and bills the read.
+func (d *prioDAG) adj(w int, v uint32) []uint32 {
+	nghs, _ := d.flat.Read(d.o.Env, w, v, 0, d.g.Degree(v), d.o.scratch(w))
 	return nghs
 }
 

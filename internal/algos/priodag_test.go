@@ -82,7 +82,7 @@ func TestPriorityDAGBreaksTiesByID(t *testing.T) {
 					got[v] = rounds
 				}
 				parallel.ForWorker(len(roots), 4, func(w, i int) {
-					d.release(w, roots[i], d.adj(w, roots[i], 1))
+					d.release(w, roots[i], d.adj(w, roots[i]))
 				})
 			})
 			d.free()

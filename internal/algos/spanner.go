@@ -42,21 +42,9 @@ func Spanner(g graph.Adj, o *Options, k int) []graph.Edge {
 	witness := parallel.NewHashMap64(int(inter) + 1)
 	o.Env.Alloc(4 * (inter + 1))
 	defer o.Env.Free(4 * (inter + 1))
-	flat := graph.NewFlat(g)
-	parallel.ForBlocks(int(n), 64, func(w, lo, hi int) {
-		sc := o.scratch(w)
-		for i := lo; i < hi; i++ {
-			v := uint32(i)
-			cv := ldd.Cluster[v]
-			nghs, _ := flat.Full(v, sc)
-			for _, u := range nghs {
-				cu := ldd.Cluster[u]
-				if cu != cv {
-					witness.InsertMin(edgeKey(cu, cv), edgeKey(v, u))
-					o.Env.StateWrite(w, 1)
-				}
-			}
-		}
+	interClusterArcs(g, o, ldd.Cluster, func(w int, v, u uint32) {
+		witness.InsertMin(edgeKey(ldd.Cluster[u], ldd.Cluster[v]), edgeKey(v, u))
+		o.Env.StateWrite(w, 1)
 	})
 	witness.ForEach(func(_, val uint64) {
 		u, v := decodeEdgeKey(val)

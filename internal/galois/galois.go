@@ -121,6 +121,7 @@ func (e *Engine) PageRank(iters int) []float64 {
 	next := make([]float64, n)
 	parallel.Fill(prev, 1/float64(n))
 	const d = 0.85
+	flat := graph.NewFlat(e.G)
 	for it := 0; it < iters; it++ {
 		contrib := make([]float64, n)
 		parallel.For(n, 0, func(i int) {
@@ -129,18 +130,19 @@ func (e *Engine) PageRank(iters int) []float64 {
 			}
 		})
 		parallel.ForBlocks(n, 64, func(w, lo, hi int) {
-			var scanned int64
+			var edges int64
 			for i := lo; i < hi; i++ {
 				v := uint32(i)
 				var acc float64
-				for _, u := range e.G.Neighbors(v) {
+				nghs, _ := flat.Full(v, nil)
+				for _, u := range nghs {
 					acc += contrib[u]
 				}
-				scanned += int64(e.G.Degree(v))
+				edges += int64(len(nghs))
 				next[i] = (1-d)/float64(n) + d*acc
 			}
-			e.Env.GraphRead(w, 0, scanned)
-			e.Env.StateRead(w, scanned)
+			flat.BillLists(e.Env, w, uint32(lo), uint32(hi))
+			e.Env.StateRead(w, edges)
 		})
 		prev, next = next, prev
 	}
@@ -156,6 +158,7 @@ func (e *Engine) KCoreSingleK(k uint32) []bool {
 	parallel.For(n, 0, func(i int) { deg[i] = e.G.Degree(uint32(i)) })
 	alive := make([]bool, n)
 	parallel.Fill(alive, true)
+	flat := graph.NewFlat(e.G)
 	for {
 		peel := parallel.PackIndex(n, func(i int) bool { return alive[i] && deg[i] < k })
 		if len(peel) == 0 {
@@ -163,10 +166,8 @@ func (e *Engine) KCoreSingleK(k uint32) []bool {
 		}
 		parallel.For(len(peel), 0, func(i int) { alive[peel[i]] = false })
 		parallel.ForWorker(len(peel), 4, func(w, i int) {
-			v := peel[i]
-			dv := e.G.Degree(v)
-			e.Env.GraphRead(w, e.G.EdgeAddr(v), int64(dv))
-			for _, u := range e.G.Neighbors(v) {
+			nghs, _ := flat.Read(e.Env, w, peel[i], 0, e.G.Degree(peel[i]), nil)
+			for _, u := range nghs {
 				if alive[u] {
 					// Benign decrement race is avoided with an atomic.
 					for {
@@ -225,15 +226,16 @@ func (e *Engine) Betweenness(src uint32) []float64 {
 		})
 	}
 	delta := make([]float64, n)
+	flat := graph.NewFlat(e.G)
 	for l := len(rounds) - 2; l >= 0; l-- {
 		ids := rounds[l]
 		lvl := uint32(l)
 		parallel.ForWorker(len(ids), 8, func(w, i int) {
 			v := ids[i]
-			e.Env.GraphRead(w, e.G.EdgeAddr(v), int64(e.G.Degree(v)))
 			sv := parallel.LoadFloat64(&sigma[v])
 			var acc float64
-			for _, u := range e.G.Neighbors(v) {
+			nghs, _ := flat.Read(e.Env, w, v, 0, e.G.Degree(v), nil)
+			for _, u := range nghs {
 				if level[u] == lvl+1 {
 					acc += sv / parallel.LoadFloat64(&sigma[u]) * (1 + delta[u])
 				}

@@ -21,6 +21,7 @@ type Adj interface {
 	// ScanCost returns the simulated NVRAM words read when scanning
 	// adjacency positions [lo, hi) of v. For compressed graphs this is
 	// block-aligned: partial block reads cost the whole block.
+	//sage:hotpath
 	ScanCost(v uint32, lo, hi uint32) int64
 	// Slice is the one way to read neighbors: it returns adjacency
 	// positions [lo, hi) of v, in order, as flat read-only slices, with

@@ -27,8 +27,8 @@ type WEdge struct {
 // Graph is an immutable unweighted or integer-weighted CSR graph. In the
 // PSAM it models the read-only structure residing in the asymmetric
 // large-memory: the offsets and edges arrays are assigned simulated NVRAM
-// word addresses (offsets at [0, n+1), edges at [n+1, n+1+m), weights
-// following) used by the Memory-Mode cache simulator.
+// word addresses (offsets at [0, n+1), edges from n+1, each weight next to
+// its neighbour when present) used by the Memory-Mode cache simulator.
 type Graph struct {
 	n uint32
 	m uint64
@@ -88,18 +88,25 @@ func (g *Graph) Offsets() []uint64 { return g.offsets }
 //sage:arena-view
 func (g *Graph) Edges() []uint32 { return g.edges }
 
-// EdgeAddr returns the simulated NVRAM word address of edge position
-// offsets[v]+i. The offsets region occupies addresses [0, n+1) and the
-// edge region starts at n+1.
+// EdgeAddr returns the simulated NVRAM word address of v's adjacency.
+// The offsets region occupies addresses [0, n+1) and the edge region
+// starts at n+1. Weights are addressed as stored next to their
+// neighbours, as GBBS and the byte-compressed format lay them out, so a
+// weighted list of d edges spans 2d words.
 //
 //sage:hotpath
 func (g *Graph) EdgeAddr(v uint32) int64 {
+	if g.weights != nil {
+		return int64(g.n) + 1 + 2*int64(g.offsets[v])
+	}
 	return int64(g.n) + 1 + int64(g.offsets[v])
 }
 
 // ScanCost returns the number of NVRAM words read when scanning adjacency
 // positions [lo, hi) of vertex v: one word per edge for CSR (plus weights
 // when present).
+//
+//sage:hotpath
 func (g *Graph) ScanCost(v uint32, lo, hi uint32) int64 {
 	c := int64(hi - lo)
 	if g.weights != nil {

@@ -48,8 +48,7 @@ func edgeMapBlocked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 			u := sp[vi]
 			vLo := uint32(e - offs[vi])
 			vHi := uint32(min(offs[vi+1], hi) - offs[vi])
-			env.GraphRead(w, g.EdgeAddr(u)+int64(vLo), g.ScanCost(u, vLo, vHi))
-			nghs, ws := flat.Slice(u, vLo, vHi, pools.Scratch(w))
+			nghs, ws := flat.Read(env, w, u, vLo, vHi, pools.Scratch(w))
 			if ws == nil {
 				for _, d := range nghs {
 					if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, 1) {

@@ -141,8 +141,7 @@ func EdgeMapChunked(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops O
 			u := sp[blockVtx[b]]
 			lo := blockLo[b]
 			hi := lo + uint32(bDeg)
-			env.GraphRead(w, g.EdgeAddr(u)+int64(lo), g.ScanCost(u, lo, hi))
-			nghs, ws := flat.Slice(u, lo, hi, pools.Scratch(w))
+			nghs, ws := flat.Read(env, w, u, lo, hi, pools.Scratch(w))
 			if ws == nil {
 				for _, d := range nghs {
 					if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, 1) {

@@ -102,10 +102,12 @@ func TestCrossStrategyEquivalence(t *testing.T) {
 // TestDenseEarlyExitChargeMatchesCSR pins the pull scan's early exit on a
 // block-decoded graph: a BFS-style round (Update clears d's Cond bit at
 // the first frontier in-neighbor) over byte-64 decodes whole blocks but
-// must stop at — and charge for — exactly the position where the CSR scan
-// stops.
+// must stop at exactly the position where the CSR scan stops, and bill
+// each representation's stored words up to that stop: ScanCost(d, 0, stop)
+// summed over the scanned vertices, on top of the same offset reads.
 func TestDenseEarlyExitChargeMatchesCSR(t *testing.T) {
 	csr := gen.RMAT(11, 24, 3) // hubs span many 64-edge blocks
+	cg := compress.Compress(csr, 64)
 	vs := randomFrontier(csr.NumVertices(), 0.05, 1)
 	run := func(g graph.Adj) ([]uint32, costmodel.Counts) {
 		parent := make([]uint32, g.NumVertices())
@@ -126,15 +128,33 @@ func TestDenseEarlyExitChargeMatchesCSR(t *testing.T) {
 		return out, env.Totals()
 	}
 	wantOut, want := run(csr)
-	gotOut, got := run(compress.Compress(csr, 64))
+	gotOut, got := run(cg)
 	if !equalU32(gotOut, wantOut) {
 		t.Fatalf("byte64 dense output has %d targets, CSR %d", len(gotOut), len(wantOut))
 	}
+	in := vs.Dense()
+	var csrWords, cgWords int64
+	for d := uint32(0); d < csr.NumVertices(); d++ {
+		nghs := csr.Neighbors(d)
+		stop := len(nghs)
+		for j, s := range nghs {
+			if frontier.Has(in, s) {
+				stop = j + 1
+				break
+			}
+		}
+		csrWords += csr.ScanCost(d, 0, uint32(stop))
+		cgWords += cg.ScanCost(d, 0, uint32(stop))
+	}
+	if want.NVRAMReads-csrWords != got.NVRAMReads-cgWords {
+		t.Fatalf("offset reads differ: CSR %d, byte64 %d", want.NVRAMReads-csrWords, got.NVRAMReads-cgWords)
+	}
+	want.NVRAMReads, got.NVRAMReads = 0, 0
 	if got != want {
 		t.Fatalf("byte64 dense charged %+v, CSR %+v", got, want)
 	}
-	if full := int64(csr.NumEdges()); want.NVRAMReads >= full {
-		t.Fatalf("early exit never fired: %d NVRAM reads for %d edges", want.NVRAMReads, full)
+	if full := int64(csr.NumEdges()); csrWords >= full {
+		t.Fatalf("early exit never fired: %d NVRAM reads for %d edges", csrWords, full)
 	}
 }
 

@@ -164,7 +164,10 @@ func EdgeMap(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt
 // fraction m/DenseThresholdDen of Ligra's measured heuristic — plus one
 // degree probe per vertex. On word-granular profiles the comparison lands
 // near the classic |U| + Σdeg > m/20 rule; on page-granular profiles both
-// sides round to pages, as the simulator does.
+// sides round to pages, as the simulator does. The edge terms count
+// edges, while a read bills the stored words per edge (two on a weighted
+// CSR, about a quarter on byte-64); both sides' edge terms scale alike, and
+// TestAutoRegret holds Auto within its bound without scaling them.
 //
 //sage:hotpath
 func predictDense(p *costmodel.Profile, n, m, frontier, outDeg int64) bool {
@@ -238,7 +241,7 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 	cond := ops.Cond
 	parallel.ForBlocks(nw, denseGrain/64, func(w, lo, hi int) {
 		sc := pools.Scratch(w)
-		var scanned, produced int64
+		var scanned, words, produced int64
 		for i := lo; i < hi; i++ {
 			// cw is the word the scan's early exit watches: Cond's, or
 			// for a nil Cond a local word of the vertices below n that
@@ -251,12 +254,13 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 			if cond != nil {
 				cw = &cond[i]
 			}
-			k, ow := denseWord(ops.Update, from, &flat, sc, piece, cw, uint32(i)<<6)
+			k, kw, ow := denseWord(ops.Update, from, &flat, sc, piece, cw, uint32(i)<<6)
 			out[i] = ow
 			scanned += k
+			words += kw
 			produced += int64(bits.OnesCount64(ow))
 		}
-		env.GraphRead(w, 0, scanned)
+		flat.Bill(env, w, uint32(lo)<<6, words)
 		env.StateRead(w, scanned)
 		env.StateWrite(w, produced)
 		outCounts[w].c += produced
@@ -270,7 +274,8 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 
 // denseWord runs the pull scan for the 64 vertices from base whose bits
 // are set in the condition word *cw, returning the number of positions
-// scanned and the word of vertices an Update returned true for. Each
+// scanned, the stored words those positions cover (ScanCost up to each
+// vertex's stop) and the word of vertices an Update returned true for. Each
 // vertex d reads its in-edges one piece at a time: the whole list where
 // piece is 0, otherwise denseFirstPiece edges and then up to each block
 // boundary, so an early exit also stops the decoding; a piece shorter
@@ -278,16 +283,17 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 // d's bit is only cleared by Update(·, d), and one worker owns the word
 // for the whole scan — so the bit is tested only after an Update
 // invocation, not on every edge; the stop position (and hence the
-// charged scan count) is identical to a per-edge check.
+// charged scan) is identical to a per-edge check.
 //
 //sage:hotpath
-func denseWord(update func(s, d uint32, w int32) bool, from []uint64, flat *graph.Flat, sc *graph.Scratch, piece uint32, cw *uint64, base uint32) (int64, uint64) {
-	var scanned int64
+func denseWord(update func(s, d uint32, w int32) bool, from []uint64, flat *graph.Flat, sc *graph.Scratch, piece uint32, cw *uint64, base uint32) (int64, int64, uint64) {
+	var scanned, words int64
 	var ow uint64
 	for m := *cw; m != 0; m &= m - 1 {
 		tz := bits.TrailingZeros64(m)
 		d, db := base|uint32(tz), uint64(1)<<tz
 		p, q := uint32(0), uint32(denseFirstPiece)
+		var stop uint32
 	pieces:
 		for {
 			var nghs []uint32
@@ -309,18 +315,20 @@ func denseWord(update func(s, d uint32, w int32) bool, from []uint64, flat *grap
 					ow |= db
 				}
 				if *cw&db == 0 {
-					scanned += int64(j) + 1
+					stop = p + uint32(j) + 1
 					break pieces
 				}
 			}
-			scanned += int64(len(nghs))
-			if piece == 0 || p+uint32(len(nghs)) < q {
+			stop = p + uint32(len(nghs))
+			if piece == 0 || stop < q {
 				break
 			}
 			p, q = q, (q/piece+1)*piece
 		}
+		scanned += int64(stop)
+		words += flat.ScanCost(d, 0, stop)
 	}
-	return scanned, ow
+	return scanned, words, ow
 }
 
 // edgeMapSparse is Ligra's push traversal: it allocates an output array
@@ -343,8 +351,7 @@ func edgeMapSparse(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Op
 		u := sp[i]
 		deg := g.Degree(u)
 		base := offs[i]
-		env.GraphRead(w, g.EdgeAddr(u), g.ScanCost(u, 0, deg))
-		nghs, ws := flat.Slice(u, 0, deg, pools.Scratch(w))
+		nghs, ws := flat.Read(env, w, u, 0, deg, pools.Scratch(w))
 		if ws == nil {
 			for j, d := range nghs {
 				if condHas(ops.Cond, d) && ops.UpdateAtomic(u, d, 1) {
