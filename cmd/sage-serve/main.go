@@ -18,13 +18,14 @@
 //	GET  /metrics                      engine PSAM aggregate + service counters
 //
 // Admission control: -max-concurrent bounds runs in flight,
-// -dram-budget bounds their summed estimated DRAM residency in simulated
+// -dram-budget bounds their summed predicted DRAM residency in simulated
 // words, and -cost-budget bounds their summed predicted cost under the
 // -cost-model hardware profile (optane|dram|reram|flash); excess load is
-// shed with 429 + a Retry-After computed from live queue state. Every
-// run answers with X-Sage-Cost-* headers (predicted vs. actual cost
-// under the model). A client disconnect cancels its run at the next
-// frontier/iteration boundary.
+// shed with 429 + a Retry-After computed from live queue state. Both
+// predictions are learned per dataset and algorithm from its past runs.
+// Every run answers with X-Sage-Cost-* headers (predicted vs. actual cost
+// under the model) and X-Sage-DRAM-Predicted. A client disconnect
+// cancels its run at the next frontier/iteration boundary.
 //
 // Batch updates keep the stored file immutable: edge inserts/deletes live
 // in a DRAM-resident delta overlay, served as immutable snapshots so

@@ -106,13 +106,6 @@ type Spec struct {
 	// panic on; dispatchers call it before Run and surface the error. It
 	// sees the caller's arguments, before defaults apply.
 	Validate func(a Args) error
-	// DRAMWords, when non-nil, estimates the peak small-memory residency
-	// of one run on an n-vertex, m-arc graph in words. Nil selects the
-	// O(n) default of Table 1; only the problems whose state is
-	// edge-proportional (triangle counting's oriented DAG, k-clique,
-	// k-truss's Θ(m)-word output) declare their own. Serving layers use
-	// the estimate for admission budgeting.
-	DRAMWords func(n, m uint64) int64
 	// run invokes the algorithm under o on canonical arguments: every
 	// schema parameter already carries its value or its default.
 	run func(g graph.Adj, o *Options, a Args) Result
@@ -153,21 +146,6 @@ func (s Spec) Canonical(a Args) Args {
 	}
 	return out
 }
-
-// EstimateDRAMWords estimates the peak small-memory (DRAM) residency of
-// one run on an n-vertex, m-arc graph in words: the spec's own estimator
-// when declared, else a vertex-proportional default covering the handful
-// of n-length arrays plus traversal scratch that the Table 1 algorithms
-// keep resident.
-func (s Spec) EstimateDRAMWords(n, m uint64) int64 {
-	if s.DRAMWords != nil {
-		return s.DRAMWords(n, m)
-	}
-	return int64(16 * n)
-}
-
-// edgeStateDRAMWords is the estimator for the edge-proportional problems.
-func edgeStateDRAMWords(n, m uint64) int64 { return int64(m + 8*n) }
 
 // Common parameter specs.
 var (
@@ -357,8 +335,7 @@ var registry = []Spec{
 	},
 	{
 		Name: "tc", Title: "Triangle-Count", Fig1: true,
-		Doc:       "triangle count with work counters (§4.3.5)",
-		DRAMWords: edgeStateDRAMWords,
+		Doc: "triangle count with work counters (§4.3.5)",
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := TriangleCount(g, o)
 			return Result{res, fmt.Sprintf("%d triangles (intersection work %d, total work %d)",
@@ -410,9 +387,8 @@ var registry = []Spec{
 	},
 	{
 		Name: "kclique", Title: "k-Clique",
-		Doc:       "k-clique count over the degree-ordered DAG (§3.2)",
-		Args:      []ArgSpec{{Name: "k", Kind: ArgInt, Default: 4, Doc: "clique size (>= 3)"}},
-		DRAMWords: edgeStateDRAMWords,
+		Doc:  "k-clique count over the degree-ordered DAG (§3.2)",
+		Args: []ArgSpec{{Name: "k", Kind: ArgInt, Default: 4, Doc: "clique size (>= 3)"}},
 		Validate: func(a Args) error {
 			if a.K != 0 && a.K < 3 {
 				return fmt.Errorf("kclique requires k >= 3 (got %d)", a.K)
@@ -427,10 +403,6 @@ var registry = []Spec{
 	{
 		Name: "ktruss", Title: "k-Truss",
 		Doc: "trussness of every edge (§3.2; Theta(m)-word output)",
-		// Θ(m) small memory is the PSAM boundary the paper draws for this
-		// problem (§3.2): support counters and the trussness output are
-		// both edge-proportional.
-		DRAMWords: func(n, m uint64) int64 { return int64(3*m + 8*n) },
 		run: func(g graph.Adj, o *Options, a Args) Result {
 			res := KTruss(g, o)
 			maxT := uint32(0)

@@ -12,11 +12,12 @@ package server
 // each run's mutable state small-memory (DRAM) resident, and a server
 // running many algorithms at once must keep the *sum* of those residencies
 // under what DRAM can hold — the aggregate form of the paper's per-run
-// small-memory bound. Each run is charged its estimated peak DRAM words
-// (sage.EstimateDRAMWords: vertex-proportional for the Table 1 problems,
-// edge-proportional for tc/kclique/ktruss) against a configurable budget;
-// when the next run would overflow it, the service sheds load with 429 +
-// Retry-After instead of letting concurrent runs thrash.
+// small-memory bound. Each run is charged its predicted peak DRAM words
+// against a configurable budget: the dataset's learned peak of the
+// algorithm (catalog.go) once it has run there, else the seed,
+// sage.EstimateDRAMWords; when the next run would overflow it, the
+// service sheds load with 429 + Retry-After instead of letting
+// concurrent runs thrash.
 //
 // The third is the cost gate: each run is charged its predicted cost
 // under the engine's hardware model against a cost budget: the dataset's

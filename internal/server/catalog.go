@@ -30,9 +30,9 @@ var errUnknownDataset = errors.New("unknown dataset")
 // rest lives here, guarded by updates.mu.
 type dataset struct {
 	name, path string
-	// costs needs no lock (see costEstimates) and outlives every update,
+	// learned needs no lock (see estimates) and outlives every update,
 	// compaction and eviction.
-	costs costEstimates
+	learned estimates
 
 	// gen is the generation results are keyed by: 1 at registration, +1
 	// per published commit window and per compaction, raised to a
@@ -96,26 +96,30 @@ func (c *catalog) add(name, path string) error {
 	if _, dup := c.datasets[name]; dup {
 		return fmt.Errorf("dataset %q registered twice", name)
 	}
-	c.datasets[name] = &dataset{name: name, path: path, gen: 1, costs: newCostEstimates()}
+	c.datasets[name] = &dataset{name: name, path: path, gen: 1, learned: newEstimates()}
 	return nil
 }
 
-// costEstimates is one dataset's learned run costs: per registry
+// estimates is one dataset's learned run profile: per registry
 // algorithm, the float64 bits of an EWMA of log(actual cost / (n + m))
 // over its successful runs — a log, so one run r times off moves it by
-// at most r^(1/ewmaDiv) — or unseen before the first. The map is never
-// written after registration, so reads take no lock; slots update by CAS.
-type costEstimates map[string]*atomic.Uint64
+// at most r^(1/ewmaDiv) — and of the largest PeakDRAMWords / (n + m),
+// since a gate wants an upper estimate and peaks spread with the source
+// and the worker interleaving. A cost is unseen before the first run, a
+// peak 0. The map is never written after registration, so reads take no
+// lock; slots update by CAS.
+type estimates map[string]*estimate
+
+type estimate struct{ cost, peak atomic.Uint64 }
 
 const unseen = ^uint64(0) // a NaN, which no mean of finite logs can take
 
-func newCostEstimates() costEstimates {
+func newEstimates() estimates {
 	names := sage.AlgorithmNames()
-	slots := make([]atomic.Uint64, len(names))
-	e := make(costEstimates, len(names))
-	for i, name := range names {
-		slots[i].Store(unseen)
-		e[name] = &slots[i]
+	e := make(estimates, len(names))
+	for _, name := range names {
+		e[name] = new(estimate)
+		e[name].cost.Store(unseen)
 	}
 	return e
 }
@@ -125,42 +129,59 @@ func graphSize(g *sage.Graph) float64 {
 	return max(float64(g.NumVertices())+float64(g.NumEdges()), 1)
 }
 
-// predict returns the learned cost of registry algorithm algo on g, or
-// seed if algo has not run on this dataset yet.
-func (e costEstimates) predict(algo string, g *sage.Graph, seed int64) int64 {
-	bits := e[algo].Load()
-	if bits == unseen {
-		return seed
+// predict returns the learned cost and peak DRAM words of registry
+// algorithm algo on g, each falling back to its seed — costSeed, and
+// sage.EstimateDRAMWords — until algo has run on this dataset.
+func (e estimates) predict(algo string, g *sage.Graph, costSeed int64) (cost, words int64) {
+	slot := e[algo]
+	cost = costSeed
+	if bits := slot.cost.Load(); bits != unseen {
+		cost = int64(math.Round(math.Exp(math.Float64frombits(bits)) * graphSize(g)))
 	}
-	return int64(math.Round(math.Exp(math.Float64frombits(bits)) * graphSize(g)))
+	if bits := slot.peak.Load(); bits != 0 {
+		return cost, int64(math.Round(math.Float64frombits(bits) * graphSize(g)))
+	}
+	words, _ = sage.EstimateDRAMWords(algo, g)
+	return cost, words
 }
 
-// observe folds one successful run's actual cost on g into algo's mean.
-func (e costEstimates) observe(algo string, g *sage.Graph, actual int64) {
-	x := math.Log(float64(max(actual, 1)) / graphSize(g))
+// observe folds one successful run of algo on g, its actual cost and
+// its peak DRAM words, into the dataset's estimates.
+func (e estimates) observe(algo string, g *sage.Graph, cost, peakWords int64) {
 	slot := e[algo]
+	x := math.Log(float64(max(cost, 1)) / graphSize(g))
 	for {
-		old, next := slot.Load(), x
+		old, next := slot.cost.Load(), x
 		if old != unseen {
 			mean := math.Float64frombits(old)
 			next = mean + (x-mean)/ewmaDiv
 		}
-		if slot.CompareAndSwap(old, math.Float64bits(next)) {
+		if slot.cost.CompareAndSwap(old, math.Float64bits(next)) {
+			break
+		}
+	}
+	// Positive float64s order as their bits do.
+	p := math.Float64bits(float64(max(peakWords, 1)) / graphSize(g))
+	for {
+		if old := slot.peak.Load(); old >= p || slot.peak.CompareAndSwap(old, p) {
 			return
 		}
 	}
 }
 
 // perSize maps every algorithm that has run on the dataset to its
-// learned cost per (n + m).
-func (e costEstimates) perSize() map[string]float64 {
-	out := map[string]float64{}
+// learned cost and peak words per (n + m).
+func (e estimates) perSize() (cost, peak map[string]float64) {
+	cost, peak = map[string]float64{}, map[string]float64{}
 	for name, slot := range e {
-		if bits := slot.Load(); bits != unseen {
-			out[name] = math.Exp(math.Float64frombits(bits))
+		if bits := slot.cost.Load(); bits != unseen {
+			cost[name] = math.Exp(math.Float64frombits(bits))
+		}
+		if bits := slot.peak.Load(); bits != 0 {
+			peak[name] = math.Float64frombits(bits)
 		}
 	}
-	return out
+	return cost, peak
 }
 
 // all returns every registered record, sorted by name.
@@ -240,13 +261,14 @@ func (c *catalog) info(d *dataset) datasetInfo {
 	return info
 }
 
-// costEstimates is the /metrics view: dataset -> perSize.
-func (c *catalog) costEstimates() map[string]map[string]float64 {
-	out := map[string]map[string]float64{}
+// estimates is the /metrics view: dataset -> perSize, for cost and for
+// peak DRAM words.
+func (c *catalog) estimates() (cost, peak map[string]map[string]float64) {
+	cost, peak = map[string]map[string]float64{}, map[string]map[string]float64{}
 	for _, d := range c.all() {
-		out[d.name] = d.costs.perSize()
+		cost[d.name], peak[d.name] = d.learned.perSize()
 	}
-	return out
+	return cost, peak
 }
 
 // close releases every idle dataset.

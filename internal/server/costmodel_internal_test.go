@@ -68,56 +68,90 @@ func TestCostEstimateDamping(t *testing.T) {
 	g := sage.GenerateRMAT(6, 4, 1)
 	bound := math.Pow(100, 1.0/ewmaDiv)
 	for _, off := range []float64{100, 0.01} {
-		e := newCostEstimates()
-		if got := e.predict("bfs", g, 123); got != 123 {
+		e := newEstimates()
+		if got, _ := e.predict("bfs", g, 123); got != 123 {
 			t.Fatalf("unseen algorithm predicted %d, want the seed 123", got)
 		}
-		e.observe("bfs", g, 100_000)
-		if got := e.predict("bfs", g, 123); got != 100_000 {
+		e.observe("bfs", g, 100_000, 1)
+		if got, _ := e.predict("bfs", g, 123); got != 100_000 {
 			t.Fatalf("after one run predicted %d, want its cost 100000", got)
 		}
-		e.observe("bfs", g, int64(100_000*off))
-		ratio := float64(e.predict("bfs", g, 123)) / 100_000
+		e.observe("bfs", g, int64(100_000*off), 1)
+		got, _ := e.predict("bfs", g, 123)
+		ratio := float64(got) / 100_000
 		if ratio == 1 || math.Max(ratio, 1/ratio) > bound*(1+1e-3) {
 			t.Fatalf("one run %gx off moved the estimate %gx, want within (1, %g]", off, ratio, bound)
 		}
-		if got := e.predict("cc", g, 7); got != 7 {
+		if got, _ := e.predict("cc", g, 7); got != 7 {
 			t.Fatalf("a bfs run taught cc: predicted %d, want the seed 7", got)
 		}
-		if per := e.perSize(); len(per) != 1 || per["bfs"] <= 0 {
-			t.Fatalf("perSize = %v, want bfs alone", per)
+		if cost, _ := e.perSize(); len(cost) != 1 || cost["bfs"] <= 0 {
+			t.Fatalf("perSize = %v, want bfs alone", cost)
 		}
 	}
 }
 
-// TestCostEstimateConcurrent feeds one algorithm's slot from several
-// goroutines while others predict from it and list it, as concurrent
-// misses, admissions and /metrics scrapes do.
+// TestPeakEstimateIsMax: an algorithm's DRAM charge is the seed until it
+// has run, then the largest peak any of its runs reached — a smaller
+// peak after a larger one leaves the charge where it was.
+func TestPeakEstimateIsMax(t *testing.T) {
+	g := sage.GenerateRMAT(6, 4, 1)
+	e := newEstimates()
+	seed, err := sage.EstimateDRAMWords("bfs", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := e.predict("bfs", g, 1); got != seed {
+		t.Fatalf("unseen algorithm charged %d words, want the seed %d", got, seed)
+	}
+	for _, tc := range []struct{ peak, want int64 }{
+		{500, 500}, {300, 500}, {700, 700}, {0, 700},
+	} {
+		e.observe("bfs", g, 1, tc.peak)
+		if _, got := e.predict("bfs", g, 1); got != tc.want {
+			t.Fatalf("after a peak of %d charged %d words, want %d", tc.peak, got, tc.want)
+		}
+	}
+	if _, got := e.predict("cc", g, 1); got != seed {
+		t.Fatalf("a bfs run taught cc: charged %d, want the seed %d", got, seed)
+	}
+	if _, peak := e.perSize(); len(peak) != 1 || peak["bfs"] != 700/graphSize(g) {
+		t.Fatalf("perSize peaks = %v, want bfs alone at %g", peak, 700/graphSize(g))
+	}
+}
+
+// TestCostEstimateConcurrent feeds one algorithm's slots from several
+// goroutines while others predict from them and list them, as concurrent
+// misses, admissions and /metrics scrapes do: the cost mean holds still
+// under equal runs, and the peak ends at the largest one observed.
 func TestCostEstimateConcurrent(t *testing.T) {
 	g := sage.GenerateRMAT(6, 4, 1)
-	e := newCostEstimates()
+	e := newEstimates()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				e.observe("pagerank", g, 5000)
+				e.observe("pagerank", g, 5000, int64(1000+w*200+i))
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if got := e.predict("pagerank", g, 5000); got != 5000 {
+				if got, _ := e.predict("pagerank", g, 5000); got != 5000 {
 					t.Errorf("predicted %d mid-update, want 5000", got)
 					return
 				}
-				_ = e.perSize()
+				_, _ = e.perSize()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := e.predict("pagerank", g, 1); got != 5000 {
+	if got, _ := e.predict("pagerank", g, 1); got != 5000 {
 		t.Fatalf("after 800 runs of cost 5000 predicted %d", got)
+	}
+	if _, got := e.predict("pagerank", g, 1); got != 1799 {
+		t.Fatalf("after peaks up to 1799 charged %d words", got)
 	}
 }

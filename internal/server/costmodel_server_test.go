@@ -1,10 +1,11 @@
 package server_test
 
 // End-to-end coverage of the cost-model serving features: the
-// X-Sage-Cost-* response headers, cost-based admission (and its
-// agreement with the legacy DRAM word gate), overlay auto-compaction at
-// the hysteresis threshold, and the per-dataset overlay cost surfaced in
-// /v1/datasets and /metrics.
+// X-Sage-Cost-* and X-Sage-DRAM-Predicted response headers, cost-based
+// admission (and its agreement with the DRAM word gate), the DRAM gate's
+// learned charge, overlay auto-compaction at the hysteresis threshold,
+// and the per-dataset overlay cost surfaced in /v1/datasets and
+// /metrics.
 
 import (
 	"fmt"
@@ -53,14 +54,15 @@ func TestRunCostHeaders(t *testing.T) {
 		t.Fatalf("prediction off the scale: predicted=%d actual=%d", predicted, actual)
 	}
 
-	// A cache hit still reports the model and the prediction (no run
+	// A cache hit still reports the model and the predictions (no run
 	// happened, so there is no fresh actual).
 	code, _, hdr = postRun(t, ts.URL, "web", "bfs", `{"src": 0}`)
 	if code != http.StatusOK || hdr.Get("X-Sage-Cache") != "hit" {
 		t.Fatalf("expected cache hit, got %d cache=%q", code, hdr.Get("X-Sage-Cache"))
 	}
-	if hdr.Get("X-Sage-Cost-Model") == "" || hdr.Get("X-Sage-Cost-Predicted") == "" {
-		t.Fatal("cache hit dropped the cost headers")
+	if hdr.Get("X-Sage-Cost-Model") == "" || hdr.Get("X-Sage-Cost-Predicted") == "" ||
+		hdr.Get("X-Sage-DRAM-Predicted") == "" {
+		t.Fatal("cache hit dropped the prediction headers")
 	}
 }
 
@@ -122,10 +124,81 @@ func TestAdmissionCostBudget(t *testing.T) {
 	}
 }
 
+// TestAdmissionLearnedDRAM: the DRAM gate charges an algorithm its seed
+// until it has run on the dataset, then the peak it learned. The budget
+// holds a slow run beside bfs's learned peak but not beside its seed, so
+// a concurrent bfs is shed before bfs has run on web and admitted after.
+func TestAdmissionLearnedDRAM(t *testing.T) {
+	dir := t.TempDir()
+	path := makeDataset(t, dir, "web", 10, 1)
+	g, err := sage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowSeed, _ := sage.EstimateDRAMWords("pagerank", g)
+	bfsSeed, _ := sage.EstimateDRAMWords("bfs", g)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Config{
+		MaxConcurrent:      8,
+		DRAMBudgetWords:    slowSeed + bfsSeed/2,
+		ResultCacheEntries: -1,
+	})
+	if err := s.AddDataset("web", path); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer func() {
+		ts.Close()
+		_ = s.Close()
+	}()
+	besideSlowRun := func() (int, map[string]any, http.Header) {
+		t.Helper()
+		cancel, done := slowRun(t, ts.URL, "web")
+		defer func() {
+			cancel()
+			<-done
+			waitFor(t, "budget released", func() bool { return inflight(t, ts.URL) == 0 })
+		}()
+		waitFor(t, "slow run in flight", func() bool { return inflight(t, ts.URL) == 1 })
+		return postRun(t, ts.URL, "web", "bfs", ``)
+	}
+
+	code, body, hdr := besideSlowRun()
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("bfs at its seed beside the slow run: %d %v, want 429", code, body)
+	}
+	if msg, _ := body["error"].(string); !contains(msg, "dram") || hdr.Get("Retry-After") == "" {
+		t.Fatalf("429 does not name the dram gate or lacks Retry-After: %v %v", body, hdr)
+	}
+	if got := costHeader(t, hdr, "X-Sage-DRAM-Predicted"); got != bfsSeed {
+		t.Fatalf("first-sight charge %d, want the seed %d", got, bfsSeed)
+	}
+
+	code, body, _ = postRun(t, ts.URL, "web", "bfs", ``) // alone: admitted, and learned from
+	if code != http.StatusOK {
+		t.Fatalf("solo bfs: %d %v", code, body)
+	}
+	peak := int64(metric(t, body, "stats", "peak_dram_words"))
+	if peak > bfsSeed/2 {
+		t.Fatalf("bfs peaked at %d words, over half its seed %d: the budget no longer separates them", peak, bfsSeed)
+	}
+
+	code, body, hdr = besideSlowRun()
+	if code != http.StatusOK {
+		t.Fatalf("bfs at its learned peak beside the slow run: %d %v, want 200", code, body)
+	}
+	if got := costHeader(t, hdr, "X-Sage-DRAM-Predicted"); got != peak {
+		t.Fatalf("learned charge %d, want the observed peak %d", got, peak)
+	}
+}
+
 // TestAdmissionGatesAgree is the differential acceptance check: under
-// the default Optane model, the cost gate and the legacy DRAM word gate
-// must make the same accept/shed decision on the admission test
-// workloads when both budgets are equally (un)constrained.
+// the default Optane model, the cost gate and the DRAM word gate, both
+// charging their first-sight seeds, must make the same accept/shed
+// decision on the admission test workloads when both budgets are equally
+// (un)constrained.
 func TestAdmissionGatesAgree(t *testing.T) {
 	workloads := []struct{ dataset, algo string }{
 		{"web", "bfs"}, {"web", "cc"}, {"road", "bfs"}, {"road", "kcore"},
@@ -291,11 +364,12 @@ func TestPerDatasetDeltaMetrics(t *testing.T) {
 
 // TestLearnedCostConverges runs every registry algorithm four times on
 // one generated graph (default arguments, set cover with its sets
-// declared, result cache off): the fourth prediction, learned from three
-// runs, must be within 2x of the fourth run's actual cost. The learned
-// estimate then survives an update batch, a compaction and an eviction of
-// the dataset, is listed under /metrics cost_estimates, and a fresh
-// server over the same file predicts the seed again.
+// declared, result cache off): the fourth predictions, learned from three
+// runs, must be within 2x of the fourth run's actual cost and within
+// 1.25x of its peak DRAM words. The learned estimates then survive an
+// update batch, a compaction and an eviction of the dataset, are listed
+// under /metrics cost_estimates and dram_estimates, and a fresh server
+// over the same file predicts the seeds again.
 func TestLearnedCostConverges(t *testing.T) {
 	dir := t.TempDir()
 	webPath := makeDataset(t, dir, "web", 10, 1)
@@ -326,44 +400,56 @@ func TestLearnedCostConverges(t *testing.T) {
 		}
 		return ``
 	}
-	run := func(base, dataset string, a sage.Algorithm) (predicted, actual int64) {
+	// One miss: its predicted and actual cost, its predicted DRAM words
+	// and its measured peak.
+	type sample struct{ pred, act, words, peak int64 }
+	run := func(base, dataset string, a sage.Algorithm) sample {
 		t.Helper()
 		code, body, hdr := postRun(t, base, dataset, a.Name, args(a))
 		if code != http.StatusOK || hdr.Get("X-Sage-Cache") != "miss" {
 			t.Fatalf("%s: %d cache=%q %v", a.Name, code, hdr.Get("X-Sage-Cache"), body)
 		}
-		return costHeader(t, hdr, "X-Sage-Cost-Predicted"), costHeader(t, hdr, "X-Sage-Cost-Actual")
+		return sample{
+			costHeader(t, hdr, "X-Sage-Cost-Predicted"), costHeader(t, hdr, "X-Sage-Cost-Actual"),
+			costHeader(t, hdr, "X-Sage-DRAM-Predicted"), int64(metric(t, body, "stats", "peak_dram_words")),
+		}
 	}
-	estimates := func(base string) map[string]any {
+	estimates := func(base string) (cost, dram map[string]any) {
 		t.Helper()
 		_, m := getJSON(t, base+"/metrics")
-		return m["cost_estimates"].(map[string]any)
+		return m["cost_estimates"].(map[string]any), m["dram_estimates"].(map[string]any)
 	}
 
 	algos := sage.Algorithms()
 	for _, a := range algos {
-		var pred, act [4]int64
-		for i := range pred {
-			pred[i], act[i] = run(ts.URL, "web", a)
+		var s [4]sample
+		for i := range s {
+			s[i] = run(ts.URL, "web", a)
 		}
-		t.Logf("%-14s predicted/actual: seed %6.2f, after three runs %6.2f",
-			a.Name, float64(pred[0])/float64(act[0]), float64(pred[3])/float64(act[3]))
-		if pred[3] > 2*act[3] || act[3] > 2*pred[3] {
-			t.Errorf("%s: learned prediction %d not within 2x of actual %d", a.Name, pred[3], act[3])
+		t.Logf("%-14s predicted/actual cost: seed %6.2f, after three runs %6.2f; DRAM words: seed %5.2f, after three runs %5.2f",
+			a.Name, float64(s[0].pred)/float64(s[0].act), float64(s[3].pred)/float64(s[3].act),
+			float64(s[0].words)/float64(s[0].peak), float64(s[3].words)/float64(s[3].peak))
+		if s[3].pred > 2*s[3].act || s[3].act > 2*s[3].pred {
+			t.Errorf("%s: learned prediction %d not within 2x of actual %d", a.Name, s[3].pred, s[3].act)
+		}
+		if w, p := float64(s[3].words), float64(s[3].peak); w > 1.25*p || p > 1.25*w {
+			t.Errorf("%s: learned DRAM charge %d not within 1.25x of the peak %d", a.Name, s[3].words, s[3].peak)
 		}
 	}
 
-	learned := estimates(ts.URL)
-	web := learned["web"].(map[string]any)
-	if len(web) != len(algos) {
-		t.Fatalf("cost_estimates lists %d algorithms for web, want %d: %v", len(web), len(algos), web)
-	}
-	if road := learned["road"].(map[string]any); len(road) != 0 {
-		t.Fatalf("cost_estimates lists algorithms that never ran on road: %v", road)
-	}
-	for name, v := range web {
-		if f, ok := v.(float64); !ok || f <= 0 {
-			t.Fatalf("cost_estimates web/%s = %v, want a positive cost per (n + m)", name, v)
+	costs, drams := estimates(ts.URL)
+	for what, learned := range map[string]map[string]any{"cost_estimates": costs, "dram_estimates": drams} {
+		web := learned["web"].(map[string]any)
+		if len(web) != len(algos) {
+			t.Fatalf("%s lists %d algorithms for web, want %d: %v", what, len(web), len(algos), web)
+		}
+		if road := learned["road"].(map[string]any); len(road) != 0 {
+			t.Fatalf("%s lists algorithms that never ran on road: %v", what, road)
+		}
+		for name, v := range web {
+			if f, ok := v.(float64); !ok || f <= 0 {
+				t.Fatalf("%s web/%s = %v, want a positive quantity per (n + m)", what, name, v)
+			}
 		}
 	}
 
@@ -371,8 +457,9 @@ func TestLearnedCostConverges(t *testing.T) {
 	// mapping forgets what the dataset learned.
 	same := func(what string) {
 		t.Helper()
-		if got := estimates(ts.URL)["web"]; fmt.Sprint(got) != fmt.Sprint(web) {
-			t.Fatalf("estimates changed by %s:\n%v\n%v", what, web, got)
+		cost, dram := estimates(ts.URL)
+		if fmt.Sprint(cost["web"], dram["web"]) != fmt.Sprint(costs["web"], drams["web"]) {
+			t.Fatalf("estimates changed by %s:\n%v %v\n%v %v", what, costs["web"], drams["web"], cost["web"], dram["web"])
 		}
 	}
 	if code, upd := postUpdate(t, ts.URL, "web", `{"ops": [{"u": 0, "v": 1000}]}`); code != http.StatusOK {
@@ -391,8 +478,8 @@ func TestLearnedCostConverges(t *testing.T) {
 	}
 	same("an eviction")
 
-	// A restarted server starts from the seed: every algorithm predicts
-	// one edge pass of the (compacted) file.
+	// A restarted server starts from the seeds: every algorithm predicts
+	// one edge pass of the (compacted) file and is charged its DRAM seed.
 	g, err := sage.Open(webPath)
 	if err != nil {
 		t.Fatal(err)
@@ -404,8 +491,13 @@ func TestLearnedCostConverges(t *testing.T) {
 	}
 	fresh := start()
 	for _, a := range algos {
-		if pred, _ := run(fresh.URL, "web", a); pred != seed.Cost {
-			t.Errorf("%s: restarted server predicted %d, want the seed %d", a.Name, pred, seed.Cost)
+		words, err := sage.EstimateDRAMWords(a.Name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := run(fresh.URL, "web", a); s.pred != seed.Cost || s.words != words {
+			t.Errorf("%s: restarted server predicted cost %d and %d DRAM words, want the seeds %d and %d",
+				a.Name, s.pred, s.words, seed.Cost, words)
 		}
 	}
 }

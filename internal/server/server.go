@@ -40,7 +40,7 @@ type Config struct {
 	Engine *sage.Engine
 	// MaxConcurrent bounds runs in flight (<= 0: GOMAXPROCS).
 	MaxConcurrent int
-	// DRAMBudgetWords caps the summed estimated DRAM residency of
+	// DRAMBudgetWords caps the summed predicted DRAM residency of
 	// concurrent runs in simulated words (0: unlimited).
 	DRAMBudgetWords int64
 	// CostBudget caps the summed predicted cost of concurrent runs in the
@@ -434,14 +434,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	timing.mark("pin")
 
-	// Predict this run's cost before anything executes: the dataset's
-	// learned cost once the algorithm has run here, else the seed. It
-	// gates admission and is reported on every response — cache hits
-	// included; the seed's latency seeds Retry-After until a run ends.
+	// Predict this run's cost and peak DRAM words before anything
+	// executes: what the dataset has learned once the algorithm has run
+	// here, else the seeds. They gate admission and are reported on every
+	// response — cache hits included; the cost seed's latency seeds
+	// Retry-After until a run ends.
 	est, _ := s.engine.PredictCost(algoName, g) // algoName validated above
-	predicted := d.costs.predict(algoName, g, est.Cost)
+	predicted, words := d.learned.predict(algoName, g, est.Cost)
 	w.Header().Set("X-Sage-Cost-Model", est.Model)
 	w.Header().Set("X-Sage-Cost-Predicted", strconv.FormatInt(predicted, 10))
+	w.Header().Set("X-Sage-DRAM-Predicted", strconv.FormatInt(words, 10))
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
 	timing.mark("predict")
 
@@ -460,7 +462,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The admission budget covers per-run state only: a snapshot's
 	// overlay is resident once regardless of how many runs share it, and
 	// is bounded separately by the delta budget.
-	words, _ := sage.EstimateDRAMWords(algoName, g)
 	s.adm.seed(time.Duration(est.LatencyNS))
 	releaseSlot, gate, ok := s.adm.admit(r.Context(), words, predicted)
 	if !ok {
@@ -538,9 +539,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.results.put(key, cachedResult{body, slim})
 	// The actual side of the cost contract: the run's measured counters
 	// priced under the same model that produced the prediction, and
-	// what the dataset learns its next prediction from.
+	// what, with its peak, the dataset learns its next predictions from.
 	actual := s.engine.CostOfStats(res.Stats)
-	d.costs.observe(algoName, g, actual.Cost)
+	d.learned.observe(algoName, g, actual.Cost, res.Stats.PeakDRAMWords)
 	w.Header().Set("X-Sage-Cost-Actual", strconv.FormatInt(actual.Cost, 10))
 	w.Header().Set("X-Sage-Cost-Energy-NJ", strconv.FormatFloat(actual.EnergyNJ, 'f', 0, 64))
 	w.Header().Set("X-Sage-Cache", "miss")
@@ -671,6 +672,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	agg := s.engine.Stats()
+	costs, peaks := s.catalog.estimates()
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"uptime_s": time.Since(s.started).Seconds(),
 		// The engine aggregate is safe to snapshot with runs in flight;
@@ -696,7 +698,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"datasets":     s.catalog.cacheInfo(),
 		"updates":      s.updates.snapshot(),
 		"wal":          s.updates.walSnapshot(),
-		// Dataset -> algorithm -> learned cost per (n + m).
-		"cost_estimates": s.catalog.costEstimates(),
+		// Dataset -> algorithm -> learned cost and peak words per (n + m).
+		"cost_estimates": costs,
+		"dram_estimates": peaks,
 	})
 }
