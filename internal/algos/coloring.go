@@ -14,6 +14,12 @@ import (
 // smallest color absent among its colored neighbors. The result equals the
 // serial greedy coloring over the priority order. O(m) expected work,
 // O(log n + L·log Δ) depth, O(n) words of small-memory.
+//
+// A root reads its list once: the pass that fills its palette also
+// releases its uncolored neighbors, which are exactly its later ones.
+// Every earlier neighbor was colored in an earlier round, and no two
+// roots of one round are adjacent, so no neighbor's color changes while
+// the round runs.
 func Coloring(g graph.Adj, o *Options) []uint32 {
 	n := g.NumVertices()
 	d := newPrioDAG(g, o, lfPriority(g, o.Seed))
@@ -36,7 +42,12 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			}
 			palette := palettes[w][:deg+1]
 			for _, u := range nghs {
-				if c := atomic.LoadUint32(&color[u]); c <= deg {
+				switch c := atomic.LoadUint32(&color[u]); {
+				case c == Infinity:
+					if atomic.AddInt32(&d.count[u], -1) == 0 {
+						d.next[w] = append(d.next[w], u)
+					}
+				case c <= deg:
 					palette[c] = true
 				}
 			}
@@ -47,7 +58,6 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			clear(palette)
 			atomic.StoreUint32(&color[v], c)
 			o.Env.StateWrite(w, int64(deg)+2)
-			d.release(w, v, d.adj(w, v)) // the list's second read
 		})
 	})
 	return color

@@ -14,11 +14,12 @@ import (
 // O(m) expected work, O(log² n) depth whp, O(n) words.
 //
 // The undecided vertices are a bitmap, ⌈n/64⌉ words: each round's roots
-// join and claim their neighbors out of it, and then every newly decided
-// vertex releases only its undecided later neighbors, the only ones whose
-// counts are read again. No claim runs during the release, so a count
-// reaches 0 once, on an undecided vertex none of whose earlier neighbors
-// joined.
+// join and claim their neighbors out of it, and then every vertex newly
+// out releases only its undecided later neighbors, the only ones whose
+// counts are read again. A root has none left to release, since its own
+// claims decided every neighbor, so its list is read once. No claim runs
+// during the release, so a count reaches 0 once, on an undecided vertex
+// none of whose earlier neighbors joined.
 func MIS(g graph.Adj, o *Options) []bool {
 	n := g.NumVertices()
 	d := newPrioDAG(g, o, misPriority(o.Seed))
@@ -29,8 +30,8 @@ func MIS(g graph.Adj, o *Options) []bool {
 	o.Env.Alloc(words)
 	defer o.Env.Free(words)
 
-	lists := make([][]uint32, parallel.Workers()) // per worker, the round's decided
-	var decided []uint32
+	lists := make([][]uint32, parallel.Workers()) // per worker, the round's newly out
+	var out []uint32
 	d.run(func(roots []uint32) {
 		for w := range lists {
 			lists[w] = lists[w][:0]
@@ -39,16 +40,15 @@ func MIS(g graph.Adj, o *Options) []bool {
 			v := roots[i]
 			frontier.Claim(d.live, v)
 			in[v] = true
-			lists[w] = append(lists[w], v)
 			for _, u := range d.adj(w, v) {
 				if frontier.Claim(d.live, u) {
 					lists[w] = append(lists[w], u)
 				}
 			}
 		})
-		decided = parallel.FlattenUint32(decided, lists)
-		parallel.ForWorker(len(decided), 4, func(w, i int) {
-			d.release(w, decided[i], d.adj(w, decided[i]))
+		out = parallel.FlattenUint32(out, lists)
+		parallel.ForWorker(len(out), 4, func(w, i int) {
+			d.release(w, out[i], d.adj(w, out[i]))
 		})
 	})
 	return in

@@ -5,6 +5,12 @@
 // depends on — skewed (power-law) degree distributions for the social/web
 // graphs, low diameter, average degrees in the 10–80 range (Figure 2) —
 // at laptop scale. All generators are deterministic in their seed.
+//
+// RMAT draws its edges in blocks of 2¹⁴, each from its own PCG stream
+// keyed by the block's first index, so the graph does not depend on the
+// worker count; its floats are bit-identical to rand.Rand.Float64's.
+// AddUniformWeights hashes each arc's weight from its endpoints over the
+// sorted CSR it copies, so weighting is one parallel pass, not a rebuild.
 package gen
 
 import (
@@ -15,10 +21,13 @@ import (
 	"sage/internal/parallel"
 )
 
-// rng returns a deterministic PCG stream for (seed, stream).
-func rng(seed, stream uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, stream*0x9e3779b97f4a7c15+0x2545f4914f6cdd1d))
+// pcg returns a deterministic PCG stream for (seed, stream).
+func pcg(seed, stream uint64) *rand.PCG {
+	return rand.NewPCG(seed, stream*0x9e3779b97f4a7c15+0x2545f4914f6cdd1d)
 }
+
+// rng wraps pcg(seed, stream) for generators drawing bounded integers.
+func rng(seed, stream uint64) *rand.Rand { return rand.New(pcg(seed, stream)) }
 
 // RMAT generates a symmetrized R-MAT graph with 2^logN vertices and
 // approximately avgDeg·2^logN arcs, using the Graph500 parameters
@@ -30,7 +39,9 @@ func RMAT(logN int, avgDeg int, seed uint64) *graph.Graph {
 	mDirected := int(uint64(n) * uint64(avgDeg) / 2)
 	edges := make([]graph.Edge, mDirected)
 	parallel.ForBlocks(mDirected, 1<<14, func(_, lo, hi int) {
-		r := rng(seed, uint64(lo))
+		// The stream kept concrete: a draw is a direct call, not one
+		// through the rand.Source interface.
+		r := pcg(seed, uint64(lo))
 		for i := lo; i < hi; i++ {
 			edges[i] = rmatEdge(r, logN)
 		}
@@ -38,31 +49,36 @@ func RMAT(logN int, avgDeg int, seed uint64) *graph.Graph {
 	return graph.FromEdges(n, edges, graph.BuildOpts{Symmetrize: true})
 }
 
-func rmatEdge(r *rand.Rand, logN int) graph.Edge {
+// float64Of maps a 64-bit draw to [0, 1) exactly as rand.Rand.Float64
+// does, so RMAT's graphs do not depend on which of the two draws it. The
+// 53-bit value converts exactly from int64 too, in one instruction where
+// uint64 takes a sign test.
+func float64Of(x uint64) float64 { return float64(int64(x<<11>>11)) / (1 << 53) }
+
+func rmatEdge(r *rand.PCG, logN int) graph.Edge {
 	const a, b, c = 0.57, 0.19, 0.19
 	var u, v uint32
 	for bit := 0; bit < logN; bit++ {
 		// Add ±10% noise per level so degrees smooth out.
-		noise := 0.9 + 0.2*r.Float64()
+		noise := 0.9 + 0.2*float64Of(r.Uint64())
 		ab := (a + b) * noise
 		aa := a * noise
 		cc := aa + c*noise
-		p := r.Float64() * (noise)
-		u <<= 1
-		v <<= 1
-		switch {
-		case p < aa:
-			// quadrant (0,0)
-		case p < ab:
-			v |= 1
-		case p < cc:
-			u |= 1
-		default:
-			u |= 1
-			v |= 1
-		}
+		p := float64Of(r.Uint64()) * (noise)
+		// Quadrants (0,0), (0,1), (1,0), (1,1) split p at aa, ab and cc.
+		// The bits are those comparisons, combined with & and | rather
+		// than && and ||, which would branch.
+		u = u<<1 | b2u(p >= ab)
+		v = v<<1 | b2u(p >= aa)&b2u(p < ab) | b2u(p >= cc)
 	}
 	return graph.Edge{U: u, V: v}
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ErdosRenyi generates a symmetrized G(n, m) graph with m target arcs
@@ -173,23 +189,36 @@ func CompleteBipartite(a, b uint32) *graph.Graph {
 // AddUniformWeights returns a weighted copy of g with integer weights
 // drawn uniformly from [1, log2 n), the paper's weighting scheme (§5.1.3).
 // Both directions of an undirected edge receive the same weight (derived
-// from a symmetric hash of the endpoints).
+// from a symmetric hash of the endpoints). g's structure is copied as is,
+// so g must hold the CSR invariants every builder here establishes
+// (sorted lists, no self-loops, no duplicates); the copy never aliases g,
+// which may be a mapped container closed afterwards.
 func AddUniformWeights(g *graph.Graph, seed uint64) *graph.Graph {
 	n := g.NumVertices()
 	maxW := int32(math.Log2(float64(n)))
 	if maxW < 2 {
 		maxW = 2
 	}
-	edges := make([]graph.WEdge, 0, g.NumEdges())
-	for v := uint32(0); v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			lo, hi := min(u, v), max(u, v)
-			h := hashPair(uint64(lo)<<32|uint64(hi), seed)
-			w := 1 + int32(h%uint64(maxW-1))
-			edges = append(edges, graph.WEdge{U: v, V: u, W: w})
+	srcOff, srcEdges := g.Offsets(), g.Edges()
+	offsets := make([]uint64, len(srcOff))
+	edges := make([]uint32, len(srcEdges))
+	weights := make([]int32, len(srcEdges))
+	parallel.Copy(offsets, srcOff)
+	parallel.Copy(edges, srcEdges)
+	parallel.ForBlocks(int(n), 0, func(_, lo, hi int) {
+		for v := uint32(lo); v < uint32(hi); v++ {
+			for e := offsets[v]; e < offsets[v+1]; e++ {
+				u := edges[e]
+				h := hashPair(uint64(min(u, v))<<32|uint64(max(u, v)), seed)
+				weights[e] = 1 + int32(h%uint64(maxW-1))
+			}
 		}
+	})
+	wg, err := graph.FromParts(n, g.NumEdges(), offsets, edges, weights)
+	if err != nil {
+		panic(err) // g's own offsets passed the same checks when it was built
 	}
-	return graph.FromWeightedEdges(n, edges, graph.BuildOpts{})
+	return wg
 }
 
 func hashPair(x, seed uint64) uint64 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sage"
@@ -73,6 +74,41 @@ func TestOpenMmapVsCopyEquivalence(t *testing.T) {
 			if got.parents[v] != want.parents[v] {
 				t.Fatalf("%s: BFS parent of %d differs", name, v)
 			}
+		}
+	}
+}
+
+// TestWeightsOutliveMappedSource weights a mapped container, closes it,
+// and then reads every weight back: the weighted copy must own its arrays,
+// since the source's are unmapped by Close, and must equal the weighting
+// of the never-stored graph.
+func TestWeightsOutliveMappedSource(t *testing.T) {
+	mem := sage.GenerateRMAT(12, 8, 3)
+	path := filepath.Join(t.TempDir(), "src.sg")
+	if err := sage.Create(path, mem); err != nil {
+		t.Fatal(err)
+	}
+	src, err := sage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg, err := src.WithUniformWeights(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := sage.Must(mem.WithUniformWeights(5)).RawCSR()
+	got := wg.RawCSR()
+	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("weighted copy has n=%d m=%d, want n=%d m=%d",
+			got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+	}
+	for v := range got.NumVertices() {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) ||
+			!slices.Equal(got.NeighborWeights(v), want.NeighborWeights(v)) {
+			t.Fatalf("vertex %d: list or weights differ after the source closed", v)
 		}
 	}
 }

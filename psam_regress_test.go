@@ -71,55 +71,64 @@ func keyOf(s sage.Stats) statKey {
 // now billed and its DRAM reads as on csr), 62,916 to 14,284 (kcore),
 // 127,800 to 31,450 (pagerank) and 11,390 to 4,862 (wbfs), and the costs
 // with them. No other csr row and no peak moved.
+// The mis and coloring rows moved when a decided vertex's list came to be
+// read once in the rounds: MIS's roots no longer re-read theirs to release
+// neighbours that their own claims had already decided, and coloring
+// releases a root's uncolored (later) neighbours in the pass that fills
+// its palette. NVRAM reads fell by the list words no longer read: on csr
+// from 28,880 to 25,560 (mis) and 38,340 to 25,560 (coloring), on byte64
+// from 7,389 to 6,290 (mis) and 9,435 to 6,290 (coloring), and the costs
+// with them. Both now read each list twice, in the count pass and in the
+// round that decides its vertex. No DRAM count and no peak moved.
 var goldenStats = map[string]statKey{
 	"csr/chunked/bfs":             {14908, 9660, 0, 3303, 1945, 2963},
 	"csr/chunked/pagerankiter":    {27608, 12780, 0, 12780, 2048, 4096},
 	"csr/chunked/connectivity":    {75918, 37835, 0, 32601, 5482, 9321},
 	"csr/chunked/kcore":           {132038, 65620, 0, 60584, 5834, 10689},
 	"csr/chunked/pagerank":        {276080, 127800, 0, 127800, 20480, 8192},
-	"csr/chunked/coloring":        {57264, 38340, 0, 0, 18924, 10240},
+	"csr/chunked/coloring":        {44484, 25560, 0, 0, 18924, 10240},
 	"csr/chunked/wbfs":            {23363, 11576, 0, 9630, 2157, 5011},
-	"csr/chunked/mis":             {30928, 28880, 0, 0, 2048, 8224},
+	"csr/chunked/mis":             {27608, 25560, 0, 0, 2048, 8224},
 	"csr/blocked/bfs":             {14908, 9660, 0, 3303, 1945, 2505},
 	"csr/blocked/pagerankiter":    {27608, 12780, 0, 12780, 2048, 4096},
 	"csr/blocked/connectivity":    {75918, 37835, 0, 32601, 5482, 8767},
 	"csr/blocked/kcore":           {132038, 65620, 0, 60584, 5834, 10689},
 	"csr/blocked/pagerank":        {276080, 127800, 0, 127800, 20480, 8192},
-	"csr/blocked/coloring":        {57264, 38340, 0, 0, 18924, 10240},
+	"csr/blocked/coloring":        {44484, 25560, 0, 0, 18924, 10240},
 	"csr/blocked/wbfs":            {23363, 11576, 0, 9630, 2157, 4553},
-	"csr/blocked/mis":             {30928, 28880, 0, 0, 2048, 8224},
+	"csr/blocked/mis":             {27608, 25560, 0, 0, 2048, 8224},
 	"csr/sparse/bfs":              {14932, 9660, 0, 3303, 1969, 2505},
 	"csr/sparse/pagerankiter":     {27608, 12780, 0, 12780, 2048, 4096},
 	"csr/sparse/connectivity":     {76130, 37835, 0, 32601, 5694, 8767},
 	"csr/sparse/kcore":            {132038, 65620, 0, 60584, 5834, 10689},
 	"csr/sparse/pagerank":         {276080, 127800, 0, 127800, 20480, 8192},
-	"csr/sparse/coloring":         {57264, 38340, 0, 0, 18924, 10240},
+	"csr/sparse/coloring":         {44484, 25560, 0, 0, 18924, 10240},
 	"csr/sparse/wbfs":             {23387, 11576, 0, 9630, 2181, 4553},
-	"csr/sparse/mis":              {30928, 28880, 0, 0, 2048, 8224},
+	"csr/sparse/mis":              {27608, 25560, 0, 0, 2048, 8224},
 	"byte64/chunked/bfs":          {14521, 9273, 0, 3303, 1945, 2963},
 	"byte64/chunked/pagerankiter": {17973, 3145, 0, 12780, 2048, 4096},
 	"byte64/chunked/connectivity": {53976, 15893, 0, 32601, 5482, 9321},
 	"byte64/chunked/kcore":        {80702, 14284, 0, 60584, 5834, 10689},
 	"byte64/chunked/pagerank":     {179730, 31450, 0, 127800, 20480, 8192},
-	"byte64/chunked/coloring":     {28359, 9435, 0, 0, 18924, 10240},
+	"byte64/chunked/coloring":     {25214, 6290, 0, 0, 18924, 10240},
 	"byte64/chunked/wbfs":         {16649, 4862, 0, 9630, 2157, 5011},
-	"byte64/chunked/mis":          {9437, 7389, 0, 0, 2048, 8224},
+	"byte64/chunked/mis":          {8338, 6290, 0, 0, 2048, 8224},
 	"byte64/blocked/bfs":          {14521, 9273, 0, 3303, 1945, 2505},
 	"byte64/blocked/pagerankiter": {17973, 3145, 0, 12780, 2048, 4096},
 	"byte64/blocked/connectivity": {53976, 15893, 0, 32601, 5482, 8767},
 	"byte64/blocked/kcore":        {80702, 14284, 0, 60584, 5834, 10689},
 	"byte64/blocked/pagerank":     {179730, 31450, 0, 127800, 20480, 8192},
-	"byte64/blocked/coloring":     {28359, 9435, 0, 0, 18924, 10240},
+	"byte64/blocked/coloring":     {25214, 6290, 0, 0, 18924, 10240},
 	"byte64/blocked/wbfs":         {16649, 4862, 0, 9630, 2157, 4553},
-	"byte64/blocked/mis":          {9437, 7389, 0, 0, 2048, 8224},
+	"byte64/blocked/mis":          {8338, 6290, 0, 0, 2048, 8224},
 	"byte64/sparse/bfs":           {14545, 9273, 0, 3303, 1969, 2505},
 	"byte64/sparse/pagerankiter":  {17973, 3145, 0, 12780, 2048, 4096},
 	"byte64/sparse/connectivity":  {54188, 15893, 0, 32601, 5694, 8767},
 	"byte64/sparse/kcore":         {80702, 14284, 0, 60584, 5834, 10689},
 	"byte64/sparse/pagerank":      {179730, 31450, 0, 127800, 20480, 8192},
-	"byte64/sparse/coloring":      {28359, 9435, 0, 0, 18924, 10240},
+	"byte64/sparse/coloring":      {25214, 6290, 0, 0, 18924, 10240},
 	"byte64/sparse/wbfs":          {16673, 4862, 0, 9630, 2181, 4553},
-	"byte64/sparse/mis":           {9437, 7389, 0, 0, 2048, 8224},
+	"byte64/sparse/mis":           {8338, 6290, 0, 0, 2048, 8224},
 }
 
 // regressGraphs builds the fixed CSR and byte-compressed inputs.
