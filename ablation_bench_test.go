@@ -129,39 +129,3 @@ func BenchmarkFilterPack(b *testing.B) {
 		b.ReportMetric(float64(writes), "nvram-writes")
 	})
 }
-
-// BenchmarkThrottledWallClock validates that the asymmetry also shows up
-// in wall-clock time when the optional latency throttle converts NVRAM
-// write traffic into real delays: the mutation-based baseline slows down,
-// the write-free Sage configuration does not.
-func BenchmarkThrottledWallClock(b *testing.B) {
-	w := harness.NewWorkload(benchScale - 1)
-	pred := func(u, v uint32) bool { return u < v }
-	for _, sys := range []struct {
-		name string
-		run  func(env *psam.Env)
-	}{
-		{"SageFilter", func(env *psam.Env) {
-			gfilter.New(w.G, 64, env).FilterEdges(pred)
-		}},
-		{"GBBSMutate", func(env *psam.Env) {
-			gbbs.NewMutFilter(w.G, 64, env).FilterEdges(pred)
-		}},
-	} {
-		for _, throttled := range []bool{false, true} {
-			name := sys.name + "/raw"
-			if throttled {
-				name = sys.name + "/throttled"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					env := psam.NewEnv(psam.AppDirect)
-					if throttled {
-						env.Throttle = psam.NewThrottle(&env.Profile, 8)
-					}
-					sys.run(env)
-				}
-			})
-		}
-	}
-}

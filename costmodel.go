@@ -8,8 +8,9 @@ import (
 )
 
 // CostModel is a pluggable hardware cost profile: per-operation charge
-// weights in DRAM-access units plus latency and energy constants, mapping
-// PSAM-style operation counts to predicted cost, latency, and energy. An
+// weights in DRAM-access units plus energy constants, mapping PSAM-style
+// operation counts to predicted cost and energy. Like the PSAM, it prices
+// a run in unit-less accesses and converts none of them into time. An
 // engine's model is what its runs' simulator charges under (so measured
 // PSAM costs are the model's own pricing), prices the Auto traversal
 // strategy's per-call direction decisions, backs PredictCost/CostOfStats,
@@ -26,7 +27,7 @@ func CostModelOptane() CostModel { return costmodel.Optane() }
 func CostModelDRAM() CostModel { return costmodel.DRAMOnly() }
 
 // CostModelReRAM is a GraphR-style ReRAM profile: near-DRAM reads,
-// write latency and energy an order of magnitude above.
+// write cost and energy an order of magnitude above.
 func CostModelReRAM() CostModel { return costmodel.ReRAM() }
 
 // CostModelFlash is a flash/CSD profile with page-granular large-memory
@@ -49,32 +50,28 @@ func (e *Engine) Model() CostModel { return e.cfg.model }
 
 // CostEstimate is a priced operation-count vector: the predicted (or
 // measured) cost in DRAM-access units under a named model, with the
-// model's latency and energy projections.
+// model's energy projection.
 type CostEstimate struct {
 	// Model is the profile's registry name.
 	Model string
 	// Cost is the cost in DRAM-access units (the PSAM's currency).
 	Cost int64
-	// LatencyNS is the projected serial access latency in nanoseconds.
-	LatencyNS float64
 	// EnergyNJ is the projected access energy in nanojoules.
 	EnergyNJ float64
 }
 
 // String formats the estimate compactly.
 func (c CostEstimate) String() string {
-	return fmt.Sprintf("model=%s cost=%d latency=%.0fns energy=%.0fnJ",
-		c.Model, c.Cost, c.LatencyNS, c.EnergyNJ)
+	return fmt.Sprintf("model=%s cost=%d energy=%.0fnJ", c.Model, c.Cost, c.EnergyNJ)
 }
 
 // estimateOf prices a count vector under the engine's model.
 func (e *Engine) estimateOf(c costmodel.Counts) CostEstimate {
 	p := &e.cfg.model
 	return CostEstimate{
-		Model:     p.Name(),
-		Cost:      p.Cost(c),
-		LatencyNS: p.LatencyNS(c),
-		EnergyNJ:  p.EnergyNJ(c),
+		Model:    p.Name(),
+		Cost:     p.Cost(c),
+		EnergyNJ: p.EnergyNJ(c),
 	}
 }
 
@@ -94,8 +91,8 @@ func (e *Engine) PredictCost(algo string, g *Graph) (CostEstimate, error) {
 // CostOfStats prices a run's measured counters under the engine's model —
 // the "actual" side of the predicted-vs-actual cost headers. Under every
 // model CostOfStats(s).Cost equals s.PSAMCost (both are the model's Cost
-// of the same counters); the latency and energy projections add the
-// model's physical constants.
+// of the same counters); the energy projection adds the model's energy
+// constants.
 func (e *Engine) CostOfStats(s RunStats) CostEstimate {
 	return e.estimateOf(s.Counts)
 }

@@ -128,8 +128,8 @@ func TestCostModelGoldenPredictions(t *testing.T) {
 			if est.Model != model.Name() {
 				t.Errorf("%s: estimate names model %q", name, est.Model)
 			}
-			if est.LatencyNS <= 0 || est.EnergyNJ <= 0 {
-				t.Errorf("%s: non-positive projections: latency=%v energy=%v", name, est.LatencyNS, est.EnergyNJ)
+			if est.EnergyNJ <= 0 {
+				t.Errorf("%s: non-positive energy projection %v", name, est.EnergyNJ)
 			}
 		}
 		if _, err := e.PredictCost("no-such-algo", g); err == nil {

@@ -1,9 +1,6 @@
 package algos
 
 import (
-	"math"
-	"sync/atomic"
-
 	"sage/internal/frontier"
 	"sage/internal/graph"
 	"sage/internal/parallel"
@@ -42,7 +39,7 @@ func Betweenness(g graph.Adj, o *Options, src uint32) []float64 {
 			return old == 0
 		},
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			return addFloat64Old(&sigma[d], parallel.LoadFloat64(&sigma[s])) == 0
+			return parallel.AddFloat64(&sigma[d], parallel.LoadFloat64(&sigma[s])) == 0
 		},
 		Cond: unvisited,
 	}
@@ -87,16 +84,4 @@ func Betweenness(g graph.Adj, o *Options, src uint32) []float64 {
 	}
 	delta[src] = 0
 	return delta
-}
-
-// addFloat64Old atomically adds delta to the float64 bits at p, returning
-// the previous value.
-func addFloat64Old(p *uint64, delta float64) float64 {
-	for {
-		old := atomic.LoadUint64(p)
-		of := math.Float64frombits(old)
-		if atomic.CompareAndSwapUint64(p, old, math.Float64bits(of+delta)) {
-			return of
-		}
-	}
 }

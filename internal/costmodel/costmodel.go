@@ -9,14 +9,15 @@
 // function under the same weights.
 //
 // A Profile generalizes the PSAM's single hardcoded hardware point —
-// Optane's read/write asymmetry (§3.1) — the way GraphR models hardware
-// as explicit per-operation latency and energy constants. The built-ins
+// Optane's read/write asymmetry (§3.1) — to explicit per-operation charge
+// weights and energy constants. Like the PSAM, it prices a run in
+// unit-less accesses and converts none of them into time. The built-ins
 // cover the families the paper's §5 discussion and the related work span:
 //
 //   - Optane: the PSAM defaults — unit-charged reads, ω=12 writes.
 //   - DRAM-only: symmetric memory, the in-memory baseline.
 //   - ReRAM: GraphR-style constants — reads near DRAM, writes an order
-//     of magnitude more expensive in both time and energy.
+//     of magnitude more expensive in both cost and energy.
 //   - Flash/CSD: page-granular I/O — Cost bills ceil(words/PageWords)
 //     device pages (DefaultPageCost each) for the total large-memory
 //     words of the counts it prices, reads and writes separately. It
@@ -72,7 +73,7 @@ func (c *Counts) Sub(o Counts) {
 }
 
 // Profile is a hardware cost profile: per-operation charge weights in
-// DRAM-access units plus per-operation latency and energy constants. The
+// DRAM-access units plus per-operation energy constants. The
 // zero value is unusable; start from a built-in (Optane, DRAMOnly, ReRAM,
 // FlashCSD) and override fields.
 type Profile struct {
@@ -101,9 +102,6 @@ type Profile struct {
 	// PageCost is the charge per device page transfer, in DRAM-access
 	// units (see DefaultPageCost for the framing).
 	PageCost int64
-	// WordNS converts one DRAM-access unit of cost into nanoseconds of
-	// predicted serial latency.
-	WordNS float64
 	// Energy constants, picojoules: per word for the memory classes, per
 	// page transfer for EPage.
 	EDRAMRead   float64
@@ -144,14 +142,6 @@ func (p *Profile) Cost(c Counts) int64 {
 	return cost
 }
 
-// LatencyNS converts the predicted cost into nanoseconds of serial
-// access latency.
-//
-//sage:hotpath
-func (p *Profile) LatencyNS(c Counts) float64 {
-	return float64(p.Cost(c)) * p.WordNS
-}
-
 // EnergyNJ prices c's accesses with the profile's per-operation energy
 // constants, in nanojoules. Like Cost it bills a Memory-Mode hit word
 // once, as the DRAM read it is booked as.
@@ -180,7 +170,6 @@ func Optane() Profile {
 	return Profile{
 		ModelName: "optane",
 		NVRAMRead: 1, Omega: 12, MissCost: 3,
-		WordNS:    5,
 		EDRAMRead: 25, EDRAMWrite: 25,
 		ENVRAMRead: 60, ENVRAMWrite: 250,
 		EMiss: 180, // a 256B hardware fill's energy, amortized per word
@@ -194,22 +183,20 @@ func DRAMOnly() Profile {
 	return Profile{
 		ModelName: "dram",
 		NVRAMRead: 1, Omega: 1, MissCost: 1,
-		WordNS:    5,
 		EDRAMRead: 25, EDRAMWrite: 25,
 		ENVRAMRead: 25, ENVRAMWrite: 25,
 		EMiss: 25,
 	}
 }
 
-// ReRAM uses GraphR-style constants: reads near DRAM speed, writes an
-// order of magnitude more expensive in latency and dominated by cell
+// ReRAM uses GraphR-style constants: reads near DRAM cost, writes an
+// order of magnitude more expensive in cost and dominated by cell
 // programming energy — a steeper asymmetry than Optane on the write
 // side, with cheap reads.
 func ReRAM() Profile {
 	return Profile{
 		ModelName: "reram",
 		NVRAMRead: 2, Omega: 8, MissCost: 2,
-		WordNS:    5,
 		EDRAMRead: 25, EDRAMWrite: 25,
 		ENVRAMRead: 40, ENVRAMWrite: 600,
 		EMiss: 120,
@@ -229,7 +216,6 @@ func FlashCSD() Profile {
 		PageGranular: true,
 		PageCost:     DefaultPageCost,
 		Omega:        4, MissCost: 3,
-		WordNS:    5,
 		EDRAMRead: 25, EDRAMWrite: 25,
 		EMiss: 180,
 		EPage: 25000, // ~25 nJ per 4KB page transfer

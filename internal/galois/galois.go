@@ -202,14 +202,7 @@ func (e *Engine) Betweenness(src uint32) []float64 {
 			return old == 0
 		},
 		UpdateAtomic: func(s, d uint32, _ int32) bool {
-			for {
-				old := atomic.LoadUint64(&sigma[d])
-				of := math.Float64frombits(old)
-				nf := of + parallel.LoadFloat64(&sigma[s])
-				if atomic.CompareAndSwapUint64(&sigma[d], old, math.Float64bits(nf)) {
-					return of == 0
-				}
-			}
+			return parallel.AddFloat64(&sigma[d], parallel.LoadFloat64(&sigma[s])) == 0
 		},
 		Cond: unvisited,
 	}

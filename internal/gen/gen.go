@@ -30,10 +30,14 @@ func pcg(seed, stream uint64) *rand.PCG {
 func rng(seed, stream uint64) *rand.Rand { return rand.New(pcg(seed, stream)) }
 
 // RMAT generates a symmetrized R-MAT graph with 2^logN vertices and
-// approximately avgDeg·2^logN arcs, using the Graph500 parameters
-// (a, b, c, d) = (0.57, 0.19, 0.19, 0.05) with per-level noise. R-MAT
-// matches the skewed degree distributions of the paper's social and web
-// graphs.
+// approximately avgDeg·2^logN arcs. rmatEdge starts from the Graph500
+// parameters (a, b, c, d) = (0.57, 0.19, 0.19, 0.05), but its thresholds
+// a+b and a+c coincide (b = c), so each level draws quadrant (0,0) with
+// probability 0.57, (0,1) 0.19, (1,1) 0.24 and (1,0) never: u's bit is
+// 1 with Graph500's 0.24, v's with 0.43. The per-level noise scales the
+// draw and every threshold alike, so it cancels up to rounding. The
+// degrees are still skewed, as the paper's social and web graphs are,
+// but less than Graph500's.
 func RMAT(logN int, avgDeg int, seed uint64) *graph.Graph {
 	n := uint32(1) << logN
 	mDirected := int(uint64(n) * uint64(avgDeg) / 2)
@@ -59,15 +63,15 @@ func rmatEdge(r *rand.PCG, logN int) graph.Edge {
 	const a, b, c = 0.57, 0.19, 0.19
 	var u, v uint32
 	for bit := 0; bit < logN; bit++ {
-		// Add ±10% noise per level so degrees smooth out.
+		// The ±10% noise scales p and the thresholds alike: it cancels.
 		noise := 0.9 + 0.2*float64Of(r.Uint64())
 		ab := (a + b) * noise
 		aa := a * noise
 		cc := aa + c*noise
 		p := float64Of(r.Uint64()) * (noise)
-		// Quadrants (0,0), (0,1), (1,0), (1,1) split p at aa, ab and cc.
-		// The bits are those comparisons, combined with & and | rather
-		// than && and ||, which would branch.
+		// Quadrants (0,0), (0,1), (1,1) split p at aa and ab; cc equals
+		// ab, so (1,0) is never drawn. The bits are those comparisons,
+		// combined with & and | rather than && and ||, which would branch.
 		u = u<<1 | b2u(p >= ab)
 		v = v<<1 | b2u(p >= aa)&b2u(p < ab) | b2u(p >= cc)
 	}

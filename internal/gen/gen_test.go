@@ -66,6 +66,25 @@ func crcLE(t *testing.T, words any) uint32 {
 	return h.Sum32()
 }
 
+// TestRMATQuadrantShares pins what RMAT's doc says one level draws:
+// (0,0) 0.57, (0,1) 0.19, (1,0) never, (1,1) 0.24 — not Graph500's
+// (0.57, 0.19, 0.19, 0.05), because the (1,0) threshold equals the (0,1)
+// one.
+func TestRMATQuadrantShares(t *testing.T) {
+	const draws = 200_000
+	var count [4]int
+	r := pcg(7, 0)
+	for i := 0; i < draws; i++ {
+		e := rmatEdge(r, 1)
+		count[e.U<<1|e.V]++
+	}
+	for q, want := range []float64{0.57, 0.19, 0, 0.24} {
+		if got := float64(count[q]) / draws; math.Abs(got-want) > 0.005 {
+			t.Errorf("quadrant (%d,%d): share %.4f, want %.2f", q>>1, q&1, got, want)
+		}
+	}
+}
+
 func TestRMATSkewed(t *testing.T) {
 	g := RMAT(12, 16, 1)
 	if g.MaxDegree() < 4*graph.AvgDegree(g) {

@@ -64,14 +64,16 @@ func WriteMaxInt64(p *int64, v int64) bool {
 	}
 }
 
-// AddFloat64 atomically adds delta to the float64 stored as bits in *p.
-// Betweenness centrality accumulates fractional dependencies with it.
-func AddFloat64(p *uint64, delta float64) {
+// AddFloat64 atomically adds delta to the float64 stored as bits in *p
+// and returns the previous value. The semi-external PageRank accumulates
+// rank shares with it; betweenness centrality's path counts test the
+// previous value for 0 to learn which add discovered a vertex.
+func AddFloat64(p *uint64, delta float64) float64 {
 	for {
 		old := atomic.LoadUint64(p)
-		new := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(p, old, new) {
-			return
+		of := math.Float64frombits(old)
+		if atomic.CompareAndSwapUint64(p, old, math.Float64bits(of+delta)) {
+			return of
 		}
 	}
 }

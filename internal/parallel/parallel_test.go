@@ -273,12 +273,23 @@ func TestWriteMinMax(t *testing.T) {
 	}
 }
 
+// TestAddFloat64Concurrent: n concurrent adds of 1 sum to n, and the
+// previous values they return are exactly {0, …, n−1}, each once.
 func TestAddFloat64Concurrent(t *testing.T) {
 	var bits uint64
 	n := 100_000
-	For(n, 64, func(int) { AddFloat64(&bits, 1.0) })
+	prev := make([]float64, n)
+	For(n, 64, func(i int) { prev[i] = AddFloat64(&bits, 1.0) })
 	if got := LoadFloat64(&bits); got != float64(n) {
 		t.Fatalf("got %v want %d", got, n)
+	}
+	seen := make([]bool, n)
+	for i, p := range prev {
+		k := int(p)
+		if float64(k) != p || k < 0 || k >= n || seen[k] {
+			t.Fatalf("add %d returned previous value %v: not a fresh integer in [0, %d)", i, p, n)
+		}
+		seen[k] = true
 	}
 }
 

@@ -47,12 +47,11 @@ func (m Mode) String() string {
 // A nil *Env is valid and disables all accounting, so the algorithms can
 // run at full speed for pure wall-clock measurements.
 type Env struct {
-	Profile  costmodel.Profile
-	Mode     Mode
-	Track    *Tracker
-	Space    *Space
-	Cache    *Cache
-	Throttle *Throttle
+	Profile costmodel.Profile
+	Mode    Mode
+	Track   *Tracker
+	Space   *Space
+	Cache   *Cache
 
 	// Ctx, when non-nil, is the cancellation context of the run this
 	// environment accounts for. Algorithms poll it through Checkpoint at
@@ -133,12 +132,10 @@ func (e *Env) GraphRead(worker int, addr, words int64) {
 		e.Track.DRAMRead(worker, words)
 	case AppDirect, NVRAMAll:
 		e.Track.NVRAMRead(worker, words)
-		e.Throttle.NVRAMReadDelay(words)
 	case MemoryMode:
 		hits, misses, wb := e.Cache.AccessRange(addr, words, false)
 		e.Track.CacheAccess(worker, hits*CacheBlockWords, misses*CacheBlockWords)
 		e.Track.NVRAMWrite(worker, wb*CacheBlockWords)
-		e.Throttle.NVRAMReadDelay(misses * CacheBlockWords)
 	}
 }
 
@@ -154,13 +151,11 @@ func (e *Env) GraphWrite(worker int, addr, words int64) {
 		e.Track.DRAMWrite(worker, words)
 	case AppDirect, NVRAMAll:
 		e.Track.NVRAMWrite(worker, words)
-		e.Throttle.NVRAMWriteDelay(words)
 	case MemoryMode:
 		hits, misses, wb := e.Cache.AccessRange(addr, words, true)
 		e.Track.CacheAccess(worker, hits*CacheBlockWords, misses*CacheBlockWords)
 		e.Track.DRAMWrite(worker, words)
 		e.Track.NVRAMWrite(worker, wb*CacheBlockWords)
-		e.Throttle.NVRAMWriteDelay(wb * CacheBlockWords)
 	}
 }
 
@@ -172,7 +167,6 @@ func (e *Env) StateRead(worker int, words int64) {
 	}
 	if e.Mode == NVRAMAll {
 		e.Track.NVRAMRead(worker, words)
-		e.Throttle.NVRAMReadDelay(words)
 		return
 	}
 	e.Track.DRAMRead(worker, words)
@@ -185,7 +179,6 @@ func (e *Env) StateWrite(worker int, words int64) {
 	}
 	if e.Mode == NVRAMAll {
 		e.Track.NVRAMWrite(worker, words)
-		e.Throttle.NVRAMWriteDelay(words)
 		return
 	}
 	e.Track.DRAMWrite(worker, words)
@@ -204,7 +197,6 @@ func (e *Env) Alloc(words int64) {
 	e.Space.Alloc(words)
 	if e.Mode == NVRAMAll && e.Track != nil && words > 0 {
 		e.Track.NVRAMWrite(0, words)
-		e.Throttle.NVRAMWriteDelay(words)
 	}
 }
 

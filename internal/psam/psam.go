@@ -6,16 +6,14 @@
 // *simulates* the memory system: every graph or state access is charged to
 // an account through sharded per-worker counters, and experiments report a
 // deterministic simulated cost alongside wall-clock time. A direct-mapped
-// cache simulator models Intel Memory Mode, and an optional throttle
-// injects proportional delays so the asymmetry is also visible in
-// wall-clock measurements.
+// cache simulator models Intel Memory Mode.
 //
-// The package is the simulator only — tracker, cache, space, modes,
-// throttle. What it counts (costmodel.Counts), the weights it charges
-// under (costmodel.Profile; the Optane default follows the measurements
-// the paper cites [50, 96]: NVRAM writes 12x a DRAM access) and the
-// pricing of one by the other (Profile.Cost) belong to internal/costmodel,
-// which this package imports and which imports nothing of the module.
+// The package is the simulator only — tracker, cache, space, modes. What
+// it counts (costmodel.Counts), the weights it charges under
+// (costmodel.Profile; the Optane default follows the measurements the
+// paper cites [50, 96]: NVRAM writes 12x a DRAM access) and the pricing
+// of one by the other (Profile.Cost) belong to internal/costmodel, which
+// this package imports and which imports nothing of the module.
 package psam
 
 import (

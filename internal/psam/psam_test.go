@@ -207,18 +207,6 @@ func TestSpaceConcurrentPeak(t *testing.T) {
 	}
 }
 
-func TestThrottleNilSafe(t *testing.T) {
-	var th *Throttle
-	th.NVRAMReadDelay(10)
-	th.NVRAMWriteDelay(10)
-	p := costmodel.Optane()
-	th2 := NewThrottle(&p, 2)
-	if th2.ReadSpinPerWord != 0 || th2.WriteSpinPerWord != 22 {
-		t.Fatalf("spin config %+v", th2)
-	}
-	th2.NVRAMReadDelay(1)
-}
-
 func TestModeString(t *testing.T) {
 	names := map[Mode]string{
 		DRAMOnly:   "DRAM",

@@ -25,8 +25,11 @@ package server
 // the seed, sage.Engine.PredictCost's one priced edge pass. Where
 // the DRAM gate bounds summed residency, the cost gate bounds summed
 // predicted memory traffic — the quantity that actually saturates an
-// asymmetric device — and the seed's latency projection seeds the
-// Retry-After estimate before any run has completed.
+// asymmetric device.
+//
+// Costs stay in the model's DRAM-access units and are never turned into
+// time: Retry-After rests only on the run durations the server measures,
+// and assumes second-scale runs until the first run ends.
 
 import (
 	"context"
@@ -130,20 +133,6 @@ func (a *admission) admit(ctx context.Context, words, cost int64) (release func(
 			<-a.slots
 		})
 	}, "", true
-}
-
-// seed primes the Retry-After estimator with a predicted run duration
-// when no run has completed yet — the cost model's latency projection
-// stands in for history until the first observation replaces it.
-func (a *admission) seed(predicted time.Duration) {
-	if predicted <= 0 {
-		return
-	}
-	a.mu.Lock()
-	if a.ewmaRunNanos == 0 {
-		a.ewmaRunNanos = int64(predicted)
-	}
-	a.mu.Unlock()
 }
 
 // observe feeds one completed run's duration into the smoothed estimate

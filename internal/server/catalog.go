@@ -130,13 +130,15 @@ func graphSize(g *sage.Graph) float64 {
 }
 
 // predict returns the learned cost and peak DRAM words of registry
-// algorithm algo on g, each falling back to its seed — costSeed, and
-// sage.EstimateDRAMWords — until algo has run on this dataset.
-func (e estimates) predict(algo string, g *sage.Graph, costSeed int64) (cost, words int64) {
+// algorithm algo on g, each falling back to its seed — eng.PredictCost,
+// and sage.EstimateDRAMWords — until algo has run on this dataset.
+func (e estimates) predict(algo string, g *sage.Graph, eng *sage.Engine) (cost, words int64) {
 	slot := e[algo]
-	cost = costSeed
 	if bits := slot.cost.Load(); bits != unseen {
 		cost = int64(math.Round(math.Exp(math.Float64frombits(bits)) * graphSize(g)))
+	} else {
+		est, _ := eng.PredictCost(algo, g) // algo is a registry name
+		cost = est.Cost
 	}
 	if bits := slot.peak.Load(); bits != 0 {
 		return cost, int64(math.Round(math.Float64frombits(bits) * graphSize(g)))

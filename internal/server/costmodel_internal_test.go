@@ -62,28 +62,40 @@ func TestShouldAutoCompactHysteresis(t *testing.T) {
 	}
 }
 
+// costSeed is the engine's unlearned cost prediction of algo on g.
+func costSeed(t *testing.T, eng *sage.Engine, algo string, g *sage.Graph) int64 {
+	t.Helper()
+	est, err := eng.PredictCost(algo, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est.Cost
+}
+
 // TestCostEstimateDamping: the first run sets an algorithm's estimate,
 // and one run 100x off either way moves it by at most 100^(1/5) ≈ 2.5x.
 func TestCostEstimateDamping(t *testing.T) {
 	g := sage.GenerateRMAT(6, 4, 1)
+	eng := sage.NewEngine()
+	seed := costSeed(t, eng, "bfs", g)
 	bound := math.Pow(100, 1.0/ewmaDiv)
 	for _, off := range []float64{100, 0.01} {
 		e := newEstimates()
-		if got, _ := e.predict("bfs", g, 123); got != 123 {
-			t.Fatalf("unseen algorithm predicted %d, want the seed 123", got)
+		if got, _ := e.predict("bfs", g, eng); got != seed {
+			t.Fatalf("unseen algorithm predicted %d, want the seed %d", got, seed)
 		}
 		e.observe("bfs", g, 100_000, 1)
-		if got, _ := e.predict("bfs", g, 123); got != 100_000 {
+		if got, _ := e.predict("bfs", g, eng); got != 100_000 {
 			t.Fatalf("after one run predicted %d, want its cost 100000", got)
 		}
 		e.observe("bfs", g, int64(100_000*off), 1)
-		got, _ := e.predict("bfs", g, 123)
+		got, _ := e.predict("bfs", g, eng)
 		ratio := float64(got) / 100_000
 		if ratio == 1 || math.Max(ratio, 1/ratio) > bound*(1+1e-3) {
 			t.Fatalf("one run %gx off moved the estimate %gx, want within (1, %g]", off, ratio, bound)
 		}
-		if got, _ := e.predict("cc", g, 7); got != 7 {
-			t.Fatalf("a bfs run taught cc: predicted %d, want the seed 7", got)
+		if got, _ := e.predict("cc", g, eng); got != costSeed(t, eng, "cc", g) {
+			t.Fatalf("a bfs run taught cc: predicted %d, want its seed", got)
 		}
 		if cost, _ := e.perSize(); len(cost) != 1 || cost["bfs"] <= 0 {
 			t.Fatalf("perSize = %v, want bfs alone", cost)
@@ -96,23 +108,24 @@ func TestCostEstimateDamping(t *testing.T) {
 // peak after a larger one leaves the charge where it was.
 func TestPeakEstimateIsMax(t *testing.T) {
 	g := sage.GenerateRMAT(6, 4, 1)
+	eng := sage.NewEngine()
 	e := newEstimates()
 	seed, err := sage.EstimateDRAMWords("bfs", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, got := e.predict("bfs", g, 1); got != seed {
+	if _, got := e.predict("bfs", g, eng); got != seed {
 		t.Fatalf("unseen algorithm charged %d words, want the seed %d", got, seed)
 	}
 	for _, tc := range []struct{ peak, want int64 }{
 		{500, 500}, {300, 500}, {700, 700}, {0, 700},
 	} {
 		e.observe("bfs", g, 1, tc.peak)
-		if _, got := e.predict("bfs", g, 1); got != tc.want {
+		if _, got := e.predict("bfs", g, eng); got != tc.want {
 			t.Fatalf("after a peak of %d charged %d words, want %d", tc.peak, got, tc.want)
 		}
 	}
-	if _, got := e.predict("cc", g, 1); got != seed {
+	if _, got := e.predict("cc", g, eng); got != seed {
 		t.Fatalf("a bfs run taught cc: charged %d, want the seed %d", got, seed)
 	}
 	if _, peak := e.perSize(); len(peak) != 1 || peak["bfs"] != 700/graphSize(g) {
@@ -126,6 +139,10 @@ func TestPeakEstimateIsMax(t *testing.T) {
 // under equal runs, and the peak ends at the largest one observed.
 func TestCostEstimateConcurrent(t *testing.T) {
 	g := sage.GenerateRMAT(6, 4, 1)
+	eng := sage.NewEngine()
+	// Every run costs the seed, so each prediction equals it whether or
+	// not a run has landed yet.
+	cost := costSeed(t, eng, "pagerank", g)
 	e := newEstimates()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -133,14 +150,14 @@ func TestCostEstimateConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				e.observe("pagerank", g, 5000, int64(1000+w*200+i))
+				e.observe("pagerank", g, cost, int64(1000+w*200+i))
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if got, _ := e.predict("pagerank", g, 5000); got != 5000 {
-					t.Errorf("predicted %d mid-update, want 5000", got)
+				if got, _ := e.predict("pagerank", g, eng); got != cost {
+					t.Errorf("predicted %d mid-update, want %d", got, cost)
 					return
 				}
 				_, _ = e.perSize()
@@ -148,10 +165,10 @@ func TestCostEstimateConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, _ := e.predict("pagerank", g, 1); got != 5000 {
-		t.Fatalf("after 800 runs of cost 5000 predicted %d", got)
+	if got, _ := e.predict("pagerank", g, eng); got != cost {
+		t.Fatalf("after 800 runs of cost %d predicted %d", cost, got)
 	}
-	if _, got := e.predict("pagerank", g, 1); got != 1799 {
+	if _, got := e.predict("pagerank", g, eng); got != 1799 {
 		t.Fatalf("after peaks up to 1799 charged %d words", got)
 	}
 }

@@ -437,11 +437,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Predict this run's cost and peak DRAM words before anything
 	// executes: what the dataset has learned once the algorithm has run
 	// here, else the seeds. They gate admission and are reported on every
-	// response — cache hits included; the cost seed's latency seeds
-	// Retry-After until a run ends.
-	est, _ := s.engine.PredictCost(algoName, g) // algoName validated above
-	predicted, words := d.learned.predict(algoName, g, est.Cost)
-	w.Header().Set("X-Sage-Cost-Model", est.Model)
+	// response, cache hits included.
+	predicted, words := d.learned.predict(algoName, g, s.engine)
+	w.Header().Set("X-Sage-Cost-Model", s.engine.Model().ModelName)
 	w.Header().Set("X-Sage-Cost-Predicted", strconv.FormatInt(predicted, 10))
 	w.Header().Set("X-Sage-DRAM-Predicted", strconv.FormatInt(words, 10))
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
@@ -462,7 +460,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The admission budget covers per-run state only: a snapshot's
 	// overlay is resident once regardless of how many runs share it, and
 	// is bounded separately by the delta budget.
-	s.adm.seed(time.Duration(est.LatencyNS))
 	releaseSlot, gate, ok := s.adm.admit(r.Context(), words, predicted)
 	if !ok {
 		if r.Context().Err() != nil {

@@ -370,6 +370,40 @@ func TestAdmissionDRAMBudget(t *testing.T) {
 	}
 }
 
+// TestRetryAfterRestsOnObservedRuns: until a run has ended the server
+// knows no run time, so a shed run is told the no-history second and
+// /metrics reports no smoothed run time; the first run to end sets it.
+func TestRetryAfterRestsOnObservedRuns(t *testing.T) {
+	ts := newTestServer(t, server.Config{
+		MaxConcurrent:      8,
+		DRAMBudgetWords:    10,
+		ResultCacheEntries: -1,
+	})
+	ewmaRunMS := func() float64 {
+		_, m := getJSON(t, ts.URL+"/metrics")
+		return metric(t, m, "admission", "ewma_run_ms")
+	}
+
+	cancel, done := slowRun(t, ts.URL, "web")
+	defer cancel()
+	waitFor(t, "slow run in flight", func() bool { return inflight(t, ts.URL) == 1 })
+
+	code, body, hdr := postRun(t, ts.URL, "web", "bfs", ``)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("over-budget run: %d %v, want 429", code, body)
+	}
+	if got := hdr.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After before any run ended = %q, want 1", got)
+	}
+	if got := ewmaRunMS(); got != 0 {
+		t.Fatalf("ewma_run_ms before any run ended = %v, want 0", got)
+	}
+
+	cancel()
+	<-done
+	waitFor(t, "the first run's time", func() bool { return ewmaRunMS() > 0 })
+}
+
 func TestClientDisconnectCancelsRun(t *testing.T) {
 	ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
 

@@ -22,7 +22,7 @@ import (
 )
 
 // sniffEdgeList accepts files whose first non-blank character is a digit
-// or a '#' comment — loose on purpose, which is why it is registered last.
+// or a '#' comment — loose on purpose, which is why it is listed last.
 func sniffEdgeList(prefix []byte) bool {
 	for _, c := range prefix {
 		switch {

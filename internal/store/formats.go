@@ -1,7 +1,7 @@
 package store
 
-// The built-in formats, registered in sniffing order (most specific magic
-// first, the loose edge-list heuristic last).
+// The built-in formats, in sniffing order (most specific magic first, the
+// loose edge-list heuristic last).
 
 import (
 	"bytes"
@@ -20,16 +20,17 @@ const (
 	FormatEdgeList = "edgelist" // whitespace edge-list text
 )
 
-func init() {
-	Register(&Format{
+// formats is the registry, in sniffing order.
+var formats = []*Format{
+	{
 		Name:       FormatBinary,
 		Doc:        "Sage v2 binary container: mmap-able CSR or byte-compressed sections",
 		Extensions: []string{".sg", ".bin"},
 		Sniff:      sniffMagic(graph.MagicV2),
 		Decode:     decodeBinary,
 		Encode:     encodeBinary,
-	})
-	Register(&Format{
+	},
+	{
 		Name:       FormatAdj,
 		Doc:        "Ligra AdjacencyGraph / WeightedAdjacencyGraph text",
 		Extensions: []string{".adj", ".ligra"},
@@ -39,15 +40,15 @@ func init() {
 		},
 		Decode: decodeAdj,
 		Encode: encodeAdj,
-	})
-	Register(&Format{
+	},
+	{
 		Name:       FormatEdgeList,
 		Doc:        "whitespace edge list (u v [w] per line, # comments)",
 		Extensions: []string{".el", ".edges", ".txt"},
 		Sniff:      sniffEdgeList,
 		Decode:     decodeEdgeList,
 		Encode:     encodeEdgeList,
-	})
+	},
 }
 
 // sniffMagic matches a little-endian uint64 magic at offset 0.

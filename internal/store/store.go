@@ -106,7 +106,7 @@ func (d *Dataset) Close() error {
 	return nil
 }
 
-// Format describes one registered on-disk graph format.
+// Format describes one on-disk graph format.
 type Format struct {
 	// Name is the registry key (the -format CLI value).
 	Name string
@@ -116,7 +116,7 @@ type Format struct {
 	// writing and as a sniffing tie-break when reading.
 	Extensions []string
 	// Sniff reports whether the leading bytes of a file are this format.
-	// Sniffers are tried in registration order, most specific first.
+	// Sniffers are tried in registry order, most specific first.
 	Sniff func(prefix []byte) bool
 	// Decode builds a dataset from an opened arena. keepArena reports
 	// whether the dataset's arrays may alias the arena (binary formats);
@@ -124,20 +124,6 @@ type Format struct {
 	Decode func(a *graph.Arena) (ds *Dataset, keepArena bool, err error)
 	// Encode writes the dataset, or is nil for read-only formats.
 	Encode func(w io.Writer, d *Dataset) error
-}
-
-// formats is the ordered registry (sniffing order).
-var formats []*Format
-
-// Register appends a format to the registry. Duplicate names panic (a
-// program-wiring bug, not an input error).
-func Register(f *Format) {
-	for _, g := range formats {
-		if g.Name == f.Name {
-			panic("store: duplicate format " + f.Name)
-		}
-	}
-	formats = append(formats, f)
 }
 
 // ByName returns the named format.
@@ -150,7 +136,7 @@ func ByName(name string) (*Format, error) {
 	return nil, fmt.Errorf("store: unknown format %q (have %s)", name, strings.Join(Names(), ", "))
 }
 
-// Names returns the registered format names in sniffing order.
+// Names returns the format names in sniffing order.
 func Names() []string {
 	out := make([]string, len(formats))
 	for i, f := range formats {
