@@ -16,7 +16,6 @@ import (
 	"sage/internal/costmodel"
 	"sage/internal/gbbs"
 	"sage/internal/harness"
-	"sage/internal/numa"
 	"sage/internal/psam"
 	"sage/internal/semiext"
 	"sage/internal/traverse"
@@ -252,23 +251,6 @@ func BenchmarkTable5Traversal(b *testing.B) {
 				peak = env.Space.Peak()
 			}
 			b.ReportMetric(float64(peak), "peak-dram-words")
-		})
-	}
-}
-
-// BenchmarkSec52NUMA measures the degree-count kernel and reports the
-// modeled layout ratios.
-func BenchmarkSec52NUMA(b *testing.B) {
-	g := sage.GenerateRMAT(benchScale, 16, 3)
-	model := numa.DefaultModel()
-	for _, pl := range []numa.Placement{numa.SingleSocket, numa.Interleaved, numa.Replicated} {
-		b.Run(pl.String(), func(b *testing.B) {
-			var t float64
-			for i := 0; i < b.N; i++ {
-				_, words := numa.DegreeCount(g.RawCSR())
-				t = model.SimulatedTime(pl, words, 2*sage.Workers())
-			}
-			b.ReportMetric(t, "sim-time")
 		})
 	}
 }

@@ -1,7 +1,8 @@
 // Command sage-bench regenerates the paper's tables and figures over the
 // synthetic workloads. The graph problems inside every experiment come
 // from the same algorithm registry that backs sage-run and the public
-// sage.Algorithms API (see internal/harness.Problems).
+// sage.Algorithms API (see internal/harness.Problems). docs/REPRODUCTION.md
+// lists what each experiment computes and the test that asserts it.
 //
 // Usage:
 //
@@ -25,7 +26,6 @@ var experiments = []struct {
 	Run func(scale int) []*harness.Report
 }{
 	{"fig1", "NVRAM systems on a larger-than-DRAM graph", one(harness.RunFig1)},
-	{"fig2", "graph corpus density envelope", func(int) []*harness.Report { return []*harness.Report{harness.RunFig2()} }},
 	{"fig6", "self-relative speedup sweep", one(harness.RunFig6)},
 	{"fig7", "DRAM vs NVRAM configurations in-memory", one(harness.RunFig7)},
 	{"table1", "PSAM cost vs write asymmetry omega", one(harness.RunTable1)},
@@ -33,7 +33,6 @@ var experiments = []struct {
 	{"table3", "Sage vs semi-external streaming", one(harness.RunTable3)},
 	{"table4", "triangle counting vs filter block size", one(harness.RunTable4)},
 	{"table5", "traversal strategy memory usage", one(harness.RunTable5)},
-	{"sec52", "NUMA layout micro-benchmark", one(harness.RunSec52)},
 	{"appD1", "triangle counting vs vertex ordering", one(harness.RunAppD1)},
 	{"all", "every experiment", harness.RunAll},
 }

@@ -4,9 +4,9 @@
 // sage-serve HTTP API (/v1/run, /v1/update, /v1/datasets, ...) to the
 // replica owning each dataset.
 //
-// The tier acts on the paper's §5.2 placement result, which
-// internal/numa models: replicating the graph per socket beats one
-// shared copy by 1.6× because all NVRAM traffic stays local. Scaled out
+// The tier follows the paper's §5.2 placement result: on a two-socket
+// machine, replicating the graph per socket beats one shared copy
+// because all NVRAM traffic stays local. Scaled out
 // of the box, "socket" becomes "replica process": each dataset lives on
 // a small set of replicas (the ring's owners), every replica serves its
 // shard from its own local mmap arena, and the router keeps requests on

@@ -255,34 +255,3 @@ func BenchmarkGenerateRMATWeighted(b *testing.B) {
 		AddUniformWeights(RMAT(16, 16, 1), 2)
 	}
 }
-
-func TestFig2CorpusEnvelope(t *testing.T) {
-	entries := Fig2Corpus(42)
-	if len(entries) != 42 {
-		t.Fatalf("corpus size %d", len(entries))
-	}
-	dense := 0
-	for _, e := range entries {
-		if e.AvgDegree >= 10 {
-			dense++
-		}
-		if e.N < 1<<14 || e.N > 1<<20 {
-			t.Fatalf("entry n=%d out of range", e.N)
-		}
-	}
-	// The paper's claim: over 90% of graphs have average degree >= 10.
-	if frac := float64(dense) / float64(len(entries)); frac < 0.9 {
-		t.Fatalf("only %.0f%% of corpus at davg>=10", 100*frac)
-	}
-}
-
-func TestBuildEntrySmall(t *testing.T) {
-	e := CorpusEntry{Name: "t", Kind: "social", N: 1 << 10, AvgDegree: 12}
-	g, d := BuildEntry(e, 3)
-	if err := g.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-	if d < 4 {
-		t.Fatalf("realized avg degree %.1f too small", d)
-	}
-}

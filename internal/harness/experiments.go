@@ -146,7 +146,7 @@ func RunFig7(scale int) *Report {
 	rep.Metric("avg/libvmm_over_sage_nvram", geoMean(vmOverSage))
 	rep.Metric("avg/gbbs_dram_over_sage_dram", geoMean(gbbsOverSageDram))
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("Sage-NVRAM vs Sage-DRAM: %.2fx (paper: ~1.05x — NVRAM reads mostly hidden)",
+		fmt.Sprintf("Sage-NVRAM vs Sage-DRAM: %.2fx, by the PSAM's unit NVRAM read charge (§3.2), not a latency measurement (paper: ~1.05x on Optane)",
 			geoMean(nvramOverDram)),
 		fmt.Sprintf("GBBS-libvmmalloc vs Sage-NVRAM: %.2fx slower (paper: 6.69x)",
 			geoMean(vmOverSage)),

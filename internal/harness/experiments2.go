@@ -8,37 +8,11 @@ import (
 	"sage/internal/compress"
 	"sage/internal/gen"
 	"sage/internal/graph"
-	"sage/internal/numa"
 	"sage/internal/parallel"
 	"sage/internal/psam"
 	"sage/internal/semiext"
 	"sage/internal/traverse"
 )
-
-// RunFig2 regenerates Figure 2: the vertex-count vs average-degree
-// envelope of the 42-graph corpus, and the >90%-above-10 claim.
-func RunFig2() *Report {
-	entries := gen.Fig2Corpus(42)
-	rep := &Report{
-		ID:      "fig2",
-		Title:   "Synthetic corpus matching the SNAP/LAW envelope (42 graphs)",
-		Columns: []string{"Graph", "Kind", "n", "m/n"},
-	}
-	dense := 0
-	for _, e := range entries {
-		if e.AvgDegree >= 10 {
-			dense++
-		}
-		rep.Rows = append(rep.Rows, []string{
-			e.Name, e.Kind, fmt.Sprintf("%d", e.N), fmt.Sprintf("%.1f", e.AvgDegree),
-		})
-	}
-	frac := float64(dense) / float64(len(entries))
-	rep.Metric("frac_davg_ge_10", frac)
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"%.0f%% of the corpus has m/n >= 10 (paper: over 90%%)", 100*frac))
-	return rep
-}
 
 // RunFig6 regenerates Figure 6: self-relative speedup (T1/Tp) of every
 // problem, sweeping the worker count, with the parallel wall-clock time
@@ -171,7 +145,6 @@ func RunTable4(scale int) *Report {
 		Title:   "Triangle counting vs filter block size (compressed input)",
 		Columns: []string{"BlockSize", "IntersectionWork", "TotalWork", "PSAM cost", "Time"},
 	}
-	var firstIW int64
 	for _, bs := range []int{64, 128, 256} {
 		cg := compress.Compress(g, bs)
 		env := psam.NewEnv(psam.AppDirect)
@@ -190,9 +163,6 @@ func RunTable4(scale int) *Report {
 		rep.Metric(fmt.Sprintf("bs%d/total_work", bs), float64(res.TotalWork))
 		rep.Metric(fmt.Sprintf("bs%d/intersection_work", bs), float64(res.IntersectionWork))
 		rep.Metric(fmt.Sprintf("bs%d/cost", bs), float64(env.Cost()))
-		if firstIW == 0 {
-			firstIW = res.IntersectionWork
-		}
 	}
 	rep.Notes = append(rep.Notes,
 		"Intersection work is fixed by the graph and ordering; total (decode) work grows with the block size (Appendix D.1).")
@@ -239,38 +209,12 @@ func RunTable5(scale int) *Report {
 	return rep
 }
 
-// RunSec52 regenerates the §5.2 NUMA micro-benchmark: degree counting
-// under the three graph layouts.
-func RunSec52(scale int) *Report {
-	g := gen.RMAT(scale, 16, 0x52)
-	_, words := numa.DegreeCount(g)
-	m := numa.DefaultModel()
-	p := 2 * parallel.Workers() // model both sockets fully populated
-	rep := &Report{
-		ID:      "sec52",
-		Title:   "NUMA graph layout micro-benchmark (degree counting)",
-		Columns: []string{"Layout", "Sim time", "vs single-socket"},
-	}
-	single := m.SimulatedTime(numa.SingleSocket, words, p)
-	for _, pl := range []numa.Placement{numa.SingleSocket, numa.Interleaved, numa.Replicated} {
-		tm := m.SimulatedTime(pl, words, p)
-		rep.Rows = append(rep.Rows, []string{
-			pl.String(), fmt.Sprintf("%.0f", tm), fmtRatio(tm / single),
-		})
-		rep.Metric(pl.String()+"/rel", tm/single)
-	}
-	rep.Notes = append(rep.Notes,
-		"Paper §5.2: cross-socket 3.7x slower than single-socket; replicated 1.6x faster than single-socket (6.2x faster than cross-socket).")
-	return rep
-}
-
 // RunAll executes every experiment at the given scale.
 func RunAll(scale int) []*Report {
 	return []*Report{
-		RunFig1(scale), RunFig2(), RunFig6(scale), RunFig7(scale),
+		RunFig1(scale), RunFig6(scale), RunFig7(scale),
 		RunTable1(scale), RunTable2(scale), RunTable3(scale),
-		RunTable4(scale), RunTable5(scale), RunSec52(scale),
-		RunAppD1(scale),
+		RunTable4(scale), RunTable5(scale), RunAppD1(scale),
 	}
 }
 

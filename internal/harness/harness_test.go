@@ -27,23 +27,16 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
-func TestFig2Shape(t *testing.T) {
-	rep := RunFig2()
-	if frac := rep.Metrics["frac_davg_ge_10"]; frac < 0.9 {
-		t.Fatalf("corpus density fraction %.2f < 0.9", frac)
-	}
-	if len(rep.Rows) != 42 {
-		t.Fatalf("corpus rows %d != 42", len(rep.Rows))
-	}
-}
-
 func TestFig7Shape(t *testing.T) {
 	// One worker: CAS races in the parallel algorithms move the PSAM
 	// counts between runs enough to cross the 0.99 floor now and then.
 	defer parallel.SetWorkers(parallel.Workers())
 	parallel.SetWorkers(1)
 	rep := RunFig7(testScale)
-	// Sage on NVRAM matches Sage on DRAM in the PSAM (paper: within 5%).
+	// Sage on NVRAM matches Sage on DRAM because the PSAM charges an
+	// NVRAM read the same unit as a DRAM read (§3.2) and Sage writes no
+	// NVRAM. The ratio checks that model, not a measurement of hidden
+	// NVRAM latency (paper: within 5% on Optane).
 	if r := rep.Metrics["avg/sage_nvram_over_sage_dram"]; r < 0.99 || r > 1.06 {
 		t.Fatalf("Sage-NVRAM/Sage-DRAM = %.3f, want ~1.0 (paper 1.05)", r)
 	}
@@ -144,18 +137,6 @@ func TestTable5Shape(t *testing.T) {
 	}
 	if gain := rep.Metrics["direction_opt_gain"]; gain < 1.5 {
 		t.Fatalf("direction optimization gain %.1fx too small (paper 3.1x)", gain)
-	}
-}
-
-func TestSec52Shape(t *testing.T) {
-	rep := RunSec52(testScale)
-	cross := rep.Metrics["cross-socket/rel"]
-	repl := rep.Metrics["replicated/rel"]
-	if cross < 3.5 || cross > 3.9 {
-		t.Fatalf("cross-socket ratio %.2f, want ~3.7", cross)
-	}
-	if repl > 0.7 || repl < 0.55 {
-		t.Fatalf("replicated ratio %.2f, want ~0.625 (1.6x faster)", repl)
 	}
 }
 

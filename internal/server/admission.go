@@ -135,7 +135,7 @@ func (a *admission) admit(ctx context.Context, words, cost int64) (release func(
 	}, "", true
 }
 
-// observe feeds one completed run's duration into the smoothed estimate
+// observe feeds one run's slot-holding time into the smoothed estimate
 // behind Retry-After (EWMA, alpha = 1/ewmaDiv: responsive to load
 // shifts without tracking every outlier).
 func (a *admission) observe(d time.Duration) {

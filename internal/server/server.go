@@ -489,7 +489,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := s.engine.RunAlgorithm(ctx, algoName, g, canon)
 	elapsed := time.Since(start)
-	s.adm.observe(elapsed) // feeds the Retry-After estimate
+	// Only runs that used their slot to the end feed the Retry-After
+	// estimate: an argument error returns in microseconds and a client's
+	// cancellation at an arbitrary point, so neither says how long the
+	// next queued request waits for a slot.
 	if err != nil {
 		switch {
 		case r.Context().Err() != nil:
@@ -498,6 +501,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.runsCancelled.Add(1)
 			writeError(w, statusClientClosedRequest, "run cancelled: %v", err)
 		case errors.Is(err, context.DeadlineExceeded):
+			s.adm.observe(s.maxRun)
 			s.runsFailed.Add(1)
 			writeError(w, http.StatusGatewayTimeout,
 				"run exceeded the configured time limit (%s)", s.maxRun)
@@ -509,6 +513,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	s.adm.observe(elapsed)
 	timing.mark("run")
 	resp := runResponse{
 		Dataset:    dsName,

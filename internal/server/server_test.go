@@ -372,7 +372,8 @@ func TestAdmissionDRAMBudget(t *testing.T) {
 
 // TestRetryAfterRestsOnObservedRuns: until a run has ended the server
 // knows no run time, so a shed run is told the no-history second and
-// /metrics reports no smoothed run time; the first run to end sets it.
+// /metrics reports no smoothed run time. A run the client cancelled
+// does not set it; the first run to finish does.
 func TestRetryAfterRestsOnObservedRuns(t *testing.T) {
 	ts := newTestServer(t, server.Config{
 		MaxConcurrent:      8,
@@ -401,7 +402,58 @@ func TestRetryAfterRestsOnObservedRuns(t *testing.T) {
 
 	cancel()
 	<-done
-	waitFor(t, "the first run's time", func() bool { return ewmaRunMS() > 0 })
+	waitFor(t, "the cancelled run to end", func() bool { return inflight(t, ts.URL) == 0 })
+	if got := ewmaRunMS(); got != 0 {
+		t.Fatalf("ewma_run_ms after a cancelled run = %v, want 0", got)
+	}
+	if code, body, _ := postRun(t, ts.URL, "web", "bfs", ``); code != http.StatusOK {
+		t.Fatalf("solo run: %d %v", code, body)
+	}
+	if got := ewmaRunMS(); got <= 0 {
+		t.Fatalf("ewma_run_ms after a finished run = %v, want > 0", got)
+	}
+}
+
+// TestRetryAfterIgnoresFailedRuns: a request whose arguments the run
+// rejects answers 400 in microseconds and says nothing about how long
+// a slot stays held, so a burst of them leaves the smoothed run time
+// where the last finished run put it.
+func TestRetryAfterIgnoresFailedRuns(t *testing.T) {
+	ts := newTestServer(t, server.Config{ResultCacheEntries: -1})
+	ewmaRunMS := func() float64 {
+		_, m := getJSON(t, ts.URL+"/metrics")
+		return metric(t, m, "admission", "ewma_run_ms")
+	}
+	if code, body, _ := postRun(t, ts.URL, "web", "pagerank", ``); code != http.StatusOK {
+		t.Fatalf("pagerank: %d %v", code, body)
+	}
+	before := ewmaRunMS()
+	if before <= 0 {
+		t.Fatalf("ewma_run_ms after a finished run = %v, want > 0", before)
+	}
+	for i := 0; i < 10; i++ {
+		if code, body, _ := postRun(t, ts.URL, "web", "bfs", `{"src": 99999999}`); code != http.StatusBadRequest {
+			t.Fatalf("out-of-range src: %d %v, want 400", code, body)
+		}
+	}
+	if got := ewmaRunMS(); got != before {
+		t.Fatalf("ewma_run_ms moved from %v to %v on ten 400s", before, got)
+	}
+}
+
+// TestRetryAfterCountsTimedOutRuns: a run cut at MaxRunDuration held
+// its slot for exactly that long, which is what the estimate records.
+func TestRetryAfterCountsTimedOutRuns(t *testing.T) {
+	const limit = 40 * time.Millisecond
+	ts := newTestServer(t, server.Config{ResultCacheEntries: -1, MaxRunDuration: limit})
+	code, body, _ := postRun(t, ts.URL, "web", "pagerank", `{"eps": 1e-300, "maxiters": 1000000000}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("unbounded pagerank: %d %v, want 504", code, body)
+	}
+	_, m := getJSON(t, ts.URL+"/metrics")
+	if got, want := metric(t, m, "admission", "ewma_run_ms"), float64(limit.Milliseconds()); got != want {
+		t.Fatalf("ewma_run_ms after a timed-out run = %v, want %v", got, want)
+	}
 }
 
 func TestClientDisconnectCancelsRun(t *testing.T) {

@@ -281,14 +281,17 @@ func TestSnapshotEmptyOverlayFastPath(t *testing.T) {
 	if snap.DeltaWords() != 0 {
 		t.Fatal("identity snapshot reports delta words")
 	}
-	s2, err := snap.ApplyBatch([]sage.EdgeOp{{U: 1, V: 2}})
+	// The insert must add an edge: one the generator already drew would
+	// leave the overlay empty and fail the check below for the wrong reason.
+	u, v := absentEdge(t, g.RawCSR())
+	s2, err := snap.ApplyBatch([]sage.EdgeOp{{U: u, V: v}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Graph() == g {
 		t.Fatal("non-empty overlay still exposes the base handle")
 	}
-	s3, err := s2.ApplyBatch([]sage.EdgeOp{{U: 1, V: 2, Del: true}})
+	s3, err := s2.ApplyBatch([]sage.EdgeOp{{U: u, V: v, Del: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +301,22 @@ func TestSnapshotEmptyOverlayFastPath(t *testing.T) {
 	if snap.Materialize() != g {
 		t.Fatal("identity Materialize copies the base")
 	}
+}
+
+// absentEdge returns the first pair (u, v), u < v, that is not an edge
+// of g.
+func absentEdge(t *testing.T, g *graph.Graph) (uint32, uint32) {
+	t.Helper()
+	n := g.NumVertices()
+	for u := uint32(0); u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !g.HasEdge(u, v) {
+				return u, v
+			}
+		}
+	}
+	t.Fatal("complete graph: no absent edge")
+	return 0, 0
 }
 
 // TestSnapshotRejectsBadOps pins the public validation contract.
